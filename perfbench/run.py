@@ -1,6 +1,6 @@
 """Seeded benchmark of coarsegeo: flat-pipeline, pair-audit, extraction.
 
-    python3 perfbench/run.py --workload flat-pipeline --seed 1 --seconds 34 --trace 0
+    python3 perfbench/run.py --workload flat-pipeline --seed 1 --seconds 30 --trace 0
 
 Run from the root of a source checkout; the package is imported from
 ``src/`` next to this directory, never from an installed copy.  One
@@ -8,11 +8,17 @@ process, one thread.  The last line of standard output is a JSON object
 with ``correct``, ``attempted``, ``failed`` and ``metrics``.
 
 ``--trace 0`` measures the end-to-end metrics with no wrappers
-installed:
+installed.  Op times are scaled to the reference speed of
+``speedprobe.py``: a probe chunk interrupts the pass every 50 ms, its
+own time is taken out, and the rest is divided by how much slower than
+usual the chunk ran in that pass.  The raw wall times go to the detail
+file.
 
-* ``setup_s``: median over fresh processes of the time from spawning
-  the interpreter to the first op (imports, constants load, seeded input
-  generation, cache clear);
+* ``setup_s``: median over ten fresh processes, half started before the
+  rounds and half after them, of the wall time from
+  spawning the interpreter to the first op (imports, constants load,
+  seeded input generation, cache clear), not scaled: it is mostly
+  imports, which do not slow down with the host as the probe chunk does;
 * ``cold_s`` / ``warm_s``: median over rounds of one pass over the op
   list right after ``surfmodel.clear_caches()`` / right after that;
 * ``op_p50_ms``: median op time over every warm pass;
@@ -24,7 +30,8 @@ Rounds repeat while the next one would end at most half a round past
 ``--trace 1`` runs a warm-up round and an untraced round, installs the
 per-layer wrappers (``tracer.py``) and runs one traced round of the same
 ops; it reports the per-layer counters of the traced round and
-``trace.overhead_s``, the traced op time minus the untraced op time.
+``trace.overhead_s``, the traced op time minus the untraced op time, in
+raw wall time with no speed probe.
 
 Details of every run (provenance, per-pass times, probe samples) go to
 ``perfbench/out/<workload>-seed<seed>-trace<t>.json``.
@@ -45,12 +52,14 @@ import sys
 import time
 from pathlib import Path
 
+import speedprobe
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = HERE / "out"
 WORKLOAD_NAMES = ("flat-pipeline", "pair-audit", "extraction")
-SETUP_PROBES = 5
+SETUP_PROBES = 5  # before the rounds, and as many again after them
 
 
 def fail(msg: str) -> int:
@@ -147,14 +156,18 @@ class Runner:
         self.errors: list[str] = []  # ops that raised
         self.mismatches: list[str] = []  # results that failed their check
 
-    def run_pass(self, tracer=None) -> list[float]:
+    def run_pass(self, tracer=None, probe=None) -> tuple[list[float], float]:
+        """Op times of one pass, without the time the probe took, and
+        the pass's speed factor (1.0 without a probe)."""
         gc.collect()
         times, results = [], []
+        start = probe.reading() if probe else None
         if tracer is not None:
             tracer.install()
         try:
             for i in range(len(self.wl)):
                 self.attempted += 1
+                spent = probe.spent if probe else 0.0
                 t0 = time.perf_counter()
                 try:
                     out = self.wl.run(i)
@@ -162,7 +175,8 @@ class Runner:
                     out = None
                     self.failed += 1
                     self.errors.append(f"op {i} raised {type(exc).__name__}: {exc}")
-                times.append(time.perf_counter() - t0)
+                dt = time.perf_counter() - t0
+                times.append(dt - (probe.spent - spent if probe else 0.0))
                 results.append(out)
         finally:
             if tracer is not None:
@@ -173,30 +187,39 @@ class Runner:
                     self.wl.check(i, out)
                 except Exception as exc:  # a missing stage or field is a mismatch too
                     self.mismatches.append(f"op {i}: {type(exc).__name__}: {exc}")
-        return times
+        return times, speedprobe.factor(start, probe.reading()) if probe else 1.0
 
-    def round(self, tracer=None):
+    def round(self, tracer=None, probe=None):
         from coarsegeo import surfmodel
         surfmodel.clear_caches()
-        cold = self.run_pass(tracer)
-        warm = self.run_pass(tracer)
+        cold = self.run_pass(tracer, probe)
+        warm = self.run_pass(tracer, probe)
         return cold, warm
 
 
 def measure(args, runner: Runner) -> tuple[dict, dict]:
     probes = [probe_setup(args) for _ in range(SETUP_PROBES)]
-    t_start = time.perf_counter()
-    colds, warms, warm_ops = [], [], []
-    while True:
-        cold, warm = runner.round()
-        colds.append(sum(cold))
-        warms.append(sum(warm))
-        warm_ops += warm
-        elapsed = time.perf_counter() - t_start
-        # whole rounds only: start another while it would end at most
-        # half a round past the requested time
-        if elapsed + 0.5 * elapsed / len(colds) > args.seconds:
-            break
+    probe = speedprobe.SpeedProbe()
+    probe.start()
+    try:
+        t_start = time.perf_counter()
+        colds, warms, warm_ops, raw = [], [], [], {"cold": [], "warm": [], "factor": []}
+        while True:
+            (cold, f_cold), (warm, f_warm) = runner.round(probe=probe)
+            colds.append(sum(cold) / f_cold)
+            warms.append(sum(warm) / f_warm)
+            warm_ops += [t / f_warm for t in warm]
+            raw["cold"].append(sum(cold))
+            raw["warm"].append(sum(warm))
+            raw["factor"] += [f_cold, f_warm]
+            elapsed = time.perf_counter() - t_start
+            # whole rounds only: start another while it would end at most
+            # half a round past the requested time
+            if elapsed + 0.5 * elapsed / len(colds) > args.seconds:
+                break
+    finally:
+        probe.stop()
+    probes += [probe_setup(args) for _ in range(SETUP_PROBES)]
     metrics = {
         "setup_s": (statistics.median(probes), "s"),
         "cold_s": (statistics.median(colds), "s"),
@@ -204,7 +227,10 @@ def measure(args, runner: Runner) -> tuple[dict, dict]:
         "op_p50_ms": (1e3 * statistics.median(warm_ops), "ms"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
     }
-    detail = {"setup_probes_s": probes, "cold_passes_s": colds, "warm_passes_s": warms,
+    detail = {"setup_probes_s": probes,
+              "cold_passes_s": colds, "warm_passes_s": warms,
+              "cold_passes_raw_s": raw["cold"], "warm_passes_raw_s": raw["warm"],
+              "pass_speed_factors": raw["factor"], "probe_chunks": probe.count,
               "ops_per_pass": len(runner.wl), "warm_op_count": len(warm_ops)}
     if len(warm_ops) >= 40:
         detail["op_p90_ms"] = 1e3 * statistics.quantiles(warm_ops, n=10)[-1]
@@ -215,7 +241,7 @@ def measure_traced(runner: Runner) -> tuple[dict, dict]:
     import tracer as tracing
     from coarsegeo import constants
     runner.round()  # the first round of a process runs slow; not compared
-    untraced = sum(map(sum, runner.round()))
+    untraced = sum(sum(times) for times, _ in runner.round())
     tr = tracing.Tracer()
     tr.install()
     try:
@@ -223,7 +249,7 @@ def measure_traced(runner: Runner) -> tuple[dict, dict]:
         constants.default_constants()
     finally:
         tr.uninstall()
-    traced = sum(map(sum, runner.round(tr)))
+    traced = sum(sum(times) for times, _ in runner.round(tr))
     metrics = tr.metrics()
     metrics["trace.overhead_s"] = (traced - untraced, tracing.unit("trace.overhead_s"))
     return metrics, {"untraced_op_s": untraced, "traced_op_s": traced}

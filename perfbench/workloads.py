@@ -42,19 +42,33 @@ class FlatPipeline:
 
     One op: ``run_pipeline`` on the twist flat of the 2-component
     marking surface (eps0 0.05, theta0 0.1, r0 50, noise 3, flat hint)
-    for one seed, then ``rank_experiment`` at n = rank + 1 on a box of
-    side 60.  The n <= rank branch of ``rank_experiment`` is left out:
+    for one noise seed, then ``rank_experiment`` at n = rank + 1 on a box
+    of side 60.  The n <= rank branch of ``rank_experiment`` is left out:
     its flat span of 600 is far smaller than the pipeline's box, so
     every sample is clamped to one corner of the flat.
+
+    ``--seed`` picks the noise seed from ``NOISE_SEEDS``.  About one
+    noise seed in six flips a component's curve at more than a fifth of
+    the 7x7 sub-box grid; ``run_pipeline`` then sends that component
+    down the preferred-path branch (a bbf window and an extraction), and
+    the op takes about 65% longer.  A run holds one op per pass, so such
+    seeds would split runs into two kinds of op.  ``NOISE_SEEDS`` holds
+    the draws ``default_rng([k, 1]).integers(1, 2**31 - 1)`` for
+    k = 1..13 and 17..19, the first sixteen that keep both components
+    on the product-region branch, where the distance formula and the
+    scale search do the work and bbf and consreal do none.
     """
 
     name = "flat-pipeline"
     ops_per_pass = 1
+    NOISE_SEEDS = (1114088975, 641987627, 2100730120, 939724676, 284122217, 159251960,
+                   1868869221, 1818613426, 544747305, 2008063237, 693047345, 2022829660,
+                   2096035905, 335444156, 1945368854, 1106669926)
 
     def __init__(self, seed: int, cn):
         self.cn = cn
-        rng = np.random.default_rng([seed, 1])
-        self.seeds = [int(rng.integers(1, 2 ** 31 - 1)) for _ in range(self.ops_per_pass)]
+        self.seeds = [self.NOISE_SEEDS[(seed + i) % len(self.NOISE_SEEDS)]
+                      for i in range(self.ops_per_pass)]
         self.rank = surfmodel.surface_stats(MARKING2)[1]
 
     def __len__(self) -> int:
