@@ -15,10 +15,11 @@ embedding audited here.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 from . import surfmodel
 from .consreal import SyntheticSystem
@@ -144,22 +145,43 @@ def _mutual_projection(u: Subsurface, v: Subsurface, w: Subsurface,
 
 
 def build_pk_graph(family: FamilyY, k: float, flavor: str, bers: float = 1.0) -> PkGraph:
-    """Exhaustive pair test: V and W are joined when every other member
-    sees their boundaries within K of each other."""
+    """V and W are joined when every other member U sees their boundaries
+    within K of each other.
+
+    Tested on the twist table T[u, v] = twist_number(core_u, core_v),
+    m(m - 1) calls for m cores: V and W are joined when the largest gap
+    max over u not in {v, w} of |T[u, v] - T[u, w]|, measured in the
+    annular metric (at height 1/B in the augmented flavor), is at most
+    K.  This is exact: both points of a gap sit at the same height, where
+    the annular metric is monotone in the twist difference, so the
+    metric of the largest gap is the largest metric.  The gaps are
+    formed one row v at a time, so memory stays O(m^2)."""
     members = family.members()
     edges: set[frozenset] = set()
     if family.kind == "component":
         return PkGraph(family, k, edges, flavor, bers)
-    for v, w in itertools.combinations(members, 2):
-        ok = True
-        for u in members:
-            if u in (v, w):
-                continue
-            if _mutual_projection(u, v, w, flavor, bers) > k:
-                ok = False
-                break
-        if ok:
-            edges.add(frozenset((v, w)))
+    cores = family.cores
+    m = len(cores)
+    table = np.zeros((m, m), dtype=np.int64)
+    for u, cu in enumerate(cores):
+        for v, cv in enumerate(cores):
+            if u != v:
+                table[u, v] = twist_number(cu, cv)
+    h = 1.0 / bers if flavor == "augmented" else None
+    flv = flavor if flavor != "pants" else "marking"
+    admissible: dict[int, bool] = {}
+    for v in range(m - 1):
+        ws = np.arange(v + 1, m)
+        gaps = np.abs(table[:, v, None] - table[:, ws])
+        gaps[v, :] = 0
+        gaps[ws, ws - v - 1] = 0
+        for w, g in zip(ws.tolist(), gaps.max(axis=0).tolist()):
+            ok = admissible.get(g)
+            if ok is None:
+                ok = admissible[g] = annular_distance(
+                    AnnularPoint(0, h), AnnularPoint(g, h), flv) <= k
+            if ok:
+                edges.add(frozenset((members[v], members[w])))
     return PkGraph(family, k, edges, flavor, bers)
 
 
@@ -176,13 +198,25 @@ class QuasiTree:
     projection graph.  Distances are shortest paths where each complex
     contributes its own exact metric between the nodes it hosts and
     every cross edge costs one; twists are already integral, so the
-    horoball complexes are discretized at unit resolution natively."""
+    horoball complexes are discretized at unit resolution natively.
+
+    The attachment table is built once, at the first distance query:
+    the distinct attachment nodes, the node indices each complex hosts,
+    and all-pairs shortest paths between the nodes (Floyd-Warshall over
+    the intra-complex metric blocks and the unit cross edges), O(n^2)
+    memory for n nodes.  Marking blocks are filled as |twist difference|
+    arrays; component and augmented blocks use `complex_metric` itself,
+    so every entry is the float the scalar metric gives."""
 
     family: FamilyY
     pk: PkGraph
     flavor: str
     bers: float
     attachments: dict[frozenset, tuple[QtPoint, QtPoint]] = field(default_factory=dict)
+    nodes: list[QtPoint] = field(default_factory=list, init=False, repr=False)
+    per_complex: dict[Subsurface, list[int]] = field(default_factory=dict, init=False,
+                                                     repr=False)
+    apsp: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for e in self.pk.edges:
@@ -204,60 +238,57 @@ class QuasiTree:
         flv = self.flavor if self.flavor != "pants" else "marking"
         return annular_distance(a, b, flv)
 
-    def _attachment_table(self):
-        """All-pairs shortest paths over the attachment nodes, computed
-        once: intra-complex metric edges plus unit cross edges."""
-        if getattr(self, "_apsp", None) is not None:
-            return self._nodes, self._per_complex, self._apsp
-        nodes: list[QtPoint] = []
-        for _edge, (a, b) in sorted(self.attachments.items(),
-                                    key=lambda kv: sorted(s.key() for s in kv[0])):
-            for nd in (a, b):
-                if nd not in nodes:
-                    nodes.append(nd)
+    def _attachment_table(self) -> np.ndarray:
+        if self.apsp is not None:
+            return self.apsp
+        index: dict[QtPoint, int] = {}
+        for _edge, ends in sorted(self.attachments.items(),
+                                  key=lambda kv: sorted(s.key() for s in kv[0])):
+            for nd in ends:
+                index.setdefault(nd, len(index))
+        nodes = list(index)
         n = len(nodes)
-        import numpy as np
-        w = np.full((n, n), math.inf)
-        np.fill_diagonal(w, 0.0)
         per_complex: dict[Subsurface, list[int]] = {}
-        for i, nd in enumerate(nodes):
-            per_complex.setdefault(nd[0], []).append(i)
-        for idxs in per_complex.values():
-            for i in idxs:
-                for j in idxs:
-                    if i != j:
-                        w[i, j] = self.complex_metric(nodes[i][0], nodes[i][1],
-                                                      nodes[j][1])
-        idx = {nd: i for i, nd in enumerate(nodes)}
+        for i, (host, _pt) in enumerate(nodes):
+            per_complex.setdefault(host, []).append(i)
+        if self.family.kind == "annuli" and self.flavor != "augmented":
+            tw = np.array([pt.twist for _host, pt in nodes], dtype=float)
+            w = np.abs(tw[:, None] - tw[None, :])
+            host_id = np.array([per_complex[host][0] for host, _pt in nodes])
+            w[host_id[:, None] != host_id[None, :]] = math.inf
+        else:
+            w = np.full((n, n), math.inf)
+            for host, idxs in per_complex.items():
+                pts = [nodes[i][1] for i in idxs]
+                w[np.ix_(idxs, idxs)] = [[self.complex_metric(host, a, b) for b in pts]
+                                         for a in pts]
+            np.fill_diagonal(w, 0.0)
         for a, b in self.attachments.values():
-            i, j = idx[a], idx[b]
+            i, j = index[a], index[b]
             w[i, j] = min(w[i, j], 1.0)
             w[j, i] = min(w[j, i], 1.0)
         for k in range(n):
-            w = np.minimum(w, w[:, k, None] + w[None, k, :])
-        self._nodes, self._per_complex, self._apsp = nodes, per_complex, w
-        return nodes, per_complex, self._apsp
+            np.minimum(w, w[:, k, None] + w[None, k, :], out=w)
+        self.nodes, self.per_complex, self.apsp = nodes, per_complex, w
+        return w
 
     def distance(self, u: QtPoint, v: QtPoint) -> float:
         """Shortest glued path: a direct intra-complex leg, or out
         through this complex's attachments, across the precomputed
         attachment table, and in through the target's."""
         best = self.complex_metric(u[0], u[1], v[1]) if u[0] == v[0] else math.inf
-        nodes, per_complex, apsp = self._attachment_table()
-        out_u = per_complex.get(u[0], [])
-        out_v = per_complex.get(v[0], [])
+        apsp = self._attachment_table()
+        out_u = self.per_complex.get(u[0], [])
+        out_v = self.per_complex.get(v[0], [])
         if out_u and out_v:
-            du = [self.complex_metric(u[0], u[1], nodes[i][1]) for i in out_u]
-            dv = [self.complex_metric(v[0], v[1], nodes[j][1]) for j in out_v]
-            for a, da in zip(out_u, du):
-                for b, db in zip(out_v, dv):
-                    cand = da + apsp[a, b] + db
-                    if cand < best:
-                        best = cand
-        if best is math.inf or best == math.inf:
+            du = np.array([self.complex_metric(u[0], u[1], self.nodes[i][1]) for i in out_u])
+            dv = np.array([self.complex_metric(v[0], v[1], self.nodes[j][1]) for j in out_v])
+            via = (du[:, None] + apsp[np.ix_(out_u, out_v)] + dv[None, :]).min()
+            best = min(best, float(via))
+        if best == math.inf:
             raise WindowTooSmallError(
                 f"no path between {u[0]} and {v[0]} in the window; enlarge it")
-        return float(best)
+        return best
 
     def dump(self) -> dict:
         return {
@@ -278,10 +309,6 @@ def _pt_json(p):
     if isinstance(p, AnnularPoint):
         return [p.twist, p.height]
     return p
-
-
-def quasitree_distance(qt: QuasiTree, u: QtPoint, v: QtPoint) -> float:
-    return qt.distance(u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -962,6 +962,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p = common(sub.add_parser("calibrate", help="freeze the constants file"))
     p.add_argument("--scale", type=float, default=1.0)
+    p.set_defaults(seed=42)  # the seed data/constants.json was frozen with
 
     ns = ap.parse_args(argv)
     verb = ns.verb
@@ -1156,7 +1157,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if repr_.passed else 1
 
     if verb == "calibrate":
-        cn = calibrate(seed=ns.seed if ns.seed else 42, scale=ns.scale)
+        cn = calibrate(seed=ns.seed, scale=ns.scale)
         out = ns.out or "constants.json"
         cn.save(out)
         print(f"wrote {out} ({len(cn.values)} constants)", file=sys.stderr)

@@ -160,10 +160,14 @@ def twist_number(core: Slope, curve: Slope) -> int:
     """
     if curve == core:
         raise ValueError("no projection from core to its own annulus via slopes")
-    img = apply_matrix(transport_matrix(core), curve)
-    if img.q == 0:
+    # floor(num / den) is the floor of the image slope without reducing it:
+    # dividing both by their gcd or flipping both signs leaves it unchanged
+    a, b, c, d = transport_matrix(core)
+    num = a * curve.p + b * curve.q
+    den = c * curve.p + d * curve.q
+    if den == 0:
         raise ValueError("only the core transports to infinity")
-    return img.p // img.q
+    return num // den
 
 
 # -- exact Farey distance ---------------------------------------------------
@@ -274,8 +278,10 @@ def farey_geodesic(a: Slope, b: Slope) -> tuple[Slope, ...]:
     inv = mat_inv(m)
     img = apply_matrix(m, b)
     path = tuple(apply_matrix(inv, s) for s in _geo_from_inf(img.p, img.q))
-    assert path[0] == a and path[-1] == b
-    assert all(farey_adjacent(u, v) for u, v in zip(path, path[1:]))
+    if path[0] != a or path[-1] != b:
+        raise RuntimeError(f"Farey geodesic from {a} to {b} has ends {path[0]}, {path[-1]}")
+    if not all(farey_adjacent(u, v) for u, v in zip(path, path[1:])):
+        raise RuntimeError(f"Farey geodesic from {a} to {b} has a non-edge step: {path}")
     return path
 
 

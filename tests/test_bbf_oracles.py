@@ -1,0 +1,140 @@
+"""The twist-table projection graph, the attachment-table glued distance
+and the gcd-free twisting number against the direct loops they replaced
+(`tests/oracles.py`), on seeded inputs.
+
+Edge sets and marking distances must be identical.  Augmented distances
+sum acosh terms, so they are compared within a relative tolerance of
+1e-12 (the two sides add the same terms; they have matched exactly)."""
+
+import math
+
+import numpy as np
+import pytest
+
+import oracles
+from coarsegeo.bbf import (FamilyY, QuasiTree, WindowTooSmallError, build_pk_graph,
+                           embedding_for_pair, shared_embedding, working_window)
+from coarsegeo.harness import random_pair, random_point
+from coarsegeo.surfmodel import (INFINITY, ZERO, AnnularPoint, ModelSurface, Slope,
+                                 Subsurface, twist_number)
+
+AUGMENTED_REL_TOL = 1e-12
+
+
+def _annuli_trees(emb):
+    return [emb.trees[f.label()] for f in emb.families if f.kind == "annuli"]
+
+
+def _sample_points(qt: QuasiTree, rng, n: int, augmented: bool):
+    """Points on randomly chosen members of the tree's family: random
+    twists, and random heights in the augmented flavor."""
+    out = []
+    cores = qt.family.cores
+    for _ in range(n):
+        host = Subsurface("annulus", qt.family.comp, cores[int(rng.integers(len(cores)))])
+        tw = int(rng.integers(-40, 41))
+        h = float(rng.uniform(1.0 / qt.bers, 30.0)) if augmented else None
+        out.append((host, AnnularPoint(tw, h)))
+    return out
+
+
+def test_pk_and_marking_distance_on_pair_windows(marking2, cn):
+    """300 per-pair windows of the pair audit: both annuli families."""
+    rng = np.random.default_rng([7, 2])
+    k = cn["k_pk"]
+    for _ in range(300):
+        x, y = random_pair(marking2, rng, steps=12, big_twist=25)
+        emb = embedding_for_pair(x, y, k)
+        px, py = emb.project(x), emb.project(y)
+        for qt in _annuli_trees(emb):
+            assert qt.pk.edges == oracles.pk_edges(qt.family, k, "marking")
+            u, v = px.coord(qt.family.label()), py.coord(qt.family.label())
+            assert qt.distance(u, v) == oracles.glued_distance(qt, u, v)
+
+
+def test_pk_and_marking_distance_on_shared_window(marking1, cn):
+    rng = np.random.default_rng(5)
+    k = cn["k_pk"]
+    pts = [random_point(marking1, rng, steps=12, big_twist=25) for _ in range(12)]
+    qt = _annuli_trees(shared_embedding(pts, k))[0]
+    assert len(qt.family.cores) >= 50
+    assert qt.pk.edges == oracles.pk_edges(qt.family, k, "marking")
+    queries = _sample_points(qt, rng, 8, augmented=False)
+    for u, v in zip(queries[::2], queries[1::2]):
+        assert qt.distance(u, v) == oracles.glued_distance(qt, u, v)
+
+
+@pytest.mark.parametrize("bers", [1.0, 2.0])
+def test_pk_and_distance_on_augmented_windows(bers, cn):
+    surface = ModelSurface(((1, 1),), flavor="augmented", bers=bers)
+    rng = np.random.default_rng([11, int(bers)])
+    for _ in range(4):
+        x, y = random_pair(surface, rng, steps=10, big_twist=25)
+        fam = FamilyY(0, "annuli", working_window(x, y)[0])
+        for k in (0.5, 1.0, 2.0, cn["k_pk"]):
+            pk = build_pk_graph(fam, k, "augmented", bers)
+            assert pk.edges == oracles.pk_edges(fam, k, "augmented", bers)
+        qt = QuasiTree(fam, pk, "augmented", bers)
+        queries = _sample_points(qt, rng, 10, augmented=True)
+        for u, v in zip(queries[::2], queries[1::2]):
+            got, want = qt.distance(u, v), oracles.glued_distance(qt, u, v)
+            assert abs(got - want) <= AUGMENTED_REL_TOL * max(1.0, want)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("flavor", ["marking", "augmented"])
+@pytest.mark.parametrize("cores", [(ZERO, INFINITY, Slope(120, 1)),
+                                   (Slope(120, 1), INFINITY, ZERO)])
+def test_pk_and_distance_on_tiny_families(m, flavor, cores):
+    """Families of at most three cores, from the separated-pair example
+    (the annulus at infinity sees 0 and 120 far apart).  In the second
+    order the two members of a pair see each other 120 twists apart,
+    which must not block their edge: only third members count."""
+    fam = FamilyY(0, "annuli", cores[:m])
+    h = 1.0 if flavor == "augmented" else None
+    for k in (0.5, 3.0, 200.0):
+        pk = build_pk_graph(fam, k, flavor)
+        assert pk.edges == oracles.pk_edges(fam, k, flavor)
+        if m < 2:
+            continue
+        qt = QuasiTree(fam, pk, flavor, 1.0)
+        hosts = fam.members()
+        for u in ((hosts[0], AnnularPoint(3, h)), (hosts[1], AnnularPoint(-5, h))):
+            for v in ((hosts[0], AnnularPoint(-7, h)), (hosts[-1], AnnularPoint(2, h))):
+                want = oracles.glued_distance(qt, u, v)
+                if want == math.inf:
+                    with pytest.raises(WindowTooSmallError):
+                        qt.distance(u, v)
+                else:
+                    assert qt.distance(u, v) == pytest.approx(
+                        want, rel=AUGMENTED_REL_TOL, abs=0.0)
+
+
+def test_component_family_distance_is_farey():
+    fam = FamilyY(0, "component")
+    qt = QuasiTree(fam, build_pk_graph(fam, 3.0, "marking"), "marking", 1.0)
+    w = fam.members()[0]
+    u, v = (w, ZERO), (w, Slope(355, 113))
+    assert qt.distance(u, v) == oracles.glued_distance(qt, u, v)
+
+
+def test_twist_number_without_reduction_matches_slope_floor():
+    """Seeded slopes with negative entries and heights up to 10^6, plus
+    the integers and infinity."""
+    rng = np.random.default_rng(3)
+    slopes = [INFINITY, ZERO, Slope(-1, 1), Slope(5, 1)]
+    for _ in range(400):
+        p = int(rng.integers(-10 ** 6, 10 ** 6 + 1))
+        q = int(rng.integers(1, 10 ** 6 + 1)) * int(rng.choice([-1, 1]))
+        slopes.append(Slope(p, q))
+    pairs = list(zip(slopes, slopes[1:] + slopes[:1]))
+    pairs += [(slopes[i], slopes[j]) for i in range(4) for j in range(len(slopes))]
+    checked = 0
+    for core, curve in pairs:
+        if core == curve:
+            with pytest.raises(ValueError):
+                twist_number(core, curve)
+            continue
+        assert twist_number(core, curve) == oracles.twist_number_via_slope(core, curve)
+        checked += 1
+    assert checked > 1500

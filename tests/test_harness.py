@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from coarsegeo import harness
 from coarsegeo.constants import Constants, MissingConstantError
 from coarsegeo.harness import (
     ExperimentConfig, Report, adversarial_maps, backtracked_trace, calibrate,
@@ -180,6 +181,20 @@ def test_cli_calibrate_writes_file(tmp_path):
                  "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["schema_version"] == 1 and "delta_farey" in doc["values"]
+
+
+@pytest.mark.parametrize("argv, seed", [([], 42), (["--seed", "0"], 0),
+                                        (["--seed", "9"], 9)])
+def test_cli_calibrate_seed_is_honoured(monkeypatch, tmp_path, argv, seed):
+    seen = []
+
+    def fake_calibrate(seed, scale):
+        seen.append(seed)
+        return Constants(values={"delta_farey": 1.0})
+
+    monkeypatch.setattr(harness, "calibrate", fake_calibrate)
+    assert main(["calibrate", "--out", str(tmp_path / "c.json")] + argv) == 0
+    assert seen == [seed]
 
 
 def test_console_entry_point():

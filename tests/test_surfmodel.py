@@ -3,12 +3,18 @@ ball BFS oracles and closed forms."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coarsegeo import surfmodel
 from coarsegeo.surfmodel import (
     INFINITY, ZERO, AnnularPoint, ComponentState, InessentialSubsurfaceError,
     ModelPoint, ModelSurface, Slope, Subsurface, annular_distance, apply_matrix,
@@ -118,6 +124,37 @@ def test_geodesic_is_valid_path(rng):
         assert g[0] == a and g[-1] == b
         assert len(g) - 1 == farey_distance(a, b)
         assert all(farey_adjacent(u, v) for u, v in zip(g, g[1:]))
+
+
+def test_geodesic_invariants_survive_optimize_flag():
+    """Under `python -O` a broken path search still raises: the end
+    check and the edge check are not asserts."""
+    script = textwrap.dedent("""
+        import sys
+        from coarsegeo import surfmodel
+        from coarsegeo.surfmodel import INFINITY, Slope
+        if __debug__:
+            sys.exit("not running under -O")
+        broken = {
+            "ends": lambda p, q: [INFINITY],
+            "edges": lambda p, q: [INFINITY, Slope(p, q)],
+        }
+        for name, fake in broken.items():
+            surfmodel._geo_from_inf = fake
+            surfmodel.farey_geodesic.cache_clear()
+            try:
+                surfmodel.farey_geodesic(Slope(0, 1), Slope(2, 5))
+            except RuntimeError as err:
+                print(name, "raised:", err)
+            else:
+                sys.exit(f"broken {name} went through")
+    """)
+    src = str(Path(surfmodel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("raised:") == 2
 
 
 def test_common_neighbors_are_neighbors():
