@@ -47,6 +47,11 @@ class ProjectionTuple:
     """Coordinates indexed by subsurface (or synthetic id)."""
 
     coords: tuple[tuple[Hashable, Any], ...]
+    _index: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # reversed, so a repeated key maps to its first coordinate
+        object.__setattr__(self, "_index", dict(reversed(self.coords)))
 
     @classmethod
     def of(cls, mapping: Mapping[Hashable, Any]) -> "ProjectionTuple":
@@ -54,13 +59,10 @@ class ProjectionTuple:
         return cls(tuple(items))
 
     def __getitem__(self, key):
-        for k, v in self.coords:
-            if k == key:
-                return v
-        raise KeyError(key)
+        return self._index[key]
 
     def __contains__(self, key) -> bool:
-        return any(k == key for k, _ in self.coords)
+        return key in self._index
 
     def keys(self):
         return [k for k, _ in self.coords]
@@ -163,7 +165,8 @@ class ExactSystem(SubsurfaceSystem):
             raise MissingProjectionError(
                 f"{v} has no boundary curve in the system (pair {u}, {v})")
         core = v.core
-        assert core is not None
+        if core is None:
+            raise ValueError(f"annulus {v} has no core")
         if u.kind == "component":
             return core
         if u.core == core:

@@ -29,10 +29,9 @@ from .consreal import (ExactSystem, ProjectionTuple,
 from .surfmodel import (AnnularPoint, ComponentState, ModelPoint, ModelSurface,
                         Slope, Subsurface, annular_distance, apply_matrix,
                         canonical_transversal, component_distance,
-                        farey_distance, farey_geodesic, horoball_distance,
-                        horoball_geodesic_point, horoball_point_to_segment,
-                        model_distance, project, subsurface_distance,
-                        twist_matrix, twist_number)
+                        farey_distance, farey_geodesic, geodesic_chart,
+                        horoball_point_to_segment, model_distance, project,
+                        subsurface_distance, twist_matrix, twist_number)
 
 Move = tuple  # ("twist", comp, n) | ("flip", comp) | ("length", comp, factor) | ("realized",)
 
@@ -343,23 +342,23 @@ def annular_center(a: AnnularPoint, b: AnnularPoint, c: AnnularPoint,
     if flavor == "marking":
         ts = sorted((a.twist, b.twist, c.twist))
         return AnnularPoint(ts[1])
-    # augmented: scan the [a, b] arc for the point nearest both other sides
+    # augmented: along [a, b], d(., [b, c]) falls to 0 at b and d(., [a, c])
+    # rises from 0 at a (distances to convex sets are convex along a
+    # geodesic), so the point nearest both sides is where they cross
     pa, pb, pc = a.coords(), b.coords(), c.coords()
-
-    def g(s: float) -> float:
-        p = horoball_geodesic_point(pa, pb, s)
-        return max(horoball_point_to_segment(p, pb, pc),
-                   horoball_point_to_segment(p, pa, pc))
-
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-        if g(m1) <= g(m2):
-            hi = m2
+    if pa == pb:  # a one-point side (common in certificate annuli): nothing to bisect
+        return a
+    _, back, ta, tb = geodesic_chart(pa, pb)
+    for _ in range(60):
+        mid = (ta + tb) / 2
+        z = back(1j * math.exp(mid))
+        p = (z.real, z.imag)
+        if horoball_point_to_segment(p, pb, pc) > horoball_point_to_segment(p, pa, pc):
+            ta = mid
         else:
-            lo = m1
-    px, py = horoball_geodesic_point(pa, pb, (lo + hi) / 2)
-    return AnnularPoint(round(px), py)
+            tb = mid
+    z = back(1j * math.exp((ta + tb) / 2))
+    return AnnularPoint(round(z.real), z.imag)
 
 
 def tuple_center(x: ModelPoint, y: ModelPoint, z: ModelPoint,
@@ -404,18 +403,9 @@ def _side_position(surface: ModelSurface, w: Subsurface, side: tuple,
             return 0.0
         t = max(min(coord.twist, max(lo, hi)), min(lo, hi))
         return abs(t - lo)
-    pa, pb, pc = a.coords(), b.coords(), coord.coords()
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-        d1 = horoball_distance(pc, horoball_geodesic_point(pa, pb, m1))
-        d2 = horoball_distance(pc, horoball_geodesic_point(pa, pb, m2))
-        if d1 <= d2:
-            hi = m2
-        else:
-            lo = m1
-    s = (lo + hi) / 2
-    return horoball_distance(pa, horoball_geodesic_point(pa, pb, s))
+    to, _, la, lb = geodesic_chart(a.coords(), b.coords())
+    t = min(max(math.log(abs(to(complex(*coord.coords())))), min(la, lb)), max(la, lb))
+    return abs(t - la)
 
 
 def extract_no_backtrack(trace: PathTrace, x: ModelPoint, y: ModelPoint,
@@ -782,22 +772,6 @@ def near_region_check(gamma: PreferredPath, gamma_prime: PreferredPath,
     needed = d_big / constants["kappa_fellow"]
     return FellowVerdict(True, best_run >= needed,
                          {"best_run": best_run, "needed": needed, "d": d_big})
-
-
-def fellow_traveling_check(gamma: PreferredPath, gamma_prime: PreferredPath,
-                           w: Subsurface, constants: Constants) -> FellowVerdict:
-    """Umbrella for the fellow-traveling conclusions.
-
-    For an annulus, steady progress of the first path pins a stretch of
-    the second near the product region over the core; for a component,
-    hull membership transfers through the midpoint of the second path.
-    Unmet hypotheses yield a vacuous verdict, never a failure.
-    """
-    if w.kind == "annulus":
-        return near_region_check(gamma, gamma_prime, w.comp, w.core, constants)
-    mid = gamma_prime.points[len(gamma_prime.points) // 2]
-    return hull_transfer_check(gamma.x, gamma.y, gamma_prime.x, gamma_prime.y,
-                               mid, w.comp, constants)
 
 
 def hull_transfer_check(x: ModelPoint, y: ModelPoint,

@@ -18,7 +18,6 @@ y >= 1/B of H^2).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -553,7 +552,8 @@ def project(x: ModelPoint, w: Subsurface) -> Slope | AnnularPoint:
     if surf.flavor == "pants":
         raise InessentialSubsurfaceError("inessential subsurface")
     core = w.core
-    assert core is not None
+    if core is None:
+        raise ValueError(f"annulus {w} has no core")
     if core == st.alpha:
         tw = twist_number(core, st.tau)
         if surf.flavor == "augmented":
@@ -576,37 +576,47 @@ def horoball_distance(u: tuple[float, float], v: tuple[float, float]) -> float:
     return math.acosh(arg)
 
 
-def horoball_geodesic_point(a: tuple[float, float], b: tuple[float, float],
-                            s: float) -> tuple[float, float]:
-    """A point on the hyperbolic geodesic from a to b at parameter
-    s in [0, 1] (angle- or log-linear, not arclength)."""
-    (x1, y1), (x2, y2) = a, b
-    if abs(x1 - x2) < 1e-12:
-        return (x1, y1 ** (1 - s) * y2 ** s)
-    c = (x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2) / (2.0 * (x1 - x2))
-    rho = math.hypot(x1 - c, y1)
-    th1 = math.atan2(y1, x1 - c)
-    th2 = math.atan2(y2, x2 - c)
-    th = th1 + s * (th2 - th1)
-    return (c + rho * math.cos(th), rho * math.sin(th))
+def _mobius(m: tuple[float, float, float, float], z: complex) -> complex:
+    a, b, c, d = m
+    return (a * z + b) / (c * z + d)
+
+
+def geodesic_chart(a: tuple[float, float], b: tuple[float, float]):
+    """For horoball points a and b: a Moebius map T of the upper
+    half-plane (on complex numbers) sending the geodesic through them
+    onto the imaginary axis, its inverse, and the log-heights
+    la = log|T(a)|, lb = log|T(b)|.  On the axis arclength is the
+    log-height, and the nearest point to w is i|w|.  A vertical
+    geodesic (or a == b) needs only a translation; otherwise
+    T(z) = (z - u)/(v - z) sends the semicircle's feet u < v to 0 and
+    infinity."""
+    za, zb = complex(*a), complex(*b)
+    if abs(za.real - zb.real) < 1e-12:
+        m = (1.0, -za.real, 0.0, 1.0)
+    else:
+        c = (za.real + zb.real) / 2 + (za.imag ** 2 - zb.imag ** 2) / (2.0 * (za.real - zb.real))
+        rho = abs(za - c)
+        m = (1.0, rho - c, -1.0, c + rho)
+
+    def to(z: complex) -> complex:
+        return _mobius(m, z)
+
+    def back(w: complex) -> complex:
+        return _mobius((m[3], -m[1], -m[2], m[0]), w)
+
+    return to, back, math.log(abs(to(za))), math.log(abs(to(zb)))
 
 
 def horoball_point_to_segment(p: tuple[float, float], a: tuple[float, float],
-                              b: tuple[float, float], iters: int = 60) -> float:
-    """Distance from p to the geodesic arc [a, b]; the distance along a
-    geodesic is convex, so ternary search is exact in the limit."""
-    lo, hi = 0.0, 1.0
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        d1 = horoball_distance(p, horoball_geodesic_point(a, b, m1))
-        d2 = horoball_distance(p, horoball_geodesic_point(a, b, m2))
-        if d1 <= d2:
-            hi = m2
-        else:
-            lo = m1
-    s = (lo + hi) / 2
-    return horoball_distance(p, horoball_geodesic_point(a, b, s))
+                              b: tuple[float, float]) -> float:
+    """Distance from p to the geodesic arc [a, b]: in the chart of
+    `geodesic_chart` the distance from w to i e^t grows with
+    |t - log|w||, so the nearest point of the arc is at the clamped
+    log-height."""
+    to, _, la, lb = geodesic_chart(a, b)
+    w = to(complex(*p))
+    t = min(max(math.log(abs(w)), min(la, lb)), max(la, lb))
+    return horoball_distance((w.real, w.imag), (0.0, math.exp(t)))
 
 
 def annular_distance(u: AnnularPoint, v: AnnularPoint, flavor: str) -> float:
@@ -761,12 +771,10 @@ def product_project(x: ModelPoint, pins: dict[int, Slope]) -> ModelPoint:
     surf = x.surface
     states = list(x.states)
     for comp, pin in pins.items():
-        st = states[comp]
         if surf.flavor == "pants":
             states[comp] = ComponentState(pin)
             continue
-        coord = annular_coordinate(x, comp, pin) if pin != st.alpha or st.tau is None \
-            else annular_coordinate(x, comp, pin)
+        coord = annular_coordinate(x, comp, pin)
         tau0 = canonical_transversal(pin)
         k = coord.twist - twist_number(pin, tau0)
         tau = apply_matrix(twist_matrix(pin, k), tau0)
@@ -813,7 +821,3 @@ def clear_caches() -> None:
     farey_geodesic.cache_clear()
     model_distance.cache_clear()
     _dist_memo.clear()
-
-
-def point_digest(x: ModelPoint) -> str:
-    return json.dumps(x.to_json(), sort_keys=True)

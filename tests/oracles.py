@@ -4,7 +4,10 @@ These are the direct loops the package replaced: the projection graph
 by an exhaustive triple loop over members, with each twisting number
 read off a reduced `Slope`, and the glued quasi-tree distance by a
 double loop over attachment pairs on top of a table built with scalar
-metric calls.  They are slow on purpose and must stay obviously right.
+metric calls; and the horoball nearest points, positions and triangle
+centres by ternary searches over an angle-linear parametrization of
+the geodesic arc.  They are slow on purpose and must stay obviously
+right.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from coarsegeo.bbf import FamilyY, QuasiTree
 from coarsegeo.surfmodel import (AnnularPoint, Slope, Subsurface, annular_distance,
-                                 apply_matrix, transport_matrix)
+                                 apply_matrix, horoball_distance, transport_matrix)
 
 
 def twist_number_via_slope(core: Slope, curve: Slope) -> int:
@@ -81,3 +84,75 @@ def glued_distance(qt: QuasiTree, u, v) -> float:
             if cand < best:
                 best = cand
     return float(best)
+
+
+def horoball_geodesic_point(a: tuple[float, float], b: tuple[float, float],
+                            s: float) -> tuple[float, float]:
+    """A point on the hyperbolic geodesic from a to b at parameter
+    s in [0, 1] (angle- or log-linear, not arclength)."""
+    (x1, y1), (x2, y2) = a, b
+    if abs(x1 - x2) < 1e-12:
+        return (x1, y1 ** (1 - s) * y2 ** s)
+    c = (x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2) / (2.0 * (x1 - x2))
+    rho = math.hypot(x1 - c, y1)
+    th1 = math.atan2(y1, x1 - c)
+    th2 = math.atan2(y2, x2 - c)
+    th = th1 + s * (th2 - th1)
+    return (c + rho * math.cos(th), rho * math.sin(th))
+
+
+def horoball_point_to_segment(p: tuple[float, float], a: tuple[float, float],
+                              b: tuple[float, float], iters: int = 60) -> float:
+    """Distance from p to the geodesic arc [a, b]; the distance along a
+    geodesic is convex, so ternary search is exact in the limit."""
+    lo, hi = 0.0, 1.0
+    for _ in range(iters):
+        m1 = lo + (hi - lo) / 3
+        m2 = hi - (hi - lo) / 3
+        d1 = horoball_distance(p, horoball_geodesic_point(a, b, m1))
+        d2 = horoball_distance(p, horoball_geodesic_point(a, b, m2))
+        if d1 <= d2:
+            hi = m2
+        else:
+            lo = m1
+    s = (lo + hi) / 2
+    return horoball_distance(p, horoball_geodesic_point(a, b, s))
+
+
+def horoball_center(a: AnnularPoint, b: AnnularPoint, c: AnnularPoint,
+                    iters: int = 40) -> AnnularPoint:
+    """The augmented triangle centre: scan the [a, b] arc for the point
+    nearest both other sides, by ternary search over nested searches."""
+    pa, pb, pc = a.coords(), b.coords(), c.coords()
+
+    def g(s: float) -> float:
+        p = horoball_geodesic_point(pa, pb, s)
+        return max(horoball_point_to_segment(p, pb, pc),
+                   horoball_point_to_segment(p, pa, pc))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(iters):
+        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        if g(m1) <= g(m2):
+            hi = m2
+        else:
+            lo = m1
+    px, py = horoball_geodesic_point(pa, pb, (lo + hi) / 2)
+    return AnnularPoint(round(px), py)
+
+
+def horoball_position(a: AnnularPoint, b: AnnularPoint, c: AnnularPoint,
+                      iters: int = 40) -> float:
+    """Arclength from a to the point of [a, b] nearest c."""
+    pa, pb, pc = a.coords(), b.coords(), c.coords()
+    lo, hi = 0.0, 1.0
+    for _ in range(iters):
+        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        d1 = horoball_distance(pc, horoball_geodesic_point(pa, pb, m1))
+        d2 = horoball_distance(pc, horoball_geodesic_point(pa, pb, m2))
+        if d1 <= d2:
+            hi = m2
+        else:
+            lo = m1
+    s = (lo + hi) / 2
+    return horoball_distance(pa, horoball_geodesic_point(pa, pb, s))

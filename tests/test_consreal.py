@@ -32,6 +32,29 @@ def test_real_tuples_are_consistent(marking2, rng, cn):
         assert rep.verdict, rep.violations
 
 
+def test_projection_tuple_lookup_matches_scan(marking2, rng):
+    """Dict lookups agree with a scan of `coords`, and the coordinate
+    order, keys and JSON stay those of the tuple."""
+    for _ in range(20):
+        x = random_point(marking2, rng, steps=16)
+        sys = exact_system_for(x, extra_cores=[(0, Slope(int(rng.integers(-8, 9)), 1))])
+        z = tuple_of_projections(x, sys)
+        assert z.keys() == [k for k, _ in z.coords]
+        for k, v in z.coords:
+            assert k in z and z[k] == v
+            assert z[Subsurface(k.kind, k.comp, k.core)] == v  # an equal, distinct key
+        missing = Subsurface("annulus", 1, Slope(7, 3))
+        assert missing not in z.keys() and missing not in z
+        with pytest.raises(KeyError):
+            z[missing]
+        assert ProjectionTuple.of(dict(z.coords)) == z
+        assert hash(ProjectionTuple.of(dict(z.coords))) == hash(z)
+        assert ProjectionTuple.of(dict(z.coords)).to_json() == z.to_json()
+    first = ProjectionTuple((("A", 1), ("B", 2), ("A", 3)))
+    assert first["A"] == 1 and "B" in first and "C" not in first
+    assert repr(first) == "ProjectionTuple(coords=(('A', 1), ('B', 2), ('A', 3)))"
+
+
 def test_condition_two_short_circuit(marking1):
     """With the component coordinate adjacent to the annulus core, the
     first branch of the nested condition is at most one."""

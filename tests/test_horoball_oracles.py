@@ -1,0 +1,111 @@
+"""Closed-form horoball geometry against the ternary searches it replaced.
+
+The oracles in `tests/oracles.py` search an angle-linear parametrization
+of the arc [a, b]; the package maps the geodesic to the imaginary axis
+by a Moebius map and reads nearest points off the log-height.  Centres
+must agree in twist exactly and in height within HEIGHT_RTOL; segment
+distances within SEGMENT_ATOL; positions along [a, b] within
+POSITION_ATOL.  The old searches are themselves off by more than that
+here: up to 1.2e-5 (centre heights, relative, 40 steps), 1.9e-5
+(positions, 40 steps) and 2.1e-8 (a segment distance that is 0, 60
+steps), checked against 40-digit arithmetic, where the closed forms
+are right to 1e-14.  So the same searches run to a tighter bracket: 50
+outer steps for centres (over the old 60-step inner searches) and 80
+steps for segment distances and positions.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from coarsegeo.pathsflats import _side_position, annular_center
+from coarsegeo.surfmodel import (ZERO, AnnularPoint, ModelSurface, Subsurface,
+                                 geodesic_chart, horoball_distance,
+                                 horoball_point_to_segment)
+
+import oracles
+
+HEIGHT_RTOL = 1e-5
+SEGMENT_ATOL = 1e-8
+POSITION_ATOL = 1e-5
+CENTRE_STEPS = 50
+SEARCH_STEPS = 80
+TRIPLES_PER_BERS = 500
+
+W = Subsurface("annulus", 0, ZERO)
+
+
+def _surface(bers: float) -> ModelSurface:
+    return ModelSurface(((1, 1),), flavor="augmented", bers=bers)
+
+
+def _point(rng, bers: float) -> AnnularPoint:
+    """Twists on four scales up to 1500, heights 2^0..2^7 / bers."""
+    span = int(rng.choice([3, 30, 300, 1500]))
+    return AnnularPoint(int(rng.integers(-span, span + 1)),
+                        float(2.0 ** rng.integers(0, 8)) / bers)
+
+
+def _assert_agree(surface: ModelSurface, a: AnnularPoint, b: AnnularPoint,
+                  c: AnnularPoint) -> None:
+    got = annular_center(a, b, c, "augmented")
+    want = oracles.horoball_center(a, b, c, CENTRE_STEPS)
+    assert got.twist == want.twist, (a, b, c)
+    assert got.height == pytest.approx(want.height, rel=HEIGHT_RTOL, abs=0), (a, b, c)
+    pa, pb, pc = a.coords(), b.coords(), c.coords()
+    assert horoball_point_to_segment(pc, pa, pb) == pytest.approx(
+        oracles.horoball_point_to_segment(pc, pa, pb, SEARCH_STEPS), rel=0, abs=SEGMENT_ATOL), (a, b, c)
+    assert _side_position(surface, W, (a, b), c) == pytest.approx(
+        oracles.horoball_position(a, b, c, SEARCH_STEPS), rel=0, abs=POSITION_ATOL), (a, b, c)
+
+
+@pytest.mark.parametrize("bers", [1.0, 2.0])
+def test_closed_forms_match_searches_on_seeded_triples(bers):
+    surface = _surface(bers)
+    rng = np.random.default_rng([7, int(bers)])
+    for _ in range(TRIPLES_PER_BERS):
+        a, b, c = (_point(rng, bers) for _ in range(3))
+        _assert_agree(surface, a, b, c)
+
+
+def test_closed_forms_match_searches_on_degenerate_triples():
+    surface = _surface(1.0)
+    a, b = AnnularPoint(-4, 3.0), AnnularPoint(4, 3.0)
+    on_arc = AnnularPoint(0, 5.0)  # top of the semicircle through a and b
+    cases = [
+        (a, a, AnnularPoint(9, 2.0)),                          # a == b
+        (a, a, a),                                             # all equal
+        (a, AnnularPoint(700, 1.0), a),                        # c == a
+        (a, AnnularPoint(700, 1.0), AnnularPoint(700, 1.0)),   # c == b
+        (AnnularPoint(3, 1.0), AnnularPoint(3, 64.0), AnnularPoint(-40, 2.0)),  # vertical
+        (AnnularPoint(3, 64.0), AnnularPoint(3, 1.0), AnnularPoint(3, 8.0)),    # vertical, c on it
+        (a, b, on_arc),                                        # c on [a, b]
+        (a, b, AnnularPoint(3, 4.0)),                          # c on [a, b]
+    ]
+    for tri in cases:
+        _assert_agree(surface, *tri)
+    # the exact answers the searches approximate
+    centre = annular_center(a, a, AnnularPoint(9, 2.0), "augmented")
+    assert centre.twist == a.twist and centre.height == pytest.approx(a.height, rel=1e-15)
+    centre = annular_center(a, b, on_arc, "augmented")
+    assert centre.twist == 0 and centre.height == pytest.approx(5.0, rel=1e-12)
+    assert horoball_point_to_segment(on_arc.coords(), a.coords(), b.coords()) == 0.0
+    assert horoball_point_to_segment((9.0, 2.0), a.coords(), a.coords()) == \
+        pytest.approx(horoball_distance((9.0, 2.0), a.coords()), rel=1e-15)
+    assert _side_position(surface, W, (a, a), on_arc) == 0.0
+    assert _side_position(surface, W, (a, b), on_arc) == pytest.approx(
+        horoball_distance(a.coords(), on_arc.coords()), abs=1e-12)
+
+
+def test_geodesic_chart_sends_the_arc_to_the_axis():
+    for a, b in [((0.0, 1.0), (4.0, 1.0)), ((-1260.0, 1.0), (-18.0, 8.0)),
+                 ((3.0, 64.0), (3.0, 1.0)), ((5.0, 2.0), (5.0, 2.0))]:
+        to, back, la, lb = geodesic_chart(a, b)
+        for p, lp in ((a, la), (b, lb)):
+            w = to(complex(*p))
+            assert abs(w.real) <= 1e-9 * abs(w)
+            assert math.log(abs(w)) == lp
+            z = back(w)
+            assert (z.real, z.imag) == pytest.approx(p, rel=1e-12, abs=1e-12)
+        assert abs(lb - la) == pytest.approx(horoball_distance(a, b), rel=1e-12)

@@ -17,12 +17,16 @@ from coarsegeo.pathsflats import (
     flat_fit, hull_membership, hull_thickness_audit, hull_transfer_check,
     lemma_g_excess, near_region_check, point_to_flat, preferred_path,
     standard_flat_eval, steady_progress, tuple_center, verify_preferred,
+    _side_position,
 )
 from coarsegeo.surfmodel import (
     INFINITY, ZERO, AnnularPoint, ComponentState, ModelPoint, ModelSurface,
     Slope, Subsurface, base_point, canonical_transversal, farey_distance,
-    flip_move, model_distance, project, twist_move,
+    flip_move, horoball_distance, length_move, model_distance, project,
+    twist_move,
 )
+
+import oracles
 
 
 # --- preferred paths ------------------------------------------------------------
@@ -117,6 +121,34 @@ def test_hull_thickness_at_bounded_spread(marking2, cn):
     assert hull_thickness_audit(x, y, members, path) <= c_h * d_cap
 
 
+def _augmented_pair(surface, twist):
+    """From the base point to a twist of `twist` at height 32."""
+    x = base_point(surface)
+    return x, length_move(twist_move(x, 0, twist), 0, 1 / 32)
+
+
+def test_augmented_hull_side_distance(augmented1, cn):
+    x, y = _augmented_pair(augmented1, 600)
+    q = HullQuery(x, y, kappa=cn["kappa_hull"])
+    w = Subsurface("annulus", 0, x.alpha(0))
+    a, b = project(x, w), project(y, w)
+    assert (a.twist, b.twist, b.height) == (0, 600, 32.0)
+    assert q.side_distance(w, a) == pytest.approx(0.0, abs=1e-9)
+    assert q.side_distance(w, b) == pytest.approx(0.0, abs=1e-9)
+    for tw in (-50, 0, 150, 300, 599, 900):
+        for h in (1.0, 8.0, 100.0, 1e4):
+            c = AnnularPoint(tw, h)
+            assert q.side_distance(w, c) == pytest.approx(
+                oracles.horoball_point_to_segment(c.coords(), a.coords(), b.coords(), 80),
+                abs=1e-8)
+    assert hull_membership(q, x) == (True, None)
+    assert hull_membership(q, y) == (True, None)
+    # under the arc at the boundary height, and far above its top
+    for z in (twist_move(x, 0, 300), length_move(x, 0, 1e-6)):
+        assert q.side_distance(w, project(z, w)) > cn["kappa_hull"]
+        assert hull_membership(q, z) == (False, w)
+
+
 # --- centers ------------------------------------------------------------------------
 
 def test_farey_center_small_cases():
@@ -142,6 +174,22 @@ def test_tuple_center_degenerate_and_midpoint(marking1, rng, cn):
     z = path.points[len(path) // 2]
     c2 = tuple_center(x, y, z, cn)
     assert model_distance(c2, z) <= 6 * cn["kappa_hull"] + 3 * cn["m_realize"] + 20
+
+
+def test_augmented_tuple_center(augmented1, cn):
+    x, y = _augmented_pair(augmented1, 600)
+    (st,) = tuple_center(x, y, x, cn).states
+    assert (st.alpha, st.tau) == (x.alpha(0), x.states[0].tau)
+    assert st.length == pytest.approx(x.states[0].length, rel=1e-9)
+    z = twist_move(x, 0, 300)
+    c = tuple_center(x, y, z, cn)
+    w = Subsurface("annulus", 0, x.alpha(0))
+    # z is off the arc [x, y]; the centre is near all three sides
+    assert HullQuery(x, y, cn["kappa_hull"]).side_distance(w, project(z, w)) > 5.0
+    for u, v in ((x, y), (y, z), (x, z)):
+        q = HullQuery(u, v, cn["kappa_hull"])
+        assert hull_membership(q, c) == (True, None)
+        assert q.side_distance(w, project(c, w)) < 1.0
 
 
 # --- extraction ------------------------------------------------------------------------
@@ -182,6 +230,28 @@ def test_extraction_rejects_inefficient_input(marking1, cn):
     tr = PathTrace(ts, tuple(pts), h, K=k + 0.1, C=24.0)
     with pytest.raises(NotEfficientInputError, match="not efficient"):
         extract_no_backtrack(tr, x, y, eps=0.05, constants=cn)
+
+
+@pytest.mark.parametrize("twist", [600, 3000])
+def test_augmented_extraction_moves_forward(augmented1, cn, twist):
+    eps, R = 0.1, 100.0
+    x, y = _augmented_pair(augmented1, twist)
+    tr = backtracked_trace(x, y, eps=eps, R=R, rng=np.random.default_rng(5), constants=cn)
+    w = Subsurface("annulus", 0, x.alpha(0))
+    side = (project(x, w), project(y, w))
+
+    def positions(points):
+        return [_side_position(augmented1, w, side, project(p, w)) for p in points]
+
+    back = positions(tr.points)
+    assert min(b - a for a, b in zip(back, back[1:])) < -1.0  # the input backtracks
+    out = extract_no_backtrack(tr, x, y, eps=eps, constants=cn)
+    assert out.excursion <= cn["c_bb"] * eps * R
+    pos = positions(out.points)
+    assert all(b >= a for a, b in zip(pos, pos[1:]))
+    assert pos[0] == pytest.approx(0.0, abs=1e-6)
+    assert pos[-1] == pytest.approx(horoball_distance(side[0].coords(), side[1].coords()),
+                                    abs=1e-6)
 
 
 # --- flats -------------------------------------------------------------------------------

@@ -128,11 +128,14 @@ def test_geodesic_is_valid_path(rng):
 
 def test_geodesic_invariants_survive_optimize_flag():
     """Under `python -O` a broken path search still raises: the end
-    check and the edge check are not asserts."""
+    check and the edge check are not asserts.  Nor are the core checks
+    of `project` and `ExactSystem.boundary_projection`, which see an
+    annulus stripped of its core after construction."""
     script = textwrap.dedent("""
         import sys
         from coarsegeo import surfmodel
-        from coarsegeo.surfmodel import INFINITY, Slope
+        from coarsegeo.consreal import ExactSystem
+        from coarsegeo.surfmodel import INFINITY, ModelSurface, Slope, Subsurface
         if __debug__:
             sys.exit("not running under -O")
         broken = {
@@ -148,13 +151,28 @@ def test_geodesic_invariants_survive_optimize_flag():
                 print(name, "raised:", err)
             else:
                 sys.exit(f"broken {name} went through")
+        surf = ModelSurface(((1, 1),), flavor="marking")
+        coreless = Subsurface("component", 0)
+        object.__setattr__(coreless, "kind", "annulus")
+        checks = {
+            "project": lambda: surfmodel.project(surfmodel.base_point(surf), coreless),
+            "boundary": lambda: ExactSystem(surf, []).boundary_projection(
+                Subsurface("component", 0), coreless),
+        }
+        for name, call in checks.items():
+            try:
+                call()
+            except ValueError as err:
+                print(name, "raised:", err)
+            else:
+                sys.exit(f"coreless annulus went through {name}")
     """)
     src = str(Path(surfmodel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("raised:") == 2
+    assert proc.stdout.count("raised:") == 4
 
 
 def test_common_neighbors_are_neighbors():
