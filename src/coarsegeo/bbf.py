@@ -24,8 +24,8 @@ import numpy as np
 from . import surfmodel
 from .consreal import SyntheticSystem
 from .surfmodel import (AnnularPoint, ModelPoint, ModelSurface, Slope, Subsurface,
-                        annular_distance, common_neighbors, farey_distance,
-                        farey_geodesic, project, subsurface_distance, twist_number)
+                        annular_distance, common_neighbors, distance_formula,
+                        farey_distance, farey_geodesic, project, twist_number)
 
 
 class WindowTooSmallError(RuntimeError):
@@ -405,11 +405,7 @@ def lower_bound_audit(x: ModelPoint, y: ModelPoint, k: float, k_prime: float,
     if k_prime <= k:
         raise ValueError("the audit needs K' > K")
     lhs = embedded_distance(x, y, k)
-    total = 0.0
-    for w in surfmodel.candidate_subsurfaces(x, y):
-        d = subsurface_distance(x, y, w)
-        if d >= k_prime:
-            total += d
+    total = distance_formula(x, y, threshold=k_prime)[0]
     return LowerBoundVerdict(lhs, 0.5 * total, k_prime)
 
 

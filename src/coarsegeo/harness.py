@@ -204,10 +204,11 @@ def noisy_flat_map(flat: StandardFlat, noise: int, seed: int) -> BoxMap:
     the stated noise."""
     surface = flat.surface
     h = model_handle(surface)
+    intervals = flat.box().intervals
 
     def fn(p) -> ModelPoint:
         t = tuple(int(round(v)) for v in np.atleast_1d(np.asarray(p, float)))
-        t = tuple(max(lo, min(hi, v)) for (lo, hi), v in zip(flat.box().intervals, t))
+        t = tuple(max(lo, min(hi, v)) for (lo, hi), v in zip(intervals, t))
         x = flat.eval(t)
         if noise <= 0:
             return x
@@ -223,7 +224,12 @@ def noisy_flat_map(flat: StandardFlat, noise: int, seed: int) -> BoxMap:
                 x = twist_move(x, comp, 1 if b % 2 else -1)
         return x
 
-    return BoxMap(fn, h, K=2.0, C=2.0 * surface.threshold + 2 * noise + 4)
+    return BoxMap(fn, h, K=2.0, C=_flat_map_c(surface, noise))
+
+
+def _flat_map_c(surface: ModelSurface, noise: int) -> float:
+    """The additive constant of `noisy_flat_map` at this noise."""
+    return 2.0 * surface.threshold + 2 * noise + 4
 
 
 def folded_map(inner: BoxMap, axis: int, at: float) -> BoxMap:
@@ -382,10 +388,7 @@ def run_pipeline(config: ExperimentConfig, fmap: BoxMap, dim: int,
     cn = constants or config.constants()
     config.surface.validate_threshold(cn)
     rep = Report("pipeline", config.digest())
-    eps = config.eps0 ** 2
-    stride = max(2, round(1.0 / eps))
-    side = config.box_side or int(2 * max(config.r0, fmap.C) * stride)
-    box = Box.cube(side, dim)
+    box = Box.cube(_pipeline_side(config, fmap.C), dim)
     diff = effdiff.differentiate_box(
         fmap, box, config.eps0, config.theta0, config.r0,
         max_directions=max(2, dim + 2), lines_per_direction=10)
@@ -440,6 +443,14 @@ def run_pipeline(config: ExperimentConfig, fmap: BoxMap, dim: int,
             candidates=len(flats))
     rep.passed = fit <= cap
     return rep
+
+
+def _pipeline_side(config: ExperimentConfig, c: float) -> int:
+    """The side of the box `run_pipeline` differentiates for a map with
+    additive constant c: the configured side, else 2 max(r0, c) stride
+    with stride about 1 / eps0^2."""
+    stride = max(2, round(1.0 / config.eps0 ** 2))
+    return config.box_side or int(2 * max(config.r0, c) * stride)
 
 
 def _extract_moving_factors(fmap: BoxMap, sub: Box, moving: list[int],
@@ -521,7 +532,9 @@ def rank_experiment(config: ExperimentConfig, n: int,
     k1 = cn["k1_net"]
     kappa_net = cn["kappa_net"]
     if n <= rank:
-        span = config.box_side or 600
+        # the flat must cover the whole box the pipeline differentiates,
+        # or every sample clamps to the flat's corner
+        span = _pipeline_side(config, _flat_map_c(surface, 0))
         flat = twist_flat(surface, span)
         fmap = noisy_flat_map(flat, 0, config.seed)
         sub_cfg = ExperimentConfig(surface, config.eps0, config.theta0,
@@ -1137,8 +1150,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             cfg = ExperimentConfig(_surface_arg(ns), eps0=ns.eps0,
                                    theta0=ns.theta0, r0=ns.r0, seed=ns.seed,
                                    noise=ns.noise)
-        stride = max(2, round(1.0 / cfg.eps0 ** 2))
-        span = cfg.box_side or int(2 * max(cfg.r0, 20) * stride)
+        span = _pipeline_side(cfg, _flat_map_c(cfg.surface, cfg.noise))
         flat = twist_flat(cfg.surface, span)
         fmap = noisy_flat_map(flat, cfg.noise, cfg.seed)
         repp = run_pipeline(cfg, fmap, dim=flat.dim, constants=cn, flat_hint=flat)

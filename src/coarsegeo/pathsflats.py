@@ -28,7 +28,7 @@ from .consreal import (ExactSystem, ProjectionTuple,
                        consistency_check, realize)
 from .surfmodel import (AnnularPoint, ComponentState, ModelPoint, ModelSurface,
                         Slope, Subsurface, annular_distance, apply_matrix,
-                        canonical_transversal, component_distance,
+                        canonical_transversal, component_distance, distance_formula,
                         farey_distance, farey_geodesic, geodesic_chart,
                         horoball_point_to_segment, model_distance, project,
                         subsurface_distance, twist_matrix, twist_number)
@@ -716,12 +716,8 @@ def antichain_build(x: ModelPoint, y: ModelPoint, comp: int,
     projections are at least one apart."""
     if not (0 < t0 <= t1):
         raise ValueError("need T1 >= T0 > 0")
-    members = []
-    for w in surfmodel.candidate_subsurfaces(x, y, comps=(comp,)):
-        if w.kind != "annulus":
-            continue
-        if subsurface_distance(x, y, w) >= t0:
-            members.append(w)
+    terms = distance_formula(x, y, threshold=t0, comps=(comp,))[1]
+    members = [w for w, _ in terms if w.kind == "annulus"]
     d_w = float(farey_distance(x.alpha(comp), y.alpha(comp)))
     if d_w == 0 and x != y:
         d_w = 1.0

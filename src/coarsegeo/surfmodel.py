@@ -19,7 +19,7 @@ y >= 1/B of H^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -39,7 +39,7 @@ class InessentialSubsurfaceError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, order=False, slots=True)
 class Slope:
     """A slope p/q in lowest terms; (1, 0) encodes infinity.
 
@@ -112,12 +112,6 @@ def apply_matrix(m: Matrix, s: Slope) -> Slope:
     return Slope(a * s.p + b * s.q, c * s.p + d * s.q)
 
 
-def mat_mul(m: Matrix, n: Matrix) -> Matrix:
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
 def mat_inv(m: Matrix) -> Matrix:
     a, b, c, d = m
     dm = a * d - b * c
@@ -126,6 +120,7 @@ def mat_inv(m: Matrix) -> Matrix:
     return (d // dm, -b // dm, -c // dm, a // dm)
 
 
+@lru_cache(maxsize=100_000)
 def transport_matrix(core: Slope) -> Matrix:
     """The canonical unimodular matrix taking `core` to infinity.
 
@@ -143,10 +138,12 @@ def transport_matrix(core: Slope) -> Matrix:
 
 
 def twist_matrix(core: Slope, n: int = 1) -> Matrix:
-    """The n-th power of the Dehn twist about `core` as a slope action."""
-    m = transport_matrix(core)
-    shear: Matrix = (1, n, 0, 1)
-    return mat_mul(mat_inv(m), mat_mul(shear, m))
+    """The n-th power of the Dehn twist about `core` as a slope action:
+    M^-1 (1, n; 0, 1) M for the transport M of `core`, which multiplies
+    out to (1 - npq, np^2; -nq^2, 1 + npq) for core p/q."""
+    p, q = core.p, core.q
+    npq = n * p * q
+    return (1 - npq, n * p * p, -n * q * q, 1 + npq)
 
 
 def twist_number(core: Slope, curve: Slope) -> int:
@@ -178,6 +175,8 @@ def twist_number(core: Slope, curve: Slope) -> int:
 # the two-branch recursion terminates and computes the graph metric.
 
 _dist_memo: dict[tuple[int, int], int] = {}
+# _dist_to_inf empties the memo on entry once it holds more than this
+_DIST_MEMO_MAX = 200_000
 
 
 def _dist_base(p: int, q: int) -> int | None:
@@ -203,6 +202,9 @@ def _dist_to_inf(p: int, q: int) -> int:
     got = _dist_memo.get((p, q))
     if got is not None:
         return got
+    # only here, never inside the loop: the loop reads back its own entries
+    if len(_dist_memo) > _DIST_MEMO_MAX:
+        _dist_memo.clear()
     stack = [(p, q)]
     while stack:
         p0, q0 = stack[-1]
@@ -393,7 +395,7 @@ class ModelSurface:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subsurface:
     """Either a whole component or an annulus about a core slope."""
 
@@ -415,7 +417,7 @@ class Subsurface:
         return f"W{self.comp}" if self.kind == "component" else f"A{self.comp}({self.core})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnularPoint:
     """A point of an annular complex: a twist, plus a height >= 1/B in the
     augmented flavor (the horoball model of C(A)); height None otherwise."""
@@ -427,19 +429,23 @@ class AnnularPoint:
         return (float(self.twist), float(self.height if self.height is not None else 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComponentState:
     alpha: Slope
     tau: Slope | None = None
     length: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelPoint:
-    """A pants / marking / augmented-marking point on a model surface."""
+    """A pants / marking / augmented-marking point on a model surface.
+
+    The hash is computed once, at construction: points are the keys of
+    the model-distance cache."""
 
     surface: ModelSurface
     states: tuple[ComponentState, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.states) != self.surface.n_components:
@@ -459,6 +465,10 @@ class ModelPoint:
                     raise ValueError("augmented length must lie in (0, B]")
             elif st.length is not None:
                 raise ValueError("marking points carry no length")
+        object.__setattr__(self, "_hash", hash((self.surface, self.states)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def alpha(self, comp: int) -> Slope:
         return self.states[comp].alpha
@@ -545,8 +555,12 @@ def project(x: ModelPoint, w: Subsurface) -> Slope | AnnularPoint:
     augmented flavor); any other annulus sees the pants slope's twisting
     at boundary height 1/B.
     """
-    surf = x.surface
-    st = x.states[w.comp]
+    return _project_state(x.surface, x.states[w.comp], w)
+
+
+def _project_state(surf: ModelSurface, st: ComponentState,
+                   w: Subsurface) -> Slope | AnnularPoint:
+    """`project` on the state of the subsurface's component."""
     if w.kind == "component":
         return st.alpha
     if surf.flavor == "pants":
@@ -630,9 +644,15 @@ def annular_distance(u: AnnularPoint, v: AnnularPoint, flavor: str) -> float:
 
 
 def subsurface_distance(x: ModelPoint, y: ModelPoint, w: Subsurface) -> float:
+    return _state_distance(x.surface, x.states[w.comp], y.states[w.comp], w)
+
+
+def _state_distance(surf: ModelSurface, sx: ComponentState, sy: ComponentState,
+                    w: Subsurface) -> float:
     if w.kind == "component":
-        return float(farey_distance(x.alpha(w.comp), y.alpha(w.comp)))
-    return annular_distance(project(x, w), project(y, w), x.surface.flavor)
+        return float(farey_distance(sx.alpha, sy.alpha))
+    return annular_distance(_project_state(surf, sx, w), _project_state(surf, sy, w),
+                            surf.flavor)
 
 
 def candidate_subsurfaces(x: ModelPoint, y: ModelPoint,
@@ -650,38 +670,60 @@ def candidate_subsurfaces(x: ModelPoint, y: ModelPoint,
     out: list[Subsurface] = []
     comp_range = range(surf.n_components) if comps is None else comps
     for i in comp_range:
-        out.append(Subsurface("component", i))
-        if surf.flavor == "pants":
-            continue
-        cores = set(farey_geodesic(x.alpha(i), y.alpha(i)))
-        for pt in (x, y):
-            st = pt.states[i]
-            cores.add(st.alpha)
-            if st.tau is not None:
-                cores.add(st.tau)
-        out.extend(Subsurface("annulus", i, s) for s in sorted(cores, key=Slope.key))
+        out.extend(_component_candidates(surf.flavor, i, x.states[i], y.states[i]))
     return out
+
+
+def _component_candidates(flavor: str, comp: int, sx: ComponentState,
+                          sy: ComponentState) -> list[Subsurface]:
+    """`candidate_subsurfaces` of one component, from its two states."""
+    out = [Subsurface("component", comp)]
+    if flavor == "pants":
+        return out
+    cores = set(farey_geodesic(sx.alpha, sy.alpha))
+    for st in (sx, sy):
+        cores.add(st.alpha)
+        if st.tau is not None:
+            cores.add(st.tau)
+    out.extend(Subsurface("annulus", comp, s) for s in sorted(cores, key=Slope.key))
+    return out
+
+
+@lru_cache(maxsize=200_000)
+def _component_terms(surf: ModelSurface, comp: int, sx: ComponentState,
+                     sy: ComponentState, t: float) -> tuple[tuple[Subsurface, float], ...]:
+    """The (subsurface, distance) terms of one component at threshold t,
+    in candidate order.  Every subsurface lies in one component, so the
+    terms depend only on that component's two states."""
+    terms = []
+    for w in _component_candidates(surf.flavor, comp, sx, sy):
+        d = _state_distance(surf, sx, sy, w)
+        if d >= t:
+            terms.append((w, d))
+    return tuple(terms)
 
 
 def distance_formula(
     x: ModelPoint,
     y: ModelPoint,
     threshold: float | None = None,
-    subsurfaces: Sequence[Subsurface] | None = None,
     comps: Iterable[int] | None = None,
 ) -> tuple[float, list[tuple[Subsurface, float]]]:
     """Thresholded sum of projection distances, with the contributing
     subsurfaces.  This is the model metric; it is symmetric and obeys
-    the triangle inequality up to a multiplicative slack."""
-    if x.surface != y.surface:
+    the triangle inequality up to a multiplicative slack.  Each
+    component's terms come from `_component_terms`, cached on that
+    component's two states."""
+    surf = x.surface
+    if surf != y.surface:
         raise ValueError("points live on different surfaces")
-    t = x.surface.threshold if threshold is None else threshold
-    subs = candidate_subsurfaces(x, y, comps) if subsurfaces is None else subsurfaces
+    t = surf.threshold if threshold is None else threshold
+    comp_range = range(surf.n_components) if comps is None else comps
     total = 0.0
     contributing: list[tuple[Subsurface, float]] = []
-    for w in subs:
-        d = subsurface_distance(x, y, w)
-        if d >= t:
+    for i in comp_range:
+        # summed in candidate order, so the float total matches term by term
+        for w, d in _component_terms(surf, i, x.states[i], y.states[i], t):
             total += d
             contributing.append((w, d))
     contributing.sort(key=lambda wd: wd[0].key())
@@ -817,7 +859,9 @@ def sum_distance_audit(x: ModelPoint, y: ModelPoint, comp: int = 0) -> tuple[flo
 
 
 def clear_caches() -> None:
+    transport_matrix.cache_clear()
     farey_distance.cache_clear()
     farey_geodesic.cache_clear()
+    _component_terms.cache_clear()
     model_distance.cache_clear()
     _dist_memo.clear()

@@ -4,9 +4,11 @@ These are the direct loops the package replaced: the projection graph
 by an exhaustive triple loop over members, with each twisting number
 read off a reduced `Slope`, and the glued quasi-tree distance by a
 double loop over attachment pairs on top of a table built with scalar
-metric calls; and the horoball nearest points, positions and triangle
+metric calls; the horoball nearest points, positions and triangle
 centres by ternary searches over an angle-linear parametrization of
-the geodesic arc.  They are slow on purpose and must stay obviously
+the geodesic arc; the distance formula as one pass over every
+candidate subsurface of the point pair; and the Dehn twist matrix as a
+conjugated shear.  They are slow on purpose and must stay obviously
 right.
 """
 
@@ -18,8 +20,37 @@ import math
 import numpy as np
 
 from coarsegeo.bbf import FamilyY, QuasiTree
-from coarsegeo.surfmodel import (AnnularPoint, Slope, Subsurface, annular_distance,
-                                 apply_matrix, horoball_distance, transport_matrix)
+from coarsegeo.surfmodel import (AnnularPoint, Matrix, ModelPoint, Slope, Subsurface,
+                                 annular_distance, apply_matrix, candidate_subsurfaces,
+                                 horoball_distance, mat_inv, subsurface_distance,
+                                 transport_matrix)
+
+
+def mat_mul(m: Matrix, n: Matrix) -> Matrix:
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def twist_matrix(core: Slope, n: int = 1) -> Matrix:
+    """M^-1 shear(n) M for the transport M taking `core` to infinity."""
+    m = transport_matrix(core)
+    return mat_mul(mat_inv(m), mat_mul((1, n, 0, 1), m))
+
+
+def distance_formula(x: ModelPoint, y: ModelPoint, threshold: float | None = None,
+                     comps=None) -> tuple[float, list[tuple[Subsurface, float]]]:
+    """Sum every candidate subsurface distance at or above the threshold."""
+    t = x.surface.threshold if threshold is None else threshold
+    total = 0.0
+    contributing: list[tuple[Subsurface, float]] = []
+    for w in candidate_subsurfaces(x, y, comps):
+        d = subsurface_distance(x, y, w)
+        if d >= t:
+            total += d
+            contributing.append((w, d))
+    contributing.sort(key=lambda wd: wd[0].key())
+    return total, contributing
 
 
 def twist_number_via_slope(core: Slope, curve: Slope) -> int:

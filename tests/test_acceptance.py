@@ -22,9 +22,11 @@ from coarsegeo.harness import (
 from coarsegeo.hypgraph import farey_handle, lp_handle, real_line_handle
 from coarsegeo.surfmodel import (
     INFINITY, ZERO, ModelSurface, Slope, Subsurface, apply_matrix, base_point,
-    farey_distance, farey_geodesic, mat_mul, model_distance, surface_stats,
+    farey_distance, farey_geodesic, model_distance, surface_stats,
     threshold_audit, twist_move,
 )
+
+from oracles import mat_mul
 
 CN = default_constants()
 MARKING1 = ModelSurface(((1, 1),), flavor="marking")

@@ -234,3 +234,24 @@ def test_pipeline_path_flat_extraction(marking2, cn):
     assert rep.passed
     stages = {s["stage"] for s in rep.stages}
     assert "factor-extraction" in stages
+
+
+def test_rank_embedding_flat_covers_the_pipeline_box(monkeypatch, marking2, cn):
+    """The n <= rank branch must build its flat over the whole box the
+    pipeline differentiates: clamped to a smaller flat, the 7x7 sub-box
+    grid would map to a single point and the fit would say nothing."""
+    maps = []
+
+    def spy(flat, noise, seed):
+        maps.append(noisy_flat_map(flat, noise, seed))
+        return maps[-1]
+
+    monkeypatch.setattr(harness, "noisy_flat_map", spy)
+    cfg = ExperimentConfig(marking2, eps0=0.05, theta0=0.1, r0=50.0, seed=112)
+    rep = harness.rank_experiment(cfg, 2, constants=cn)
+    assert rep.passed and len(maps) == 1
+    pipe = next(s for s in rep.stages if s["stage"] == "embedding-pipeline")
+    sub = next(s for s in pipe["stages"] if s["stage"] == "subbox")
+    axes = [np.linspace(lo, hi, 7) for lo, hi in sub["box"]]
+    grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    assert len({maps[0].fn(p) for p in grid}) > 1

@@ -22,11 +22,13 @@ from coarsegeo.surfmodel import (
     component_distance, distance_formula, farey_adjacent, farey_ball,
     farey_distance, farey_geodesic, flip_move, horoball_distance,
     horoball_point_to_segment, intersection_number, length_move, mat_inv,
-    mat_mul, model_distance, product_factor_sum, product_project,
+    model_distance, product_factor_sum, product_project,
     product_region_distance, project, subsurface_distance, sum_distance_audit,
     surface_stats, threshold_audit, topology_stats, transport_matrix,
     twist_matrix, twist_move, twist_number,
 )
+
+from oracles import mat_mul
 
 slopes = st.builds(
     Slope,
@@ -96,6 +98,25 @@ def test_distance_matches_ball_bfs_oracle(rng):
         got = farey_distance(a, b)
         ref = _bfs(adj, a, b)
         assert ref == got
+
+
+def test_distance_memo_is_bounded(rng, monkeypatch):
+    """Pushed past a tiny bound, the memo is emptied between evaluations
+    and every distance still matches the ball BFS oracle."""
+    bound = 40
+    monkeypatch.setattr(surfmodel, "_DIST_MEMO_MAX", bound)
+    surfmodel.clear_caches()
+    verts, adj = _ball_graph()
+    inner = [s for s in verts if abs(s.value()) <= 3 and 0 < s.q <= 13]
+    sizes = []
+    for _ in range(400):
+        a, b = rng.choice(len(inner), size=2, replace=False)
+        a, b = inner[int(a)], inner[int(b)]
+        assert farey_distance(a, b) == _bfs(adj, a, b)
+        sizes.append(len(surfmodel._dist_memo))
+    assert max(sizes) > bound
+    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
+    surfmodel.clear_caches()
 
 
 @given(slope_strategy(), slope_strategy(), slope_strategy())

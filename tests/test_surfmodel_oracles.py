@@ -1,0 +1,94 @@
+"""The per-component distance formula and the closed-form twist matrix
+against the code they replaced.
+
+`surfmodel.distance_formula` reads each component's terms from a cache
+keyed by the component's two states; `oracles.distance_formula` walks
+every candidate subsurface of the point pair.  Totals and contribution
+lists must agree bit for bit: the cached terms are added in the same
+order as the direct loop.  Points come from small seeded pools, so
+component states repeat across pairs and the cache is read back as well
+as filled.
+"""
+
+import numpy as np
+
+from coarsegeo import surfmodel
+from coarsegeo.harness import random_point
+from coarsegeo.surfmodel import (INFINITY, ComponentState, ModelPoint, ModelSurface, Slope,
+                                 distance_formula, model_distance, twist_matrix)
+
+import oracles
+
+SURFACES = [
+    ModelSurface(((1, 1),), flavor="marking"),
+    ModelSurface(((1, 1), (0, 4)), flavor="augmented", bers=2.0),
+    ModelSurface(((1, 1), (0, 4), (1, 1)), flavor="pants"),
+    ModelSurface(((1, 1),), flavor="augmented"),
+    ModelSurface(((1, 1), (1, 1)), flavor="marking", threshold=12.0),
+]
+POOL = 60
+PAIRS_PER_SURFACE = 2000
+
+
+def _bits(result):
+    total, terms = result
+    return total.hex(), [(w, d.hex()) for w, d in terms]
+
+
+def test_distance_formula_matches_direct_loop():
+    surfmodel.clear_caches()
+    rng = np.random.default_rng(505)
+    checked = 0
+    for surface in SURFACES:
+        pool = [random_point(surface, rng, steps=int(rng.integers(4, 16)), big_twist=30)
+                for _ in range(POOL)]
+        t = surface.threshold
+        for _ in range(PAIRS_PER_SURFACE):
+            i, j = rng.integers(POOL, size=2)
+            x, y = pool[int(i)], pool[int(j)]
+            for kw in ({}, {"threshold": t + 3}, {"comps": (0,)}):
+                assert _bits(distance_formula(x, y, **kw)) == \
+                    _bits(oracles.distance_formula(x, y, **kw)), (x, y, kw)
+            assert model_distance(x, y).hex() == oracles.distance_formula(x, y)[0].hex()
+            checked += 1
+    assert checked == len(SURFACES) * PAIRS_PER_SURFACE
+    assert surfmodel._component_terms.cache_info().hits > 0
+
+
+def test_twist_matrix_matches_conjugated_shear():
+    rng = np.random.default_rng(506)
+    cores = [INFINITY] + [Slope(int(rng.integers(-200, 201)), int(rng.integers(1, 60)))
+                          for _ in range(1999)]
+    for core in cores:
+        for n in rng.integers(-500, 501, size=10):
+            assert twist_matrix(core, int(n)) == oracles.twist_matrix(core, int(n)), (core, n)
+
+
+def test_clear_caches_empties_every_cache(marking2):
+    rng = np.random.default_rng(507)
+    for _ in range(20):
+        x, y = (random_point(marking2, rng, steps=10) for _ in range(2))
+        model_distance(x, y)
+    caches = {name: fn for name, fn in vars(surfmodel).items() if hasattr(fn, "cache_info")}
+    assert set(caches) >= {"transport_matrix", "farey_distance", "farey_geodesic",
+                           "_component_terms", "model_distance"}
+    assert all(fn.cache_info().currsize > 0 for fn in caches.values())
+    assert surfmodel._dist_memo
+    surfmodel.clear_caches()
+    assert {name: fn.cache_info().currsize for name, fn in caches.items()} == \
+        dict.fromkeys(caches, 0)
+    assert not surfmodel._dist_memo
+
+
+def test_equal_points_hash_equal(marking2):
+    def build(twist: int) -> ModelPoint:
+        return ModelPoint(marking2, (ComponentState(Slope(2, 5), Slope(1, 2)),
+                                     ComponentState(Slope(0, 1), Slope(1, twist))))
+
+    a, b = build(7), build(7)
+    assert a is not b and a.states is not b.states
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash((a.surface, a.states))
+    assert build(8) != a
+    assert ModelPoint.from_json(marking2, a.to_json()) == a
+    assert hash(ModelPoint.from_json(marking2, a.to_json())) == hash(a)
