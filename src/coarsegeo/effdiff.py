@@ -472,7 +472,8 @@ def differentiate_lines(fmap: BoxMap, box: Box, eps: float, theta: float,
     for ln in lines:
         ts = np.arange(0.0, ln.length + 1e-9, r0)
         base_ts.append(ts)
-        images.append([fmap.fn(ln.point(t)) for t in ts])
+        pts = np.asarray(ln.origin) + ts[:, None] * np.asarray(ln.direction)
+        images.append([fmap.fn(q) for q in pts])
         grids.append(list(range(len(ts))))
 
     def dist(li: int, a: int, b: int) -> float:

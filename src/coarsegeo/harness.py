@@ -204,25 +204,28 @@ def noisy_flat_map(flat: StandardFlat, noise: int, seed: int) -> BoxMap:
     the stated noise."""
     surface = flat.surface
     h = model_handle(surface)
-    intervals = flat.box().intervals
+    lo, hi = np.array(flat.box().intervals).T
 
     def fn(p) -> ModelPoint:
-        t = tuple(int(round(v)) for v in np.atleast_1d(np.asarray(p, float)))
-        t = tuple(max(lo, min(hi, v)) for (lo, hi), v in zip(intervals, t))
+        # rint rounds half to even, as round() does; tolist() gives the
+        # Python ints that the noise hash reads through repr
+        q = np.rint(np.atleast_1d(np.asarray(p, float)))
+        t = tuple(np.clip(q, lo, hi).astype(int).tolist())
         x = flat.eval(t)
-        if noise <= 0:
+        if noise <= 0 or surface.flavor == "pants":
             return x
         mix = hashlib.sha256(repr((seed, t)).encode()).digest()
         comp = mix[0] % surface.n_components
-        if surface.flavor == "pants":
-            return x
+        # an optional flip at step 0, then unit twists about one pants
+        # curve; the twists compose into a single twist_move
+        n = 0
         for step in range(mix[1] % (noise + 1)):
             b = mix[2 + step]
             if b % 3 == 0 and step == 0:
                 x = flip_move(x, comp)
             else:
-                x = twist_move(x, comp, 1 if b % 2 else -1)
-        return x
+                n += 1 if b % 2 else -1
+        return twist_move(x, comp, n) if n else x
 
     return BoxMap(fn, h, K=2.0, C=_flat_map_c(surface, noise))
 
@@ -504,6 +507,21 @@ def _extract_moving_factors(fmap: BoxMap, sub: Box, moving: list[int],
 # ---------------------------------------------------------------------------
 
 
+def greedy_packing(images: Sequence[Any], distance: Callable[[Any, Any], float],
+                   separation: float) -> list[Any]:
+    """The images a greedy pass keeps, in order: each is kept when it is
+    at least `separation` from every image kept before it."""
+    if separation <= 0:
+        raise ValueError("separation must be positive")
+    kept: list[Any] = []
+    # an image equal to an earlier one is at distance 0 < separation from
+    # it, so only first occurrences can be kept
+    for img in dict.fromkeys(images):
+        if all(distance(img, other) >= separation for other in kept):
+            kept.append(img)
+    return kept
+
+
 def net_separation_count(fmap: BoxMap, box: Box, spacing: float,
                          separation: float) -> tuple[int, int]:
     """(domain net size, greedy image packing count at the separation)."""
@@ -511,11 +529,7 @@ def net_separation_count(fmap: BoxMap, box: Box, spacing: float,
     mesh = np.meshgrid(*axes, indexing="ij")
     net = np.stack([m.ravel() for m in mesh], axis=-1)
     images = [fmap.fn(p) for p in net]
-    kept: list[Any] = []
-    for img in images:
-        if all(fmap.target.distance(img, other) >= separation for other in kept):
-            kept.append(img)
-    return len(net), len(kept)
+    return len(net), len(greedy_packing(images, fmap.target.distance, separation))
 
 
 def rank_experiment(config: ExperimentConfig, n: int,

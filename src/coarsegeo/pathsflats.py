@@ -474,6 +474,8 @@ class FlatFactor:
     path: PreferredPath | None = None
     core: Slope | None = None
     tau0: Slope | None = None
+    # twist_number(core, tau0) of a twist factor, computed once
+    _twist0: int | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("path", "twist", "ray"):
@@ -482,6 +484,8 @@ class FlatFactor:
             raise ValueError("path factors need a path")
         if self.kind in ("twist", "ray") and (self.core is None or self.tau0 is None):
             raise ValueError("pinned factors need a core and a base transversal")
+        if self.kind == "twist":
+            object.__setattr__(self, "_twist0", twist_number(self.core, self.tau0))
 
 
 @dataclass(frozen=True)
@@ -520,7 +524,7 @@ class StandardFlat:
             return f.path.points[i].states[f.comp]
         if f.kind == "twist":
             # absolute parametrization: the twist coordinate equals t
-            k = int(round(t)) - twist_number(f.core, f.tau0)
+            k = int(round(t)) - f._twist0
             tau = apply_matrix(twist_matrix(f.core, k), f.tau0)
             length = surface.bers if surface.flavor == "augmented" else None
             return ComponentState(f.core, tau, length)

@@ -107,9 +107,25 @@ def farey_adjacent(a: Slope, b: Slope) -> bool:
     return abs(det(a, b)) == 1
 
 
+def _trusted_slope(p: int, q: int) -> Slope:
+    """A `Slope` from a pair already primitive and sign-normalized."""
+    s = object.__new__(Slope)
+    object.__setattr__(s, "p", p)
+    object.__setattr__(s, "q", q)
+    return s
+
+
 def apply_matrix(m: Matrix, s: Slope) -> Slope:
+    """The image of a slope under a unimodular matrix.  Such a matrix
+    sends a primitive vector to a primitive vector, so the image needs a
+    sign normalization but no gcd."""
     a, b, c, d = m
-    return Slope(a * s.p + b * s.q, c * s.p + d * s.q)
+    if a * d - b * c not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    p, q = a * s.p + b * s.q, c * s.p + d * s.q
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
+    return _trusted_slope(p, q)
 
 
 def mat_inv(m: Matrix) -> Matrix:
@@ -154,7 +170,7 @@ def twist_number(core: Slope, curve: Slope) -> int:
     answer by a bounded amount); exactly equivariant under powers of the
     Dehn twist about the core.
     """
-    if curve == core:
+    if curve.p == core.p and curve.q == core.q:
         raise ValueError("no projection from core to its own annulus via slopes")
     # floor(num / den) is the floor of the image slope without reducing it:
     # dividing both by their gcd or flipping both signs leaves it unchanged
@@ -340,13 +356,15 @@ class ModelSurface:
     """A disjoint union of (1,1) and (0,4) components with a flavor.
 
     `bers` is the Bers length bound B of the augmented flavor; `threshold`
-    is the cutoff T of the distance formula.
+    is the cutoff T of the distance formula.  The hash is computed once,
+    at construction: surfaces are part of every distance-cache key.
     """
 
     components: tuple[tuple[int, int], ...]
     flavor: str = "marking"
     bers: float = 1.0
     threshold: float = 10.0
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(tuple(c) for c in self.components))
@@ -359,6 +377,16 @@ class ModelSurface:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if self.bers <= 0 or self.threshold <= 0:
             raise ValueError("bers bound and threshold must be positive")
+        object.__setattr__(self, "_hash", hash((self.components, self.flavor, self.bers,
+                                                self.threshold)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so the hash is the loading
+        # process's own (str hashes differ between processes)
+        return (ModelSurface, (self.components, self.flavor, self.bers, self.threshold))
 
     @property
     def n_components(self) -> int:
@@ -470,6 +498,11 @@ class ModelPoint:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # rebuilt through the constructor: revalidated, and hashed in the
+        # loading process
+        return (ModelPoint, (self.surface, self.states))
+
     def alpha(self, comp: int) -> Slope:
         return self.states[comp].alpha
 
@@ -568,7 +601,7 @@ def _project_state(surf: ModelSurface, st: ComponentState,
     core = w.core
     if core is None:
         raise ValueError(f"annulus {w} has no core")
-    if core == st.alpha:
+    if core.p == st.alpha.p and core.q == st.alpha.q:
         tw = twist_number(core, st.tau)
         if surf.flavor == "augmented":
             return AnnularPoint(tw, 1.0 / st.length)
@@ -703,6 +736,27 @@ def _component_terms(surf: ModelSurface, comp: int, sx: ComponentState,
     return tuple(terms)
 
 
+def _formula_terms(x: ModelPoint, y: ModelPoint, threshold: float | None,
+                   comps: Iterable[int] | None,
+                   ) -> tuple[float, list[tuple[tuple[Subsurface, float], ...]]]:
+    """The thresholded total and each component's cached terms.  The
+    total is summed in one fixed order, components ascending and then
+    candidate order, so every caller gets the same float."""
+    surf = x.surface
+    if surf != y.surface:
+        raise ValueError("points live on different surfaces")
+    t = surf.threshold if threshold is None else threshold
+    comp_range = range(surf.n_components) if comps is None else comps
+    total = 0.0
+    parts = []
+    for i in comp_range:
+        terms = _component_terms(surf, i, x.states[i], y.states[i], t)
+        for _, d in terms:
+            total += d
+        parts.append(terms)
+    return total, parts
+
+
 def distance_formula(
     x: ModelPoint,
     y: ModelPoint,
@@ -714,26 +768,17 @@ def distance_formula(
     the triangle inequality up to a multiplicative slack.  Each
     component's terms come from `_component_terms`, cached on that
     component's two states."""
-    surf = x.surface
-    if surf != y.surface:
-        raise ValueError("points live on different surfaces")
-    t = surf.threshold if threshold is None else threshold
-    comp_range = range(surf.n_components) if comps is None else comps
-    total = 0.0
-    contributing: list[tuple[Subsurface, float]] = []
-    for i in comp_range:
-        # summed in candidate order, so the float total matches term by term
-        for w, d in _component_terms(surf, i, x.states[i], y.states[i], t):
-            total += d
-            contributing.append((w, d))
+    total, parts = _formula_terms(x, y, threshold, comps)
+    contributing = [wd for terms in parts for wd in terms]
     contributing.sort(key=lambda wd: wd[0].key())
     return total, contributing
 
 
 @lru_cache(maxsize=400_000)
 def model_distance(x: ModelPoint, y: ModelPoint) -> float:
-    """distance_formula at the surface's own threshold, cached."""
-    return distance_formula(x, y)[0]
+    """The distance formula's total at the surface's own threshold,
+    cached; no contribution list is built."""
+    return _formula_terms(x, y, None, None)[0]
 
 
 def component_distance(x: ModelPoint, y: ModelPoint, comp: int,

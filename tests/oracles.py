@@ -7,23 +7,28 @@ double loop over attachment pairs on top of a table built with scalar
 metric calls; the horoball nearest points, positions and triangle
 centres by ternary searches over an angle-linear parametrization of
 the geodesic arc; the distance formula as one pass over every
-candidate subsurface of the point pair; and the Dehn twist matrix as a
-conjugated shear.  They are slow on purpose and must stay obviously
-right.
+candidate subsurface of the point pair, and again as the per-component
+loop that also builds every contribution list; the Dehn twist matrix as
+a conjugated shear; a slope's image under a matrix through the gcd of
+the `Slope` constructor; the noisy box map one elementary move at a
+time; and the greedy net packing that compares every image with every
+kept one.  They are slow on purpose and must stay obviously right.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 
 from coarsegeo.bbf import FamilyY, QuasiTree
-from coarsegeo.surfmodel import (AnnularPoint, Matrix, ModelPoint, Slope, Subsurface,
-                                 annular_distance, apply_matrix, candidate_subsurfaces,
-                                 horoball_distance, mat_inv, subsurface_distance,
-                                 transport_matrix)
+from coarsegeo.pathsflats import StandardFlat
+from coarsegeo.surfmodel import (AnnularPoint, ComponentState, Matrix, ModelPoint, Slope,
+                                 Subsurface, _component_terms, annular_distance,
+                                 candidate_subsurfaces, horoball_distance, mat_inv,
+                                 subsurface_distance, transport_matrix, twist_number)
 
 
 def mat_mul(m: Matrix, n: Matrix) -> Matrix:
@@ -53,10 +58,84 @@ def distance_formula(x: ModelPoint, y: ModelPoint, threshold: float | None = Non
     return total, contributing
 
 
+def component_loop_distance_formula(x: ModelPoint, y: ModelPoint,
+                                    threshold: float | None = None, comps=None,
+                                    ) -> tuple[float, list[tuple[Subsurface, float]]]:
+    """Each component's cached terms, added up while the contribution
+    list is built."""
+    surf = x.surface
+    t = surf.threshold if threshold is None else threshold
+    total = 0.0
+    contributing: list[tuple[Subsurface, float]] = []
+    for i in range(surf.n_components) if comps is None else comps:
+        for w, d in _component_terms(surf, i, x.states[i], y.states[i], t):
+            total += d
+            contributing.append((w, d))
+    contributing.sort(key=lambda wd: wd[0].key())
+    return total, contributing
+
+
+def apply_by_gcd(m: Matrix, s: Slope) -> Slope:
+    """The image slope, reduced by the `Slope` constructor's gcd."""
+    a, b, c, d = m
+    return Slope(a * s.p + b * s.q, c * s.p + d * s.q)
+
+
 def twist_number_via_slope(core: Slope, curve: Slope) -> int:
     """Floor of the transported curve, reduced to lowest terms first."""
-    img = apply_matrix(transport_matrix(core), curve)
+    img = apply_by_gcd(transport_matrix(core), curve)
     return img.p // img.q
+
+
+def twist_flat_point(flat: StandardFlat, t) -> ModelPoint:
+    """A twist flat at lattice point t: each factor's transversal is its
+    base transversal twisted until the twist coordinate equals t."""
+    surface = flat.surface
+    states = list(flat.base.states)
+    for f, v in zip(flat.factors, t):
+        if f.kind != "twist":
+            raise ValueError("only twist factors")
+        k = int(round(v)) - twist_number(f.core, f.tau0)
+        length = surface.bers if surface.flavor == "augmented" else None
+        states[f.comp] = ComponentState(f.core, apply_by_gcd(twist_matrix(f.core, k), f.tau0),
+                                        length)
+    return ModelPoint(surface, tuple(states))
+
+
+def noisy_flat_image(flat: StandardFlat, noise: int, seed: int, p) -> ModelPoint:
+    """`harness.noisy_flat_map`'s image of p on a twist flat: round and
+    clamp to the lattice, then apply the hashed burst one move at a
+    time (a flip allowed at step 0 only, else a unit twist)."""
+    surface = flat.surface
+    t = tuple(int(round(v)) for v in np.atleast_1d(np.asarray(p, float)))
+    t = tuple(max(lo, min(hi, v)) for (lo, hi), v in zip(flat.box().intervals, t))
+    x = twist_flat_point(flat, t)
+    if noise <= 0 or surface.flavor == "pants":
+        return x
+    mix = hashlib.sha256(repr((seed, t)).encode()).digest()
+    comp = mix[0] % surface.n_components
+    for step in range(mix[1] % (noise + 1)):
+        b = mix[2 + step]
+        states = list(x.states)
+        st = states[comp]
+        if b % 3 == 0 and step == 0:
+            length = surface.bers if st.length is not None else None
+            states[comp] = ComponentState(st.tau, st.alpha, length)
+        else:
+            tau = apply_by_gcd(twist_matrix(st.alpha, 1 if b % 2 else -1), st.tau)
+            states[comp] = ComponentState(st.alpha, tau, st.length)
+        x = ModelPoint(surface, tuple(states))
+    return x
+
+
+def greedy_packing(images, distance, separation: float) -> list:
+    """Keep an image when it is at least `separation` from every image
+    kept so far, comparing it with each of them in turn."""
+    kept: list = []
+    for img in images:
+        if all(distance(img, other) >= separation for other in kept):
+            kept.append(img)
+    return kept
 
 
 def mutual_projection(u: Subsurface, v: Subsurface, w: Subsurface,

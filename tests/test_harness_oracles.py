@@ -1,0 +1,85 @@
+"""The noisy box map and the greedy net packing against the loops they
+replaced (`tests/oracles.py`), on seeded inputs.
+
+`harness.noisy_flat_map` composes its burst of unit twists into one
+twist move and rounds the lattice point with numpy; the oracle applies
+the burst one move at a time, each move a validated `ModelPoint`, with
+twist matrices conjugated from a shear and slopes reduced by gcd.
+`harness.greedy_packing` skips images equal to an earlier one; the
+oracle compares every image with every kept one.  Both must give the
+same points, in the same order.
+"""
+
+import numpy as np
+import pytest
+
+from coarsegeo.effdiff import Box
+from coarsegeo.harness import (adversarial_maps, greedy_packing, net_separation_count,
+                               noisy_flat_map, twist_flat)
+from coarsegeo.surfmodel import ModelSurface
+
+import oracles
+
+MARKING2 = ModelSurface(((1, 1), (1, 1)), flavor="marking")
+AUGMENTED = ModelSurface(((1, 1), (0, 4)), flavor="augmented", bers=2.0)
+POINTS_PER_CASE = 5000
+
+
+@pytest.mark.parametrize("tau_shift", [0, 7])
+@pytest.mark.parametrize("noise", [0, 1, 3, 6])
+@pytest.mark.parametrize("surface", [MARKING2, AUGMENTED], ids=["marking", "augmented"])
+def test_noisy_flat_map_matches_step_by_step_burst(surface, noise, tau_shift):
+    flat = twist_flat(surface, 300, tau_shift=tau_shift)
+    # tau_shift moves the hoisted twist constant off 0
+    assert all((f._twist0 == 0) == (tau_shift == 0) for f in flat.factors)
+    seed = 1000 + 10 * noise + tau_shift
+    fmap = noisy_flat_map(flat, noise, seed)
+    rng = np.random.default_rng([noise, tau_shift, len(surface.components)])
+    # lattice points inside and outside the flat's box, some on half-integers
+    pts = rng.uniform(-400.0, 400.0, size=(POINTS_PER_CASE, flat.dim))
+    pts[:500] = np.floor(pts[:500]) + 0.5
+    for p in pts:
+        assert fmap.fn(p) == oracles.noisy_flat_image(flat, noise, seed, p), p
+
+
+def _net(box: Box, spacing: float) -> np.ndarray:
+    axes = [np.arange(lo, hi + 1e-9, spacing) for lo, hi in box.intervals]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def _assert_same_packing(fmap, box: Box, spacing: float, separation: float) -> None:
+    net = _net(box, spacing)
+    images = [fmap.fn(p) for p in net]
+    got = greedy_packing(images, fmap.target.distance, separation)
+    want = oracles.greedy_packing(images, fmap.target.distance, separation)
+    assert len(got) == len(want)
+    assert all(a is b for a, b in zip(got, want))
+    assert net_separation_count(fmap, box, spacing, separation) == (len(net), len(want))
+
+
+# acceptance 12: side 60, eps0 0.05, the flat of span 2 * side
+SIDE, EPS0 = 60, 0.05
+
+
+def test_packing_matches_all_pairs_loop_on_collapse_maps(cn):
+    """The five collapse maps do not depend on the config seed."""
+    spacing = max(1.0, cn["k1_net"] * EPS0 * SIDE)
+    flat = twist_flat(MARKING2, 2 * SIDE)
+    suite = adversarial_maps(flat, 3, SIDE)
+    assert len(suite) == 5
+    for _name, fmap in suite:
+        _assert_same_packing(fmap, Box.cube(SIDE, 3), spacing, EPS0 * SIDE)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_packing_matches_all_pairs_loop_on_honest_map(seed, cn):
+    spacing = max(1.0, cn["k1_net"] * EPS0 * SIDE)
+    flat = twist_flat(MARKING2, 2 * SIDE)
+    for noise in (0, 3):
+        _assert_same_packing(noisy_flat_map(flat, noise, seed), Box.cube(SIDE, 2),
+                             spacing, EPS0 * SIDE)
+
+
+def test_packing_needs_positive_separation():
+    with pytest.raises(ValueError):
+        greedy_packing([1, 1], lambda a, b: abs(a - b), 0.0)

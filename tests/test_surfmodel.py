@@ -151,7 +151,8 @@ def test_geodesic_invariants_survive_optimize_flag():
     """Under `python -O` a broken path search still raises: the end
     check and the edge check are not asserts.  Nor are the core checks
     of `project` and `ExactSystem.boundary_projection`, which see an
-    annulus stripped of its core after construction."""
+    annulus stripped of its core after construction, nor the unimodular
+    check of `apply_matrix`, whose images skip the gcd."""
     script = textwrap.dedent("""
         import sys
         from coarsegeo import surfmodel
@@ -179,6 +180,7 @@ def test_geodesic_invariants_survive_optimize_flag():
             "project": lambda: surfmodel.project(surfmodel.base_point(surf), coreless),
             "boundary": lambda: ExactSystem(surf, []).boundary_projection(
                 Subsurface("component", 0), coreless),
+            "unimodular": lambda: surfmodel.apply_matrix((2, 1, 1, 2), INFINITY),
         }
         for name, call in checks.items():
             try:
@@ -186,14 +188,50 @@ def test_geodesic_invariants_survive_optimize_flag():
             except ValueError as err:
                 print(name, "raised:", err)
             else:
-                sys.exit(f"coreless annulus went through {name}")
+                sys.exit(f"the {name} check went through")
     """)
     src = str(Path(surfmodel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("raised:") == 4
+    assert proc.stdout.count("raised:") == 5
+
+
+def test_pickled_points_rehash_in_the_loading_process():
+    """A point pickled under one string-hash seed and loaded under another
+    must hash like a point built in the loading process: it is a key of
+    sets and of the model-distance cache."""
+    dump = textwrap.dedent("""
+        import pickle, sys
+        from coarsegeo.surfmodel import ModelSurface, base_point, twist_move
+        surf = ModelSurface(((1, 1), (0, 4)), flavor="augmented", bers=2.0)
+        sys.stdout.buffer.write(pickle.dumps((surf, twist_move(base_point(surf), 1, 5))))
+    """)
+    load = textwrap.dedent("""
+        import pickle, sys
+        from coarsegeo.surfmodel import ModelSurface, base_point, model_distance, twist_move
+        surf0, x0 = pickle.loads(sys.stdin.buffer.read())
+        surf = ModelSurface(((1, 1), (0, 4)), flavor="augmented", bers=2.0)
+        x = twist_move(base_point(surf), 1, 5)
+        y = twist_move(base_point(surf), 0, 40)
+        assert surf0 == surf and surf0 in {surf} and hash(surf0) == hash(surf)
+        assert x0 == x and x0 in {x} and hash(x0) == hash(x)
+        model_distance(x, y)
+        model_distance(x0, y)
+        info = model_distance.cache_info()
+        assert (info.hits, info.misses) == (1, 1), info
+        print("ok")
+    """)
+    src = str(Path(surfmodel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    dumped = subprocess.run([sys.executable, "-c", dump], capture_output=True,
+                            env={**env, "PYTHONHASHSEED": "1"})
+    assert dumped.returncode == 0, dumped.stderr
+    loaded = subprocess.run([sys.executable, "-c", load], input=dumped.stdout,
+                            capture_output=True, env={**env, "PYTHONHASHSEED": "2"})
+    assert loaded.returncode == 0, loaded.stderr.decode()
+    assert loaded.stdout.decode().strip() == "ok"
 
 
 def test_common_neighbors_are_neighbors():

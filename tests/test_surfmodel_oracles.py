@@ -1,21 +1,26 @@
-"""The per-component distance formula and the closed-form twist matrix
-against the code they replaced.
+"""The per-component distance formula, the list-free model distance,
+the closed-form twist matrix and the gcd-free slope image against the
+code they replaced.
 
 `surfmodel.distance_formula` reads each component's terms from a cache
 keyed by the component's two states; `oracles.distance_formula` walks
-every candidate subsurface of the point pair.  Totals and contribution
-lists must agree bit for bit: the cached terms are added in the same
-order as the direct loop.  Points come from small seeded pools, so
-component states repeat across pairs and the cache is read back as well
-as filled.
+every candidate subsurface of the point pair, and
+`oracles.component_loop_distance_formula` adds up the cached terms while
+it builds the contribution list.  Totals and contribution lists must
+agree bit for bit: the cached terms are added in the same order as the
+direct loop.  `model_distance` builds no list and must still give the
+same float.  Points come from small seeded pools, so component states
+repeat across pairs and the cache is read back as well as filled.
 """
 
 import numpy as np
+import pytest
 
 from coarsegeo import surfmodel
 from coarsegeo.harness import random_point
-from coarsegeo.surfmodel import (INFINITY, ComponentState, ModelPoint, ModelSurface, Slope,
-                                 distance_formula, model_distance, twist_matrix)
+from coarsegeo.surfmodel import (INFINITY, ZERO, ComponentState, ModelPoint, ModelSurface,
+                                 Slope, apply_matrix, distance_formula, mat_inv,
+                                 model_distance, transport_matrix, twist_matrix)
 
 import oracles
 
@@ -47,9 +52,12 @@ def test_distance_formula_matches_direct_loop():
             i, j = rng.integers(POOL, size=2)
             x, y = pool[int(i)], pool[int(j)]
             for kw in ({}, {"threshold": t + 3}, {"comps": (0,)}):
-                assert _bits(distance_formula(x, y, **kw)) == \
-                    _bits(oracles.distance_formula(x, y, **kw)), (x, y, kw)
-            assert model_distance(x, y).hex() == oracles.distance_formula(x, y)[0].hex()
+                got = _bits(distance_formula(x, y, **kw))
+                assert got == _bits(oracles.distance_formula(x, y, **kw)), (x, y, kw)
+                assert got == _bits(oracles.component_loop_distance_formula(x, y, **kw))
+            want = oracles.component_loop_distance_formula(x, y)[0].hex()
+            assert model_distance(x, y).hex() == want == \
+                oracles.distance_formula(x, y)[0].hex()
             checked += 1
     assert checked == len(SURFACES) * PAIRS_PER_SURFACE
     assert surfmodel._component_terms.cache_info().hits > 0
@@ -62,6 +70,38 @@ def test_twist_matrix_matches_conjugated_shear():
     for core in cores:
         for n in rng.integers(-500, 501, size=10):
             assert twist_matrix(core, int(n)) == oracles.twist_matrix(core, int(n)), (core, n)
+
+
+def _random_slope(rng) -> Slope:
+    q = int(rng.integers(0, 80))
+    return Slope(1, 0) if q == 0 else Slope(int(rng.integers(-300, 301)), q)
+
+
+def test_apply_matrix_matches_gcd_path():
+    """The sign-normalized image of a slope under every kind of matrix
+    the package applies equals the `Slope` the gcd path builds."""
+    rng = np.random.default_rng(508)
+    kinds = [
+        lambda core, n: twist_matrix(core, n),
+        lambda core, n: transport_matrix(core),
+        lambda core, n: mat_inv(transport_matrix(core)),
+        lambda core, n: (0, 1, 1, -n),  # the Farey geodesic's flip to infinity
+        lambda core, n: (n, 1, 1, 0),  # and its inverse
+    ]
+    checked = 0
+    for i in range(25_000):
+        core = _random_slope(rng)
+        n = int(rng.integers(-60, 61))
+        m = kinds[i % len(kinds)](core, n)
+        s = (INFINITY, ZERO)[i % 2] if i % 7 == 0 else _random_slope(rng)
+        got, want = apply_matrix(m, s), oracles.apply_by_gcd(m, s)
+        assert (got.p, got.q) == (want.p, want.q) and got == want, (m, s)
+        assert hash(got) == hash(want)
+        checked += 1
+    assert checked >= 20_000
+    for bad in ((2, 0, 0, 1), (1, 1, 1, 1), (0, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            apply_matrix(bad, ZERO)
 
 
 def test_clear_caches_empties_every_cache(marking2):
