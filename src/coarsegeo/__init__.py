@@ -2,8 +2,8 @@
 
 Modules
 -------
-hypgraph    graphs and distance handles: geodesics, thinness, centers,
-            excursion, unparametrized quasi-geodesic tests
+hypgraph    graphs and distance handles: geodesics, thinness,
+            unparametrized quasi-geodesic tests
 effdiff     coarse length, efficiency, the differentiation scale search,
             sub-box extraction over hyperbolic targets
 surfmodel   Farey-graph curve complexes, markings, subsurface

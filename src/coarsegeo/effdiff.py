@@ -339,26 +339,6 @@ def coarse_length(path: PathTrace, r: float) -> float:
     return float(best[-1])
 
 
-def coarse_length_bruteforce(path: PathTrace, r: float) -> float:
-    """Exhaustive minimum over all admissible sample-time partitions.
-    Exponential; the oracle for traces with at most ~12 samples."""
-    n = len(path.times)
-    if n > 16:
-        raise ValueError("brute force is for short traces")
-    ts, pts, dist = path.times, path.points, path.handle.distance
-    if any(ts[i + 1] - ts[i] > r + 1e-9 for i in range(n - 1)):
-        raise ScaleBelowResolutionError("scale below resolution")
-    best = math.inf
-    mids = list(range(1, n - 1))
-    for mask in range(1 << len(mids)):
-        chosen = [0] + [mids[b] for b in range(len(mids)) if mask >> b & 1] + [n - 1]
-        if any(ts[b] - ts[a] > r + 1e-9 for a, b in zip(chosen, chosen[1:])):
-            continue
-        total = sum(dist(pts[a], pts[b]) for a, b in zip(chosen, chosen[1:]))
-        best = min(best, total)
-    return best
-
-
 def efficiency_test(path: PathTrace, R: float, eps: float, theta_eff: float) -> bool:
     """Reverse triangle inequality up to a linear error: the coarse
     length at scale eps*R must not exceed the endpoint distance by more

@@ -176,6 +176,9 @@ def twist_flat(surface: ModelSurface, span: int,
                tau_shift: int = 0) -> StandardFlat:
     """The standard twist flat: every component pinned on the base curve
     with the twist lattice as its factor."""
+    if surface.flavor == "pants":
+        raise surfmodel.InessentialSubsurfaceError(
+            "a twist flat needs annular twist coordinates, which the pants flavor does not have")
     base = base_point(surface)
     factors = tuple(
         FlatFactor(c, "twist", (-span, span), core=ZERO,
@@ -204,13 +207,13 @@ def noisy_flat_map(flat: StandardFlat, noise: int, seed: int) -> BoxMap:
     the stated noise."""
     surface = flat.surface
     h = model_handle(surface)
-    lo, hi = np.array(flat.box().intervals).T
+    bounds = flat.box().intervals
 
     def fn(p) -> ModelPoint:
-        # rint rounds half to even, as round() does; tolist() gives the
+        # round() rounds half to even, as np.rint does, and gives the
         # Python ints that the noise hash reads through repr
-        q = np.rint(np.atleast_1d(np.asarray(p, float)))
-        t = tuple(np.clip(q, lo, hi).astype(int).tolist())
+        t = tuple(int(min(max(round(c), lo), hi))
+                  for c, (lo, hi) in zip(np.ravel(p).tolist(), bounds, strict=True))
         x = flat.eval(t)
         if noise <= 0 or surface.flavor == "pants":
             return x
@@ -992,6 +995,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     p.set_defaults(seed=42)  # the seed data/constants.json was frozen with
 
     ns = ap.parse_args(argv)
+    try:
+        return _run_verb(ns)
+    except surfmodel.InessentialSubsurfaceError as exc:
+        print(f"coarsegeo {ns.verb}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run_verb(ns: argparse.Namespace) -> int:
     verb = ns.verb
 
     if verb == "stats":

@@ -4,9 +4,8 @@ Spaces come in two presentations: finite explicit graphs
 (:class:`HypGraph`, with BFS geodesics and deterministic tie-breaking)
 and callable distance handles (:class:`MetricHandle`, possibly backed by
 a graph, possibly only an oracle).  On top of these the module provides
-thin-triangle constant estimation, nearest-point projections, triangle
-centers, excursion measurement against a geodesic, and the
-unparametrized quasi-geodesic test.
+thin-triangle constant estimation and the unparametrized quasi-geodesic
+test.
 """
 
 from __future__ import annotations
@@ -196,41 +195,6 @@ def delta_exhaustive(g: HypGraph) -> float:
     return worst
 
 
-def nearest_point_projection(g: HypGraph, p: Vertex, seg: GeodesicSegment) -> Vertex:
-    """The segment vertex closest to p; ties go to the earliest vertex
-    along the segment."""
-    dist = g.bfs_distances([p])
-    best = None
-    best_d = math.inf
-    for v in seg.vertices:
-        d = dist.get(v, math.inf)
-        if d < best_d:
-            best, best_d = v, d
-    if best is None or best_d is math.inf:
-        raise UnreachableError("unreachable")
-    return best
-
-
-def triangle_center_graph(g: HypGraph, x: Vertex, y: Vertex, z: Vertex) -> Vertex:
-    """A vertex within delta + 1 of all three sides of the triangle.
-
-    Scans the whole (finite) graph by distance-to-side and picks the
-    minimizer, ties broken by key.  Failure to get within delta + 1
-    means the cached delta does not reflect the graph at this scale.
-    """
-    sides = [geodesic(g, x, y), geodesic(g, y, z), geodesic(g, x, z)]
-    dists = [g.bfs_distances(s.vertices) for s in sides]
-    best_v, best_val = None, math.inf
-    for v in g.vertices:
-        val = max(float(d.get(v, math.inf)) for d in dists)
-        if val < best_val or (val == best_val and best_v is not None
-                              and g.key(v) < g.key(best_v)):
-            best_v, best_val = v, val
-    if best_v is None or best_val > g.delta + 1:
-        raise ValueError("not hyperbolic at scale")
-    return best_v
-
-
 # ---------------------------------------------------------------------------
 # Distance handles
 # ---------------------------------------------------------------------------
@@ -290,11 +254,6 @@ def product_handle(handles: Sequence[MetricHandle], name: str = "product") -> Me
     return h
 
 
-def graph_handle(g: HypGraph, name: str = "graph") -> MetricHandle:
-    return MetricHandle(name, lambda a, b: float(g.distance(a, b)), graph=g,
-                        geodesic_fn=lambda a, b: geodesic(g, a, b).vertices)
-
-
 def farey_handle() -> MetricHandle:
     """The full Farey graph through the exact distance and geodesic
     routines (no ball needed)."""
@@ -327,14 +286,6 @@ def model_handle(surface, mult_slack: float = 4.0) -> MetricHandle:
 
 def _points_of(path) -> list:
     return list(path.points) if hasattr(path, "points") else list(path)
-
-
-def morse_excursion(path, seg: GeodesicSegment, handle: MetricHandle) -> float:
-    """Max over path samples of the distance to the segment."""
-    pts = _points_of(path)
-    if not pts:
-        raise ValueError("empty path")
-    return max(min(handle.distance(p, v) for v in seg.vertices) for p in pts)
 
 
 def unparam_qgeo_check(path, handle: MetricHandle, lam: float, c: float,
@@ -381,36 +332,3 @@ def unparam_qgeo_check(path, handle: MetricHandle, lam: float, c: float,
     return False, (int(i), mid, int(j))
 
 
-def unparam_qgeo_oracle(points: Sequence, handle: MetricHandle, lam: float,
-                        c: float, grid: int = 9) -> bool:
-    """Independent brute-force check for short sequences: search monotone
-    integer-grid time assignments satisfying all pairwise constraints."""
-    n = len(points)
-    if n <= 1:
-        return True
-    if n > 6:
-        raise ValueError("oracle is for short sequences")
-    d = [[handle.distance(points[i], points[j]) for j in range(n)] for i in range(n)]
-    top = lam * (max(max(r) for r in d) + c) + 1.0
-    levels = [top * k / (grid - 1) for k in range(grid)]
-
-    def ok(us):
-        for i in range(len(us)):
-            for j in range(i + 1, len(us)):
-                du = us[j] - us[i]
-                if du < (d[i][j] - c) / lam - 1e-9 or du > lam * (d[i][j] + c) + 1e-9:
-                    return False
-        return True
-
-    def rec(us):
-        if len(us) == n:
-            return True
-        lo = us[-1] if us else 0.0
-        for u in levels:
-            if u < lo:
-                continue
-            if ok(us + [u]) and rec(us + [u]):
-                return True
-        return False
-
-    return rec([])

@@ -463,6 +463,12 @@ class ComponentState:
     tau: Slope | None = None
     length: float | None = None
 
+    def __hash__(self) -> int:
+        # hashed on every distance-cache lookup: one flat tuple of the
+        # fields costs about a third of the dataclass's nested hashes
+        a, t = self.alpha, self.tau
+        return hash((a.p, a.q) if t is None else (a.p, a.q, t.p, t.q, self.length))
+
 
 @dataclass(frozen=True, slots=True)
 class ModelPoint:
@@ -598,9 +604,14 @@ def _project_state(surf: ModelSurface, st: ComponentState,
         return st.alpha
     if surf.flavor == "pants":
         raise InessentialSubsurfaceError("inessential subsurface")
-    core = w.core
-    if core is None:
+    if w.core is None:
         raise ValueError(f"annulus {w} has no core")
+    return _annular_point(surf, st, w.core)
+
+
+def _annular_point(surf: ModelSurface, st: ComponentState, core: Slope) -> AnnularPoint:
+    """A state's projection to the annulus about `core` (marking or
+    augmented flavor)."""
     if core.p == st.alpha.p and core.q == st.alpha.q:
         tw = twist_number(core, st.tau)
         if surf.flavor == "augmented":
@@ -677,11 +688,7 @@ def annular_distance(u: AnnularPoint, v: AnnularPoint, flavor: str) -> float:
 
 
 def subsurface_distance(x: ModelPoint, y: ModelPoint, w: Subsurface) -> float:
-    return _state_distance(x.surface, x.states[w.comp], y.states[w.comp], w)
-
-
-def _state_distance(surf: ModelSurface, sx: ComponentState, sy: ComponentState,
-                    w: Subsurface) -> float:
+    surf, sx, sy = x.surface, x.states[w.comp], y.states[w.comp]
     if w.kind == "component":
         return float(farey_distance(sx.alpha, sy.alpha))
     return annular_distance(_project_state(surf, sx, w), _project_state(surf, sy, w),
@@ -711,15 +718,20 @@ def _component_candidates(flavor: str, comp: int, sx: ComponentState,
                           sy: ComponentState) -> list[Subsurface]:
     """`candidate_subsurfaces` of one component, from its two states."""
     out = [Subsurface("component", comp)]
-    if flavor == "pants":
-        return out
-    cores = set(farey_geodesic(sx.alpha, sy.alpha))
-    for st in (sx, sy):
-        cores.add(st.alpha)
-        if st.tau is not None:
-            cores.add(st.tau)
-    out.extend(Subsurface("annulus", comp, s) for s in sorted(cores, key=Slope.key))
+    out.extend(Subsurface("annulus", comp, s) for s in _candidate_cores(flavor, sx, sy))
     return out
+
+
+def _candidate_cores(flavor: str, sx: ComponentState, sy: ComponentState) -> list[Slope]:
+    """The candidate annulus cores of one component in candidate order:
+    the Farey geodesic between the pants slopes (which holds both of
+    them) and the two transversals.  None in the pants flavor."""
+    if flavor == "pants":
+        return []
+    cores = set(farey_geodesic(sx.alpha, sy.alpha))
+    cores.add(sx.tau)
+    cores.add(sy.tau)
+    return sorted(cores, key=Slope.key)
 
 
 @lru_cache(maxsize=200_000)
@@ -727,12 +739,32 @@ def _component_terms(surf: ModelSurface, comp: int, sx: ComponentState,
                      sy: ComponentState, t: float) -> tuple[tuple[Subsurface, float], ...]:
     """The (subsurface, distance) terms of one component at threshold t,
     in candidate order.  Every subsurface lies in one component, so the
-    terms depend only on that component's two states."""
+    terms depend only on that component's two states.  A `Subsurface` is
+    built only for a kept term.
+
+    Two states with the same pants slope alpha (as in a product region
+    Q(alpha)) need one projection: the component term is
+    farey_distance(alpha, alpha) = 0, and every annulus whose core is
+    not alpha sees the pants slope alpha from both states, at the same
+    height 1/B in the augmented flavor, so its distance is exactly 0.0.
+    For t > 0 the only possible term is the annulus about alpha.  At
+    t <= 0 the zero terms are kept, so the full enumeration runs; the
+    pants flavor has no annuli and always takes the component-only path.
+    """
+    flavor = surf.flavor
+    a, b = sx.alpha, sy.alpha
+    if t > 0 and flavor != "pants" and a.p == b.p and a.q == b.q:
+        d = annular_distance(_annular_point(surf, sx, a), _annular_point(surf, sy, a), flavor)
+        return ((Subsurface("annulus", comp, a), d),) if d >= t else ()
     terms = []
-    for w in _component_candidates(surf.flavor, comp, sx, sy):
-        d = _state_distance(surf, sx, sy, w)
+    d = float(farey_distance(a, b))
+    if d >= t:
+        terms.append((Subsurface("component", comp), d))
+    for core in _candidate_cores(flavor, sx, sy):
+        d = annular_distance(_annular_point(surf, sx, core), _annular_point(surf, sy, core),
+                             flavor)
         if d >= t:
-            terms.append((w, d))
+            terms.append((Subsurface("annulus", comp, core), d))
     return tuple(terms)
 
 
@@ -743,7 +775,7 @@ def _formula_terms(x: ModelPoint, y: ModelPoint, threshold: float | None,
     total is summed in one fixed order, components ascending and then
     candidate order, so every caller gets the same float."""
     surf = x.surface
-    if surf != y.surface:
+    if surf is not y.surface and surf != y.surface:
         raise ValueError("points live on different surfaces")
     t = surf.threshold if threshold is None else threshold
     comp_range = range(surf.n_components) if comps is None else comps

@@ -6,13 +6,20 @@ read off a reduced `Slope`, and the glued quasi-tree distance by a
 double loop over attachment pairs on top of a table built with scalar
 metric calls; the horoball nearest points, positions and triangle
 centres by ternary searches over an angle-linear parametrization of
-the geodesic arc; the distance formula as one pass over every
-candidate subsurface of the point pair, and again as the per-component
+the geodesic arc (vectorized across triples); the distance formula as
+one pass over every candidate subsurface of the point pair, with its
+own enumeration and annular projection, and again as the per-component
 loop that also builds every contribution list; the Dehn twist matrix as
 a conjugated shear; a slope's image under a matrix through the gcd of
 the `Slope` constructor; the noisy box map one elementary move at a
 time; and the greedy net packing that compares every image with every
 kept one.  They are slow on purpose and must stay obviously right.
+
+The last six are brute-force checks that never had a caller in the
+package: the coarse length over every partition, the graph
+nearest-point projection and triangle centre by whole-graph scans, the
+graph metric handle, the Morse excursion, and the unparametrized
+quasi-geodesic test over an integer time grid.
 """
 
 from __future__ import annotations
@@ -20,15 +27,19 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from typing import Sequence
 
 import numpy as np
 
 from coarsegeo.bbf import FamilyY, QuasiTree
+from coarsegeo.effdiff import PathTrace, ScaleBelowResolutionError
+from coarsegeo.hypgraph import (GeodesicSegment, HypGraph, MetricHandle, UnreachableError,
+                                Vertex, _points_of, geodesic)
 from coarsegeo.pathsflats import StandardFlat
 from coarsegeo.surfmodel import (AnnularPoint, ComponentState, Matrix, ModelPoint, Slope,
                                  Subsurface, _component_terms, annular_distance,
-                                 candidate_subsurfaces, horoball_distance, mat_inv,
-                                 subsurface_distance, transport_matrix, twist_number)
+                                 farey_distance, farey_geodesic, mat_inv, transport_matrix,
+                                 twist_number)
 
 
 def mat_mul(m: Matrix, n: Matrix) -> Matrix:
@@ -41,6 +52,42 @@ def twist_matrix(core: Slope, n: int = 1) -> Matrix:
     """M^-1 shear(n) M for the transport M taking `core` to infinity."""
     m = transport_matrix(core)
     return mat_mul(mat_inv(m), mat_mul((1, n, 0, 1), m))
+
+
+def annular_projection(x: ModelPoint, w: Subsurface) -> AnnularPoint:
+    """An annulus about the pants curve sees the transversal's twisting
+    and the inverse length; any other annulus sees the pants slope's
+    twisting at height 1/B (heights only in the augmented flavor)."""
+    surf, st = x.surface, x.states[w.comp]
+    aug = surf.flavor == "augmented"
+    if w.core == st.alpha:
+        return AnnularPoint(twist_number_via_slope(w.core, st.tau),
+                            1.0 / st.length if aug else None)
+    return AnnularPoint(twist_number_via_slope(w.core, st.alpha),
+                        1.0 / surf.bers if aug else None)
+
+
+def candidate_subsurfaces(x: ModelPoint, y: ModelPoint, comps=None) -> list[Subsurface]:
+    """Each component, then (outside the pants flavor) the annuli about
+    the Farey geodesic between the pants slopes and the four endpoint
+    curves, sorted by core."""
+    out: list[Subsurface] = []
+    for i in range(x.surface.n_components) if comps is None else comps:
+        out.append(Subsurface("component", i))
+        if x.surface.flavor == "pants":
+            continue
+        cores = set(farey_geodesic(x.alpha(i), y.alpha(i)))
+        for st in (x.states[i], y.states[i]):
+            cores.update((st.alpha, st.tau))
+        out.extend(Subsurface("annulus", i, c) for c in sorted(cores, key=Slope.key))
+    return out
+
+
+def subsurface_distance(x: ModelPoint, y: ModelPoint, w: Subsurface) -> float:
+    if w.kind == "component":
+        return float(farey_distance(x.alpha(w.comp), y.alpha(w.comp)))
+    return annular_distance(annular_projection(x, w), annular_projection(y, w),
+                            x.surface.flavor)
 
 
 def distance_formula(x: ModelPoint, y: ModelPoint, threshold: float | None = None,
@@ -196,73 +243,173 @@ def glued_distance(qt: QuasiTree, u, v) -> float:
     return float(best)
 
 
-def horoball_geodesic_point(a: tuple[float, float], b: tuple[float, float],
-                            s: float) -> tuple[float, float]:
+# The horoball searches run on many triples at once: a point is a pair
+# (x, y) of floats or of equal-shape arrays, every step is a numpy ufunc,
+# and each triple keeps its own bracket through np.where.
+
+
+def _out(v):
+    return float(v) if np.ndim(v) == 0 else v
+
+
+def _hdist(p, q):
+    """`surfmodel.horoball_distance`, elementwise."""
+    (x1, y1), (x2, y2) = p, q
+    return np.arccosh(1.0 + ((x1 - x2) ** 2 + (y1 - y2) ** 2) / (2.0 * y1 * y2))
+
+
+def horoball_geodesic_point(a, b, s):
     """A point on the hyperbolic geodesic from a to b at parameter
     s in [0, 1] (angle- or log-linear, not arclength)."""
     (x1, y1), (x2, y2) = a, b
-    if abs(x1 - x2) < 1e-12:
-        return (x1, y1 ** (1 - s) * y2 ** s)
-    c = (x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2) / (2.0 * (x1 - x2))
-    rho = math.hypot(x1 - c, y1)
-    th1 = math.atan2(y1, x1 - c)
-    th2 = math.atan2(y2, x2 - c)
+    vertical = np.abs(x1 - x2) < 1e-12
+    c = (x1 * x1 + y1 * y1 - x2 * x2 - y2 * y2) / (2.0 * np.where(vertical, 1.0, x1 - x2))
+    rho = np.hypot(x1 - c, y1)
+    th1 = np.arctan2(y1, x1 - c)
+    th2 = np.arctan2(y2, x2 - c)
     th = th1 + s * (th2 - th1)
-    return (c + rho * math.cos(th), rho * math.sin(th))
+    return (np.where(vertical, x1, c + rho * np.cos(th)),
+            np.where(vertical, y1 ** (1 - s) * y2 ** s, rho * np.sin(th)))
 
 
-def horoball_point_to_segment(p: tuple[float, float], a: tuple[float, float],
-                              b: tuple[float, float], iters: int = 60) -> float:
-    """Distance from p to the geodesic arc [a, b]; the distance along a
-    geodesic is convex, so ternary search is exact in the limit."""
-    lo, hi = 0.0, 1.0
+def _ternary(f, shape, iters: int):
+    """The minimizer over [0, 1] of each convex f by ternary search."""
+    lo, hi = np.zeros(shape), np.ones(shape)
     for _ in range(iters):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
-        d1 = horoball_distance(p, horoball_geodesic_point(a, b, m1))
-        d2 = horoball_distance(p, horoball_geodesic_point(a, b, m2))
-        if d1 <= d2:
-            hi = m2
-        else:
-            lo = m1
-    s = (lo + hi) / 2
-    return horoball_distance(p, horoball_geodesic_point(a, b, s))
+        left = f(m1) <= f(m2)
+        lo, hi = np.where(left, lo, m1), np.where(left, m2, hi)
+    return (lo + hi) / 2
 
 
-def horoball_center(a: AnnularPoint, b: AnnularPoint, c: AnnularPoint,
-                    iters: int = 40) -> AnnularPoint:
-    """The augmented triangle centre: scan the [a, b] arc for the point
-    nearest both other sides, by ternary search over nested searches."""
-    pa, pb, pc = a.coords(), b.coords(), c.coords()
-
-    def g(s: float) -> float:
-        p = horoball_geodesic_point(pa, pb, s)
-        return max(horoball_point_to_segment(p, pb, pc),
-                   horoball_point_to_segment(p, pa, pc))
-
-    lo, hi = 0.0, 1.0
-    for _ in range(iters):
-        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-        if g(m1) <= g(m2):
-            hi = m2
-        else:
-            lo = m1
-    px, py = horoball_geodesic_point(pa, pb, (lo + hi) / 2)
-    return AnnularPoint(round(px), py)
+def horoball_point_to_segment(p, a, b, iters: int = 60):
+    """Distance from p to the geodesic arc [a, b]; the distance along a
+    geodesic is convex, so ternary search is exact in the limit."""
+    s = _ternary(lambda m: _hdist(p, horoball_geodesic_point(a, b, m)),
+                 np.broadcast(*p, *a, *b).shape, iters)
+    return _out(_hdist(p, horoball_geodesic_point(a, b, s)))
 
 
-def horoball_position(a: AnnularPoint, b: AnnularPoint, c: AnnularPoint,
-                      iters: int = 40) -> float:
+def horoball_center(a, b, c, iters: int = 40):
+    """The augmented triangle centre as (twist, height): scan the [a, b]
+    arc for the point nearest both other sides, by ternary search over
+    nested searches."""
+    def g(m):
+        p = horoball_geodesic_point(a, b, m)
+        return np.maximum(horoball_point_to_segment(p, b, c),
+                          horoball_point_to_segment(p, a, c))
+
+    px, py = horoball_geodesic_point(a, b, _ternary(g, np.broadcast(*a, *b, *c).shape, iters))
+    tw = np.rint(px).astype(int)  # half to even, as round() does
+    return (int(tw), float(py)) if np.ndim(tw) == 0 else (tw, py)
+
+
+def horoball_position(a, b, c, iters: int = 40):
     """Arclength from a to the point of [a, b] nearest c."""
-    pa, pb, pc = a.coords(), b.coords(), c.coords()
-    lo, hi = 0.0, 1.0
-    for _ in range(iters):
-        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-        d1 = horoball_distance(pc, horoball_geodesic_point(pa, pb, m1))
-        d2 = horoball_distance(pc, horoball_geodesic_point(pa, pb, m2))
-        if d1 <= d2:
-            hi = m2
-        else:
-            lo = m1
-    s = (lo + hi) / 2
-    return horoball_distance(pa, horoball_geodesic_point(pa, pb, s))
+    s = _ternary(lambda m: _hdist(c, horoball_geodesic_point(a, b, m)),
+                 np.broadcast(*a, *b, *c).shape, iters)
+    return _out(_hdist(a, horoball_geodesic_point(a, b, s)))
+
+
+def coarse_length_bruteforce(path: PathTrace, r: float) -> float:
+    """Exhaustive minimum over all admissible sample-time partitions.
+    Exponential; the oracle for traces with at most ~12 samples."""
+    n = len(path.times)
+    if n > 16:
+        raise ValueError("brute force is for short traces")
+    ts, pts, dist = path.times, path.points, path.handle.distance
+    if any(ts[i + 1] - ts[i] > r + 1e-9 for i in range(n - 1)):
+        raise ScaleBelowResolutionError("scale below resolution")
+    best = math.inf
+    mids = list(range(1, n - 1))
+    for mask in range(1 << len(mids)):
+        chosen = [0] + [mids[b] for b in range(len(mids)) if mask >> b & 1] + [n - 1]
+        if any(ts[b] - ts[a] > r + 1e-9 for a, b in zip(chosen, chosen[1:])):
+            continue
+        total = sum(dist(pts[a], pts[b]) for a, b in zip(chosen, chosen[1:]))
+        best = min(best, total)
+    return best
+
+
+def nearest_point_projection(g: HypGraph, p: Vertex, seg: GeodesicSegment) -> Vertex:
+    """The segment vertex closest to p; ties go to the earliest vertex
+    along the segment."""
+    dist = g.bfs_distances([p])
+    best = None
+    best_d = math.inf
+    for v in seg.vertices:
+        d = dist.get(v, math.inf)
+        if d < best_d:
+            best, best_d = v, d
+    if best is None or best_d is math.inf:
+        raise UnreachableError("unreachable")
+    return best
+
+
+def triangle_center_graph(g: HypGraph, x: Vertex, y: Vertex, z: Vertex) -> Vertex:
+    """A vertex within delta + 1 of all three sides of the triangle.
+
+    Scans the whole (finite) graph by distance-to-side and picks the
+    minimizer, ties broken by key.  Failure to get within delta + 1
+    means the cached delta does not reflect the graph at this scale.
+    """
+    sides = [geodesic(g, x, y), geodesic(g, y, z), geodesic(g, x, z)]
+    dists = [g.bfs_distances(s.vertices) for s in sides]
+    best_v, best_val = None, math.inf
+    for v in g.vertices:
+        val = max(float(d.get(v, math.inf)) for d in dists)
+        if val < best_val or (val == best_val and best_v is not None
+                              and g.key(v) < g.key(best_v)):
+            best_v, best_val = v, val
+    if best_v is None or best_val > g.delta + 1:
+        raise ValueError("not hyperbolic at scale")
+    return best_v
+
+
+def graph_handle(g: HypGraph, name: str = "graph") -> MetricHandle:
+    return MetricHandle(name, lambda a, b: float(g.distance(a, b)), graph=g,
+                        geodesic_fn=lambda a, b: geodesic(g, a, b).vertices)
+
+
+def morse_excursion(path, seg: GeodesicSegment, handle: MetricHandle) -> float:
+    """Max over path samples of the distance to the segment."""
+    pts = _points_of(path)
+    if not pts:
+        raise ValueError("empty path")
+    return max(min(handle.distance(p, v) for v in seg.vertices) for p in pts)
+
+
+def unparam_qgeo_oracle(points: Sequence, handle: MetricHandle, lam: float,
+                        c: float, grid: int = 9) -> bool:
+    """Independent brute-force check for short sequences: search monotone
+    integer-grid time assignments satisfying all pairwise constraints."""
+    n = len(points)
+    if n <= 1:
+        return True
+    if n > 6:
+        raise ValueError("oracle is for short sequences")
+    d = [[handle.distance(points[i], points[j]) for j in range(n)] for i in range(n)]
+    top = lam * (max(max(r) for r in d) + c) + 1.0
+    levels = [top * k / (grid - 1) for k in range(grid)]
+
+    def ok(us):
+        for i in range(len(us)):
+            for j in range(i + 1, len(us)):
+                du = us[j] - us[i]
+                if du < (d[i][j] - c) / lam - 1e-9 or du > lam * (d[i][j] + c) + 1e-9:
+                    return False
+        return True
+
+    def rec(us):
+        if len(us) == n:
+            return True
+        lo = us[-1] if us else 0.0
+        for u in levels:
+            if u < lo:
+                continue
+            if ok(us + [u]) and rec(us + [u]):
+                return True
+        return False
+
+    return rec([])

@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 from coarsegeo.effdiff import (
     Box, BoxMap, Grid, Line, LineFamily, NotEfficientError, PathTrace,
     QuasiLipschitzViolationError, ScaleBelowResolutionError, coarse_length,
-    coarse_length_bruteforce, differentiate_box, differentiate_lines,
-    efficiency_test, hyperbolic_subbox, subsegment_efficiency_closure,
+    differentiate_box, differentiate_lines, efficiency_test, hyperbolic_subbox,
+    subsegment_efficiency_closure,
 )
 from coarsegeo.hypgraph import (farey_handle, lp_handle, product_handle,
                                 real_line_handle)
 from coarsegeo.surfmodel import INFINITY, ZERO, Slope, farey_geodesic
+
+from oracles import coarse_length_bruteforce
 
 H = real_line_handle()
 

@@ -144,6 +144,19 @@ def test_cli_differentiate_and_realize(capsys, marking1):
     assert doc["components"][0]["alpha"] == [1, 2]
 
 
+@pytest.mark.parametrize("verb", [["rank", "--n", "3"], ["pipeline"], ["flat-fit"]])
+def test_cli_twist_flat_verbs_refuse_pants_flavor(capsys, verb):
+    """Pants points have no transversal, so there is no twist flat: one
+    line on stderr and exit code 2, not a traceback."""
+    assert main(verb + ["--components", "2", "--flavor", "pants"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"coarsegeo {verb[0]}: a twist flat needs annular twist coordinates, " \
+        "which the pants flavor does not have\n"
+    with pytest.raises(ValueError, match="pants flavor"):
+        twist_flat(ModelSurface(((1, 1),), flavor="pants"), 10)
+
+
 def test_cli_psi_bbf_flatfit(capsys, marking1):
     surf = json.dumps(marking1.to_json())
     x = base_point(marking1)

@@ -2,7 +2,7 @@
 replaced (`tests/oracles.py`), on seeded inputs.
 
 `harness.noisy_flat_map` composes its burst of unit twists into one
-twist move and rounds the lattice point with numpy; the oracle applies
+twist move and rounds the lattice point with Python `round`; the oracle applies
 the burst one move at a time, each move a validated `ModelPoint`, with
 twist matrices conjugated from a shear and slopes reduced by gcd.
 `harness.greedy_packing` skips images equal to an earlier one; the

@@ -47,26 +47,32 @@ def _point(rng, bers: float) -> AnnularPoint:
                         float(2.0 ** rng.integers(0, 8)) / bers)
 
 
-def _assert_agree(surface: ModelSurface, a: AnnularPoint, b: AnnularPoint,
-                  c: AnnularPoint) -> None:
-    got = annular_center(a, b, c, "augmented")
-    want = oracles.horoball_center(a, b, c, CENTRE_STEPS)
-    assert got.twist == want.twist, (a, b, c)
-    assert got.height == pytest.approx(want.height, rel=HEIGHT_RTOL, abs=0), (a, b, c)
-    pa, pb, pc = a.coords(), b.coords(), c.coords()
-    assert horoball_point_to_segment(pc, pa, pb) == pytest.approx(
-        oracles.horoball_point_to_segment(pc, pa, pb, SEARCH_STEPS), rel=0, abs=SEGMENT_ATOL), (a, b, c)
-    assert _side_position(surface, W, (a, b), c) == pytest.approx(
-        oracles.horoball_position(a, b, c, SEARCH_STEPS), rel=0, abs=POSITION_ATOL), (a, b, c)
+def _coords(points: list[AnnularPoint]) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([float(p.twist) for p in points]), np.array([p.height for p in points]))
+
+
+def _assert_agree(surface: ModelSurface,
+                  triples: list[tuple[AnnularPoint, AnnularPoint, AnnularPoint]]) -> None:
+    """Each triple against the searches, which run on all of them at once."""
+    pa, pb, pc = (_coords(list(col)) for col in zip(*triples))
+    want_tw, want_h = oracles.horoball_center(pa, pb, pc, CENTRE_STEPS)
+    want_seg = oracles.horoball_point_to_segment(pc, pa, pb, SEARCH_STEPS)
+    want_pos = oracles.horoball_position(pa, pb, pc, SEARCH_STEPS)
+    for i, (a, b, c) in enumerate(triples):
+        got = annular_center(a, b, c, "augmented")
+        assert got.twist == int(want_tw[i]), (a, b, c)
+        assert got.height == pytest.approx(want_h[i], rel=HEIGHT_RTOL, abs=0), (a, b, c)
+        assert horoball_point_to_segment(c.coords(), a.coords(), b.coords()) == pytest.approx(
+            want_seg[i], rel=0, abs=SEGMENT_ATOL), (a, b, c)
+        assert _side_position(surface, W, (a, b), c) == pytest.approx(
+            want_pos[i], rel=0, abs=POSITION_ATOL), (a, b, c)
 
 
 @pytest.mark.parametrize("bers", [1.0, 2.0])
 def test_closed_forms_match_searches_on_seeded_triples(bers):
-    surface = _surface(bers)
     rng = np.random.default_rng([7, int(bers)])
-    for _ in range(TRIPLES_PER_BERS):
-        a, b, c = (_point(rng, bers) for _ in range(3))
-        _assert_agree(surface, a, b, c)
+    triples = [tuple(_point(rng, bers) for _ in range(3)) for _ in range(TRIPLES_PER_BERS)]
+    _assert_agree(_surface(bers), triples)
 
 
 def test_closed_forms_match_searches_on_degenerate_triples():
@@ -83,8 +89,7 @@ def test_closed_forms_match_searches_on_degenerate_triples():
         (a, b, on_arc),                                        # c on [a, b]
         (a, b, AnnularPoint(3, 4.0)),                          # c on [a, b]
     ]
-    for tri in cases:
-        _assert_agree(surface, *tri)
+    _assert_agree(surface, cases)
     # the exact answers the searches approximate
     centre = annular_center(a, a, AnnularPoint(9, 2.0), "augmented")
     assert centre.twist == a.twist and centre.height == pytest.approx(a.height, rel=1e-15)

@@ -8,12 +8,13 @@ import pytest
 
 from coarsegeo.hypgraph import (
     GeodesicSegment, HypGraph, UnreachableError, delta_estimate,
-    delta_exhaustive, farey_graph, farey_handle, geodesic, graph_handle,
-    lp_handle, model_handle, morse_excursion, nearest_point_projection,
-    product_handle, real_line_handle, triangle_center_graph,
-    unparam_qgeo_check, unparam_qgeo_oracle,
+    delta_exhaustive, farey_graph, farey_handle, geodesic, lp_handle,
+    model_handle, product_handle, real_line_handle, unparam_qgeo_check,
 )
 from coarsegeo.surfmodel import INFINITY, ZERO, Slope, farey_distance
+
+from oracles import (graph_handle, morse_excursion, nearest_point_projection,
+                     triangle_center_graph, unparam_qgeo_oracle)
 
 
 @pytest.fixture(scope="module")

@@ -4,23 +4,28 @@ code they replaced.
 
 `surfmodel.distance_formula` reads each component's terms from a cache
 keyed by the component's two states; `oracles.distance_formula` walks
-every candidate subsurface of the point pair, and
+every candidate subsurface of the point pair, with its own candidate
+enumeration and annular projection, and
 `oracles.component_loop_distance_formula` adds up the cached terms while
 it builds the contribution list.  Totals and contribution lists must
 agree bit for bit: the cached terms are added in the same order as the
 direct loop.  `model_distance` builds no list and must still give the
 same float.  Points come from small seeded pools, so component states
 repeat across pairs and the cache is read back as well as filled.
+Pairs that share a pants curve, which take the one-annulus path of
+`_component_terms`, come from noisy twist-flat lines and from twist and
+length moves, at thresholds above and at or below zero.
 """
 
 import numpy as np
 import pytest
 
 from coarsegeo import surfmodel
-from coarsegeo.harness import random_point
+from coarsegeo.harness import noisy_flat_map, random_point, twist_flat
 from coarsegeo.surfmodel import (INFINITY, ZERO, ComponentState, ModelPoint, ModelSurface,
-                                 Slope, apply_matrix, distance_formula, mat_inv,
-                                 model_distance, transport_matrix, twist_matrix)
+                                 Slope, apply_matrix, candidate_subsurfaces,
+                                 distance_formula, length_move, mat_inv, model_distance,
+                                 transport_matrix, twist_matrix, twist_move)
 
 import oracles
 
@@ -51,6 +56,7 @@ def test_distance_formula_matches_direct_loop():
         for _ in range(PAIRS_PER_SURFACE):
             i, j = rng.integers(POOL, size=2)
             x, y = pool[int(i)], pool[int(j)]
+            assert candidate_subsurfaces(x, y) == oracles.candidate_subsurfaces(x, y)
             for kw in ({}, {"threshold": t + 3}, {"comps": (0,)}):
                 got = _bits(distance_formula(x, y, **kw))
                 assert got == _bits(oracles.distance_formula(x, y, **kw)), (x, y, kw)
@@ -61,6 +67,64 @@ def test_distance_formula_matches_direct_loop():
             checked += 1
     assert checked == len(SURFACES) * PAIRS_PER_SURFACE
     assert surfmodel._component_terms.cache_info().hits > 0
+
+
+def _flat_line_pairs(surface: ModelSurface, noise: int, rng) -> list:
+    """Consecutive images along axis lines of a noisy twist-flat map.
+    Off the noise bursts both images lie in the flat's product region,
+    so every component keeps its pants curve; a burst flip changes one."""
+    flat = twist_flat(surface, 200)
+    fmap = noisy_flat_map(flat, noise, seed=31 + noise)
+    pairs = []
+    for axis in range(flat.dim):
+        for start in rng.integers(-200, 140, size=(6, flat.dim)):
+            line = [fmap.fn(start + k * np.eye(flat.dim, dtype=int)[axis]) for k in range(61)]
+            pairs.extend(zip(line, line[1:]))
+    return pairs
+
+
+def _move_pairs(surface: ModelSurface, rng) -> list:
+    """Twist and length moves about one pants curve, small and large."""
+    pairs = []
+    for _ in range(120):
+        x = random_point(surface, rng, steps=int(rng.integers(4, 16)), big_twist=30)
+        for comp in range(surface.n_components):
+            for n in (1, -2, 9, int(rng.integers(-4000, 4001))):
+                pairs.append((x, twist_move(x, comp, n)))
+            if surface.flavor == "augmented":
+                for factor in (0.5, 1e-3, float(rng.uniform(1e-6, 1.0))):
+                    pairs.append((x, length_move(x, comp, factor)))
+    return pairs
+
+
+def test_same_pants_curve_pairs_match_oracle():
+    """Pairs that keep pants curves take the one-annulus path of
+    `_component_terms` at t > 0; at t <= 0 every zero term is kept, so
+    each candidate subsurface is a term."""
+    surfmodel.clear_caches()
+    rng = np.random.default_rng(509)
+    pairs = []
+    for surface in (ModelSurface(((1, 1), (1, 1)), flavor="marking"), SURFACES[1]):
+        for noise in (0, 3):
+            pairs.extend(_flat_line_pairs(surface, noise, rng))
+    for surface in SURFACES:
+        if surface.flavor != "pants":
+            pairs.extend(_move_pairs(surface, rng))
+    same = kept = 0
+    for x, y in pairs:
+        same_comps = [i for i in range(x.surface.n_components) if x.alpha(i) == y.alpha(i)]
+        same += len(same_comps)
+        cands = candidate_subsurfaces(x, y)
+        assert cands == oracles.candidate_subsurfaces(x, y), (x, y)
+        t = x.surface.threshold
+        for thr in (t, t + 3, 0.0, -1.0):
+            got = _bits(distance_formula(x, y, threshold=thr))
+            assert got == _bits(oracles.distance_formula(x, y, threshold=thr)), (x, y, thr)
+            if thr <= 0:
+                assert sorted(w.key() for w, _ in got[1]) == sorted(w.key() for w in cands)
+        kept += sum(w.comp in same_comps for w, _ in distance_formula(x, y)[1])
+        assert model_distance(x, y).hex() == oracles.distance_formula(x, y)[0].hex()
+    assert same >= 5000 and kept >= 500, (same, kept)
 
 
 def test_twist_matrix_matches_conjugated_shear():
@@ -130,5 +194,10 @@ def test_equal_points_hash_equal(marking2):
     assert a == b and hash(a) == hash(b)
     assert hash(a) == hash((a.surface, a.states))
     assert build(8) != a
+    # states of every flavor: equal fields, equal hash
+    for args in ((Slope(4, 10),), (Slope(4, 10), Slope(1, 2)), (Slope(4, 10), Slope(1, 2), 0.5)):
+        st = ComponentState(*args)
+        twin = ComponentState(Slope(2, 5), *args[1:])
+        assert st == twin and hash(st) == hash(twin)
     assert ModelPoint.from_json(marking2, a.to_json()) == a
     assert hash(ModelPoint.from_json(marking2, a.to_json())) == hash(a)
