@@ -24,8 +24,9 @@ import numpy as np
 from . import surfmodel
 from .consreal import SyntheticSystem
 from .surfmodel import (AnnularPoint, ModelPoint, ModelSurface, Slope, Subsurface,
-                        annular_distance, common_neighbors, distance_formula,
-                        farey_distance, farey_geodesic, project, twist_number)
+                        annular_distance, boundary_point, common_neighbors,
+                        complex_distance, distance_formula, farey_geodesic, project,
+                        twist_number)
 
 
 class WindowTooSmallError(RuntimeError):
@@ -103,13 +104,11 @@ def build_families_synthetic(sys: SyntheticSystem,
     ids = sys.members()
     groups: list[list[str]] = []
     for u in ids:
-        placed = False
         for g in groups:
             if all(sys.relation(u, v) == "overlap" for v in g):
                 g.append(u)
-                placed = True
                 break
-        if not placed:
+        else:
             groups.append([u])
     if max_families is not None and len(groups) > max_families:
         raise FamilySplitError(
@@ -138,10 +137,8 @@ class PkGraph:
 def _mutual_projection(u: Subsurface, v: Subsurface, w: Subsurface,
                        flavor: str, bers: float) -> float:
     """d_U of the boundaries of V and W, for three annuli on a component."""
-    h = 1.0 / bers if flavor == "augmented" else None
-    a = AnnularPoint(twist_number(u.core, v.core), h)
-    b = AnnularPoint(twist_number(u.core, w.core), h)
-    return annular_distance(a, b, flavor if flavor != "pants" else "marking")
+    return annular_distance(boundary_point(u.core, v.core, flavor, bers),
+                            boundary_point(u.core, w.core, flavor, bers), flavor)
 
 
 def build_pk_graph(family: FamilyY, k: float, flavor: str, bers: float = 1.0) -> PkGraph:
@@ -168,7 +165,6 @@ def build_pk_graph(family: FamilyY, k: float, flavor: str, bers: float = 1.0) ->
             if u != v:
                 table[u, v] = twist_number(cu, cv)
     h = 1.0 / bers if flavor == "augmented" else None
-    flv = flavor if flavor != "pants" else "marking"
     admissible: dict[int, bool] = {}
     for v in range(m - 1):
         ws = np.arange(v + 1, m)
@@ -179,7 +175,7 @@ def build_pk_graph(family: FamilyY, k: float, flavor: str, bers: float = 1.0) ->
             ok = admissible.get(g)
             if ok is None:
                 ok = admissible[g] = annular_distance(
-                    AnnularPoint(0, h), AnnularPoint(g, h), flv) <= k
+                    AnnularPoint(0, h), AnnularPoint(g, h), flavor) <= k
             if ok:
                 edges.add(frozenset((members[v], members[w])))
     return PkGraph(family, k, edges, flavor, bers)
@@ -219,7 +215,9 @@ class QuasiTree:
     apsp: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        for e in self.pk.edges:
+        # edges in key order, not set order, so the attachment nodes, their
+        # numbering and `dump()` do not depend on the string hash seed
+        for e in sorted(self.pk.edges, key=lambda e: sorted(s.key() for s in e)):
             v, w = sorted(e, key=lambda s: s.key())
             self.attachments[e] = (
                 (v, self._boundary_point(v, w)),
@@ -229,21 +227,16 @@ class QuasiTree:
     def _boundary_point(self, host: Subsurface, other: Subsurface):
         if host.kind == "component":
             return other.core
-        h = 1.0 / self.bers if self.flavor == "augmented" else None
-        return AnnularPoint(twist_number(host.core, other.core), h)
+        return boundary_point(host.core, other.core, self.flavor, self.bers)
 
     def complex_metric(self, host: Subsurface, a, b) -> float:
-        if host.kind == "component":
-            return float(farey_distance(a, b))
-        flv = self.flavor if self.flavor != "pants" else "marking"
-        return annular_distance(a, b, flv)
+        return complex_distance(host, a, b, self.flavor)
 
     def _attachment_table(self) -> np.ndarray:
         if self.apsp is not None:
             return self.apsp
         index: dict[QtPoint, int] = {}
-        for _edge, ends in sorted(self.attachments.items(),
-                                  key=lambda kv: sorted(s.key() for s in kv[0])):
+        for ends in self.attachments.values():
             for nd in ends:
                 index.setdefault(nd, len(index))
         nodes = list(index)
@@ -281,8 +274,10 @@ class QuasiTree:
         out_u = self.per_complex.get(u[0], [])
         out_v = self.per_complex.get(v[0], [])
         if out_u and out_v:
-            du = np.array([self.complex_metric(u[0], u[1], self.nodes[i][1]) for i in out_u])
-            dv = np.array([self.complex_metric(v[0], v[1], self.nodes[j][1]) for j in out_v])
+            # the hot rows call complex_distance itself, one frame per node
+            flavor = self.flavor
+            du = np.array([complex_distance(u[0], u[1], self.nodes[i][1], flavor) for i in out_u])
+            dv = np.array([complex_distance(v[0], v[1], self.nodes[j][1], flavor) for j in out_v])
             via = (du[:, None] + apsp[np.ix_(out_u, out_v)] + dv[None, :]).min()
             best = min(best, float(via))
         if best == math.inf:
@@ -447,7 +442,7 @@ def embedded_handle(points: Sequence[ModelPoint], k: float):
             cache[key] = got
         return got
 
-    h = MetricHandle("embedded", dist, mult_slack=2.0)
+    h = MetricHandle("embedded", dist)
     h.embedding = emb  # type: ignore[attr-defined]
     return h
 

@@ -25,9 +25,8 @@ from typing import Any, Callable, Hashable, Iterable, Mapping
 from . import surfmodel
 from .surfmodel import (AnnularPoint, ComponentState, InessentialSubsurfaceError,
                         ModelPoint, ModelSurface, Slope, Subsurface,
-                        annular_distance, apply_matrix, canonical_transversal,
-                        farey_distance, project, subsurface_distance,
-                        twist_matrix, twist_number)
+                        annular_distance, boundary_point, farey_distance,
+                        pinned_state, project)
 
 DISJOINT, NESTED, OVERLAP = "disjoint", "nested", "overlap"
 
@@ -134,6 +133,10 @@ class SubsurfaceSystem:
     def complex_distance(self, u, a, b) -> float:
         raise NotImplementedError
 
+    def orient_nested(self, u, v) -> tuple[Any, Any]:
+        """(inner, outer) for a pair whose relation is NESTED."""
+        raise NotImplementedError
+
 
 class ExactSystem(SubsurfaceSystem):
     """The subsurface system of a zero-complexity model surface,
@@ -157,8 +160,11 @@ class ExactSystem(SubsurfaceSystem):
         if u.kind == "component" and v.kind == "annulus":
             return NESTED
         if u.kind == "annulus" and v.kind == "component":
-            return NESTED  # caller orients; see consistency_check
+            return NESTED  # orient_nested says which is inside
         return OVERLAP  # two distinct annuli on a component always cross
+
+    def orient_nested(self, u: Subsurface, v: Subsurface) -> tuple[Subsurface, Subsurface]:
+        return (u, v) if u.kind == "annulus" else (v, u)
 
     def boundary_projection(self, u: Subsurface, v: Subsurface):
         if v.kind != "annulus":
@@ -171,25 +177,17 @@ class ExactSystem(SubsurfaceSystem):
             return core
         if u.core == core:
             raise MissingProjectionError(f"{v} does not project to itself")
-        tw = twist_number(u.core, core)
-        if self.surface.flavor == "augmented":
-            return AnnularPoint(tw, 1.0 / self.surface.bers)
-        return AnnularPoint(tw)
+        return boundary_point(u.core, core, self.surface.flavor, self.surface.bers)
 
     def project_element(self, u: Subsurface, v: Subsurface, elt):
         if u.kind != "component" or v.kind != "annulus" or not isinstance(elt, Slope):
             raise MissingProjectionError(f"cannot project {elt} from {u} to {v}")
         if elt == v.core:
             raise MissingProjectionError("element equals the annulus core")
-        tw = twist_number(v.core, elt)
-        if self.surface.flavor == "augmented":
-            return AnnularPoint(tw, 1.0 / self.surface.bers)
-        return AnnularPoint(tw)
+        return boundary_point(v.core, elt, self.surface.flavor, self.surface.bers)
 
     def complex_distance(self, u: Subsurface, a, b) -> float:
-        if u.kind == "component":
-            return float(farey_distance(a, b))
-        return annular_distance(a, b, self.surface.flavor)
+        return surfmodel.complex_distance(u, a, b, self.surface.flavor)
 
 
 @dataclass
@@ -219,8 +217,8 @@ class SyntheticSystem(SubsurfaceSystem):
             return OVERLAP
         return DISJOINT
 
-    def nested_inside(self, v, u) -> bool:
-        return (v, u) in self.nested
+    def orient_nested(self, u, v) -> tuple[str, str]:
+        return (u, v) if (u, v) in self.nested else (v, u)
 
     def boundary_projection(self, u, v):
         try:
@@ -285,15 +283,6 @@ def tuple_of_projections(x: ModelPoint, sys: ExactSystem) -> ProjectionTuple:
 # ---------------------------------------------------------------------------
 
 
-def _oriented_nested(sys: SubsurfaceSystem, u, v) -> tuple[Any, Any]:
-    """Return (inner, outer) for a nested pair."""
-    if isinstance(sys, ExactSystem):
-        return (u, v) if u.kind == "annulus" else (v, u)
-    if isinstance(sys, SyntheticSystem):
-        return (u, v) if sys.nested_inside(u, v) else (v, u)
-    raise TypeError("unknown system type")
-
-
 def consistency_check(sys: SubsurfaceSystem, z: ProjectionTuple,
                       m: float) -> ConsistencyReport:
     """Evaluate both consistency conditions on every related pair.
@@ -318,7 +307,7 @@ def consistency_check(sys: SubsurfaceSystem, z: ProjectionTuple,
                         f"no boundary projection data for overlapping pair ({u}, {v})")
                 val = min(d_uv, d_vu)
             else:
-                inner, outer = _oriented_nested(sys, u, v)
+                inner, outer = sys.orient_nested(u, v)
                 d_outer = _dist_to_boundary(sys, outer, inner, z)
                 try:
                     proj = sys.project_element(outer, inner, z[outer])
@@ -357,8 +346,7 @@ def _bad_annuli(sys: ExactSystem, z: ProjectionTuple, comp: int,
     for w in sys.members():
         if w.kind != "annulus" or w.comp != comp or w not in z or w.core == pants:
             continue
-        tw = twist_number(w.core, pants)
-        ref = AnnularPoint(tw, 1.0 / sys.surface.bers if flavor == "augmented" else None)
+        ref = boundary_point(w.core, pants, flavor, sys.surface.bers)
         defect = annular_distance(ref, z[w], flavor)
         if defect > m_bad:
             out.append((defect, w))
@@ -397,17 +385,7 @@ def realize(sys: ExactSystem, z: ProjectionTuple, m: float,
         if bad:
             pants = bad[0][1].core
         a_pants = Subsurface("annulus", comp, pants)
-        target = z[a_pants] if a_pants in z else None
-        tau0 = canonical_transversal(pants)
-        t0 = twist_number(pants, tau0)
-        want = target.twist if target is not None else t0
-        tau = apply_matrix(twist_matrix(pants, want - t0), tau0)
-        if surface.flavor == "marking":
-            states.append(ComponentState(pants, tau))
-        else:
-            height = target.height if target is not None and target.height else None
-            length = min(surface.bers, 1.0 / height) if height else surface.bers
-            states.append(ComponentState(pants, tau, length))
+        states.append(pinned_state(surface, pants, z[a_pants] if a_pants in z else None))
     return ModelPoint(surface, tuple(states))
 
 
@@ -452,9 +430,8 @@ def bgit_audit(geodesic_vertices: Iterable[Slope], core: Slope, flavor: str,
         return BgitVerdict(True, None, bound)
     if any(v == core for v in verts):
         return BgitVerdict(True, None, bound)
-    h = 1.0 / bers if flavor == "augmented" else None
-    a = AnnularPoint(twist_number(core, verts[0]), h)
-    b = AnnularPoint(twist_number(core, verts[-1]), h)
+    a = boundary_point(core, verts[0], flavor, bers)
+    b = boundary_point(core, verts[-1], flavor, bers)
     flv = flavor if flavor != "pants" else "marking"
     return BgitVerdict(False, annular_distance(a, b, flv), bound)
 
@@ -480,8 +457,7 @@ def far_projection_check(x: ModelPoint, u: Subsurface, v: Subsurface,
     if xu == v.core:
         return FarVerdict(True, ante, None, True)
     flavor = x.surface.flavor
-    h = 1.0 / x.surface.bers if flavor == "augmented" else None
-    via_u = AnnularPoint(twist_number(v.core, xu), h)
+    via_u = boundary_point(v.core, xu, flavor, x.surface.bers)
     direct = project(x, v)
     cons = annular_distance(direct, via_u, flavor)  # type: ignore[arg-type]
     return FarVerdict(False, ante, cons, cons <= c_far)

@@ -37,7 +37,7 @@ class NotEfficientError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Traces, boxes, grids
+# Traces, boxes, lines
 # ---------------------------------------------------------------------------
 
 
@@ -121,13 +121,6 @@ class Box:
     def contains(self, p: Sequence[float]) -> bool:
         return all(lo <= x <= hi for (lo, hi), x in zip(self.intervals, p))
 
-    def corners(self) -> list[np.ndarray]:
-        axes = [(lo, hi) for lo, hi in self.intervals]
-        out = [[]]
-        for lo, hi in axes:
-            out = [c + [v] for c in out for v in (lo, hi)]
-        return [np.array(c, float) for c in out]
-
     def to_json(self) -> list[list[int]]:
         return [list(iv) for iv in self.intervals]
 
@@ -137,38 +130,12 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Grid:
-    """An r-grid on a parameter interval: consecutive times differ by
-    exactly r except possibly the two end segments."""
-
-    start: float
-    stop: float
-    spacing: float
-    anchor: float = 0.0
-
-    def times(self) -> np.ndarray:
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
-        k0 = math.ceil((self.start - self.anchor) / self.spacing - 1e-9)
-        k1 = math.floor((self.stop - self.anchor) / self.spacing + 1e-9)
-        ts = [self.anchor + k * self.spacing for k in range(k0, k1 + 1)]
-        if not ts or ts[0] > self.start + 1e-9:
-            ts.insert(0, self.start)
-        if ts[-1] < self.stop - 1e-9:
-            ts.append(self.stop)
-        return np.array(ts)
-
-
-@dataclass(frozen=True)
 class Line:
     """A parametrized straight segment inside a box."""
 
     origin: tuple[float, ...]
     direction: tuple[float, ...]
     length: float
-
-    def point(self, t: float) -> np.ndarray:
-        return np.asarray(self.origin) + t * np.asarray(self.direction)
 
 
 @dataclass
@@ -299,11 +266,6 @@ class BoxMap:
     target: MetricHandle
     K: float
     C: float
-
-    def trace(self, line: Line, spacing: float) -> PathTrace:
-        ts = Grid(0.0, line.length, spacing).times()
-        pts = tuple(self.fn(line.point(t)) for t in ts)
-        return PathTrace(tuple(ts), pts, self.target, self.K, self.C)
 
 
 # ---------------------------------------------------------------------------

@@ -18,22 +18,21 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import bbf, consreal, effdiff, pathsflats, surfmodel
 from .constants import Constants, default_constants
 from .effdiff import Box, BoxMap, PathTrace
-from .hypgraph import (delta_estimate, farey_graph,
-                       farey_handle, model_handle)
-from .pathsflats import (FlatFactor, StandardFlat,
-                         candidate_flats, extract_no_backtrack, flat_fit,
-                         point_to_flat, preferred_path)
+from .hypgraph import (delta_estimate, delta_exhaustive, farey_graph, farey_handle,
+                       lp_handle, model_handle, real_line_handle)
+from .pathsflats import (FlatFactor, StandardFlat, candidate_flats,
+                         extract_no_backtrack, flat_fit, preferred_path)
 from .surfmodel import (AnnularPoint, ComponentState, ModelPoint, ModelSurface,
-                        Slope, Subsurface, base_point, canonical_transversal,
-                        farey_distance, farey_geodesic, flip_move, length_move,
-                        model_distance, surface_stats, twist_move, twist_number)
+                        Slope, Subsurface, base_point, farey_distance,
+                        farey_geodesic, flip_move, length_move, model_distance,
+                        surface_stats, twist_move)
 
 INFINITY = surfmodel.INFINITY
 ZERO = surfmodel.ZERO
@@ -124,6 +123,13 @@ def _densify(pts: list, R: float, eps: float) -> tuple[tuple[float, ...], tuple]
     return tuple(float(t) for t in ts), tuple(pts[i] for i in idx)
 
 
+def _uniform_trace(ts: Sequence[float], pts: Sequence, handle, C: float) -> PathTrace:
+    """A trace on uniformly spaced times whose K is the largest jump per
+    time step plus 0.1."""
+    k = max(handle.distance(u, v) for u, v in zip(pts, pts[1:])) / (ts[1] - ts[0])
+    return PathTrace(tuple(float(t) for t in ts), tuple(pts), handle, K=float(k) + 0.1, C=C)
+
+
 def farey_efficient_trace(rng: np.random.Generator, R: float, eps: float,
                           depth_cap: int | None = None,
                           detours: int = 2) -> PathTrace:
@@ -145,9 +151,7 @@ def farey_efficient_trace(rng: np.random.Generator, R: float, eps: float,
         wiggle = [side, geo[at]] * (depth // 2 + 1)
         pts = pts[:at + 1] + wiggle[:depth] + pts[at + 1:]
     ts, pts = _densify(pts, R, eps)
-    fh = farey_handle()
-    k = max(fh.distance(u, v) for u, v in zip(pts, pts[1:])) / (ts[1] - ts[0])
-    return PathTrace(ts, pts, fh, K=float(k) + 0.1, C=2.0)
+    return _uniform_trace(ts, pts, farey_handle(), C=2.0)
 
 
 def backtracked_trace(x: ModelPoint, y: ModelPoint, eps: float, R: float,
@@ -167,9 +171,7 @@ def backtracked_trace(x: ModelPoint, y: ModelPoint, eps: float, R: float,
     # efficiency is judged in the glued product metric: the thresholded
     # formula cannot see single moves, so fine grids would be free
     h = bbf.embedded_handle(pts, constants["k_pk"])
-    k = max(h.distance(u, v) for u, v in zip(pts, pts[1:])) / (ts[1] - ts[0])
-    return PathTrace(ts, pts, h, K=float(k) + 0.1,
-                     C=2.0 * x.surface.threshold + 4)
+    return _uniform_trace(ts, pts, h, C=2.0 * x.surface.threshold + 4)
 
 
 def twist_flat(surface: ModelSurface, span: int,
@@ -477,12 +479,9 @@ def _extract_moving_factors(fmap: BoxMap, sub: Box, moving: list[int],
         pts = [ModelPoint(surface, tuple(
             base.states[c] if c != comp else p.states[comp]
             for c in range(surface.n_components))) for p in diag]
-        handle = bbf.embedded_handle(pts, cn["k_pk"])
-        ts = np.linspace(0.0, float(sub.size), n_samp)
-        k = max(handle.distance(a, b) for a, b in zip(pts, pts[1:])) \
-            / (ts[1] - ts[0])
-        trace = PathTrace(tuple(float(t) for t in ts), tuple(pts), handle,
-                          K=k + 0.1, C=2 * surface.threshold + 4)
+        ts = np.linspace(0.0, float(sub.size), n_samp).tolist()
+        trace = _uniform_trace(ts, pts, bbf.embedded_handle(pts, cn["k_pk"]),
+                               C=2 * surface.threshold + 4)
         try:
             path = pathsflats.extract_no_backtrack(
                 trace, pts[0], pts[-1], eps=max(0.05, 2.0 / math.sqrt(n_samp)),
@@ -642,17 +641,13 @@ def _measure_path_constants(surface: ModelSurface, rng: np.random.Generator,
         n = len(pts)
         stride = max(1, n // 30)
         idx = list(range(0, n, stride)) + [n - 1]
-        for ai, i in enumerate(idx):
-            for j in idx[ai + 1:]:
-                d = model_distance(pts[i], pts[j])
-                gap = j - i
-                if d > 0 and gap >= 20:
-                    lam = max(lam, gap / d, d / gap)
-        for ai, i in enumerate(idx):
-            for j in idx[ai + 1:]:
-                d = model_distance(pts[i], pts[j])
-                gap = j - i
-                add = max(add, d - lam * gap, gap / lam - d)
+        pairs = [(model_distance(pts[i], pts[j]), j - i)
+                 for ai, i in enumerate(idx) for j in idx[ai + 1:]]
+        for d, gap in pairs:
+            if d > 0 and gap >= 20:
+                lam = max(lam, gap / d, d / gap)
+        for d, gap in pairs:
+            add = max(add, d - lam * gap, gap / lam - d)
     return lam, add
 
 
@@ -674,8 +669,7 @@ def calibrate(seed: int = 42, scale: float = 1.0) -> Constants:
         tri = [random_slope(rng, 40) for _ in range(3)]
         if len(set(tri)) == 3:
             worst = max(worst, _triangle_defect(*tri))
-    from .hypgraph import delta_exhaustive, farey_graph as _fg
-    worst = max(worst, delta_exhaustive(_fg(0, 1, 3)))
+    worst = max(worst, delta_exhaustive(farey_graph(0, 1, 3)))
     values["delta_farey"] = worst
     values["delta_horoball"] = 1.0  # log(1+sqrt(2)) rounded up
 
@@ -900,8 +894,10 @@ def _surface_arg(ns) -> ModelSurface:
     return ModelSurface(comps, flavor=ns.flavor)
 
 
-def _point_arg(surface: ModelSurface, arg: str) -> ModelPoint:
-    return ModelPoint.from_json(surface, _load_json_arg(arg))
+def _points_arg(ns, *names: str) -> list[ModelPoint]:
+    """The named point arguments, on the surface the flags describe."""
+    surface = _surface_arg(ns)
+    return [ModelPoint.from_json(surface, _load_json_arg(getattr(ns, n))) for n in names]
 
 
 def _constants_arg(ns) -> Constants:
@@ -910,297 +906,272 @@ def _constants_arg(ns) -> Constants:
     return default_constants()
 
 
+def _config_arg(ns, **fields) -> ExperimentConfig:
+    """The --config document, else a config from the surface flags, the
+    seed and the verb's own fields."""
+    if ns.config:
+        return ExperimentConfig.from_json(_load_json_arg(ns.config))
+    return ExperimentConfig(_surface_arg(ns), seed=ns.seed, **fields)
+
+
+def _slope_arg(text: str) -> Slope:
+    """An argparse type for a slope written p/q."""
+    try:
+        p, q = text.split("/")
+        return Slope(int(p), int(q))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a slope p/q, got {text!r}") from None
+
+
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
+
+
+def _stats(ns):
+    if (ns.genus is None) != (ns.punctures is None):
+        raise argparse.ArgumentError(None, "--genus and --punctures must be given together")
+    if ns.genus is not None:
+        xi, rank = surfmodel.topology_stats(ns.genus, ns.punctures, ns.components, ns.flavor)
+        return {"complexity": xi, "rank_top": rank, "surface": None}
+    surface = _surface_arg(ns)
+    xi, rank = surface_stats(surface)
+    return {"complexity": xi, "rank_top": rank, "surface": surface.to_json()}
+
+
+def _dist(ns):
+    x, y = _points_arg(ns, "x", "y")
+    total, contrib = surfmodel.distance_formula(x, y)
+    return {"distance": total, "contributions": [[repr(w), d] for w, d in contrib]}
+
+
+def _project(ns):
+    x, = _points_arg(ns, "x")
+    w = Subsurface("component" if ns.core is None else "annulus", ns.comp, ns.core)
+    return {"subsurface": repr(w),
+            "coordinate": consreal._coord_json(surfmodel.project(x, w))}
+
+
+def _delta(ns):
+    g = farey_graph(ns.lo, ns.hi, ns.depth)
+    return {"delta": delta_estimate(g, ns.samples, ns.seed), "vertices": len(g),
+            "edges": g.n_edges}
+
+
+def _efficiency(ns):
+    doc = _load_json_arg(ns.trace)
+    ts = tuple(float(t) for t in doc["times"])
+    vals = tuple(float(v) for v in doc["values"])
+    k = max(abs(a - b) / (t2 - t1) for (a, b), (t1, t2)
+            in zip(zip(vals, vals[1:]), zip(ts, ts[1:]))) + 0.1
+    tr = PathTrace(ts, vals, real_line_handle(), K=k, C=1.0)
+    cn = _constants_arg(ns)
+    ok = effdiff.efficiency_test(tr, ns.scale, ns.eps, cn["theta_eff"])
+    delta = effdiff.coarse_length(tr, ns.eps * ns.scale)
+    if ns.csv:
+        lo, hi = min(vals[0], vals[-1]), max(vals[0], vals[-1])
+        _write_csv(ns.csv, ["time", "value", "excursion"],
+                   ([t, v, max(0.0, lo - v, v - hi)] for t, v in zip(ts, vals)))
+    return {"efficient": bool(ok), "coarse_length": delta,
+            "endpoint_distance": tr.endpoint_distance()}, ok
+
+
+def _differentiate(ns):
+    if ns.map == "staircase":
+        step = ns.step
+
+        def stair(pnt):
+            t = float(np.atleast_1d(pnt)[0])
+            k, rem = divmod(t, 2 * step)
+            return (step * k + min(rem, step), step * k + max(0.0, rem - step))
+
+        fmap = BoxMap(stair, lp_handle(math.inf), K=1.0, C=1.0)
+        box = Box.cube(ns.box, 1)
+    else:
+        flat = twist_flat(_surface_arg(ns), span=2 * ns.box)
+        fmap = noisy_flat_map(flat, 2, ns.seed)
+        box = Box.cube(ns.box, flat.dim)
+    return effdiff.differentiate_box(fmap, box, ns.eps0, ns.theta0, ns.r0).to_json()
+
+
+def _realize(ns):
+    surface = _surface_arg(ns)
+    m = _constants_arg(ns)["m_realize"]
+    coords = {}
+    for wdoc, cdoc in _load_json_arg(ns.tuple):
+        w = Subsurface(wdoc["kind"], wdoc["comp"],
+                       Slope.from_json(wdoc["core"]) if wdoc.get("core") else None)
+        if "slope" in cdoc:
+            coords[w] = Slope.from_json(cdoc["slope"])
+        else:
+            coords[w] = AnnularPoint(int(cdoc["twist"]), cdoc.get("height"))
+    system = consreal.ExactSystem(surface, coords.keys())
+    return consreal.realize(system, consreal.ProjectionTuple.of(coords), m=m).to_json()
+
+
+def _hull(ns):
+    x, y, z = _points_arg(ns, "x", "y", "z")
+    cn = _constants_arg(ns)
+    kappa = ns.kappa if ns.kappa is not None else cn["kappa_hull"]
+    ok, worst = pathsflats.hull_membership(pathsflats.HullQuery(x, y, kappa), z)
+    return {"member": bool(ok), "kappa": kappa,
+            "worst": repr(worst) if worst else None}, ok
+
+
+def _psi(ns):
+    x, y = _points_arg(ns, "x", "y")
+    emb = bbf.embedding_for_pair(x, y, _constants_arg(ns)["k_pk"])
+    dc = emb.distance(emb.project(x), emb.project(y))
+    return {"embedded_distance": dc, "model_distance": model_distance(x, y),
+            "window_dump": [t.dump() for t in emb.trees.values()]}
+
+
+def _bbf_audit(ns):
+    surface = _surface_arg(ns)
+    cn = _constants_arg(ns)
+    rng = np.random.default_rng(ns.seed)
+    fails = []
+    for i in range(ns.pairs):
+        x, y = random_pair(surface, rng, steps=14, big_twist=25)
+        v = bbf.lower_bound_audit(x, y, cn["k_pk"], cn["k_prime"])
+        if not v.ok:
+            fails.append({"pair": i, "lhs": v.lhs, "rhs": v.rhs})
+    return {"pairs": ns.pairs, "failures": fails}, not fails
+
+
+def _preferred(ns):
+    x, y = _points_arg(ns, "x", "y")
+    path = preferred_path(x, y, _constants_arg(ns))
+    if ns.csv:
+        _write_csv(ns.csv, ["step", "d_to_start", "d_to_end"],
+                   ([i, model_distance(pt, x), model_distance(pt, y)]
+                    for i, pt in enumerate(path.points)))
+    return path.to_json()
+
+
+def _flat_fit(ns):
+    surface = _surface_arg(ns)
+    cn = _constants_arg(ns)
+    rng = np.random.default_rng(ns.seed)
+    flat = twist_flat(surface, ns.span)
+    fmap = noisy_flat_map(flat, ns.noise, ns.seed)
+    pts = []
+    for _ in range(ns.samples):
+        t = [int(rng.integers(lo, hi + 1)) for lo, hi in flat.box().intervals]
+        pts.append(fmap.fn(t))
+    fit, _best = flat_fit(pts, candidate_flats(pts, cn) + [flat])
+    return {"fit": fit, "samples": ns.samples, "noise": ns.noise}
+
+
+def _pipeline(ns):
+    cn = _constants_arg(ns)
+    cfg = _config_arg(ns, eps0=ns.eps0, theta0=ns.theta0, r0=ns.r0, noise=ns.noise)
+    span = _pipeline_side(cfg, _flat_map_c(cfg.surface, cfg.noise))
+    flat = twist_flat(cfg.surface, span)
+    fmap = noisy_flat_map(flat, cfg.noise, cfg.seed)
+    rep = run_pipeline(cfg, fmap, dim=flat.dim, constants=cn, flat_hint=flat)
+    return rep.to_json(), rep.passed
+
+
+def _rank(ns):
+    cn = _constants_arg(ns)
+    rep = rank_experiment(_config_arg(ns, eps0=ns.eps0, box_side=ns.box), ns.n, constants=cn)
+    return rep.to_json(), rep.passed
+
+
+def _calibrate(ns):
+    """Writes the constants file itself: no JSON document on stdout."""
+    cn = calibrate(seed=ns.seed, scale=ns.scale)
+    out = ns.out or "constants.json"
+    cn.save(out)
+    print(f"wrote {out} ({len(cn.values)} constants)", file=sys.stderr)
+
+
+def _arg(*names: str, **kw) -> tuple[tuple[str, ...], dict]:
+    return names, kw
+
+
+# flags every verb takes
+COMMON_ARGS = [
+    _arg("--seed", type=int, default=0), _arg("--constants"), _arg("--out"),
+    _arg("--surface", help="surface JSON (inline or @file)"),
+    _arg("--components", type=int, default=1), _arg("--flavor", default="marking"),
+]
+XY = [_arg("x"), _arg("y")]
+
+# verb -> (help, its own arguments, handler).  A handler returns its JSON
+# document, or (document, verdict) when a failed verdict exits with code 1.
+VERBS: dict[str, tuple[str, list, Callable]] = {
+    "stats": ("complexity and rank",
+              [_arg("--genus", type=int), _arg("--punctures", type=int)], _stats),
+    "dist": ("distance formula between two points", XY, _dist),
+    "project": ("subsurface projection", [
+        _arg("x"), _arg("--comp", type=int, default=0),
+        _arg("--core", type=_slope_arg, help="annulus core 'p/q' (else component)")],
+        _project),
+    "delta": ("thin-triangle estimate on a Farey chunk", [
+        _arg("--lo", type=int, default=-2), _arg("--hi", type=int, default=3),
+        _arg("--depth", type=int, default=5), _arg("--samples", type=int, default=400)],
+        _delta),
+    "efficiency": ("coarse length test of a trace", [
+        _arg("trace", help="JSON {times, values} on the real line"),
+        _arg("--scale", type=float, required=True), _arg("--eps", type=float, required=True),
+        _arg("--csv", help="write the excursion profile")], _efficiency),
+    "differentiate": ("scale search on a built-in map", [
+        _arg("--map", choices=["staircase", "flat-noise"], default="staircase"),
+        _arg("--step", type=int, default=16), _arg("--box", type=int, default=4096),
+        _arg("--eps0", type=float, default=0.1), _arg("--theta0", type=float, default=0.1),
+        _arg("--r0", type=float, default=8.0)], _differentiate),
+    "realize": ("realize a consistent tuple",
+                [_arg("tuple", help="JSON list of [subsurface, coordinate]")], _realize),
+    "hull": ("hull membership", XY + [_arg("z"), _arg("--kappa", type=float)], _hull),
+    "psi": ("embed two points and compare metrics", XY, _psi),
+    "bbf-audit": ("lower bound audit on seeded pairs",
+                  [_arg("--pairs", type=int, default=50)], _bbf_audit),
+    "preferred": ("construct a preferred path",
+                  XY + [_arg("--csv", help="write the distance profile")], _preferred),
+    "flat-fit": ("fit samples of a noisy flat", [
+        _arg("--span", type=int, default=40), _arg("--noise", type=int, default=2),
+        _arg("--samples", type=int, default=25)], _flat_fit),
+    "pipeline": ("box map to standard flat", [
+        _arg("--config", help="ExperimentConfig JSON"),
+        _arg("--eps0", type=float, default=0.05), _arg("--theta0", type=float, default=0.1),
+        _arg("--r0", type=float, default=50.0), _arg("--noise", type=int, default=3)],
+        _pipeline),
+    "rank": ("rank experiment", [
+        _arg("--config"), _arg("--n", type=int, required=True),
+        _arg("--eps0", type=float, default=0.05), _arg("--box", type=int, default=60)],
+        _rank),
+    "calibrate": ("freeze the constants file",
+                  [_arg("--scale", type=float, default=1.0)], _calibrate),
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     ap = argparse.ArgumentParser(prog="coarsegeo",
                                  description="desk-scale coarse geometry toolkit")
     sub = ap.add_subparsers(dest="verb", required=True)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--constants", default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--surface", default=None,
-                       help="surface JSON (inline or @file)")
-        p.add_argument("--components", type=int, default=1)
-        p.add_argument("--flavor", default="marking")
-        return p
-
-    p = common(sub.add_parser("stats", help="complexity and rank"))
-    p.add_argument("--genus", type=int, default=None)
-    p.add_argument("--punctures", type=int, default=None)
-
-    p = common(sub.add_parser("dist", help="distance formula between two points"))
-    p.add_argument("x"); p.add_argument("y")
-
-    p = common(sub.add_parser("project", help="subsurface projection"))
-    p.add_argument("x"); p.add_argument("--comp", type=int, default=0)
-    p.add_argument("--core", default=None, help="annulus core 'p/q' (else component)")
-
-    p = common(sub.add_parser("delta", help="thin-triangle estimate on a Farey chunk"))
-    p.add_argument("--lo", type=int, default=-2); p.add_argument("--hi", type=int, default=3)
-    p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--samples", type=int, default=400)
-
-    p = common(sub.add_parser("efficiency", help="coarse length test of a trace"))
-    p.add_argument("trace", help="JSON {times, values} on the real line")
-    p.add_argument("--scale", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--csv", default=None, help="write the excursion profile")
-
-    p = common(sub.add_parser("differentiate", help="scale search on a built-in map"))
-    p.add_argument("--map", choices=["staircase", "flat-noise"], default="staircase")
-    p.add_argument("--step", type=int, default=16)
-    p.add_argument("--box", type=int, default=4096)
-    p.add_argument("--eps0", type=float, default=0.1)
-    p.add_argument("--theta0", type=float, default=0.1)
-    p.add_argument("--r0", type=float, default=8.0)
-
-    p = common(sub.add_parser("realize", help="realize a consistent tuple"))
-    p.add_argument("tuple", help="JSON list of [subsurface, coordinate]")
-
-    p = common(sub.add_parser("hull", help="hull membership"))
-    p.add_argument("x"); p.add_argument("y"); p.add_argument("z")
-    p.add_argument("--kappa", type=float, default=None)
-
-    p = common(sub.add_parser("psi", help="embed two points and compare metrics"))
-    p.add_argument("x"); p.add_argument("y")
-
-    p = common(sub.add_parser("bbf-audit", help="lower bound audit on seeded pairs"))
-    p.add_argument("--pairs", type=int, default=50)
-
-    p = common(sub.add_parser("preferred", help="construct a preferred path"))
-    p.add_argument("x"); p.add_argument("y")
-    p.add_argument("--csv", default=None, help="write the distance profile")
-
-    p = common(sub.add_parser("flat-fit", help="fit samples of a noisy flat"))
-    p.add_argument("--span", type=int, default=40)
-    p.add_argument("--noise", type=int, default=2)
-    p.add_argument("--samples", type=int, default=25)
-
-    p = common(sub.add_parser("pipeline", help="box map to standard flat"))
-    p.add_argument("--config", default=None, help="ExperimentConfig JSON")
-    p.add_argument("--eps0", type=float, default=0.05)
-    p.add_argument("--theta0", type=float, default=0.1)
-    p.add_argument("--r0", type=float, default=50.0)
-    p.add_argument("--noise", type=int, default=3)
-
-    p = common(sub.add_parser("rank", help="rank experiment"))
-    p.add_argument("--config", default=None)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eps0", type=float, default=0.05)
-    p.add_argument("--box", type=int, default=60)
-
-    p = common(sub.add_parser("calibrate", help="freeze the constants file"))
-    p.add_argument("--scale", type=float, default=1.0)
-    p.set_defaults(seed=42)  # the seed data/constants.json was frozen with
-
+    parsers = {}
+    for verb, (help_text, args, _handler) in VERBS.items():
+        p = parsers[verb] = sub.add_parser(verb, help=help_text)
+        for names, kw in COMMON_ARGS + args:
+            p.add_argument(*names, **kw)
+    parsers["calibrate"].set_defaults(seed=42)  # the seed data/constants.json was frozen with
     ns = ap.parse_args(argv)
     try:
-        return _run_verb(ns)
+        out = VERBS[ns.verb][2](ns)
+    except argparse.ArgumentError as exc:
+        parsers[ns.verb].error(str(exc))
     except surfmodel.InessentialSubsurfaceError as exc:
         print(f"coarsegeo {ns.verb}: {exc}", file=sys.stderr)
         return 2
-
-
-def _run_verb(ns: argparse.Namespace) -> int:
-    verb = ns.verb
-
-    if verb == "stats":
-        surface = None
-        if ns.genus is not None and ns.punctures is not None:
-            xi, rank = surfmodel.topology_stats(ns.genus, ns.punctures,
-                                                ns.components, ns.flavor)
-        else:
-            surface = _surface_arg(ns)
-            xi, rank = surface_stats(surface)
-        _emit({"complexity": xi, "rank_top": rank,
-               "surface": surface.to_json() if surface else None}, ns.out)
+    if out is None:
         return 0
-
-    if verb == "dist":
-        surface = _surface_arg(ns)
-        x, y = _point_arg(surface, ns.x), _point_arg(surface, ns.y)
-        total, contrib = surfmodel.distance_formula(x, y)
-        _emit({"distance": total,
-               "contributions": [[repr(w), d] for w, d in contrib]}, ns.out)
-        return 0
-
-    if verb == "project":
-        surface = _surface_arg(ns)
-        x = _point_arg(surface, ns.x)
-        if ns.core:
-            pnum, pden = ns.core.split("/")
-            w = Subsurface("annulus", ns.comp, Slope(int(pnum), int(pden)))
-        else:
-            w = Subsurface("component", ns.comp)
-        coord = surfmodel.project(x, w)
-        _emit({"subsurface": repr(w), "coordinate": consreal._coord_json(coord)},
-              ns.out)
-        return 0
-
-    if verb == "delta":
-        g = farey_graph(ns.lo, ns.hi, ns.depth)
-        val = delta_estimate(g, ns.samples, ns.seed)
-        _emit({"delta": val, "vertices": len(g), "edges": g.n_edges}, ns.out)
-        return 0
-
-    if verb == "efficiency":
-        doc = _load_json_arg(ns.trace)
-        from .hypgraph import real_line_handle
-        ts = tuple(float(t) for t in doc["times"])
-        vals = tuple(float(v) for v in doc["values"])
-        k = max(abs(a - b) / (t2 - t1) for (a, b), (t1, t2)
-                in zip(zip(vals, vals[1:]), zip(ts, ts[1:]))) + 0.1
-        tr = PathTrace(ts, vals, real_line_handle(), K=k, C=1.0)
-        cn = _constants_arg(ns)
-        ok = effdiff.efficiency_test(tr, ns.scale, ns.eps, cn["theta_eff"])
-        delta = effdiff.coarse_length(tr, ns.eps * ns.scale)
-        if ns.csv:
-            lo, hi = min(vals[0], vals[-1]), max(vals[0], vals[-1])
-            with open(ns.csv, "w", newline="") as fh:
-                wr = csv.writer(fh)
-                wr.writerow(["time", "value", "excursion"])
-                for t, v in zip(ts, vals):
-                    wr.writerow([t, v, max(0.0, lo - v, v - hi)])
-        _emit({"efficient": bool(ok), "coarse_length": delta,
-               "endpoint_distance": tr.endpoint_distance()}, ns.out)
-        return 0 if ok else 1
-
-    if verb == "differentiate":
-        from .hypgraph import lp_handle
-        if ns.map == "staircase":
-            step = ns.step
-
-            def stair(pnt):
-                t = float(np.atleast_1d(pnt)[0])
-                k, rem = divmod(t, 2 * step)
-                return (step * k + min(rem, step), step * k + max(0.0, rem - step))
-
-            fmap = BoxMap(stair, lp_handle(math.inf), K=1.0, C=1.0)
-            box = Box.cube(ns.box, 1)
-        else:
-            surface = _surface_arg(ns)
-            flat = twist_flat(surface, span=2 * ns.box)
-            fmap = noisy_flat_map(flat, 2, ns.seed)
-            box = Box.cube(ns.box, flat.dim)
-        repd = effdiff.differentiate_box(fmap, box, ns.eps0, ns.theta0, ns.r0)
-        _emit(repd.to_json(), ns.out)
-        return 0
-
-    if verb == "realize":
-        surface = _surface_arg(ns)
-        cn = _constants_arg(ns)
-        doc = _load_json_arg(ns.tuple)
-        coords = {}
-        for wdoc, cdoc in doc:
-            w = Subsurface(wdoc["kind"], wdoc["comp"],
-                           Slope.from_json(wdoc["core"]) if wdoc.get("core") else None)
-            if "slope" in cdoc:
-                coords[w] = Slope.from_json(cdoc["slope"])
-            else:
-                coords[w] = AnnularPoint(int(cdoc["twist"]), cdoc.get("height"))
-        system = consreal.ExactSystem(surface, coords.keys())
-        pt = consreal.realize(system, consreal.ProjectionTuple.of(coords),
-                              m=cn["m_realize"])
-        _emit(pt.to_json(), ns.out)
-        return 0
-
-    if verb == "hull":
-        surface = _surface_arg(ns)
-        cn = _constants_arg(ns)
-        x, y, z = (_point_arg(surface, a) for a in (ns.x, ns.y, ns.z))
-        kappa = ns.kappa if ns.kappa is not None else cn["kappa_hull"]
-        ok, worst = pathsflats.hull_membership(
-            pathsflats.HullQuery(x, y, kappa), z)
-        _emit({"member": bool(ok), "kappa": kappa,
-               "worst": repr(worst) if worst else None}, ns.out)
-        return 0 if ok else 1
-
-    if verb == "psi":
-        surface = _surface_arg(ns)
-        cn = _constants_arg(ns)
-        x, y = _point_arg(surface, ns.x), _point_arg(surface, ns.y)
-        emb = bbf.embedding_for_pair(x, y, cn["k_pk"])
-        dc = emb.distance(emb.project(x), emb.project(y))
-        _emit({"embedded_distance": dc, "model_distance": model_distance(x, y),
-               "window_dump": [t.dump() for t in emb.trees.values()]}, ns.out)
-        return 0
-
-    if verb == "bbf-audit":
-        surface = _surface_arg(ns)
-        cn = _constants_arg(ns)
-        rng = np.random.default_rng(ns.seed)
-        fails = []
-        for i in range(ns.pairs):
-            x, y = random_pair(surface, rng, steps=14, big_twist=25)
-            v = bbf.lower_bound_audit(x, y, cn["k_pk"], cn["k_prime"])
-            if not v.ok:
-                fails.append({"pair": i, "lhs": v.lhs, "rhs": v.rhs})
-        _emit({"pairs": ns.pairs, "failures": fails}, ns.out)
-        return 0 if not fails else 1
-
-    if verb == "preferred":
-        surface = _surface_arg(ns)
-        cn = _constants_arg(ns)
-        x, y = _point_arg(surface, ns.x), _point_arg(surface, ns.y)
-        path = preferred_path(x, y, cn)
-        if ns.csv:
-            with open(ns.csv, "w", newline="") as fh:
-                wr = csv.writer(fh)
-                wr.writerow(["step", "d_to_start", "d_to_end"])
-                for i, pt in enumerate(path.points):
-                    wr.writerow([i, model_distance(pt, x), model_distance(pt, y)])
-        _emit(path.to_json(), ns.out)
-        return 0
-
-    if verb == "flat-fit":
-        surface = _surface_arg(ns)
-        cn = _constants_arg(ns)
-        rng = np.random.default_rng(ns.seed)
-        flat = twist_flat(surface, ns.span)
-        fmap = noisy_flat_map(flat, ns.noise, ns.seed)
-        pts = []
-        for _ in range(ns.samples):
-            t = [int(rng.integers(lo, hi + 1)) for lo, hi in flat.box().intervals]
-            pts.append(fmap.fn(t))
-        fit, _best = flat_fit(pts, candidate_flats(pts, cn) + [flat])
-        _emit({"fit": fit, "samples": ns.samples, "noise": ns.noise}, ns.out)
-        return 0
-
-    if verb == "pipeline":
-        cn = _constants_arg(ns)
-        if ns.config:
-            cfg = ExperimentConfig.from_json(_load_json_arg(ns.config))
-        else:
-            cfg = ExperimentConfig(_surface_arg(ns), eps0=ns.eps0,
-                                   theta0=ns.theta0, r0=ns.r0, seed=ns.seed,
-                                   noise=ns.noise)
-        span = _pipeline_side(cfg, _flat_map_c(cfg.surface, cfg.noise))
-        flat = twist_flat(cfg.surface, span)
-        fmap = noisy_flat_map(flat, cfg.noise, cfg.seed)
-        repp = run_pipeline(cfg, fmap, dim=flat.dim, constants=cn, flat_hint=flat)
-        _emit(repp.to_json(), ns.out)
-        return 0 if repp.passed else 1
-
-    if verb == "rank":
-        cn = _constants_arg(ns)
-        if ns.config:
-            cfg = ExperimentConfig.from_json(_load_json_arg(ns.config))
-        else:
-            cfg = ExperimentConfig(_surface_arg(ns), eps0=ns.eps0, seed=ns.seed,
-                                   box_side=ns.box)
-        repr_ = rank_experiment(cfg, ns.n, constants=cn)
-        _emit(repr_.to_json(), ns.out)
-        return 0 if repr_.passed else 1
-
-    if verb == "calibrate":
-        cn = calibrate(seed=ns.seed, scale=ns.scale)
-        out = ns.out or "constants.json"
-        cn.save(out)
-        print(f"wrote {out} ({len(cn.values)} constants)", file=sys.stderr)
-        return 0
-
-    raise SystemExit(f"unknown verb {verb}")
+    doc, ok = out if isinstance(out, tuple) else (out, True)
+    _emit(doc, ns.out)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

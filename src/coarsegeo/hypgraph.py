@@ -2,8 +2,8 @@
 
 Spaces come in two presentations: finite explicit graphs
 (:class:`HypGraph`, with BFS geodesics and deterministic tie-breaking)
-and callable distance handles (:class:`MetricHandle`, possibly backed by
-a graph, possibly only an oracle).  On top of these the module provides
+and callable distance handles (:class:`MetricHandle`, with geodesics
+where the space supplies them).  On top of these the module provides
 thin-triangle constant estimation and the unparametrized quasi-geodesic
 test.
 """
@@ -147,8 +147,11 @@ def geodesic(g: HypGraph, a: Vertex, b: Vertex) -> GeodesicSegment:
     return GeodesicSegment(tuple(path))
 
 
-def _side_defect(g: HypGraph, sides: list[GeodesicSegment]) -> float:
-    """Max over sides of the distance from the side to the other two."""
+def _side_defect(g: HypGraph, tri: Sequence[Vertex]) -> float:
+    """Max over the sides of the geodesic triangle on three vertices of
+    the distance from the side to the other two."""
+    sides = [geodesic(g, tri[0], tri[1]), geodesic(g, tri[1], tri[2]),
+             geodesic(g, tri[0], tri[2])]
     worst = 0.0
     for i, side in enumerate(sides):
         others = [v for j, s in enumerate(sides) if j != i for v in s.vertices]
@@ -174,12 +177,9 @@ def delta_estimate(g: HypGraph, sample_count: int, seed: int) -> float:
         i, j, k = rng.choice(n, size=3, replace=False)
         tri = (g.vertices[int(i)], g.vertices[int(j)], g.vertices[int(k)])
         try:
-            sides = [geodesic(g, tri[0], tri[1]),
-                     geodesic(g, tri[1], tri[2]),
-                     geodesic(g, tri[0], tri[2])]
+            worst = max(worst, _side_defect(g, tri))
         except UnreachableError:
             continue
-        worst = max(worst, _side_defect(g, sides))
     return worst
 
 
@@ -188,10 +188,7 @@ def delta_exhaustive(g: HypGraph) -> float:
     Only sensible on small graphs; used as the sampling oracle."""
     worst = 0.0
     for tri in itertools.combinations(g.vertices, 3):
-        sides = [geodesic(g, tri[0], tri[1]),
-                 geodesic(g, tri[1], tri[2]),
-                 geodesic(g, tri[0], tri[2])]
-        worst = max(worst, _side_defect(g, sides))
+        worst = max(worst, _side_defect(g, tri))
     return worst
 
 
@@ -204,27 +201,17 @@ def delta_exhaustive(g: HypGraph) -> float:
 class MetricHandle:
     """A metric space presented as a distance callable.
 
-    `mult_slack` declares the factor up to which the triangle inequality
-    holds (coarse model metrics are only quasi-metrics).  Graph-backed
-    handles also expose the graph; geodesic-capable handles set
-    `geodesic_fn` returning a vertex path between two points.
+    Geodesic-capable handles set `geodesic_fn` returning a vertex path
+    between two points.
     """
 
     name: str
     distance: Callable[[Any, Any], float]
-    graph: HypGraph | None = None
     geodesic_fn: Callable[[Any, Any], Sequence[Any]] | None = None
-    mult_slack: float = 1.0
-
-    @property
-    def oracle_only(self) -> bool:
-        return self.graph is None
 
     def geodesic(self, a, b) -> GeodesicSegment:
         if self.geodesic_fn is not None:
             return GeodesicSegment(tuple(self.geodesic_fn(a, b)))
-        if self.graph is not None:
-            return geodesic(self.graph, a, b)
         raise ValueError(f"handle {self.name!r} has no geodesic support")
 
 
@@ -249,9 +236,7 @@ def product_handle(handles: Sequence[MetricHandle], name: str = "product") -> Me
     factor.  Efficiency passes to factors in this metric."""
     def dist(a, b):
         return sum(h.distance(x, y) for h, x, y in zip(handles, a, b))
-    h = MetricHandle(name, dist, mult_slack=max(f.mult_slack for f in handles))
-    h.factors = tuple(handles)  # type: ignore[attr-defined]
-    return h
+    return MetricHandle(name, dist)
 
 
 def farey_handle() -> MetricHandle:
@@ -273,10 +258,9 @@ def farey_graph(lo: int = -2, hi: int = 3, depth: int = 5,
     return HypGraph(edges, vertices=verts, delta=delta)
 
 
-def model_handle(surface, mult_slack: float = 4.0) -> MetricHandle:
+def model_handle(surface) -> MetricHandle:
     """The model space of a surface under the distance formula."""
-    return MetricHandle(f"model[{surface.flavor}]", surfmodel.model_distance,
-                        mult_slack=mult_slack)
+    return MetricHandle(f"model[{surface.flavor}]", surfmodel.model_distance)
 
 
 # ---------------------------------------------------------------------------

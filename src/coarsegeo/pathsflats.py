@@ -21,17 +21,16 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from . import bbf, effdiff, surfmodel
-from .constants import Constants
+from .constants import Constants, default_constants
 from .effdiff import PathTrace
 from .hypgraph import MetricHandle, unparam_qgeo_check
-from .consreal import (ExactSystem, ProjectionTuple,
-                       consistency_check, realize)
+from .consreal import ExactSystem, ProjectionTuple, realize
 from .surfmodel import (AnnularPoint, ComponentState, ModelPoint, ModelSurface,
-                        Slope, Subsurface, annular_distance, apply_matrix,
-                        canonical_transversal, component_distance, distance_formula,
-                        farey_distance, farey_geodesic, geodesic_chart,
-                        horoball_point_to_segment, model_distance, project,
-                        subsurface_distance, twist_matrix, twist_number)
+                        Slope, Subsurface, apply_matrix, complex_distance,
+                        component_distance, distance_formula, farey_distance,
+                        farey_geodesic, geodesic_chart, horoball_point_to_segment,
+                        model_distance, project, subsurface_distance, twist_matrix,
+                        twist_number)
 
 Move = tuple  # ("twist", comp, n) | ("flip", comp) | ("length", comp, factor) | ("realized",)
 
@@ -194,20 +193,6 @@ def preferred_path(x: ModelPoint, y: ModelPoint,
     return path
 
 
-def _complex_tools(surface: ModelSurface, w: Subsurface):
-    """(projection, metric) pair for one certificate complex."""
-    flavor = surface.flavor
-
-    def proj(p: ModelPoint):
-        return project(p, w)
-
-    if w.kind == "component":
-        metric = lambda a, b: float(farey_distance(a, b))
-    else:
-        metric = lambda a, b: annular_distance(a, b, flavor)
-    return proj, metric
-
-
 def _dedupe_stride(seq: list, cap: int = 80) -> list:
     out = [seq[0]]
     for s in seq[1:]:
@@ -223,7 +208,6 @@ def verify_preferred(path: PreferredPath, constants: Constants | None = None) ->
     """Check both defining conditions at the frozen constants; raise on
     failure (a bug in the construction, not a property of the input)."""
     if constants is None:
-        from .constants import default_constants
         constants = default_constants()
     lam = constants["lambda_path"]
     c = constants["c_path"]
@@ -241,11 +225,11 @@ def verify_preferred(path: PreferredPath, constants: Constants | None = None) ->
                 raise PathVerificationError(
                     f"not a ({lam}, {c}) quasi-geodesic between steps {i} and {j}: "
                     f"d={d:.1f} vs gap={gap}")
-    surface = pts[0].surface
+    flavor = pts[0].surface.flavor
     for w in certificates(path.x, path.y):
-        proj, metric = _complex_tools(surface, w)
-        shadow = _dedupe_stride([proj(p) for p in pts])
-        handle = MetricHandle(f"shadow[{w}]", metric)
+        shadow = _dedupe_stride([project(p, w) for p in pts])
+        handle = MetricHandle(f"shadow[{w}]",
+                              lambda a, b, w=w: complex_distance(w, a, b, flavor))
         ok, witness = unparam_qgeo_check(shadow, handle, lam_u, c_u)
         if not ok:
             raise PathVerificationError(
@@ -508,10 +492,6 @@ class StandardFlat:
     @property
     def dim(self) -> int:
         return len(self.factors)
-
-    @property
-    def curve_system(self) -> dict[int, Slope]:
-        return {f.comp: f.core for f in self.factors if f.kind in ("twist", "ray")}
 
     def box(self) -> effdiff.Box:
         return effdiff.Box(tuple(f.interval for f in self.factors))

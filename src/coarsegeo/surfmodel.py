@@ -70,10 +70,6 @@ class Slope:
     def __repr__(self) -> str:
         return "oo" if self.q == 0 else f"{self.p}/{self.q}"
 
-    @property
-    def is_infinity(self) -> bool:
-        return self.q == 0
-
     def value(self) -> float:
         return math.inf if self.q == 0 else self.p / self.q
 
@@ -392,9 +388,6 @@ class ModelSurface:
     def n_components(self) -> int:
         return len(self.components)
 
-    def subsurface(self, comp: int, core: Slope | None = None) -> "Subsurface":
-        return Subsurface("component" if core is None else "annulus", comp, core)
-
     def validate_threshold(self, constants) -> None:
         """The distance-formula threshold must dominate the frozen bounded
         geodesic image constant, otherwise candidate enumeration leaks."""
@@ -539,16 +532,12 @@ class ModelPoint:
 
 
 def base_point(surface: ModelSurface) -> ModelPoint:
-    """The canonical origin: alpha = 0/1, tau = infinity, length = B."""
-    sts = []
-    for _ in surface.components:
-        if surface.flavor == "pants":
-            sts.append(ComponentState(ZERO))
-        elif surface.flavor == "marking":
-            sts.append(ComponentState(ZERO, INFINITY))
-        else:
-            sts.append(ComponentState(ZERO, INFINITY, surface.bers))
-    return ModelPoint(surface, tuple(sts))
+    """The canonical origin: alpha = 0/1, tau = infinity, length = B, each
+    where the flavor has it."""
+    tau = INFINITY if surface.flavor != "pants" else None
+    length = surface.bers if surface.flavor == "augmented" else None
+    return ModelPoint(surface, tuple(ComponentState(ZERO, tau, length)
+                                     for _ in surface.components))
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +606,13 @@ def _annular_point(surf: ModelSurface, st: ComponentState, core: Slope) -> Annul
         if surf.flavor == "augmented":
             return AnnularPoint(tw, 1.0 / st.length)
         return AnnularPoint(tw)
-    tw = twist_number(core, st.alpha)
-    if surf.flavor == "augmented":
-        return AnnularPoint(tw, 1.0 / surf.bers)
-    return AnnularPoint(tw)
+    return boundary_point(core, st.alpha, surf.flavor, surf.bers)
+
+
+def boundary_point(core: Slope, curve: Slope, flavor: str, bers: float) -> AnnularPoint:
+    """What the annulus about `core` sees of another curve: its twisting
+    number, at the boundary height 1/B in the augmented flavor."""
+    return AnnularPoint(twist_number(core, curve), 1.0 / bers if flavor == "augmented" else None)
 
 
 def horoball_distance(u: tuple[float, float], v: tuple[float, float]) -> float:
@@ -687,11 +679,17 @@ def annular_distance(u: AnnularPoint, v: AnnularPoint, flavor: str) -> float:
     return horoball_distance(u.coords(), v.coords())
 
 
+def complex_distance(w: Subsurface, a, b, flavor: str) -> float:
+    """Distance between two points of the complex of w: the Farey graph
+    for a component, the annular complex of the flavor for an annulus."""
+    if w.kind == "component":
+        return float(farey_distance(a, b))
+    return annular_distance(a, b, flavor)
+
+
 def subsurface_distance(x: ModelPoint, y: ModelPoint, w: Subsurface) -> float:
     surf, sx, sy = x.surface, x.states[w.comp], y.states[w.comp]
-    if w.kind == "component":
-        return float(farey_distance(sx.alpha, sy.alpha))
-    return annular_distance(_project_state(surf, sx, w), _project_state(surf, sy, w),
+    return complex_distance(w, _project_state(surf, sx, w), _project_state(surf, sy, w),
                             surf.flavor)
 
 
@@ -710,15 +708,9 @@ def candidate_subsurfaces(x: ModelPoint, y: ModelPoint,
     out: list[Subsurface] = []
     comp_range = range(surf.n_components) if comps is None else comps
     for i in comp_range:
-        out.extend(_component_candidates(surf.flavor, i, x.states[i], y.states[i]))
-    return out
-
-
-def _component_candidates(flavor: str, comp: int, sx: ComponentState,
-                          sy: ComponentState) -> list[Subsurface]:
-    """`candidate_subsurfaces` of one component, from its two states."""
-    out = [Subsurface("component", comp)]
-    out.extend(Subsurface("annulus", comp, s) for s in _candidate_cores(flavor, sx, sy))
+        out.append(Subsurface("component", i))
+        out.extend(Subsurface("annulus", i, s)
+                   for s in _candidate_cores(surf.flavor, x.states[i], y.states[i]))
     return out
 
 
@@ -882,6 +874,21 @@ def annular_coordinate(x: ModelPoint, comp: int, core: Slope) -> AnnularPoint:
     return project(x, Subsurface("annulus", comp, core))  # type: ignore[return-value]
 
 
+def pinned_state(surface: ModelSurface, core: Slope,
+                 coord: AnnularPoint | None) -> ComponentState:
+    """The state pinned on `core` at an annular coordinate (marking or
+    augmented flavor): the canonical transversal, twisted to coord.twist if
+    there is a coordinate, and length min(B, 1/height), or B without one."""
+    tau0 = canonical_transversal(core)
+    t0 = twist_number(core, tau0)
+    want = coord.twist if coord is not None else t0
+    tau = apply_matrix(twist_matrix(core, want - t0), tau0)
+    if surface.flavor != "augmented":
+        return ComponentState(core, tau)
+    height = coord.height if coord is not None else None
+    return ComponentState(core, tau, min(surface.bers, 1.0 / height) if height else surface.bers)
+
+
 def product_project(x: ModelPoint, pins: dict[int, Slope]) -> ModelPoint:
     """Project onto the region whose pants decomposition contains the
     pinned curves: replace pants slopes, rebuild transversals so the
@@ -892,16 +899,8 @@ def product_project(x: ModelPoint, pins: dict[int, Slope]) -> ModelPoint:
     for comp, pin in pins.items():
         if surf.flavor == "pants":
             states[comp] = ComponentState(pin)
-            continue
-        coord = annular_coordinate(x, comp, pin)
-        tau0 = canonical_transversal(pin)
-        k = coord.twist - twist_number(pin, tau0)
-        tau = apply_matrix(twist_matrix(pin, k), tau0)
-        if surf.flavor == "augmented":
-            length = min(surf.bers, 1.0 / coord.height) if coord.height else surf.bers
-            states[comp] = ComponentState(pin, tau, length)
         else:
-            states[comp] = ComponentState(pin, tau)
+            states[comp] = pinned_state(surf, pin, annular_coordinate(x, comp, pin))
     return ModelPoint(surf, tuple(states))
 
 

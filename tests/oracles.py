@@ -368,7 +368,7 @@ def triangle_center_graph(g: HypGraph, x: Vertex, y: Vertex, z: Vertex) -> Verte
 
 
 def graph_handle(g: HypGraph, name: str = "graph") -> MetricHandle:
-    return MetricHandle(name, lambda a, b: float(g.distance(a, b)), graph=g,
+    return MetricHandle(name, lambda a, b: float(g.distance(a, b)),
                         geodesic_fn=lambda a, b: geodesic(g, a, b).vertices)
 
 

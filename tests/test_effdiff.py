@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coarsegeo.effdiff import (
-    Box, BoxMap, Grid, Line, LineFamily, NotEfficientError, PathTrace,
+    Box, BoxMap, Line, LineFamily, NotEfficientError, PathTrace,
     QuasiLipschitzViolationError, ScaleBelowResolutionError, coarse_length,
     differentiate_box, differentiate_lines, efficiency_test, hyperbolic_subbox,
     subsegment_efficiency_closure,
@@ -155,14 +155,6 @@ def test_box_size_and_aspect():
     with pytest.raises(ValueError):
         Box(((0, 4), (0, 100))).size  # aspect beyond the frozen ratio
     assert Box.cube(64, 2).central_half() == Box(((16, 48), (16, 48)))
-
-
-def test_grid_end_segments():
-    ts = Grid(0.0, 10.0, 3.0).times()
-    gaps = np.diff(ts)
-    assert np.all(gaps[:-1] == 3.0) and gaps[-1] <= 3.0
-    anchored = Grid(1.0, 10.0, 3.0, anchor=0.0).times()
-    assert anchored[0] == 1.0 and anchored[1] == 3.0
 
 
 def test_line_family_density_verification():

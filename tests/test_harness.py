@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -173,6 +174,47 @@ def test_cli_psi_bbf_flatfit(capsys, marking1):
                  "--noise", "2", "--samples", "10", "--seed", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["fit"] <= 4.0
+
+
+def test_cli_psi_is_independent_of_the_hash_seed(marking1):
+    """The window dump lists cross edges in key order; in set order it
+    followed the string hashes, which PYTHONHASHSEED changes."""
+    from coarsegeo.surfmodel import flip_move, twist_move
+    x = base_point(marking1)
+    y = twist_move(flip_move(twist_move(x, 0, 7), 0), 0, 5)
+    argv = [sys.executable, "-m", "coarsegeo.harness", "psi",
+            "--surface", json.dumps(marking1.to_json()),
+            json.dumps(x.to_json()), json.dumps(y.to_json())]
+    outs = [subprocess.run(argv, capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")]
+    assert json.loads(outs[0])["window_dump"][1]["cross_edges"]
+    assert outs[0] == outs[1]
+
+
+def test_cli_stats_needs_genus_and_punctures_together(capsys):
+    """--genus alone used to print the default surface's stats."""
+    for flag in ("--genus", "--punctures"):
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", flag, "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: coarsegeo stats ")
+        assert err.endswith("coarsegeo stats: error: "
+                            "--genus and --punctures must be given together\n")
+
+
+@pytest.mark.parametrize("core", ["5", "1/2/3", "0/0", "one/two"])
+def test_cli_project_core_must_be_a_slope(capsys, marking1, core):
+    """A malformed --core is a usage error, not a ValueError traceback."""
+    x = json.dumps(base_point(marking1).to_json())
+    with pytest.raises(SystemExit) as exc:
+        main(["project", x, "--core", core])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: coarsegeo project ")
+    assert err.endswith(f"coarsegeo project: error: argument --core: "
+                        f"expected a slope p/q, got {core!r}\n")
 
 
 def test_cli_pipeline_and_rank_small(capsys, marking2):

@@ -172,7 +172,6 @@ def test_unparam_frozen_case_projection(marking1, cn):
 def test_product_handle_l1():
     h = product_handle([real_line_handle(), real_line_handle()])
     assert h.distance((0.0, 0.0), (3.0, 4.0)) == 7.0
-    assert h.factors[0].distance(0.0, 3.0) == 3.0
 
 
 def test_graph_handle_roundtrip(ball):
