@@ -17,7 +17,8 @@ harness     seeded generators, calibration, pipeline and rank
             experiments, command line interface
 """
 
-from . import bbf, consreal, effdiff, harness, hypgraph, pathsflats, surfmodel
+# not harness: `python -m coarsegeo.harness` must be its first import
+from . import bbf, consreal, effdiff, hypgraph, pathsflats, surfmodel
 from .constants import Constants, default_constants
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -62,8 +62,7 @@ class FamilyY:
         return f"{self.kind}[{self.comp}]"
 
 
-def working_window(x: ModelPoint, y: ModelPoint,
-                   extra: Iterable[tuple[int, Slope]] = ()) -> dict[int, tuple[Slope, ...]]:
+def working_window(x: ModelPoint, y: ModelPoint) -> dict[int, tuple[Slope, ...]]:
     """Finite core sets per component: both endpoints' curves, the
     canonical geodesic between the pants slopes, and the mediant fan at
     distance one from its edges.  Cores beyond this window contribute a
@@ -79,8 +78,6 @@ def working_window(x: ModelPoint, y: ModelPoint,
             out[i].add(st.alpha)
             if st.tau is not None:
                 out[i].add(st.tau)
-    for comp, core in extra:
-        out[comp].add(core)
     return {i: tuple(sorted(s, key=Slope.key)) for i, s in out.items()}
 
 
@@ -124,11 +121,7 @@ def build_families_synthetic(sys: SyntheticSystem,
 
 @dataclass
 class PkGraph:
-    family: FamilyY
-    k: float
     edges: set[frozenset]
-    flavor: str
-    bers: float
 
     def adjacent(self, a: Subsurface, b: Subsurface) -> bool:
         return frozenset((a, b)) in self.edges
@@ -156,7 +149,7 @@ def build_pk_graph(family: FamilyY, k: float, flavor: str, bers: float = 1.0) ->
     members = family.members()
     edges: set[frozenset] = set()
     if family.kind == "component":
-        return PkGraph(family, k, edges, flavor, bers)
+        return PkGraph(edges)
     cores = family.cores
     m = len(cores)
     table = np.zeros((m, m), dtype=np.int64)
@@ -178,7 +171,7 @@ def build_pk_graph(family: FamilyY, k: float, flavor: str, bers: float = 1.0) ->
                     AnnularPoint(0, h), AnnularPoint(g, h), flavor) <= k
             if ok:
                 edges.add(frozenset((members[v], members[w])))
-    return PkGraph(family, k, edges, flavor, bers)
+    return PkGraph(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +319,8 @@ class EmbeddedPoint:
 class Embedding:
     """The product-of-quasi-trees receiver for one surface window."""
 
-    surface: ModelSurface
     families: list[FamilyY]
     trees: dict[str, QuasiTree]
-    k: float
 
     def project(self, x: ModelPoint) -> EmbeddedPoint:
         return psi_project(x, self)
@@ -349,7 +340,7 @@ def build_embedding(surface: ModelSurface, window: dict[int, tuple[Slope, ...]],
     for fam in families:
         pk = build_pk_graph(fam, k, surface.flavor, surface.bers)
         trees[fam.label()] = QuasiTree(fam, pk, surface.flavor, surface.bers)
-    return Embedding(surface, families, trees, k)
+    return Embedding(families, trees)
 
 
 def psi_project(x: ModelPoint, emb: Embedding) -> EmbeddedPoint:
@@ -372,9 +363,8 @@ def psi_project(x: ModelPoint, emb: Embedding) -> EmbeddedPoint:
     return EmbeddedPoint(tuple(coords))
 
 
-def embedding_for_pair(x: ModelPoint, y: ModelPoint, k: float,
-                       extra: Iterable[tuple[int, Slope]] = ()) -> Embedding:
-    return build_embedding(x.surface, working_window(x, y, extra), k)
+def embedding_for_pair(x: ModelPoint, y: ModelPoint, k: float) -> Embedding:
+    return build_embedding(x.surface, working_window(x, y), k)
 
 
 def embedded_distance(x: ModelPoint, y: ModelPoint, k: float) -> float:
@@ -404,8 +394,7 @@ def lower_bound_audit(x: ModelPoint, y: ModelPoint, k: float, k_prime: float,
     return LowerBoundVerdict(lhs, 0.5 * total, k_prime)
 
 
-def shared_embedding(points: Sequence[ModelPoint], k: float,
-                     extra: Iterable[tuple[int, Slope]] = ()) -> Embedding:
+def shared_embedding(points: Sequence[ModelPoint], k: float) -> Embedding:
     """One embedding window covering a whole point cloud: the union of
     pairwise windows against the first point, plus every sample's own
     curves.  Lets a trace reuse a single glued structure."""
@@ -417,8 +406,6 @@ def shared_embedding(points: Sequence[ModelPoint], k: float,
         win = working_window(base, p)
         for i, cs in win.items():
             cores[i].update(cs)
-    for comp, core in extra:
-        cores[comp].add(core)
     window = {i: tuple(sorted(s, key=Slope.key)) for i, s in cores.items()}
     return build_embedding(base.surface, window, k)
 

@@ -421,17 +421,17 @@ class BgitVerdict:
 
 
 def bgit_audit(geodesic_vertices: Iterable[Slope], core: Slope, flavor: str,
-               bound: float, bers: float = 1.0) -> BgitVerdict:
+               bound: float) -> BgitVerdict:
     """Bounded geodesic image dichotomy for an annulus: either some
     vertex misses the annulus (here: equals the core) or the endpoints'
-    twist projections are close."""
+    twist projections (at height 1 in the augmented flavor) are close."""
     verts = list(geodesic_vertices)
     if len(verts) < 2:
         return BgitVerdict(True, None, bound)
     if any(v == core for v in verts):
         return BgitVerdict(True, None, bound)
-    a = boundary_point(core, verts[0], flavor, bers)
-    b = boundary_point(core, verts[-1], flavor, bers)
+    a = boundary_point(core, verts[0], flavor, 1.0)
+    b = boundary_point(core, verts[-1], flavor, 1.0)
     flv = flavor if flavor != "pants" else "marking"
     return BgitVerdict(False, annular_distance(a, b, flv), bound)
 

@@ -18,6 +18,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from .constants import Constants, default_constants
 from .hypgraph import GeodesicSegment, MetricHandle
 
 ASPECT_RATIO = 4.0  # frozen rho: every box side is >= size / rho
@@ -125,8 +126,8 @@ class Box:
         return [list(iv) for iv in self.intervals]
 
     @classmethod
-    def cube(cls, side: int, dim: int, origin: int = 0) -> "Box":
-        return cls(tuple((origin, origin + side) for _ in range(dim)))
+    def cube(cls, side: int, dim: int) -> "Box":
+        return cls(tuple((0, side) for _ in range(dim)))
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,6 @@ class LineFamily:
 
     directions: list[tuple[float, ...]]
     lines: list[Line]
-    density: float
 
     @staticmethod
     def directions_for(dim: int, density: float) -> list[tuple[float, ...]]:
@@ -207,7 +207,7 @@ class LineFamily:
         min_side = min(box.sides)
         for d in chosen:
             lines.extend(cls._cover(box, d, lines_per_direction, min_side))
-        return cls(directions=chosen, lines=lines, density=density)
+        return cls(directions=chosen, lines=lines)
 
     @staticmethod
     def _cover(box: Box, direction: tuple[float, ...], per_direction: int,
@@ -312,11 +312,12 @@ def efficiency_test(path: PathTrace, R: float, eps: float, theta_eff: float) -> 
 
 
 def subsegment_efficiency_closure(path: PathTrace, R: float, eps: float,
-                                  theta_eff: float, kappa: float = 2.0,
+                                  theta_eff: float, constants: Constants | None = None,
                                   ) -> tuple[bool, tuple[int, int] | None]:
     """Every sample-aligned subsegment of an efficient path must itself
-    pass at the enlarged constant kappa * theta_eff.  A failure witness
-    signals an implementation bug, not a property of the input."""
+    pass at kappa_subsegment * theta_eff.  A failure witness signals an
+    implementation bug, not a property of the input."""
+    kappa = (constants or default_constants())["kappa_subsegment"]
     if not efficiency_test(path, R, eps, theta_eff):
         raise ValueError("input path is not efficient at the stated scale")
     n = len(path.times)
@@ -386,8 +387,7 @@ class DiffReport:
 
 def differentiate_lines(fmap: BoxMap, box: Box, eps: float, theta: float,
                         r0: float, lines: Sequence[Line] | None = None,
-                        bdelta_mult: float = 2.0, kappa_m: float = 4.0,
-                        ) -> DiffReport:
+                        constants: Constants | None = None) -> DiffReport:
     """Walk the schedule r_m = r_{m-1} / eps until at most a theta
     fraction of decomposition segments fails the grid-sum inequality
     partition_sum <= bdelta_mult * (endpoint_distance + eps * scale).
@@ -396,6 +396,8 @@ def differentiate_lines(fmap: BoxMap, box: Box, eps: float, theta: float,
     keeps the one maximizing its bad fraction, which makes a success
     level a certificate rather than a lucky draw.
     """
+    cn = constants or default_constants()
+    bdelta_mult, kappa_m = cn["bdelta_mult"], cn["kappa_m"]
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
     r0 = max(r0, fmap.C, 1e-9)
@@ -489,10 +491,9 @@ def differentiate_lines(fmap: BoxMap, box: Box, eps: float, theta: float,
 
 
 def differentiate_box(fmap: BoxMap, box: Box, eps0: float, theta0: float,
-                      r0: float, kappa_theta: float = 2.0,
-                      max_directions: int | None = 8,
+                      r0: float, max_directions: int | None = 8,
                       lines_per_direction: int = 24,
-                      bdelta_mult: float = 2.0) -> DiffReport:
+                      constants: Constants | None = None) -> DiffReport:
     """Find a scale at which most sub-boxes are efficient.
 
     Runs the line search at the derived parameters (eps = eps0^2, theta
@@ -503,6 +504,7 @@ def differentiate_box(fmap: BoxMap, box: Box, eps0: float, theta0: float,
     line-phase tolerance is floored at theta0 / 4; the derived value is
     a union-bound device that desk-scale boxes cannot afford.
     """
+    kappa_theta = (constants or default_constants())["kappa_theta"]
     n = box.dim
     eps = eps0 ** 2
     theta = max(theta0 * eps ** (n + 2) / kappa_theta, theta0 / 4.0)
@@ -518,7 +520,7 @@ def differentiate_box(fmap: BoxMap, box: Box, eps0: float, theta0: float,
                               max_directions=max_directions,
                               lines_per_direction=lines_per_direction)
     report = differentiate_lines(fmap, box, eps, theta, base,
-                                 lines=family.lines, bdelta_mult=bdelta_mult)
+                                 lines=family.lines, constants=constants)
     R = report.scale
     central = box.central_half()
     side = max(1, round(R / math.sqrt(n)))
@@ -575,7 +577,7 @@ def _segment_meets_box(box: Box, line: Line, t0: float, t1: float) -> bool:
 
 
 def hyperbolic_subbox(fmap: BoxMap, box: Box, eps: float,
-                      c_near: float = 8.0, sigma0: float = 0.125,
+                      constants: Constants | None = None,
                       grid_max: int = 17) -> tuple[Box, GeodesicSegment]:
     """Inside a box mapped efficiently to a hyperbolic target, find a
     sub-box of definite relative size whose image stays near a single
@@ -585,9 +587,10 @@ def hyperbolic_subbox(fmap: BoxMap, box: Box, eps: float,
     axis-aligned grid sub-box sharing one label within c_near * eps * R
     wins.  Failure means the efficiency claim was false.
     """
+    cn = constants or default_constants()
     target = fmap.target
     R = box.size
-    tol = c_near * eps * R
+    tol = cn["c_near"] * eps * R
     n = box.dim
     # the n * 2^(n-1) edge geodesics of the box image
     edges: list[GeodesicSegment] = []
@@ -636,7 +639,7 @@ def hyperbolic_subbox(fmap: BoxMap, box: Box, eps: float,
         for i in range(n)
     )
     sub = Box(intervals)
-    if min(sub.sides) < sigma0 * min(box.sides):
+    if min(sub.sides) < cn["sigma0"] * min(box.sides):
         raise NotEfficientError("not efficient as declared")
     return sub, edges[best_label]
 

@@ -130,19 +130,16 @@ def _uniform_trace(ts: Sequence[float], pts: Sequence, handle, C: float) -> Path
     return PathTrace(tuple(float(t) for t in ts), tuple(pts), handle, K=float(k) + 0.1, C=C)
 
 
-def farey_efficient_trace(rng: np.random.Generator, R: float, eps: float,
-                          depth_cap: int | None = None,
-                          detours: int = 2) -> PathTrace:
+def farey_efficient_trace(rng: np.random.Generator, R: float, eps: float) -> PathTrace:
     """A synthetic efficient path in the Farey graph at span R: a long
-    geodesic with a few bounded detours, timed uniformly."""
+    geodesic with two detours about eps*R/4 deep, timed uniformly."""
     length = int(rng.integers(12, 25))
     a = int(rng.integers(2, 4))
     target = deep_slope(length, a)
     geo = list(farey_geodesic(INFINITY, target))
-    depth = max(1, int(min(depth_cap if depth_cap is not None else eps * R / 4,
-                           eps * R / 4)))
+    depth = max(1, int(eps * R / 4))
     pts = list(geo)
-    for _ in range(detours):
+    for _ in range(2):
         at = int(rng.integers(2, len(geo) - 2))
         fan = surfmodel.common_neighbors(geo[at], geo[at + 1])
         if not fan:
@@ -155,14 +152,13 @@ def farey_efficient_trace(rng: np.random.Generator, R: float, eps: float,
 
 
 def backtracked_trace(x: ModelPoint, y: ModelPoint, eps: float, R: float,
-                      rng: np.random.Generator, constants: Constants,
-                      n_backtracks: int = 2) -> PathTrace:
-    """A preferred path between x and y, re-timed to span R, with
+                      rng: np.random.Generator, constants: Constants) -> PathTrace:
+    """A preferred path between x and y, re-timed to span R, with two
     inserted retraces about eps*R steps deep."""
     path = preferred_path(x, y, constants, verify=False)
     pts = list(path.points)
     depth = max(2, int(eps * R * 0.6))
-    for _ in range(n_backtracks):
+    for _ in range(2):
         if len(pts) < 3 * depth:
             break
         at = int(rng.integers(depth + 1, len(pts) - depth))
@@ -273,10 +269,10 @@ def adversarial_maps(flat: StandardFlat, n: int, box_side: int) -> list[tuple[st
     return suite
 
 
-def synthetic_chain_system(depth: int, rng: np.random.Generator,
-                           spread: int = 20):
+def synthetic_chain_system(depth: int, rng: np.random.Generator):
     """A nested chain U0 > U1 > ... with integer-line complexes, plus a
     coherent tuple and a violating perturbation of it."""
+    spread = 20  # anchors lie in [-spread, spread)
     ids = tuple(f"U{i}" for i in range(depth))
     nested = {(ids[j], ids[i]) for i in range(depth) for j in range(i + 1, depth)}
     boundary = {}
@@ -323,7 +319,6 @@ class ExperimentConfig:
     seed: int = 0
     box_side: int | None = None
     noise: int = 3
-    constants_path: str | None = None
 
     def __post_init__(self):
         if not (0 < self.eps0 < 1) or self.r0 < 1:
@@ -334,11 +329,6 @@ class ExperimentConfig:
         eps_xi = eps0^(6^xi), R_xi = r0 / eps_xi."""
         e = self.eps0 ** (6 ** xi)
         return e, self.r0 / e
-
-    def constants(self) -> Constants:
-        if self.constants_path:
-            return Constants.load(self.constants_path)
-        return default_constants()
 
     def to_json(self) -> dict:
         return {
@@ -393,13 +383,13 @@ def run_pipeline(config: ExperimentConfig, fmap: BoxMap, dim: int,
     endpoint data (plus the extracted factors) and the worst sample
     residual decides the verdict.
     """
-    cn = constants or config.constants()
+    cn = constants or default_constants()
     config.surface.validate_threshold(cn)
     rep = Report("pipeline", config.digest())
     box = Box.cube(_pipeline_side(config, fmap.C), dim)
     diff = effdiff.differentiate_box(
         fmap, box, config.eps0, config.theta0, config.r0,
-        max_directions=max(2, dim + 2), lines_per_direction=10)
+        max_directions=max(2, dim + 2), lines_per_direction=10, constants=cn)
     rep.add("differentiate", scale=diff.scale, level=diff.level,
             fraction=diff.fraction_efficient, boxes=len(diff.box_verdicts))
     good = diff.efficient_boxes()
@@ -414,9 +404,8 @@ def run_pipeline(config: ExperimentConfig, fmap: BoxMap, dim: int,
         shadow = BoxMap(lambda p, c=comp: fmap.fn(p).alpha(c),
                         farey_handle(), fmap.K, fmap.C)
         try:
-            sub, _edge = effdiff.hyperbolic_subbox(
-                shadow, sub, config.eps0, c_near=cn["c_near"],
-                sigma0=cn["sigma0"], grid_max=9)
+            sub, _edge = effdiff.hyperbolic_subbox(shadow, sub, config.eps0,
+                                                   constants=cn, grid_max=9)
         except effdiff.NotEfficientError:
             rep.add("shadow-subbox", component=comp, error="no stable label")
     r_prime = sub.size
@@ -539,7 +528,7 @@ def rank_experiment(config: ExperimentConfig, n: int,
     """For n at most the top rank, the product embedding must pass the
     pipeline (and the augmented orthant passes a ray check); for
     n = rank + 1 every suite map is refuted by the separation count."""
-    cn = constants or config.constants()
+    cn = constants or default_constants()
     config.surface.validate_threshold(cn)
     rep = Report("rank", config.digest())
     surface = config.surface
@@ -563,7 +552,7 @@ def rank_experiment(config: ExperimentConfig, n: int,
         rep.passed = pipe.passed
         if surface.flavor == "augmented":
             ortho = orthant_flat(surface, span=60)
-            lo_band, hi_band = _flat_qi_band(ortho, config.seed, pairs=40)
+            lo_band, hi_band = _flat_qi_band(ortho, config.seed)
             ok = lo_band >= 1.0 / cn["orthant_band"] and hi_band <= cn["orthant_band"]
             rep.add("orthant-ray-check", low=lo_band, high=hi_band, passed=ok)
             rep.passed = rep.passed and ok
@@ -596,16 +585,15 @@ def rank_experiment(config: ExperimentConfig, n: int,
     return rep
 
 
-def _flat_qi_band(flat: StandardFlat, seed: int, pairs: int = 40,
-                  min_l1: float = 20.0) -> tuple[float, float]:
+def _flat_qi_band(flat: StandardFlat, seed: int) -> tuple[float, float]:
     rng = np.random.default_rng(seed)
     box = flat.box()
     lo_band, hi_band = math.inf, 0.0
-    for _ in range(pairs):
+    for _ in range(40):  # seeded lattice pairs, kept when 20 apart in L1
         s = [int(rng.integers(lo, hi + 1)) for lo, hi in box.intervals]
         t = [int(rng.integers(lo, hi + 1)) for lo, hi in box.intervals]
         l1 = sum(abs(a - b) for a, b in zip(s, t))
-        if l1 < min_l1:
+        if l1 < 20:
             continue
         d = model_distance(flat.eval(s), flat.eval(t))
         lo_band = min(lo_band, d / l1)
@@ -964,11 +952,13 @@ def _efficiency(ns):
     doc = _load_json_arg(ns.trace)
     ts = tuple(float(t) for t in doc["times"])
     vals = tuple(float(v) for v in doc["values"])
-    k = max(abs(a - b) / (t2 - t1) for (a, b), (t1, t2)
-            in zip(zip(vals, vals[1:]), zip(ts, ts[1:]))) + 0.1
-    tr = PathTrace(ts, vals, real_line_handle(), K=k, C=1.0)
     cn = _constants_arg(ns)
-    ok = effdiff.efficiency_test(tr, ns.scale, ns.eps, cn["theta_eff"])
+    try:  # the samples, then a scale fitting their span and time steps
+        # no (K, C) bounds raw input, and nothing below reads them
+        tr = PathTrace(ts, vals, real_line_handle(), K=math.inf, C=0.0)
+        ok = effdiff.efficiency_test(tr, ns.scale, ns.eps, cn["theta_eff"])
+    except ValueError as exc:
+        raise argparse.ArgumentError(None, str(exc)) from None
     delta = effdiff.coarse_length(tr, ns.eps * ns.scale)
     if ns.csv:
         lo, hi = min(vals[0], vals[-1]), max(vals[0], vals[-1])
@@ -993,7 +983,8 @@ def _differentiate(ns):
         flat = twist_flat(_surface_arg(ns), span=2 * ns.box)
         fmap = noisy_flat_map(flat, 2, ns.seed)
         box = Box.cube(ns.box, flat.dim)
-    return effdiff.differentiate_box(fmap, box, ns.eps0, ns.theta0, ns.r0).to_json()
+    return effdiff.differentiate_box(fmap, box, ns.eps0, ns.theta0, ns.r0,
+                                     constants=_constants_arg(ns)).to_json()
 
 
 def _realize(ns):
@@ -1008,7 +999,10 @@ def _realize(ns):
         else:
             coords[w] = AnnularPoint(int(cdoc["twist"]), cdoc.get("height"))
     system = consreal.ExactSystem(surface, coords.keys())
-    return consreal.realize(system, consreal.ProjectionTuple.of(coords), m=m).to_json()
+    try:
+        return consreal.realize(system, consreal.ProjectionTuple.of(coords), m=m).to_json()
+    except (consreal.MissingProjectionError, consreal.InconsistentTupleError) as exc:
+        raise argparse.ArgumentError(None, exc.args[0]) from None
 
 
 def _hull(ns):

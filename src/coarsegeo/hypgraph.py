@@ -53,18 +53,15 @@ class GeodesicSegment:
 class HypGraph:
     """A finite explicit graph with a cached thinness constant.
 
-    Vertices must be hashable; `key` fixes the canonical encoding used
-    for all tie-breaking (defaults to the vertex itself, or `.key()`
-    when present, as for slopes).
+    Vertices must be hashable; `key` is the canonical encoding used for
+    all tie-breaking: the vertex's `.key()` when present, as for slopes,
+    else the vertex itself.
     """
 
     def __init__(self, edges: Iterable[tuple[Vertex, Vertex]],
                  vertices: Iterable[Vertex] = (),
-                 key: Callable[[Vertex], Any] | None = None,
                  delta: float | None = None):
-        if key is None:
-            key = lambda v: v.key() if hasattr(v, "key") else v
-        self.key = key
+        self.key = key = lambda v: v.key() if hasattr(v, "key") else v
         adj: dict[Vertex, set] = {v: set() for v in vertices}
         for u, v in edges:
             if u == v:
@@ -220,7 +217,7 @@ def real_line_handle() -> MetricHandle:
                         geodesic_fn=lambda a, b: (a, b))
 
 
-def lp_handle(p: float, name: str | None = None) -> MetricHandle:
+def lp_handle(p: float) -> MetricHandle:
     """R^n with an L^p metric; points are tuples or arrays."""
     if p == math.inf:
         dist = lambda a, b: float(np.max(np.abs(np.asarray(a, float) - np.asarray(b, float))))
@@ -228,15 +225,15 @@ def lp_handle(p: float, name: str | None = None) -> MetricHandle:
     else:
         dist = lambda a, b: float(np.sum(np.abs(np.asarray(a, float) - np.asarray(b, float)) ** p) ** (1.0 / p))
         nm = f"L{p:g}"
-    return MetricHandle(name or nm, dist)
+    return MetricHandle(nm, dist)
 
 
-def product_handle(handles: Sequence[MetricHandle], name: str = "product") -> MetricHandle:
+def product_handle(handles: Sequence[MetricHandle]) -> MetricHandle:
     """L^1 product of handles; points are tuples with one coordinate per
     factor.  Efficiency passes to factors in this metric."""
     def dist(a, b):
         return sum(h.distance(x, y) for h, x, y in zip(handles, a, b))
-    return MetricHandle(name, dist)
+    return MetricHandle("product", dist)
 
 
 def farey_handle() -> MetricHandle:
@@ -249,13 +246,12 @@ def farey_handle() -> MetricHandle:
     )
 
 
-def farey_graph(lo: int = -2, hi: int = 3, depth: int = 5,
-                delta: float | None = None) -> HypGraph:
+def farey_graph(lo: int = -2, hi: int = 3, depth: int = 5) -> HypGraph:
     """An explicit finite chunk of the Farey graph (mediant fan over
     [lo, hi] to the given depth) with determinant adjacency."""
     verts = farey_ball(lo, hi, depth)
     edges = [(a, b) for a, b in itertools.combinations(verts, 2) if farey_adjacent(a, b)]
-    return HypGraph(edges, vertices=verts, delta=delta)
+    return HypGraph(edges, vertices=verts)
 
 
 def model_handle(surface) -> MetricHandle:

@@ -28,9 +28,9 @@ from .consreal import ExactSystem, ProjectionTuple, realize
 from .surfmodel import (AnnularPoint, ComponentState, ModelPoint, ModelSurface,
                         Slope, Subsurface, apply_matrix, complex_distance,
                         component_distance, distance_formula, farey_distance,
-                        farey_geodesic, geodesic_chart, horoball_point_to_segment,
-                        model_distance, project, subsurface_distance, twist_matrix,
-                        twist_number)
+                        farey_geodesic, geodesic_chart, horoball_distance,
+                        horoball_point_to_segment, model_distance, project,
+                        subsurface_distance, twist_matrix, twist_number)
 
 Move = tuple  # ("twist", comp, n) | ("flip", comp) | ("length", comp, factor) | ("realized",)
 
@@ -193,13 +193,13 @@ def preferred_path(x: ModelPoint, y: ModelPoint,
     return path
 
 
-def _dedupe_stride(seq: list, cap: int = 80) -> list:
+def _dedupe_stride(seq: list) -> list:
     out = [seq[0]]
     for s in seq[1:]:
         if s != out[-1]:
             out.append(s)
-    if len(out) > cap:
-        stride = math.ceil(len(out) / cap)
+    if len(out) > 80:  # stride down to about 80 entries
+        stride = math.ceil(len(out) / 80)
         out = out[::stride] + ([out[-1]] if out[-1] != out[::stride][-1] else [])
     return out
 
@@ -258,13 +258,27 @@ class HullQuery:
             self._sides[w] = (project(self.x, w), project(self.y, w))
 
     def side_distance(self, w: Subsurface, coord) -> float:
-        a, b = self._sides[w]
-        if w.kind == "component":
-            return min(float(farey_distance(coord, v)) for v in farey_geodesic(a, b))
-        if self.x.surface.flavor == "marking":
-            lo, hi = sorted((a.twist, b.twist))
-            return float(max(0, lo - coord.twist, coord.twist - hi))
-        return horoball_point_to_segment(coord.coords(), a.coords(), b.coords())
+        return side_nearest(w, self.x.surface.flavor, *self._sides[w], coord)[0]
+
+
+def side_nearest(w: Subsurface, flavor: str, a, b, coord) -> tuple[float, float]:
+    """(distance, position from a) of the point of the side [a, b] nearest
+    coord in the complex of w: the first nearest Farey vertex, or coord
+    clamped to the arc (in twist, or in the chart of `geodesic_chart`)."""
+    if w.kind == "component":
+        best_i, best_d = 0, math.inf
+        for i, v in enumerate(farey_geodesic(a, b)):
+            d = float(farey_distance(coord, v))
+            if d < best_d:
+                best_i, best_d = i, d
+        return best_d, float(best_i)
+    if flavor == "marking":
+        t = max(min(coord.twist, max(a.twist, b.twist)), min(a.twist, b.twist))
+        return float(abs(coord.twist - t)), float(abs(t - a.twist))
+    to, _, la, lb = geodesic_chart(a.coords(), b.coords())
+    z = to(complex(*coord.coords()))
+    t = min(max(math.log(abs(z)), min(la, lb)), max(la, lb))
+    return horoball_distance((z.real, z.imag), (0.0, math.exp(t))), abs(t - la)
 
 
 def hull_membership(q: HullQuery, z: ModelPoint) -> tuple[bool, Subsurface | None]:
@@ -345,6 +359,13 @@ def annular_center(a: AnnularPoint, b: AnnularPoint, c: AnnularPoint,
     return AnnularPoint(round(z.real), z.imag)
 
 
+def triangle_center(w: Subsurface, a, b, c, flavor: str):
+    """The center of the triangle (a, b, c) in the complex of w."""
+    if w.kind == "component":
+        return farey_center(a, b, c)
+    return annular_center(a, b, c, flavor)
+
+
 def tuple_center(x: ModelPoint, y: ModelPoint, z: ModelPoint,
                  constants: Constants) -> ModelPoint:
     """Realize the tuple of per-complex triangle centers."""
@@ -353,11 +374,8 @@ def tuple_center(x: ModelPoint, y: ModelPoint, z: ModelPoint,
                    | set(certificates(x, z)), key=lambda w: w.key())
     coords = {}
     for w in certs:
-        pa, pb, pc = project(x, w), project(y, w), project(z, w)
-        if w.kind == "component":
-            coords[w] = farey_center(pa, pb, pc)
-        else:
-            coords[w] = annular_center(pa, pb, pc, surface.flavor)
+        coords[w] = triangle_center(w, project(x, w), project(y, w), project(z, w),
+                                    surface.flavor)
     sys = ExactSystem(surface, certs)
     tup = ProjectionTuple.of(coords)
     return realize(sys, tup, m=constants["m_realize"])
@@ -366,30 +384,6 @@ def tuple_center(x: ModelPoint, y: ModelPoint, z: ModelPoint,
 # ---------------------------------------------------------------------------
 # No-backtracking extraction
 # ---------------------------------------------------------------------------
-
-
-def _side_position(surface: ModelSurface, w: Subsurface, side: tuple,
-                   coord) -> float:
-    """Progress of a coordinate along the geodesic between the endpoint
-    projections, measured from the x end."""
-    a, b = side
-    if w.kind == "component":
-        geo = farey_geodesic(a, b)
-        best_i, best_d = 0, math.inf
-        for i, v in enumerate(geo):
-            d = float(farey_distance(coord, v))
-            if d < best_d:
-                best_i, best_d = i, d
-        return float(best_i)
-    if surface.flavor == "marking":
-        lo, hi = a.twist, b.twist
-        if lo == hi:
-            return 0.0
-        t = max(min(coord.twist, max(lo, hi)), min(lo, hi))
-        return abs(t - lo)
-    to, _, la, lb = geodesic_chart(a.coords(), b.coords())
-    t = min(max(math.log(abs(to(complex(*coord.coords())))), min(la, lb)), max(la, lb))
-    return abs(t - la)
 
 
 def extract_no_backtrack(trace: PathTrace, x: ModelPoint, y: ModelPoint,
@@ -416,12 +410,8 @@ def extract_no_backtrack(trace: PathTrace, x: ModelPoint, y: ModelPoint,
         coords = {}
         for w in certs:
             pa, pb = sides[w]
-            pc = project(p, w)
-            if w.kind == "component":
-                eta = farey_center(pa, pb, pc)
-            else:
-                eta = annular_center(pa, pb, pc, surface.flavor)
-            pos = _side_position(surface, w, sides[w], eta)
+            eta = triangle_center(w, pa, pb, project(p, w), surface.flavor)
+            pos = side_nearest(w, surface.flavor, pa, pb, eta)[1]
             if pos > best_pos[w]:
                 best_pos[w] = pos
                 best_coord[w] = eta
@@ -607,15 +597,14 @@ def flat_fit(points: Sequence[ModelPoint],
 
 
 def candidate_flats(samples: Sequence[ModelPoint],
-                    constants: Constants | None = None,
-                    anchor_cap: int = 10) -> list[StandardFlat]:
+                    constants: Constants | None = None) -> list[StandardFlat]:
     """Flats reconstructed from the samples' endpoint data: components
     with a fixed pants slope become twist factors over the observed
     range; the rest get preferred paths between the extremal states."""
     if not samples:
         raise ValueError("no samples")
     surface = samples[0].surface
-    sub = list(samples[:: max(1, len(samples) // anchor_cap)])
+    sub = list(samples[:: max(1, len(samples) // 10)])  # about 10 anchors
     p_star, q_star, best = sub[0], sub[-1], -1.0
     for i, a in enumerate(sub):
         for b in sub[i + 1:]:
@@ -651,7 +640,7 @@ def candidate_flats(samples: Sequence[ModelPoint],
 # ---------------------------------------------------------------------------
 
 
-def _xw_metric(surface: ModelSurface, w: Subsurface) -> Callable[[ModelPoint, ModelPoint], float]:
+def _xw_metric(w: Subsurface) -> Callable[[ModelPoint, ModelPoint], float]:
     if w.kind == "component":
         return lambda a, b: component_distance(a, b, w.comp)
     return lambda a, b: subsurface_distance(a, b, w)
@@ -663,7 +652,7 @@ def steady_progress(path: PreferredPath, w: Subsurface, c0: float) -> bool:
     counts only if every consecutive pair is at least c0 apart in the
     curve complex of W."""
     pts = path.points
-    dxw = _xw_metric(pts[0].surface, w)
+    dxw = _xw_metric(w)
     total = dxw(pts[0], pts[-1])
     if len(pts) < 6 or total < 5:
         raise ValueError("path below resolution for quintiles")
@@ -725,7 +714,7 @@ def near_region_check(gamma: PreferredPath, gamma_prime: PreferredPath,
     prox = constants["c_region_proximity"]
     w = Subsurface("annulus", comp, core)
     x, y = gamma.x, gamma.y
-    dxw = _xw_metric(x.surface, w)
+    dxw = _xw_metric(w)
     d_big = dxw(x, y)
     hyp = (
         x.alpha(comp) == core and y.alpha(comp) == core

@@ -805,11 +805,10 @@ def model_distance(x: ModelPoint, y: ModelPoint) -> float:
     return _formula_terms(x, y, None, None)[0]
 
 
-def component_distance(x: ModelPoint, y: ModelPoint, comp: int,
-                       threshold: float | None = None) -> float:
+def component_distance(x: ModelPoint, y: ModelPoint, comp: int) -> float:
     """The distance formula restricted to one component's subsurfaces,
     i.e. distance in that component's own model space."""
-    return distance_formula(x, y, threshold=threshold, comps=(comp,))[0]
+    return distance_formula(x, y, comps=(comp,))[0]
 
 
 def threshold_audit(x: ModelPoint, y: ModelPoint, t: float, tp: float) -> float:
@@ -925,11 +924,11 @@ def product_factor_sum(x: ModelPoint, y: ModelPoint, pins: dict[int, Slope]) -> 
     return total
 
 
-def sum_distance_audit(x: ModelPoint, y: ModelPoint, comp: int = 0) -> tuple[float, float]:
+def sum_distance_audit(x: ModelPoint, y: ModelPoint) -> tuple[float, float]:
     """Both sides of the chain bound: the model distance against the sum
-    of product-region distances along a pants-slope geodesic."""
-    chain = farey_geodesic(x.alpha(comp), y.alpha(comp))
-    rhs = sum(product_region_distance(x, y, {comp: a}) for a in chain)
+    of product-region distances along component 0's pants-slope geodesic."""
+    chain = farey_geodesic(x.alpha(0), y.alpha(0))
+    rhs = sum(product_region_distance(x, y, {0: a}) for a in chain)
     lhs = model_distance(x, y)
     return lhs, rhs
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coarsegeo.constants import Constants
 from coarsegeo.effdiff import (
     Box, BoxMap, Line, LineFamily, NotEfficientError, PathTrace,
     QuasiLipschitzViolationError, ScaleBelowResolutionError, coarse_length,
@@ -14,7 +15,7 @@ from coarsegeo.effdiff import (
 )
 from coarsegeo.hypgraph import (farey_handle, lp_handle, product_handle,
                                 real_line_handle)
-from coarsegeo.surfmodel import INFINITY, ZERO, Slope, farey_geodesic
+from coarsegeo.surfmodel import INFINITY, ZERO, Slope, common_neighbors, farey_geodesic
 
 from oracles import coarse_length_bruteforce
 
@@ -187,7 +188,7 @@ def test_staircase_scale_is_at_most_step_over_eps():
     assert rep.scale <= 16 / 0.01
 
 
-def test_wrong_constants_exhaust_schedule():
+def test_wrong_constants_exhaust_schedule(cn):
     # a genuinely inefficient map at every scale the box affords, with
     # an understated Lipschitz allowance
     def zigzag(p):
@@ -198,7 +199,7 @@ def test_wrong_constants_exhaust_schedule():
     fmap = BoxMap(zigzag, LINF, K=1.0, C=0.0)
     with pytest.raises(QuasiLipschitzViolationError):
         differentiate_lines(fmap, Box.cube(512, 1), eps=0.01, theta=1e-9,
-                            r0=8.0, bdelta_mult=1.0)
+                            r0=8.0, constants=Constants({**cn.values, "bdelta_mult": 1.0}))
 
 
 def test_differentiate_box_staircase_fraction():
@@ -256,7 +257,7 @@ def test_hyperbolic_subbox_coordinate_map():
     assert sub == Box.cube(64, 2)
 
 
-def test_hyperbolic_subbox_rejects_wild_maps(rng):
+def test_hyperbolic_subbox_rejects_wild_maps(rng, cn):
     fh = farey_handle()
     wild_slopes = [Slope(int(rng.integers(-60, 60)), int(rng.integers(1, 40)))
                    for _ in range(64)]
@@ -267,4 +268,89 @@ def test_hyperbolic_subbox_rejects_wild_maps(rng):
 
     with pytest.raises(NotEfficientError, match="not efficient as declared"):
         hyperbolic_subbox(BoxMap(wild, fh, K=40.0, C=40.0), Box.cube(64, 1),
-                          eps=0.001, c_near=0.01)
+                          eps=0.001, constants=Constants({**cn.values, "c_near": 0.01}))
+
+
+# --- design constants come from the constants file ------------------------------
+# Each test changes one value of the frozen file and sees the result change.
+
+def _with(cn, **values):
+    return Constants({**cn.values, **values})
+
+
+def _zigzag(p):
+    ph = float(np.atleast_1d(p)[0]) % 64.0
+    return (min(ph, 64.0 - ph), 0.0)
+
+
+def test_bdelta_mult_is_read_from_the_constants(cn):
+    # a segment of 800 sums 800 over a zigzag of amplitude 32: bad at the
+    # frozen 2.0, good at 100
+    fmap = BoxMap(_zigzag, LINF, K=1.0, C=0.0)
+    args = (fmap, Box.cube(4096, 1), 0.01, 1e-9, 8.0)
+    with pytest.raises(QuasiLipschitzViolationError, match="left the box"):
+        differentiate_lines(*args, constants=cn)
+    rep = differentiate_lines(*args, constants=_with(cn, bdelta_mult=100.0))
+    assert rep.level == 1 and rep.params["bdelta_mult"] == 100.0
+
+
+def test_kappa_m_is_read_from_the_constants(cn):
+    const = BoxMap(lambda p: (0.0, 0.0), LINF, K=0.1, C=1.0)
+    args = (const, Box.cube(4096, 1), 0.01, 1e-7, 8.0)
+    assert differentiate_lines(*args, constants=cn).level == 1
+    with pytest.raises(QuasiLipschitzViolationError, match="level budget 0"):
+        differentiate_lines(*args, constants=_with(cn, kappa_m=0.0))
+
+
+def test_kappa_theta_is_read_from_the_constants(cn):
+    # a tiny kappa_theta lifts the line-phase tolerance above every bad
+    # fraction, so the zigzag stops at level 1
+    fmap = BoxMap(_zigzag, LINF, K=1.0, C=0.0)
+    args = (fmap, Box.cube(4096, 1), 0.1, 0.1, 8.0)
+    with pytest.raises(QuasiLipschitzViolationError):
+        differentiate_box(*args, constants=cn)
+    rep = differentiate_box(*args, constants=_with(cn, kappa_theta=1e-9))
+    assert rep.level == 1 and rep.params["kappa_theta"] == 1e-9
+
+
+def test_c_near_is_read_from_the_constants(cn):
+    # every other image is a fan vertex one step off the geodesic
+    fh = farey_handle()
+    geo = farey_geodesic(ZERO, Slope(34, 55))
+    L = len(geo) - 1
+
+    def off(p):
+        i = max(0, min(L, int(round(float(np.atleast_1d(p)[0]) / 64 * L))))
+        if 0 < i < L and i % 2:
+            return common_neighbors(geo[i], geo[i + 1])[0]
+        return geo[i]
+
+    fmap, box = BoxMap(off, fh, K=1.0, C=2.0), Box.cube(64, 1)
+    assert hyperbolic_subbox(fmap, box, eps=0.05, constants=cn)[0] == box
+    sub, _ = hyperbolic_subbox(fmap, box, eps=0.05, constants=_with(cn, c_near=0.1))
+    assert sub.sides[0] < box.sides[0]
+
+
+def test_sigma0_is_read_from_the_constants(cn):
+    fh = farey_handle()
+    geo = farey_geodesic(ZERO, Slope(34, 55))
+    L = len(geo) - 1
+
+    def collapse(p):
+        return geo[max(0, min(L, int(round(float(np.atleast_1d(p)[0]) / 64 * L))))]
+
+    fmap, box = BoxMap(collapse, fh, K=1.0, C=2.0), Box.cube(64, 2)
+    assert hyperbolic_subbox(fmap, box, eps=0.05, constants=cn)[0] == box
+    with pytest.raises(NotEfficientError):
+        hyperbolic_subbox(fmap, box, eps=0.05, constants=_with(cn, sigma0=2.0))
+
+
+def test_kappa_subsegment_is_read_from_the_constants(cn):
+    # an efficient path with one retrace of depth 4: at allowance 0 the
+    # subsegment through the retrace fails
+    vals = list(range(21)) + list(range(19, 15, -1)) + list(range(16, 41))
+    tr = line_trace(range(len(vals)), vals)
+    assert subsegment_efficiency_closure(tr, 48.0, 0.05, 6.0, constants=cn) == (True, None)
+    ok, witness = subsegment_efficiency_closure(
+        tr, 48.0, 0.05, 6.0, constants=_with(cn, kappa_subsegment=0.0))
+    assert not ok and witness is not None

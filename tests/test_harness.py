@@ -217,6 +217,57 @@ def test_cli_project_core_must_be_a_slope(capsys, marking1, core):
                         f"expected a slope p/q, got {core!r}\n")
 
 
+
+@pytest.mark.parametrize("tup, message", [
+    ([[{"kind": "annulus", "comp": 0, "core": [1, 2]}, {"twist": 3}]],
+     "tuple lacks the component coordinate W0"),
+    ([[{"kind": "component", "comp": 0, "core": None}, {"slope": [0, 1]}],
+      [{"kind": "annulus", "comp": 0, "core": [1, 0]}, {"twist": 1000}],
+      [{"kind": "annulus", "comp": 0, "core": [1, 1]}, {"twist": 1000}]],
+     "tuple is not consistent: realized M = 999.00"),
+], ids=["no-component-coordinate", "inconsistent"])
+def test_cli_realize_rejects_bad_tuples(capsys, tup, message):
+    """These ended in a MissingProjectionError or InconsistentTupleError
+    traceback with exit code 1."""
+    with pytest.raises(SystemExit) as exc:
+        main(["realize", json.dumps(tup)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: coarsegeo realize ")
+    assert err.endswith(f"coarsegeo realize: error: {message}\n")
+
+
+@pytest.mark.parametrize("trace, scale, eps, message", [
+    ({"times": [0, 0, 1], "values": [0, 1, 2]}, "1", "0.5",
+     "times must be strictly increasing"),
+    ({"times": [0, 2, 1], "values": [0, 1, 2]}, "1", "0.5",
+     "times must be strictly increasing"),
+    ({"times": [0, 1, 2], "values": [0, 1]}, "1", "0.5",
+     "times and points must be equal-length and nonempty"),
+    ({"times": [0, 1, 2], "values": [0, 1, 2]}, "1000", "0.5",
+     "trace span 2.0 is not comparable to the scale 1000.0"),
+    ({"times": [0, 1, 2], "values": [0, 1, 2]}, "2", "0.1", "scale below resolution"),
+], ids=["repeated-time", "decreasing-times", "unequal-lengths", "far-scale",
+        "scale-below-steps"])
+def test_cli_efficiency_rejects_bad_traces(capsys, trace, scale, eps, message):
+    """These ended in a ZeroDivisionError or ValueError traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["efficiency", json.dumps(trace), "--scale", scale, "--eps", eps])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: coarsegeo efficiency ")
+    assert err.endswith(f"coarsegeo efficiency: error: {message}\n")
+
+
+def test_cli_differentiate_reads_the_constants_file(capsys, tmp_path, cn):
+    """bdelta_mult and kappa_theta were keyword defaults the flag never
+    reached."""
+    path = tmp_path / "c.json"
+    Constants({**cn.values, "bdelta_mult": 3.0, "kappa_theta": 4.0}).save(str(path))
+    assert main(["differentiate", "--constants", str(path)]) == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert (params["bdelta_mult"], params["kappa_theta"]) == (3.0, 4.0)
+
 def test_cli_pipeline_and_rank_small(capsys, marking2):
     surf = json.dumps(marking2.to_json())
     assert main(["pipeline", "--surface", surf, "--eps0", "0.2",
@@ -310,3 +361,12 @@ def test_rank_embedding_flat_covers_the_pipeline_box(monkeypatch, marking2, cn):
     axes = [np.linspace(lo, hi, 7) for lo, hi in sub["box"]]
     grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
     assert len({maps[0].fn(p) for p in grid}) > 1
+
+
+def test_module_entry_point_runs_without_warnings():
+    """The package no longer imports harness eagerly, so runpy does not
+    warn that coarsegeo.harness is already in sys.modules."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "coarsegeo.harness",
+                           "stats"], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["rank_top"] == 1

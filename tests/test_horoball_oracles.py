@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from coarsegeo.pathsflats import _side_position, annular_center
+from coarsegeo.pathsflats import annular_center, side_nearest
 from coarsegeo.surfmodel import (ZERO, AnnularPoint, ModelSurface, Subsurface,
                                  geodesic_chart, horoball_distance,
                                  horoball_point_to_segment)
@@ -64,7 +64,7 @@ def _assert_agree(surface: ModelSurface,
         assert got.height == pytest.approx(want_h[i], rel=HEIGHT_RTOL, abs=0), (a, b, c)
         assert horoball_point_to_segment(c.coords(), a.coords(), b.coords()) == pytest.approx(
             want_seg[i], rel=0, abs=SEGMENT_ATOL), (a, b, c)
-        assert _side_position(surface, W, (a, b), c) == pytest.approx(
+        assert side_nearest(W, surface.flavor, a, b, c)[1] == pytest.approx(
             want_pos[i], rel=0, abs=POSITION_ATOL), (a, b, c)
 
 
@@ -98,8 +98,8 @@ def test_closed_forms_match_searches_on_degenerate_triples():
     assert horoball_point_to_segment(on_arc.coords(), a.coords(), b.coords()) == 0.0
     assert horoball_point_to_segment((9.0, 2.0), a.coords(), a.coords()) == \
         pytest.approx(horoball_distance((9.0, 2.0), a.coords()), rel=1e-15)
-    assert _side_position(surface, W, (a, a), on_arc) == 0.0
-    assert _side_position(surface, W, (a, b), on_arc) == pytest.approx(
+    assert side_nearest(W, surface.flavor, a, a, on_arc)[1] == 0.0
+    assert side_nearest(W, surface.flavor, a, b, on_arc)[1] == pytest.approx(
         horoball_distance(a.coords(), on_arc.coords()), abs=1e-12)
 
 

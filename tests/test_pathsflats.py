@@ -16,8 +16,8 @@ from coarsegeo.pathsflats import (
     candidate_flats, certificates, extract_no_backtrack, farey_center,
     flat_fit, hull_membership, hull_thickness_audit, hull_transfer_check,
     lemma_g_excess, near_region_check, point_to_flat, preferred_path,
-    standard_flat_eval, steady_progress, tuple_center, verify_preferred,
-    _side_position,
+    side_nearest, standard_flat_eval, steady_progress, tuple_center,
+    verify_preferred,
 )
 from coarsegeo.surfmodel import (
     INFINITY, ZERO, AnnularPoint, ComponentState, ModelPoint, ModelSurface,
@@ -241,7 +241,7 @@ def test_augmented_extraction_moves_forward(augmented1, cn, twist):
     side = (project(x, w), project(y, w))
 
     def positions(points):
-        return [_side_position(augmented1, w, side, project(p, w)) for p in points]
+        return [side_nearest(w, augmented1.flavor, *side, project(p, w))[1] for p in points]
 
     back = positions(tr.points)
     assert min(b - a for a, b in zip(back, back[1:])) < -1.0  # the input backtracks
