@@ -429,9 +429,7 @@ def embedded_handle(points: Sequence[ModelPoint], k: float):
             cache[key] = got
         return got
 
-    h = MetricHandle("embedded", dist)
-    h.embedding = emb  # type: ignore[attr-defined]
-    return h
+    return MetricHandle("embedded", dist, embedding=emb)
 
 
 def embedding_audit(pairs: Sequence[tuple[ModelPoint, ModelPoint]], k: float,

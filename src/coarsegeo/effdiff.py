@@ -175,15 +175,21 @@ class LineFamily:
     @staticmethod
     def verify_density(dirs: Sequence[tuple[float, ...]], density: float) -> None:
         """Every unit vector must be within `density` of a member (up to
-        sign, since lines are unoriented)."""
+        sign, since lines are unoriented).  Members are unit vectors."""
         dim = len(dirs[0])
         if dim == 1:
             return
-        probes = LineFamily.directions_for(dim, density / 2.0)
         arr = np.asarray(dirs)
-        for p in probes:
-            gap = np.min(np.minimum(np.linalg.norm(arr - p, axis=1),
-                                    np.linalg.norm(arr + p, axis=1)))
+        if dim == 2:
+            # exact: up to sign a direction is an angle mod pi; the unit vector
+            # farthest from the set bisects the widest gap G, at chord 2 sin(G/4)
+            ang = np.sort(np.arctan2(arr[:, 1], arr[:, 0]) % math.pi)
+            gaps = [2.0 * math.sin(float(np.max(np.diff(ang, append=ang[0] + math.pi))) / 4.0)]
+        else:
+            gaps = (np.min(np.minimum(np.linalg.norm(arr - p, axis=1),
+                                      np.linalg.norm(arr + p, axis=1)))
+                    for p in LineFamily.directions_for(dim, density / 2.0))
+        for gap in gaps:
             if gap > density + 1e-9:
                 raise ValueError(f"direction set is not {density}-dense (gap {gap:.4f})")
 

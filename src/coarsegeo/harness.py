@@ -860,11 +860,15 @@ def calibrate(seed: int = 42, scale: float = 1.0) -> Constants:
 # ---------------------------------------------------------------------------
 
 
-def _load_json_arg(arg: str):
-    if arg.startswith("@"):
-        with open(arg[1:]) as fh:
-            return json.load(fh)
-    return json.loads(arg)
+def _load_json_arg(arg: str, what: str, parse: Callable[[Any], Any]):
+    """`parse` of the JSON document `arg` (inline, or @file); a missing key, a
+    wrong type or values a validating constructor rejects are usage errors."""
+    try:
+        return parse(json.loads(Path(arg[1:]).read_text() if arg.startswith("@") else arg))
+    except KeyError as exc:
+        raise argparse.ArgumentError(None, f"{what} lacks the key {exc.args[0]!r}") from None
+    except (OSError, TypeError, ValueError, IndexError) as exc:
+        raise argparse.ArgumentError(None, f"bad {what}: {exc}") from None
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -877,7 +881,7 @@ def _emit(doc: dict, out: str | None) -> None:
 
 def _surface_arg(ns) -> ModelSurface:
     if ns.surface:
-        return ModelSurface.from_json(_load_json_arg(ns.surface))
+        return _load_json_arg(ns.surface, "surface", ModelSurface.from_json)
     comps = tuple((1, 1) for _ in range(ns.components))
     return ModelSurface(comps, flavor=ns.flavor)
 
@@ -885,7 +889,8 @@ def _surface_arg(ns) -> ModelSurface:
 def _points_arg(ns, *names: str) -> list[ModelPoint]:
     """The named point arguments, on the surface the flags describe."""
     surface = _surface_arg(ns)
-    return [ModelPoint.from_json(surface, _load_json_arg(getattr(ns, n))) for n in names]
+    return [_load_json_arg(getattr(ns, n), "point", lambda doc: ModelPoint.from_json(surface, doc))
+            for n in names]
 
 
 def _constants_arg(ns) -> Constants:
@@ -898,7 +903,7 @@ def _config_arg(ns, **fields) -> ExperimentConfig:
     """The --config document, else a config from the surface flags, the
     seed and the verb's own fields."""
     if ns.config:
-        return ExperimentConfig.from_json(_load_json_arg(ns.config))
+        return _load_json_arg(ns.config, "config", ExperimentConfig.from_json)
     return ExperimentConfig(_surface_arg(ns), seed=ns.seed, **fields)
 
 
@@ -949,9 +954,8 @@ def _delta(ns):
 
 
 def _efficiency(ns):
-    doc = _load_json_arg(ns.trace)
-    ts = tuple(float(t) for t in doc["times"])
-    vals = tuple(float(v) for v in doc["values"])
+    ts, vals = _load_json_arg(ns.trace, "trace", lambda doc: (
+        tuple(float(t) for t in doc["times"]), tuple(float(v) for v in doc["values"])))
     cn = _constants_arg(ns)
     try:  # the samples, then a scale fitting their span and time steps
         # no (K, C) bounds raw input, and nothing below reads them
@@ -990,14 +994,10 @@ def _differentiate(ns):
 def _realize(ns):
     surface = _surface_arg(ns)
     m = _constants_arg(ns)["m_realize"]
-    coords = {}
-    for wdoc, cdoc in _load_json_arg(ns.tuple):
-        w = Subsurface(wdoc["kind"], wdoc["comp"],
-                       Slope.from_json(wdoc["core"]) if wdoc.get("core") else None)
-        if "slope" in cdoc:
-            coords[w] = Slope.from_json(cdoc["slope"])
-        else:
-            coords[w] = AnnularPoint(int(cdoc["twist"]), cdoc.get("height"))
+    coords = _load_json_arg(ns.tuple, "tuple", lambda doc: {
+        Subsurface(w["kind"], w["comp"], Slope.from_json(w["core"]) if w.get("core") else None):
+            Slope.from_json(c["slope"]) if "slope" in c else AnnularPoint(int(c["twist"]), c.get("height"))
+        for w, c in doc})
     system = consreal.ExactSystem(surface, coords.keys())
     try:
         return consreal.realize(system, consreal.ProjectionTuple.of(coords), m=m).to_json()

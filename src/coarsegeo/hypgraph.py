@@ -205,6 +205,7 @@ class MetricHandle:
     name: str
     distance: Callable[[Any, Any], float]
     geodesic_fn: Callable[[Any, Any], Sequence[Any]] | None = None
+    embedding: Any = None  # the bbf.Embedding behind the embedded handle
 
     def geodesic(self, a, b) -> GeodesicSegment:
         if self.geodesic_fn is not None:

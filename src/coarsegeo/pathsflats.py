@@ -26,11 +26,11 @@ from .effdiff import PathTrace
 from .hypgraph import MetricHandle, unparam_qgeo_check
 from .consreal import ExactSystem, ProjectionTuple, realize
 from .surfmodel import (AnnularPoint, ComponentState, ModelPoint, ModelSurface,
-                        Slope, Subsurface, apply_matrix, complex_distance,
-                        component_distance, distance_formula, farey_distance,
+                        Slope, Subsurface, complex_distance, component_distance,
+                        det, distance_formula, farey_adjacent, farey_distance,
                         farey_geodesic, geodesic_chart, horoball_distance,
                         horoball_point_to_segment, model_distance, project,
-                        subsurface_distance, twist_matrix, twist_number)
+                        subsurface_distance, twist_number, _trusted_slope)
 
 Move = tuple  # ("twist", comp, n) | ("flip", comp) | ("length", comp, factor) | ("realized",)
 
@@ -456,8 +456,9 @@ class FlatFactor:
             raise ValueError(f"unknown factor kind {self.kind!r}")
         if self.kind == "path" and self.path is None:
             raise ValueError("path factors need a path")
-        if self.kind in ("twist", "ray") and (self.core is None or self.tau0 is None):
-            raise ValueError("pinned factors need a core and a base transversal")
+        if self.kind in ("twist", "ray") and (self.core is None or self.tau0 is None
+                                              or not farey_adjacent(self.core, self.tau0)):
+            raise ValueError("pinned factors need a core and a Farey-adjacent base transversal")
         if self.kind == "twist":
             object.__setattr__(self, "_twist0", twist_number(self.core, self.tau0))
 
@@ -474,6 +475,12 @@ class StandardFlat:
         comps = [f.comp for f in self.factors]
         if len(set(comps)) != len(comps):
             raise ValueError("one factor per component")
+        fl = self.surface.flavor  # checked once here, so `eval` builds valid points
+        for f in self.factors:
+            if f.kind == "path" and any(p.surface != self.surface for p in f.path.points):
+                raise ValueError("path factor points must lie on the flat's surface")
+            if (f.kind, fl) in (("twist", "pants"), ("ray", "pants"), ("ray", "marking")):
+                raise ValueError(f"no {f.kind} factor on the {fl} flavor")
 
     @property
     def surface(self) -> ModelSurface:
@@ -494,13 +501,19 @@ class StandardFlat:
             return f.path.points[i].states[f.comp]
         if f.kind == "twist":
             # absolute parametrization: the twist coordinate equals t
-            k = int(round(t)) - f._twist0
-            tau = apply_matrix(twist_matrix(f.core, k), f.tau0)
+            # tau0 + k det(core, tau0) core: what the k-th power of the twist
+            # matrix multiplies out to, primitive and Farey-adjacent to core
+            kd = (int(round(t)) - f._twist0) * det(f.core, f.tau0)
+            p, q = f.tau0.p + kd * f.core.p, f.tau0.q + kd * f.core.q
+            if q < 0 or (q == 0 and p < 0):
+                p, q = -p, -q
             length = surface.bers if surface.flavor == "augmented" else None
-            return ComponentState(f.core, tau, length)
+            return ComponentState(f.core, _trusted_slope(p, q), length)
         # ray: climb the horoball at unit speed from the Bers height
         t = max(0.0, float(t))
         length = surface.bers * math.exp(-t)
+        if length == 0.0:  # underflows beyond t of about 745
+            raise ValueError("augmented length must lie in (0, B]")
         return ComponentState(f.core, f.tau0, length)
 
     def eval(self, t_vec: Sequence[float]) -> ModelPoint:
@@ -509,7 +522,8 @@ class StandardFlat:
         states = list(self.base.states)
         for f, t in zip(self.factors, t_vec):
             states[f.comp] = self.factor_state(f, t)
-        return ModelPoint(self.surface, tuple(states))
+        # a valid base, and factor states kept valid by __post_init__ and factor_state
+        return ModelPoint._trusted(self.surface, tuple(states))
 
     def to_json(self) -> dict:
         return {

@@ -494,6 +494,15 @@ class ModelPoint:
                 raise ValueError("marking points carry no length")
         object.__setattr__(self, "_hash", hash((self.surface, self.states)))
 
+    @classmethod
+    def _trusted(cls, surface: ModelSurface, states: tuple[ComponentState, ...]) -> "ModelPoint":
+        """A point valid by construction, built without the per-state checks (three callers)."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "surface", surface)
+        object.__setattr__(x, "states", states)
+        object.__setattr__(x, "_hash", hash((surface, states)))
+        return x
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -837,7 +846,8 @@ def twist_move(x: ModelPoint, comp: int, n: int = 1) -> ModelPoint:
     new_tau = apply_matrix(twist_matrix(st.alpha, n), st.tau)
     states = list(x.states)
     states[comp] = ComponentState(st.alpha, new_tau, st.length)
-    return ModelPoint(x.surface, tuple(states))
+    # a twist about alpha fixes alpha with det 1: |det(alpha, tau')| = 1, same length
+    return ModelPoint._trusted(x.surface, tuple(states))
 
 
 def flip_move(x: ModelPoint, comp: int) -> ModelPoint:
@@ -849,7 +859,8 @@ def flip_move(x: ModelPoint, comp: int) -> ModelPoint:
     length = x.surface.bers if st.length is not None else None
     states = list(x.states)
     states[comp] = ComponentState(st.tau, st.alpha, length)
-    return ModelPoint(x.surface, tuple(states))
+    # swapping alpha and tau keeps |det| = 1; the length is B or None
+    return ModelPoint._trusted(x.surface, tuple(states))
 
 
 def length_move(x: ModelPoint, comp: int, factor: float) -> ModelPoint:

@@ -12,8 +12,10 @@ own enumeration and annular projection, and again as the per-component
 loop that also builds every contribution list; the Dehn twist matrix as
 a conjugated shear; a slope's image under a matrix through the gcd of
 the `Slope` constructor; the noisy box map one elementary move at a
-time; and the greedy net packing that compares every image with every
-kept one.  They are slow on purpose and must stay obviously right.
+time; the greedy net packing that compares every image with every
+kept one; and the 2-D density check of a direction set by a grid of
+probe directions.  They are slow on purpose and must stay obviously
+right.
 
 The last six are brute-force checks that never had a caller in the
 package: the coarse length over every partition, the graph
@@ -32,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from coarsegeo.bbf import FamilyY, QuasiTree
-from coarsegeo.effdiff import PathTrace, ScaleBelowResolutionError
+from coarsegeo.effdiff import LineFamily, PathTrace, ScaleBelowResolutionError
 from coarsegeo.hypgraph import (GeodesicSegment, HypGraph, MetricHandle, UnreachableError,
                                 Vertex, _points_of, geodesic)
 from coarsegeo.pathsflats import StandardFlat
@@ -413,3 +415,14 @@ def unparam_qgeo_oracle(points: Sequence, handle: MetricHandle, lam: float,
         return False
 
     return rec([])
+
+
+def probe_density_gap(dirs: Sequence[tuple[float, float]], density: float) -> float:
+    """The largest distance, up to sign, from a probe direction to the
+    nearest member of a 2-D direction set, over the probe grid at
+    density / 2.  A set is density-dense by this check when the gap is at
+    most density + 1e-9."""
+    arr = np.asarray(dirs)
+    return max(float(np.min(np.minimum(np.linalg.norm(arr - p, axis=1),
+                                       np.linalg.norm(arr + p, axis=1))))
+               for p in LineFamily.directions_for(2, density / 2.0))

@@ -190,16 +190,20 @@ def test_staircase_scale_is_at_most_step_over_eps():
 
 def test_wrong_constants_exhaust_schedule(cn):
     # a genuinely inefficient map at every scale the box affords, with
-    # an understated Lipschitz allowance
+    # an understated Lipschitz allowance; the 4096 box holds the level-1
+    # scale (800), so the map, not the box, exhausts the schedule
     def zigzag(p):
         t = float(np.atleast_1d(p)[0])
         period = 64.0
         ph = t % period
         return (min(ph, period - ph), 0.0)
-    fmap = BoxMap(zigzag, LINF, K=1.0, C=0.0)
-    with pytest.raises(QuasiLipschitzViolationError):
-        differentiate_lines(fmap, Box.cube(512, 1), eps=0.01, theta=1e-9,
-                            r0=8.0, constants=Constants({**cn.values, "bdelta_mult": 1.0}))
+    args = (Box.cube(4096, 1), 0.01, 1e-9, 8.0)
+    wrong = Constants({**cn.values, "bdelta_mult": 1.0})
+    with pytest.raises(QuasiLipschitzViolationError, match="left the box"):
+        differentiate_lines(BoxMap(zigzag, LINF, K=1.0, C=0.0), *args, constants=wrong)
+    # control: a straight map passes level 1 with the same constants and box
+    straight = BoxMap(lambda p: (float(np.atleast_1d(p)[0]), 0.0), LINF, K=1.0, C=0.0)
+    assert differentiate_lines(straight, *args, constants=wrong).level == 1
 
 
 def test_differentiate_box_staircase_fraction():

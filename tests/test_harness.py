@@ -259,6 +259,33 @@ def test_cli_efficiency_rejects_bad_traces(capsys, trace, scale, eps, message):
     assert err.endswith(f"coarsegeo efficiency: error: {message}\n")
 
 
+NO_TRANSVERSAL = json.dumps({"components": [{"alpha": [0, 1]}]})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["realize", '[[{"comp": 0}, {"slope": [1, 2]}]]'], "tuple lacks the key 'kind'"),
+    (["efficiency", '{"times": [0, 1, 2]}', "--scale", "2", "--eps", "0.5"],
+     "trace lacks the key 'values'"),
+    (["efficiency", "[0, 1, 2]", "--scale", "2", "--eps", "0.5"],
+     "bad trace: list indices must be integers or slices, not str"),
+    (["dist", '{"a": 1}', "{}"], "point lacks the key 'components'"),
+    (["dist", NO_TRANSVERSAL, NO_TRANSVERSAL], "bad point: marking points need transversals"),
+    (["pipeline", "--config", '{"surface": 1}'],
+     "bad config: 'int' object is not subscriptable"),
+], ids=["realize-no-kind", "efficiency-no-values", "efficiency-list", "dist-no-components",
+        "dist-no-transversal", "pipeline-config-surface"])
+def test_cli_documents_of_the_wrong_shape_are_usage_errors(capsys, argv, message):
+    """These ended in a KeyError, TypeError or ValueError traceback with
+    exit code 1."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: coarsegeo {argv[0]} ")
+    assert err.endswith(f"coarsegeo {argv[0]}: error: {message}\n")
+    assert err.count("error:") == 1
+
+
 def test_cli_differentiate_reads_the_constants_file(capsys, tmp_path, cn):
     """bdelta_mult and kappa_theta were keyword defaults the flag never
     reached."""

@@ -1,0 +1,35 @@
+"""`ModelPoint._trusted` builds a point without the per-state checks, so
+only the three places whose output is valid by construction may reach
+it: `twist_move`, `flip_move` and `StandardFlat.eval`.  Any other
+mention of the name in the package fails this test; so does one of the
+three that no longer uses it, since the fence would then be stale."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coarsegeo"
+ALLOWED = {("surfmodel.py", "twist_move"), ("surfmodel.py", "flip_move"),
+           ("pathsflats.py", "StandardFlat.eval")}
+
+
+def _mentions(node: ast.AST, scope: str):
+    """(enclosing def or class, line) of each mention of `_trusted`: an
+    attribute, a bare name or a string such as a getattr argument."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _mentions(child, f"{scope}.{child.name}" if scope else child.name)
+            continue
+        if ((isinstance(child, ast.Attribute) and child.attr == "_trusted")
+                or (isinstance(child, ast.Name) and child.id == "_trusted")
+                or (isinstance(child, ast.Constant) and child.value == "_trusted")):
+            yield scope, child.lineno
+        yield from _mentions(child, scope)
+
+
+def test_trusted_constructor_is_called_only_where_its_output_is_valid():
+    found = {(path.name, scope, line) for path in sorted(PACKAGE.glob("*.py"))
+             for scope, line in _mentions(ast.parse(path.read_text()), "")}
+    outside = sorted(f"{name}:{line} in {scope or 'module'}"
+                     for name, scope, line in found if (name, scope) not in ALLOWED)
+    assert not outside, f"ModelPoint._trusted reached from {outside}"
+    assert {(name, scope) for name, scope, _ in found} == ALLOWED

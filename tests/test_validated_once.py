@@ -1,0 +1,200 @@
+"""Box-map images are validated once.  Points built by the private
+`ModelPoint._trusted` constructor are checked against the validating
+constructor, the closed-form twist state against the twist matrix, and
+the exact 2-D density check against the probe loop it replaced.  The
+checks that moved to where each invariant is established raise, also
+under `python -O`."""
+
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from coarsegeo import surfmodel
+from coarsegeo.effdiff import LineFamily
+from coarsegeo.harness import noisy_flat_map, orthant_flat, twist_flat
+from coarsegeo.pathsflats import FlatFactor, PreferredPath, StandardFlat, preferred_path
+from coarsegeo.surfmodel import (INFINITY, ZERO, ModelPoint, ModelSurface, Slope,
+                                 apply_matrix, base_point, canonical_transversal,
+                                 flip_move, length_move, twist_matrix, twist_move)
+from oracles import probe_density_gap
+
+MARKING2 = ModelSurface(((1, 1), (1, 1)), flavor="marking")
+AUGMENTED2 = ModelSurface(((1, 1), (1, 1)), flavor="augmented", bers=2.0)
+
+
+def assert_validated(x: ModelPoint) -> None:
+    """The validating constructor accepts x's states and builds an equal
+    point with the same hash."""
+    y = ModelPoint(x.surface, x.states)
+    assert x == y and hash(x) == hash(y)
+
+
+def _lattice(flat: StandardFlat, rng, n: int):
+    for _ in range(n):
+        yield tuple(int(rng.integers(lo, hi + 1)) for lo, hi in flat.box().intervals)
+
+
+def _path_flat(cn) -> StandardFlat:
+    base = base_point(MARKING2)
+    y = twist_move(flip_move(twist_move(base, 0, 30), 0), 0, -20)
+    path = preferred_path(base, y, cn, verify=False)
+    core = Slope(2, 5)
+    return StandardFlat(base, (
+        FlatFactor(0, "path", (0, len(path.points) - 1), path=path),
+        FlatFactor(1, "twist", (-50, 50), core=core, tau0=canonical_transversal(core))))
+
+
+@pytest.mark.parametrize("make", [
+    lambda cn: twist_flat(MARKING2, 60),
+    lambda cn: twist_flat(AUGMENTED2, 60),
+    lambda cn: orthant_flat(AUGMENTED2, 40),
+    _path_flat,
+], ids=["twist-marking", "twist-augmented-bers2", "orthant", "path-and-twist"])
+def test_flat_lattice_points_equal_the_validated_points(make, cn, rng):
+    flat = make(cn)
+    for t in _lattice(flat, rng, 200):
+        assert_validated(flat.eval(t))
+    for noise_seed in (1, 2):
+        fmap = noisy_flat_map(flat, 3, noise_seed)
+        for t in _lattice(flat, rng, 200):
+            assert_validated(fmap.fn(t))
+
+
+def test_orthant_points_off_the_lattice_equal_the_validated_points(rng):
+    flat = orthant_flat(AUGMENTED2, 40)
+    for t in rng.uniform(-1.0, 700.0, size=(200, 2)):
+        assert_validated(flat.eval(tuple(t)))
+
+
+@pytest.mark.parametrize("surface", [MARKING2, AUGMENTED2], ids=["marking", "augmented"])
+def test_move_chains_equal_the_validated_points(surface, rng):
+    x = base_point(surface)
+    for _ in range(400):
+        comp = int(rng.integers(0, 2))
+        step = int(rng.integers(0, 3))
+        if step == 0:
+            x = twist_move(x, comp, int(rng.integers(-10**6, 10**6 + 1)))
+        elif step == 1:
+            x = flip_move(x, comp)
+        elif surface.flavor == "augmented":
+            x = length_move(x, comp, float(rng.uniform(0.1, 3.0)))
+        assert_validated(x)
+
+
+def test_closed_form_twist_state_is_the_twist_matrix_image(rng):
+    base = base_point(ModelSurface(((1, 1),), flavor="marking"))
+    cores = [INFINITY, Slope(1, 1), Slope(-3, 7)]
+    cores += [Slope(int(rng.integers(-500, 501)), int(rng.integers(1, 500))) for _ in range(60)]
+    for core in cores:
+        if core == ZERO:
+            continue
+        tau0 = apply_matrix(twist_matrix(core, int(rng.integers(-99, 100))),
+                            canonical_transversal(core))
+        f = FlatFactor(0, "twist", (-3 * 10**6, 3 * 10**6), core=core, tau0=tau0)
+        flat = StandardFlat(base, (f,))
+        for k in [0, 1, -1, 10**6, -10**6] + rng.integers(-10**6, 10**6 + 1, 20).tolist():
+            st = flat.factor_state(f, f._twist0 + k)
+            assert (st.alpha, st.tau, st.length) == (core, apply_matrix(twist_matrix(core, k), tau0), None)
+
+
+# --- the exact 2-D density check ---------------------------------------------------
+
+def _rejects(dirs, density: float) -> bool:
+    try:
+        LineFamily.verify_density(dirs, density)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("d", [0.3, 0.2025, 0.1, 0.05, 0.04, 0.01, 0.0025, 0.0016])
+def test_exact_density_verdict_agrees_with_probes_on_built_sets(d):
+    """The densities the package and the tests build (eps and eps0^2), at
+    the set's own density (both accept) and below it (both reject)."""
+    dirs = LineFamily.directions_for(2, d)
+    for density in (d, d / 2, 0.45 * d, d / 4):
+        assert _rejects(dirs, density) == (probe_density_gap(dirs, density) > density + 1e-9)
+    assert not _rejects(dirs, d)
+    assert _rejects(dirs, d / 4)
+
+
+def test_exact_density_gap_is_at_least_the_probe_gap():
+    """The exact check rejects below every probe's gap, so it never
+    accepts a set the probes reject; here it also rejects sets the probes
+    missed."""
+    rng = np.random.default_rng(5)
+    stricter = 0
+    for _ in range(300):
+        angles = rng.uniform(0.0, math.pi, int(rng.integers(4, 40)))
+        dirs = [(math.cos(a), math.sin(a)) for a in angles]
+        density = float(rng.uniform(0.05, 1.0))
+        gap = probe_density_gap(dirs, density)
+        assert _rejects(dirs, gap - 2e-9)
+        probes_reject = gap > density + 1e-9
+        assert _rejects(dirs, density) or not probes_reject
+        stricter += _rejects(dirs, density) and not probes_reject
+    assert stricter > 0  # 11 of the 300
+
+
+# --- invariants checked once, where they are established ------------------------------
+
+def _widened_gap():
+    dirs = LineFamily.directions_for(2, 0.1)
+    LineFamily.verify_density(dirs[:10] + dirs[14:], 0.1)
+
+
+def _path_on_another_surface():
+    other = ModelSurface(((1, 1), (1, 1)), flavor="marking", threshold=12.0)
+    x = base_point(other)
+    path = PreferredPath((x, twist_move(x, 0, 3)), (("twist", 0, 3),))
+    StandardFlat(base_point(MARKING2), (FlatFactor(0, "path", (0, 1), path=path),))
+
+
+NEGATIVE = {
+    "twist-factor-not-adjacent":
+        lambda: FlatFactor(0, "twist", (0, 4), core=ZERO, tau0=Slope(2, 3)),
+    "ray-length-underflow": lambda: orthant_flat(AUGMENTED2, 1000).eval((800, 0)),
+    "path-factor-on-another-surface": _path_on_another_surface,
+    "ray-factor-on-marking": lambda: StandardFlat(base_point(MARKING2), (
+        FlatFactor(0, "ray", (0, 5), core=ZERO, tau0=INFINITY),)),
+    "twist-factor-on-pants": lambda: StandardFlat(
+        base_point(ModelSurface(((1, 1),), flavor="pants")),
+        (FlatFactor(0, "twist", (0, 5), core=ZERO, tau0=INFINITY),)),
+    "density-widened-gap": _widened_gap,
+    "density-one-direction": lambda: LineFamily.verify_density([(1.0, 0.0)], 0.1),
+}
+
+
+@pytest.mark.parametrize("name", NEGATIVE)
+def test_established_invariants_raise(name):
+    with pytest.raises(ValueError):
+        NEGATIVE[name]()
+
+
+def test_established_invariants_raise_under_optimize_flag():
+    script = textwrap.dedent("""
+        import sys
+        if __debug__:
+            sys.exit("not running under -O")
+        from test_validated_once import NEGATIVE
+        for name, case in NEGATIVE.items():
+            try:
+                case()
+            except ValueError as err:
+                print(name, "raised:", err)
+            else:
+                sys.exit(f"{name} went through")
+    """)
+    here = Path(__file__).resolve().parent
+    src = str(Path(surfmodel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(here)])}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, cwd=here,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("raised:") == len(NEGATIVE)
