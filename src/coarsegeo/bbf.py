@@ -15,6 +15,7 @@ embedding audited here.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
@@ -189,13 +190,24 @@ class QuasiTree:
     every cross edge costs one; twists are already integral, so the
     horoball complexes are discretized at unit resolution natively.
 
-    The attachment table is built once, at the first distance query:
-    the distinct attachment nodes, the node indices each complex hosts,
-    and all-pairs shortest paths between the nodes (Floyd-Warshall over
-    the intra-complex metric blocks and the unit cross edges), O(n^2)
-    memory for n nodes.  Marking blocks are filled as |twist difference|
-    arrays; component and augmented blocks use `complex_metric` itself,
-    so every entry is the float the scalar metric gives."""
+    The attachment graph is built once, at the first distance query: the
+    distinct attachment nodes, the node indices each complex hosts, and
+    sparse adjacency lists.  A marking annulus carries |twist
+    difference|, a line metric, so its block joins only consecutive
+    attachments in twist order: every other pair is joined through the
+    nodes between them at the same total, so no shortest path changes,
+    and all sums are integers held in floats, hence exact.  Component
+    and augmented (horoball) blocks stay complete, weighted by
+    `complex_metric`.  Cross edges cost one.
+
+    Everything else is computed on demand and cached with the tree:
+    - a row, the heapq Dijkstra distances from one node to every node:
+      at most one per node;
+    - a block, the rows of the nodes of a queried point's host
+      restricted to the nodes of the other point's host: one per
+      ordered host pair queried;
+    - legs, the in-complex distances from one queried point to its
+      host's nodes: one per distinct point queried."""
 
     family: FamilyY
     pk: PkGraph
@@ -203,9 +215,14 @@ class QuasiTree:
     bers: float
     attachments: dict[frozenset, tuple[QtPoint, QtPoint]] = field(default_factory=dict)
     nodes: list[QtPoint] = field(default_factory=list, init=False, repr=False)
-    per_complex: dict[Subsurface, list[int]] = field(default_factory=dict, init=False,
-                                                     repr=False)
-    apsp: np.ndarray | None = field(default=None, init=False, repr=False)
+    per_complex: dict[Subsurface, np.ndarray] = field(default_factory=dict, init=False,
+                                                      repr=False)
+    adjacency: list[list[tuple[int, float]]] | None = field(default=None, init=False,
+                                                            repr=False)
+    rows: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    blocks: dict[tuple[Subsurface, Subsurface], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False)
+    legs: dict[QtPoint, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         # edges in key order, not set order, so the attachment nodes, their
@@ -225,53 +242,91 @@ class QuasiTree:
     def complex_metric(self, host: Subsurface, a, b) -> float:
         return complex_distance(host, a, b, self.flavor)
 
-    def _attachment_table(self) -> np.ndarray:
-        if self.apsp is not None:
-            return self.apsp
+    def _line_metric(self) -> bool:
+        return self.family.kind == "annuli" and self.flavor == "marking"
+
+    def _graph(self) -> None:
+        if self.adjacency is not None:
+            return
         index: dict[QtPoint, int] = {}
         for ends in self.attachments.values():
             for nd in ends:
                 index.setdefault(nd, len(index))
         nodes = list(index)
-        n = len(nodes)
         per_complex: dict[Subsurface, list[int]] = {}
         for i, (host, _pt) in enumerate(nodes):
             per_complex.setdefault(host, []).append(i)
-        if self.family.kind == "annuli" and self.flavor != "augmented":
-            tw = np.array([pt.twist for _host, pt in nodes], dtype=float)
-            w = np.abs(tw[:, None] - tw[None, :])
-            host_id = np.array([per_complex[host][0] for host, _pt in nodes])
-            w[host_id[:, None] != host_id[None, :]] = math.inf
-        else:
-            w = np.full((n, n), math.inf)
-            for host, idxs in per_complex.items():
-                pts = [nodes[i][1] for i in idxs]
-                w[np.ix_(idxs, idxs)] = [[self.complex_metric(host, a, b) for b in pts]
-                                         for a in pts]
-            np.fill_diagonal(w, 0.0)
+        adj: list[list[tuple[int, float]]] = [[] for _ in nodes]
+
+        def join(i: int, j: int, w: float) -> None:
+            adj[i].append((j, w))
+            adj[j].append((i, w))
+
+        for host, idxs in per_complex.items():
+            if self._line_metric():
+                line = sorted(idxs, key=lambda i: nodes[i][1].twist)
+                for i, j in zip(line, line[1:]):
+                    join(i, j, float(nodes[j][1].twist - nodes[i][1].twist))
+            else:
+                for at, i in enumerate(idxs):
+                    for j in idxs[at + 1:]:
+                        join(i, j, self.complex_metric(host, nodes[i][1], nodes[j][1]))
         for a, b in self.attachments.values():
-            i, j = index[a], index[b]
-            w[i, j] = min(w[i, j], 1.0)
-            w[j, i] = min(w[j, i], 1.0)
-        for k in range(n):
-            np.minimum(w, w[:, k, None] + w[None, k, :], out=w)
-        self.nodes, self.per_complex, self.apsp = nodes, per_complex, w
-        return w
+            join(index[a], index[b], 1.0)
+        self.nodes = nodes
+        self.per_complex = {h: np.array(idxs) for h, idxs in per_complex.items()}
+        self.adjacency = adj
+
+    def _row(self, src: int) -> np.ndarray:
+        row = self.rows.get(src)
+        if row is not None:
+            return row
+        adj = self.adjacency
+        dist = [math.inf] * len(adj)
+        dist[src] = 0.0
+        heap = [(0.0, src)]
+        while heap:
+            d, i = heapq.heappop(heap)
+            if d > dist[i]:
+                continue
+            for j, w in adj[i]:
+                nd = d + w
+                if nd < dist[j]:
+                    dist[j] = nd
+                    heapq.heappush(heap, (nd, j))
+        row = self.rows[src] = np.array(dist)
+        return row
+
+    def _block(self, hu: Subsurface, hv: Subsurface) -> np.ndarray:
+        blk = self.blocks.get((hu, hv))
+        if blk is not None:
+            return blk
+        blk = np.array([self._row(i) for i in self.per_complex[hu].tolist()])
+        blk = self.blocks[(hu, hv)] = blk[:, self.per_complex[hv]]
+        return blk
+
+    def _legs(self, u: QtPoint) -> np.ndarray:
+        got = self.legs.get(u)
+        if got is not None:
+            return got
+        host, pt = u
+        ends = [self.nodes[i][1] for i in self.per_complex[host].tolist()]
+        if self._line_metric():
+            got = np.abs(np.array([e.twist for e in ends], dtype=float) - pt.twist)
+        else:
+            got = np.array([complex_distance(host, pt, e, self.flavor) for e in ends])
+        self.legs[u] = got
+        return got
 
     def distance(self, u: QtPoint, v: QtPoint) -> float:
         """Shortest glued path: a direct intra-complex leg, or out
-        through this complex's attachments, across the precomputed
-        attachment table, and in through the target's."""
+        through this complex's attachments, across the attachment graph,
+        and in through the target's."""
         best = self.complex_metric(u[0], u[1], v[1]) if u[0] == v[0] else math.inf
-        apsp = self._attachment_table()
-        out_u = self.per_complex.get(u[0], [])
-        out_v = self.per_complex.get(v[0], [])
-        if out_u and out_v:
-            # the hot rows call complex_distance itself, one frame per node
-            flavor = self.flavor
-            du = np.array([complex_distance(u[0], u[1], self.nodes[i][1], flavor) for i in out_u])
-            dv = np.array([complex_distance(v[0], v[1], self.nodes[j][1], flavor) for j in out_v])
-            via = (du[:, None] + apsp[np.ix_(out_u, out_v)] + dv[None, :]).min()
+        self._graph()
+        if u[0] in self.per_complex and v[0] in self.per_complex:
+            via = (self._legs(u)[:, None] + self._block(u[0], v[0])
+                   + self._legs(v)[None, :]).min()
             best = min(best, float(via))
         if best == math.inf:
             raise WindowTooSmallError(
@@ -422,7 +477,9 @@ def embedded_handle(points: Sequence[ModelPoint], k: float):
     cache: dict = {}
 
     def dist(a: ModelPoint, b: ModelPoint) -> float:
-        key = (a, b) if id(a) <= id(b) else (b, a)
+        # symmetric and built from the values, so a reversed or re-built
+        # pair hits whatever the memory layout
+        key = frozenset((a, b))
         got = cache.get(key)
         if got is None:
             got = emb.distance(emb.project(a), emb.project(b))

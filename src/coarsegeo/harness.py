@@ -871,6 +871,15 @@ def _load_json_arg(arg: str, what: str, parse: Callable[[Any], Any]):
         raise argparse.ArgumentError(None, f"bad {what}: {exc}") from None
 
 
+def _from_flags(build: Callable, *args, **kwargs):
+    """`build(*args, **kwargs)` on values read from flags; the ValueError
+    of a rejected value is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise argparse.ArgumentError(None, str(exc)) from None
+
+
 def _emit(doc: dict, out: str | None) -> None:
     text = json.dumps(doc, indent=1, sort_keys=True, default=str)
     if out:
@@ -882,8 +891,8 @@ def _emit(doc: dict, out: str | None) -> None:
 def _surface_arg(ns) -> ModelSurface:
     if ns.surface:
         return _load_json_arg(ns.surface, "surface", ModelSurface.from_json)
-    comps = tuple((1, 1) for _ in range(ns.components))
-    return ModelSurface(comps, flavor=ns.flavor)
+    return _from_flags(ModelSurface, tuple((1, 1) for _ in range(ns.components)),
+                       flavor=ns.flavor)
 
 
 def _points_arg(ns, *names: str) -> list[ModelPoint]:
@@ -904,7 +913,7 @@ def _config_arg(ns, **fields) -> ExperimentConfig:
     seed and the verb's own fields."""
     if ns.config:
         return _load_json_arg(ns.config, "config", ExperimentConfig.from_json)
-    return ExperimentConfig(_surface_arg(ns), seed=ns.seed, **fields)
+    return _from_flags(ExperimentConfig, _surface_arg(ns), seed=ns.seed, **fields)
 
 
 def _slope_arg(text: str) -> Slope:
@@ -927,7 +936,8 @@ def _stats(ns):
     if (ns.genus is None) != (ns.punctures is None):
         raise argparse.ArgumentError(None, "--genus and --punctures must be given together")
     if ns.genus is not None:
-        xi, rank = surfmodel.topology_stats(ns.genus, ns.punctures, ns.components, ns.flavor)
+        xi, rank = _from_flags(surfmodel.topology_stats, ns.genus, ns.punctures,
+                               ns.components, ns.flavor)
         return {"complexity": xi, "rank_top": rank, "surface": None}
     surface = _surface_arg(ns)
     xi, rank = surface_stats(surface)

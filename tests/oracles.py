@@ -3,25 +3,25 @@
 These are the direct loops the package replaced: the projection graph
 by an exhaustive triple loop over members, with each twisting number
 read off a reduced `Slope`, and the glued quasi-tree distance by a
-double loop over attachment pairs on top of a table built with scalar
-metric calls; the horoball nearest points, positions and triangle
-centres by ternary searches over an angle-linear parametrization of
-the geodesic arc (vectorized across triples); the distance formula as
-one pass over every candidate subsurface of the point pair, with its
-own enumeration and annular projection, and again as the per-component
-loop that also builds every contribution list; the Dehn twist matrix as
-a conjugated shear; a slope's image under a matrix through the gcd of
-the `Slope` constructor; the noisy box map one elementary move at a
-time; the greedy net packing that compares every image with every
-kept one; and the 2-D density check of a direction set by a grid of
-probe directions.  They are slow on purpose and must stay obviously
-right.
+double loop over attachment pairs on top of a Floyd-Warshall table
+over complete intra-complex blocks; the horoball nearest points,
+positions and triangle centres by ternary searches over an
+angle-linear parametrization of the geodesic arc (vectorized across
+triples); the distance formula as one pass over every candidate
+subsurface of the point pair, with its own enumeration and annular
+projection, and again as the per-component loop that also builds every
+contribution list; the Dehn twist matrix as a conjugated shear; a
+slope's image under a matrix through the gcd of the `Slope`
+constructor; the noisy box map one elementary move at a time; the
+greedy net packing that compares every image with every kept one; and
+the 2-D density check of a direction set by a grid of probe
+directions.  They are slow on purpose and must stay obviously right.
 
-The last six are brute-force checks that never had a caller in the
-package: the coarse length over every partition, the graph
-nearest-point projection and triangle centre by whole-graph scans, the
-graph metric handle, the Morse excursion, and the unparametrized
-quasi-geodesic test over an integer time grid.
+Seven are brute-force checks that never had a caller in the package:
+the coarse length over every partition, the graph nearest-point
+projection and triangle centre by whole-graph scans, the graph metric
+handle, the Morse excursion, the unparametrized quasi-geodesic test
+over an integer time grid, and the deepest retrace of a trace.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from coarsegeo.hypgraph import (GeodesicSegment, HypGraph, MetricHandle, Unreach
 from coarsegeo.pathsflats import StandardFlat
 from coarsegeo.surfmodel import (AnnularPoint, ComponentState, Matrix, ModelPoint, Slope,
                                  Subsurface, _component_terms, annular_distance,
-                                 farey_distance, farey_geodesic, mat_inv, transport_matrix,
-                                 twist_number)
+                                 complex_distance, farey_distance, farey_geodesic, mat_inv,
+                                 transport_matrix, twist_number)
 
 
 def mat_mul(m: Matrix, n: Matrix) -> Matrix:
@@ -209,40 +209,57 @@ def pk_edges(family: FamilyY, k: float, flavor: str, bers: float = 1.0) -> set[f
     return edges
 
 
-def glued_distance(qt: QuasiTree, u, v) -> float:
-    """Shortest glued path from u to v: the direct leg inside a shared
-    complex, or the best over every pair of attachments (a, b) of
-    leg to a + all-pairs table from a to b + leg from b."""
-    nodes: list = []
-    for _edge, (a, b) in sorted(qt.attachments.items(),
-                                key=lambda kv: sorted(s.key() for s in kv[0])):
-        for nd in (a, b):
-            if nd not in nodes:
-                nodes.append(nd)
+def glued_distances(qt: QuasiTree, pairs) -> list[float]:
+    """Shortest glued path from u to v for each pair (u, v): the direct
+    leg inside a shared complex, or the best over every pair of
+    attachments (a, b) of leg to a + all-pairs table from a to b + leg
+    from b.  The table is Floyd-Warshall over complete intra-complex
+    blocks, a marking annulus block as one |twist difference| array and
+    any other block by scalar `complex_distance` calls, and the unit
+    cross edges."""
+    index: dict = {}
+    for _edge, ends in sorted(qt.attachments.items(),
+                              key=lambda kv: sorted(s.key() for s in kv[0])):
+        for nd in ends:
+            index.setdefault(nd, len(index))
+    nodes = list(index)
     n = len(nodes)
-    w = np.full((n, n), math.inf)
-    np.fill_diagonal(w, 0.0)
-    for i, j in itertools.permutations(range(n), 2):
-        if nodes[i][0] == nodes[j][0]:
-            w[i, j] = qt.complex_metric(nodes[i][0], nodes[i][1], nodes[j][1])
+    groups: dict = {}
+    for i, (host, _pt) in enumerate(nodes):
+        groups.setdefault(host, []).append(i)
+    if qt.family.kind == "annuli" and qt.flavor == "marking":
+        tw = np.array([pt.twist for _host, pt in nodes], dtype=float)
+        gid = {host: g for g, host in enumerate(groups)}
+        group = np.array([gid[host] for host, _pt in nodes], dtype=int)
+        w = np.where(group[:, None] == group[None, :], np.abs(tw[:, None] - tw[None, :]),
+                     math.inf)
+    else:
+        w = np.full((n, n), math.inf)
+        np.fill_diagonal(w, 0.0)
+        for host, idxs in groups.items():
+            for i, j in itertools.permutations(idxs, 2):
+                w[i, j] = complex_distance(host, nodes[i][1], nodes[j][1], qt.flavor)
     for a, b in qt.attachments.values():
-        i, j = nodes.index(a), nodes.index(b)
+        i, j = index[a], index[b]
         w[i, j] = min(w[i, j], 1.0)
         w[j, i] = min(w[j, i], 1.0)
     for k in range(n):
         w = np.minimum(w, w[:, k, None] + w[None, k, :])
-    best = qt.complex_metric(u[0], u[1], v[1]) if u[0] == v[0] else math.inf
-    for i, a in enumerate(nodes):
-        if a[0] != u[0]:
-            continue
-        da = qt.complex_metric(u[0], u[1], a[1])
-        for j, b in enumerate(nodes):
-            if b[0] != v[0]:
-                continue
-            cand = da + w[i, j] + qt.complex_metric(v[0], v[1], b[1])
-            if cand < best:
-                best = cand
-    return float(best)
+    out = []
+    for u, v in pairs:
+        best = complex_distance(u[0], u[1], v[1], qt.flavor) if u[0] == v[0] else math.inf
+        for i in groups.get(u[0], []):
+            da = complex_distance(u[0], u[1], nodes[i][1], qt.flavor)
+            for j in groups.get(v[0], []):
+                cand = da + w[i, j] + complex_distance(v[0], v[1], nodes[j][1], qt.flavor)
+                if cand < best:
+                    best = cand
+        out.append(float(best))
+    return out
+
+
+def glued_distance(qt: QuasiTree, u, v) -> float:
+    return glued_distances(qt, [(u, v)])[0]
 
 
 # The horoball searches run on many triples at once: a point is a pair
@@ -426,3 +443,17 @@ def probe_density_gap(dirs: Sequence[tuple[float, float]], density: float) -> fl
     return max(float(np.min(np.minimum(np.linalg.norm(arr - p, axis=1),
                                        np.linalg.norm(arr + p, axis=1))))
                for p in LineFamily.directions_for(2, density / 2.0))
+
+
+def retrace_depth(points: Sequence) -> int:
+    """The most steps a trace takes before it comes back to a point it
+    has left (0 if it never does); repeated consecutive points, the
+    stutters of a densified trace, count as one step."""
+    last: dict = {}
+    depth = 0
+    steps = [p for i, p in enumerate(points) if i == 0 or p != points[i - 1]]
+    for j, p in enumerate(steps):
+        if p in last:
+            depth = max(depth, j - last[p])
+        last[p] = j
+    return depth

@@ -26,7 +26,7 @@ from coarsegeo.surfmodel import (
     threshold_audit, twist_move,
 )
 
-from oracles import mat_mul
+from oracles import mat_mul, retrace_depth
 
 CN = default_constants()
 MARKING1 = ModelSurface(((1, 1),), flavor="marking")
@@ -244,6 +244,7 @@ def test_10_backtrack_extraction():
         x, y = random_pair(MARKING1, rng, steps=12, big_twist=40,
                            min_distance=60)
         tr = backtracked_trace(x, y, eps=eps, R=R, rng=rng, constants=CN)
+        assert retrace_depth(tr.points) >= 0.5 * eps * R  # the input backtracks
         out = pathsflats.extract_no_backtrack(tr, x, y, eps=eps, constants=CN)
         # monotone shadows are asserted inside the extraction
         assert out.excursion <= CN["c_bb"] * eps * R

@@ -3,10 +3,16 @@ product embedding."""
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from coarsegeo import bbf
 from coarsegeo.bbf import (
     FamilySplitError, FamilyY, PkGraph, QuasiTree, WindowTooSmallError,
     build_embedding, build_families, build_families_synthetic, build_pk_graph,
@@ -16,7 +22,7 @@ from coarsegeo.bbf import (
 from coarsegeo.consreal import SyntheticSystem
 from coarsegeo.harness import random_pair, random_point
 from coarsegeo.surfmodel import (
-    INFINITY, ZERO, AnnularPoint, ModelSurface, Slope, Subsurface,
+    INFINITY, ZERO, AnnularPoint, ModelPoint, ModelSurface, Slope, Subsurface,
     annular_distance, base_point, flip_move, model_distance, project,
     twist_move,
 )
@@ -203,3 +209,62 @@ def test_window_dump_schema(marking1, cn):
     doc = emb.trees["annuli[0]"].dump()
     assert doc["schema_version"] == 1
     assert doc["vertices"] and "cross_edges" in doc
+
+
+def test_embedded_handle_hits_do_not_depend_on_the_hash_seed():
+    """The handle's cache key was ordered by id(), so whether a reversed
+    pair of equal points hit depended on memory addresses: the number of
+    quasi-tree distances this extraction asked for read 2762-2770 from
+    run to run."""
+    script = textwrap.dedent("""
+        import numpy as np
+        from coarsegeo import bbf, harness, pathsflats
+        from coarsegeo.constants import default_constants
+        from coarsegeo.surfmodel import ModelSurface
+        calls = 0
+        distance = bbf.QuasiTree.distance
+        def counted(self, u, v):
+            global calls
+            calls += 1
+            return distance(self, u, v)
+        bbf.QuasiTree.distance = counted
+        cn = default_constants()
+        rng = np.random.default_rng(110)
+        x, y = harness.random_pair(ModelSurface(((1, 1),), flavor="marking"), rng,
+                                   steps=12, big_twist=40, min_distance=60)
+        tr = harness.backtracked_trace(x, y, eps=0.05, R=400.0, rng=rng, constants=cn)
+        pathsflats.extract_no_backtrack(tr, x, y, eps=0.05, constants=cn)
+        print(calls)
+    """)
+    src = str(Path(bbf.__file__).resolve().parents[1])
+    counts = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        counts.append(int(proc.stdout))
+    assert counts[0] == counts[1] > 0
+
+
+def test_embedded_handle_hits_a_reversed_rebuilt_pair(marking1, cn, monkeypatch):
+    """Equal points built apart, asked for in reverse order with their
+    memory addresses in the opposite order, hit the cached distance."""
+    x = base_point(marking1)
+    y = twist_move(x, 0, 20)
+    h = bbf.embedded_handle([x, y], cn["k_pk"])
+    calls = []
+    distance = bbf.QuasiTree.distance
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return distance(self, u, v)
+
+    monkeypatch.setattr(bbf.QuasiTree, "distance", counted)
+    d = h.distance(x, y)
+    assert len(calls) == 2  # one per family: the component and its annuli
+    copies = [(ModelPoint(y.surface, y.states), ModelPoint(x.surface, x.states))
+              for _ in range(20)]
+    yc, xc = next((b, a) for b, a in copies if (id(b) < id(a)) == (id(x) < id(y)))
+    assert h.distance(yc, xc) == d
+    assert len(calls) == 2

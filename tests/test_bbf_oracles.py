@@ -6,6 +6,7 @@ Edge sets and marking distances must be identical.  Augmented distances
 sum acosh terms, so they are compared within a relative tolerance of
 1e-12 (the two sides add the same terms; they have matched exactly)."""
 
+import collections
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ import oracles
 from coarsegeo.bbf import (FamilyY, QuasiTree, WindowTooSmallError, build_pk_graph,
                            embedding_for_pair, shared_embedding, working_window)
 from coarsegeo.harness import random_pair, random_point
+from coarsegeo.pathsflats import preferred_path
 from coarsegeo.surfmodel import (INFINITY, ZERO, AnnularPoint, ModelSurface, Slope,
                                  Subsurface, twist_number)
 
@@ -62,6 +64,49 @@ def test_pk_and_marking_distance_on_shared_window(marking1, cn):
     queries = _sample_points(qt, rng, 8, augmented=False)
     for u, v in zip(queries[::2], queries[1::2]):
         assert qt.distance(u, v) == oracles.glued_distance(qt, u, v)
+
+
+def _busiest_host_queries(qt: QuasiTree, rng, augmented: bool):
+    """Query pairs among the three hosts with the most attachment nodes
+    (most first), both ways and within one host, at random twists (and
+    heights); also the node counts of those hosts and of the window."""
+    nodes = {nd for ends in qt.attachments.values() for nd in ends}
+    per_host = collections.Counter(host for host, _pt in nodes)
+    busy = sorted(per_host, key=lambda h: (-per_host[h], h.key()))[:3]
+
+    def point(host):
+        h = float(rng.uniform(1.0 / qt.bers, 30.0)) if augmented else None
+        return host, AnnularPoint(int(rng.integers(-40, 41)), h)
+
+    queries = [(point(a), point(b)) for a, b in
+               [(busy[0], busy[1]), (busy[1], busy[0]), (busy[0], busy[0]),
+                (busy[1], busy[2]), (busy[2], busy[0])] for _ in range(2)]
+    return queries, [per_host[h] for h in busy], len(nodes)
+
+
+def test_marking_distance_on_a_calibrate_sized_window(marking1, cn):
+    """The shared window of one preferred path of calibrate's backtrack
+    extraction sweep, at the 500-1,200 attachment nodes of the windows
+    of calibrate(seed=9, scale=0.02)."""
+    rng = np.random.default_rng(3)
+    x, y = random_pair(marking1, rng, steps=14, big_twist=40, min_distance=60)
+    path = preferred_path(x, y, cn, verify=False)
+    qt = _annuli_trees(shared_embedding(path.points, cn["k_pk"]))[0]
+    queries, busy, n = _busiest_host_queries(qt, rng, augmented=False)
+    assert n >= 500 and busy[1] >= 10
+    assert [qt.distance(u, v) for u, v in queries] == oracles.glued_distances(qt, queries)
+
+
+@pytest.mark.parametrize("bers", [1.0, 2.0])
+def test_augmented_distance_on_a_shared_window(bers, cn):
+    surface = ModelSurface(((1, 1),), flavor="augmented", bers=bers)
+    rng = np.random.default_rng(1)
+    pts = [random_point(surface, rng, steps=12, big_twist=25) for _ in range(12)]
+    qt = _annuli_trees(shared_embedding(pts, cn["k_pk"]))[0]
+    queries, busy, n = _busiest_host_queries(qt, rng, augmented=True)
+    assert n >= 150 and busy[1] >= 10
+    for (u, v), want in zip(queries, oracles.glued_distances(qt, queries)):
+        assert abs(qt.distance(u, v) - want) <= AUGMENTED_REL_TOL * max(1.0, want)
 
 
 @pytest.mark.parametrize("bers", [1.0, 2.0])

@@ -286,6 +286,24 @@ def test_cli_documents_of_the_wrong_shape_are_usage_errors(capsys, argv, message
     assert err.count("error:") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["stats", "--flavor", "bogus"], "unknown flavor 'bogus'"),
+    (["stats", "--components", "0"], "surface needs at least one component"),
+    (["stats", "--genus", "1", "--punctures", "1", "--flavor", "bogus"],
+     "unknown flavor 'bogus'"),
+    (["pipeline", "--eps0", "2"], "need eps0 in (0,1) and r0 >= 1"),
+], ids=["stats-flavor", "stats-components", "stats-genus-flavor", "pipeline-eps0"])
+def test_cli_flag_values_are_usage_errors(capsys, argv, message):
+    """These ended in a ValueError traceback with exit code 1."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: coarsegeo {argv[0]} ")
+    assert err.endswith(f"coarsegeo {argv[0]}: error: {message}\n")
+    assert err.count("error:") == 1
+
+
 def test_cli_differentiate_reads_the_constants_file(capsys, tmp_path, cn):
     """bdelta_mult and kappa_theta were keyword defaults the flag never
     reached."""

@@ -210,6 +210,7 @@ def test_extraction_of_preferred_path_stays_close(marking1, rng, cn):
 def test_extraction_removes_backtracks(marking1, rng, cn):
     x, y = random_pair(marking1, rng, steps=12, big_twist=40, min_distance=60)
     tr = backtracked_trace(x, y, eps=0.05, R=400.0, rng=rng, constants=cn)
+    assert oracles.retrace_depth(tr.points) >= 0.5 * 0.05 * 400.0  # the input backtracks
     out = extract_no_backtrack(tr, x, y, eps=0.05, constants=cn)
     assert out.excursion <= cn["c_bb"] * 0.05 * 400.0
     assert model_distance(out.x, x) <= cn["d_roundtrip"]
