@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -401,6 +402,13 @@ def differentiate_lines(fmap: BoxMap, box: Box, eps: float, theta: float,
     At every level each line exhaustively tries all grid offsets and
     keeps the one maximizing its bad fraction, which makes a success
     level a certificate rather than a lucky draw.
+
+    Images are built one line at a time: a line's base samples go
+    through `fmap.fn` when the line is first processed, and after each
+    level the line keeps only the images on its next-level grid (the
+    chosen offset's points) and the distances between them, which are
+    that grid's jumps.  So at most one line's samples are alive at once.
+    Segment verdicts are built for the chosen offset alone.
     """
     cn = constants or default_constants()
     bdelta_mult, kappa_m = cn["bdelta_mult"], cn["kappa_m"]
@@ -414,25 +422,14 @@ def differentiate_lines(fmap: BoxMap, box: Box, eps: float, theta: float,
         raise ValueError("no usable lines: box too small for the base grid")
     stride = max(2, round(1.0 / eps))
     max_level = math.ceil(kappa_m * fmap.K / (eps * theta)) if theta > 0 else 10 ** 9
+    distance = fmap.target.distance
 
-    cache: list[dict[tuple[int, int], float]] = [dict() for _ in lines]
-    base_ts: list[np.ndarray] = []
-    images: list[list[Any]] = []
-    grids: list[list[int]] = []
-    for ln in lines:
-        ts = np.arange(0.0, ln.length + 1e-9, r0)
-        base_ts.append(ts)
-        pts = np.asarray(ln.origin) + ts[:, None] * np.asarray(ln.direction)
-        images.append([fmap.fn(q) for q in pts])
-        grids.append(list(range(len(ts))))
-
-    def dist(li: int, a: int, b: int) -> float:
-        key = (a, b) if a < b else (b, a)
-        got = cache[li].get(key)
-        if got is None:
-            got = fmap.target.distance(images[li][a], images[li][b])
-            cache[li][key] = got
-        return got
+    base_ts = [np.arange(0.0, ln.length + 1e-9, r0) for ln in lines]
+    grids: list[list[int]] = [list(range(len(ts))) for ts in base_ts]
+    # per line, from its first processing on: the images on its grid, by
+    # sample index, and the distances between consecutive grid points
+    images: list[Any] = [None] * len(lines)
+    jumps: list[list[float]] = [[] for _ in lines]
 
     level = 0
     r_prev = r0
@@ -448,38 +445,39 @@ def differentiate_lines(fmap: BoxMap, box: Box, eps: float, theta: float,
             raise QuasiLipschitzViolationError(
                 f"exceeded the level budget {max_level}; declared (K, C) look wrong"
             )
+        allowance = eps * r_m
         verdicts: list[SegmentVerdict] = []
         total = bad_total = 0
-        new_grids: list[list[int]] = []
         for li, ln in enumerate(lines):
-            cur = grids[li]
-            jumps = [dist(li, cur[k], cur[k + 1]) for k in range(len(cur) - 1)]
-            prefix = np.concatenate([[0.0], np.cumsum(jumps)])
-            best = None  # (bad fraction, bad count, grid points, verdicts)
+            cur, ts, imgs = grids[li], base_ts[li], images[li]
+            if imgs is None:
+                pts = np.asarray(ln.origin) + ts[:, None] * np.asarray(ln.direction)
+                imgs = images[li] = [fmap.fn(q) for q in pts]
+                jumps[li] = [distance(imgs[a], imgs[b]) for a, b in zip(cur, cur[1:])]
+            prefix = list(accumulate(jumps[li], initial=0.0))
+            best = None  # (bad fraction, bad count, grid positions, endpoint distances)
             for off in range(min(stride, max(1, len(cur) - 1))):
-                positions = list(range(off, len(cur), stride))
+                positions = range(off, len(cur), stride)
                 if len(positions) < 2:
                     continue
-                segs = []
-                bad = 0
-                for ia, ib in zip(positions, positions[1:]):
-                    a, b = cur[ia], cur[ib]
-                    s = float(prefix[ib] - prefix[ia])
-                    dend = dist(li, a, b)
-                    ok = s <= bdelta_mult * (dend + eps * r_m) + 1e-9
-                    bad += not ok
-                    segs.append(SegmentVerdict(li, base_ts[li][a], base_ts[li][b],
-                                               s, dend, ok))
-                frac = bad / len(segs)
+                ends = [distance(imgs[cur[ia]], imgs[cur[ib]])
+                        for ia, ib in zip(positions, positions[1:])]
+                bad = sum(not (prefix[ib] - prefix[ia] <= bdelta_mult * (d + allowance) + 1e-9)
+                          for ia, ib, d in zip(positions, positions[1:], ends))
+                frac = bad / len(ends)
                 if best is None or frac > best[0]:
-                    best = (frac, bad, [cur[i] for i in positions], segs)
+                    best = (frac, bad, positions, ends)
             if best is None:
-                new_grids.append(cur)
-                continue
-            _, bad, pts, segs = best
-            new_grids.append(pts)
-            verdicts.extend(segs)
-            total += len(segs)
+                continue  # the grid, its images and its jumps carry over
+            _, bad, positions, ends = best
+            for ia, ib, d in zip(positions, positions[1:], ends):
+                seg = float(prefix[ib] - prefix[ia])
+                verdicts.append(SegmentVerdict(li, ts[cur[ia]], ts[cur[ib]], seg, d,
+                                               seg <= bdelta_mult * (d + allowance) + 1e-9))
+            grids[li] = kept = [cur[i] for i in positions]
+            images[li] = {a: imgs[a] for a in kept}
+            jumps[li] = ends
+            total += len(ends)
             bad_total += bad
         if total == 0:
             raise QuasiLipschitzViolationError("schedule exhausted every line")
@@ -492,8 +490,14 @@ def differentiate_lines(fmap: BoxMap, box: Box, eps: float, theta: float,
                         "bdelta_mult": bdelta_mult, "n_lines": len(lines)},
                 lines=list(lines),
             )
-        grids = new_grids
         r_prev = r_m
+
+
+def required_size(eps0: float, r0: float, c: float) -> float:
+    """The least box size `differentiate_box` accepts at eps0 for a map
+    with additive constant c: 2 max(r0, c) stride, with stride about
+    1 / eps0^2, so that level 1 fits twice."""
+    return 2.0 * max(r0, c, 1e-9) * max(2, round(1.0 / eps0 ** 2))
 
 
 def differentiate_box(fmap: BoxMap, box: Box, eps0: float, theta0: float,
@@ -514,9 +518,7 @@ def differentiate_box(fmap: BoxMap, box: Box, eps0: float, theta0: float,
     n = box.dim
     eps = eps0 ** 2
     theta = max(theta0 * eps ** (n + 2) / kappa_theta, theta0 / 4.0)
-    base = max(r0, fmap.C, 1e-9)
-    stride = max(2, round(1.0 / eps))
-    required = 2.0 * base * stride
+    required = required_size(eps0, r0, fmap.C)
     if box.size < required:
         raise ValueError(
             f"box of size {box.size:g} is below the required size {required:g} "
@@ -525,7 +527,7 @@ def differentiate_box(fmap: BoxMap, box: Box, eps0: float, theta0: float,
     family = LineFamily.build(box, density=eps0 ** 2,
                               max_directions=max_directions,
                               lines_per_direction=lines_per_direction)
-    report = differentiate_lines(fmap, box, eps, theta, base,
+    report = differentiate_lines(fmap, box, eps, theta, r0,
                                  lines=family.lines, constants=constants)
     R = report.scale
     central = box.central_half()

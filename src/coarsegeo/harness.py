@@ -200,33 +200,36 @@ def orthant_flat(surface: ModelSurface, span: int) -> StandardFlat:
 def noisy_flat_map(flat: StandardFlat, noise: int, seed: int) -> BoxMap:
     """The flat evaluated on lattice points, perturbed off the flat by a
     deterministic burst of at most `noise` small moves (unit twists and
-    flips).  Small moves keep every projection change below the
-    distance-formula threshold, so the perturbation cost is bounded by
-    the stated noise."""
+    flips) on one component.  Small moves keep every projection change
+    below the distance-formula threshold, so the perturbation cost is
+    bounded by the stated noise.
+
+    Each image is one point: the burst is read off the hash of the
+    lattice point first, and `StandardFlat.eval` applies it to the
+    component's state before it builds the point."""
     surface = flat.surface
     h = model_handle(surface)
     bounds = flat.box().intervals
+    noisy = noise > 0 and surface.flavor != "pants"
 
     def fn(p) -> ModelPoint:
         # round() rounds half to even, as np.rint does, and gives the
         # Python ints that the noise hash reads through repr
-        t = tuple(int(min(max(round(c), lo), hi))
-                  for c, (lo, hi) in zip(np.ravel(p).tolist(), bounds, strict=True))
-        x = flat.eval(t)
-        if noise <= 0 or surface.flavor == "pants":
-            return x
+        c = p.tolist() if p.__class__ is np.ndarray and p.ndim == 1 else np.ravel(p).tolist()
+        t = tuple(int(min(max(round(v), lo), hi)) for v, (lo, hi) in zip(c, bounds, strict=True))
+        if not noisy:
+            return flat.eval(t)
         mix = hashlib.sha256(repr((seed, t)).encode()).digest()
-        comp = mix[0] % surface.n_components
         # an optional flip at step 0, then unit twists about one pants
-        # curve; the twists compose into a single twist_move
-        n = 0
+        # curve, which compose into n twists
+        flip, n = False, 0
         for step in range(mix[1] % (noise + 1)):
             b = mix[2 + step]
             if b % 3 == 0 and step == 0:
-                x = flip_move(x, comp)
+                flip = True
             else:
                 n += 1 if b % 2 else -1
-        return twist_move(x, comp, n) if n else x
+        return flat.eval(t, (mix[0] % surface.n_components, flip, n))
 
     return BoxMap(fn, h, K=2.0, C=_flat_map_c(surface, noise))
 
@@ -444,10 +447,9 @@ def run_pipeline(config: ExperimentConfig, fmap: BoxMap, dim: int,
 
 def _pipeline_side(config: ExperimentConfig, c: float) -> int:
     """The side of the box `run_pipeline` differentiates for a map with
-    additive constant c: the configured side, else 2 max(r0, c) stride
-    with stride about 1 / eps0^2."""
-    stride = max(2, round(1.0 / config.eps0 ** 2))
-    return config.box_side or int(2 * max(config.r0, c) * stride)
+    additive constant c: the configured side, else the least size
+    `differentiate_box` accepts."""
+    return config.box_side or int(effdiff.required_size(config.eps0, config.r0, c))
 
 
 def _extract_moving_factors(fmap: BoxMap, sub: Box, moving: list[int],
@@ -1080,8 +1082,24 @@ def _pipeline(ns):
 
 
 def _rank(ns):
+    """--box sizes the refutation's box (60 when unset); for n <= rank it
+    overrides the side of the pipeline's box, which must then hold level 1."""
     cn = _constants_arg(ns)
-    rep = rank_experiment(_config_arg(ns, eps0=ns.eps0, box_side=ns.box), ns.n, constants=cn)
+    cfg = _config_arg(ns, eps0=ns.eps0, box_side=ns.box)
+    rank = surface_stats(cfg.surface)[1]
+    if ns.n > rank + 1:
+        raise argparse.ArgumentError(None, f"--n {ns.n} exceeds rank + 1 = {rank + 1}")
+    if ns.n == rank + 1 and ns.box is None and not ns.config:
+        cfg.box_side = 60
+    if ns.n <= rank and cfg.box_side:
+        # the twist flat's pipeline differentiates a cube with one axis per component
+        need = effdiff.required_size(cfg.eps0, cfg.r0, _flat_map_c(cfg.surface, 0))
+        size = Box.cube(cfg.box_side, cfg.surface.n_components).size if cfg.box_side > 0 else 0
+        if size < need:
+            raise argparse.ArgumentError(
+                None, f"box side {cfg.box_side} is below the pipeline's required size "
+                f"{need:g} for n = {ns.n} <= rank {rank}")
+    rep = rank_experiment(cfg, ns.n, constants=cn)
     return rep.to_json(), rep.passed
 
 
@@ -1146,7 +1164,9 @@ VERBS: dict[str, tuple[str, list, Callable]] = {
         _pipeline),
     "rank": ("rank experiment", [
         _arg("--config"), _arg("--n", type=int, required=True),
-        _arg("--eps0", type=float, default=0.05), _arg("--box", type=int, default=60)],
+        _arg("--eps0", type=float, default=0.05),
+        _arg("--box", type=int, help="box side (default: 60 for n = rank + 1, else the "
+             "pipeline's own side)")],
         _rank),
     "calibrate": ("freeze the constants file",
                   [_arg("--scale", type=float, default=1.0)], _calibrate),

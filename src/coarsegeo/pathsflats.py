@@ -28,9 +28,9 @@ from .consreal import ExactSystem, ProjectionTuple, realize
 from .surfmodel import (AnnularPoint, ComponentState, ModelPoint, ModelSurface,
                         Slope, Subsurface, complex_distance, component_distance,
                         det, distance_formula, farey_adjacent, farey_distance,
-                        farey_geodesic, geodesic_chart, horoball_distance,
+                        farey_geodesic, flip_state, geodesic_chart, horoball_distance,
                         horoball_point_to_segment, model_distance, project,
-                        subsurface_distance, twist_number, _trusted_slope)
+                        subsurface_distance, twist_number, twist_state, _trusted_slope)
 
 Move = tuple  # ("twist", comp, n) | ("flip", comp) | ("length", comp, factor) | ("realized",)
 
@@ -448,8 +448,12 @@ class FlatFactor:
     path: PreferredPath | None = None
     core: Slope | None = None
     tau0: Slope | None = None
-    # twist_number(core, tau0) of a twist factor, computed once
+    # twist_number(core, tau0) of a twist factor, and the integers
+    # (tau0.p, tau0.q, d core.p, d core.q) with d = det(core, tau0) that
+    # its states are affine in; computed once
     _twist0: int | None = field(init=False, default=None, repr=False, compare=False)
+    _twist_line: tuple[int, int, int, int] | None = field(init=False, default=None,
+                                                          repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("path", "twist", "ray"):
@@ -460,7 +464,10 @@ class FlatFactor:
                                               or not farey_adjacent(self.core, self.tau0)):
             raise ValueError("pinned factors need a core and a Farey-adjacent base transversal")
         if self.kind == "twist":
-            object.__setattr__(self, "_twist0", twist_number(self.core, self.tau0))
+            core, tau0 = self.core, self.tau0
+            d = det(core, tau0)
+            object.__setattr__(self, "_twist0", twist_number(core, tau0))
+            object.__setattr__(self, "_twist_line", (tau0.p, tau0.q, d * core.p, d * core.q))
 
 
 @dataclass(frozen=True)
@@ -503,8 +510,9 @@ class StandardFlat:
             # absolute parametrization: the twist coordinate equals t
             # tau0 + k det(core, tau0) core: what the k-th power of the twist
             # matrix multiplies out to, primitive and Farey-adjacent to core
-            kd = (int(round(t)) - f._twist0) * det(f.core, f.tau0)
-            p, q = f.tau0.p + kd * f.core.p, f.tau0.q + kd * f.core.q
+            k = int(round(t)) - f._twist0
+            p0, q0, dp, dq = f._twist_line
+            p, q = p0 + k * dp, q0 + k * dq
             if q < 0 or (q == 0 and p < 0):
                 p, q = -p, -q
             length = surface.bers if surface.flavor == "augmented" else None
@@ -516,13 +524,26 @@ class StandardFlat:
             raise ValueError("augmented length must lie in (0, B]")
         return ComponentState(f.core, f.tau0, length)
 
-    def eval(self, t_vec: Sequence[float]) -> ModelPoint:
+    def eval(self, t_vec: Sequence[float],
+             burst: tuple[int, bool, int] | None = None) -> ModelPoint:
+        """The flat's point at t_vec.  A burst (comp, flip, n) of small
+        moves is applied to that component's state before the point is
+        built: a flip if `flip`, then n twists about the pants curve."""
         if len(t_vec) != len(self.factors):
             raise ValueError("one coordinate per factor")
         states = list(self.base.states)
         for f, t in zip(self.factors, t_vec):
             states[f.comp] = self.factor_state(f, t)
-        # a valid base, and factor states kept valid by __post_init__ and factor_state
+        if burst is not None:
+            comp, flip, n = burst
+            st = states[comp]
+            if flip:
+                st = flip_state(st, self.surface.bers)
+            if n:
+                st = twist_state(st, n)
+            states[comp] = st
+        # a valid base, factor states kept valid by __post_init__ and
+        # factor_state, and moves that keep a state valid
         return ModelPoint._trusted(self.surface, tuple(states))
 
     def to_json(self) -> dict:

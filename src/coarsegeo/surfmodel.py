@@ -462,6 +462,17 @@ class ComponentState:
         a, t = self.alpha, self.tau
         return hash((a.p, a.q) if t is None else (a.p, a.q, t.p, t.q, self.length))
 
+    def __eq__(self, other) -> bool:
+        # the fields in one frame, not one more per Slope
+        if other.__class__ is not ComponentState:
+            return NotImplemented
+        a, b, t, u = self.alpha, other.alpha, self.tau, other.tau
+        if a.p != b.p or a.q != b.q or self.length != other.length:
+            return False
+        if t is None or u is None:
+            return t is u
+        return t.p == u.p and t.q == u.q
+
 
 @dataclass(frozen=True, slots=True)
 class ModelPoint:
@@ -505,6 +516,16 @@ class ModelPoint:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other) -> bool:
+        # a distance-cache hit compares two equal points built apart
+        if self is other:
+            return True
+        if other.__class__ is not ModelPoint:
+            return NotImplemented
+        if self._hash != other._hash or self.states != other.states:
+            return False
+        return self.surface is other.surface or self.surface == other.surface
 
     def __reduce__(self):
         # rebuilt through the constructor: revalidated, and hashed in the
@@ -838,28 +859,34 @@ def threshold_audit(x: ModelPoint, y: ModelPoint, t: float, tp: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def twist_move(x: ModelPoint, comp: int, n: int = 1) -> ModelPoint:
-    """Apply n Dehn twists about the pants curve of one component."""
-    st = x.states[comp]
+def twist_state(st: ComponentState, n: int) -> ComponentState:
+    """A state after n Dehn twists about its own pants curve: a twist
+    about alpha fixes alpha with det 1, so |det(alpha, tau')| = 1."""
     if st.tau is None:
         raise ValueError("pants flavor has no transversal to twist")
-    new_tau = apply_matrix(twist_matrix(st.alpha, n), st.tau)
+    return ComponentState(st.alpha, apply_matrix(twist_matrix(st.alpha, n), st.tau), st.length)
+
+
+def flip_state(st: ComponentState, bers: float) -> ComponentState:
+    """A state with pants slope and transversal swapped, which keeps
+    |det| = 1; the new pants curve takes the Bers length if the state has
+    a length."""
+    if st.tau is None:
+        raise ValueError("pants flavor has no flip move")
+    return ComponentState(st.tau, st.alpha, bers if st.length is not None else None)
+
+
+def twist_move(x: ModelPoint, comp: int, n: int = 1) -> ModelPoint:
+    """Apply n Dehn twists about the pants curve of one component."""
     states = list(x.states)
-    states[comp] = ComponentState(st.alpha, new_tau, st.length)
-    # a twist about alpha fixes alpha with det 1: |det(alpha, tau')| = 1, same length
+    states[comp] = twist_state(states[comp], n)
     return ModelPoint._trusted(x.surface, tuple(states))
 
 
 def flip_move(x: ModelPoint, comp: int) -> ModelPoint:
-    """Swap pants slope and transversal in one component.  The new pants
-    curve takes the Bers length in the augmented flavor."""
-    st = x.states[comp]
-    if st.tau is None:
-        raise ValueError("pants flavor has no flip move")
-    length = x.surface.bers if st.length is not None else None
+    """Swap pants slope and transversal in one component."""
     states = list(x.states)
-    states[comp] = ComponentState(st.tau, st.alpha, length)
-    # swapping alpha and tau keeps |det| = 1; the length is B or None
+    states[comp] = flip_state(states[comp], x.surface.bers)
     return ModelPoint._trusted(x.surface, tuple(states))
 
 

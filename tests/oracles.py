@@ -12,10 +12,13 @@ subsurface of the point pair, with its own enumeration and annular
 projection, and again as the per-component loop that also builds every
 contribution list; the Dehn twist matrix as a conjugated shear; a
 slope's image under a matrix through the gcd of the `Slope`
-constructor; the noisy box map one elementary move at a time; the
-greedy net packing that compares every image with every kept one; and
-the 2-D density check of a direction set by a grid of probe
-directions.  They are slow on purpose and must stay obviously right.
+constructor; a standard flat's point with each factor state built by
+its definition, and the noisy box map on it one elementary move at a
+time; the scale search level-major, with every line's images built up
+front and every offset's segment verdicts; the greedy net packing that
+compares every image with every kept one; and the 2-D density check of
+a direction set by a grid of probe directions.  They are slow on purpose
+and must stay obviously right.
 
 Seven are brute-force checks that never had a caller in the package:
 the coarse length over every partition, the graph nearest-point
@@ -34,7 +37,10 @@ from typing import Sequence
 import numpy as np
 
 from coarsegeo.bbf import FamilyY, QuasiTree
-from coarsegeo.effdiff import LineFamily, PathTrace, ScaleBelowResolutionError
+from coarsegeo.constants import Constants, default_constants
+from coarsegeo.effdiff import (Box, BoxMap, DiffReport, Line, LineFamily, PathTrace,
+                               QuasiLipschitzViolationError, ScaleBelowResolutionError,
+                               SegmentVerdict)
 from coarsegeo.hypgraph import (GeodesicSegment, HypGraph, MetricHandle, UnreachableError,
                                 Vertex, _points_of, geodesic)
 from coarsegeo.pathsflats import StandardFlat
@@ -136,29 +142,35 @@ def twist_number_via_slope(core: Slope, curve: Slope) -> int:
     return img.p // img.q
 
 
-def twist_flat_point(flat: StandardFlat, t) -> ModelPoint:
-    """A twist flat at lattice point t: each factor's transversal is its
-    base transversal twisted until the twist coordinate equals t."""
+def flat_point(flat: StandardFlat, t) -> ModelPoint:
+    """A standard flat at lattice point t, each factor state built by its
+    definition: a twist factor's base transversal twisted until the twist
+    coordinate equals t, a ray's length B e^-t, a path's point at the
+    clamped index."""
     surface = flat.surface
     states = list(flat.base.states)
     for f, v in zip(flat.factors, t):
-        if f.kind != "twist":
-            raise ValueError("only twist factors")
-        k = int(round(v)) - twist_number(f.core, f.tau0)
-        length = surface.bers if surface.flavor == "augmented" else None
-        states[f.comp] = ComponentState(f.core, apply_by_gcd(twist_matrix(f.core, k), f.tau0),
-                                        length)
+        if f.kind == "twist":
+            k = int(round(v)) - twist_number(f.core, f.tau0)
+            length = surface.bers if surface.flavor == "augmented" else None
+            st = ComponentState(f.core, apply_by_gcd(twist_matrix(f.core, k), f.tau0), length)
+        elif f.kind == "ray":
+            st = ComponentState(f.core, f.tau0, surface.bers * math.exp(-max(0.0, float(v))))
+        else:
+            i = min(max(int(round(v)) - f.interval[0], 0), len(f.path.points) - 1)
+            st = f.path.points[i].states[f.comp]
+        states[f.comp] = st
     return ModelPoint(surface, tuple(states))
 
 
 def noisy_flat_image(flat: StandardFlat, noise: int, seed: int, p) -> ModelPoint:
-    """`harness.noisy_flat_map`'s image of p on a twist flat: round and
-    clamp to the lattice, then apply the hashed burst one move at a
+    """`harness.noisy_flat_map`'s image of p: round and clamp to the
+    lattice, evaluate the flat, then apply the hashed burst one move at a
     time (a flip allowed at step 0 only, else a unit twist)."""
     surface = flat.surface
     t = tuple(int(round(v)) for v in np.atleast_1d(np.asarray(p, float)))
     t = tuple(max(lo, min(hi, v)) for (lo, hi), v in zip(flat.box().intervals, t))
-    x = twist_flat_point(flat, t)
+    x = flat_point(flat, t)
     if noise <= 0 or surface.flavor == "pants":
         return x
     mix = hashlib.sha256(repr((seed, t)).encode()).digest()
@@ -349,6 +361,106 @@ def coarse_length_bruteforce(path: PathTrace, r: float) -> float:
         total = sum(dist(pts[a], pts[b]) for a, b in zip(chosen, chosen[1:]))
         best = min(best, total)
     return best
+
+
+def differentiate_lines(fmap: BoxMap, box: Box, eps: float, theta: float,
+                        r0: float, lines: Sequence[Line] | None = None,
+                        constants: Constants | None = None) -> DiffReport:
+    """`effdiff.differentiate_lines` level-major: every line's images are
+    built before level 1 and kept to the end, and every offset of every
+    line builds its segment verdicts."""
+    cn = constants or default_constants()
+    bdelta_mult, kappa_m = cn["bdelta_mult"], cn["kappa_m"]
+    if not (0 < eps < 1):
+        raise ValueError("eps must lie in (0, 1)")
+    r0 = max(r0, fmap.C, 1e-9)
+    if lines is None:
+        lines = LineFamily.build(box, density=eps).lines
+    lines = [ln for ln in lines if ln.length >= r0 * 2]
+    if not lines:
+        raise ValueError("no usable lines: box too small for the base grid")
+    stride = max(2, round(1.0 / eps))
+    max_level = math.ceil(kappa_m * fmap.K / (eps * theta)) if theta > 0 else 10 ** 9
+
+    cache: list[dict[tuple[int, int], float]] = [dict() for _ in lines]
+    base_ts: list[np.ndarray] = []
+    images: list[list] = []
+    grids: list[list[int]] = []
+    for ln in lines:
+        ts = np.arange(0.0, ln.length + 1e-9, r0)
+        base_ts.append(ts)
+        pts = np.asarray(ln.origin) + ts[:, None] * np.asarray(ln.direction)
+        images.append([fmap.fn(q) for q in pts])
+        grids.append(list(range(len(ts))))
+
+    def dist(li: int, a: int, b: int) -> float:
+        key = (a, b) if a < b else (b, a)
+        got = cache[li].get(key)
+        if got is None:
+            got = fmap.target.distance(images[li][a], images[li][b])
+            cache[li][key] = got
+        return got
+
+    level = 0
+    r_prev = r0
+    while True:
+        level += 1
+        r_m = r_prev * stride
+        if r_m > max(ln.length for ln in lines):
+            raise QuasiLipschitzViolationError(
+                f"no admissible scale before the schedule left the box at level {level}; "
+                f"either the box is below the required size or (K, C) are wrong"
+            )
+        if level > max_level:
+            raise QuasiLipschitzViolationError(
+                f"exceeded the level budget {max_level}; declared (K, C) look wrong"
+            )
+        verdicts: list[SegmentVerdict] = []
+        total = bad_total = 0
+        new_grids: list[list[int]] = []
+        for li, ln in enumerate(lines):
+            cur = grids[li]
+            jumps = [dist(li, cur[k], cur[k + 1]) for k in range(len(cur) - 1)]
+            prefix = np.concatenate([[0.0], np.cumsum(jumps)])
+            best = None  # (bad fraction, bad count, grid points, verdicts)
+            for off in range(min(stride, max(1, len(cur) - 1))):
+                positions = list(range(off, len(cur), stride))
+                if len(positions) < 2:
+                    continue
+                segs = []
+                bad = 0
+                for ia, ib in zip(positions, positions[1:]):
+                    a, b = cur[ia], cur[ib]
+                    s = float(prefix[ib] - prefix[ia])
+                    dend = dist(li, a, b)
+                    ok = s <= bdelta_mult * (dend + eps * r_m) + 1e-9
+                    bad += not ok
+                    segs.append(SegmentVerdict(li, base_ts[li][a], base_ts[li][b],
+                                               s, dend, ok))
+                frac = bad / len(segs)
+                if best is None or frac > best[0]:
+                    best = (frac, bad, [cur[i] for i in positions], segs)
+            if best is None:
+                new_grids.append(cur)
+                continue
+            _, bad, pts, segs = best
+            new_grids.append(pts)
+            verdicts.extend(segs)
+            total += len(segs)
+            bad_total += bad
+        if total == 0:
+            raise QuasiLipschitzViolationError("schedule exhausted every line")
+        frac = bad_total / total
+        if frac <= theta:
+            return DiffReport(
+                scale=r_m, grid_spacing=r_prev, level=level, bad_fraction=frac,
+                segment_verdicts=verdicts,
+                params={"eps": eps, "theta": theta, "r0": r0, "stride": stride,
+                        "bdelta_mult": bdelta_mult, "n_lines": len(lines)},
+                lines=list(lines),
+            )
+        grids = new_grids
+        r_prev = r_m
 
 
 def nearest_point_projection(g: HypGraph, p: Vertex, seg: GeodesicSegment) -> Vertex:

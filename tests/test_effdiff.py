@@ -1,23 +1,30 @@
 """Coarse length, efficiency, the scale search, and sub-box extraction."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coarsegeo import effdiff
 from coarsegeo.constants import Constants
 from coarsegeo.effdiff import (
     Box, BoxMap, Line, LineFamily, NotEfficientError, PathTrace,
     QuasiLipschitzViolationError, ScaleBelowResolutionError, coarse_length,
     differentiate_box, differentiate_lines, efficiency_test, hyperbolic_subbox,
-    subsegment_efficiency_closure,
+    required_size, subsegment_efficiency_closure,
 )
-from coarsegeo.hypgraph import (farey_handle, lp_handle, product_handle,
+from coarsegeo.harness import folded_map, noisy_flat_map, twist_flat
+from coarsegeo.hypgraph import (MetricHandle, farey_handle, lp_handle, product_handle,
                                 real_line_handle)
-from coarsegeo.surfmodel import INFINITY, ZERO, Slope, common_neighbors, farey_geodesic
+from coarsegeo.surfmodel import (INFINITY, ZERO, ModelSurface, Slope, common_neighbors,
+                                 farey_geodesic)
 
+import oracles
 from oracles import coarse_length_bruteforce
+
+MARKING2 = ModelSurface(((1, 1), (1, 1)), flavor="marking")
 
 H = real_line_handle()
 
@@ -221,12 +228,158 @@ def test_differentiate_box_reports_required_size():
 
 
 def test_fold_boxes_fail_but_fraction_holds():
-    from coarsegeo.harness import folded_map
     base = BoxMap(staircase_map(16), LINF, K=1.0, C=1.0)
     fold = folded_map(base, axis=0, at=700.0)
     rep = differentiate_box(fold, Box.cube(8000, 1), eps0=0.2, theta0=0.2,
                             r0=8.0)
     assert rep.fraction_efficient >= 1 - 0.2
+
+
+# --- the scale search against the level-major loop it replaced --------------------
+#
+# `differentiate_lines` builds a line's images when it first processes the
+# line and keeps only the next-level grid's; `oracles.differentiate_lines`
+# builds every image up front and keeps them all.  Same box-map calls, same
+# distance calls in the same order, and the same report, bit for bit.
+
+def _tri(x: float) -> float:
+    """The unit-period triangle wave, 0 at the integers, slopes +-2."""
+    return 2.0 * abs(x - round(x))
+
+
+def drift_zigzag(p):
+    """t + 64 tri(t / 64) on every coordinate: forward at slope 3, back at
+    slope -1.  Inefficient at the level-1 scale, efficient at level 2."""
+    return tuple(v + 64.0 * _tri(v / 64.0) for v in np.atleast_1d(p).tolist())
+
+
+def _recorded(fmap: BoxMap):
+    """fmap with its box-map calls counted and its distances recorded in order."""
+    calls = {"fn": 0, "distances": []}
+
+    def fn(p):
+        calls["fn"] += 1
+        return fmap.fn(p)
+
+    def distance(a, b):
+        d = fmap.target.distance(a, b)
+        calls["distances"].append(d)
+        return d
+    return BoxMap(fn, MetricHandle(fmap.target.name, distance), fmap.K, fmap.C), calls
+
+
+def _bits(v):
+    return (type(v), v.hex() if isinstance(v, float) else v)
+
+
+def _assert_same_report(got, want) -> None:
+    for name in ("scale", "grid_spacing", "level", "bad_fraction", "fraction_efficient",
+                 "untested_boxes"):
+        assert _bits(getattr(got, name)) == _bits(getattr(want, name)), name
+    assert got.params == want.params and got.lines == want.lines
+    assert got.box_verdicts == want.box_verdicts
+    assert len(got.segment_verdicts) == len(want.segment_verdicts)
+    for a, b in zip(got.segment_verdicts, want.segment_verdicts):
+        assert [_bits(getattr(a, f.name)) for f in dataclasses.fields(a)] == \
+            [_bits(getattr(b, f.name)) for f in dataclasses.fields(b)]
+
+
+def _both_searches(monkeypatch, fmap, run):
+    """run(fmap) with `effdiff.differentiate_lines` the package's search,
+    then the oracle's; each outcome is a report or the raised exception,
+    and both made the same box-map and distance calls."""
+    out = []
+    for search in (differentiate_lines, oracles.differentiate_lines):
+        monkeypatch.setattr(effdiff, "differentiate_lines", search)
+        recorded, calls = _recorded(fmap)
+        try:
+            out.append((run(recorded), calls))
+        except QuasiLipschitzViolationError as exc:
+            out.append((exc, calls))
+    (got, got_calls), (want, want_calls) = out
+    assert got_calls == want_calls
+    return got, want
+
+
+def _acceptance_11_map():
+    flat = twist_flat(MARKING2, int(required_size(0.05, 50.0, 40)))
+    return noisy_flat_map(flat, 3, 111)
+
+
+def _pipeline_search(fmap, cn):
+    """The scale search `run_pipeline` runs on a 2-D map at eps0 0.05."""
+    box = Box.cube(int(required_size(0.05, 50.0, fmap.C)), 2)
+    return differentiate_box(fmap, box, 0.05, 0.1, 50.0, max_directions=4,
+                             lines_per_direction=10, constants=cn)
+
+
+def test_search_matches_oracle_on_the_acceptance_11_flat(monkeypatch, cn):
+    got, want = _both_searches(monkeypatch, _acceptance_11_map(),
+                               lambda fmap: _pipeline_search(fmap, cn))
+    assert got.level == 1 and len(got.box_verdicts) > 0
+    _assert_same_report(got, want)
+
+
+@pytest.mark.parametrize("eps, scale", [(0.09, 968.0), (0.04, 5000.0)])
+def test_search_matches_oracle_at_level_two(monkeypatch, eps, scale):
+    """The drift-plus-zigzag first passes at level 2, so the images kept
+    after level 1 are the ones level 2 reads."""
+    fmap = BoxMap(drift_zigzag, LINF, K=3.0, C=1.0)
+    got, want = _both_searches(monkeypatch, fmap, lambda fm: effdiff.differentiate_lines(
+        fm, Box.cube(40000, 1), eps, 0.1, 8.0))
+    assert (got.level, got.scale) == (2, scale)
+    _assert_same_report(got, want)
+    # the same on 16 lines of a 2-D box, where each line keeps its own grid
+    box = Box.cube(6000, 2)
+    lines = LineFamily.build(box, density=eps, max_directions=4, lines_per_direction=4).lines
+    got, want = _both_searches(monkeypatch, BoxMap(drift_zigzag, LINF, K=6.0, C=1.0),
+                               lambda fm: effdiff.differentiate_lines(fm, box, eps, 0.1, 8.0,
+                                                                      lines=lines))
+    assert got.level == 2 and len(got.lines) == 16
+    _assert_same_report(got, want)
+
+
+@pytest.mark.parametrize("at", [20000.0, 10000.0], ids=["middle", "quarter"])
+def test_search_matches_oracle_on_a_folded_flat(monkeypatch, cn, at):
+    folded = folded_map(_acceptance_11_map(), axis=0, at=at)
+    got, want = _both_searches(monkeypatch, folded, lambda fmap: _pipeline_search(fmap, cn))
+    assert isinstance(got, QuasiLipschitzViolationError)
+    assert type(got) is type(want) and str(got) == str(want)
+    assert "at level 2" in str(got)
+
+
+class _Image:
+    """A box-map image that counts how many of its kind are alive."""
+
+    __slots__ = ("v",)
+    live = peak = 0
+
+    def __init__(self, v):
+        self.v = v
+        _Image.live += 1
+        _Image.peak = max(_Image.peak, _Image.live)
+
+    def __del__(self):
+        _Image.live -= 1
+
+
+def test_images_live_one_line_at_a_time():
+    """At most the longest line's samples plus every line's kept grid are
+    alive during the search, and nothing after it.  Holding every line's
+    images at once, as the level-major loop does, is 10,524 here; the
+    bound is 1,722."""
+    box = Box.cube(6000, 2)
+    lines = LineFamily.build(box, density=0.09, max_directions=4, lines_per_direction=4).lines
+    handle = MetricHandle("Linf", lambda a, b: max(abs(u - w) for u, w in zip(a.v, b.v)))
+    fmap = BoxMap(lambda p: _Image(drift_zigzag(p)), handle, K=6.0, C=1.0)
+    _Image.live = _Image.peak = 0
+    rep = differentiate_lines(fmap, box, 0.09, 0.1, 8.0, lines=lines)
+    assert rep.level == 2 and len(rep.lines) == 16
+    samples = [len(np.arange(0.0, ln.length + 1e-9, 8.0)) for ln in lines]
+    kept = sum(math.ceil(n / rep.params["stride"]) for n in samples)
+    assert sum(samples) == 10524
+    assert _Image.peak <= max(samples) + kept
+    assert _Image.live == 0
 
 
 # --- hyperbolic sub-box ----------------------------------------------------------

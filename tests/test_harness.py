@@ -292,7 +292,11 @@ def test_cli_documents_of_the_wrong_shape_are_usage_errors(capsys, argv, message
     (["stats", "--genus", "1", "--punctures", "1", "--flavor", "bogus"],
      "unknown flavor 'bogus'"),
     (["pipeline", "--eps0", "2"], "need eps0 in (0,1) and r0 >= 1"),
-], ids=["stats-flavor", "stats-components", "stats-genus-flavor", "pipeline-eps0"])
+    (["rank", "--components", "2", "--n", "2", "--box", "60"],
+     "box side 60 is below the pipeline's required size 40000 for n = 2 <= rank 2"),
+    (["rank", "--components", "2", "--n", "4"], "--n 4 exceeds rank + 1 = 3"),
+], ids=["stats-flavor", "stats-components", "stats-genus-flavor", "pipeline-eps0",
+        "rank-box-below-pipeline", "rank-n-above-rank-plus-one"])
 def test_cli_flag_values_are_usage_errors(capsys, argv, message):
     """These ended in a ValueError traceback with exit code 1."""
     with pytest.raises(SystemExit) as exc:
@@ -302,6 +306,27 @@ def test_cli_flag_values_are_usage_errors(capsys, argv, message):
     assert err.startswith(f"usage: coarsegeo {argv[0]} ")
     assert err.endswith(f"coarsegeo {argv[0]}: error: {message}\n")
     assert err.count("error:") == 1
+
+
+@pytest.mark.parametrize("components, flavor, n", [
+    (2, "marking", 2), (1, "augmented", 1), (2, "augmented", 2)])
+def test_cli_rank_at_most_rank_runs_the_pipeline_on_its_own_box(capsys, components, flavor, n):
+    """These ended in a ValueError traceback: the refutation's default box
+    of 60 went to the pipeline, which needs a side of 40000."""
+    code = main(["rank", "--components", str(components), "--flavor", flavor, "--n", str(n)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == (0 if doc["passed"] else 1)
+    assert any(s["stage"] == "embedding-pipeline" for s in doc["stages"])
+    # no box side in the config: the pipeline picks its own
+    surface = ModelSurface(tuple((1, 1) for _ in range(components)), flavor=flavor)
+    assert doc["config_digest"] == ExperimentConfig(surface).digest()
+
+
+def test_cli_rank_refutation_box_defaults_to_60(capsys):
+    main(["rank", "--components", "2", "--n", "3"])
+    unset = json.loads(capsys.readouterr().out)
+    main(["rank", "--components", "2", "--n", "3", "--box", "60"])
+    assert json.loads(capsys.readouterr().out) == unset
 
 
 def test_cli_differentiate_reads_the_constants_file(capsys, tmp_path, cn):

@@ -1,10 +1,13 @@
 """The noisy box map and the greedy net packing against the loops they
 replaced (`tests/oracles.py`), on seeded inputs.
 
-`harness.noisy_flat_map` composes its burst of unit twists into one
-twist move and rounds the lattice point with Python `round`; the oracle applies
-the burst one move at a time, each move a validated `ModelPoint`, with
-twist matrices conjugated from a shear and slopes reduced by gcd.
+`harness.noisy_flat_map` builds one point per image: it composes its
+burst of unit twists into one twist, applies the burst to the component's
+state before `StandardFlat.eval` builds the point, and rounds the lattice
+point with Python `round`; the oracle evaluates each factor state by its
+definition and applies the burst one move at a time, each move a
+validated `ModelPoint`, with twist matrices conjugated from a shear and
+slopes reduced by gcd.
 `harness.greedy_packing` skips images equal to an earlier one; the
 oracle compares every image with every kept one.  Both must give the
 same points, in the same order.
@@ -15,13 +18,16 @@ import pytest
 
 from coarsegeo.effdiff import Box
 from coarsegeo.harness import (adversarial_maps, greedy_packing, net_separation_count,
-                               noisy_flat_map, twist_flat)
-from coarsegeo.surfmodel import ModelSurface
+                               noisy_flat_map, orthant_flat, twist_flat)
+from coarsegeo.pathsflats import FlatFactor, StandardFlat, preferred_path
+from coarsegeo.surfmodel import (ZERO, ComponentState, ModelPoint, ModelSurface, Slope,
+                                 base_point, canonical_transversal, flip_move, twist_move)
 
 import oracles
 
 MARKING2 = ModelSurface(((1, 1), (1, 1)), flavor="marking")
 AUGMENTED = ModelSurface(((1, 1), (0, 4)), flavor="augmented", bers=2.0)
+PANTS2 = ModelSurface(((1, 1), (1, 1)), flavor="pants")
 POINTS_PER_CASE = 5000
 
 
@@ -38,8 +44,45 @@ def test_noisy_flat_map_matches_step_by_step_burst(surface, noise, tau_shift):
     # lattice points inside and outside the flat's box, some on half-integers
     pts = rng.uniform(-400.0, 400.0, size=(POINTS_PER_CASE, flat.dim))
     pts[:500] = np.floor(pts[:500]) + 0.5
+    flipped = 0
     for p in pts:
-        assert fmap.fn(p) == oracles.noisy_flat_image(flat, noise, seed, p), p
+        got, want = fmap.fn(p), oracles.noisy_flat_image(flat, noise, seed, p)
+        assert got == want and hash(got) == hash(want), p
+        flipped += any(st.alpha != ZERO for st in got.states)
+    # about one burst in nine starts with a flip, off the core 0/1
+    assert (flipped > POINTS_PER_CASE // 20) == (noise > 0)
+
+
+def _path_flat(surface: ModelSurface, cn) -> StandardFlat:
+    """A preferred path on component 0 and, off the pants flavor, a twist
+    lattice about 2/5 on component 1."""
+    base = base_point(surface)
+    if surface.flavor == "pants":
+        y = ModelPoint(surface, (ComponentState(Slope(7, 3)), base.states[1]))
+        return StandardFlat(base, (FlatFactor(0, "path", (0, 6), path=preferred_path(
+            base, y, cn, verify=False)),))
+    y = twist_move(flip_move(twist_move(base, 0, 30), 0), 0, -20)
+    core = Slope(2, 5)
+    return StandardFlat(base, (
+        FlatFactor(0, "path", (-3, 40), path=preferred_path(base, y, cn, verify=False)),
+        FlatFactor(1, "twist", (-50, 50), core=core, tau0=canonical_transversal(core))))
+
+
+@pytest.mark.parametrize("make", [
+    lambda cn: orthant_flat(AUGMENTED, 60),
+    lambda cn: _path_flat(MARKING2, cn),
+    lambda cn: _path_flat(AUGMENTED, cn),
+    lambda cn: _path_flat(PANTS2, cn),
+], ids=["orthant", "path-marking", "path-augmented", "path-pants"])
+def test_noisy_ray_and_path_flats_match_the_unfused_composition(make, cn):
+    flat = make(cn)
+    rng = np.random.default_rng(7)
+    for noise, seed in ((0, 0), (2, 31), (5, 32)):
+        fmap = noisy_flat_map(flat, noise, seed)
+        pts = rng.uniform(-80.0, 80.0, size=(600, flat.dim))
+        for p in pts:
+            got, want = fmap.fn(p), oracles.noisy_flat_image(flat, noise, seed, p)
+            assert got == want and hash(got) == hash(want), p
 
 
 def _net(box: Box, spacing: float) -> np.ndarray:

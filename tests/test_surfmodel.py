@@ -474,3 +474,76 @@ def test_projection_is_quasi_lipschitz(marking2, rng):
         dx = model_distance(x, y)
         for w in candidate_subsurfaces(x, y):
             assert subsurface_distance(x, y, w) <= dx + t
+
+
+# --- equality in one frame -------------------------------------------------------
+
+def _state_fields(st: ComponentState):
+    return ((st.alpha.p, st.alpha.q), None if st.tau is None else (st.tau.p, st.tau.q),
+            st.length)
+
+
+def _point_fields(x: ModelPoint):
+    s = x.surface
+    return (s.components, s.flavor, s.bers, s.threshold,
+            tuple(_state_fields(st) for st in x.states))
+
+
+def _few_valued_point(surface: ModelSurface, rng) -> ModelPoint:
+    """A point drawn from few values per field, so that equal pairs are common."""
+    states = []
+    for _ in surface.components:
+        alpha = (ZERO, INFINITY, Slope(1, 1))[int(rng.integers(0, 3))]
+        if surface.flavor == "pants":
+            states.append(ComponentState(alpha))
+            continue
+        tau = apply_matrix(twist_matrix(alpha, int(rng.integers(-1, 1))),
+                           canonical_transversal(alpha))
+        length = None
+        if surface.flavor == "augmented":
+            length = (surface.bers, surface.bers / 2)[int(rng.integers(0, 2))]
+        states.append(ComponentState(alpha, tau, length))
+    return ModelPoint(surface, tuple(states))
+
+
+@pytest.mark.parametrize("flavor", ["pants", "marking", "augmented"])
+def test_equality_agrees_with_fieldwise_comparison(flavor):
+    """Seeded pairs over equal but distinct surfaces, a surface with another
+    threshold, pants states without a transversal and augmented states
+    that differ in length only."""
+    rng = np.random.default_rng(len(flavor))
+    surfaces = [ModelSurface(((1, 1), (1, 1)), flavor=flavor, bers=2.0) for _ in range(2)]
+    surfaces.append(ModelSurface(((1, 1), (1, 1)), flavor=flavor, bers=2.0, threshold=12.0))
+    pts = [_few_valued_point(surfaces[int(rng.integers(0, 3))], rng) for _ in range(150)]
+    seen = {"equal, built apart": 0, "equal, surfaces apart": 0, "states differ in length": 0}
+    for x in pts:
+        for y in pts:
+            same = _point_fields(x) == _point_fields(y)
+            assert (x == y) is same and (x != y) is (not same)
+            assert not same or hash(x) == hash(y)
+            for a, b in zip(x.states, y.states):
+                assert (a == b) is (_state_fields(a) == _state_fields(b))
+                seen["states differ in length"] += (a.length != b.length
+                                                    and _state_fields(a)[:2] == _state_fields(b)[:2])
+            seen["equal, built apart"] += same and x is not y
+            seen["equal, surfaces apart"] += same and x.surface is not y.surface
+    assert seen["equal, built apart"] > 0 and seen["equal, surfaces apart"] > 0
+    assert (seen["states differ in length"] > 0) == (flavor == "augmented")
+
+
+def test_equality_checks_states_past_an_equal_hash(marking2):
+    x = base_point(marking2)
+    y = twist_move(x, 0, 1)
+    object.__setattr__(y, "_hash", x._hash)
+    assert x != y and y != x
+
+
+def test_equality_with_other_types_is_false_and_does_not_raise(augmented1):
+    x = base_point(augmented1)
+    st = x.states[0]
+    for other in (None, 0, "x", x.states, (st.alpha, st.tau, st.length), ZERO):
+        assert (x == other) is False and (x != other) is True
+        assert (st == other) is False and (st != other) is True
+    assert (x == st) is False and (st == x) is False
+    assert x.__eq__(st) is NotImplemented and st.__eq__(x) is NotImplemented
+    assert ComponentState(ZERO) == ComponentState(ZERO) != ComponentState(ZERO, INFINITY)
