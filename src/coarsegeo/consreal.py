@@ -11,6 +11,11 @@ annulus whose twist demand is far from that choice (those form a
 multicurve, at most one per component here), then build transversals by
 twisting and read lengths off horoball heights.
 
+In the exact model the boundary projection between two annuli depends
+only on their cores, which a system fixes when it is built, so an exact
+system computes those twisting numbers once, in a per-component table,
+and every check on it (realization re-checks included) reads them back.
+
 Synthetic systems (explicit relation tables over abstract complexes)
 exercise the same checker on nesting chains and overlap graphs that the
 exact zero-complexity model cannot produce.
@@ -20,12 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
 from . import surfmodel
 from .surfmodel import (AnnularPoint, ComponentState, InessentialSubsurfaceError,
                         ModelPoint, ModelSurface, Slope, Subsurface,
-                        annular_distance, boundary_point, farey_distance,
+                        annular_distance, annular_row, boundary_point, farey_distance,
                         pinned_state, project)
 
 DISJOINT, NESTED, OVERLAP = "disjoint", "nested", "overlap"
@@ -137,10 +142,58 @@ class SubsurfaceSystem:
         """(inner, outer) for a pair whose relation is NESTED."""
         raise NotImplementedError
 
+    def pair_values(self, z: ProjectionTuple) -> Iterator[tuple[Hashable, Hashable, float]]:
+        """(u, v, value) for each related pair of the members in z, u
+        before v in member order: the overlap value min(d_U(z_U, bV),
+        d_V(z_V, bU)), or for V nested in U min(d_U(z_U, bV),
+        d_V(z_V, pi_V(z_U))).  Missing boundary data is an error naming
+        the pair, except where the other branch already decides."""
+        members = [w for w in self.members() if w in z]
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
+                rel = self.relation(u, v)
+                if rel == DISJOINT:
+                    continue
+                if rel == OVERLAP:
+                    d_uv = self._dist_to_boundary(u, v, z)
+                    d_vu = self._dist_to_boundary(v, u, z)
+                    if d_uv is math.inf and d_vu is math.inf:
+                        raise MissingProjectionError(
+                            f"no boundary projection data for overlapping pair ({u}, {v})")
+                    yield u, v, min(d_uv, d_vu)
+                    continue
+                inner, outer = self.orient_nested(u, v)
+                d_outer = self._dist_to_boundary(outer, inner, z)
+                try:
+                    proj = self.project_element(outer, inner, z[outer])
+                    d_inner = self.complex_distance(inner, z[inner], proj)
+                except MissingProjectionError:
+                    d_inner = math.inf
+                if d_outer is math.inf and d_inner is math.inf:
+                    raise MissingProjectionError(
+                        f"no usable projection data for nested pair ({outer}, {inner})")
+                yield u, v, min(d_outer, d_inner)
+
+    def _dist_to_boundary(self, u, v, z: ProjectionTuple) -> float:
+        try:
+            b = self.boundary_projection(u, v)
+        except MissingProjectionError:
+            return math.inf
+        return self.complex_distance(u, z[u], b)
+
 
 class ExactSystem(SubsurfaceSystem):
     """The subsurface system of a zero-complexity model surface,
-    restricted to a finite working set of annuli per component."""
+    restricted to a finite working set of annuli per component.
+
+    Every boundary projection between two annuli of a component is
+    boundary_point(core_u, core_v), a function of the two cores alone,
+    and the cores are fixed when the system is built.  So the first
+    consistency check builds one twist table per component, T[u][v] =
+    twist_number(core_u, core_v) for each ordered pair of its k annuli
+    (k(k-1) ints, held by the system and freed with it), and every check
+    reads its overlap pairs off those rows exactly.
+    """
 
     def __init__(self, surface: ModelSurface,
                  subsurfaces: Iterable[Subsurface]):
@@ -148,6 +201,7 @@ class ExactSystem(SubsurfaceSystem):
         subs = list(subsurfaces)
         comps = {Subsurface("component", i) for i in range(surface.n_components)}
         self._members = sorted(set(subs) | comps, key=_id_key)
+        self._twists = None  # twist_table(), built by the first check
 
     def members(self) -> list[Subsurface]:
         return self._members
@@ -188,6 +242,51 @@ class ExactSystem(SubsurfaceSystem):
 
     def complex_distance(self, u: Subsurface, a, b) -> float:
         return surfmodel.complex_distance(u, a, b, self.surface.flavor)
+
+    def twist_table(self) -> list[tuple[Subsurface | None, list[Subsurface], list[list[int]]]]:
+        """Per component, in member order: its component member (None when
+        only annuli name it), its annuli a_0..a_{k-1}, and rows[i] =
+        [twist_number(a_i.core, a_j.core) for j != i], built on first use."""
+        if self._twists is None:
+            groups: dict[int, list[Subsurface]] = {}
+            for w in self._members:
+                groups.setdefault(w.comp, []).append(w)
+            table = []
+            for group in groups.values():
+                annuli = [w for w in group if w.kind == "annulus"]
+                for a in annuli:
+                    if a.core is None:
+                        raise ValueError(f"annulus {a} has no core")
+                rows = [[surfmodel.twist_number(a.core, b.core)
+                         for j, b in enumerate(annuli) if j != i]
+                        for i, a in enumerate(annuli)]
+                table.append((group[0] if group[0].kind == "component" else None, annuli, rows))
+            self._twists = table
+        return self._twists
+
+    def pair_values(self, z: ProjectionTuple) -> Iterator[tuple[Subsurface, Subsurface, float]]:
+        """The base loop's values, component by component: each nested pair
+        (W, A) from the component coordinate, and each overlap pair (u, v)
+        as min(row_u[v], row_v[u]) of the annular distances from z_u and z_v
+        to the twist-table rows."""
+        flavor, bers = self.surface.flavor, self.surface.bers
+        for w, annuli, rows in self.twist_table():
+            present = [i for i, a in enumerate(annuli) if a in z]
+            if w is not None and w in z:
+                zw = z[w]
+                for i in present:
+                    a = annuli[i]
+                    d_outer = float(farey_distance(zw, a.core))
+                    d_inner = math.inf if zw == a.core else annular_distance(
+                        z[a], boundary_point(a.core, zw, flavor, bers), flavor)
+                    yield w, a, min(d_outer, d_inner)
+            if len(present) < len(annuli):  # row i skips column i
+                rows = [[rows[i][j - (j > i)] for j in present if j != i] for i in present]
+            dists = [annular_row(z[annuli[i]], row, flavor, bers)
+                     for i, row in zip(present, rows)]
+            for s, i in enumerate(present):
+                for t in range(s + 1, len(present)):
+                    yield annuli[i], annuli[present[t]], min(dists[s][t - 1], dists[t][s])
 
 
 @dataclass
@@ -287,49 +386,16 @@ def consistency_check(sys: SubsurfaceSystem, z: ProjectionTuple,
                       m: float) -> ConsistencyReport:
     """Evaluate both consistency conditions on every related pair.
 
-    The realized M is the max over pairs of the tested min-expression;
-    the verdict is realized M <= m.  Missing boundary data is an error
-    naming the pair, except where the other branch already decides.
+    The realized M is the max over pairs of the tested min-expression
+    (`SubsurfaceSystem.pair_values`); the verdict is realized M <= m.
     """
-    members = [w for w in sys.members() if w in z]
     realized = 0.0
     violations: list[tuple[Hashable, Hashable, float]] = []
-    for i, u in enumerate(members):
-        for v in members[i + 1:]:
-            rel = sys.relation(u, v)
-            if rel == DISJOINT:
-                continue
-            if rel == OVERLAP:
-                d_uv = _dist_to_boundary(sys, u, v, z)
-                d_vu = _dist_to_boundary(sys, v, u, z)
-                if d_uv is math.inf and d_vu is math.inf:
-                    raise MissingProjectionError(
-                        f"no boundary projection data for overlapping pair ({u}, {v})")
-                val = min(d_uv, d_vu)
-            else:
-                inner, outer = sys.orient_nested(u, v)
-                d_outer = _dist_to_boundary(sys, outer, inner, z)
-                try:
-                    proj = sys.project_element(outer, inner, z[outer])
-                    d_inner = sys.complex_distance(inner, z[inner], proj)
-                except MissingProjectionError:
-                    d_inner = math.inf
-                if d_outer is math.inf and d_inner is math.inf:
-                    raise MissingProjectionError(
-                        f"no usable projection data for nested pair ({outer}, {inner})")
-                val = min(d_outer, d_inner)
-            realized = max(realized, val)
-            if val > m:
-                violations.append((u, v, val))
+    for u, v, val in sys.pair_values(z):
+        realized = max(realized, val)
+        if val > m:
+            violations.append((u, v, val))
     return ConsistencyReport(not violations, realized, violations, m)
-
-
-def _dist_to_boundary(sys: SubsurfaceSystem, u, v, z: ProjectionTuple) -> float:
-    try:
-        b = sys.boundary_projection(u, v)
-    except MissingProjectionError:
-        return math.inf
-    return sys.complex_distance(u, z[u], b)
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,9 @@ from .hypgraph import (delta_estimate, delta_exhaustive, farey_graph, farey_hand
                        lp_handle, model_handle, real_line_handle)
 from .pathsflats import (FlatFactor, StandardFlat, candidate_flats,
                          extract_no_backtrack, flat_fit, preferred_path)
-from .surfmodel import (AnnularPoint, ComponentState, ModelPoint, ModelSurface,
-                        Slope, Subsurface, base_point, farey_distance,
-                        farey_geodesic, flip_move, length_move, model_distance,
-                        surface_stats, twist_move)
+from .surfmodel import (ComponentState, ModelPoint, ModelSurface, Slope, Subsurface,
+                        base_point, farey_distance, farey_geodesic, flip_move,
+                        length_move, model_distance, surface_stats, twist_move)
 
 INFINITY = surfmodel.INFINITY
 ZERO = surfmodel.ZERO
@@ -1003,13 +1002,24 @@ def _differentiate(ns):
                                      constants=_constants_arg(ns)).to_json()
 
 
+def _tuple_coords(surface: ModelSurface, doc) -> dict:
+    """The [subsurface, coordinate] pairs of a `realize` tuple: a slope for
+    a component, an annular coordinate of the surface's flavor for an
+    annulus, each on a component of the surface."""
+    coords = {}
+    for w, c in doc:
+        sub = Subsurface(w["kind"], w["comp"], Slope.from_json(w["core"]) if w.get("core") else None)
+        if not 0 <= sub.comp < surface.n_components:
+            raise ValueError(f"{sub} is not on a component of the surface")
+        coords[sub] = (Slope.from_json(c["slope"]) if sub.kind == "component" else
+                       surfmodel.annular_coordinate_point(surface, int(c["twist"]), c.get("height")))
+    return coords
+
+
 def _realize(ns):
     surface = _surface_arg(ns)
     m = _constants_arg(ns)["m_realize"]
-    coords = _load_json_arg(ns.tuple, "tuple", lambda doc: {
-        Subsurface(w["kind"], w["comp"], Slope.from_json(w["core"]) if w.get("core") else None):
-            Slope.from_json(c["slope"]) if "slope" in c else AnnularPoint(int(c["twist"]), c.get("height"))
-        for w, c in doc})
+    coords = _load_json_arg(ns.tuple, "tuple", lambda doc: _tuple_coords(surface, doc))
     system = consreal.ExactSystem(surface, coords.keys())
     try:
         return consreal.realize(system, consreal.ProjectionTuple.of(coords), m=m).to_json()

@@ -709,6 +709,49 @@ def annular_distance(u: AnnularPoint, v: AnnularPoint, flavor: str) -> float:
     return horoball_distance(u.coords(), v.coords())
 
 
+def annular_row(u: AnnularPoint, twists: Sequence[int], flavor: str,
+                bers: float) -> list[float]:
+    """[annular_distance(u, boundary_point(core, c, flavor, bers), flavor)
+    for each twist_number(core, c) in `twists`]: the same floats from the
+    same operations in the same operand order, and the same ValueErrors,
+    without building a boundary point per entry."""
+    if flavor == "pants":
+        return [0.0] * len(twists)
+    if flavor == "marking":
+        t = u.twist
+        return [float(abs(t - s)) for s in twists]
+    if not twists:
+        return []
+    if u.height is None:
+        raise ValueError("augmented annular points need heights")
+    # horoball_distance((x1, y1), (s, y2)) with the row's constant terms hoisted
+    x1, y1 = u.coords()
+    y2 = float(1.0 / bers)
+    if y1 <= 0 or y2 <= 0:
+        raise ValueError("horoball points need positive height")
+    dy, den = (y1 - y2) ** 2, 2.0 * y1 * y2
+    return [math.acosh(1.0 + ((x1 - float(s)) ** 2 + dy) / den) for s in twists]
+
+
+def annular_coordinate_point(surface: ModelSurface, twist: int,
+                             height: float | None) -> AnnularPoint:
+    """A coordinate of an annular complex of the surface's flavor, or a
+    ValueError: the pants flavor has none, a marking coordinate has no
+    height, and an augmented one needs a positive finite height."""
+    if surface.flavor == "pants":
+        raise ValueError("the pants flavor has no annular coordinates")
+    if surface.flavor == "marking":
+        if height is not None:
+            raise ValueError("marking annular coordinates have no height")
+        return AnnularPoint(twist)
+    if height is None:
+        raise ValueError("augmented annular points need heights")
+    h = float(height)
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError(f"augmented annular heights are positive and finite, got {h}")
+    return AnnularPoint(twist, h)
+
+
 def complex_distance(w: Subsurface, a, b, flavor: str) -> float:
     """Distance between two points of the complex of w: the Farey graph
     for a component, the annular complex of the flavor for an annulus."""

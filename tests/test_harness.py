@@ -237,6 +237,44 @@ def test_cli_realize_rejects_bad_tuples(capsys, tup, message):
     assert err.endswith(f"coarsegeo realize: error: {message}\n")
 
 
+_W0 = [{"kind": "component", "comp": 0, "core": None}, {"slope": [0, 1]}]
+_A0 = {"kind": "annulus", "comp": 0, "core": [1, 2]}
+
+
+@pytest.mark.parametrize("flavor, tup, message", [
+    ("augmented", [[_W0[0], {"twist": 3}]], "tuple lacks the key 'slope'"),
+    ("augmented", [_W0, [_A0, {"slope": [1, 2]}]], "tuple lacks the key 'twist'"),
+    ("augmented", [_W0, [_A0, {"twist": 3}]],
+     "bad tuple: augmented annular points need heights"),
+    ("augmented", [_W0, [_A0, {"twist": 3, "height": 0}]],
+     "bad tuple: augmented annular heights are positive and finite, got 0.0"),
+    ("augmented", [_W0, [_A0, {"twist": 3, "height": -2}]],
+     "bad tuple: augmented annular heights are positive and finite, got -2.0"),
+    ("augmented", [_W0, [_A0, {"twist": 3, "height": math.nan}]],
+     "bad tuple: augmented annular heights are positive and finite, got nan"),
+    ("augmented", [_W0, [_A0, {"twist": 3, "height": math.inf}]],
+     "bad tuple: augmented annular heights are positive and finite, got inf"),
+    ("pants", [_W0, [_A0, {"twist": 3}]],
+     "bad tuple: the pants flavor has no annular coordinates"),
+    ("marking", [_W0, [_A0, {"twist": 3, "height": 0.5}]],
+     "bad tuple: marking annular coordinates have no height"),
+    ("marking", [_W0, [{**_A0, "comp": 3}, {"twist": 3}]],
+     "bad tuple: A3(1/2) is not on a component of the surface"),
+], ids=["component-twist", "annulus-slope", "no-height", "zero-height", "negative-height",
+        "nan-height", "infinite-height", "pants-annulus", "marking-height", "no-such-component"])
+def test_cli_realize_rejects_bad_coordinates(capsys, flavor, tup, message):
+    """These ended in an AttributeError or ValueError traceback with exit
+    code 1, or were accepted (a NaN or infinite height) or silently
+    ignored (annular coordinates on pants, a marking height, an annulus
+    off the surface)."""
+    with pytest.raises(SystemExit) as exc:
+        main(["realize", "--flavor", flavor, json.dumps(tup)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: coarsegeo realize ")
+    assert err.endswith(f"coarsegeo realize: error: {message}\n")
+
+
 @pytest.mark.parametrize("trace, scale, eps, message", [
     ({"times": [0, 0, 1], "values": [0, 1, 2]}, "1", "0.5",
      "times must be strictly increasing"),
