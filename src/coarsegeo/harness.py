@@ -1008,11 +1008,12 @@ def _tuple_coords(surface: ModelSurface, doc) -> dict:
     annulus, each on a component of the surface."""
     coords = {}
     for w, c in doc:
-        sub = Subsurface(w["kind"], w["comp"], Slope.from_json(w["core"]) if w.get("core") else None)
+        core = Slope.from_json(w["core"]) if w.get("core") else None
+        sub = Subsurface(w["kind"], w["comp"], core)
         if not 0 <= sub.comp < surface.n_components:
             raise ValueError(f"{sub} is not on a component of the surface")
         coords[sub] = (Slope.from_json(c["slope"]) if sub.kind == "component" else
-                       surfmodel.annular_coordinate_point(surface, int(c["twist"]), c.get("height")))
+                       surfmodel.annular_coordinate_point(surface, c["twist"], c.get("height")))
     return coords
 
 

@@ -733,13 +733,17 @@ def annular_row(u: AnnularPoint, twists: Sequence[int], flavor: str,
     return [math.acosh(1.0 + ((x1 - float(s)) ** 2 + dy) / den) for s in twists]
 
 
-def annular_coordinate_point(surface: ModelSurface, twist: int,
+def annular_coordinate_point(surface: ModelSurface, twist: int | float,
                              height: float | None) -> AnnularPoint:
     """A coordinate of an annular complex of the surface's flavor, or a
-    ValueError: the pants flavor has none, a marking coordinate has no
-    height, and an augmented one needs a positive finite height."""
+    ValueError: the pants flavor has none, a twist is an integer, a
+    marking coordinate has no height, and an augmented one needs a
+    positive finite height."""
     if surface.flavor == "pants":
         raise ValueError("the pants flavor has no annular coordinates")
+    if isinstance(twist, float) and not twist.is_integer():
+        raise ValueError(f"annular twists are integers, got {twist}")
+    twist = int(twist)
     if surface.flavor == "marking":
         if height is not None:
             raise ValueError("marking annular coordinates have no height")

@@ -260,13 +260,18 @@ _A0 = {"kind": "annulus", "comp": 0, "core": [1, 2]}
      "bad tuple: marking annular coordinates have no height"),
     ("marking", [_W0, [{**_A0, "comp": 3}, {"twist": 3}]],
      "bad tuple: A3(1/2) is not on a component of the surface"),
+    ("marking", [_W0, [_A0, {"twist": 3.7}]], "bad tuple: annular twists are integers, got 3.7"),
+    ("augmented", [_W0, [_A0, {"twist": math.inf, "height": 1.0}]],
+     "bad tuple: annular twists are integers, got inf"),
 ], ids=["component-twist", "annulus-slope", "no-height", "zero-height", "negative-height",
-        "nan-height", "infinite-height", "pants-annulus", "marking-height", "no-such-component"])
+        "nan-height", "infinite-height", "pants-annulus", "marking-height", "no-such-component",
+        "fractional-twist", "infinite-twist"])
 def test_cli_realize_rejects_bad_coordinates(capsys, flavor, tup, message):
-    """These ended in an AttributeError or ValueError traceback with exit
-    code 1, or were accepted (a NaN or infinite height) or silently
-    ignored (annular coordinates on pants, a marking height, an annulus
-    off the surface)."""
+    """These ended in an AttributeError, ValueError or OverflowError
+    traceback with exit code 1, or were accepted (a NaN or infinite
+    height, a twist of 3.7 read as 3) or silently ignored (annular
+    coordinates on pants, a marking height, an annulus off the
+    surface)."""
     with pytest.raises(SystemExit) as exc:
         main(["realize", "--flavor", flavor, json.dumps(tup)])
     assert exc.value.code == 2
