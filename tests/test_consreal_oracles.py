@@ -112,7 +112,7 @@ def test_augmented_coordinate_without_height_raises_like_generic_loop(augmented1
             consistency_check(check, z, 1.0)
 
 
-def test_second_check_reads_overlaps_off_the_table(monkeypatch, marking2, rng, cn):
+def test_second_check_reads_overlaps_off_the_table(monkeypatch, marking2, cn):
     """The first check on a system computes k(k-1) twisting numbers per
     component for its table and one per nested pair (W, A) whose core is
     not the component coordinate; a second check on the same system only
