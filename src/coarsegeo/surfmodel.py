@@ -19,6 +19,7 @@ y >= 1/B of H^2).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -78,7 +79,15 @@ class Slope:
 
     @classmethod
     def from_json(cls, doc: Sequence[int]) -> "Slope":
-        return cls(int(doc[0]), int(doc[1]))
+        return cls(_json_int(doc[0], "slope entries"), _json_int(doc[1], "slope entries"))
+
+
+def _json_int(v, what: str) -> int:
+    """An integer read from JSON: a float must be a finite integer, so
+    nothing is truncated."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"{what} are integers, got {v}")
+    return int(v)
 
 
 INFINITY = Slope(1, 0)
@@ -352,14 +361,16 @@ class ModelSurface:
     """A disjoint union of (1,1) and (0,4) components with a flavor.
 
     `bers` is the Bers length bound B of the augmented flavor; `threshold`
-    is the cutoff T of the distance formula.  The hash is computed once,
-    at construction: surfaces are part of every distance-cache key.
+    is the cutoff T of the distance formula.  `_key`, the tuple
+    (components, flavor, bers, threshold), is built and hashed once, at
+    construction: it heads every distance-cache key.
     """
 
     components: tuple[tuple[int, int], ...]
     flavor: str = "marking"
     bers: float = 1.0
     threshold: float = 10.0
+    _key: tuple = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -373,8 +384,9 @@ class ModelSurface:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if self.bers <= 0 or self.threshold <= 0:
             raise ValueError("bers bound and threshold must be positive")
-        object.__setattr__(self, "_hash", hash((self.components, self.flavor, self.bers,
-                                                self.threshold)))
+        key = (self.components, self.flavor, self.bers, self.threshold)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __hash__(self) -> int:
         return self._hash
@@ -456,33 +468,20 @@ class ComponentState:
     tau: Slope | None = None
     length: float | None = None
 
-    def __hash__(self) -> int:
-        # hashed on every distance-cache lookup: one flat tuple of the
-        # fields costs about a third of the dataclass's nested hashes
-        a, t = self.alpha, self.tau
-        return hash((a.p, a.q) if t is None else (a.p, a.q, t.p, t.q, self.length))
-
-    def __eq__(self, other) -> bool:
-        # the fields in one frame, not one more per Slope
-        if other.__class__ is not ComponentState:
-            return NotImplemented
-        a, b, t, u = self.alpha, other.alpha, self.tau, other.tau
-        if a.p != b.p or a.q != b.q or self.length != other.length:
-            return False
-        if t is None or u is None:
-            return t is u
-        return t.p == u.p and t.q == u.q
-
 
 @dataclass(frozen=True, slots=True)
 class ModelPoint:
     """A pants / marking / augmented-marking point on a model surface.
 
-    The hash is computed once, at construction: points are the keys of
-    the model-distance cache."""
+    `_key` is built once, at construction, from plain ints and floats:
+    the surface's key, then per state (alpha.p, alpha.q) without a
+    transversal or (alpha.p, alpha.q, tau.p, tau.q, length) with one.
+    Equality compares keys, and the distance caches are keyed by them,
+    so a cached distance keeps no point, state or slope alive."""
 
     surface: ModelSurface
     states: tuple[ComponentState, ...]
+    _key: tuple = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -503,29 +502,28 @@ class ModelPoint:
                     raise ValueError("augmented length must lie in (0, B]")
             elif st.length is not None:
                 raise ValueError("marking points carry no length")
-        object.__setattr__(self, "_hash", hash((self.surface, self.states)))
+        key = _point_key(self.surface, self.states)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     @classmethod
     def _trusted(cls, surface: ModelSurface, states: tuple[ComponentState, ...]) -> "ModelPoint":
         """A point valid by construction, built without the per-state checks (three callers)."""
         x = object.__new__(cls)
+        key = _point_key(surface, states)
         object.__setattr__(x, "surface", surface)
         object.__setattr__(x, "states", states)
-        object.__setattr__(x, "_hash", hash((surface, states)))
+        object.__setattr__(x, "_key", key)
+        object.__setattr__(x, "_hash", hash(key))
         return x
 
     def __hash__(self) -> int:
         return self._hash
 
     def __eq__(self, other) -> bool:
-        # a distance-cache hit compares two equal points built apart
-        if self is other:
-            return True
         if other.__class__ is not ModelPoint:
             return NotImplemented
-        if self._hash != other._hash or self.states != other.states:
-            return False
-        return self.surface is other.surface or self.surface == other.surface
+        return self._key == other._key
 
     def __reduce__(self):
         # rebuilt through the constructor: revalidated, and hashed in the
@@ -559,6 +557,15 @@ class ModelPoint:
             for c in doc["components"]
         )
         return cls(surface, states)
+
+
+def _point_key(surface: ModelSurface, states: tuple[ComponentState, ...]) -> tuple:
+    """`ModelPoint._key`: the surface key, then one tuple per state."""
+    key = [surface._key]
+    for st in states:
+        a, t = st.alpha, st.tau
+        key.append((a.p, a.q) if t is None else (a.p, a.q, t.p, t.q, st.length))
+    return tuple(key)
 
 
 def base_point(surface: ModelSurface) -> ModelPoint:
@@ -741,9 +748,7 @@ def annular_coordinate_point(surface: ModelSurface, twist: int | float,
     positive finite height."""
     if surface.flavor == "pants":
         raise ValueError("the pants flavor has no annular coordinates")
-    if isinstance(twist, float) and not twist.is_integer():
-        raise ValueError(f"annular twists are integers, got {twist}")
-    twist = int(twist)
+    twist = _json_int(twist, "annular twists")
     if surface.flavor == "marking":
         if height is not None:
             raise ValueError("marking annular coordinates have no height")
@@ -803,13 +808,13 @@ def _candidate_cores(flavor: str, sx: ComponentState, sy: ComponentState) -> lis
     return sorted(cores, key=Slope.key)
 
 
-@lru_cache(maxsize=200_000)
 def _component_terms(surf: ModelSurface, comp: int, sx: ComponentState,
                      sy: ComponentState, t: float) -> tuple[tuple[Subsurface, float], ...]:
     """The (subsurface, distance) terms of one component at threshold t,
-    in candidate order.  Every subsurface lies in one component, so the
-    terms depend only on that component's two states.  A `Subsurface` is
-    built only for a kept term.
+    in candidate order: the body `_formula_terms` runs on a miss of its
+    cache.  Every subsurface lies in one component, so the terms depend
+    only on that component's two states.  A `Subsurface` is built only
+    for a kept term.
 
     Two states with the same pants slope alpha (as in a product region
     Q(alpha)) need one projection: the component term is
@@ -837,21 +842,45 @@ def _component_terms(surf: ModelSurface, comp: int, sx: ComponentState,
     return tuple(terms)
 
 
+# The two distance caches are dicts keyed by tuples of ints, floats,
+# strings and None taken from `ModelSurface._key` and `ModelPoint._key`.
+# The collector untracks such tuples, so no entry keeps a point, state
+# or slope alive, and a hit hashes and compares in C.  A full cache is
+# emptied by its next miss.
+_terms: dict[tuple, tuple[tuple[Subsurface, float], ...]] = {}
+_TERMS_MAX = 200_000
+_distances: dict[tuple, float] = {}
+_DISTANCES_MAX = 400_000
+_distance_hits = _distance_misses = 0
+
+
 def _formula_terms(x: ModelPoint, y: ModelPoint, threshold: float | None,
                    comps: Iterable[int] | None,
                    ) -> tuple[float, list[tuple[tuple[Subsurface, float], ...]]]:
-    """The thresholded total and each component's cached terms.  The
-    total is summed in one fixed order, components ascending and then
-    candidate order, so every caller gets the same float."""
-    surf = x.surface
-    if surf is not y.surface and surf != y.surface:
+    """The thresholded total and each component's cached terms, read at
+    (surface key, comp, both states' keys, t).  The total is summed in
+    one fixed order, components ascending and then candidate order, so
+    every caller gets the same float."""
+    surf, kx, ky = x.surface, x._key, y._key
+    skey = kx[0]
+    if skey != ky[0]:
         raise ValueError("points live on different surfaces")
     t = surf.threshold if threshold is None else threshold
-    comp_range = range(surf.n_components) if comps is None else comps
+    if comps is None:
+        comp_range = range(surf.n_components)
+    else:  # kx[i + 1] must be component i's state, so no index counts from the end
+        comp_range = tuple(comps)
+        if any(i < 0 for i in comp_range):
+            raise IndexError(f"components are numbered from 0, got {comp_range}")
     total = 0.0
     parts = []
     for i in comp_range:
-        terms = _component_terms(surf, i, x.states[i], y.states[i], t)
+        key = (skey, i, kx[i + 1], ky[i + 1], t)
+        terms = _terms.get(key)
+        if terms is None:
+            if len(_terms) >= _TERMS_MAX:
+                _terms.clear()
+            terms = _terms[key] = _component_terms(surf, i, x.states[i], y.states[i], t)
         for _, d in terms:
             total += d
         parts.append(terms)
@@ -867,19 +896,34 @@ def distance_formula(
     """Thresholded sum of projection distances, with the contributing
     subsurfaces.  This is the model metric; it is symmetric and obeys
     the triangle inequality up to a multiplicative slack.  Each
-    component's terms come from `_component_terms`, cached on that
-    component's two states."""
+    component's terms come from `_component_terms`, cached at that
+    component's two state keys."""
     total, parts = _formula_terms(x, y, threshold, comps)
     contributing = [wd for terms in parts for wd in terms]
     contributing.sort(key=lambda wd: wd[0].key())
     return total, contributing
 
 
-@lru_cache(maxsize=400_000)
 def model_distance(x: ModelPoint, y: ModelPoint) -> float:
     """The distance formula's total at the surface's own threshold,
-    cached; no contribution list is built."""
-    return _formula_terms(x, y, None, None)[0]
+    cached at (x._key, y._key); no contribution list is built."""
+    global _distance_hits, _distance_misses
+    key = (x._key, y._key)
+    d = _distances.get(key)
+    if d is not None:
+        _distance_hits += 1
+        return d
+    _distance_misses += 1
+    if len(_distances) >= _DISTANCES_MAX:
+        _distances.clear()
+    d = _distances[key] = _formula_terms(x, y, None, None)[0]
+    return d
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+# the counters `functools.lru_cache` reports, for callers that read them
+model_distance.cache_info = lambda: _CacheInfo(_distance_hits, _distance_misses,
+                                               _DISTANCES_MAX, len(_distances))
 
 
 def component_distance(x: ModelPoint, y: ModelPoint, comp: int) -> float:
@@ -1019,9 +1063,11 @@ def sum_distance_audit(x: ModelPoint, y: ModelPoint) -> tuple[float, float]:
 
 
 def clear_caches() -> None:
+    global _distance_hits, _distance_misses
     transport_matrix.cache_clear()
     farey_distance.cache_clear()
     farey_geodesic.cache_clear()
-    _component_terms.cache_clear()
-    model_distance.cache_clear()
+    _terms.clear()
+    _distances.clear()
+    _distance_hits = _distance_misses = 0
     _dist_memo.clear()

@@ -116,8 +116,8 @@ def distance_formula(x: ModelPoint, y: ModelPoint, threshold: float | None = Non
 def component_loop_distance_formula(x: ModelPoint, y: ModelPoint,
                                     threshold: float | None = None, comps=None,
                                     ) -> tuple[float, list[tuple[Subsurface, float]]]:
-    """Each component's cached terms, added up while the contribution
-    list is built."""
+    """Each component's terms from `_component_terms`, the body of the
+    per-component cache, added up while the contribution list is built."""
     surf = x.surface
     t = surf.threshold if threshold is None else threshold
     total = 0.0

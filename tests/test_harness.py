@@ -263,15 +263,18 @@ _A0 = {"kind": "annulus", "comp": 0, "core": [1, 2]}
     ("marking", [_W0, [_A0, {"twist": 3.7}]], "bad tuple: annular twists are integers, got 3.7"),
     ("augmented", [_W0, [_A0, {"twist": math.inf, "height": 1.0}]],
      "bad tuple: annular twists are integers, got inf"),
+    ("marking", [[_W0[0], {"slope": [1.5, 2]}]], "bad tuple: slope entries are integers, got 1.5"),
+    ("marking", [[_W0[0], {"slope": [1, math.inf]}]],
+     "bad tuple: slope entries are integers, got inf"),
 ], ids=["component-twist", "annulus-slope", "no-height", "zero-height", "negative-height",
         "nan-height", "infinite-height", "pants-annulus", "marking-height", "no-such-component",
-        "fractional-twist", "infinite-twist"])
+        "fractional-twist", "infinite-twist", "fractional-slope", "infinite-slope"])
 def test_cli_realize_rejects_bad_coordinates(capsys, flavor, tup, message):
     """These ended in an AttributeError, ValueError or OverflowError
     traceback with exit code 1, or were accepted (a NaN or infinite
-    height, a twist of 3.7 read as 3) or silently ignored (annular
-    coordinates on pants, a marking height, an annulus off the
-    surface)."""
+    height, a twist of 3.7 read as 3, a slope of [1.5, 2] read as 1/2) or
+    silently ignored (annular coordinates on pants, a marking height, an
+    annulus off the surface)."""
     with pytest.raises(SystemExit) as exc:
         main(["realize", "--flavor", flavor, json.dumps(tup)])
     assert exc.value.code == 2
@@ -315,11 +318,14 @@ NO_TRANSVERSAL = json.dumps({"components": [{"alpha": [0, 1]}]})
     (["dist", NO_TRANSVERSAL, NO_TRANSVERSAL], "bad point: marking points need transversals"),
     (["pipeline", "--config", '{"surface": 1}'],
      "bad config: 'int' object is not subscriptable"),
+    (["project", json.dumps({"components": [{"alpha": [0.9, 1], "tau": [1, 0]}]})],
+     "bad point: slope entries are integers, got 0.9"),
 ], ids=["realize-no-kind", "efficiency-no-values", "efficiency-list", "dist-no-components",
-        "dist-no-transversal", "pipeline-config-surface"])
+        "dist-no-transversal", "pipeline-config-surface", "project-fractional-slope"])
 def test_cli_documents_of_the_wrong_shape_are_usage_errors(capsys, argv, message):
     """These ended in a KeyError, TypeError or ValueError traceback with
-    exit code 1."""
+    exit code 1, or, for the fractional slope, projected 0/1 with exit
+    code 0."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -327,6 +333,14 @@ def test_cli_documents_of_the_wrong_shape_are_usage_errors(capsys, argv, message
     assert err.startswith(f"usage: coarsegeo {argv[0]} ")
     assert err.endswith(f"coarsegeo {argv[0]}: error: {message}\n")
     assert err.count("error:") == 1
+
+
+def test_cli_integral_float_slopes_are_read_as_integers(capsys):
+    outs = []
+    for slope in ([2.0, 4], [1, 2]):
+        assert main(["realize", json.dumps([[_W0[0], {"slope": slope}]])]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and json.loads(outs[0])["components"][0]["alpha"] == [1, 2]
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -44,6 +44,13 @@ def slope_strategy():
 
 # --- slopes and adjacency ---------------------------------------------------
 
+def test_slope_from_json_rejects_fractional_entries():
+    assert Slope.from_json([2.0, 4]) == Slope(1, 2) == Slope.from_json([1, 2])
+    for doc in ([1.5, 2], [1, 0.5], [math.inf, 1], [1, math.nan]):
+        with pytest.raises(ValueError, match="slope entries are integers"):
+            Slope.from_json(doc)
+
+
 def test_slope_canonical_form():
     assert Slope(2, 4) == Slope(1, 2)
     assert Slope(-1, -2) == Slope(1, 2)

@@ -3,29 +3,34 @@ the closed-form twist matrix and the gcd-free slope image against the
 code they replaced.
 
 `surfmodel.distance_formula` reads each component's terms from a cache
-keyed by the component's two states; `oracles.distance_formula` walks
+keyed by the component's two state keys; `oracles.distance_formula` walks
 every candidate subsurface of the point pair, with its own candidate
 enumeration and annular projection, and
-`oracles.component_loop_distance_formula` adds up the cached terms while
-it builds the contribution list.  Totals and contribution lists must
+`oracles.component_loop_distance_formula` adds up `_component_terms`
+while it builds the contribution list.  Totals and contribution lists must
 agree bit for bit: the cached terms are added in the same order as the
 direct loop.  `model_distance` builds no list and must still give the
 same float.  Points come from small seeded pools, so component states
-repeat across pairs and the cache is read back as well as filled.
+repeat across pairs and the cache is read back as well as filled.  Both
+caches are keyed by plain tuples that hold no point, and stay within
+their bounds.
 Pairs that share a pants curve, which take the one-annulus path of
 `_component_terms`, come from noisy twist-flat lines and from twist and
 length moves, at thresholds above and at or below zero.
 """
+
+import gc
 
 import numpy as np
 import pytest
 
 from coarsegeo import surfmodel
 from coarsegeo.harness import noisy_flat_map, random_point, twist_flat
-from coarsegeo.surfmodel import (INFINITY, ZERO, ComponentState, ModelPoint, ModelSurface,
-                                 Slope, apply_matrix, candidate_subsurfaces,
-                                 distance_formula, length_move, mat_inv, model_distance,
-                                 transport_matrix, twist_matrix, twist_move)
+from coarsegeo.surfmodel import (FLAVORS, INFINITY, ZERO, ComponentState, ModelPoint,
+                                 ModelSurface, Slope, apply_matrix, base_point,
+                                 candidate_subsurfaces, distance_formula, length_move,
+                                 mat_inv, model_distance, transport_matrix, twist_matrix,
+                                 twist_move)
 
 import oracles
 
@@ -45,10 +50,17 @@ def _bits(result):
     return total.hex(), [(w, d.hex()) for w, d in terms]
 
 
-def test_distance_formula_matches_direct_loop():
+def test_distance_formula_matches_direct_loop(monkeypatch):
     surfmodel.clear_caches()
+    body, runs = surfmodel._component_terms, []
+
+    def counted(*args):
+        runs.append(args[1])
+        return body(*args)
+
+    monkeypatch.setattr(surfmodel, "_component_terms", counted)
     rng = np.random.default_rng(505)
-    checked = 0
+    checked = asked = 0
     for surface in SURFACES:
         pool = [random_point(surface, rng, steps=int(rng.integers(4, 16)), big_twist=30)
                 for _ in range(POOL)]
@@ -59,6 +71,7 @@ def test_distance_formula_matches_direct_loop():
             assert candidate_subsurfaces(x, y) == oracles.candidate_subsurfaces(x, y)
             for kw in ({}, {"threshold": t + 3}, {"comps": (0,)}):
                 got = _bits(distance_formula(x, y, **kw))
+                asked += len(kw.get("comps", surface.components))
                 assert got == _bits(oracles.distance_formula(x, y, **kw)), (x, y, kw)
                 assert got == _bits(oracles.component_loop_distance_formula(x, y, **kw))
             want = oracles.component_loop_distance_formula(x, y)[0].hex()
@@ -66,7 +79,9 @@ def test_distance_formula_matches_direct_loop():
                 oracles.distance_formula(x, y)[0].hex()
             checked += 1
     assert checked == len(SURFACES) * PAIRS_PER_SURFACE
-    assert surfmodel._component_terms.cache_info().hits > 0
+    # the per-component cache is read back as well as filled: its body
+    # ran on fewer lookups than `distance_formula` made
+    assert 0 < len(runs) < asked
 
 
 def _flat_line_pairs(surface: ModelSurface, noise: int, rng) -> list:
@@ -173,15 +188,18 @@ def test_clear_caches_empties_every_cache(marking2):
     for _ in range(20):
         x, y = (random_point(marking2, rng, steps=10) for _ in range(2))
         model_distance(x, y)
+    model_distance(x, y)
     caches = {name: fn for name, fn in vars(surfmodel).items() if hasattr(fn, "cache_info")}
-    assert set(caches) >= {"transport_matrix", "farey_distance", "farey_geodesic",
-                           "_component_terms", "model_distance"}
+    assert set(caches) == {"transport_matrix", "farey_distance", "farey_geodesic",
+                           "model_distance"}
     assert all(fn.cache_info().currsize > 0 for fn in caches.values())
-    assert surfmodel._dist_memo
+    assert model_distance.cache_info().hits > 0
+    assert surfmodel._dist_memo and surfmodel._terms and surfmodel._distances
     surfmodel.clear_caches()
     assert {name: fn.cache_info().currsize for name, fn in caches.items()} == \
         dict.fromkeys(caches, 0)
-    assert not surfmodel._dist_memo
+    assert model_distance.cache_info()[:2] == (0, 0)
+    assert not surfmodel._dist_memo and not surfmodel._terms
 
 
 def test_equal_points_hash_equal(marking2):
@@ -192,7 +210,8 @@ def test_equal_points_hash_equal(marking2):
     a, b = build(7), build(7)
     assert a is not b and a.states is not b.states
     assert a == b and hash(a) == hash(b)
-    assert hash(a) == hash((a.surface, a.states))
+    assert a._key == (marking2._key, (2, 5, 1, 2, None), (0, 1, 1, 7, None)) == b._key
+    assert hash(a) == hash(a._key) and hash(marking2) == hash(marking2._key)
     assert build(8) != a
     # states of every flavor: equal fields, equal hash
     for args in ((Slope(4, 10),), (Slope(4, 10), Slope(1, 2)), (Slope(4, 10), Slope(1, 2), 0.5)):
@@ -201,3 +220,93 @@ def test_equal_points_hash_equal(marking2):
         assert st == twin and hash(st) == hash(twin)
     assert ModelPoint.from_json(marking2, a.to_json()) == a
     assert hash(ModelPoint.from_json(marking2, a.to_json())) == hash(a)
+
+
+# a bound small enough that both caches are emptied many times over
+SMALL_BOUND = 5
+
+
+def _flavor_pairs(seed: int) -> list:
+    """Seeded point pairs on a two-component surface of each flavor,
+    drawn from small pools so that pairs and component states repeat."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for flavor in FLAVORS:
+        surface = ModelSurface(((1, 1), (0, 4)), flavor=flavor, bers=2.0)
+        pool = [random_point(surface, rng, steps=int(rng.integers(4, 12)), big_twist=30)
+                for _ in range(12)]
+        pairs += [(pool[int(i)], pool[int(j)]) for i, j in rng.integers(12, size=(150, 2))]
+    return pairs
+
+
+def _atoms_only(k) -> bool:
+    return all(_atoms_only(e) if isinstance(e, tuple) else type(e) in (int, float, str, type(None))
+               for e in k)
+
+
+def _tuple_depth(k) -> int:
+    return 1 + max((_tuple_depth(e) for e in k if isinstance(e, tuple)), default=0)
+
+
+def test_cache_keys_hold_nothing_for_the_collector():
+    """Cache keys are tuples of ints, floats, strings and None, which the
+    collector untracks; a point built apart, on an equal surface built
+    apart, has the same key and hits; the reversed pair, a key of its
+    own, gives the same float."""
+    surfmodel.clear_caches()
+    pairs = _flavor_pairs(511)
+    got = [model_distance(x, y) for x, y in pairs]
+    keys = [*surfmodel._distances, *surfmodel._terms]
+    assert surfmodel._distances and surfmodel._terms
+    assert all(_atoms_only(k) for k in keys)
+    # a collection untracks a tuple whose items are untracked when it
+    # gets there, and the order it visits them in is its own, so a nest
+    # of d tuples is untracked after at most d collections
+    depth = max(_tuple_depth(k) for k in keys)
+    assert depth == 5  # pair, point, surface, components, one component
+    for _ in range(depth):
+        gc.collect()
+    assert not any(gc.is_tracked(k) for k in surfmodel._distances)
+    assert not any(gc.is_tracked(k) for k in surfmodel._terms)
+    for (x, y), d in zip(pairs, got):
+        s = x.surface
+        surface = ModelSurface(s.components, flavor=s.flavor, bers=s.bers, threshold=s.threshold)
+        x2, y2 = (ModelPoint.from_json(surface, p.to_json()) for p in (x, y))
+        assert x2.surface is not s and (x2, y2) == (x, y) and x2.states is not x.states
+        before = model_distance.cache_info()
+        assert model_distance(x2, y2).hex() == d.hex()
+        after = model_distance.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert model_distance(y, x).hex() == d.hex()
+
+
+def test_component_indices_from_the_end_are_refused(marking2):
+    """A negative index would read the surface key as a state key and
+    cache one component's terms under every pair's key."""
+    x, y = base_point(marking2), twist_move(base_point(marking2), 1, 40)
+    for bad in ((-1,), (0, -2)):
+        with pytest.raises(IndexError, match="numbered from 0"):
+            distance_formula(x, y, comps=bad)
+    with pytest.raises(IndexError):
+        distance_formula(x, y, comps=(2,))
+    assert distance_formula(x, y, comps=iter([1]))[0] == 40.0
+
+
+def test_bounded_caches_give_the_unbounded_answers(monkeypatch):
+    pairs = _flavor_pairs(512)
+    surfmodel.clear_caches()
+    want = [(model_distance(x, y).hex(), _bits(distance_formula(x, y, threshold=0.0)))
+            for x, y in pairs]
+    assert min(len(surfmodel._distances), len(surfmodel._terms)) > 10 * SMALL_BOUND
+    surfmodel.clear_caches()
+    monkeypatch.setattr(surfmodel, "_DISTANCES_MAX", SMALL_BOUND)
+    monkeypatch.setattr(surfmodel, "_TERMS_MAX", SMALL_BOUND)
+    for (x, y), (d, terms) in zip(pairs, want):
+        for _ in range(2):  # the second call is a hit
+            assert model_distance(x, y).hex() == d
+            assert _bits(distance_formula(x, y, threshold=0.0)) == terms
+            assert model_distance.cache_info().currsize <= SMALL_BOUND
+            assert len(surfmodel._terms) <= SMALL_BOUND
+    info = model_distance.cache_info()
+    assert info.maxsize == SMALL_BOUND
+    assert info.hits >= len(pairs) and info.misses + info.hits == 2 * len(pairs)
