@@ -205,7 +205,11 @@ def noisy_flat_map(flat: StandardFlat, noise: int, seed: int) -> BoxMap:
 
     Each image is one point: the burst is read off the hash of the
     lattice point first, and `StandardFlat.eval` applies it to the
-    component's state before it builds the point."""
+    component's state before it builds the point.  The flat's state
+    table holds each (component, lattice coordinate, burst move) state
+    and its key once, up to `pathsflats._FLAT_STATES_MAX` entries, so
+    images at one lattice point and burst share their states.  A point
+    with the wrong number of coordinates raises `ValueError`."""
     surface = flat.surface
     h = model_handle(surface)
     bounds = flat.box().intervals
@@ -215,7 +219,7 @@ def noisy_flat_map(flat: StandardFlat, noise: int, seed: int) -> BoxMap:
         # round() rounds half to even, as np.rint does, and gives the
         # Python ints that the noise hash reads through repr
         c = p.tolist() if p.__class__ is np.ndarray and p.ndim == 1 else np.ravel(p).tolist()
-        t = tuple(int(min(max(round(v), lo), hi)) for v, (lo, hi) in zip(c, bounds, strict=True))
+        t = tuple([int(min(max(round(v), lo), hi)) for v, (lo, hi) in zip(c, bounds, strict=True)])
         if not noisy:
             return flat.eval(t)
         mix = hashlib.sha256(repr((seed, t)).encode()).digest()

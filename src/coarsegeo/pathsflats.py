@@ -30,7 +30,8 @@ from .surfmodel import (AnnularPoint, ComponentState, ModelPoint, ModelSurface,
                         det, distance_formula, farey_adjacent, farey_distance,
                         farey_geodesic, flip_state, geodesic_chart, horoball_distance,
                         horoball_point_to_segment, model_distance, project,
-                        subsurface_distance, twist_number, twist_state, _trusted_slope)
+                        subsurface_distance, twist_number, twist_state, _state_key,
+                        _trusted_slope)
 
 Move = tuple  # ("twist", comp, n) | ("flip", comp) | ("length", comp, factor) | ("realized",)
 
@@ -470,18 +471,30 @@ class FlatFactor:
             object.__setattr__(self, "_twist_line", (tau0.p, tau0.q, d * core.p, d * core.q))
 
 
+# entries of one flat's state table; a full table is emptied by its next miss
+_FLAT_STATES_MAX = 50_000
+
+
 @dataclass(frozen=True)
 class StandardFlat:
     """An L1 product of factors over the components, evaluated on the
-    lattice box given by the factor intervals."""
+    lattice box given by the factor intervals.
+
+    `_states` is the table `eval` reads component states from: it maps
+    (comp, coordinate, move) to (state, `surfmodel._state_key(state)`),
+    lives as long as the flat, and holds at most `_FLAT_STATES_MAX`
+    entries."""
 
     base: ModelPoint
     factors: tuple[FlatFactor, ...]
+    _states: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         comps = [f.comp for f in self.factors]
         if len(set(comps)) != len(comps):
             raise ValueError("one factor per component")
+        if not all(0 <= c < self.surface.n_components for c in comps):
+            raise ValueError(f"factor components must lie in range({self.surface.n_components})")
         fl = self.surface.flavor  # checked once here, so `eval` builds valid points
         for f in self.factors:
             if f.kind == "path" and any(p.surface != self.surface for p in f.path.points):
@@ -528,23 +541,57 @@ class StandardFlat:
              burst: tuple[int, bool, int] | None = None) -> ModelPoint:
         """The flat's point at t_vec.  A burst (comp, flip, n) of small
         moves is applied to that component's state before the point is
-        built: a flip if `flip`, then n twists about the pants curve."""
+        built: a flip if `flip`, then n twists about the pants curve.
+
+        Each component's state and its key come from the flat's table
+        `_states`, at (comp, the coordinate `factor_state` reads or None
+        for a component without a factor, (flip, n) or None for no
+        move); a miss runs `_table_entry`, and a table of
+        `_FLAT_STATES_MAX` entries is emptied by its next miss.  So
+        images at one lattice point and burst share their state objects,
+        and the point's key is put together from the table's state keys."""
         if len(t_vec) != len(self.factors):
             raise ValueError("one coordinate per factor")
         states = list(self.base.states)
-        for f, t in zip(self.factors, t_vec):
-            states[f.comp] = self.factor_state(f, t)
+        keys = list(self.base._key)
+        bcomp, move = -1, None  # bcomp: the component whose move is still to apply
         if burst is not None:
             comp, flip, n = burst
-            st = states[comp]
+            if not 0 <= comp < len(states):
+                raise IndexError(f"burst component {comp} out of range")
+            if flip or n:
+                bcomp, move = comp, (flip, n)
+        table = self._states
+        for f, t in zip(self.factors, t_vec):
+            c = f.comp
+            if c == bcomp:
+                k, bcomp = (c, t, move), -1
+            else:
+                k = (c, t, None)
+            states[c], keys[c + 1] = table.get(k) or self._table_entry(k, f)
+        if bcomp >= 0:  # a burst on a component without a factor
+            k = (bcomp, None, move)
+            states[bcomp], keys[bcomp + 1] = table.get(k) or self._table_entry(k, None)
+        # a valid base, factor states kept valid by __post_init__ and
+        # factor_state, and moves that keep a state valid
+        return ModelPoint._trusted(self.surface, tuple(states), tuple(keys))
+
+    def _table_entry(self, k: tuple, f: FlatFactor | None) -> tuple[ComponentState, tuple]:
+        """Build, store and return the table entry at k = (comp, t, move):
+        f's state at t (the base state if f is None), flipped if the
+        move says so and then twisted n times."""
+        comp, t, move = k
+        st = self.base.states[comp] if f is None else self.factor_state(f, t)
+        if move is not None:
+            flip, n = move
             if flip:
                 st = flip_state(st, self.surface.bers)
             if n:
                 st = twist_state(st, n)
-            states[comp] = st
-        # a valid base, factor states kept valid by __post_init__ and
-        # factor_state, and moves that keep a state valid
-        return ModelPoint._trusted(self.surface, tuple(states))
+        if len(self._states) >= _FLAT_STATES_MAX:
+            self._states.clear()
+        entry = self._states[k] = (st, _state_key(st))
+        return entry
 
     def to_json(self) -> dict:
         return {

@@ -507,10 +507,13 @@ class ModelPoint:
         object.__setattr__(self, "_hash", hash(key))
 
     @classmethod
-    def _trusted(cls, surface: ModelSurface, states: tuple[ComponentState, ...]) -> "ModelPoint":
-        """A point valid by construction, built without the per-state checks (three callers)."""
+    def _trusted(cls, surface: ModelSurface, states: tuple[ComponentState, ...],
+                 key: tuple) -> "ModelPoint":
+        """A point valid by construction, built without the per-state checks
+        (three callers).  `key` must equal `_point_key(surface, states)`:
+        the callers put it together from state keys they already hold,
+        and it is stored and hashed as given."""
         x = object.__new__(cls)
-        key = _point_key(surface, states)
         object.__setattr__(x, "surface", surface)
         object.__setattr__(x, "states", states)
         object.__setattr__(x, "_key", key)
@@ -559,13 +562,16 @@ class ModelPoint:
         return cls(surface, states)
 
 
+def _state_key(st: ComponentState) -> tuple:
+    """One state's part of `ModelPoint._key`: (alpha.p, alpha.q) without a
+    transversal, (alpha.p, alpha.q, tau.p, tau.q, length) with one."""
+    a, t = st.alpha, st.tau
+    return (a.p, a.q) if t is None else (a.p, a.q, t.p, t.q, st.length)
+
+
 def _point_key(surface: ModelSurface, states: tuple[ComponentState, ...]) -> tuple:
-    """`ModelPoint._key`: the surface key, then one tuple per state."""
-    key = [surface._key]
-    for st in states:
-        a, t = st.alpha, st.tau
-        key.append((a.p, a.q) if t is None else (a.p, a.q, t.p, t.q, st.length))
-    return tuple(key)
+    """`ModelPoint._key`: the surface key, then one `_state_key` per state."""
+    return (surface._key, *map(_state_key, states))
 
 
 def base_point(surface: ModelSurface) -> ModelPoint:
@@ -967,18 +973,25 @@ def flip_state(st: ComponentState, bers: float) -> ComponentState:
     return ComponentState(st.tau, st.alpha, bers if st.length is not None else None)
 
 
+def _with_state(x: ModelPoint, comp: int, st: ComponentState) -> tuple[tuple, tuple]:
+    """x's states and key with component comp's replaced by st (comp
+    indexes both as it indexes `x.states`)."""
+    states = list(x.states)
+    keys = list(x._key[1:])
+    states[comp] = st
+    keys[comp] = _state_key(st)
+    return tuple(states), (x._key[0], *keys)
+
+
 def twist_move(x: ModelPoint, comp: int, n: int = 1) -> ModelPoint:
     """Apply n Dehn twists about the pants curve of one component."""
-    states = list(x.states)
-    states[comp] = twist_state(states[comp], n)
-    return ModelPoint._trusted(x.surface, tuple(states))
+    return ModelPoint._trusted(x.surface, *_with_state(x, comp, twist_state(x.states[comp], n)))
 
 
 def flip_move(x: ModelPoint, comp: int) -> ModelPoint:
     """Swap pants slope and transversal in one component."""
-    states = list(x.states)
-    states[comp] = flip_state(states[comp], x.surface.bers)
-    return ModelPoint._trusted(x.surface, tuple(states))
+    return ModelPoint._trusted(x.surface,
+                               *_with_state(x, comp, flip_state(x.states[comp], x.surface.bers)))
 
 
 def length_move(x: ModelPoint, comp: int, factor: float) -> ModelPoint:

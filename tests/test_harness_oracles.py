@@ -3,7 +3,8 @@ replaced (`tests/oracles.py`), on seeded inputs.
 
 `harness.noisy_flat_map` builds one point per image: it composes its
 burst of unit twists into one twist, applies the burst to the component's
-state before `StandardFlat.eval` builds the point, and rounds the lattice
+state before `StandardFlat.eval` builds the point, reads each component
+state and its key from the flat's state table, and rounds the lattice
 point with Python `round`; the oracle evaluates each factor state by its
 definition and applies the burst one move at a time, each move a
 validated `ModelPoint`, with twist matrices conjugated from a shear and
@@ -16,6 +17,7 @@ same points, in the same order.
 import numpy as np
 import pytest
 
+from coarsegeo import pathsflats
 from coarsegeo.effdiff import Box
 from coarsegeo.harness import (adversarial_maps, greedy_packing, net_separation_count,
                                noisy_flat_map, orthant_flat, twist_flat)
@@ -47,7 +49,7 @@ def test_noisy_flat_map_matches_step_by_step_burst(surface, noise, tau_shift):
     flipped = 0
     for p in pts:
         got, want = fmap.fn(p), oracles.noisy_flat_image(flat, noise, seed, p)
-        assert got == want and hash(got) == hash(want), p
+        _assert_same_image(got, want, p)
         flipped += any(st.alpha != ZERO for st in got.states)
     # about one burst in nine starts with a flip, off the core 0/1
     assert (flipped > POINTS_PER_CASE // 20) == (noise > 0)
@@ -82,7 +84,39 @@ def test_noisy_ray_and_path_flats_match_the_unfused_composition(make, cn):
         pts = rng.uniform(-80.0, 80.0, size=(600, flat.dim))
         for p in pts:
             got, want = fmap.fn(p), oracles.noisy_flat_image(flat, noise, seed, p)
-            assert got == want and hash(got) == hash(want), p
+            _assert_same_image(got, want, p)
+
+
+@pytest.mark.parametrize("make", [
+    lambda cn: twist_flat(MARKING2, 300, tau_shift=7),
+    lambda cn: twist_flat(AUGMENTED, 300),
+    lambda cn: orthant_flat(AUGMENTED, 60),
+    lambda cn: _path_flat(MARKING2, cn),
+], ids=["twist-marking", "twist-augmented", "orthant", "path-marking"])
+def test_bounded_state_table_gives_the_unbounded_images(make, cn, monkeypatch):
+    """A flat whose state table is emptied every 5 misses gives the same
+    images, bit for bit, as one that is never emptied, and the table
+    never holds more than 5 entries."""
+    seed, noise = 77, 3
+    unbounded = make(cn)
+    pts = np.random.default_rng(11).uniform(-30.0, 30.0, size=(400, unbounded.dim))
+    pts = np.concatenate([pts, pts[:100]])
+    want = list(map(noisy_flat_map(unbounded, noise, seed).fn, pts))
+    assert len(unbounded._states) > 5
+    monkeypatch.setattr(pathsflats, "_FLAT_STATES_MAX", 5)
+    flat = make(cn)
+    fmap = noisy_flat_map(flat, noise, seed)
+    for p, w in zip(pts, want):
+        got = fmap.fn(p)
+        assert len(flat._states) <= 5
+        _assert_same_image(got, w, p)
+        assert repr(got._key) == repr(w._key), p
+
+
+def _assert_same_image(got: ModelPoint, want: ModelPoint, p) -> None:
+    """Equal keys, hashes and states: a stale state under the right key fails."""
+    assert got == want and hash(got) == hash(want), p
+    assert got.states == want.states and got._key == want._key, p
 
 
 def _net(box: Box, spacing: float) -> np.ndarray:

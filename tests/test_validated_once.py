@@ -30,9 +30,10 @@ AUGMENTED2 = ModelSurface(((1, 1), (1, 1)), flavor="augmented", bers=2.0)
 
 def assert_validated(x: ModelPoint) -> None:
     """The validating constructor accepts x's states and builds an equal
-    point with the same hash."""
+    point with the same hash and the same key, float for float."""
     y = ModelPoint(x.surface, x.states)
     assert x == y and hash(x) == hash(y)
+    assert x._key == y._key and repr(x._key) == repr(y._key)
 
 
 def _lattice(flat: StandardFlat, rng, n: int):
@@ -64,6 +65,51 @@ def test_flat_lattice_points_equal_the_validated_points(make, cn, rng):
         fmap = noisy_flat_map(flat, 3, noise_seed)
         for t in _lattice(flat, rng, 200):
             assert_validated(fmap.fn(t))
+
+
+@pytest.mark.parametrize("surface", [MARKING2, AUGMENTED2], ids=["marking", "augmented"])
+def test_images_at_one_lattice_point_and_burst_share_their_states(surface, rng):
+    """The flat's state table hands out one state object per (component,
+    coordinate, move): a second image at the same lattice point and burst
+    shares every state with the first, through `eval` and through the
+    noisy box map."""
+    flat = twist_flat(surface, 60)
+    fmap = noisy_flat_map(flat, 3, 5)
+    for t in _lattice(flat, rng, 100):
+        burst = (int(rng.integers(0, 2)), bool(rng.integers(0, 2)), int(rng.integers(-3, 4)))
+        for make in (lambda: flat.eval(t), lambda: flat.eval(t, burst), lambda: fmap.fn(t)):
+            x, y = make(), make()
+            assert x is not y and x._key == y._key
+            assert all(a is b for a, b in zip(x.states, y.states))
+    # no burst and an empty one read the same entries
+    x, y = flat.eval((3, -4)), flat.eval((3, -4), (1, False, 0))
+    assert all(a is b for a, b in zip(x.states, y.states))
+
+
+@pytest.mark.parametrize("surface", [MARKING2, AUGMENTED2], ids=["marking", "augmented"])
+def test_burst_on_a_component_without_a_factor(surface, rng):
+    """A burst on a component the flat has no factor for moves the base
+    state, and the key put together from the table matches the key the
+    validating constructor builds."""
+    core = Slope(2, 5)
+    base = twist_move(base_point(surface), 1, 7)
+    flat = StandardFlat(base, (FlatFactor(0, "twist", (-50, 50), core=core,
+                                          tau0=canonical_transversal(core)),))
+    for t in _lattice(flat, rng, 50):
+        for flip in (False, True):
+            n = int(rng.integers(-5, 6))
+            x = flat.eval(t, (1, flip, n))
+            y = flip_move(base, 1) if flip else base
+            y = twist_move(y, 1, n)
+            assert_validated(x)
+            assert x.states[0] == flat.eval(t).states[0] and x.states[1] == y.states[1]
+
+
+def test_burst_component_out_of_range_is_refused():
+    flat = twist_flat(MARKING2, 10)
+    for comp in (-1, 2):
+        with pytest.raises(IndexError):
+            flat.eval((0, 0), (comp, True, 1))
 
 
 def test_orthant_points_off_the_lattice_equal_the_validated_points(rng):
@@ -166,6 +212,11 @@ NEGATIVE = {
     "twist-factor-on-pants": lambda: StandardFlat(
         base_point(ModelSurface(((1, 1),), flavor="pants")),
         (FlatFactor(0, "twist", (0, 5), core=ZERO, tau0=INFINITY),)),
+    "factor-component-out-of-range": lambda: StandardFlat(base_point(MARKING2), (
+        FlatFactor(2, "twist", (0, 5), core=ZERO, tau0=INFINITY),)),
+    "flat-eval-wrong-length": lambda: twist_flat(MARKING2, 10).eval((1, 2, 3)),
+    "box-map-point-wrong-length": lambda: noisy_flat_map(twist_flat(MARKING2, 10), 3, 1).fn(
+        np.array([1.0, 2.0, 3.0])),
     "density-widened-gap": _widened_gap,
     "density-one-direction": lambda: LineFamily.verify_density([(1.0, 0.0)], 0.1),
 }
