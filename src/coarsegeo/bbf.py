@@ -75,7 +75,7 @@ def working_window(x: ModelPoint, y: ModelPoint) -> dict[int, tuple[Slope, ...]]
         for u, v in zip(geo, geo[1:]):
             out[i].update(common_neighbors(u, v))
         for pt in (x, y):
-            st = pt.states[i]
+            st = pt.state(i)
             out[i].add(st.alpha)
             if st.tau is not None:
                 out[i].add(st.tau)

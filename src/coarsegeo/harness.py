@@ -25,8 +25,8 @@ import numpy as np
 from . import bbf, consreal, effdiff, pathsflats, surfmodel
 from .constants import Constants, default_constants
 from .effdiff import Box, BoxMap, PathTrace
-from .hypgraph import (delta_estimate, delta_exhaustive, farey_graph, farey_handle,
-                       lp_handle, model_handle, real_line_handle)
+from .hypgraph import (_side_defect, delta_estimate, delta_exhaustive, farey_graph,
+                       farey_handle, lp_handle, model_handle, real_line_handle)
 from .pathsflats import (FlatFactor, StandardFlat, candidate_flats,
                          extract_no_backtrack, flat_fit, preferred_path)
 from .surfmodel import (ComponentState, ModelPoint, ModelSurface, Slope, Subsurface,
@@ -207,9 +207,9 @@ def noisy_flat_map(flat: StandardFlat, noise: int, seed: int) -> BoxMap:
     lattice point first, and `StandardFlat.eval` applies it to the
     component's state before it builds the point.  The flat's state
     table holds each (component, lattice coordinate, burst move) state
-    and its key once, up to `pathsflats._FLAT_STATES_MAX` entries, so
-    images at one lattice point and burst share their states.  A point
-    with the wrong number of coordinates raises `ValueError`."""
+    key once, up to `pathsflats._FLAT_STATES_MAX` entries, so images at
+    one lattice point and burst share their state keys.  A point with
+    the wrong number of coordinates raises `ValueError`."""
     surface = flat.surface
     h = model_handle(surface)
     bounds = flat.box().intervals
@@ -471,7 +471,7 @@ def _extract_moving_factors(fmap: BoxMap, sub: Box, moving: list[int],
     factors = []
     for comp in moving:
         pts = [ModelPoint(surface, tuple(
-            base.states[c] if c != comp else p.states[comp]
+            base.state(c) if c != comp else p.state(comp)
             for c in range(surface.n_components))) for p in diag]
         ts = np.linspace(0.0, float(sub.size), n_samp).tolist()
         trace = _uniform_trace(ts, pts, bbf.embedded_handle(pts, cn["k_pk"]),
@@ -490,7 +490,7 @@ def _extract_moving_factors(fmap: BoxMap, sub: Box, moving: list[int],
     for comp in range(surface.n_components):
         if comp in moving or surface.flavor == "pants":
             continue
-        st = base.states[comp]
+        st = base.state(comp)
         w = surfmodel.Subsurface("annulus", comp, st.alpha)
         tw = surfmodel.project(base, w).twist
         factors.append(FlatFactor(comp, "twist", (tw - 4 * int(sub.size), tw + 4 * int(sub.size)),
@@ -611,17 +611,6 @@ def _flat_qi_band(flat: StandardFlat, seed: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _triangle_defect(a: Slope, b: Slope, c: Slope) -> float:
-    """Thin-triangle defect of a Farey triple under the exact metric."""
-    sides = [farey_geodesic(a, b), farey_geodesic(b, c), farey_geodesic(a, c)]
-    worst = 0.0
-    for i, side in enumerate(sides):
-        others = [v for j, s in enumerate(sides) if j != i for v in s]
-        for v in side:
-            worst = max(worst, min(float(farey_distance(v, u)) for u in others))
-    return worst
-
-
 def _measure_path_constants(surface: ModelSurface, rng: np.random.Generator,
                             n_pairs: int) -> tuple[float, float]:
     """Worst multiplicative and additive quasi-geodesic defects of
@@ -656,12 +645,13 @@ def calibrate(seed: int = 42, scale: float = 1.0) -> Constants:
     marking1 = ModelSurface(((1, 1),), flavor="marking")
     augmented1 = ModelSurface(((1, 1),), flavor="augmented")
 
-    # thinness of the Farey graph: random triples plus an exhaustive ball
+    # Farey thinness: random triples under the exact metric, plus an exhaustive ball
+    near = lambda vs: (lambda v: min(float(farey_distance(v, u)) for u in vs))
     worst = 0.0
     for _ in range(n(200)):
         tri = [random_slope(rng, 40) for _ in range(3)]
         if len(set(tri)) == 3:
-            worst = max(worst, _triangle_defect(*tri))
+            worst = max(worst, _side_defect(tri, farey_geodesic, near))
     worst = max(worst, delta_exhaustive(farey_graph(0, 1, 3)))
     values["delta_farey"] = worst
     values["delta_horoball"] = 1.0  # log(1+sqrt(2)) rounded up

@@ -144,17 +144,16 @@ def geodesic(g: HypGraph, a: Vertex, b: Vertex) -> GeodesicSegment:
     return GeodesicSegment(tuple(path))
 
 
-def _side_defect(g: HypGraph, tri: Sequence[Vertex]) -> float:
+def _side_defect(tri: Sequence[Vertex], side: Callable[[Vertex, Vertex], Sequence[Vertex]],
+                 near: Callable[[list], Callable[[Vertex], float]]) -> float:
     """Max over the sides of the geodesic triangle on three vertices of
-    the distance from the side to the other two."""
-    sides = [geodesic(g, tri[0], tri[1]), geodesic(g, tri[1], tri[2]),
-             geodesic(g, tri[0], tri[2])]
+    the distance from the side to the other two, in the caller's space:
+    `side(a, b)` is a geodesic and `near(vs)` the distance to vs."""
+    sides = [side(tri[0], tri[1]), side(tri[1], tri[2]), side(tri[0], tri[2])]
     worst = 0.0
-    for i, side in enumerate(sides):
-        others = [v for j, s in enumerate(sides) if j != i for v in s.vertices]
-        dist = g.bfs_distances(others)
-        far = max(dist.get(v, math.inf) for v in side.vertices)
-        worst = max(worst, float(far))
+    for i, vs in enumerate(sides):
+        dist = near([v for j, s in enumerate(sides) if j != i for v in s])
+        worst = max(worst, float(max(map(dist, vs))))
     return worst
 
 
@@ -169,23 +168,33 @@ def delta_estimate(g: HypGraph, sample_count: int, seed: int) -> float:
     if n < 3:
         return 0.0
     rng = np.random.default_rng(seed)
+    side = lambda a, b: geodesic(g, a, b).vertices
+    near = lambda vs: g.bfs_distances(vs).__getitem__
     worst = 0.0
     for _ in range(sample_count):
         i, j, k = rng.choice(n, size=3, replace=False)
         tri = (g.vertices[int(i)], g.vertices[int(j)], g.vertices[int(k)])
         try:
-            worst = max(worst, _side_defect(g, tri))
+            worst = max(worst, _side_defect(tri, side, near))
         except UnreachableError:
             continue
     return worst
 
 
 def delta_exhaustive(g: HypGraph) -> float:
-    """Exact thin-triangle constant by scanning every vertex triple.
-    Only sensible on small graphs; used as the sampling oracle."""
+    """Exact thin-triangle constant by scanning every vertex triple, with
+    one BFS row per vertex and one geodesic per vertex pair (v's distance
+    to a set is its row's least entry there).  For small graphs only;
+    used as the sampling oracle."""
+    if len(g) < 3:
+        return 0.0
+    rows = {v: g.bfs_distances([v]) for v in g.vertices}
+    sides = {(a, b): geodesic(g, a, b).vertices
+             for a, b in itertools.combinations(g.vertices, 2)}
+    near = lambda vs: (lambda v: min(map(rows[v].__getitem__, vs)))
     worst = 0.0
     for tri in itertools.combinations(g.vertices, 3):
-        worst = max(worst, _side_defect(g, tri))
+        worst = max(worst, _side_defect(tri, lambda a, b: sides[a, b], near))
     return worst
 
 

@@ -27,11 +27,10 @@ from .hypgraph import MetricHandle, unparam_qgeo_check
 from .consreal import ExactSystem, ProjectionTuple, realize
 from .surfmodel import (AnnularPoint, ComponentState, ModelPoint, ModelSurface,
                         Slope, Subsurface, complex_distance, component_distance,
-                        det, distance_formula, farey_adjacent, farey_distance,
+                        distance_formula, farey_adjacent, farey_distance,
                         farey_geodesic, flip_state, geodesic_chart, horoball_distance,
                         horoball_point_to_segment, model_distance, project,
-                        subsurface_distance, twist_number, twist_state, _state_key,
-                        _trusted_slope)
+                        subsurface_distance, twist_number, twist_state, _state_view)
 
 Move = tuple  # ("twist", comp, n) | ("flip", comp) | ("length", comp, factor) | ("realized",)
 
@@ -109,33 +108,33 @@ def _twist_steps(points: list[ModelPoint], moves: list[Move], comp: int,
             moves.append(("twist", comp, step))
         return
     # climb: halve the length until the height reaches half the demand
-    start_len = points[-1].states[comp].length
-    while 1.0 / points[-1].states[comp].length < abs(n) / 2:
+    start_len = points[-1].state(comp).length
+    while 1.0 / points[-1].state(comp).length < abs(n) / 2:
         points.append(surfmodel.length_move(points[-1], comp, 0.5))
         moves.append(("length", comp, 0.5))
     rest = n
     while rest != 0:
-        height = 1.0 / points[-1].states[comp].length
+        height = 1.0 / points[-1].state(comp).length
         chunk = max(1, math.floor(height))
         k = min(abs(rest), chunk) * (1 if rest > 0 else -1)
         points.append(surfmodel.twist_move(points[-1], comp, k))
         moves.append(("twist", comp, k))
         rest -= k
     # descend to the starting length
-    while points[-1].states[comp].length < start_len - 1e-12:
+    while points[-1].state(comp).length < start_len - 1e-12:
         points.append(surfmodel.length_move(points[-1], comp, 2.0))
         moves.append(("length", comp, 2.0))
 
 
 def _length_steps(points: list[ModelPoint], moves: list[Move], comp: int,
                   target: float) -> None:
-    while points[-1].states[comp].length > target * math.sqrt(2):
+    while points[-1].state(comp).length > target * math.sqrt(2):
         points.append(surfmodel.length_move(points[-1], comp, 0.5))
         moves.append(("length", comp, 0.5))
-    while points[-1].states[comp].length < target / math.sqrt(2):
+    while points[-1].state(comp).length < target / math.sqrt(2):
         points.append(surfmodel.length_move(points[-1], comp, 2.0))
         moves.append(("length", comp, 2.0))
-    cur = points[-1].states[comp].length
+    cur = points[-1].state(comp).length
     if abs(cur - target) > 1e-12:
         points.append(surfmodel.length_move(points[-1], comp, target / cur))
         moves.append(("length", comp, target / cur))
@@ -170,21 +169,21 @@ def preferred_path(x: ModelPoint, y: ModelPoint,
     for comp in range(surface.n_components):
         geo = farey_geodesic(x.alpha(comp), y.alpha(comp))
         for nxt in geo[1:]:
-            cur = points[-1].states[comp]
+            cur = points[-1].state(comp)
             n = twist_number(cur.alpha, nxt) - twist_number(cur.alpha, cur.tau)
             _twist_steps(points, moves, comp, n, augmented)
-            if points[-1].states[comp].tau != nxt:
+            if points[-1].state(comp).tau != nxt:
                 raise PathVerificationError("twist interpolation missed the next slope")
             if augmented:
                 _length_steps(points, moves, comp, surface.bers)
             points.append(surfmodel.flip_move(points[-1], comp))
             moves.append(("flip", comp))
-        cur = points[-1].states[comp]
-        n = twist_number(cur.alpha, y.states[comp].tau) - twist_number(cur.alpha, cur.tau)
+        cur = points[-1].state(comp)
+        n = twist_number(cur.alpha, y.state(comp).tau) - twist_number(cur.alpha, cur.tau)
         _twist_steps(points, moves, comp, n, augmented)
         if augmented:
-            _length_steps(points, moves, comp, y.states[comp].length)
-        if points[-1].states[comp].tau != y.states[comp].tau:
+            _length_steps(points, moves, comp, y.state(comp).length)
+        if points[-1].state(comp).tau != y.state(comp).tau:
             # same twisting number about the pants curve means the same
             # transversal here; anything else is a construction bug
             raise PathVerificationError("terminal transversal mismatch")
@@ -449,12 +448,8 @@ class FlatFactor:
     path: PreferredPath | None = None
     core: Slope | None = None
     tau0: Slope | None = None
-    # twist_number(core, tau0) of a twist factor, and the integers
-    # (tau0.p, tau0.q, d core.p, d core.q) with d = det(core, tau0) that
-    # its states are affine in; computed once
+    # twist_number(core, tau0) of a twist factor, computed once
     _twist0: int | None = field(init=False, default=None, repr=False, compare=False)
-    _twist_line: tuple[int, int, int, int] | None = field(init=False, default=None,
-                                                          repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("path", "twist", "ray"):
@@ -465,10 +460,7 @@ class FlatFactor:
                                               or not farey_adjacent(self.core, self.tau0)):
             raise ValueError("pinned factors need a core and a Farey-adjacent base transversal")
         if self.kind == "twist":
-            core, tau0 = self.core, self.tau0
-            d = det(core, tau0)
-            object.__setattr__(self, "_twist0", twist_number(core, tau0))
-            object.__setattr__(self, "_twist_line", (tau0.p, tau0.q, d * core.p, d * core.q))
+            object.__setattr__(self, "_twist0", twist_number(self.core, self.tau0))
 
 
 # entries of one flat's state table; a full table is emptied by its next miss
@@ -481,7 +473,7 @@ class StandardFlat:
     lattice box given by the factor intervals.
 
     `_states` is the table `eval` reads component states from: it maps
-    (comp, coordinate, move) to (state, `surfmodel._state_key(state)`),
+    (comp, coordinate, move) to a state key (`ModelPoint.state_keys`),
     lives as long as the flat, and holds at most `_FLAT_STATES_MAX`
     entries."""
 
@@ -513,29 +505,25 @@ class StandardFlat:
     def box(self) -> effdiff.Box:
         return effdiff.Box(tuple(f.interval for f in self.factors))
 
-    def factor_state(self, f: FlatFactor, t: float) -> ComponentState:
+    def factor_state(self, f: FlatFactor, t: float) -> tuple:
+        """The state key of factor f at coordinate t."""
         surface = self.surface
         if f.kind == "path":
             i = int(round(t)) - f.interval[0]
             i = max(0, min(len(f.path.points) - 1, i))
-            return f.path.points[i].states[f.comp]
+            return f.path.points[i].state_keys[f.comp]
+        core, tau0 = f.core, f.tau0
         if f.kind == "twist":
             # absolute parametrization: the twist coordinate equals t
-            # tau0 + k det(core, tau0) core: what the k-th power of the twist
-            # matrix multiplies out to, primitive and Farey-adjacent to core
-            k = int(round(t)) - f._twist0
-            p0, q0, dp, dq = f._twist_line
-            p, q = p0 + k * dp, q0 + k * dq
-            if q < 0 or (q == 0 and p < 0):
-                p, q = -p, -q
             length = surface.bers if surface.flavor == "augmented" else None
-            return ComponentState(f.core, _trusted_slope(p, q), length)
+            return twist_state((core.p, core.q, tau0.p, tau0.q, length),
+                               int(round(t)) - f._twist0)
         # ray: climb the horoball at unit speed from the Bers height
         t = max(0.0, float(t))
         length = surface.bers * math.exp(-t)
         if length == 0.0:  # underflows beyond t of about 745
             raise ValueError("augmented length must lie in (0, B]")
-        return ComponentState(f.core, f.tau0, length)
+        return (core.p, core.q, tau0.p, tau0.q, length)
 
     def eval(self, t_vec: Sequence[float],
              burst: tuple[int, bool, int] | None = None) -> ModelPoint:
@@ -543,21 +531,19 @@ class StandardFlat:
         moves is applied to that component's state before the point is
         built: a flip if `flip`, then n twists about the pants curve.
 
-        Each component's state and its key come from the flat's table
+        Each component's state key comes from the flat's table
         `_states`, at (comp, the coordinate `factor_state` reads or None
         for a component without a factor, (flip, n) or None for no
         move); a miss runs `_table_entry`, and a table of
         `_FLAT_STATES_MAX` entries is emptied by its next miss.  So
-        images at one lattice point and burst share their state objects,
-        and the point's key is put together from the table's state keys."""
+        images at one lattice point and burst share their state keys."""
         if len(t_vec) != len(self.factors):
             raise ValueError("one coordinate per factor")
-        states = list(self.base.states)
-        keys = list(self.base._key)
+        keys = list(self.base.state_keys)
         bcomp, move = -1, None  # bcomp: the component whose move is still to apply
         if burst is not None:
             comp, flip, n = burst
-            if not 0 <= comp < len(states):
+            if not 0 <= comp < len(keys):
                 raise IndexError(f"burst component {comp} out of range")
             if flip or n:
                 bcomp, move = comp, (flip, n)
@@ -568,20 +554,20 @@ class StandardFlat:
                 k, bcomp = (c, t, move), -1
             else:
                 k = (c, t, None)
-            states[c], keys[c + 1] = table.get(k) or self._table_entry(k, f)
+            keys[c] = table.get(k) or self._table_entry(k, f)
         if bcomp >= 0:  # a burst on a component without a factor
             k = (bcomp, None, move)
-            states[bcomp], keys[bcomp + 1] = table.get(k) or self._table_entry(k, None)
+            keys[bcomp] = table.get(k) or self._table_entry(k, None)
         # a valid base, factor states kept valid by __post_init__ and
         # factor_state, and moves that keep a state valid
-        return ModelPoint._trusted(self.surface, tuple(states), tuple(keys))
+        return ModelPoint._trusted(self.surface, keys)
 
-    def _table_entry(self, k: tuple, f: FlatFactor | None) -> tuple[ComponentState, tuple]:
-        """Build, store and return the table entry at k = (comp, t, move):
+    def _table_entry(self, k: tuple, f: FlatFactor | None) -> tuple:
+        """Build, store and return the state key at k = (comp, t, move):
         f's state at t (the base state if f is None), flipped if the
         move says so and then twisted n times."""
         comp, t, move = k
-        st = self.base.states[comp] if f is None else self.factor_state(f, t)
+        st = self.base.state_keys[comp] if f is None else self.factor_state(f, t)
         if move is not None:
             flip, n = move
             if flip:
@@ -590,8 +576,8 @@ class StandardFlat:
                 st = twist_state(st, n)
         if len(self._states) >= _FLAT_STATES_MAX:
             self._states.clear()
-        entry = self._states[k] = (st, _state_key(st))
-        return entry
+        self._states[k] = st
+        return st
 
     def to_json(self) -> dict:
         return {
@@ -621,7 +607,7 @@ def _factor_min_distance(flat: StandardFlat, f: FlatFactor, p: ModelPoint) -> fl
 
     def at(t: float) -> float:
         states = list(flat.base.states)
-        states[f.comp] = flat.factor_state(f, t)
+        states[f.comp] = _state_view(flat.factor_state(f, t))
         return component_distance(p, ModelPoint(surface, tuple(states)), f.comp)
 
     if f.kind in ("twist", "ray"):
@@ -703,13 +689,13 @@ def candidate_flats(samples: Sequence[ModelPoint],
             w = Subsurface("annulus", comp, core)
             tw = [project(p, w).twist for p in samples if p.alpha(comp) == core]
             pad = 2
-            tau0 = next(p.states[comp].tau for p in samples if p.alpha(comp) == core)
+            tau0 = next(p.state(comp).tau for p in samples if p.alpha(comp) == core)
             factors.append(FlatFactor(comp, "twist",
                                       (min(tw) - pad, max(tw) + pad),
                                       core=core, tau0=tau0))
         else:
             b = ModelPoint(surface, tuple(
-                p_star.states[c] if c != comp else q_star.states[comp]
+                p_star.state(c) if c != comp else q_star.state(comp)
                 for c in range(surface.n_components)))
             path = preferred_path(p_star, b, constants, verify=False)
             factors.append(FlatFactor(comp, "path", (0, len(path.points) - 1),

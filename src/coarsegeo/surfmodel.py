@@ -98,25 +98,18 @@ def det(a: Slope, b: Slope) -> int:
     return a.p * b.q - a.q * b.p
 
 
-def intersection_number(a: Slope, b: Slope, kind: tuple[int, int] = (1, 1)) -> int:
-    """Geometric intersection number of two slopes on the component.
-
-    On the once-punctured torus this is |det|; on the four-punctured
-    sphere the same slope combinatorics carries doubled intersections.
-    """
-    base = abs(det(a, b))
-    return base if kind == (1, 1) else 2 * base
-
-
 def farey_adjacent(a: Slope, b: Slope) -> bool:
     return abs(det(a, b)) == 1
+
+
+_set_p, _set_q = Slope.p.__set__, Slope.q.__set__  # slot setters: no frozen check
 
 
 def _trusted_slope(p: int, q: int) -> Slope:
     """A `Slope` from a pair already primitive and sign-normalized."""
     s = object.__new__(Slope)
-    object.__setattr__(s, "p", p)
-    object.__setattr__(s, "q", q)
+    _set_p(s, p)
+    _set_q(s, q)
     return s
 
 
@@ -469,26 +462,25 @@ class ComponentState:
     length: float | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class ModelPoint:
     """A pants / marking / augmented-marking point on a model surface.
 
-    `_key` is built once, at construction, from plain ints and floats:
-    the surface's key, then per state (alpha.p, alpha.q) without a
-    transversal or (alpha.p, alpha.q, tau.p, tau.q, length) with one.
-    Equality compares keys, and the distance caches are keyed by them,
-    so a cached distance keeps no point, state or slope alive."""
+    The point is stored once, as `_key`, built from plain ints and
+    floats: the surface's key, then one `_state_key` per component.
+    `state(comp)`, `states` and `alpha(comp)` are views built from it on
+    demand.  Equality compares keys, and the distance caches are keyed
+    by them, so a cached distance keeps no point, state or slope alive."""
 
-    surface: ModelSurface
-    states: tuple[ComponentState, ...]
-    _key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    surface: ModelSurface = field(repr=False)
+    _key: tuple
+    _hash: int = field(repr=False)
 
-    def __post_init__(self):
-        if len(self.states) != self.surface.n_components:
+    def __init__(self, surface: ModelSurface, states: Sequence[ComponentState]):
+        if len(states) != surface.n_components:
             raise ValueError("one state per component required")
-        fl = self.surface.flavor
-        for st in self.states:
+        fl = surface.flavor
+        for st in states:
             if fl == "pants":
                 if st.tau is not None or st.length is not None:
                     raise ValueError("pants points carry no transversal or length")
@@ -498,24 +490,22 @@ class ModelPoint:
             if not farey_adjacent(st.alpha, st.tau):
                 raise ValueError("transversal must intersect the pants slope minimally")
             if fl == "augmented":
-                if st.length is None or not (0 < st.length <= self.surface.bers):
+                if st.length is None or not (0 < st.length <= surface.bers):
                     raise ValueError("augmented length must lie in (0, B]")
             elif st.length is not None:
                 raise ValueError("marking points carry no length")
-        key = _point_key(self.surface, self.states)
+        key = (surface._key, *map(_state_key, states))
+        object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
     @classmethod
-    def _trusted(cls, surface: ModelSurface, states: tuple[ComponentState, ...],
-                 key: tuple) -> "ModelPoint":
-        """A point valid by construction, built without the per-state checks
-        (three callers).  `key` must equal `_point_key(surface, states)`:
-        the callers put it together from state keys they already hold,
-        and it is stored and hashed as given."""
+    def _trusted(cls, surface: ModelSurface, state_keys: Iterable[tuple]) -> "ModelPoint":
+        """A point valid by construction, built from one state key per
+        component without the per-state checks (three callers)."""
+        key = (surface._key, *state_keys)
         x = object.__new__(cls)
         object.__setattr__(x, "surface", surface)
-        object.__setattr__(x, "states", states)
         object.__setattr__(x, "_key", key)
         object.__setattr__(x, "_hash", hash(key))
         return x
@@ -533,8 +523,21 @@ class ModelPoint:
         # loading process
         return (ModelPoint, (self.surface, self.states))
 
+    @property
+    def state_keys(self) -> tuple:
+        """One `_state_key` per component, indexed as `states` is."""
+        return self._key[1:]
+
+    @property
+    def states(self) -> tuple[ComponentState, ...]:
+        return tuple(map(_state_view, self.state_keys))
+
+    def state(self, comp: int) -> ComponentState:
+        return _state_view(self.state_keys[comp])
+
     def alpha(self, comp: int) -> Slope:
-        return self.states[comp].alpha
+        k = self.state_keys[comp]
+        return _trusted_slope(k[0], k[1])
 
     def to_json(self) -> dict:
         return {
@@ -569,9 +572,11 @@ def _state_key(st: ComponentState) -> tuple:
     return (a.p, a.q) if t is None else (a.p, a.q, t.p, t.q, st.length)
 
 
-def _point_key(surface: ModelSurface, states: tuple[ComponentState, ...]) -> tuple:
-    """`ModelPoint._key`: the surface key, then one `_state_key` per state."""
-    return (surface._key, *map(_state_key, states))
+def _state_view(k: tuple) -> ComponentState:
+    """The state whose `_state_key` is k."""
+    if len(k) == 2:
+        return ComponentState(_trusted_slope(k[0], k[1]))
+    return ComponentState(_trusted_slope(k[0], k[1]), _trusted_slope(k[2], k[3]), k[4])
 
 
 def base_point(surface: ModelSurface) -> ModelPoint:
@@ -626,30 +631,35 @@ def project(x: ModelPoint, w: Subsurface) -> Slope | AnnularPoint:
     augmented flavor); any other annulus sees the pants slope's twisting
     at boundary height 1/B.
     """
-    return _project_state(x.surface, x.states[w.comp], w)
+    return _project_state(x.surface, x.state_keys[w.comp], w)
 
 
-def _project_state(surf: ModelSurface, st: ComponentState,
-                   w: Subsurface) -> Slope | AnnularPoint:
-    """`project` on the state of the subsurface's component."""
+def _project_state(surf: ModelSurface, k: tuple, w: Subsurface) -> Slope | AnnularPoint:
+    """`project` on the state key k of the subsurface's component."""
     if w.kind == "component":
-        return st.alpha
+        return _trusted_slope(k[0], k[1])
     if surf.flavor == "pants":
         raise InessentialSubsurfaceError("inessential subsurface")
-    if w.core is None:
+    core = w.core
+    if core is None:
         raise ValueError(f"annulus {w} has no core")
-    return _annular_point(surf, st, w.core)
+    # build only the slope the annulus reads: tau about the pants curve, else alpha
+    if core.p == k[0] and core.q == k[1]:
+        return _annular_point(surf, core, core, _trusted_slope(k[2], k[3]), k[4])
+    return _annular_point(surf, core, _trusted_slope(k[0], k[1]), None, k[4])
 
 
-def _annular_point(surf: ModelSurface, st: ComponentState, core: Slope) -> AnnularPoint:
-    """A state's projection to the annulus about `core` (marking or
-    augmented flavor)."""
-    if core.p == st.alpha.p and core.q == st.alpha.q:
-        tw = twist_number(core, st.tau)
+def _annular_point(surf: ModelSurface, core: Slope, alpha: Slope, tau: Slope | None,
+                   length: float | None) -> AnnularPoint:
+    """The projection to the annulus about `core` of a state with pants
+    slope alpha, transversal tau and length (marking or augmented
+    flavor); tau is read only when core is alpha."""
+    if core.p == alpha.p and core.q == alpha.q:
+        tw = twist_number(core, tau)
         if surf.flavor == "augmented":
-            return AnnularPoint(tw, 1.0 / st.length)
+            return AnnularPoint(tw, 1.0 / length)
         return AnnularPoint(tw)
-    return boundary_point(core, st.alpha, surf.flavor, surf.bers)
+    return boundary_point(core, alpha, surf.flavor, surf.bers)
 
 
 def boundary_point(core: Slope, curve: Slope, flavor: str, bers: float) -> AnnularPoint:
@@ -776,13 +786,12 @@ def complex_distance(w: Subsurface, a, b, flavor: str) -> float:
 
 
 def subsurface_distance(x: ModelPoint, y: ModelPoint, w: Subsurface) -> float:
-    surf, sx, sy = x.surface, x.states[w.comp], y.states[w.comp]
-    return complex_distance(w, _project_state(surf, sx, w), _project_state(surf, sy, w),
+    surf, kx, ky = x.surface, x.state_keys[w.comp], y.state_keys[w.comp]
+    return complex_distance(w, _project_state(surf, kx, w), _project_state(surf, ky, w),
                             surf.flavor)
 
 
-def candidate_subsurfaces(x: ModelPoint, y: ModelPoint,
-                          comps: Iterable[int] | None = None) -> list[Subsurface]:
+def candidate_subsurfaces(x: ModelPoint, y: ModelPoint) -> list[Subsurface]:
     """The finite subsurface list that can carry a large projection
     distance between x and y.
 
@@ -794,33 +803,32 @@ def candidate_subsurfaces(x: ModelPoint, y: ModelPoint,
     """
     surf = x.surface
     out: list[Subsurface] = []
-    comp_range = range(surf.n_components) if comps is None else comps
-    for i in comp_range:
+    for i in range(surf.n_components):
         out.append(Subsurface("component", i))
-        out.extend(Subsurface("annulus", i, s)
-                   for s in _candidate_cores(surf.flavor, x.states[i], y.states[i]))
+        if surf.flavor != "pants":
+            sx, sy = x.state(i), y.state(i)
+            out.extend(Subsurface("annulus", i, s)
+                       for s in _candidate_cores(sx.alpha, sy.alpha, sx.tau, sy.tau))
     return out
 
 
-def _candidate_cores(flavor: str, sx: ComponentState, sy: ComponentState) -> list[Slope]:
+def _candidate_cores(a: Slope, b: Slope, ta: Slope, tb: Slope) -> list[Slope]:
     """The candidate annulus cores of one component in candidate order:
-    the Farey geodesic between the pants slopes (which holds both of
-    them) and the two transversals.  None in the pants flavor."""
-    if flavor == "pants":
-        return []
-    cores = set(farey_geodesic(sx.alpha, sy.alpha))
-    cores.add(sx.tau)
-    cores.add(sy.tau)
+    the Farey geodesic between the pants slopes a and b (which holds
+    both of them) and the two transversals ta and tb."""
+    cores = set(farey_geodesic(a, b))
+    cores.add(ta)
+    cores.add(tb)
     return sorted(cores, key=Slope.key)
 
 
-def _component_terms(surf: ModelSurface, comp: int, sx: ComponentState,
-                     sy: ComponentState, t: float) -> tuple[tuple[Subsurface, float], ...]:
+def _component_terms(surf: ModelSurface, comp: int, kx: tuple, ky: tuple,
+                     t: float) -> tuple[tuple[Subsurface, float], ...]:
     """The (subsurface, distance) terms of one component at threshold t,
     in candidate order: the body `_formula_terms` runs on a miss of its
     cache.  Every subsurface lies in one component, so the terms depend
-    only on that component's two states.  A `Subsurface` is built only
-    for a kept term.
+    only on that component's two state keys kx and ky, whose slopes are
+    built once here.  A `Subsurface` is built only for a kept term.
 
     Two states with the same pants slope alpha (as in a product region
     Q(alpha)) need one projection: the component term is
@@ -832,27 +840,33 @@ def _component_terms(surf: ModelSurface, comp: int, sx: ComponentState,
     pants flavor has no annuli and always takes the component-only path.
     """
     flavor = surf.flavor
-    a, b = sx.alpha, sy.alpha
-    if t > 0 and flavor != "pants" and a.p == b.p and a.q == b.q:
-        d = annular_distance(_annular_point(surf, sx, a), _annular_point(surf, sy, a), flavor)
-        return ((Subsurface("annulus", comp, a), d),) if d >= t else ()
+    a = _trusted_slope(kx[0], kx[1])
+    if flavor != "pants":
+        ta, tb = _trusted_slope(kx[2], kx[3]), _trusted_slope(ky[2], ky[3])
+        if t > 0 and kx[0] == ky[0] and kx[1] == ky[1]:
+            d = annular_distance(_annular_point(surf, a, a, ta, kx[4]),
+                                 _annular_point(surf, a, a, tb, ky[4]), flavor)
+            return ((Subsurface("annulus", comp, a), d),) if d >= t else ()
+    b = _trusted_slope(ky[0], ky[1])
     terms = []
     d = float(farey_distance(a, b))
     if d >= t:
         terms.append((Subsurface("component", comp), d))
-    for core in _candidate_cores(flavor, sx, sy):
-        d = annular_distance(_annular_point(surf, sx, core), _annular_point(surf, sy, core),
-                             flavor)
+    if flavor == "pants":
+        return tuple(terms)
+    for core in _candidate_cores(a, b, ta, tb):
+        d = annular_distance(_annular_point(surf, core, a, ta, kx[4]),
+                             _annular_point(surf, core, b, tb, ky[4]), flavor)
         if d >= t:
             terms.append((Subsurface("annulus", comp, core), d))
     return tuple(terms)
 
 
-# The two distance caches are dicts keyed by tuples of ints, floats,
-# strings and None taken from `ModelSurface._key` and `ModelPoint._key`.
-# The collector untracks such tuples, so no entry keeps a point, state
-# or slope alive, and a hit hashes and compares in C.  A full cache is
-# emptied by its next miss.
+# The two distance caches are dicts keyed by the tuples that surfaces
+# and points are stored as (`ModelSurface._key`, `ModelPoint._key`):
+# tuples of ints, floats, strings and None.  The collector untracks such
+# tuples, so no entry keeps a point alive, and a hit hashes and
+# compares in C.  A full cache is emptied by its next miss.
 _terms: dict[tuple, tuple[tuple[Subsurface, float], ...]] = {}
 _TERMS_MAX = 200_000
 _distances: dict[tuple, float] = {}
@@ -886,7 +900,7 @@ def _formula_terms(x: ModelPoint, y: ModelPoint, threshold: float | None,
         if terms is None:
             if len(_terms) >= _TERMS_MAX:
                 _terms.clear()
-            terms = _terms[key] = _component_terms(surf, i, x.states[i], y.states[i], t)
+            terms = _terms[key] = _component_terms(surf, i, kx[i + 1], ky[i + 1], t)
         for _, d in terms:
             total += d
         parts.append(terms)
@@ -956,46 +970,46 @@ def threshold_audit(x: ModelPoint, y: ModelPoint, t: float, tp: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def twist_state(st: ComponentState, n: int) -> ComponentState:
-    """A state after n Dehn twists about its own pants curve: a twist
-    about alpha fixes alpha with det 1, so |det(alpha, tau')| = 1."""
-    if st.tau is None:
+def twist_state(k: tuple, n: int) -> tuple:
+    """A state key after n Dehn twists about its own pants curve:
+    `twist_matrix` sends tau to tau + n det(alpha, tau) alpha, which is
+    primitive and Farey-adjacent to alpha, so only its sign is normalized."""
+    if len(k) == 2:
         raise ValueError("pants flavor has no transversal to twist")
-    return ComponentState(st.alpha, apply_matrix(twist_matrix(st.alpha, n), st.tau), st.length)
+    p, q, tp, tq, length = k
+    d = n * (p * tq - q * tp)
+    tp, tq = tp + d * p, tq + d * q
+    if tq < 0 or (tq == 0 and tp < 0):
+        tp, tq = -tp, -tq
+    return (p, q, tp, tq, length)
 
 
-def flip_state(st: ComponentState, bers: float) -> ComponentState:
-    """A state with pants slope and transversal swapped, which keeps
+def flip_state(k: tuple, bers: float) -> tuple:
+    """A state key with pants slope and transversal swapped, which keeps
     |det| = 1; the new pants curve takes the Bers length if the state has
     a length."""
-    if st.tau is None:
+    if len(k) == 2:
         raise ValueError("pants flavor has no flip move")
-    return ComponentState(st.tau, st.alpha, bers if st.length is not None else None)
-
-
-def _with_state(x: ModelPoint, comp: int, st: ComponentState) -> tuple[tuple, tuple]:
-    """x's states and key with component comp's replaced by st (comp
-    indexes both as it indexes `x.states`)."""
-    states = list(x.states)
-    keys = list(x._key[1:])
-    states[comp] = st
-    keys[comp] = _state_key(st)
-    return tuple(states), (x._key[0], *keys)
+    p, q, tp, tq, length = k
+    return (tp, tq, p, q, bers if length is not None else None)
 
 
 def twist_move(x: ModelPoint, comp: int, n: int = 1) -> ModelPoint:
     """Apply n Dehn twists about the pants curve of one component."""
-    return ModelPoint._trusted(x.surface, *_with_state(x, comp, twist_state(x.states[comp], n)))
+    keys = list(x.state_keys)
+    keys[comp] = twist_state(keys[comp], n)
+    return ModelPoint._trusted(x.surface, keys)
 
 
 def flip_move(x: ModelPoint, comp: int) -> ModelPoint:
     """Swap pants slope and transversal in one component."""
-    return ModelPoint._trusted(x.surface,
-                               *_with_state(x, comp, flip_state(x.states[comp], x.surface.bers)))
+    keys = list(x.state_keys)
+    keys[comp] = flip_state(keys[comp], x.surface.bers)
+    return ModelPoint._trusted(x.surface, keys)
 
 
 def length_move(x: ModelPoint, comp: int, factor: float) -> ModelPoint:
-    st = x.states[comp]
+    st = x.state(comp)
     if st.length is None:
         raise ValueError("only augmented points carry lengths")
     new_len = min(x.surface.bers, st.length * factor)

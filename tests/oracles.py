@@ -16,9 +16,11 @@ constructor; a standard flat's point with each factor state built by
 its definition, and the noisy box map on it one elementary move at a
 time; the scale search level-major, with every line's images built up
 front and every offset's segment verdicts; the greedy net packing that
-compares every image with every kept one; and the 2-D density check of
-a direction set by a grid of probe directions.  They are slow on purpose
-and must stay obviously right.
+compares every image with every kept one; the 2-D density check of a
+direction set by a grid of probe directions; and the exhaustive
+thin-triangle constant with three geodesics and three multi-source BFS
+runs per triple.  They are slow on purpose and must stay obviously
+right.
 
 Seven are brute-force checks that never had a caller in the package:
 the coarse length over every partition, the graph nearest-point
@@ -66,7 +68,7 @@ def annular_projection(x: ModelPoint, w: Subsurface) -> AnnularPoint:
     """An annulus about the pants curve sees the transversal's twisting
     and the inverse length; any other annulus sees the pants slope's
     twisting at height 1/B (heights only in the augmented flavor)."""
-    surf, st = x.surface, x.states[w.comp]
+    surf, st = x.surface, x.state(w.comp)
     aug = surf.flavor == "augmented"
     if w.core == st.alpha:
         return AnnularPoint(twist_number_via_slope(w.core, st.tau),
@@ -85,7 +87,7 @@ def candidate_subsurfaces(x: ModelPoint, y: ModelPoint, comps=None) -> list[Subs
         if x.surface.flavor == "pants":
             continue
         cores = set(farey_geodesic(x.alpha(i), y.alpha(i)))
-        for st in (x.states[i], y.states[i]):
+        for st in (x.state(i), y.state(i)):
             cores.update((st.alpha, st.tau))
         out.extend(Subsurface("annulus", i, c) for c in sorted(cores, key=Slope.key))
     return out
@@ -123,7 +125,7 @@ def component_loop_distance_formula(x: ModelPoint, y: ModelPoint,
     total = 0.0
     contributing: list[tuple[Subsurface, float]] = []
     for i in range(surf.n_components) if comps is None else comps:
-        for w, d in _component_terms(surf, i, x.states[i], y.states[i], t):
+        for w, d in _component_terms(surf, i, x._key[i + 1], y._key[i + 1], t):
             total += d
             contributing.append((w, d))
     contributing.sort(key=lambda wd: wd[0].key())
@@ -158,7 +160,7 @@ def flat_point(flat: StandardFlat, t) -> ModelPoint:
             st = ComponentState(f.core, f.tau0, surface.bers * math.exp(-max(0.0, float(v))))
         else:
             i = min(max(int(round(v)) - f.interval[0], 0), len(f.path.points) - 1)
-            st = f.path.points[i].states[f.comp]
+            st = f.path.points[i].state(f.comp)
         states[f.comp] = st
     return ModelPoint(surface, tuple(states))
 
@@ -496,6 +498,20 @@ def triangle_center_graph(g: HypGraph, x: Vertex, y: Vertex, z: Vertex) -> Verte
     if best_v is None or best_val > g.delta + 1:
         raise ValueError("not hyperbolic at scale")
     return best_v
+
+
+def delta_exhaustive(g: HypGraph) -> float:
+    """Max over every vertex triple and every side of its geodesic
+    triangle of the side's distance to the other two, each distance a
+    multi-source BFS from the other two sides."""
+    worst = 0.0
+    for tri in itertools.combinations(g.vertices, 3):
+        sides = [geodesic(g, tri[0], tri[1]), geodesic(g, tri[1], tri[2]),
+                 geodesic(g, tri[0], tri[2])]
+        for i, side in enumerate(sides):
+            dist = g.bfs_distances([v for j, s in enumerate(sides) if j != i for v in s])
+            worst = max(worst, float(max(dist.get(v, math.inf) for v in side)))
+    return worst
 
 
 def graph_handle(g: HypGraph, name: str = "graph") -> MetricHandle:

@@ -13,6 +13,7 @@ from coarsegeo.hypgraph import (
 )
 from coarsegeo.surfmodel import INFINITY, ZERO, Slope, farey_distance
 
+import oracles
 from oracles import (graph_handle, morse_excursion, nearest_point_projection,
                      triangle_center_graph, unparam_qgeo_oracle)
 
@@ -70,6 +71,21 @@ def test_delta_monotone_in_samples_and_below_exhaustive():
         assert est >= prev
         assert est <= exact
         prev = est
+
+
+def test_delta_exhaustive_matches_the_per_triple_bfs_loop():
+    """Rows and geodesics computed once per scan give the constant that
+    per-triple multi-source BFS runs give, float for float."""
+    cycle = lambda n: [(i, (i + 1) % n) for i in range(n)]
+    grid = [((i, j), (i + di, j + 1 - di)) for i in range(4) for j in range(4) for di in (0, 1)]
+    graphs = [farey_graph(0, 1, 3), farey_graph(-1, 1, 3), HypGraph(grid),
+              HypGraph(cycle(12) + [(0, 6)])] + [HypGraph(cycle(n)) for n in (3, 8, 11, 14)]
+    got = [delta_exhaustive(g) for g in graphs]
+    assert [repr(d) for d in got] == [repr(oracles.delta_exhaustive(g)) for g in graphs]
+    assert sorted(set(got)) == [0.0, 1.0, 2.0, 3.0]
+    assert delta_exhaustive(HypGraph([(0, 1)])) == 0.0
+    with pytest.raises(UnreachableError):
+        delta_exhaustive(HypGraph([(0, 1), (2, 3), (3, 4)]))
 
 
 def test_nearest_point_projection(ball, rng):

@@ -21,7 +21,7 @@ from coarsegeo.surfmodel import (
     base_point, candidate_subsurfaces, canonical_transversal, common_neighbors,
     component_distance, distance_formula, farey_adjacent, farey_ball,
     farey_distance, farey_geodesic, flip_move, horoball_distance,
-    horoball_point_to_segment, intersection_number, length_move, mat_inv,
+    horoball_point_to_segment, length_move, mat_inv,
     model_distance, product_factor_sum, product_project,
     product_region_distance, project, subsurface_distance, sum_distance_audit,
     surface_stats, threshold_audit, topology_stats, transport_matrix,
@@ -291,12 +291,6 @@ def test_twist_coarsely_independent_of_transport(rng):
         flipped = mat_mul((-1, 0, 0, -1), m)
         img = apply_matrix(flipped, x)
         assert abs(img.p // img.q - base) <= 2
-
-
-def test_intersection_number_kinds():
-    a, b = Slope(1, 2), Slope(1, 3)
-    assert intersection_number(a, b) == 1
-    assert intersection_number(a, b, kind=(0, 4)) == 2
 
 
 # --- projections and annular metrics -----------------------------------------

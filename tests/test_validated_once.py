@@ -16,24 +16,29 @@ import numpy as np
 import pytest
 
 from coarsegeo import surfmodel
+from coarsegeo.consreal import exact_system_for, realize, tuple_of_projections
 from coarsegeo.effdiff import LineFamily
-from coarsegeo.harness import noisy_flat_map, orthant_flat, twist_flat
+from coarsegeo.harness import noisy_flat_map, orthant_flat, random_slope, twist_flat
 from coarsegeo.pathsflats import FlatFactor, PreferredPath, StandardFlat, preferred_path
-from coarsegeo.surfmodel import (INFINITY, ZERO, ModelPoint, ModelSurface, Slope,
-                                 apply_matrix, base_point, canonical_transversal,
-                                 flip_move, length_move, twist_matrix, twist_move)
+from coarsegeo.surfmodel import (INFINITY, ZERO, ComponentState, ModelPoint, ModelSurface,
+                                 Slope, apply_matrix, base_point, canonical_transversal,
+                                 flip_move, length_move, product_project, twist_matrix,
+                                 twist_move)
 from oracles import probe_density_gap
 
+PANTS2 = ModelSurface(((1, 1), (0, 4)), flavor="pants")
 MARKING2 = ModelSurface(((1, 1), (1, 1)), flavor="marking")
 AUGMENTED2 = ModelSurface(((1, 1), (1, 1)), flavor="augmented", bers=2.0)
 
 
 def assert_validated(x: ModelPoint) -> None:
-    """The validating constructor accepts x's states and builds an equal
-    point with the same hash and the same key, float for float."""
+    """The validating constructor accepts the states viewed from x's key
+    and builds an equal point with the same hash and the same key, float
+    for float; each `state(c)` view equals `states[c]`."""
     y = ModelPoint(x.surface, x.states)
     assert x == y and hash(x) == hash(y)
     assert x._key == y._key and repr(x._key) == repr(y._key)
+    assert all(x.state(c) == st for c, st in enumerate(x.states))
 
 
 def _lattice(flat: StandardFlat, rng, n: int):
@@ -51,12 +56,20 @@ def _path_flat(cn) -> StandardFlat:
         FlatFactor(1, "twist", (-50, 50), core=core, tau0=canonical_transversal(core))))
 
 
+def _pants_path_flat(cn) -> StandardFlat:
+    base = base_point(PANTS2)
+    y = ModelPoint(PANTS2, (ComponentState(Slope(7, 3)), ComponentState(Slope(-5, 2))))
+    path = preferred_path(base, y, cn, verify=False)
+    return StandardFlat(base, (FlatFactor(1, "path", (0, len(path.points) - 1), path=path),))
+
+
 @pytest.mark.parametrize("make", [
     lambda cn: twist_flat(MARKING2, 60),
     lambda cn: twist_flat(AUGMENTED2, 60),
     lambda cn: orthant_flat(AUGMENTED2, 40),
     _path_flat,
-], ids=["twist-marking", "twist-augmented-bers2", "orthant", "path-and-twist"])
+    _pants_path_flat,
+], ids=["twist-marking", "twist-augmented-bers2", "orthant", "path-and-twist", "path-pants"])
 def test_flat_lattice_points_equal_the_validated_points(make, cn, rng):
     flat = make(cn)
     for t in _lattice(flat, rng, 200):
@@ -69,9 +82,9 @@ def test_flat_lattice_points_equal_the_validated_points(make, cn, rng):
 
 @pytest.mark.parametrize("surface", [MARKING2, AUGMENTED2], ids=["marking", "augmented"])
 def test_images_at_one_lattice_point_and_burst_share_their_states(surface, rng):
-    """The flat's state table hands out one state object per (component,
+    """The flat's state table hands out one state key per (component,
     coordinate, move): a second image at the same lattice point and burst
-    shares every state with the first, through `eval` and through the
+    shares every state key with the first, through `eval` and through the
     noisy box map."""
     flat = twist_flat(surface, 60)
     fmap = noisy_flat_map(flat, 3, 5)
@@ -80,10 +93,10 @@ def test_images_at_one_lattice_point_and_burst_share_their_states(surface, rng):
         for make in (lambda: flat.eval(t), lambda: flat.eval(t, burst), lambda: fmap.fn(t)):
             x, y = make(), make()
             assert x is not y and x._key == y._key
-            assert all(a is b for a, b in zip(x.states, y.states))
+            assert all(x._key[c + 1] is y._key[c + 1] for c in range(2))
     # no burst and an empty one read the same entries
     x, y = flat.eval((3, -4)), flat.eval((3, -4), (1, False, 0))
-    assert all(a is b for a, b in zip(x.states, y.states))
+    assert all(x._key[c + 1] is y._key[c + 1] for c in range(2))
 
 
 @pytest.mark.parametrize("surface", [MARKING2, AUGMENTED2], ids=["marking", "augmented"])
@@ -118,13 +131,23 @@ def test_orthant_points_off_the_lattice_equal_the_validated_points(rng):
         assert_validated(flat.eval(tuple(t)))
 
 
-@pytest.mark.parametrize("surface", [MARKING2, AUGMENTED2], ids=["marking", "augmented"])
-def test_move_chains_equal_the_validated_points(surface, rng):
+@pytest.mark.parametrize("surface", [PANTS2, MARKING2, AUGMENTED2],
+                         ids=["pants", "marking", "augmented"])
+def test_move_chains_equal_the_validated_points(surface, cn, rng):
+    """Chains of moves, product-region projections and realized
+    projection tuples; a pants point has no twist, flip or length move."""
     x = base_point(surface)
     for _ in range(400):
         comp = int(rng.integers(0, 2))
-        step = int(rng.integers(0, 3))
-        if step == 0:
+        step = int(rng.integers(0, 5))
+        if step == 3:
+            x = product_project(x, {comp: random_slope(rng, 9)})
+        elif step == 4:
+            system = exact_system_for(x)
+            x = realize(system, tuple_of_projections(x, system), m=cn["m_realize"])
+        elif surface.flavor == "pants":
+            continue
+        elif step == 0:
             x = twist_move(x, comp, int(rng.integers(-10**6, 10**6 + 1)))
         elif step == 1:
             x = flip_move(x, comp)
@@ -145,8 +168,8 @@ def test_closed_form_twist_state_is_the_twist_matrix_image(rng):
         f = FlatFactor(0, "twist", (-3 * 10**6, 3 * 10**6), core=core, tau0=tau0)
         flat = StandardFlat(base, (f,))
         for k in [0, 1, -1, 10**6, -10**6] + rng.integers(-10**6, 10**6 + 1, 20).tolist():
-            st = flat.factor_state(f, f._twist0 + k)
-            assert (st.alpha, st.tau, st.length) == (core, apply_matrix(twist_matrix(core, k), tau0), None)
+            tau = apply_matrix(twist_matrix(core, k), tau0)
+            assert flat.factor_state(f, f._twist0 + k) == (core.p, core.q, tau.p, tau.q, None)
 
 
 # --- the exact 2-D density check ---------------------------------------------------
