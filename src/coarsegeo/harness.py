@@ -329,6 +329,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (0 < self.eps0 < 1) or self.r0 < 1:
             raise ValueError("need eps0 in (0,1) and r0 >= 1")
+        if self.noise < 0:  # it would shrink the map's declared constant C
+            raise ValueError(f"need noise >= 0, got {self.noise}")
 
     def schedule(self, xi: int) -> tuple[float, float]:
         """(eps_xi, R_xi) for the complexity-indexed cascade:
@@ -920,6 +922,15 @@ def _slope_arg(text: str) -> Slope:
         raise argparse.ArgumentTypeError(f"expected a slope p/q, got {text!r}") from None
 
 
+def _int_at_least(lo: int) -> Callable[[str], int]:
+    """An argparse type for a flag that counts something: an integer >= lo."""
+    def parse(text: str) -> int:
+        if not text.removeprefix("-").isdecimal() or int(text) < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
+        return int(text)
+    return parse
+
+
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -1120,6 +1131,8 @@ def _arg(*names: str, **kw) -> tuple[tuple[str, ...], dict]:
     return names, kw
 
 
+# the types of flags that count samples, pairs or a span, and of a noise level
+COUNT, NOISE = _int_at_least(1), _int_at_least(0)
 # flags every verb takes
 COMMON_ARGS = [
     _arg("--seed", type=int, default=0), _arg("--constants"), _arg("--out"),
@@ -1140,7 +1153,7 @@ VERBS: dict[str, tuple[str, list, Callable]] = {
         _project),
     "delta": ("thin-triangle estimate on a Farey chunk", [
         _arg("--lo", type=int, default=-2), _arg("--hi", type=int, default=3),
-        _arg("--depth", type=int, default=5), _arg("--samples", type=int, default=400)],
+        _arg("--depth", type=int, default=5), _arg("--samples", type=COUNT, default=400)],
         _delta),
     "efficiency": ("coarse length test of a trace", [
         _arg("trace", help="JSON {times, values} on the real line"),
@@ -1156,16 +1169,16 @@ VERBS: dict[str, tuple[str, list, Callable]] = {
     "hull": ("hull membership", XY + [_arg("z"), _arg("--kappa", type=float)], _hull),
     "psi": ("embed two points and compare metrics", XY, _psi),
     "bbf-audit": ("lower bound audit on seeded pairs",
-                  [_arg("--pairs", type=int, default=50)], _bbf_audit),
+                  [_arg("--pairs", type=COUNT, default=50)], _bbf_audit),
     "preferred": ("construct a preferred path",
                   XY + [_arg("--csv", help="write the distance profile")], _preferred),
     "flat-fit": ("fit samples of a noisy flat", [
-        _arg("--span", type=int, default=40), _arg("--noise", type=int, default=2),
-        _arg("--samples", type=int, default=25)], _flat_fit),
+        _arg("--span", type=COUNT, default=40), _arg("--noise", type=NOISE, default=2),
+        _arg("--samples", type=COUNT, default=25)], _flat_fit),
     "pipeline": ("box map to standard flat", [
         _arg("--config", help="ExperimentConfig JSON"),
         _arg("--eps0", type=float, default=0.05), _arg("--theta0", type=float, default=0.1),
-        _arg("--r0", type=float, default=50.0), _arg("--noise", type=int, default=3)],
+        _arg("--r0", type=float, default=50.0), _arg("--noise", type=NOISE, default=3)],
         _pipeline),
     "rank": ("rank experiment", [
         _arg("--config"), _arg("--n", type=int, required=True),

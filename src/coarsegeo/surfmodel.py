@@ -135,6 +135,15 @@ def mat_inv(m: Matrix) -> Matrix:
 
 
 @lru_cache(maxsize=100_000)
+def _transport_at(p: int, q: int) -> Matrix:
+    """`transport_matrix` of the slope p/q, cached at its two ints."""
+    if q == 0:
+        return IDENTITY
+    s = pow(p, -1, q) if q > 1 else 0
+    r = (p * s - 1) // q
+    return (s, -r, -q, p)
+
+
 def transport_matrix(core: Slope) -> Matrix:
     """The canonical unimodular matrix taking `core` to infinity.
 
@@ -143,12 +152,7 @@ def transport_matrix(core: Slope) -> Matrix:
     (s = 0 when q = 1).  For the core at infinity it is the identity.
     This fixed choice makes twisting numbers deterministic.
     """
-    p, q = core.p, core.q
-    if q == 0:
-        return IDENTITY
-    s = pow(p, -1, q) if q > 1 else 0
-    r = (p * s - 1) // q
-    return (s, -r, -q, p)
+    return _transport_at(core.p, core.q)
 
 
 def twist_matrix(core: Slope, n: int = 1) -> Matrix:
@@ -172,7 +176,7 @@ def twist_number(core: Slope, curve: Slope) -> int:
         raise ValueError("no projection from core to its own annulus via slopes")
     # floor(num / den) is the floor of the image slope without reducing it:
     # dividing both by their gcd or flipping both signs leaves it unchanged
-    a, b, c, d = transport_matrix(core)
+    a, b, c, d = _transport_at(core.p, core.q)
     num = a * curve.p + b * curve.q
     den = c * curve.p + d * curve.q
     if den == 0:
@@ -273,23 +277,28 @@ def _geo_from_inf(p: int, q: int) -> list[Slope]:
 
 
 @lru_cache(maxsize=200_000)
-def farey_distance(a: Slope, b: Slope) -> int:
-    """Graph distance in the Farey graph (edges where |ps - qr| = 1)."""
-    if a == b:
+def _distance_at(ap: int, aq: int, bp: int, bq: int) -> int:
+    """`farey_distance` of the slopes ap/aq and bp/bq, cached at their ints."""
+    if ap == bp and aq == bq:
         return 0
-    img = apply_matrix(transport_matrix(a), b)
+    img = apply_matrix(_transport_at(ap, aq), _trusted_slope(bp, bq))
     return _dist_to_inf(img.p, img.q)
 
 
+def farey_distance(a: Slope, b: Slope) -> int:
+    """Graph distance in the Farey graph (edges where |ps - qr| = 1)."""
+    return _distance_at(a.p, a.q, b.p, b.q)
+
+
 @lru_cache(maxsize=50_000)
-def farey_geodesic(a: Slope, b: Slope) -> tuple[Slope, ...]:
-    """A geodesic vertex path from a to b, symmetric under endpoint swap
-    (the path is computed from the endpoint with smaller key)."""
+def _geodesic_at(ap: int, aq: int, bp: int, bq: int) -> tuple[Slope, ...]:
+    """`farey_geodesic` of the slopes ap/aq and bp/bq, cached at their ints."""
+    a, b = _trusted_slope(ap, aq), _trusted_slope(bp, bq)
     if a == b:
         return (a,)
     if b < a:
-        return tuple(reversed(farey_geodesic(b, a)))
-    m = transport_matrix(a)
+        return _geodesic_at(bp, bq, ap, aq)[::-1]
+    m = _transport_at(ap, aq)
     inv = mat_inv(m)
     img = apply_matrix(m, b)
     path = tuple(apply_matrix(inv, s) for s in _geo_from_inf(img.p, img.q))
@@ -298,6 +307,12 @@ def farey_geodesic(a: Slope, b: Slope) -> tuple[Slope, ...]:
     if not all(farey_adjacent(u, v) for u, v in zip(path, path[1:])):
         raise RuntimeError(f"Farey geodesic from {a} to {b} has a non-edge step: {path}")
     return path
+
+
+def farey_geodesic(a: Slope, b: Slope) -> tuple[Slope, ...]:
+    """A geodesic vertex path from a to b, symmetric under endpoint swap
+    (the path is computed from the endpoint with smaller key)."""
+    return _geodesic_at(a.p, a.q, b.p, b.q)
 
 
 def farey_ball(lo: int, hi: int, depth: int) -> list[Slope]:
@@ -645,21 +660,9 @@ def _project_state(surf: ModelSurface, k: tuple, w: Subsurface) -> Slope | Annul
         raise ValueError(f"annulus {w} has no core")
     # build only the slope the annulus reads: tau about the pants curve, else alpha
     if core.p == k[0] and core.q == k[1]:
-        return _annular_point(surf, core, core, _trusted_slope(k[2], k[3]), k[4])
-    return _annular_point(surf, core, _trusted_slope(k[0], k[1]), None, k[4])
-
-
-def _annular_point(surf: ModelSurface, core: Slope, alpha: Slope, tau: Slope | None,
-                   length: float | None) -> AnnularPoint:
-    """The projection to the annulus about `core` of a state with pants
-    slope alpha, transversal tau and length (marking or augmented
-    flavor); tau is read only when core is alpha."""
-    if core.p == alpha.p and core.q == alpha.q:
-        tw = twist_number(core, tau)
-        if surf.flavor == "augmented":
-            return AnnularPoint(tw, 1.0 / length)
-        return AnnularPoint(tw)
-    return boundary_point(core, alpha, surf.flavor, surf.bers)
+        tw = twist_number(core, _trusted_slope(k[2], k[3]))
+        return AnnularPoint(tw, 1.0 / k[4]) if surf.flavor == "augmented" else AnnularPoint(tw)
+    return boundary_point(core, _trusted_slope(k[0], k[1]), surf.flavor, surf.bers)
 
 
 def boundary_point(core: Slope, curve: Slope, flavor: str, bers: float) -> AnnularPoint:
@@ -807,19 +810,9 @@ def candidate_subsurfaces(x: ModelPoint, y: ModelPoint) -> list[Subsurface]:
         out.append(Subsurface("component", i))
         if surf.flavor != "pants":
             sx, sy = x.state(i), y.state(i)
-            out.extend(Subsurface("annulus", i, s)
-                       for s in _candidate_cores(sx.alpha, sy.alpha, sx.tau, sy.tau))
+            cores = {*farey_geodesic(sx.alpha, sy.alpha), sx.tau, sy.tau}
+            out.extend(Subsurface("annulus", i, s) for s in sorted(cores, key=Slope.key))
     return out
-
-
-def _candidate_cores(a: Slope, b: Slope, ta: Slope, tb: Slope) -> list[Slope]:
-    """The candidate annulus cores of one component in candidate order:
-    the Farey geodesic between the pants slopes a and b (which holds
-    both of them) and the two transversals ta and tb."""
-    cores = set(farey_geodesic(a, b))
-    cores.add(ta)
-    cores.add(tb)
-    return sorted(cores, key=Slope.key)
 
 
 def _component_terms(surf: ModelSurface, comp: int, kx: tuple, ky: tuple,
@@ -827,8 +820,11 @@ def _component_terms(surf: ModelSurface, comp: int, kx: tuple, ky: tuple,
     """The (subsurface, distance) terms of one component at threshold t,
     in candidate order: the body `_formula_terms` runs on a miss of its
     cache.  Every subsurface lies in one component, so the terms depend
-    only on that component's two state keys kx and ky, whose slopes are
-    built once here.  A `Subsurface` is built only for a kept term.
+    only on that component's two state keys kx and ky, and are computed
+    on their ints: a twisting number is (a p + b q) // (c p + d q) for the
+    core's cached transport (a, b; c, d), as in `twist_number`, and the
+    annular distance is `annular_distance`'s float of the two
+    projections.  A `Subsurface` is built only for a kept term.
 
     Two states with the same pants slope alpha (as in a product region
     Q(alpha)) need one projection: the component term is
@@ -840,25 +836,33 @@ def _component_terms(surf: ModelSurface, comp: int, kx: tuple, ky: tuple,
     pants flavor has no annuli and always takes the component-only path.
     """
     flavor = surf.flavor
-    a = _trusted_slope(kx[0], kx[1])
-    if flavor != "pants":
-        ta, tb = _trusted_slope(kx[2], kx[3]), _trusted_slope(ky[2], ky[3])
-        if t > 0 and kx[0] == ky[0] and kx[1] == ky[1]:
-            d = annular_distance(_annular_point(surf, a, a, ta, kx[4]),
-                                 _annular_point(surf, a, a, tb, ky[4]), flavor)
-            return ((Subsurface("annulus", comp, a), d),) if d >= t else ()
-    b = _trusted_slope(ky[0], ky[1])
+    ap, aq, bp, bq = kx[0], kx[1], ky[0], ky[1]
     terms = []
-    d = float(farey_distance(a, b))
-    if d >= t:
-        terms.append((Subsurface("component", comp), d))
-    if flavor == "pants":
-        return tuple(terms)
-    for core in _candidate_cores(a, b, ta, tb):
-        d = annular_distance(_annular_point(surf, core, a, ta, kx[4]),
-                             _annular_point(surf, core, b, tb, ky[4]), flavor)
+    if flavor != "pants" and t > 0 and ap == bp and aq == bq:
+        cores = ((aq, ap),)
+    else:
+        d = float(_distance_at(ap, aq, bp, bq))
         if d >= t:
-            terms.append((Subsurface("annulus", comp, core), d))
+            terms.append((Subsurface("component", comp), d))
+        if flavor == "pants":
+            return tuple(terms)
+        cores = {(s.q, s.p) for s in _geodesic_at(ap, aq, bp, bq)}
+        cores.add((kx[3], kx[2]))
+        cores.add((ky[3], ky[2]))
+        cores = sorted(cores)  # the (q, p) order of `Slope.key`
+    aug = flavor == "augmented"
+    # the heights of `project`: 1/length about the pants curve, else 1/B
+    hx, hy, hb = (1.0 / kx[4], 1.0 / ky[4], 1.0 / surf.bers) if aug else (None,) * 3
+    for cq, cp in cores:
+        m0, m1, m2, m3 = _transport_at(cp, cq)
+        # each state's curve in this annulus: tau about its own pants curve, else alpha
+        px, qx, ux = (kx[2], kx[3], hx) if cp == ap and cq == aq else (ap, aq, hb)
+        py, qy, uy = (ky[2], ky[3], hy) if cp == bp and cq == bq else (bp, bq, hb)
+        tx = (m0 * px + m1 * qx) // (m2 * px + m3 * qx)
+        ty = (m0 * py + m1 * qy) // (m2 * py + m3 * qy)
+        d = horoball_distance((float(tx), ux), (float(ty), uy)) if aug else float(abs(tx - ty))
+        if d >= t:
+            terms.append((Subsurface("annulus", comp, _trusted_slope(cp, cq)), d))
     return tuple(terms)
 
 
@@ -944,6 +948,8 @@ _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 # the counters `functools.lru_cache` reports, for callers that read them
 model_distance.cache_info = lambda: _CacheInfo(_distance_hits, _distance_misses,
                                                _DISTANCES_MAX, len(_distances))
+farey_distance.cache_info = lambda: _distance_at.cache_info()
+farey_geodesic.cache_info = lambda: _geodesic_at.cache_info()
 
 
 def component_distance(x: ModelPoint, y: ModelPoint, comp: int) -> float:
@@ -1090,10 +1096,15 @@ def sum_distance_audit(x: ModelPoint, y: ModelPoint) -> tuple[float, float]:
 
 
 def clear_caches() -> None:
+    """Empty every cache of the module: the int-keyed Farey caches
+    `_transport_at` (at most 100,000 slopes), `_distance_at` (200,000
+    slope pairs) and `_geodesic_at` (50,000 slope pairs), the memo of
+    `_dist_to_inf` (emptied past 200,000), and the distance caches
+    `_terms` (200,000) and `_distances` (400,000) with their counters."""
     global _distance_hits, _distance_misses
-    transport_matrix.cache_clear()
-    farey_distance.cache_clear()
-    farey_geodesic.cache_clear()
+    _transport_at.cache_clear()
+    _distance_at.cache_clear()
+    _geodesic_at.cache_clear()
     _terms.clear()
     _distances.clear()
     _distance_hits = _distance_misses = 0

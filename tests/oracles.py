@@ -12,10 +12,13 @@ subsurface of the point pair, with its own enumeration and annular
 projection, and again as the per-component loop that also builds every
 contribution list; the Dehn twist matrix as a conjugated shear; a
 slope's image under a matrix through the gcd of the `Slope`
-constructor; a standard flat's point with each factor state built by
-its definition, and the noisy box map on it one elementary move at a
-time; the scale search level-major, with every line's images built up
-front and every offset's segment verdicts; the greedy net packing that
+constructor; the transport matrix, twisting number, Farey distance and
+Farey geodesic read off `Slope`s, uncached, as the package computed
+them before its Farey caches were keyed by ints; a standard flat's
+point with each factor state built by its definition, and the noisy box
+map on it one elementary move at a time; the scale search
+level-major, with every line's images built up front and every
+offset's segment verdicts; the greedy net packing that
 compares every image with every kept one; the 2-D density check of a
 direction set by a grid of probe directions; and the exhaustive
 thin-triangle constant with three geodesics and three multi-source BFS
@@ -46,10 +49,11 @@ from coarsegeo.effdiff import (Box, BoxMap, DiffReport, Line, LineFamily, PathTr
 from coarsegeo.hypgraph import (GeodesicSegment, HypGraph, MetricHandle, UnreachableError,
                                 Vertex, _points_of, geodesic)
 from coarsegeo.pathsflats import StandardFlat
-from coarsegeo.surfmodel import (AnnularPoint, ComponentState, Matrix, ModelPoint, Slope,
-                                 Subsurface, _component_terms, annular_distance,
-                                 complex_distance, farey_distance, farey_geodesic, mat_inv,
-                                 transport_matrix, twist_number)
+from coarsegeo.surfmodel import (IDENTITY, AnnularPoint, ComponentState, Matrix, ModelPoint,
+                                 ModelSurface, Slope, Subsurface, _component_terms,
+                                 _dist_to_inf, _geo_from_inf, annular_distance, apply_matrix,
+                                 complex_distance, farey_adjacent, farey_distance,
+                                 farey_geodesic, mat_inv, transport_matrix, twist_number)
 
 
 def mat_mul(m: Matrix, n: Matrix) -> Matrix:
@@ -64,11 +68,11 @@ def twist_matrix(core: Slope, n: int = 1) -> Matrix:
     return mat_mul(mat_inv(m), mat_mul((1, n, 0, 1), m))
 
 
-def annular_projection(x: ModelPoint, w: Subsurface) -> AnnularPoint:
-    """An annulus about the pants curve sees the transversal's twisting
-    and the inverse length; any other annulus sees the pants slope's
-    twisting at height 1/B (heights only in the augmented flavor)."""
-    surf, st = x.surface, x.state(w.comp)
+def annular_projection(surf: ModelSurface, st: ComponentState, w: Subsurface) -> AnnularPoint:
+    """The annulus w's view of the state st of its component: an annulus
+    about the pants curve sees the transversal's twisting and the inverse
+    length; any other annulus sees the pants slope's twisting at height
+    1/B (heights only in the augmented flavor)."""
     aug = surf.flavor == "augmented"
     if w.core == st.alpha:
         return AnnularPoint(twist_number_via_slope(w.core, st.tau),
@@ -78,36 +82,44 @@ def annular_projection(x: ModelPoint, w: Subsurface) -> AnnularPoint:
 
 
 def candidate_subsurfaces(x: ModelPoint, y: ModelPoint, comps=None) -> list[Subsurface]:
+    return _candidates(x.surface, x.states, y.states, comps)
+
+
+def _candidates(surf: ModelSurface, sx: Sequence[ComponentState],
+                sy: Sequence[ComponentState], comps) -> list[Subsurface]:
     """Each component, then (outside the pants flavor) the annuli about
     the Farey geodesic between the pants slopes and the four endpoint
-    curves, sorted by core."""
+    curves, sorted by core; sx and sy are the two points' states."""
     out: list[Subsurface] = []
-    for i in range(x.surface.n_components) if comps is None else comps:
+    for i in range(surf.n_components) if comps is None else comps:
         out.append(Subsurface("component", i))
-        if x.surface.flavor == "pants":
+        if surf.flavor == "pants":
             continue
-        cores = set(farey_geodesic(x.alpha(i), y.alpha(i)))
-        for st in (x.state(i), y.state(i)):
+        cores = set(farey_geodesic(sx[i].alpha, sy[i].alpha))
+        for st in (sx[i], sy[i]):
             cores.update((st.alpha, st.tau))
         out.extend(Subsurface("annulus", i, c) for c in sorted(cores, key=Slope.key))
     return out
 
 
-def subsurface_distance(x: ModelPoint, y: ModelPoint, w: Subsurface) -> float:
+def subsurface_distance(surf: ModelSurface, sx: Sequence[ComponentState],
+                        sy: Sequence[ComponentState], w: Subsurface) -> float:
     if w.kind == "component":
-        return float(farey_distance(x.alpha(w.comp), y.alpha(w.comp)))
-    return annular_distance(annular_projection(x, w), annular_projection(y, w),
-                            x.surface.flavor)
+        return float(farey_distance(sx[w.comp].alpha, sy[w.comp].alpha))
+    return annular_distance(annular_projection(surf, sx[w.comp], w),
+                            annular_projection(surf, sy[w.comp], w), surf.flavor)
 
 
 def distance_formula(x: ModelPoint, y: ModelPoint, threshold: float | None = None,
                      comps=None) -> tuple[float, list[tuple[Subsurface, float]]]:
-    """Sum every candidate subsurface distance at or above the threshold."""
-    t = x.surface.threshold if threshold is None else threshold
+    """Sum every candidate subsurface distance at or above the threshold;
+    each point's states are built once."""
+    surf, sx, sy = x.surface, x.states, y.states
+    t = surf.threshold if threshold is None else threshold
     total = 0.0
     contributing: list[tuple[Subsurface, float]] = []
-    for w in candidate_subsurfaces(x, y, comps):
-        d = subsurface_distance(x, y, w)
+    for w in _candidates(surf, sx, sy, comps):
+        d = subsurface_distance(surf, sx, sy, w)
         if d >= t:
             total += d
             contributing.append((w, d))
@@ -142,6 +154,52 @@ def twist_number_via_slope(core: Slope, curve: Slope) -> int:
     """Floor of the transported curve, reduced to lowest terms first."""
     img = apply_by_gcd(transport_matrix(core), curve)
     return img.p // img.q
+
+
+def slope_transport_matrix(core: Slope) -> Matrix:
+    """The transport taking `core` to infinity, read off the `Slope`:
+    [[s, -r], [-q, p]] with ps - qr = 1 and 0 <= s < q."""
+    p, q = core.p, core.q
+    if q == 0:
+        return IDENTITY
+    s = pow(p, -1, q) if q > 1 else 0
+    r = (p * s - 1) // q
+    return (s, -r, -q, p)
+
+
+def slope_twist_number(core: Slope, curve: Slope) -> int:
+    """The floor of the curve's image under the transport of the core."""
+    if curve == core:
+        raise ValueError("no projection from core to its own annulus via slopes")
+    a, b, c, d = slope_transport_matrix(core)
+    num, den = a * curve.p + b * curve.q, c * curve.p + d * curve.q
+    if den == 0:
+        raise ValueError("only the core transports to infinity")
+    return num // den
+
+
+def slope_farey_distance(a: Slope, b: Slope) -> int:
+    """The distance from infinity of b's image under a's transport."""
+    if a == b:
+        return 0
+    img = apply_matrix(slope_transport_matrix(a), b)
+    return _dist_to_inf(img.p, img.q)
+
+
+def slope_farey_geodesic(a: Slope, b: Slope) -> tuple[Slope, ...]:
+    """The geodesic from infinity to b's image under a's transport, mapped
+    back, computed from the endpoint with the smaller key."""
+    if a == b:
+        return (a,)
+    if b < a:
+        return tuple(reversed(slope_farey_geodesic(b, a)))
+    m = slope_transport_matrix(a)
+    img = apply_matrix(m, b)
+    path = tuple(apply_matrix(mat_inv(m), s) for s in _geo_from_inf(img.p, img.q))
+    if path[0] != a or path[-1] != b or \
+            not all(farey_adjacent(u, v) for u, v in zip(path, path[1:])):
+        raise RuntimeError(f"no Farey geodesic from {a} to {b}: {path}")
+    return path
 
 
 def flat_point(flat: StandardFlat, t) -> ModelPoint:

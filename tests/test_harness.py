@@ -320,8 +320,12 @@ NO_TRANSVERSAL = json.dumps({"components": [{"alpha": [0, 1]}]})
      "bad config: 'int' object is not subscriptable"),
     (["project", json.dumps({"components": [{"alpha": [0.9, 1], "tau": [1, 0]}]})],
      "bad point: slope entries are integers, got 0.9"),
+    (["pipeline", "--config", json.dumps({"surface": ModelSurface(((1, 1),)).to_json(),
+                                          "noise": -1})],
+     "bad config: need noise >= 0, got -1"),
 ], ids=["realize-no-kind", "efficiency-no-values", "efficiency-list", "dist-no-components",
-        "dist-no-transversal", "pipeline-config-surface", "project-fractional-slope"])
+        "dist-no-transversal", "pipeline-config-surface", "project-fractional-slope",
+        "pipeline-config-negative-noise"])
 def test_cli_documents_of_the_wrong_shape_are_usage_errors(capsys, argv, message):
     """These ended in a KeyError, TypeError or ValueError traceback with
     exit code 1, or, for the fractional slope, projected 0/1 with exit
@@ -352,10 +356,24 @@ def test_cli_integral_float_slopes_are_read_as_integers(capsys):
     (["rank", "--components", "2", "--n", "2", "--box", "60"],
      "box side 60 is below the pipeline's required size 40000 for n = 2 <= rank 2"),
     (["rank", "--components", "2", "--n", "4"], "--n 4 exceeds rank + 1 = 3"),
+    (["flat-fit", "--samples", "0"], "argument --samples: expected an integer >= 1, got '0'"),
+    (["flat-fit", "--span", "0"], "argument --span: expected an integer >= 1, got '0'"),
+    (["flat-fit", "--noise", "-1"], "argument --noise: expected an integer >= 0, got '-1'"),
+    (["pipeline", "--noise", "-1"], "argument --noise: expected an integer >= 0, got '-1'"),
+    (["bbf-audit", "--pairs", "0"], "argument --pairs: expected an integer >= 1, got '0'"),
+    (["bbf-audit", "--pairs", "-1"], "argument --pairs: expected an integer >= 1, got '-1'"),
+    (["delta", "--samples", "0"], "argument --samples: expected an integer >= 1, got '0'"),
+    (["delta", "--samples", "many"], "argument --samples: expected an integer >= 1, got 'many'"),
 ], ids=["stats-flavor", "stats-components", "stats-genus-flavor", "pipeline-eps0",
-        "rank-box-below-pipeline", "rank-n-above-rank-plus-one"])
+        "rank-box-below-pipeline", "rank-n-above-rank-plus-one", "flat-fit-samples-0",
+        "flat-fit-span-0", "flat-fit-noise-negative", "pipeline-noise-negative",
+        "bbf-audit-pairs-0", "bbf-audit-pairs-negative", "delta-samples-0",
+        "delta-samples-not-an-integer"])
 def test_cli_flag_values_are_usage_errors(capsys, argv, message):
-    """These ended in a ValueError traceback with exit code 1."""
+    """These ended in a ValueError traceback with exit code 1, or, for a
+    count of 0 pairs or samples, in a vacuous pass with exit code 0, or,
+    for a negative noise, in a noiseless run that reported the negative
+    noise."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

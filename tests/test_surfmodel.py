@@ -174,7 +174,7 @@ def test_geodesic_invariants_survive_optimize_flag():
         }
         for name, fake in broken.items():
             surfmodel._geo_from_inf = fake
-            surfmodel.farey_geodesic.cache_clear()
+            surfmodel.clear_caches()
             try:
                 surfmodel.farey_geodesic(Slope(0, 1), Slope(2, 5))
             except RuntimeError as err:

@@ -17,8 +17,12 @@ their bounds.
 Pairs that share a pants curve, which take the one-annulus path of
 `_component_terms`, come from noisy twist-flat lines and from twist and
 length moves, at thresholds above and at or below zero.
+The Farey layer is cached at plain ints; its public functions must give
+what `oracles`' `Slope`-based versions give, errors included, also with
+every int-keyed cache bounded at 5 entries.
 """
 
+import functools
 import gc
 
 import numpy as np
@@ -28,9 +32,10 @@ from coarsegeo import surfmodel
 from coarsegeo.harness import noisy_flat_map, random_point, twist_flat
 from coarsegeo.surfmodel import (FLAVORS, INFINITY, ZERO, ComponentState, ModelPoint,
                                  ModelSurface, Slope, apply_matrix, base_point,
-                                 candidate_subsurfaces, distance_formula, length_move,
-                                 mat_inv, model_distance, transport_matrix, twist_matrix,
-                                 twist_move)
+                                 candidate_subsurfaces, canonical_transversal,
+                                 distance_formula, farey_distance, farey_geodesic,
+                                 length_move, mat_inv, model_distance, transport_matrix,
+                                 twist_matrix, twist_move, twist_number)
 
 import oracles
 
@@ -74,9 +79,9 @@ def test_distance_formula_matches_direct_loop(monkeypatch):
                 asked += len(kw.get("comps", surface.components))
                 assert got == _bits(oracles.distance_formula(x, y, **kw)), (x, y, kw)
                 assert got == _bits(oracles.component_loop_distance_formula(x, y, **kw))
-            want = oracles.component_loop_distance_formula(x, y)[0].hex()
-            assert model_distance(x, y).hex() == want == \
-                oracles.distance_formula(x, y)[0].hex()
+                if not kw:  # both oracles' totals at the surface's threshold
+                    want = got[0]
+            assert model_distance(x, y).hex() == want
             checked += 1
     assert checked == len(SURFACES) * PAIRS_PER_SURFACE
     # the per-component cache is read back as well as filled: its body
@@ -135,10 +140,12 @@ def test_same_pants_curve_pairs_match_oracle():
         for thr in (t, t + 3, 0.0, -1.0):
             got = _bits(distance_formula(x, y, threshold=thr))
             assert got == _bits(oracles.distance_formula(x, y, threshold=thr)), (x, y, thr)
+            if thr == t:  # the oracle's total at the surface's threshold
+                want = got[0]
             if thr <= 0:
                 assert sorted(w.key() for w, _ in got[1]) == sorted(w.key() for w in cands)
         kept += sum(w.comp in same_comps for w, _ in distance_formula(x, y)[1])
-        assert model_distance(x, y).hex() == oracles.distance_formula(x, y)[0].hex()
+        assert model_distance(x, y).hex() == want
     assert same >= 5000 and kept >= 500, (same, kept)
 
 
@@ -190,8 +197,10 @@ def test_clear_caches_empties_every_cache(marking2):
         model_distance(x, y)
     model_distance(x, y)
     caches = {name: fn for name, fn in vars(surfmodel).items() if hasattr(fn, "cache_info")}
-    assert set(caches) == {"transport_matrix", "farey_distance", "farey_geodesic",
-                           "model_distance"}
+    # the three int-keyed Farey caches, and the counters two public
+    # wrappers report from them beside the model-distance cache's own
+    assert set(caches) == {"_transport_at", "_distance_at", "_geodesic_at",
+                           "farey_distance", "farey_geodesic", "model_distance"}
     assert all(fn.cache_info().currsize > 0 for fn in caches.values())
     assert model_distance.cache_info().hits > 0
     assert surfmodel._dist_memo and surfmodel._terms and surfmodel._distances
@@ -200,6 +209,102 @@ def test_clear_caches_empties_every_cache(marking2):
         dict.fromkeys(caches, 0)
     assert model_distance.cache_info()[:2] == (0, 0)
     assert not surfmodel._dist_memo and not surfmodel._terms
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+
+
+def _slope_pairs(seed: int, height: int = 10 ** 6) -> list:
+    """Seeded slope pairs up to the height: consecutive random slopes,
+    each slope with a Farey neighbour and with itself, and each of four
+    small slopes with each other and with 25 random slopes, both ways
+    round."""
+    rng = np.random.default_rng(seed)
+    small = [INFINITY, ZERO, Slope(-1, 1), Slope(5, 1)]
+    slopes = []
+    for _ in range(200):
+        q = int(rng.integers(0, height + 1))
+        slopes.append(INFINITY if q == 0 else Slope(int(rng.integers(-height, height + 1)), q))
+    pairs = list(zip(slopes, slopes[1:] + slopes[:1]))
+    pairs += [(s, canonical_transversal(s)) for s in slopes[:100]]
+    pairs += [(s, s) for s in slopes[:20]]
+    pairs += [pair for a in small for b in small + slopes[:25] for pair in ((a, b), (b, a))]
+    return pairs
+
+
+def _int_layer_answers(pairs) -> list:
+    """Every public Farey answer on each pair, asked twice so that the
+    second reads the caches, as plain values and error messages."""
+    out = []
+    for a, b in pairs:
+        for _ in range(2):
+            out.append((transport_matrix(a), _outcome(twist_number, a, b),
+                        farey_distance(a, b), farey_geodesic(a, b)))
+    return out
+
+
+def test_int_keyed_farey_layer_matches_the_slope_versions():
+    pairs = _slope_pairs(513)
+    assert len(pairs) >= 400
+    surfmodel.clear_caches()
+    answers = _int_layer_answers(pairs)
+    errors = 0
+    for (a, b), got in zip(pairs, answers[::2]):
+        want = (oracles.slope_transport_matrix(a), _outcome(oracles.slope_twist_number, a, b),
+                oracles.slope_farey_distance(a, b), oracles.slope_farey_geodesic(a, b))
+        assert got == want, (a, b)
+        assert [(s.p, s.q) for s in got[3]] == [(s.p, s.q) for s in want[3]], (a, b)
+        errors += isinstance(got[1], tuple)
+    assert answers[::2] == answers[1::2]
+    assert errors == sum(a == b for a, b in pairs) >= 28
+    assert max(max(abs(s.p), s.q) for a, b in pairs for s in (a, b)) > 9 * 10 ** 5
+    # a copy with both signs flipped, which no public constructor makes,
+    # is not the core but transports to infinity with it
+    for a, _ in pairs[:20]:
+        flipped = surfmodel._trusted_slope(-a.p, -a.q)
+        assert _outcome(twist_number, a, flipped) == \
+            _outcome(oracles.slope_twist_number, a, flipped) == \
+            (ValueError, "only the core transports to infinity")
+
+
+INT_CACHES = ("_transport_at", "_distance_at", "_geodesic_at")
+
+
+def test_bounded_int_caches_give_the_unbounded_answers(monkeypatch):
+    """Each int-keyed Farey cache rebuilt with a bound of 5 gives the same
+    answers, distances and term lists bit for bit, and never holds more
+    than 5 entries."""
+    slope_pairs = _slope_pairs(514, height=1000)
+    point_pairs = _flavor_pairs(515)
+    surfmodel.clear_caches()
+    want = (_int_layer_answers(slope_pairs),
+            [(model_distance(x, y).hex(), _bits(distance_formula(x, y, threshold=0.0)))
+             for x, y in point_pairs])
+    assert min(getattr(surfmodel, name).cache_info().currsize
+               for name in INT_CACHES) > 10 * SMALL_BOUND
+    for name in INT_CACHES:
+        fn = getattr(surfmodel, name).__wrapped__
+        monkeypatch.setattr(surfmodel, name, functools.lru_cache(maxsize=SMALL_BOUND)(fn))
+    surfmodel.clear_caches()
+    got_pairs = []
+    for x, y in point_pairs:
+        got_pairs.append((model_distance(x, y).hex(),
+                          _bits(distance_formula(x, y, threshold=0.0))))
+        assert all(getattr(surfmodel, name).cache_info().currsize <= SMALL_BOUND
+                   for name in INT_CACHES)
+    assert (_int_layer_answers(slope_pairs), got_pairs) == want
+    for name in INT_CACHES:
+        info = getattr(surfmodel, name).cache_info()
+        assert info.maxsize == SMALL_BOUND and info.currsize <= SMALL_BOUND
+        assert info.misses > 10 * SMALL_BOUND, name
+    # the public wrappers report the caches in use
+    assert farey_distance.cache_info() == surfmodel._distance_at.cache_info()
+    assert farey_geodesic.cache_info() == surfmodel._geodesic_at.cache_info()
 
 
 def test_equal_points_hash_equal(marking2):
