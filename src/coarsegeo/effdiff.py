@@ -267,12 +267,22 @@ def _clip_line(box: Box, p: np.ndarray, d: np.ndarray) -> tuple[float, float] | 
 
 @dataclass
 class BoxMap:
-    """A quasi-Lipschitz map from a box into a metric handle."""
+    """A quasi-Lipschitz map from a box into a metric handle.
+
+    `images(P)` maps the rows of an (m, d) array: through `batch` when
+    the map has one (its m images, each the image `fn` gives for its
+    row), else row by row through `fn`."""
 
     fn: Callable[[np.ndarray], Any]
     target: MetricHandle
     K: float
     C: float
+    batch: Callable[[np.ndarray], list] | None = None
+
+    def images(self, P: np.ndarray) -> list:
+        if self.batch is not None:
+            return self.batch(P)
+        return [self.fn(p) for p in P]
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +414,7 @@ def differentiate_lines(fmap: BoxMap, box: Box, eps: float, theta: float,
     level a certificate rather than a lucky draw.
 
     Images are built one line at a time: a line's base samples go
-    through `fmap.fn` when the line is first processed, and after each
+    through `fmap.images` when the line is first processed, and after each
     level the line keeps only the images on its next-level grid (the
     chosen offset's points) and the distances between them, which are
     that grid's jumps.  So at most one line's samples are alive at once.
@@ -452,7 +462,7 @@ def differentiate_lines(fmap: BoxMap, box: Box, eps: float, theta: float,
             cur, ts, imgs = grids[li], base_ts[li], images[li]
             if imgs is None:
                 pts = np.asarray(ln.origin) + ts[:, None] * np.asarray(ln.direction)
-                imgs = images[li] = [fmap.fn(q) for q in pts]
+                imgs = images[li] = fmap.images(pts)
                 jumps[li] = [distance(imgs[a], imgs[b]) for a, b in zip(cur, cur[1:])]
             prefix = list(accumulate(jumps[li], initial=0.0))
             best = None  # (bad fraction, bad count, grid positions, endpoint distances)
@@ -600,8 +610,8 @@ def hyperbolic_subbox(fmap: BoxMap, box: Box, eps: float,
     R = box.size
     tol = cn["c_near"] * eps * R
     n = box.dim
-    # the n * 2^(n-1) edge geodesics of the box image
-    edges: list[GeodesicSegment] = []
+    # the n * 2^(n-1) edge geodesics of the box image, from their endpoints
+    ends = []
     for axis in range(n):
         others = [i for i in range(n) if i != axis]
         combos = [[]]
@@ -613,7 +623,9 @@ def hyperbolic_subbox(fmap: BoxMap, box: Box, eps: float,
             p0[axis], p1[axis] = box.intervals[axis]
             for i, v in combo:
                 p0[i] = p1[i] = v
-            edges.append(target.geodesic(fmap.fn(p0), fmap.fn(p1)))
+            ends += [p0, p1]
+    ims = fmap.images(np.array(ends))
+    edges = [target.geodesic(a, b) for a, b in zip(ims[::2], ims[1::2])]
     axes_pts = []
     for lo, hi in box.intervals:
         count = int(min(grid_max, max(2, (hi - lo) / max(eps * R, 1e-9) + 1)))
@@ -621,9 +633,9 @@ def hyperbolic_subbox(fmap: BoxMap, box: Box, eps: float,
     shape = tuple(len(a) for a in axes_pts)
     labels = np.full(shape, -1, dtype=int)
     near = np.zeros(shape, dtype=bool)
-    for idx in np.ndindex(shape):
-        p = np.array([axes_pts[i][idx[i]] for i in range(n)])
-        img = fmap.fn(p)
+    # the grid in np.ndindex order
+    grid = np.stack([m.ravel() for m in np.meshgrid(*axes_pts, indexing="ij")], axis=-1)
+    for idx, img in zip(np.ndindex(shape), fmap.images(grid)):
         dists = [min(target.distance(img, v) for v in e.vertices) for e in edges]
         best = int(np.argmin(dists))
         labels[idx] = best
@@ -654,21 +666,25 @@ def hyperbolic_subbox(fmap: BoxMap, box: Box, eps: float,
 
 def _largest_true_box(mask: np.ndarray) -> tuple[list[tuple[int, int]], int] | None:
     """Largest axis-aligned all-true index sub-box (min-side maximized,
-    then cell count); brute force over index ranges, fine at grid scale."""
-    shape = mask.shape
-    best = None
-    best_score = (-1, -1)
-    ranges = [[(a, b) for a in range(s) for b in range(a + 1, s)] for s in shape]
-    idx_rects = [[]]
-    for r in ranges:
-        idx_rects = [c + [ab] for c in idx_rects for ab in r]
-    for rect in idx_rects:
-        sl = tuple(slice(a, b + 1) for a, b in rect)
-        if not np.all(mask[sl]):
-            continue
-        sides = [b - a for a, b in rect]
-        score = (min(sides), int(np.prod([s + 1 for s in sides])))
-        if score > best_score:
-            best_score = score
-            best = (rect, score[1])
-    return best
+    then cell count, the first in index order on a tie), as
+    ([(a, b) per axis], cells) with a < b.  Every index range is tested
+    at once by its true-cell count from a summed-area table."""
+    ranges = [[(a, b) for a in range(s) for b in range(a + 1, s)] for s in mask.shape]
+    if not all(ranges):
+        return None
+    sat = np.zeros([s + 1 for s in mask.shape], dtype=np.int64)  # sat[i, j]: mask[:i, :j].sum()
+    sat[(slice(1, None),) * mask.ndim] = mask
+    for axis in range(mask.ndim):
+        sat = sat.cumsum(axis=axis)
+    ends = [np.array(r).T + [[0], [1]] for r in ranges]  # per axis: the a's and the b + 1's
+    # the true cells of every index box, axis 0 outermost, by inclusion-exclusion
+    counts = sum((-1) ** (mask.ndim - sum(c)) * sat[np.ix_(*[e[k] for e, k in zip(ends, c)])]
+                 for c in np.ndindex((2,) * mask.ndim))
+    extents = np.broadcast_arrays(*np.ix_(*[e[1] - e[0] for e in ends]))
+    cells = np.prod(extents, axis=0)
+    score = np.where(counts == cells, np.min(extents, axis=0) * (cells.max() + 1) + cells, -1)
+    at = int(np.argmax(score))  # the first maximum, as a strict > scan keeps
+    if score.flat[at] < 0:
+        return None
+    idx = np.unravel_index(at, score.shape)
+    return [ranges[i][k] for i, k in enumerate(idx)], int(cells.flat[at])

@@ -203,38 +203,46 @@ def noisy_flat_map(flat: StandardFlat, noise: int, seed: int) -> BoxMap:
     below the distance-formula threshold, so the perturbation cost is
     bounded by the stated noise.
 
-    Each image is one point: the burst is read off the hash of the
-    lattice point first, and `StandardFlat.eval` applies it to the
-    component's state before it builds the point.  The flat's state
-    table holds each (component, lattice coordinate, burst move) state
-    key once, up to `pathsflats._FLAT_STATES_MAX` entries, so images at
-    one lattice point and burst share their state keys.  A point with
-    the wrong number of coordinates raises `ValueError`."""
+    The map works a batch at a time (`BoxMap.images`; `fn` is a batch
+    of one): points are rounded half to even and clamped to the flat's
+    box, each burst is read off the hash of the lattice point, and
+    `StandardFlat.eval_rows` applies it and builds the point from the
+    flat's state table, so images at one lattice point and burst share
+    their state keys.  A point with the wrong number of coordinates
+    raises `ValueError`, and a non-finite one what `round` raises."""
     surface = flat.surface
     h = model_handle(surface)
-    bounds = flat.box().intervals
+    lo, hi = np.array(flat.box().intervals, float).T
     noisy = noise > 0 and surface.flavor != "pants"
+    n_comp = surface.n_components
 
-    def fn(p) -> ModelPoint:
-        # round() rounds half to even, as np.rint does, and gives the
-        # Python ints that the noise hash reads through repr
-        c = p.tolist() if p.__class__ is np.ndarray and p.ndim == 1 else np.ravel(p).tolist()
-        t = tuple([int(min(max(round(v), lo), hi)) for v, (lo, hi) in zip(c, bounds, strict=True)])
+    def images(P) -> list[ModelPoint]:
+        T = np.rint(np.asarray(P, float))  # half to even, as round() does
+        if T.ndim != 2 or T.shape[1] != flat.dim:
+            raise ValueError(f"box-map points need {flat.dim} coordinates")
+        if not np.isfinite(T).all():  # raise what round() raises: ValueError or OverflowError
+            int(T[~np.isfinite(T)][0])
+        # Python ints, which the noise hash reads through repr
+        rows = list(map(tuple, np.clip(T, lo, hi).astype(np.int64).tolist()))
         if not noisy:
-            return flat.eval(t)
-        mix = hashlib.sha256(repr((seed, t)).encode()).digest()
-        # an optional flip at step 0, then unit twists about one pants
-        # curve, which compose into n twists
-        flip, n = False, 0
-        for step in range(mix[1] % (noise + 1)):
-            b = mix[2 + step]
-            if b % 3 == 0 and step == 0:
-                flip = True
-            else:
-                n += 1 if b % 2 else -1
-        return flat.eval(t, (mix[0] % surface.n_components, flip, n))
+            return flat.eval_rows(rows)
+        bursts = []
+        for t in rows:
+            mix = hashlib.sha256(repr((seed, t)).encode()).digest()
+            # an optional flip at step 0, then unit twists about one pants
+            # curve, which compose into n twists
+            flip, n = False, 0
+            for step in range(mix[1] % (noise + 1)):
+                b = mix[2 + step]
+                if b % 3 == 0 and step == 0:
+                    flip = True
+                else:
+                    n += 1 if b % 2 else -1
+            bursts.append((mix[0] % n_comp, flip, n))
+        return flat.eval_rows(rows, bursts)
 
-    return BoxMap(fn, h, K=2.0, C=_flat_map_c(surface, noise))
+    return BoxMap(lambda p: images(np.reshape(p, (1, -1)))[0], h,
+                  K=2.0, C=_flat_map_c(surface, noise), batch=images)
 
 
 def _flat_map_c(surface: ModelSurface, noise: int) -> float:
@@ -259,18 +267,22 @@ def adversarial_maps(flat: StandardFlat, n: int, box_side: int) -> list[tuple[st
     r = flat.dim
 
     def wrap(name: str, lin: Callable[[np.ndarray], np.ndarray]) -> tuple[str, BoxMap]:
-        def fn(p):
-            q = np.atleast_1d(np.asarray(p, float))
-            return inner.fn(lin(q))
-        return name, BoxMap(fn, inner.target, K=inner.K * 2 + 2, C=inner.C)
+        # lin acts on the last axis, so it maps one point and a batch alike
+        return name, BoxMap(lambda p: inner.fn(lin(np.atleast_1d(np.asarray(p, float)))),
+                            inner.target, K=inner.K * 2 + 2, C=inner.C,
+                            batch=lambda P: inner.images(lin(np.asarray(P, float))))
+
+    def cat(*cols) -> np.ndarray:
+        return np.concatenate(cols, axis=-1)
 
     half = box_side / 2.0
+    a, b = slice(r - 1, r), slice(r, r + 1)  # the last two coordinates, as columns
     suite = [
-        wrap("drop-last", lambda q: q[:r]),
-        wrap("sum-last-two", lambda q: np.concatenate([q[:r - 1], [q[r - 1] + q[r] - half]])),
-        wrap("fold-last", lambda q: np.concatenate([q[:r - 1], [abs(q[r] - half) + q[r - 1] - half]])),
-        wrap("mean-pair", lambda q: np.concatenate([q[:r - 1], [(q[r - 1] + q[r]) / 2.0]])),
-        wrap("swap-collapse", lambda q: np.concatenate([[q[r] - half + q[0] - half], q[1:r]])),
+        wrap("drop-last", lambda q: q[..., :r]),
+        wrap("sum-last-two", lambda q: cat(q[..., :r - 1], q[..., a] + q[..., b] - half)),
+        wrap("fold-last", lambda q: cat(q[..., :r - 1], abs(q[..., b] - half) + q[..., a] - half)),
+        wrap("mean-pair", lambda q: cat(q[..., :r - 1], (q[..., a] + q[..., b]) / 2.0)),
+        wrap("swap-collapse", lambda q: cat(q[..., b] - half + q[..., :1] - half, q[..., 1:r])),
     ]
     return suite
 
@@ -410,7 +422,8 @@ def run_pipeline(config: ExperimentConfig, fmap: BoxMap, dim: int,
     # narrow the sub-box against each component's curve-graph shadow
     for comp in range(surface.n_components):
         shadow = BoxMap(lambda p, c=comp: fmap.fn(p).alpha(c),
-                        farey_handle(), fmap.K, fmap.C)
+                        farey_handle(), fmap.K, fmap.C,
+                        batch=lambda P, c=comp: [x.alpha(c) for x in fmap.images(P)])
         try:
             sub, _edge = effdiff.hyperbolic_subbox(shadow, sub, config.eps0,
                                                    constants=cn, grid_max=9)
@@ -422,7 +435,7 @@ def run_pipeline(config: ExperimentConfig, fmap: BoxMap, dim: int,
     axes = [np.linspace(lo, hi, 7) for lo, hi in sub.intervals]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=-1)
-    samples = [fmap.fn(p) for p in grid]
+    samples = fmap.images(grid)
     branches = []
     moving = []
     for comp in range(surface.n_components):
@@ -468,7 +481,7 @@ def _extract_moving_factors(fmap: BoxMap, sub: Box, moving: list[int],
     lo = np.array([a for a, _ in sub.intervals], float)
     hi = np.array([b for _, b in sub.intervals], float)
     n_samp = 33
-    diag = [fmap.fn(lo + t * (hi - lo)) for t in np.linspace(0.0, 1.0, n_samp)]
+    diag = fmap.images(lo + np.linspace(0.0, 1.0, n_samp)[:, None] * (hi - lo))
     base = diag[0]
     factors = []
     for comp in moving:
@@ -526,7 +539,7 @@ def net_separation_count(fmap: BoxMap, box: Box, spacing: float,
     axes = [np.arange(lo, hi + 1e-9, spacing) for lo, hi in box.intervals]
     mesh = np.meshgrid(*axes, indexing="ij")
     net = np.stack([m.ravel() for m in mesh], axis=-1)
-    images = [fmap.fn(p) for p in net]
+    images = fmap.images(net)
     return len(net), len(greedy_packing(images, fmap.target.distance, separation))
 
 
@@ -1079,10 +1092,8 @@ def _flat_fit(ns):
     rng = np.random.default_rng(ns.seed)
     flat = twist_flat(surface, ns.span)
     fmap = noisy_flat_map(flat, ns.noise, ns.seed)
-    pts = []
-    for _ in range(ns.samples):
-        t = [int(rng.integers(lo, hi + 1)) for lo, hi in flat.box().intervals]
-        pts.append(fmap.fn(t))
+    pts = fmap.images(np.array([[int(rng.integers(lo, hi + 1)) for lo, hi in flat.box().intervals]
+                                for _ in range(ns.samples)], float))
     fit, _best = flat_fit(pts, candidate_flats(pts, cn) + [flat])
     return {"fit": fit, "samples": ns.samples, "noise": ns.noise}
 

@@ -472,7 +472,7 @@ class StandardFlat:
     """An L1 product of factors over the components, evaluated on the
     lattice box given by the factor intervals.
 
-    `_states` is the table `eval` reads component states from: it maps
+    `_states` is the table `eval_rows` reads component states from: it maps
     (comp, coordinate, move) to a state key (`ModelPoint.state_keys`),
     lives as long as the flat, and holds at most `_FLAT_STATES_MAX`
     entries."""
@@ -527,9 +527,16 @@ class StandardFlat:
 
     def eval(self, t_vec: Sequence[float],
              burst: tuple[int, bool, int] | None = None) -> ModelPoint:
-        """The flat's point at t_vec.  A burst (comp, flip, n) of small
-        moves is applied to that component's state before the point is
-        built: a flip if `flip`, then n twists about the pants curve.
+        """`eval_rows` on one row: the flat's point at t_vec after the burst."""
+        return self.eval_rows([t_vec], [burst])[0]
+
+    def eval_rows(self, rows: Sequence[Sequence[float]],
+                  bursts: Sequence[tuple[int, bool, int] | None] | None = None,
+                  ) -> list[ModelPoint]:
+        """The flat's point at each row t_vec.  A burst (comp, flip, n)
+        of small moves, one per row or None, is applied to that
+        component's state before the point is built: a flip if `flip`,
+        then n twists about the pants curve.
 
         Each component's state key comes from the flat's table
         `_states`, at (comp, the coordinate `factor_state` reads or None
@@ -537,30 +544,34 @@ class StandardFlat:
         move); a miss runs `_table_entry`, and a table of
         `_FLAT_STATES_MAX` entries is emptied by its next miss.  So
         images at one lattice point and burst share their state keys."""
-        if len(t_vec) != len(self.factors):
-            raise ValueError("one coordinate per factor")
-        keys = list(self.base.state_keys)
-        bcomp, move = -1, None  # bcomp: the component whose move is still to apply
-        if burst is not None:
-            comp, flip, n = burst
-            if not 0 <= comp < len(keys):
-                raise IndexError(f"burst component {comp} out of range")
-            if flip or n:
-                bcomp, move = comp, (flip, n)
-        table = self._states
-        for f, t in zip(self.factors, t_vec):
-            c = f.comp
-            if c == bcomp:
-                k, bcomp = (c, t, move), -1
-            else:
-                k = (c, t, None)
-            keys[c] = table.get(k) or self._table_entry(k, f)
-        if bcomp >= 0:  # a burst on a component without a factor
-            k = (bcomp, None, move)
-            keys[bcomp] = table.get(k) or self._table_entry(k, None)
-        # a valid base, factor states kept valid by __post_init__ and
-        # factor_state, and moves that keep a state valid
-        return ModelPoint._trusted(self.surface, keys)
+        factors = [(f, f.comp) for f in self.factors]
+        surface, base = self.surface, list(self.base.state_keys)
+        get, entry, trusted = self._states.get, self._table_entry, ModelPoint._trusted
+        out = []
+        for t_vec, burst in zip(rows, bursts or [None] * len(rows), strict=True):
+            if len(t_vec) != len(factors):
+                raise ValueError("one coordinate per factor")
+            keys = base.copy()
+            bcomp, move = -1, None  # bcomp: the component whose move is still to apply
+            if burst is not None:
+                comp, flip, n = burst
+                if not 0 <= comp < len(keys):
+                    raise IndexError(f"burst component {comp} out of range")
+                if flip or n:
+                    bcomp, move = comp, (flip, n)
+            for (f, c), t in zip(factors, t_vec):
+                if c == bcomp:
+                    k, bcomp = (c, t, move), -1
+                else:
+                    k = (c, t, None)
+                keys[c] = get(k) or entry(k, f)
+            if bcomp >= 0:  # a burst on a component without a factor
+                k = (bcomp, None, move)
+                keys[bcomp] = get(k) or entry(k, None)
+            # a valid base, factor states kept valid by __post_init__ and
+            # factor_state, and moves that keep a state valid
+            out.append(trusted(surface, keys))
+        return out
 
     def _table_entry(self, k: tuple, f: FlatFactor | None) -> tuple:
         """Build, store and return the state key at k = (comp, t, move):

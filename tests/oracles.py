@@ -18,7 +18,8 @@ them before its Farey caches were keyed by ints; a standard flat's
 point with each factor state built by its definition, and the noisy box
 map on it one elementary move at a time; the scale search
 level-major, with every line's images built up front and every
-offset's segment verdicts; the greedy net packing that
+offset's segment verdicts; the largest all-true index sub-box of a
+grid mask by a scan of every index range; the greedy net packing that
 compares every image with every kept one; the 2-D density check of a
 direction set by a grid of probe directions; and the exhaustive
 thin-triangle constant with three geodesics and three multi-source BFS
@@ -247,6 +248,22 @@ def noisy_flat_image(flat: StandardFlat, noise: int, seed: int, p) -> ModelPoint
             states[comp] = ComponentState(st.alpha, tau, st.length)
         x = ModelPoint(surface, tuple(states))
     return x
+
+
+def largest_true_box(mask: np.ndarray) -> tuple[list[tuple[int, int]], int] | None:
+    """`effdiff._largest_true_box` by a scan of every index range, axis 0
+    outermost, keeping a range when it is all true and strictly beats
+    the kept one on (min side, cells)."""
+    best, best_score = None, (-1, -1)
+    ranges = [[(a, b) for a in range(s) for b in range(a + 1, s)] for s in mask.shape]
+    for rect in itertools.product(*ranges):
+        if not np.all(mask[tuple(slice(a, b + 1) for a, b in rect)]):
+            continue
+        sides = [b - a for a, b in rect]
+        score = (min(sides), math.prod(s + 1 for s in sides))
+        if score > best_score:
+            best_score, best = score, (list(rect), score[1])
+    return best
 
 
 def greedy_packing(images, distance, separation: float) -> list:

@@ -400,6 +400,25 @@ def test_hyperbolic_subbox_collapse_keeps_whole_box():
     assert seg.endpoints[0] in (ZERO, Slope(34, 55))
 
 
+def test_largest_true_box_matches_the_scan_of_every_range():
+    """The summed-area count against the scan, on all-false, all-true and
+    seeded random masks of shapes 1 x k, k x k (k <= 9) and 3-D; ties go
+    to the first range in index order on both."""
+    rng = np.random.default_rng(29)
+    shapes = [(1, k) for k in range(1, 10)] + [(k, k) for k in range(1, 10)]
+    shapes += [(2, 2, 2), (3, 4, 5), (5, 5, 5)]
+    found = 0
+    for shape in shapes:
+        masks = [np.zeros(shape, bool), np.ones(shape, bool)]
+        masks += [rng.random(shape) < p for p in (0.3, 0.6, 0.8, 0.9, 0.95) for _ in range(4)]
+        for mask in masks:
+            got = effdiff._largest_true_box(mask)
+            assert got == oracles.largest_true_box(mask), (shape, mask)
+            found += got is not None
+    assert effdiff._largest_true_box(np.ones((9, 9), bool)) == ([(0, 8), (0, 8)], 81)
+    assert found > 150  # 164
+
+
 def test_hyperbolic_subbox_coordinate_map():
     fh = farey_handle()
     geo = farey_geodesic(ZERO, Slope(34, 55))

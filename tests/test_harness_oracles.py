@@ -1,14 +1,17 @@
 """The noisy box map and the greedy net packing against the loops they
 replaced (`tests/oracles.py`), on seeded inputs.
 
-`harness.noisy_flat_map` builds one point per image: it composes its
-burst of unit twists into one twist, applies the burst to the component's
-state before `StandardFlat.eval` builds the point, reads each component
-state and its key from the flat's state table, and rounds the lattice
-point with Python `round`; the oracle evaluates each factor state by its
-definition and applies the burst one move at a time, each move a
-validated `ModelPoint`, with twist matrices conjugated from a shear and
-slopes reduced by gcd.
+`harness.noisy_flat_map` maps a batch of points at a time
+(`BoxMap.images`): it rounds and clamps the batch with `np.rint` and
+`np.clip`, composes each burst of unit twists into one twist, and
+`StandardFlat.eval_rows` applies the burst to the component's state,
+read with its key from the flat's state table, before it builds the
+point; `fn` is a batch of one.  The oracle rounds with Python `round`,
+evaluates each factor state by its definition and applies the burst one
+move at a time, each move a validated `ModelPoint`, with twist matrices
+conjugated from a shear and slopes reduced by gcd.  The collapse suite
+maps a batch along its last axis; its oracle is the per-point map of
+each collapse.
 `harness.greedy_packing` skips images equal to an earlier one; the
 oracle compares every image with every kept one.  Both must give the
 same points, in the same order.
@@ -19,8 +22,8 @@ import pytest
 
 from coarsegeo import pathsflats
 from coarsegeo.effdiff import Box
-from coarsegeo.harness import (adversarial_maps, greedy_packing, net_separation_count,
-                               noisy_flat_map, orthant_flat, twist_flat)
+from coarsegeo.harness import (adversarial_maps, folded_map, greedy_packing,
+                               net_separation_count, noisy_flat_map, orthant_flat, twist_flat)
 from coarsegeo.pathsflats import FlatFactor, StandardFlat, preferred_path
 from coarsegeo.surfmodel import (ZERO, ComponentState, ModelPoint, ModelSurface, Slope,
                                  base_point, canonical_transversal, flip_move, twist_move)
@@ -111,12 +114,139 @@ def test_bounded_state_table_gives_the_unbounded_images(make, cn, monkeypatch):
         assert len(flat._states) <= 5
         _assert_same_image(got, w, p)
         assert repr(got._key) == repr(w._key), p
+    # the same points 50 at a time through images, on a fresh flat
+    flat = make(cn)
+    fmap = noisy_flat_map(flat, noise, seed)
+    for lo in range(0, len(pts), 50):
+        for p, got, w in zip(pts[lo:lo + 50], fmap.images(pts[lo:lo + 50]), want[lo:lo + 50]):
+            _assert_same_image(got, w, p)
+        assert len(flat._states) <= 5
 
 
 def _assert_same_image(got: ModelPoint, want: ModelPoint, p) -> None:
     """Equal keys, float for float, equal hashes and equal state views."""
     assert got == want and hash(got) == hash(want), p
     assert got.states == want.states and repr(got._key) == repr(want._key), p
+
+
+# --- images(P): the batch path against fn and the oracle ------------------------
+
+def _batches(box: Box, seed: int) -> list[np.ndarray]:
+    """Seeded lines through the box and past its sides, every third point
+    on a half-integer, and a net that overhangs the box by a quarter side
+    on each end, all on half-integers."""
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(box.intervals, float).T
+    span = hi - lo
+    out = []
+    for _ in range(3):
+        origin = lo + rng.uniform(-0.25, 1.25, lo.size) * span
+        direction = rng.normal(size=lo.size)
+        ts = np.linspace(-0.75, 0.75, 101) * span.max()
+        line = origin + ts[:, None] * (direction / np.linalg.norm(direction))
+        line[::3] = np.floor(line[::3]) + 0.5
+        out.append(line)
+    axes = [np.linspace(a - (b - a) / 4, b + (b - a) / 4, 7) for a, b in box.intervals]
+    net = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    out.append(np.floor(net) + 0.5)
+    return out
+
+
+def _assert_images(fmap, P: np.ndarray, oracle) -> None:
+    """images(P) is fn of each row and the oracle's image, key for key."""
+    got = fmap.images(P)
+    assert isinstance(got, list) and len(got) == len(P)
+    for p, x in zip(P, got):
+        _assert_same_image(x, fmap.fn(p), p)
+        _assert_same_image(x, oracle(p), p)
+
+
+FLATS = {
+    "twist-marking": lambda cn: twist_flat(MARKING2, 300),
+    "twist-marking-shifted": lambda cn: twist_flat(MARKING2, 300, tau_shift=7),
+    "twist-augmented": lambda cn: twist_flat(AUGMENTED, 300),
+    "orthant": lambda cn: orthant_flat(AUGMENTED, 60),
+    "path-marking": lambda cn: _path_flat(MARKING2, cn),
+    "path-augmented": lambda cn: _path_flat(AUGMENTED, cn),
+    "path-pants": lambda cn: _path_flat(PANTS2, cn),
+}
+
+
+@pytest.mark.parametrize("noise", [0, 2, 3, 5])
+@pytest.mark.parametrize("name", FLATS)
+def test_images_equal_fn_and_the_oracle_on_every_flat(name, noise, cn):
+    flat = FLATS[name](cn)
+    seed = 40 + noise
+    fmap = noisy_flat_map(flat, noise, seed)
+    assert fmap.batch is not None
+    for P in _batches(flat.box(), noise):
+        _assert_images(fmap, P, lambda p: oracles.noisy_flat_image(flat, noise, seed, p))
+
+
+@pytest.mark.parametrize("noise", [0, 3])
+def test_folded_map_images_go_through_fn(noise):
+    flat = twist_flat(MARKING2, 300)
+    fmap = folded_map(noisy_flat_map(flat, noise, 5), axis=0, at=100.0)
+    assert fmap.batch is None
+
+    def folded(p):
+        return np.concatenate([[100.0 - abs(p[0] - 100.0)], p[1:]])
+
+    for P in _batches(flat.box(), 3):
+        _assert_images(fmap, P, lambda p: oracles.noisy_flat_image(flat, noise, 5, folded(p)))
+
+
+@pytest.mark.parametrize("surface", [MARKING2, AUGMENTED], ids=["marking", "augmented"])
+def test_equal_lattice_points_share_state_keys_within_a_batch(surface):
+    """Rows that round and clamp to one lattice point have one burst, so
+    their images share every state key."""
+    flat = twist_flat(surface, 60)
+    fmap = noisy_flat_map(flat, 3, 5)
+    rng = np.random.default_rng(21)
+    P = rng.uniform(-90.0, 90.0, size=(60, 2))
+    P = np.concatenate([P, np.rint(P) + rng.uniform(-0.45, 0.45, P.shape), P[::-1]])
+    groups: dict = {}
+    for p, x in zip(P, fmap.images(P)):
+        t = tuple(max(lo, min(hi, round(v))) for v, (lo, hi) in zip(p.tolist(),
+                                                                    flat.box().intervals))
+        groups.setdefault(t, []).append(x)
+    shared = 0
+    for first, *rest in groups.values():
+        for y in rest:
+            assert y is not first and y._key == first._key
+            assert all(y._key[c + 1] is first._key[c + 1] for c in range(2))
+            shared += 1
+    assert shared >= 120
+
+
+@pytest.mark.parametrize("noise", [0, 3])
+@pytest.mark.parametrize("bad, error", [(np.nan, ValueError), (np.inf, OverflowError),
+                                        (-np.inf, OverflowError)], ids=["nan", "inf", "-inf"])
+def test_non_finite_points_raise_what_round_raises(bad, error, noise):
+    """The error the oracle's `round` raises, from fn, from images with the
+    bad point anywhere in the batch, and through a collapse map."""
+    flat = twist_flat(MARKING2, 60)
+    fmap = noisy_flat_map(flat, noise, 1)
+    P = np.zeros((5, 2))
+    P[3, 1] = bad
+    drop_last = adversarial_maps(flat, 3, 60)[0][1]
+    calls = [lambda: oracles.noisy_flat_image(flat, noise, 1, P[3]), lambda: fmap.fn(P[3]),
+             lambda: fmap.images(P), lambda: drop_last.images(np.insert(P, 2, 7.0, axis=1))]
+    for call in calls:
+        with pytest.raises(Exception) as exc:
+            call()
+        assert type(exc.value) is error
+
+
+def test_points_of_the_wrong_length_raise_value_error():
+    fmap = noisy_flat_map(twist_flat(MARKING2, 10), 3, 1)
+    calls = [lambda: fmap.fn(np.zeros(3)), lambda: fmap.fn([1.0]),
+             lambda: fmap.images(np.zeros((4, 3))), lambda: fmap.images(np.zeros(4)),
+             lambda: fmap.images(np.zeros((2, 2, 2)))]
+    for call in calls:
+        with pytest.raises(Exception) as exc:
+            call()
+        assert type(exc.value) is ValueError
 
 
 def _net(box: Box, spacing: float) -> np.ndarray:
@@ -136,6 +266,28 @@ def _assert_same_packing(fmap, box: Box, spacing: float, separation: float) -> N
 
 # acceptance 12: side 60, eps0 0.05, the flat of span 2 * side
 SIDE, EPS0 = 60, 0.05
+
+
+# the collapse maps one point at a time, as the suite first wrote them
+COLLAPSES = {
+    "drop-last": lambda q, r, half: q[:r],
+    "sum-last-two": lambda q, r, half: np.concatenate([q[:r - 1], [q[r - 1] + q[r] - half]]),
+    "fold-last": lambda q, r, half: np.concatenate(
+        [q[:r - 1], [abs(q[r] - half) + q[r - 1] - half]]),
+    "mean-pair": lambda q, r, half: np.concatenate([q[:r - 1], [(q[r - 1] + q[r]) / 2.0]]),
+    "swap-collapse": lambda q, r, half: np.concatenate([[q[r] - half + q[0] - half], q[1:r]]),
+}
+
+
+def test_images_equal_fn_and_the_oracle_on_the_collapse_suite():
+    flat = twist_flat(MARKING2, 2 * SIDE)
+    suite = adversarial_maps(flat, 3, SIDE)
+    assert [name for name, _ in suite] == list(COLLAPSES)
+    for name, fmap in suite:
+        lin = COLLAPSES[name]
+        for P in _batches(Box.cube(SIDE, 3), 9):
+            _assert_images(fmap, P, lambda p: oracles.noisy_flat_image(
+                flat, 0, 0, lin(p, flat.dim, SIDE / 2.0)))
 
 
 def test_packing_matches_all_pairs_loop_on_collapse_maps(cn):

@@ -240,6 +240,8 @@ NEGATIVE = {
     "flat-eval-wrong-length": lambda: twist_flat(MARKING2, 10).eval((1, 2, 3)),
     "box-map-point-wrong-length": lambda: noisy_flat_map(twist_flat(MARKING2, 10), 3, 1).fn(
         np.array([1.0, 2.0, 3.0])),
+    "batch-wrong-width": lambda: noisy_flat_map(twist_flat(MARKING2, 10), 3, 1).images(
+        np.zeros((4, 3))),
     "density-widened-gap": _widened_gap,
     "density-one-direction": lambda: LineFamily.verify_density([(1.0, 0.0)], 0.1),
 }
