@@ -279,6 +279,11 @@ class BoxMap:
     C: float
     batch: Callable[[np.ndarray], list] | None = None
 
+    @classmethod
+    def of_batch(cls, batch: Callable, target: MetricHandle, K: float, C: float) -> "BoxMap":
+        """The map with this batch form, whose `fn` is a batch of one."""
+        return cls(lambda p: batch(np.reshape(p, (1, -1)))[0], target, K, C, batch=batch)
+
     def images(self, P: np.ndarray) -> list:
         if self.batch is not None:
             return self.batch(P)

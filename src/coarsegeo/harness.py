@@ -241,8 +241,7 @@ def noisy_flat_map(flat: StandardFlat, noise: int, seed: int) -> BoxMap:
             bursts.append((mix[0] % n_comp, flip, n))
         return flat.eval_rows(rows, bursts)
 
-    return BoxMap(lambda p: images(np.reshape(p, (1, -1)))[0], h,
-                  K=2.0, C=_flat_map_c(surface, noise), batch=images)
+    return BoxMap.of_batch(images, h, K=2.0, C=_flat_map_c(surface, noise))
 
 
 def _flat_map_c(surface: ModelSurface, noise: int) -> float:
@@ -267,10 +266,9 @@ def adversarial_maps(flat: StandardFlat, n: int, box_side: int) -> list[tuple[st
     r = flat.dim
 
     def wrap(name: str, lin: Callable[[np.ndarray], np.ndarray]) -> tuple[str, BoxMap]:
-        # lin acts on the last axis, so it maps one point and a batch alike
-        return name, BoxMap(lambda p: inner.fn(lin(np.atleast_1d(np.asarray(p, float)))),
-                            inner.target, K=inner.K * 2 + 2, C=inner.C,
-                            batch=lambda P: inner.images(lin(np.asarray(P, float))))
+        # lin acts on the last axis, so it maps a batch of rows at once
+        return name, BoxMap.of_batch(lambda P: inner.images(lin(np.asarray(P, float))),
+                                     inner.target, K=inner.K * 2 + 2, C=inner.C)
 
     def cat(*cols) -> np.ndarray:
         return np.concatenate(cols, axis=-1)
@@ -421,9 +419,8 @@ def run_pipeline(config: ExperimentConfig, fmap: BoxMap, dim: int,
     surface = config.surface
     # narrow the sub-box against each component's curve-graph shadow
     for comp in range(surface.n_components):
-        shadow = BoxMap(lambda p, c=comp: fmap.fn(p).alpha(c),
-                        farey_handle(), fmap.K, fmap.C,
-                        batch=lambda P, c=comp: [x.alpha(c) for x in fmap.images(P)])
+        shadow = BoxMap.of_batch(lambda P, c=comp: [x.alpha(c) for x in fmap.images(P)],
+                                 farey_handle(), fmap.K, fmap.C)
         try:
             sub, _edge = effdiff.hyperbolic_subbox(shadow, sub, config.eps0,
                                                    constants=cn, grid_max=9)
