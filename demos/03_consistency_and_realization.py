@@ -48,7 +48,7 @@ print()
 print("=== bounded geodesic image ===")
 geo = farey_geodesic(Slope(3, 7), Slope(-11, 4))
 for core in (ZERO, geo[1]):
-    v = bgit_audit(geo, core, "marking", bound=cn["m0_bgit"])
+    v = bgit_audit(geo, core, bound=cn["m0_bgit"])
     if v.disjoint_hit:
         print(f"core {core}: on the geodesic, dichotomy by disjointness")
     else:

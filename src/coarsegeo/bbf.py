@@ -24,7 +24,7 @@ import numpy as np
 
 from . import surfmodel
 from .consreal import SyntheticSystem
-from .surfmodel import (AnnularPoint, ModelPoint, ModelSurface, Slope, Subsurface,
+from .surfmodel import (AnnularPoint, Flavor, ModelPoint, ModelSurface, Slope, Subsurface,
                         annular_distance, boundary_point, common_neighbors,
                         complex_distance, distance_formula, farey_geodesic, project,
                         twist_number)
@@ -89,7 +89,7 @@ def build_families(surface: ModelSurface,
     fams = []
     for comp in range(surface.n_components):
         fams.append(FamilyY(comp, "component"))
-        if surface.flavor != "pants":
+        if surface.fl.annuli:
             fams.append(FamilyY(comp, "annuli", window.get(comp, ())))
     return fams
 
@@ -128,21 +128,20 @@ class PkGraph:
         return frozenset((a, b)) in self.edges
 
 
-def _mutual_projection(u: Subsurface, v: Subsurface, w: Subsurface,
-                       flavor: str, bers: float) -> float:
+def _mutual_projection(u: Subsurface, v: Subsurface, w: Subsurface, fl: Flavor) -> float:
     """d_U of the boundaries of V and W, for three annuli on a component."""
-    return annular_distance(boundary_point(u.core, v.core, flavor, bers),
-                            boundary_point(u.core, w.core, flavor, bers), flavor)
+    return annular_distance(boundary_point(u.core, v.core, fl),
+                            boundary_point(u.core, w.core, fl), fl)
 
 
-def build_pk_graph(family: FamilyY, k: float, flavor: str, bers: float = 1.0) -> PkGraph:
+def build_pk_graph(family: FamilyY, k: float, fl: Flavor) -> PkGraph:
     """V and W are joined when every other member U sees their boundaries
     within K of each other.
 
     Tested on the twist table T[u, v] = twist_number(core_u, core_v),
     m(m - 1) calls for m cores: V and W are joined when the largest gap
     max over u not in {v, w} of |T[u, v] - T[u, w]|, measured in the
-    annular metric (at height 1/B in the augmented flavor), is at most
+    annular metric of the flavor (at its boundary height), is at most
     K.  This is exact: both points of a gap sit at the same height, where
     the annular metric is monotone in the twist difference, so the
     metric of the largest gap is the largest metric.  The gaps are
@@ -158,7 +157,6 @@ def build_pk_graph(family: FamilyY, k: float, flavor: str, bers: float = 1.0) ->
         for v, cv in enumerate(cores):
             if u != v:
                 table[u, v] = twist_number(cu, cv)
-    h = 1.0 / bers if flavor == "augmented" else None
     admissible: dict[int, bool] = {}
     for v in range(m - 1):
         ws = np.arange(v + 1, m)
@@ -169,7 +167,7 @@ def build_pk_graph(family: FamilyY, k: float, flavor: str, bers: float = 1.0) ->
             ok = admissible.get(g)
             if ok is None:
                 ok = admissible[g] = annular_distance(
-                    AnnularPoint(0, h), AnnularPoint(g, h), flavor) <= k
+                    AnnularPoint(0, fl.boundary), AnnularPoint(g, fl.boundary), fl) <= k
             if ok:
                 edges.add(frozenset((members[v], members[w])))
     return PkGraph(edges)
@@ -211,8 +209,7 @@ class QuasiTree:
 
     family: FamilyY
     pk: PkGraph
-    flavor: str
-    bers: float
+    fl: Flavor
     attachments: dict[frozenset, tuple[QtPoint, QtPoint]] = field(default_factory=dict)
     nodes: list[QtPoint] = field(default_factory=list, init=False, repr=False)
     per_complex: dict[Subsurface, np.ndarray] = field(default_factory=dict, init=False,
@@ -237,13 +234,13 @@ class QuasiTree:
     def _boundary_point(self, host: Subsurface, other: Subsurface):
         if host.kind == "component":
             return other.core
-        return boundary_point(host.core, other.core, self.flavor, self.bers)
+        return boundary_point(host.core, other.core, self.fl)
 
     def complex_metric(self, host: Subsurface, a, b) -> float:
-        return complex_distance(host, a, b, self.flavor)
+        return complex_distance(host, a, b, self.fl)
 
     def _line_metric(self) -> bool:
-        return self.family.kind == "annuli" and self.flavor == "marking"
+        return self.family.kind == "annuli" and not self.fl.heights
 
     def _graph(self) -> None:
         if self.adjacency is not None:
@@ -314,7 +311,7 @@ class QuasiTree:
         if self._line_metric():
             got = np.abs(np.array([e.twist for e in ends], dtype=float) - pt.twist)
         else:
-            got = np.array([complex_distance(host, pt, e, self.flavor) for e in ends])
+            got = np.array([complex_distance(host, pt, e, self.fl) for e in ends])
         self.legs[u] = got
         return got
 
@@ -393,8 +390,8 @@ def build_embedding(surface: ModelSurface, window: dict[int, tuple[Slope, ...]],
     families = build_families(surface, window)
     trees = {}
     for fam in families:
-        pk = build_pk_graph(fam, k, surface.flavor, surface.bers)
-        trees[fam.label()] = QuasiTree(fam, pk, surface.flavor, surface.bers)
+        pk = build_pk_graph(fam, k, surface.fl)
+        trees[fam.label()] = QuasiTree(fam, pk, surface.fl)
     return Embedding(families, trees)
 
 

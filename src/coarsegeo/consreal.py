@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
 
 from . import surfmodel
-from .surfmodel import (AnnularPoint, ComponentState, InessentialSubsurfaceError,
-                        ModelPoint, ModelSurface, Slope, Subsurface,
+from .surfmodel import (AnnularPoint, ModelPoint, ModelSurface, Slope, Subsurface,
                         annular_distance, annular_row, boundary_point, farey_distance,
-                        pinned_state, project)
+                        pinned_state, project, twist_number)
 
 DISJOINT, NESTED, OVERLAP = "disjoint", "nested", "overlap"
 
@@ -184,7 +183,8 @@ class SubsurfaceSystem:
 
 class ExactSystem(SubsurfaceSystem):
     """The subsurface system of a zero-complexity model surface,
-    restricted to a finite working set of annuli per component.
+    restricted to a finite working set of annuli per component (none in
+    a flavor without annuli).
 
     Every boundary projection between two annuli of a component is
     boundary_point(core_u, core_v), a function of the two cores alone,
@@ -198,9 +198,9 @@ class ExactSystem(SubsurfaceSystem):
     def __init__(self, surface: ModelSurface,
                  subsurfaces: Iterable[Subsurface]):
         self.surface = surface
-        subs = list(subsurfaces)
+        subs = {w for w in subsurfaces if surface.fl.annuli or w.kind == "component"}
         comps = {Subsurface("component", i) for i in range(surface.n_components)}
-        self._members = sorted(set(subs) | comps, key=_id_key)
+        self._members = sorted(subs | comps, key=_id_key)
         self._twists = None  # twist_table(), built by the first check
 
     def members(self) -> list[Subsurface]:
@@ -231,17 +231,17 @@ class ExactSystem(SubsurfaceSystem):
             return core
         if u.core == core:
             raise MissingProjectionError(f"{v} does not project to itself")
-        return boundary_point(u.core, core, self.surface.flavor, self.surface.bers)
+        return boundary_point(u.core, core, self.surface.fl)
 
     def project_element(self, u: Subsurface, v: Subsurface, elt):
         if u.kind != "component" or v.kind != "annulus" or not isinstance(elt, Slope):
             raise MissingProjectionError(f"cannot project {elt} from {u} to {v}")
         if elt == v.core:
             raise MissingProjectionError("element equals the annulus core")
-        return boundary_point(v.core, elt, self.surface.flavor, self.surface.bers)
+        return boundary_point(v.core, elt, self.surface.fl)
 
     def complex_distance(self, u: Subsurface, a, b) -> float:
-        return surfmodel.complex_distance(u, a, b, self.surface.flavor)
+        return surfmodel.complex_distance(u, a, b, self.surface.fl)
 
     def twist_table(self) -> list[tuple[Subsurface | None, list[Subsurface], list[list[int]]]]:
         """Per component, in member order: its component member (None when
@@ -269,7 +269,7 @@ class ExactSystem(SubsurfaceSystem):
         (W, A) from the component coordinate, and each overlap pair (u, v)
         as min(row_u[v], row_v[u]) of the annular distances from z_u and z_v
         to the twist-table rows."""
-        flavor, bers = self.surface.flavor, self.surface.bers
+        fl = self.surface.fl
         for w, annuli, rows in self.twist_table():
             present = [i for i, a in enumerate(annuli) if a in z]
             if w is not None and w in z:
@@ -278,11 +278,11 @@ class ExactSystem(SubsurfaceSystem):
                     a = annuli[i]
                     d_outer = float(farey_distance(zw, a.core))
                     d_inner = math.inf if zw == a.core else annular_distance(
-                        z[a], boundary_point(a.core, zw, flavor, bers), flavor)
+                        z[a], boundary_point(a.core, zw, fl), fl)
                     yield w, a, min(d_outer, d_inner)
             if len(present) < len(annuli):  # row i skips column i
                 rows = [[rows[i][j - (j > i)] for j in present if j != i] for i in present]
-            dists = [annular_row(z[annuli[i]], row, flavor, bers)
+            dists = [annular_row(z[annuli[i]], row, fl)
                      for i, row in zip(present, rows)]
             for s, i in enumerate(present):
                 for t in range(s + 1, len(present)):
@@ -368,13 +368,7 @@ def exact_system_for(x: ModelPoint, y: ModelPoint | None = None,
 
 
 def tuple_of_projections(x: ModelPoint, sys: ExactSystem) -> ProjectionTuple:
-    coords = {}
-    for w in sys.members():
-        try:
-            coords[w] = project(x, w)
-        except InessentialSubsurfaceError:
-            continue
-    return ProjectionTuple.of(coords)
+    return ProjectionTuple.of({w: project(x, w) for w in sys.members()})
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +401,13 @@ def _bad_annuli(sys: ExactSystem, z: ProjectionTuple, comp: int,
                 pants: Slope, m_bad: float) -> list[tuple[float, Subsurface]]:
     """Annuli whose coordinate demands more twisting about their core
     than the chosen pants slope provides."""
-    flavor = sys.surface.flavor
+    fl = sys.surface.fl
     out = []
     for w in sys.members():
         if w.kind != "annulus" or w.comp != comp or w not in z or w.core == pants:
             continue
-        ref = boundary_point(w.core, pants, flavor, sys.surface.bers)
-        defect = annular_distance(ref, z[w], flavor)
+        ref = boundary_point(w.core, pants, fl)
+        defect = annular_distance(ref, z[w], fl)
         if defect > m_bad:
             out.append((defect, w))
     out.sort(key=lambda dw: (-dw[0],) + dw[1].key())
@@ -440,9 +434,6 @@ def realize(sys: ExactSystem, z: ProjectionTuple, m: float,
         if w_comp not in z:
             raise MissingProjectionError(f"tuple lacks the component coordinate {w_comp}")
         pants: Slope = z[w_comp]
-        if surface.flavor == "pants":
-            states.append(ComponentState(pants))
-            continue
         bad = _bad_annuli(sys, z, comp, pants, m_bad)
         if len(bad) >= 2:
             # distinct annuli on one component always cross; a consistent
@@ -459,15 +450,8 @@ def realization_defects(sys: ExactSystem, z: ProjectionTuple,
                         point: ModelPoint) -> dict[Hashable, float]:
     """Per-subsurface distance between the realized point's projections
     and the requested coordinates."""
-    out = {}
-    for w in sys.members():
-        if w not in z:
-            continue
-        try:
-            out[w] = sys.complex_distance(w, project(point, w), z[w])
-        except InessentialSubsurfaceError:
-            continue
-    return out
+    return {w: sys.complex_distance(w, project(point, w), z[w])
+            for w in sys.members() if w in z}
 
 
 # ---------------------------------------------------------------------------
@@ -486,20 +470,17 @@ class BgitVerdict:
         return self.disjoint_hit or (self.realized is not None and self.realized <= self.bound)
 
 
-def bgit_audit(geodesic_vertices: Iterable[Slope], core: Slope, flavor: str,
-               bound: float) -> BgitVerdict:
+def bgit_audit(geodesic_vertices: Iterable[Slope], core: Slope, bound: float) -> BgitVerdict:
     """Bounded geodesic image dichotomy for an annulus: either some
     vertex misses the annulus (here: equals the core) or the endpoints'
-    twist projections (at height 1 in the augmented flavor) are close."""
+    twisting numbers about the core are close."""
     verts = list(geodesic_vertices)
     if len(verts) < 2:
         return BgitVerdict(True, None, bound)
     if any(v == core for v in verts):
         return BgitVerdict(True, None, bound)
-    a = boundary_point(core, verts[0], flavor, 1.0)
-    b = boundary_point(core, verts[-1], flavor, 1.0)
-    flv = flavor if flavor != "pants" else "marking"
-    return BgitVerdict(False, annular_distance(a, b, flv), bound)
+    gap = abs(twist_number(core, verts[0]) - twist_number(core, verts[-1]))
+    return BgitVerdict(False, float(gap), bound)
 
 
 @dataclass
@@ -522,8 +503,8 @@ def far_projection_check(x: ModelPoint, u: Subsurface, v: Subsurface,
     xu = project(x, u)
     if xu == v.core:
         return FarVerdict(True, ante, None, True)
-    flavor = x.surface.flavor
-    via_u = boundary_point(v.core, xu, flavor, x.surface.bers)
+    fl = x.surface.fl
+    via_u = boundary_point(v.core, xu, fl)
     direct = project(x, v)
-    cons = annular_distance(direct, via_u, flavor)  # type: ignore[arg-type]
+    cons = annular_distance(direct, via_u, fl)  # type: ignore[arg-type]
     return FarVerdict(False, ante, cons, cons <= c_far)

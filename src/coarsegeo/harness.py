@@ -29,7 +29,7 @@ from .hypgraph import (_side_defect, delta_estimate, delta_exhaustive, farey_gra
                        farey_handle, lp_handle, model_handle, real_line_handle)
 from .pathsflats import (FlatFactor, StandardFlat, candidate_flats,
                          extract_no_backtrack, flat_fit, preferred_path)
-from .surfmodel import (ComponentState, ModelPoint, ModelSurface, Slope, Subsurface,
+from .surfmodel import (ModelPoint, ModelSurface, Slope, Subsurface,
                         base_point, farey_distance, farey_geodesic, flip_move,
                         length_move, model_distance, surface_stats, twist_move)
 
@@ -70,7 +70,7 @@ def random_point(surface: ModelSurface, rng: np.random.Generator,
     exponentially larger twisting there.
     """
     x = base_point(surface)
-    if surface.flavor == "augmented":
+    if surface.fl.heights:
         big_lo = int(math.exp(surface.threshold / 2.0))
         big_hi = big_lo * max(2, big_twist // 4)
     else:
@@ -78,18 +78,16 @@ def random_point(surface: ModelSurface, rng: np.random.Generator,
     for _ in range(steps):
         comp = int(rng.integers(surface.n_components))
         r = rng.random()
-        if surface.flavor == "pants":
+        if not surface.fl.annuli:
             geo = farey_geodesic(x.alpha(comp), random_slope(rng, 9))
             if len(geo) > 1:
-                states = list(x.states)
-                states[comp] = ComponentState(geo[1])
-                x = ModelPoint(surface, tuple(states))
+                x = surfmodel.product_project(x, {comp: geo[1]})
             continue
         if r < 0.4:
             x = twist_move(x, comp, int(rng.choice([-1, 1])) * int(rng.integers(1, 4)))
         elif r < 0.7:
             x = flip_move(x, comp)
-        elif r < 0.85 or surface.flavor != "augmented":
+        elif r < 0.85 or not surface.fl.heights:
             x = twist_move(x, comp, int(rng.choice([-1, 1]))
                            * int(rng.integers(big_lo, big_hi + 1)))
         else:
@@ -169,27 +167,18 @@ def backtracked_trace(x: ModelPoint, y: ModelPoint, eps: float, R: float,
     return _uniform_trace(ts, pts, h, C=2.0 * x.surface.threshold + 4)
 
 
-def twist_flat(surface: ModelSurface, span: int,
-               tau_shift: int = 0) -> StandardFlat:
+def twist_flat(surface: ModelSurface, span: int) -> StandardFlat:
     """The standard twist flat: every component pinned on the base curve
     with the twist lattice as its factor."""
-    if surface.flavor == "pants":
-        raise surfmodel.InessentialSubsurfaceError(
-            "a twist flat needs annular twist coordinates, which the pants flavor does not have")
     base = base_point(surface)
-    factors = tuple(
-        FlatFactor(c, "twist", (-span, span), core=ZERO,
-                   tau0=surfmodel.apply_matrix(surfmodel.twist_matrix(ZERO, tau_shift),
-                                               INFINITY))
-        for c in range(surface.n_components))
+    factors = tuple(FlatFactor(c, "twist", (-span, span), core=ZERO, tau0=INFINITY)
+                    for c in range(surface.n_components))
     return StandardFlat(base, factors)
 
 
 def orthant_flat(surface: ModelSurface, span: int) -> StandardFlat:
     """Horoball rays in every component (augmented flavor): the image of
     a Euclidean orthant."""
-    if surface.flavor != "augmented":
-        raise ValueError("rays need the augmented flavor")
     base = base_point(surface)
     factors = tuple(FlatFactor(c, "ray", (0, span), core=ZERO, tau0=INFINITY)
                     for c in range(surface.n_components))
@@ -213,7 +202,7 @@ def noisy_flat_map(flat: StandardFlat, noise: int, seed: int) -> BoxMap:
     surface = flat.surface
     h = model_handle(surface)
     lo, hi = np.array(flat.box().intervals, float).T
-    noisy = noise > 0 and surface.flavor != "pants"
+    noisy = noise > 0 and surface.fl.annuli
     n_comp = surface.n_components
 
     def images(P) -> list[ModelPoint]:
@@ -500,7 +489,7 @@ def _extract_moving_factors(fmap: BoxMap, sub: Box, moving: list[int],
         rep.add("factor-extraction", component=comp,
                 points=len(path.points), excursion=path.excursion)
     for comp in range(surface.n_components):
-        if comp in moving or surface.flavor == "pants":
+        if comp in moving or not surface.fl.annuli:
             continue
         st = base.state(comp)
         w = surfmodel.Subsurface("annulus", comp, st.alpha)
@@ -567,7 +556,7 @@ def rank_experiment(config: ExperimentConfig, n: int,
         rep.add("embedding-pipeline", passed=pipe.passed,
                 stages=pipe.stages)
         rep.passed = pipe.passed
-        if surface.flavor == "augmented":
+        if surface.fl.heights:
             ortho = orthant_flat(surface, span=60)
             lo_band, hi_band = _flat_qi_band(ortho, config.seed)
             ok = lo_band >= 1.0 / cn["orthant_band"] and hi_band <= cn["orthant_band"]
@@ -676,7 +665,7 @@ def calibrate(seed: int = 42, scale: float = 1.0) -> Constants:
             core = random_slope(rng, 8)
             if a == b or a == core or b == core:
                 continue
-            v = consreal.bgit_audit(farey_geodesic(a, b), core, "marking", math.inf)
+            v = consreal.bgit_audit(farey_geodesic(a, b), core, math.inf)
             if not v.disjoint_hit:
                 out = max(out, v.realized)
         return out
@@ -762,7 +751,7 @@ def calibrate(seed: int = 42, scale: float = 1.0) -> Constants:
                     continue
                 k_edge = max(k_edge, bbf._mutual_projection(
                     Subsurface("annulus", 0, w), Subsurface("annulus", 0, u),
-                    Subsurface("annulus", 0, v), "marking", 1.0))
+                    Subsurface("annulus", 0, v), marking1.fl))
     values["k_pk"] = math.ceil(k_edge) + 2.0
     k_prime = values["k_pk"] + 1.0
     pairs = [random_pair(marking1, rng, steps=14, big_twist=25) for _ in range(n(60))]
@@ -952,8 +941,8 @@ def _stats(ns):
     if (ns.genus is None) != (ns.punctures is None):
         raise argparse.ArgumentError(None, "--genus and --punctures must be given together")
     if ns.genus is not None:
-        xi, rank = _from_flags(surfmodel.topology_stats, ns.genus, ns.punctures,
-                               ns.components, ns.flavor)
+        xi, rank = _from_flags(lambda: surfmodel.topology_stats(
+            ns.genus, ns.punctures, ns.components, surfmodel.Flavor.named(ns.flavor)))
         return {"complexity": xi, "rank_top": rank, "surface": None}
     surface = _surface_arg(ns)
     xi, rank = surface_stats(surface)

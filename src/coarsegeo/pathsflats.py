@@ -25,8 +25,8 @@ from .constants import Constants, default_constants
 from .effdiff import PathTrace
 from .hypgraph import MetricHandle, unparam_qgeo_check
 from .consreal import ExactSystem, ProjectionTuple, realize
-from .surfmodel import (AnnularPoint, ComponentState, ModelPoint, ModelSurface,
-                        Slope, Subsurface, complex_distance, component_distance,
+from .surfmodel import (AnnularPoint, Flavor, InessentialSubsurfaceError, ModelPoint,
+                        ModelSurface, Slope, Subsurface, complex_distance, component_distance,
                         distance_formula, farey_adjacent, farey_distance,
                         farey_geodesic, flip_state, geodesic_chart, horoball_distance,
                         horoball_point_to_segment, model_distance, project,
@@ -88,7 +88,7 @@ def certificates(x: ModelPoint, y: ModelPoint) -> list[Subsurface]:
     out: list[Subsurface] = []
     for comp in range(x.surface.n_components):
         out.append(Subsurface("component", comp))
-        if x.surface.flavor != "pants":
+        if x.surface.fl.annuli:
             out.extend(Subsurface("annulus", comp, s) for s in window[comp])
     return out
 
@@ -153,17 +153,14 @@ def preferred_path(x: ModelPoint, y: ModelPoint,
     if x.surface != y.surface:
         raise ValueError("endpoints live on different surfaces")
     surface = x.surface
-    augmented = surface.flavor == "augmented"
+    augmented = surface.fl.heights
     points: list[ModelPoint] = [x]
     moves: list[Move] = []
-    if surface.flavor == "pants":
+    if not surface.fl.annuli:
         # pants points have no transversal data: walk the slope geodesics
         for comp in range(surface.n_components):
-            geo = farey_geodesic(x.alpha(comp), y.alpha(comp))
-            for s in geo[1:]:
-                states = list(points[-1].states)
-                states[comp] = ComponentState(s)
-                points.append(ModelPoint(surface, tuple(states)))
+            for s in farey_geodesic(x.alpha(comp), y.alpha(comp))[1:]:
+                points.append(surfmodel.product_project(points[-1], {comp: s}))
                 moves.append(("flip", comp))
         return PreferredPath(tuple(points), tuple(moves))
     for comp in range(surface.n_components):
@@ -225,11 +222,11 @@ def verify_preferred(path: PreferredPath, constants: Constants | None = None) ->
                 raise PathVerificationError(
                     f"not a ({lam}, {c}) quasi-geodesic between steps {i} and {j}: "
                     f"d={d:.1f} vs gap={gap}")
-    flavor = pts[0].surface.flavor
+    fl = pts[0].surface.fl
     for w in certificates(path.x, path.y):
         shadow = _dedupe_stride([project(p, w) for p in pts])
         handle = MetricHandle(f"shadow[{w}]",
-                              lambda a, b, w=w: complex_distance(w, a, b, flavor))
+                              lambda a, b, w=w: complex_distance(w, a, b, fl))
         ok, witness = unparam_qgeo_check(shadow, handle, lam_u, c_u)
         if not ok:
             raise PathVerificationError(
@@ -258,10 +255,10 @@ class HullQuery:
             self._sides[w] = (project(self.x, w), project(self.y, w))
 
     def side_distance(self, w: Subsurface, coord) -> float:
-        return side_nearest(w, self.x.surface.flavor, *self._sides[w], coord)[0]
+        return side_nearest(w, self.x.surface.fl, *self._sides[w], coord)[0]
 
 
-def side_nearest(w: Subsurface, flavor: str, a, b, coord) -> tuple[float, float]:
+def side_nearest(w: Subsurface, fl: Flavor, a, b, coord) -> tuple[float, float]:
     """(distance, position from a) of the point of the side [a, b] nearest
     coord in the complex of w: the first nearest Farey vertex, or coord
     clamped to the arc (in twist, or in the chart of `geodesic_chart`)."""
@@ -272,7 +269,7 @@ def side_nearest(w: Subsurface, flavor: str, a, b, coord) -> tuple[float, float]
             if d < best_d:
                 best_i, best_d = i, d
         return best_d, float(best_i)
-    if flavor == "marking":
+    if not fl.heights:
         t = max(min(coord.twist, max(a.twist, b.twist)), min(a.twist, b.twist))
         return float(abs(coord.twist - t)), float(abs(t - a.twist))
     to, _, la, lb = geodesic_chart(a.coords(), b.coords())
@@ -336,11 +333,11 @@ def farey_center(a: Slope, b: Slope, c: Slope) -> Slope:
 
 
 def annular_center(a: AnnularPoint, b: AnnularPoint, c: AnnularPoint,
-                   flavor: str) -> AnnularPoint:
-    if flavor == "marking":
+                   fl: Flavor) -> AnnularPoint:
+    if not fl.heights:
         ts = sorted((a.twist, b.twist, c.twist))
         return AnnularPoint(ts[1])
-    # augmented: along [a, b], d(., [b, c]) falls to 0 at b and d(., [a, c])
+    # horoballs: along [a, b], d(., [b, c]) falls to 0 at b and d(., [a, c])
     # rises from 0 at a (distances to convex sets are convex along a
     # geodesic), so the point nearest both sides is where they cross
     pa, pb, pc = a.coords(), b.coords(), c.coords()
@@ -359,11 +356,11 @@ def annular_center(a: AnnularPoint, b: AnnularPoint, c: AnnularPoint,
     return AnnularPoint(round(z.real), z.imag)
 
 
-def triangle_center(w: Subsurface, a, b, c, flavor: str):
+def triangle_center(w: Subsurface, a, b, c, fl: Flavor):
     """The center of the triangle (a, b, c) in the complex of w."""
     if w.kind == "component":
         return farey_center(a, b, c)
-    return annular_center(a, b, c, flavor)
+    return annular_center(a, b, c, fl)
 
 
 def tuple_center(x: ModelPoint, y: ModelPoint, z: ModelPoint,
@@ -375,7 +372,7 @@ def tuple_center(x: ModelPoint, y: ModelPoint, z: ModelPoint,
     coords = {}
     for w in certs:
         coords[w] = triangle_center(w, project(x, w), project(y, w), project(z, w),
-                                    surface.flavor)
+                                    surface.fl)
     sys = ExactSystem(surface, certs)
     tup = ProjectionTuple.of(coords)
     return realize(sys, tup, m=constants["m_realize"])
@@ -410,8 +407,8 @@ def extract_no_backtrack(trace: PathTrace, x: ModelPoint, y: ModelPoint,
         coords = {}
         for w in certs:
             pa, pb = sides[w]
-            eta = triangle_center(w, pa, pb, project(p, w), surface.flavor)
-            pos = side_nearest(w, surface.flavor, pa, pb, eta)[1]
+            eta = triangle_center(w, pa, pb, project(p, w), surface.fl)
+            pos = side_nearest(w, surface.fl, pa, pb, eta)[1]
             if pos > best_pos[w]:
                 best_pos[w] = pos
                 best_coord[w] = eta
@@ -487,12 +484,14 @@ class StandardFlat:
             raise ValueError("one factor per component")
         if not all(0 <= c < self.surface.n_components for c in comps):
             raise ValueError(f"factor components must lie in range({self.surface.n_components})")
-        fl = self.surface.flavor  # checked once here, so `eval` builds valid points
+        fl = self.surface.fl  # checked once here, so `eval` builds valid points
         for f in self.factors:
             if f.kind == "path" and any(p.surface != self.surface for p in f.path.points):
                 raise ValueError("path factor points must lie on the flat's surface")
-            if (f.kind, fl) in (("twist", "pants"), ("ray", "pants"), ("ray", "marking")):
-                raise ValueError(f"no {f.kind} factor on the {fl} flavor")
+            if f.kind not in fl.factor_kinds:
+                raise InessentialSubsurfaceError(
+                    f"a {f.kind} flat needs annular {f.kind} coordinates, which the "
+                    f"{fl.name} flavor does not have")
 
     @property
     def surface(self) -> ModelSurface:
@@ -515,7 +514,7 @@ class StandardFlat:
         core, tau0 = f.core, f.tau0
         if f.kind == "twist":
             # absolute parametrization: the twist coordinate equals t
-            length = surface.bers if surface.flavor == "augmented" else None
+            length = surface.bers if surface.fl.heights else None
             return twist_state((core.p, core.q, tau0.p, tau0.q, length),
                                int(round(t)) - f._twist0)
         # ray: climb the horoball at unit speed from the Bers height
@@ -624,12 +623,8 @@ def _factor_min_distance(flat: StandardFlat, f: FlatFactor, p: ModelPoint) -> fl
     if f.kind in ("twist", "ray"):
         w = Subsurface("annulus", f.comp, f.core)
         coord = project(p, w)
-        if f.kind == "twist":
-            guess = float(coord.twist)
-        elif isinstance(coord, AnnularPoint) and coord.height:
-            guess = math.log(max(1.0, coord.height * surface.bers))
-        else:
-            guess = lo
+        guess = (float(coord.twist) if f.kind == "twist"
+                 else math.log(max(1.0, coord.height * surface.bers)))
         cands = sorted({lo, hi, int(max(lo, min(hi, round(guess))))})
         base = min(cands, key=at)
         best = at(base)
@@ -696,7 +691,7 @@ def candidate_flats(samples: Sequence[ModelPoint],
         for p in samples:
             counts[p.alpha(comp)] = counts.get(p.alpha(comp), 0) + 1
         core, hits = max(counts.items(), key=lambda kv: (kv[1],) + tuple(-k for k in kv[0].key()))
-        if hits >= 0.8 * len(samples) and surface.flavor != "pants":
+        if hits >= 0.8 * len(samples) and surface.fl.annuli:
             w = Subsurface("annulus", comp, core)
             tw = [project(p, w).twist for p in samples if p.alpha(comp) == core]
             pad = 2

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -28,11 +28,10 @@ Matrix = tuple[int, int, int, int]  # row-major 2x2 integer matrix
 
 IDENTITY: Matrix = (1, 0, 0, 1)
 
-FLAVORS = ("pants", "marking", "augmented")
 
 
 class InessentialSubsurfaceError(ValueError):
-    """Raised when an annular projection is requested in the pants flavor."""
+    """Raised when a flavor is asked for something it lacks (see `Flavor`)."""
 
 
 # ---------------------------------------------------------------------------
@@ -189,66 +188,28 @@ def twist_number(core: Slope, curve: Slope) -> int:
 # d(oo, p/q) for q >= 2 satisfies d = 1 + min(d(k, p/q), d(k+1, p/q)) with
 # k = floor(p/q): every vertex strictly between k and k+1 has all of its
 # neighbors inside [k, k+1], so any path from infinity enters through k or
-# k+1.  Moving the chosen integer to infinity reduces the denominator, so
-# the two-branch recursion terminates and computes the graph metric.
-
-_dist_memo: dict[tuple[int, int], int] = {}
-# _dist_to_inf empties the memo on entry once it holds more than this
-_DIST_MEMO_MAX = 200_000
-
-
-def _dist_base(p: int, q: int) -> int | None:
-    """Distances 0, 1, 2 in closed form: q = 0 is infinity itself, q = 1
-    an integer, and p = +-1 mod q exactly the neighbors of integers."""
-    if q == 0:
-        return 0
-    if q == 1:
-        return 1
-    r = p % q
-    if r == 1 or r == q - 1:
-        return 2
-    return None
+# k+1.  Moving k to infinity sends p/q to 1/f and k + 1 to infinity sends
+# it to 1/(1 - f), f = frac(p/q); integer translations and x -> -x fix
+# infinity.  Unrolled over the continued fraction of f this is a single
+# backward pass.
 
 
 def _dist_to_inf(p: int, q: int) -> int:
-    """Iterative two-branch evaluation with exact pruning: a child that
-    fails the closed-form base cases has distance at least 3, so a
-    sibling at distance <= 2 settles the minimum without exploring it."""
-    base = _dist_base(p, q)
-    if base is not None:
-        return base
-    got = _dist_memo.get((p, q))
-    if got is not None:
-        return got
-    # only here, never inside the loop: the loop reads back its own entries
-    if len(_dist_memo) > _DIST_MEMO_MAX:
-        _dist_memo.clear()
-    stack = [(p, q)]
-    while stack:
-        p0, q0 = stack[-1]
-        if (p0, q0) in _dist_memo:
-            stack.pop()
-            continue
-        k = p0 // q0
-        r = p0 - k * q0  # 0 < r < q0
-        vals: list[int] = []
-        todo: list[tuple[int, int]] = []
-        for pc, qc in ((q0, r), (-q0, q0 - r)):
-            b = _dist_base(pc, qc)
-            if b is not None:
-                vals.append(b)
-                continue
-            v = _dist_memo.get((pc, qc))
-            if v is None:
-                todo.append((pc, qc))
-            else:
-                vals.append(v)
-        if todo and (not vals or min(vals) >= 3):
-            stack.extend(todo)
-            continue
-        _dist_memo[(p0, q0)] = 1 + min(vals)
-        stack.pop()
-    return _dist_memo[(p, q)]
+    """d(oo, p/q) from frac(p/q) = [0; a_1, ..., a_n]: with e_{n+1} = 1
+    (an integer) and e_{n+2} = 0 (infinity), e_i = min(1 + e_{i+1},
+    a_i + e_{i+2}) and the distance is e_1; infinity itself is at 0."""
+    if q == 0:
+        return 0
+    quotients = []
+    num, den = q, p % q  # f = den / num
+    while den:
+        a, rest = divmod(num, den)
+        quotients.append(a)
+        num, den = den, rest
+    e1, e2 = 1, 0
+    for a in reversed(quotients):
+        e1, e2 = min(1 + e1, a + e2), e1
+    return e1
 
 
 def _geo_from_inf(p: int, q: int) -> list[Slope]:
@@ -371,7 +332,7 @@ class ModelSurface:
     `bers` is the Bers length bound B of the augmented flavor; `threshold`
     is the cutoff T of the distance formula.  `_key`, the tuple
     (components, flavor, bers, threshold), is built and hashed once, at
-    construction: it heads every distance-cache key.
+    construction: it heads every distance-cache key.  `fl` is its `Flavor`.
     """
 
     components: tuple[tuple[int, int], ...]
@@ -380,6 +341,7 @@ class ModelSurface:
     threshold: float = 10.0
     _key: tuple = field(init=False, repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False)
+    fl: Flavor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(tuple(c) for c in self.components))
@@ -388,10 +350,10 @@ class ModelSurface:
         for c in self.components:
             if c not in ALLOWED_COMPONENTS:
                 raise ValueError(f"component {c} is not an exactly computable piece")
-        if self.flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+        fl = Flavor.named(self.flavor)
         if self.bers <= 0 or self.threshold <= 0:
             raise ValueError("bers bound and threshold must be positive")
+        object.__setattr__(self, "fl", replace(fl, bers=self.bers))
         key = (self.components, self.flavor, self.bers, self.threshold)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
@@ -477,6 +439,44 @@ class ComponentState:
     length: float | None = None
 
 
+@dataclass(frozen=True)
+class Flavor:
+    """What a model flavor can do, at the Bers bound `bers`.  With
+    `annuli` (all but pants) points carry transversals, and flats twist
+    factors and noise bursts.  With `heights` (augmented) an annular
+    complex is the horoball y >= 1/B, not Z: points carry lengths in
+    (0, B], other curves are seen at the height `boundary` = 1/B, and
+    flats have ray factors."""
+
+    name: str
+    annuli: bool
+    heights: bool
+    bers: float = 1.0
+    boundary: float | None = field(init=False, repr=False, compare=False)
+    factor_kinds: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "boundary", 1.0 / self.bers if self.heights else None)
+        object.__setattr__(self, "factor_kinds",
+                           ("path",) + ("twist",) * self.annuli + ("ray",) * self.heights)
+
+    def lacks(self, what: str) -> InessentialSubsurfaceError:
+        """The refusal of something the flavor does not have."""
+        return InessentialSubsurfaceError(f"the {self.name} flavor has no {what}")
+
+    @staticmethod
+    def named(flavor: str) -> "Flavor":
+        """The `FLAVORS` entry of a flavor name (at B = 1), or a ValueError."""
+        if flavor not in FLAVORS:
+            raise ValueError(f"unknown flavor {flavor!r}")
+        return FLAVORS[flavor]
+
+
+FLAVORS = {fl.name: fl for fl in (Flavor("pants", annuli=False, heights=False),
+                                  Flavor("marking", annuli=True, heights=False),
+                                  Flavor("augmented", annuli=True, heights=True))}
+
+
 @dataclass(frozen=True, slots=True, init=False, eq=False)
 class ModelPoint:
     """A pants / marking / augmented-marking point on a model surface.
@@ -494,21 +494,21 @@ class ModelPoint:
     def __init__(self, surface: ModelSurface, states: Sequence[ComponentState]):
         if len(states) != surface.n_components:
             raise ValueError("one state per component required")
-        fl = surface.flavor
+        fl = surface.fl
         for st in states:
-            if fl == "pants":
+            if not fl.annuli:
                 if st.tau is not None or st.length is not None:
-                    raise ValueError("pants points carry no transversal or length")
+                    raise ValueError(f"{fl.name} points carry no transversal or length")
                 continue
             if st.tau is None:
-                raise ValueError(f"{fl} points need transversals")
+                raise ValueError(f"{fl.name} points need transversals")
             if not farey_adjacent(st.alpha, st.tau):
                 raise ValueError("transversal must intersect the pants slope minimally")
-            if fl == "augmented":
+            if fl.heights:
                 if st.length is None or not (0 < st.length <= surface.bers):
-                    raise ValueError("augmented length must lie in (0, B]")
+                    raise ValueError(f"{fl.name} length must lie in (0, B]")
             elif st.length is not None:
-                raise ValueError("marking points carry no length")
+                raise ValueError(f"{fl.name} points carry no length")
         key = (surface._key, *map(_state_key, states))
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "_key", key)
@@ -597,10 +597,9 @@ def _state_view(k: tuple) -> ComponentState:
 def base_point(surface: ModelSurface) -> ModelPoint:
     """The canonical origin: alpha = 0/1, tau = infinity, length = B, each
     where the flavor has it."""
-    tau = INFINITY if surface.flavor != "pants" else None
-    length = surface.bers if surface.flavor == "augmented" else None
-    return ModelPoint(surface, tuple(ComponentState(ZERO, tau, length)
-                                     for _ in surface.components))
+    fl = surface.fl
+    base = ComponentState(ZERO, INFINITY if fl.annuli else None, fl.bers if fl.heights else None)
+    return ModelPoint(surface, (base,) * surface.n_components)
 
 
 # ---------------------------------------------------------------------------
@@ -608,29 +607,25 @@ def base_point(surface: ModelSurface) -> ModelPoint:
 # ---------------------------------------------------------------------------
 
 
-def topology_stats(g: int, p: int, c: int, flavor: str) -> tuple[int, int]:
+def topology_stats(g: int, p: int, c: int, fl: Flavor) -> tuple[int, int]:
     """Complexity and top rank of a surface given total genus, punctures
     and component count.
 
-    Complexity is 3g + p - 4c.  The rank is 3g + p - 3c for the marking
-    and augmented flavors and floor((3g + p - 2c) / 2) for pants.
+    Complexity is 3g + p - 4c.  The rank is 3g + p - 3c where annuli are
+    essential (marking and augmented) and floor((3g + p - 2c) / 2)
+    without them (pants).
     """
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
     if c < 1 or 3 * g + p - 4 * c < 0:
         raise ValueError("inessential surface")
     xi = 3 * g + p - 4 * c
-    if flavor == "pants":
-        rank = (3 * g + p - 2 * c) // 2
-    else:
-        rank = 3 * g + p - 3 * c
+    rank = 3 * g + p - 3 * c if fl.annuli else (3 * g + p - 2 * c) // 2
     return xi, rank
 
 
 def surface_stats(surface: ModelSurface) -> tuple[int, int]:
     g = sum(c[0] for c in surface.components)
     p = sum(c[1] for c in surface.components)
-    return topology_stats(g, p, surface.n_components, surface.flavor)
+    return topology_stats(g, p, surface.n_components, surface.fl)
 
 
 # ---------------------------------------------------------------------------
@@ -653,22 +648,23 @@ def _project_state(surf: ModelSurface, k: tuple, w: Subsurface) -> Slope | Annul
     """`project` on the state key k of the subsurface's component."""
     if w.kind == "component":
         return _trusted_slope(k[0], k[1])
-    if surf.flavor == "pants":
-        raise InessentialSubsurfaceError("inessential subsurface")
+    fl = surf.fl
+    if not fl.annuli:
+        raise fl.lacks("annular coordinates")
     core = w.core
     if core is None:
         raise ValueError(f"annulus {w} has no core")
     # build only the slope the annulus reads: tau about the pants curve, else alpha
     if core.p == k[0] and core.q == k[1]:
         tw = twist_number(core, _trusted_slope(k[2], k[3]))
-        return AnnularPoint(tw, 1.0 / k[4]) if surf.flavor == "augmented" else AnnularPoint(tw)
-    return boundary_point(core, _trusted_slope(k[0], k[1]), surf.flavor, surf.bers)
+        return AnnularPoint(tw, 1.0 / k[4]) if fl.heights else AnnularPoint(tw)
+    return boundary_point(core, _trusted_slope(k[0], k[1]), fl)
 
 
-def boundary_point(core: Slope, curve: Slope, flavor: str, bers: float) -> AnnularPoint:
+def boundary_point(core: Slope, curve: Slope, fl: Flavor) -> AnnularPoint:
     """What the annulus about `core` sees of another curve: its twisting
-    number, at the boundary height 1/B in the augmented flavor."""
-    return AnnularPoint(twist_number(core, curve), 1.0 / bers if flavor == "augmented" else None)
+    number, at the flavor's boundary height."""
+    return AnnularPoint(twist_number(core, curve), fl.boundary)
 
 
 def horoball_distance(u: tuple[float, float], v: tuple[float, float]) -> float:
@@ -725,25 +721,20 @@ def horoball_point_to_segment(p: tuple[float, float], a: tuple[float, float],
     return horoball_distance((w.real, w.imag), (0.0, math.exp(t)))
 
 
-def annular_distance(u: AnnularPoint, v: AnnularPoint, flavor: str) -> float:
-    if flavor == "pants":
-        return 0.0
-    if flavor == "marking":
+def annular_distance(u: AnnularPoint, v: AnnularPoint, fl: Flavor) -> float:
+    if not fl.heights:
         return float(abs(u.twist - v.twist))
     if u.height is None or v.height is None:
         raise ValueError("augmented annular points need heights")
     return horoball_distance(u.coords(), v.coords())
 
 
-def annular_row(u: AnnularPoint, twists: Sequence[int], flavor: str,
-                bers: float) -> list[float]:
-    """[annular_distance(u, boundary_point(core, c, flavor, bers), flavor)
-    for each twist_number(core, c) in `twists`]: the same floats from the
-    same operations in the same operand order, and the same ValueErrors,
+def annular_row(u: AnnularPoint, twists: Sequence[int], fl: Flavor) -> list[float]:
+    """[annular_distance(u, boundary_point(core, c, fl), fl) for each
+    twist_number(core, c) in `twists`]: the same floats from the same
+    operations in the same operand order, and the same ValueErrors,
     without building a boundary point per entry."""
-    if flavor == "pants":
-        return [0.0] * len(twists)
-    if flavor == "marking":
+    if not fl.heights:
         t = u.twist
         return [float(abs(t - s)) for s in twists]
     if not twists:
@@ -752,7 +743,7 @@ def annular_row(u: AnnularPoint, twists: Sequence[int], flavor: str,
         raise ValueError("augmented annular points need heights")
     # horoball_distance((x1, y1), (s, y2)) with the row's constant terms hoisted
     x1, y1 = u.coords()
-    y2 = float(1.0 / bers)
+    y2 = fl.boundary
     if y1 <= 0 or y2 <= 0:
         raise ValueError("horoball points need positive height")
     dy, den = (y1 - y2) ** 2, 2.0 * y1 * y2
@@ -765,10 +756,11 @@ def annular_coordinate_point(surface: ModelSurface, twist: int | float,
     ValueError: the pants flavor has none, a twist is an integer, a
     marking coordinate has no height, and an augmented one needs a
     positive finite height."""
-    if surface.flavor == "pants":
-        raise ValueError("the pants flavor has no annular coordinates")
+    fl = surface.fl
+    if not fl.annuli:
+        raise fl.lacks("annular coordinates")
     twist = _json_int(twist, "annular twists")
-    if surface.flavor == "marking":
+    if not fl.heights:
         if height is not None:
             raise ValueError("marking annular coordinates have no height")
         return AnnularPoint(twist)
@@ -780,18 +772,18 @@ def annular_coordinate_point(surface: ModelSurface, twist: int | float,
     return AnnularPoint(twist, h)
 
 
-def complex_distance(w: Subsurface, a, b, flavor: str) -> float:
+def complex_distance(w: Subsurface, a, b, fl: Flavor) -> float:
     """Distance between two points of the complex of w: the Farey graph
     for a component, the annular complex of the flavor for an annulus."""
     if w.kind == "component":
         return float(farey_distance(a, b))
-    return annular_distance(a, b, flavor)
+    return annular_distance(a, b, fl)
 
 
 def subsurface_distance(x: ModelPoint, y: ModelPoint, w: Subsurface) -> float:
     surf, kx, ky = x.surface, x.state_keys[w.comp], y.state_keys[w.comp]
     return complex_distance(w, _project_state(surf, kx, w), _project_state(surf, ky, w),
-                            surf.flavor)
+                            surf.fl)
 
 
 def candidate_subsurfaces(x: ModelPoint, y: ModelPoint) -> list[Subsurface]:
@@ -808,7 +800,7 @@ def candidate_subsurfaces(x: ModelPoint, y: ModelPoint) -> list[Subsurface]:
     out: list[Subsurface] = []
     for i in range(surf.n_components):
         out.append(Subsurface("component", i))
-        if surf.flavor != "pants":
+        if surf.fl.annuli:
             sx, sy = x.state(i), y.state(i)
             cores = {*farey_geodesic(sx.alpha, sy.alpha), sx.tau, sy.tau}
             out.extend(Subsurface("annulus", i, s) for s in sorted(cores, key=Slope.key))
@@ -835,24 +827,24 @@ def _component_terms(surf: ModelSurface, comp: int, kx: tuple, ky: tuple,
     t <= 0 the zero terms are kept, so the full enumeration runs; the
     pants flavor has no annuli and always takes the component-only path.
     """
-    flavor = surf.flavor
+    fl = surf.fl
     ap, aq, bp, bq = kx[0], kx[1], ky[0], ky[1]
     terms = []
-    if flavor != "pants" and t > 0 and ap == bp and aq == bq:
+    if fl.annuli and t > 0 and ap == bp and aq == bq:
         cores = ((aq, ap),)
     else:
         d = float(_distance_at(ap, aq, bp, bq))
         if d >= t:
             terms.append((Subsurface("component", comp), d))
-        if flavor == "pants":
+        if not fl.annuli:
             return tuple(terms)
         cores = {(s.q, s.p) for s in _geodesic_at(ap, aq, bp, bq)}
         cores.add((kx[3], kx[2]))
         cores.add((ky[3], ky[2]))
         cores = sorted(cores)  # the (q, p) order of `Slope.key`
-    aug = flavor == "augmented"
+    aug = fl.heights
     # the heights of `project`: 1/length about the pants curve, else 1/B
-    hx, hy, hb = (1.0 / kx[4], 1.0 / ky[4], 1.0 / surf.bers) if aug else (None,) * 3
+    hx, hy, hb = (1.0 / kx[4], 1.0 / ky[4], fl.boundary) if aug else (None,) * 3
     for cq, cp in cores:
         m0, m1, m2, m3 = _transport_at(cp, cq)
         # each state's curve in this annulus: tau about its own pants curve, else alpha
@@ -1015,9 +1007,10 @@ def flip_move(x: ModelPoint, comp: int) -> ModelPoint:
 
 
 def length_move(x: ModelPoint, comp: int, factor: float) -> ModelPoint:
+    fl = x.surface.fl
+    if not fl.heights:
+        raise fl.lacks("lengths")
     st = x.state(comp)
-    if st.length is None:
-        raise ValueError("only augmented points carry lengths")
     new_len = min(x.surface.bers, st.length * factor)
     if new_len <= 0:
         raise ValueError("length must stay positive")
@@ -1037,14 +1030,18 @@ def annular_coordinate(x: ModelPoint, comp: int, core: Slope) -> AnnularPoint:
 
 def pinned_state(surface: ModelSurface, core: Slope,
                  coord: AnnularPoint | None) -> ComponentState:
-    """The state pinned on `core` at an annular coordinate (marking or
-    augmented flavor): the canonical transversal, twisted to coord.twist if
-    there is a coordinate, and length min(B, 1/height), or B without one."""
+    """The state pinned on `core` at an annular coordinate: the canonical
+    transversal, twisted to coord.twist if there is a coordinate, and
+    length min(B, 1/height), or B without one, each where the flavor has
+    it."""
+    fl = surface.fl
+    if not fl.annuli:
+        return ComponentState(core)
     tau0 = canonical_transversal(core)
     t0 = twist_number(core, tau0)
     want = coord.twist if coord is not None else t0
     tau = apply_matrix(twist_matrix(core, want - t0), tau0)
-    if surface.flavor != "augmented":
+    if not fl.heights:
         return ComponentState(core, tau)
     height = coord.height if coord is not None else None
     return ComponentState(core, tau, min(surface.bers, 1.0 / height) if height else surface.bers)
@@ -1058,10 +1055,8 @@ def product_project(x: ModelPoint, pins: dict[int, Slope]) -> ModelPoint:
     surf = x.surface
     states = list(x.states)
     for comp, pin in pins.items():
-        if surf.flavor == "pants":
-            states[comp] = ComponentState(pin)
-        else:
-            states[comp] = pinned_state(surf, pin, annular_coordinate(x, comp, pin))
+        coord = annular_coordinate(x, comp, pin) if surf.fl.annuli else None
+        states[comp] = pinned_state(surf, pin, coord)
     return ModelPoint(surf, tuple(states))
 
 
@@ -1080,7 +1075,7 @@ def product_factor_sum(x: ModelPoint, y: ModelPoint, pins: dict[int, Slope]) -> 
             pin = pins[comp]
             u = annular_coordinate(x, comp, pin)
             v = annular_coordinate(y, comp, pin)
-            total += annular_distance(u, v, x.surface.flavor)
+            total += annular_distance(u, v, x.surface.fl)
         else:
             total += component_distance(x, y, comp)
     return total
@@ -1098,9 +1093,9 @@ def sum_distance_audit(x: ModelPoint, y: ModelPoint) -> tuple[float, float]:
 def clear_caches() -> None:
     """Empty every cache of the module: the int-keyed Farey caches
     `_transport_at` (at most 100,000 slopes), `_distance_at` (200,000
-    slope pairs) and `_geodesic_at` (50,000 slope pairs), the memo of
-    `_dist_to_inf` (emptied past 200,000), and the distance caches
-    `_terms` (200,000) and `_distances` (400,000) with their counters."""
+    slope pairs) and `_geodesic_at` (50,000 slope pairs), and the
+    distance caches `_terms` (200,000) and `_distances` (400,000) with
+    their counters."""
     global _distance_hits, _distance_misses
     _transport_at.cache_clear()
     _distance_at.cache_clear()
@@ -1108,4 +1103,3 @@ def clear_caches() -> None:
     _terms.clear()
     _distances.clear()
     _distance_hits = _distance_misses = 0
-    _dist_memo.clear()

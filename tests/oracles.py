@@ -50,9 +50,9 @@ from coarsegeo.effdiff import (Box, BoxMap, DiffReport, Line, LineFamily, PathTr
 from coarsegeo.hypgraph import (GeodesicSegment, HypGraph, MetricHandle, UnreachableError,
                                 Vertex, _points_of, geodesic)
 from coarsegeo.pathsflats import StandardFlat
-from coarsegeo.surfmodel import (IDENTITY, AnnularPoint, ComponentState, Matrix, ModelPoint,
-                                 ModelSurface, Slope, Subsurface, _component_terms,
-                                 _dist_to_inf, _geo_from_inf, annular_distance, apply_matrix,
+from coarsegeo.surfmodel import (IDENTITY, AnnularPoint, ComponentState, Flavor, Matrix,
+                                 ModelPoint, ModelSurface, Slope, Subsurface, _component_terms,
+                                 _geo_from_inf, annular_distance, apply_matrix,
                                  complex_distance, farey_adjacent, farey_distance,
                                  farey_geodesic, mat_inv, transport_matrix, twist_number)
 
@@ -108,7 +108,7 @@ def subsurface_distance(surf: ModelSurface, sx: Sequence[ComponentState],
     if w.kind == "component":
         return float(farey_distance(sx[w.comp].alpha, sy[w.comp].alpha))
     return annular_distance(annular_projection(surf, sx[w.comp], w),
-                            annular_projection(surf, sy[w.comp], w), surf.flavor)
+                            annular_projection(surf, sy[w.comp], w), surf.fl)
 
 
 def distance_formula(x: ModelPoint, y: ModelPoint, threshold: float | None = None,
@@ -179,12 +179,64 @@ def slope_twist_number(core: Slope, curve: Slope) -> int:
     return num // den
 
 
+def _dist_base(p: int, q: int) -> int | None:
+    """Distances 0, 1, 2 in closed form: q = 0 is infinity itself, q = 1
+    an integer, and p = +-1 mod q exactly the neighbors of integers."""
+    if q == 0:
+        return 0
+    if q == 1:
+        return 1
+    r = p % q
+    if r == 1 or r == q - 1:
+        return 2
+    return None
+
+
+def dist_to_inf_search(p: int, q: int) -> int:
+    """d(oo, p/q) by the two-branch search the closed form replaced:
+    d = 1 + min(d(k, p/q), d(k + 1, p/q)) for k = floor(p/q), each branch
+    moved to infinity (children q/r and -q/(q - r)), evaluated
+    iteratively with a memo of its own and exact pruning: a child that
+    fails the closed-form base cases is at distance at least 3, so a
+    sibling at distance <= 2 settles the minimum without exploring it."""
+    base = _dist_base(p, q)
+    if base is not None:
+        return base
+    memo: dict[tuple[int, int], int] = {}
+    stack = [(p, q)]
+    while stack:
+        p0, q0 = stack[-1]
+        if (p0, q0) in memo:
+            stack.pop()
+            continue
+        k = p0 // q0
+        r = p0 - k * q0  # 0 < r < q0
+        vals: list[int] = []
+        todo: list[tuple[int, int]] = []
+        for pc, qc in ((q0, r), (-q0, q0 - r)):
+            b = _dist_base(pc, qc)
+            if b is not None:
+                vals.append(b)
+                continue
+            v = memo.get((pc, qc))
+            if v is None:
+                todo.append((pc, qc))
+            else:
+                vals.append(v)
+        if todo and (not vals or min(vals) >= 3):
+            stack.extend(todo)
+            continue
+        memo[(p0, q0)] = 1 + min(vals)
+        stack.pop()
+    return memo[(p, q)]
+
+
 def slope_farey_distance(a: Slope, b: Slope) -> int:
     """The distance from infinity of b's image under a's transport."""
     if a == b:
         return 0
     img = apply_matrix(slope_transport_matrix(a), b)
-    return _dist_to_inf(img.p, img.q)
+    return dist_to_inf_search(img.p, img.q)
 
 
 def slope_farey_geodesic(a: Slope, b: Slope) -> tuple[Slope, ...]:
@@ -276,23 +328,22 @@ def greedy_packing(images, distance, separation: float) -> list:
     return kept
 
 
-def mutual_projection(u: Subsurface, v: Subsurface, w: Subsurface,
-                      flavor: str, bers: float) -> float:
+def mutual_projection(u: Subsurface, v: Subsurface, w: Subsurface, fl: Flavor) -> float:
     """d_U of the boundaries of V and W, for three annuli on a component."""
-    h = 1.0 / bers if flavor == "augmented" else None
+    h = 1.0 / fl.bers if fl.heights else None
     a = AnnularPoint(twist_number_via_slope(u.core, v.core), h)
     b = AnnularPoint(twist_number_via_slope(u.core, w.core), h)
-    return annular_distance(a, b, flavor if flavor != "pants" else "marking")
+    return annular_distance(a, b, fl)
 
 
-def pk_edges(family: FamilyY, k: float, flavor: str, bers: float = 1.0) -> set[frozenset]:
+def pk_edges(family: FamilyY, k: float, fl: Flavor) -> set[frozenset]:
     """Join V and W when no third member U sees them more than K apart."""
     edges: set[frozenset] = set()
     if family.kind == "component":
         return edges
     members = family.members()
     for v, w in itertools.combinations(members, 2):
-        if all(mutual_projection(u, v, w, flavor, bers) <= k
+        if all(mutual_projection(u, v, w, fl) <= k
                for u in members if u not in (v, w)):
             edges.add(frozenset((v, w)))
     return edges
@@ -316,7 +367,7 @@ def glued_distances(qt: QuasiTree, pairs) -> list[float]:
     groups: dict = {}
     for i, (host, _pt) in enumerate(nodes):
         groups.setdefault(host, []).append(i)
-    if qt.family.kind == "annuli" and qt.flavor == "marking":
+    if qt.family.kind == "annuli" and not qt.fl.heights:
         tw = np.array([pt.twist for _host, pt in nodes], dtype=float)
         gid = {host: g for g, host in enumerate(groups)}
         group = np.array([gid[host] for host, _pt in nodes], dtype=int)
@@ -327,7 +378,7 @@ def glued_distances(qt: QuasiTree, pairs) -> list[float]:
         np.fill_diagonal(w, 0.0)
         for host, idxs in groups.items():
             for i, j in itertools.permutations(idxs, 2):
-                w[i, j] = complex_distance(host, nodes[i][1], nodes[j][1], qt.flavor)
+                w[i, j] = complex_distance(host, nodes[i][1], nodes[j][1], qt.fl)
     for a, b in qt.attachments.values():
         i, j = index[a], index[b]
         w[i, j] = min(w[i, j], 1.0)
@@ -336,11 +387,11 @@ def glued_distances(qt: QuasiTree, pairs) -> list[float]:
         w = np.minimum(w, w[:, k, None] + w[None, k, :])
     out = []
     for u, v in pairs:
-        best = complex_distance(u[0], u[1], v[1], qt.flavor) if u[0] == v[0] else math.inf
+        best = complex_distance(u[0], u[1], v[1], qt.fl) if u[0] == v[0] else math.inf
         for i in groups.get(u[0], []):
-            da = complex_distance(u[0], u[1], nodes[i][1], qt.flavor)
+            da = complex_distance(u[0], u[1], nodes[i][1], qt.fl)
             for j in groups.get(v[0], []):
-                cand = da + w[i, j] + complex_distance(v[0], v[1], nodes[j][1], qt.flavor)
+                cand = da + w[i, j] + complex_distance(v[0], v[1], nodes[j][1], qt.fl)
                 if cand < best:
                     best = cand
         out.append(float(best))

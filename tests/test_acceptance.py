@@ -195,8 +195,7 @@ def test_07_bounded_image_dichotomy():
                 core = Slope(int(rng.integers(-8, 9)), int(rng.integers(0, 5)) or 1)
                 if a == b:
                     continue
-                v = consreal.bgit_audit(farey_geodesic(a, b), core, "marking",
-                                        CN["m0_bgit"])
+                v = consreal.bgit_audit(farey_geodesic(a, b), core, CN["m0_bgit"])
                 assert v.ok
                 if not v.disjoint_hit:
                     top = max(top, v.realized)
@@ -301,5 +300,5 @@ def test_13_horoball_closed_form_vs_quasitree():
                                        float(rng.uniform(1.0, 50.0)))
             b = surfmodel.AnnularPoint(int(rng.integers(-9, 10)),
                                        float(rng.uniform(1.0, 50.0)))
-            exact = surfmodel.annular_distance(a, b, "augmented")
+            exact = surfmodel.annular_distance(a, b, surfmodel.FLAVORS["augmented"])
             assert abs(qt.distance((w, a), (w, b)) - exact) <= 1.0

@@ -22,7 +22,7 @@ from coarsegeo.bbf import (
 from coarsegeo.consreal import SyntheticSystem
 from coarsegeo.harness import random_pair, random_point
 from coarsegeo.surfmodel import (
-    INFINITY, ZERO, AnnularPoint, ModelPoint, ModelSurface, Slope, Subsurface,
+    FLAVORS, INFINITY, ZERO, AnnularPoint, ModelPoint, ModelSurface, Slope, Subsurface,
     annular_distance, base_point, flip_move, model_distance, project,
     twist_move,
 )
@@ -63,7 +63,7 @@ def test_pk_graph_edges_monotone_in_k(marking1):
     fam = FamilyY(0, "annuli", win[0])
     prev: set = set()
     for k in (0.5, 2.0, 5.0, 20.0):
-        pk = build_pk_graph(fam, k, "marking")
+        pk = build_pk_graph(fam, k, marking1.fl)
         assert prev <= pk.edges
         prev = pk.edges
         for e in pk.edges:
@@ -71,7 +71,7 @@ def test_pk_graph_edges_monotone_in_k(marking1):
 
 
 def test_pk_singleton_family_is_edgeless(marking1):
-    pk = build_pk_graph(FamilyY(0, "component"), 5.0, "marking")
+    pk = build_pk_graph(FamilyY(0, "component"), 5.0, marking1.fl)
     assert pk.edges == set()
 
 
@@ -80,7 +80,7 @@ def test_pk_blocks_separated_pair():
     their edge."""
     cores = (ZERO, INFINITY, Slope(120, 1))
     fam = FamilyY(0, "annuli", cores)
-    pk = build_pk_graph(fam, k=3.0, flavor="marking")
+    pk = build_pk_graph(fam, k=3.0, fl=FLAVORS["marking"])
     a = Subsurface("annulus", 0, ZERO)
     c = Subsurface("annulus", 0, Slope(120, 1))
     # the annulus at infinity sees their boundaries 120 twists apart
@@ -130,7 +130,7 @@ def test_quasitree_intra_horoball_matches_closed_form(augmented1, cn):
     for _ in range(200):
         a = AnnularPoint(int(rng.integers(-8, 9)), float(rng.uniform(1.0, 40.0)))
         b = AnnularPoint(int(rng.integers(-8, 9)), float(rng.uniform(1.0, 40.0)))
-        exact = annular_distance(a, b, "augmented")
+        exact = annular_distance(a, b, FLAVORS["augmented"])
         assert abs(qt.distance((w, a), (w, b)) - exact) <= 1.0
 
 

@@ -17,7 +17,7 @@ from coarsegeo.bbf import (FamilyY, QuasiTree, WindowTooSmallError, build_pk_gra
                            embedding_for_pair, shared_embedding, working_window)
 from coarsegeo.harness import random_pair, random_point
 from coarsegeo.pathsflats import preferred_path
-from coarsegeo.surfmodel import (INFINITY, ZERO, AnnularPoint, ModelSurface, Slope,
+from coarsegeo.surfmodel import (FLAVORS, INFINITY, ZERO, AnnularPoint, ModelSurface, Slope,
                                  Subsurface, twist_number)
 
 AUGMENTED_REL_TOL = 1e-12
@@ -35,7 +35,7 @@ def _sample_points(qt: QuasiTree, rng, n: int, augmented: bool):
     for _ in range(n):
         host = Subsurface("annulus", qt.family.comp, cores[int(rng.integers(len(cores)))])
         tw = int(rng.integers(-40, 41))
-        h = float(rng.uniform(1.0 / qt.bers, 30.0)) if augmented else None
+        h = float(rng.uniform(1.0 / qt.fl.bers, 30.0)) if augmented else None
         out.append((host, AnnularPoint(tw, h)))
     return out
 
@@ -49,7 +49,7 @@ def test_pk_and_marking_distance_on_pair_windows(marking2, cn):
         emb = embedding_for_pair(x, y, k)
         px, py = emb.project(x), emb.project(y)
         for qt in _annuli_trees(emb):
-            assert qt.pk.edges == oracles.pk_edges(qt.family, k, "marking")
+            assert qt.pk.edges == oracles.pk_edges(qt.family, k, qt.fl)
             u, v = px.coord(qt.family.label()), py.coord(qt.family.label())
             assert qt.distance(u, v) == oracles.glued_distance(qt, u, v)
 
@@ -60,7 +60,7 @@ def test_pk_and_marking_distance_on_shared_window(marking1, cn):
     pts = [random_point(marking1, rng, steps=12, big_twist=25) for _ in range(12)]
     qt = _annuli_trees(shared_embedding(pts, k))[0]
     assert len(qt.family.cores) >= 50
-    assert qt.pk.edges == oracles.pk_edges(qt.family, k, "marking")
+    assert qt.pk.edges == oracles.pk_edges(qt.family, k, qt.fl)
     queries = _sample_points(qt, rng, 8, augmented=False)
     for u, v in zip(queries[::2], queries[1::2]):
         assert qt.distance(u, v) == oracles.glued_distance(qt, u, v)
@@ -75,7 +75,7 @@ def _busiest_host_queries(qt: QuasiTree, rng, augmented: bool):
     busy = sorted(per_host, key=lambda h: (-per_host[h], h.key()))[:3]
 
     def point(host):
-        h = float(rng.uniform(1.0 / qt.bers, 30.0)) if augmented else None
+        h = float(rng.uniform(1.0 / qt.fl.bers, 30.0)) if augmented else None
         return host, AnnularPoint(int(rng.integers(-40, 41)), h)
 
     queries = [(point(a), point(b)) for a, b in
@@ -117,9 +117,9 @@ def test_pk_and_distance_on_augmented_windows(bers, cn):
         x, y = random_pair(surface, rng, steps=10, big_twist=25)
         fam = FamilyY(0, "annuli", working_window(x, y)[0])
         for k in (0.5, 1.0, 2.0, cn["k_pk"]):
-            pk = build_pk_graph(fam, k, "augmented", bers)
-            assert pk.edges == oracles.pk_edges(fam, k, "augmented", bers)
-        qt = QuasiTree(fam, pk, "augmented", bers)
+            pk = build_pk_graph(fam, k, surface.fl)
+            assert pk.edges == oracles.pk_edges(fam, k, surface.fl)
+        qt = QuasiTree(fam, pk, surface.fl)
         queries = _sample_points(qt, rng, 10, augmented=True)
         for u, v in zip(queries[::2], queries[1::2]):
             got, want = qt.distance(u, v), oracles.glued_distance(qt, u, v)
@@ -136,13 +136,14 @@ def test_pk_and_distance_on_tiny_families(m, flavor, cores):
     order the two members of a pair see each other 120 twists apart,
     which must not block their edge: only third members count."""
     fam = FamilyY(0, "annuli", cores[:m])
-    h = 1.0 if flavor == "augmented" else None
+    fl = FLAVORS[flavor]
+    h = 1.0 if fl.heights else None
     for k in (0.5, 3.0, 200.0):
-        pk = build_pk_graph(fam, k, flavor)
-        assert pk.edges == oracles.pk_edges(fam, k, flavor)
+        pk = build_pk_graph(fam, k, fl)
+        assert pk.edges == oracles.pk_edges(fam, k, fl)
         if m < 2:
             continue
-        qt = QuasiTree(fam, pk, flavor, 1.0)
+        qt = QuasiTree(fam, pk, fl)
         hosts = fam.members()
         for u in ((hosts[0], AnnularPoint(3, h)), (hosts[1], AnnularPoint(-5, h))):
             for v in ((hosts[0], AnnularPoint(-7, h)), (hosts[-1], AnnularPoint(2, h))):
@@ -157,7 +158,7 @@ def test_pk_and_distance_on_tiny_families(m, flavor, cores):
 
 def test_component_family_distance_is_farey():
     fam = FamilyY(0, "component")
-    qt = QuasiTree(fam, build_pk_graph(fam, 3.0, "marking"), "marking", 1.0)
+    qt = QuasiTree(fam, build_pk_graph(fam, 3.0, FLAVORS["marking"]), FLAVORS["marking"])
     w = fam.members()[0]
     u, v = (w, ZERO), (w, Slope(355, 113))
     assert qt.distance(u, v) == oracles.glued_distance(qt, u, v)

@@ -176,12 +176,12 @@ def test_realization_defects_are_small(marking2, rng, cn):
 
 def test_bgit_disjoint_branch():
     geo = farey_geodesic(ZERO, Slope(2, 5))
-    v = bgit_audit(geo, geo[1], "marking", bound=0.0)
+    v = bgit_audit(geo, geo[1], bound=0.0)
     assert v.disjoint_hit and v.ok
 
 
 def test_bgit_short_geodesic_example(cn):
-    v = bgit_audit([ZERO, INFINITY], Slope(1, 2), "marking", cn["m0_bgit"])
+    v = bgit_audit([ZERO, INFINITY], Slope(1, 2), cn["m0_bgit"])
     assert not v.disjoint_hit
     assert v.ok
 
@@ -195,7 +195,7 @@ def test_bgit_dichotomy_sweep(rng, cn):
         core = Slope(int(rng.integers(-8, 9)), int(rng.integers(0, 5)) or 1)
         if a == b:
             continue
-        v = bgit_audit(farey_geodesic(a, b), core, "marking", m0)
+        v = bgit_audit(farey_geodesic(a, b), core, m0)
         assert v.ok
         if not v.disjoint_hit:
             worst = max(worst, v.realized)
@@ -211,7 +211,7 @@ def test_bgit_stable_under_window_doubling(rng, cn):
             core = Slope(int(rng.integers(-6, 7)), int(rng.integers(0, 4)) or 1)
             if a == b:
                 continue
-            v = bgit_audit(farey_geodesic(a, b), core, "marking", math.inf)
+            v = bgit_audit(farey_geodesic(a, b), core, math.inf)
             if not v.disjoint_hit:
                 out = max(out, v.realized)
         return out

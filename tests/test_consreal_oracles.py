@@ -80,8 +80,9 @@ def test_table_check_matches_generic_loop(name, cn):
 
 
 def test_pants_tuples_with_annulus_coordinates_match_generic_loop(cn):
-    """The pants flavor's annular distance is 0 whatever the twists, so a
-    far twist demand never counts; only the component branch can."""
+    """The pants flavor has no annular complexes, so its system leaves the
+    annuli out and a far twist demand in the tuple never counts; only
+    the component branch can."""
     pants = ModelSurface(((1, 1), (1, 1)), flavor="pants")
     cores = [Slope(1, 2), Slope(1, 3), Slope(-2, 5), ZERO]
     sys = ExactSystem(pants, [Subsurface("annulus", c, s) for c in (0, 1) for s in cores]

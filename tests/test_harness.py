@@ -18,8 +18,10 @@ from coarsegeo.harness import (
     synthetic_chain_system, twist_flat,
 )
 from coarsegeo.effdiff import Box
-from coarsegeo.surfmodel import (INFINITY, ModelSurface, base_point,
-                                 farey_distance, model_distance)
+from coarsegeo.pathsflats import FlatFactor, StandardFlat
+from coarsegeo.surfmodel import (INFINITY, ZERO, InessentialSubsurfaceError, ModelSurface,
+                                 Subsurface, annular_coordinate_point, base_point,
+                                 farey_distance, length_move, model_distance, project)
 
 
 def test_deep_slope_distances():
@@ -235,6 +237,52 @@ def test_cli_realize_rejects_bad_tuples(capsys, tup, message):
     err = capsys.readouterr().err
     assert err.startswith("usage: coarsegeo realize ")
     assert err.endswith(f"coarsegeo realize: error: {message}\n")
+
+
+def _ray_flat(surface: ModelSurface) -> StandardFlat:
+    return StandardFlat(base_point(surface),
+                        (FlatFactor(0, "ray", (0, 5), core=ZERO, tau0=INFINITY),))
+
+
+# (flavor, the capability it lacks) -> an operation that needs it
+REFUSALS = {
+    ("pants", "annular-projection"):
+        lambda s: project(base_point(s), Subsurface("annulus", 0, ZERO)),
+    ("pants", "annular-coordinate"): lambda s: annular_coordinate_point(s, 3, None),
+    ("pants", "twist-factor"): lambda s: StandardFlat(
+        base_point(s), (FlatFactor(0, "twist", (0, 5), core=ZERO, tau0=INFINITY),)),
+    ("pants", "twist-flat"): lambda s: twist_flat(s, 10),
+    ("marking", "ray-factor"): _ray_flat,
+    ("pants", "ray-factor"): _ray_flat,
+    ("marking", "orthant-flat"): lambda s: orthant_flat(s, 10),
+    ("pants", "orthant-flat"): lambda s: orthant_flat(s, 10),
+    ("marking", "length"): lambda s: length_move(base_point(s), 0, 0.5),
+    ("pants", "length"): lambda s: length_move(base_point(s), 0, 0.5),
+}
+
+
+@pytest.mark.parametrize("flavor, capability", REFUSALS,
+                         ids=[f"{c}-on-{f}" for f, c in REFUSALS])
+def test_a_missing_capability_is_refused(flavor, capability):
+    """What a flavor's table says it lacks is refused with the one error
+    the CLI turns into exit code 2."""
+    with pytest.raises(InessentialSubsurfaceError):
+        REFUSALS[flavor, capability](ModelSurface(((1, 1), (1, 1)), flavor=flavor))
+
+
+_PANTS_POINT = json.dumps({"components": [{"alpha": [0, 1]}]})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["project", _PANTS_POINT, "--core", "0/1"],
+     "coarsegeo project: the pants flavor has no annular coordinates\n"),
+    (["differentiate", "--map", "flat-noise"], "coarsegeo differentiate: a twist flat needs "
+     "annular twist coordinates, which the pants flavor does not have\n"),
+], ids=["annular-projection", "twist-flat"])
+def test_cli_refusals_exit_2(capsys, argv, message):
+    assert main(argv + ["--flavor", "pants"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == message
 
 
 _W0 = [{"kind": "component", "comp": 0, "core": None}, {"slope": [0, 1]}]

@@ -25,8 +25,9 @@ from coarsegeo.effdiff import Box
 from coarsegeo.harness import (adversarial_maps, folded_map, greedy_packing,
                                net_separation_count, noisy_flat_map, orthant_flat, twist_flat)
 from coarsegeo.pathsflats import FlatFactor, StandardFlat, preferred_path
-from coarsegeo.surfmodel import (ZERO, ComponentState, ModelPoint, ModelSurface, Slope,
-                                 base_point, canonical_transversal, flip_move, twist_move)
+from coarsegeo.surfmodel import (INFINITY, ZERO, ComponentState, ModelPoint, ModelSurface,
+                                 Slope, apply_matrix, base_point, canonical_transversal,
+                                 flip_move, twist_matrix, twist_move)
 
 import oracles
 
@@ -36,11 +37,20 @@ PANTS2 = ModelSurface(((1, 1), (1, 1)), flavor="pants")
 POINTS_PER_CASE = 5000
 
 
+def _shifted_twist_flat(surface: ModelSurface, span: int, shift: int) -> StandardFlat:
+    """`twist_flat` with every base transversal twisted `shift` times
+    about the core 0/1 (shift 0 is `twist_flat` itself)."""
+    tau0 = apply_matrix(twist_matrix(ZERO, shift), INFINITY)
+    return StandardFlat(base_point(surface), tuple(
+        FlatFactor(c, "twist", (-span, span), core=ZERO, tau0=tau0)
+        for c in range(surface.n_components)))
+
+
 @pytest.mark.parametrize("tau_shift", [0, 7])
 @pytest.mark.parametrize("noise", [0, 1, 3, 6])
 @pytest.mark.parametrize("surface", [MARKING2, AUGMENTED], ids=["marking", "augmented"])
 def test_noisy_flat_map_matches_step_by_step_burst(surface, noise, tau_shift):
-    flat = twist_flat(surface, 300, tau_shift=tau_shift)
+    flat = _shifted_twist_flat(surface, 300, tau_shift)
     # tau_shift moves the hoisted twist constant off 0
     assert all((f._twist0 == 0) == (tau_shift == 0) for f in flat.factors)
     seed = 1000 + 10 * noise + tau_shift
@@ -91,7 +101,7 @@ def test_noisy_ray_and_path_flats_match_the_unfused_composition(make, cn):
 
 
 @pytest.mark.parametrize("make", [
-    lambda cn: twist_flat(MARKING2, 300, tau_shift=7),
+    lambda cn: _shifted_twist_flat(MARKING2, 300, 7),
     lambda cn: twist_flat(AUGMENTED, 300),
     lambda cn: orthant_flat(AUGMENTED, 60),
     lambda cn: _path_flat(MARKING2, cn),
@@ -163,7 +173,7 @@ def _assert_images(fmap, P: np.ndarray, oracle) -> None:
 
 FLATS = {
     "twist-marking": lambda cn: twist_flat(MARKING2, 300),
-    "twist-marking-shifted": lambda cn: twist_flat(MARKING2, 300, tau_shift=7),
+    "twist-marking-shifted": lambda cn: _shifted_twist_flat(MARKING2, 300, 7),
     "twist-augmented": lambda cn: twist_flat(AUGMENTED, 300),
     "orthant": lambda cn: orthant_flat(AUGMENTED, 60),
     "path-marking": lambda cn: _path_flat(MARKING2, cn),

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from coarsegeo.pathsflats import annular_center, side_nearest
-from coarsegeo.surfmodel import (ZERO, AnnularPoint, ModelSurface, Subsurface,
+from coarsegeo.surfmodel import (FLAVORS, ZERO, AnnularPoint, ModelSurface, Subsurface,
                                  geodesic_chart, horoball_distance,
                                  horoball_point_to_segment)
 
@@ -59,12 +59,12 @@ def _assert_agree(surface: ModelSurface,
     want_seg = oracles.horoball_point_to_segment(pc, pa, pb, SEARCH_STEPS)
     want_pos = oracles.horoball_position(pa, pb, pc, SEARCH_STEPS)
     for i, (a, b, c) in enumerate(triples):
-        got = annular_center(a, b, c, "augmented")
+        got = annular_center(a, b, c, FLAVORS["augmented"])
         assert got.twist == int(want_tw[i]), (a, b, c)
         assert got.height == pytest.approx(want_h[i], rel=HEIGHT_RTOL, abs=0), (a, b, c)
         assert horoball_point_to_segment(c.coords(), a.coords(), b.coords()) == pytest.approx(
             want_seg[i], rel=0, abs=SEGMENT_ATOL), (a, b, c)
-        assert side_nearest(W, surface.flavor, a, b, c)[1] == pytest.approx(
+        assert side_nearest(W, surface.fl, a, b, c)[1] == pytest.approx(
             want_pos[i], rel=0, abs=POSITION_ATOL), (a, b, c)
 
 
@@ -91,15 +91,15 @@ def test_closed_forms_match_searches_on_degenerate_triples():
     ]
     _assert_agree(surface, cases)
     # the exact answers the searches approximate
-    centre = annular_center(a, a, AnnularPoint(9, 2.0), "augmented")
+    centre = annular_center(a, a, AnnularPoint(9, 2.0), FLAVORS["augmented"])
     assert centre.twist == a.twist and centre.height == pytest.approx(a.height, rel=1e-15)
-    centre = annular_center(a, b, on_arc, "augmented")
+    centre = annular_center(a, b, on_arc, FLAVORS["augmented"])
     assert centre.twist == 0 and centre.height == pytest.approx(5.0, rel=1e-12)
     assert horoball_point_to_segment(on_arc.coords(), a.coords(), b.coords()) == 0.0
     assert horoball_point_to_segment((9.0, 2.0), a.coords(), a.coords()) == \
         pytest.approx(horoball_distance((9.0, 2.0), a.coords()), rel=1e-15)
-    assert side_nearest(W, surface.flavor, a, a, on_arc)[1] == 0.0
-    assert side_nearest(W, surface.flavor, a, b, on_arc)[1] == pytest.approx(
+    assert side_nearest(W, surface.fl, a, a, on_arc)[1] == 0.0
+    assert side_nearest(W, surface.fl, a, b, on_arc)[1] == pytest.approx(
         horoball_distance(a.coords(), on_arc.coords()), abs=1e-12)
 
 

@@ -20,7 +20,7 @@ from coarsegeo.pathsflats import (
     verify_preferred,
 )
 from coarsegeo.surfmodel import (
-    INFINITY, ZERO, AnnularPoint, ComponentState, ModelPoint, ModelSurface,
+    FLAVORS, INFINITY, ZERO, AnnularPoint, ComponentState, ModelPoint, ModelSurface,
     Slope, Subsurface, base_point, canonical_transversal, farey_distance,
     flip_move, horoball_distance, length_move, model_distance, project,
     twist_move,
@@ -160,9 +160,9 @@ def test_farey_center_small_cases():
 
 def test_annular_center_median_and_horoball():
     assert annular_center(AnnularPoint(0), AnnularPoint(10),
-                          AnnularPoint(4), "marking") == AnnularPoint(4)
+                          AnnularPoint(4), FLAVORS["marking"]) == AnnularPoint(4)
     c = annular_center(AnnularPoint(0, 1.0), AnnularPoint(10, 1.0),
-                       AnnularPoint(5, 1.0), "augmented")
+                       AnnularPoint(5, 1.0), FLAVORS["augmented"])
     assert 0 <= c.twist <= 10 and c.height >= 1.0
 
 
@@ -242,7 +242,7 @@ def test_augmented_extraction_moves_forward(augmented1, cn, twist):
     side = (project(x, w), project(y, w))
 
     def positions(points):
-        return [side_nearest(w, augmented1.flavor, *side, project(p, w))[1] for p in points]
+        return [side_nearest(w, augmented1.fl, *side, project(p, w))[1] for p in points]
 
     back = positions(tr.points)
     assert min(b - a for a, b in zip(back, back[1:])) < -1.0  # the input backtracks

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from coarsegeo import surfmodel
 from coarsegeo.surfmodel import (
-    INFINITY, ZERO, AnnularPoint, ComponentState, InessentialSubsurfaceError,
+    FLAVORS, INFINITY, ZERO, AnnularPoint, ComponentState, InessentialSubsurfaceError,
     ModelPoint, ModelSurface, Slope, Subsurface, annular_distance, apply_matrix,
     base_point, candidate_subsurfaces, canonical_transversal, common_neighbors,
     component_distance, distance_formula, farey_adjacent, farey_ball,
@@ -105,25 +105,6 @@ def test_distance_matches_ball_bfs_oracle(rng):
         got = farey_distance(a, b)
         ref = _bfs(adj, a, b)
         assert ref == got
-
-
-def test_distance_memo_is_bounded(rng, monkeypatch):
-    """Pushed past a tiny bound, the memo is emptied between evaluations
-    and every distance still matches the ball BFS oracle."""
-    bound = 40
-    monkeypatch.setattr(surfmodel, "_DIST_MEMO_MAX", bound)
-    surfmodel.clear_caches()
-    verts, adj = _ball_graph()
-    inner = [s for s in verts if abs(s.value()) <= 3 and 0 < s.q <= 13]
-    sizes = []
-    for _ in range(400):
-        a, b = rng.choice(len(inner), size=2, replace=False)
-        a, b = inner[int(a)], inner[int(b)]
-        assert farey_distance(a, b) == _bfs(adj, a, b)
-        sizes.append(len(surfmodel._dist_memo))
-    assert max(sizes) > bound
-    assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))
-    surfmodel.clear_caches()
 
 
 @given(slope_strategy(), slope_strategy(), slope_strategy())
@@ -321,17 +302,16 @@ def test_pants_flavor_rejects_annuli():
 
 
 def test_annular_distance_closed_form():
-    d = annular_distance(AnnularPoint(0, 1.0), AnnularPoint(2, 1.0), "augmented")
+    d = annular_distance(AnnularPoint(0, 1.0), AnnularPoint(2, 1.0), FLAVORS["augmented"])
     assert d == pytest.approx(math.acosh(3.0))
-    assert annular_distance(AnnularPoint(3), AnnularPoint(-4), "marking") == 7
-    assert annular_distance(AnnularPoint(3), AnnularPoint(9), "pants") == 0.0
+    assert annular_distance(AnnularPoint(3), AnnularPoint(-4), FLAVORS["marking"]) == 7
 
 
 def test_boundary_twist_distance_is_log():
     b = 1.0
     for n in (10, 100, 5000):
         d = annular_distance(AnnularPoint(0, 1 / b), AnnularPoint(n, 1 / b),
-                             "augmented")
+                             FLAVORS["augmented"])
         assert abs(d - 2 * math.log(n * b)) <= 2.0
 
 
@@ -436,12 +416,12 @@ def test_sum_distance_chain_bound(marking1, rng):
     (2, 2, 2, "marking", 0, 2),
 ])
 def test_topology_stats(g, p, c, flavor, xi, rank):
-    assert topology_stats(g, p, c, flavor) == (xi, rank)
+    assert topology_stats(g, p, c, FLAVORS[flavor]) == (xi, rank)
 
 
 def test_topology_stats_rejects_inessential():
     with pytest.raises(ValueError):
-        topology_stats(0, 3, 1, "marking")
+        topology_stats(0, 3, 1, FLAVORS["marking"])
 
 
 def test_surface_stats(marking2):

@@ -19,11 +19,14 @@ Pairs that share a pants curve, which take the one-annulus path of
 length moves, at thresholds above and at or below zero.
 The Farey layer is cached at plain ints; its public functions must give
 what `oracles`' `Slope`-based versions give, errors included, also with
-every int-keyed cache bounded at 5 entries.
+every int-keyed cache bounded at 5 entries.  The distance from infinity
+is a single pass over a continued fraction; `oracles.dist_to_inf_search`
+is the two-branch search it replaced.
 """
 
 import functools
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -203,12 +206,12 @@ def test_clear_caches_empties_every_cache(marking2):
                            "farey_distance", "farey_geodesic", "model_distance"}
     assert all(fn.cache_info().currsize > 0 for fn in caches.values())
     assert model_distance.cache_info().hits > 0
-    assert surfmodel._dist_memo and surfmodel._terms and surfmodel._distances
+    assert surfmodel._terms and surfmodel._distances
     surfmodel.clear_caches()
     assert {name: fn.cache_info().currsize for name, fn in caches.items()} == \
         dict.fromkeys(caches, 0)
     assert model_distance.cache_info()[:2] == (0, 0)
-    assert not surfmodel._dist_memo and not surfmodel._terms
+    assert not surfmodel._terms
 
 
 def _outcome(fn, *args):
@@ -246,6 +249,36 @@ def _int_layer_answers(pairs) -> list:
             out.append((transport_matrix(a), _outcome(twist_number, a, b),
                         farey_distance(a, b), farey_geodesic(a, b)))
     return out
+
+
+def _from_quotients(quotients: list[int]) -> tuple[int, int]:
+    """(p, q) with p/q = [0; a_1, ..., a_n]."""
+    p, q = 0, 1
+    for a in reversed(quotients):
+        p, q = q, a * q + p
+    return p, q
+
+
+def test_closed_form_distance_to_infinity_matches_the_search():
+    """Seeded slopes up to height 10^6, Fibonacci ratios (every partial
+    quotient 1), single huge partial quotients, and a slope at distance 7,
+    each also shifted by an integer and negated."""
+    rng = np.random.default_rng(23)
+    slopes = [(-788094, 952275), (1, 0), (0, 1), (-3, 1)]
+    slopes += [_from_quotients([1] * n + [2]) for n in range(1, 29)]
+    # the search walks a partial quotient a step at a time, so these stay near 10^4
+    slopes += [_from_quotients(qs) for qs in ([10 ** 4], [1, 10 ** 4], [3, 10 ** 4, 2],
+                                             [2, 2, 2, 9_973], [10 ** 4, 1, 1, 5])]
+    for height in (10, 10 ** 3, 10 ** 6):
+        for _ in range(150):
+            p, q = int(rng.integers(-height, height + 1)), int(rng.integers(1, height + 1))
+            g = math.gcd(p, q)
+            slopes.append((p // g, q // g))
+    slopes += [(p + 7 * q, q) for p, q in slopes] + [(-p, q) for p, q in slopes if q]
+    for p, q in slopes:
+        assert surfmodel._dist_to_inf(p, q) == oracles.dist_to_inf_search(p, q), (p, q)
+    assert surfmodel._dist_to_inf(-788094, 952275) == 7
+    assert max(q for _, q in slopes) > 10 ** 6
 
 
 def test_int_keyed_farey_layer_matches_the_slope_versions():
