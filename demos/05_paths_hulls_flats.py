@@ -13,7 +13,7 @@ from coarsegeo.constants import default_constants
 from coarsegeo.harness import backtracked_trace, random_pair, twist_flat
 from coarsegeo.pathsflats import (HullQuery, extract_no_backtrack, flat_fit,
                                   candidate_flats, hull_membership,
-                                  preferred_path, standard_flat_eval)
+                                  preferred_path)
 from coarsegeo.surfmodel import (ModelSurface, model_distance,
                                  twist_move)
 
@@ -47,7 +47,7 @@ print()
 print("=== flats and the fitting residual ===")
 surface2 = ModelSurface(((1, 1), (1, 1)), flavor="marking")
 flat = twist_flat(surface2, span=30)
-samples = [standard_flat_eval(flat, (t, -t)) for t in range(-25, 26, 5)]
+samples = [flat.eval((t, -t)) for t in range(-25, 26, 5)]
 fit, best = flat_fit(samples, candidate_flats(samples, cn))
 print(f"residual of on-flat samples: {fit}")
 noisy = [twist_move(p, 0, int(rng.integers(-2, 3))) for p in samples]

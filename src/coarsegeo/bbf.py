@@ -23,7 +23,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import surfmodel
-from .consreal import SyntheticSystem
 from .surfmodel import (AnnularPoint, Flavor, ModelPoint, ModelSurface, Slope, Subsurface,
                         annular_distance, boundary_point, common_neighbors,
                         complex_distance, distance_formula, farey_geodesic, project,
@@ -32,12 +31,6 @@ from .surfmodel import (AnnularPoint, Flavor, ModelPoint, ModelSurface, Slope, S
 
 class WindowTooSmallError(RuntimeError):
     pass
-
-
-class FamilySplitError(ValueError):
-    def __init__(self, msg: str, witness):
-        super().__init__(msg)
-        self.witness = witness
 
 
 # ---------------------------------------------------------------------------
@@ -92,27 +85,6 @@ def build_families(surface: ModelSurface,
         if surface.fl.annuli:
             fams.append(FamilyY(comp, "annuli", window.get(comp, ())))
     return fams
-
-
-def build_families_synthetic(sys: SyntheticSystem,
-                             max_families: int | None = None) -> list[list[str]]:
-    """Greedy split of a synthetic system into pairwise-crossing groups
-    (clique cover of the overlap graph, found by coloring vertices in
-    canonical order)."""
-    ids = sys.members()
-    groups: list[list[str]] = []
-    for u in ids:
-        for g in groups:
-            if all(sys.relation(u, v) == "overlap" for v in g):
-                g.append(u)
-                break
-        else:
-            groups.append([u])
-    if max_families is not None and len(groups) > max_families:
-        raise FamilySplitError(
-            f"system needs {len(groups)} transversal families (cap {max_families})",
-            witness=groups)
-    return groups
 
 
 # ---------------------------------------------------------------------------

@@ -15,24 +15,18 @@ In the exact model the boundary projection between two annuli depends
 only on their cores, which a system fixes when it is built, so an exact
 system computes those twisting numbers once, in a per-component table,
 and every check on it (realization re-checks included) reads them back.
-
-Synthetic systems (explicit relation tables over abstract complexes)
-exercise the same checker on nesting chains and overlap graphs that the
-exact zero-complexity model cannot produce.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping
+from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from . import surfmodel
 from .surfmodel import (AnnularPoint, ModelPoint, ModelSurface, Slope, Subsurface,
                         annular_distance, annular_row, boundary_point, farey_distance,
                         pinned_state, project, twist_number)
-
-DISJOINT, NESTED, OVERLAP = "disjoint", "nested", "overlap"
 
 
 class MissingProjectionError(KeyError):
@@ -47,7 +41,7 @@ class InconsistentTupleError(ValueError):
 
 @dataclass(frozen=True)
 class ProjectionTuple:
-    """Coordinates indexed by subsurface (or synthetic id)."""
+    """Coordinates indexed by subsurface (or another hashable id)."""
 
     coords: tuple[tuple[Hashable, Any], ...]
     _index: dict = field(init=False, compare=False, repr=False)
@@ -97,7 +91,7 @@ def _coord_json(v):
 class ConsistencyReport:
     verdict: bool
     realized_m: float
-    violations: list[tuple[Hashable, Hashable, float]]
+    violations: list[tuple[Subsurface, Subsurface, float]]
     threshold: float
 
     def to_json(self) -> dict:
@@ -112,76 +106,11 @@ class ConsistencyReport:
 
 
 # ---------------------------------------------------------------------------
-# Subsurface systems
+# The exact subsurface system
 # ---------------------------------------------------------------------------
 
 
-class SubsurfaceSystem:
-    """Interface shared by the exact model and synthetic tables."""
-
-    def members(self) -> list[Hashable]:
-        raise NotImplementedError
-
-    def relation(self, u, v) -> str:
-        """DISJOINT / OVERLAP, or NESTED meaning v is properly inside u."""
-        raise NotImplementedError
-
-    def boundary_projection(self, u, v):
-        """pi_U(boundary of V), or raise MissingProjectionError."""
-        raise NotImplementedError
-
-    def project_element(self, u, v, elt):
-        """pi_V of a curve-complex element of C(U); may be undefined."""
-        raise NotImplementedError
-
-    def complex_distance(self, u, a, b) -> float:
-        raise NotImplementedError
-
-    def orient_nested(self, u, v) -> tuple[Any, Any]:
-        """(inner, outer) for a pair whose relation is NESTED."""
-        raise NotImplementedError
-
-    def pair_values(self, z: ProjectionTuple) -> Iterator[tuple[Hashable, Hashable, float]]:
-        """(u, v, value) for each related pair of the members in z, u
-        before v in member order: the overlap value min(d_U(z_U, bV),
-        d_V(z_V, bU)), or for V nested in U min(d_U(z_U, bV),
-        d_V(z_V, pi_V(z_U))).  Missing boundary data is an error naming
-        the pair, except where the other branch already decides."""
-        members = [w for w in self.members() if w in z]
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                rel = self.relation(u, v)
-                if rel == DISJOINT:
-                    continue
-                if rel == OVERLAP:
-                    d_uv = self._dist_to_boundary(u, v, z)
-                    d_vu = self._dist_to_boundary(v, u, z)
-                    if d_uv is math.inf and d_vu is math.inf:
-                        raise MissingProjectionError(
-                            f"no boundary projection data for overlapping pair ({u}, {v})")
-                    yield u, v, min(d_uv, d_vu)
-                    continue
-                inner, outer = self.orient_nested(u, v)
-                d_outer = self._dist_to_boundary(outer, inner, z)
-                try:
-                    proj = self.project_element(outer, inner, z[outer])
-                    d_inner = self.complex_distance(inner, z[inner], proj)
-                except MissingProjectionError:
-                    d_inner = math.inf
-                if d_outer is math.inf and d_inner is math.inf:
-                    raise MissingProjectionError(
-                        f"no usable projection data for nested pair ({outer}, {inner})")
-                yield u, v, min(d_outer, d_inner)
-
-    def _dist_to_boundary(self, u, v, z: ProjectionTuple) -> float:
-        try:
-            b = self.boundary_projection(u, v)
-        except MissingProjectionError:
-            return math.inf
-        return self.complex_distance(u, z[u], b)
-
-
-class ExactSystem(SubsurfaceSystem):
+class ExactSystem:
     """The subsurface system of a zero-complexity model surface,
     restricted to a finite working set of annuli per component (none in
     a flavor without annuli).
@@ -205,40 +134,6 @@ class ExactSystem(SubsurfaceSystem):
 
     def members(self) -> list[Subsurface]:
         return self._members
-
-    def relation(self, u: Subsurface, v: Subsurface) -> str:
-        if u == v:
-            raise ValueError("relation of a subsurface with itself")
-        if u.comp != v.comp:
-            return DISJOINT
-        if u.kind == "component" and v.kind == "annulus":
-            return NESTED
-        if u.kind == "annulus" and v.kind == "component":
-            return NESTED  # orient_nested says which is inside
-        return OVERLAP  # two distinct annuli on a component always cross
-
-    def orient_nested(self, u: Subsurface, v: Subsurface) -> tuple[Subsurface, Subsurface]:
-        return (u, v) if u.kind == "annulus" else (v, u)
-
-    def boundary_projection(self, u: Subsurface, v: Subsurface):
-        if v.kind != "annulus":
-            raise MissingProjectionError(
-                f"{v} has no boundary curve in the system (pair {u}, {v})")
-        core = v.core
-        if core is None:
-            raise ValueError(f"annulus {v} has no core")
-        if u.kind == "component":
-            return core
-        if u.core == core:
-            raise MissingProjectionError(f"{v} does not project to itself")
-        return boundary_point(u.core, core, self.surface.fl)
-
-    def project_element(self, u: Subsurface, v: Subsurface, elt):
-        if u.kind != "component" or v.kind != "annulus" or not isinstance(elt, Slope):
-            raise MissingProjectionError(f"cannot project {elt} from {u} to {v}")
-        if elt == v.core:
-            raise MissingProjectionError("element equals the annulus core")
-        return boundary_point(v.core, elt, self.surface.fl)
 
     def complex_distance(self, u: Subsurface, a, b) -> float:
         return surfmodel.complex_distance(u, a, b, self.surface.fl)
@@ -265,10 +160,11 @@ class ExactSystem(SubsurfaceSystem):
         return self._twists
 
     def pair_values(self, z: ProjectionTuple) -> Iterator[tuple[Subsurface, Subsurface, float]]:
-        """The base loop's values, component by component: each nested pair
-        (W, A) from the component coordinate, and each overlap pair (u, v)
-        as min(row_u[v], row_v[u]) of the annular distances from z_u and z_v
-        to the twist-table rows."""
+        """(u, v, value) for each related pair of the members in z, u
+        before v in member order, component by component: each nested pair
+        (W, A) as min(d_W(z_W, core of A), d_A(z_A, pi_A(z_W))), and each
+        overlap pair (u, v) as min(row_u[v], row_v[u]) of the annular
+        distances from z_u and z_v to the twist-table rows."""
         fl = self.surface.fl
         for w, annuli, rows in self.twist_table():
             present = [i for i, a in enumerate(annuli) if a in z]
@@ -287,74 +183,6 @@ class ExactSystem(SubsurfaceSystem):
             for s, i in enumerate(present):
                 for t in range(s + 1, len(present)):
                     yield annuli[i], annuli[present[t]], min(dists[s][t - 1], dists[t][s])
-
-
-@dataclass
-class SyntheticSystem(SubsurfaceSystem):
-    """An abstract system given by explicit tables.
-
-    `nested[(v, u)]` records v properly inside u; `overlaps` holds
-    unordered crossing pairs; all other pairs are disjoint.  Complexes
-    default to the integer line; `boundary[(u, v)]` holds pi_U(bV) and
-    `projections[(u, v)]` an element map C(U) -> C(V) where defined.
-    """
-
-    ids: tuple[str, ...]
-    nested: set[tuple[str, str]] = field(default_factory=set)
-    overlaps: set[frozenset] = field(default_factory=set)
-    boundary: dict[tuple[str, str], Any] = field(default_factory=dict)
-    projections: dict[tuple[str, str], Callable[[Any], Any]] = field(default_factory=dict)
-    metrics: dict[str, Callable[[Any, Any], float]] = field(default_factory=dict)
-
-    def members(self):
-        return sorted(self.ids)
-
-    def relation(self, u, v) -> str:
-        if (v, u) in self.nested or (u, v) in self.nested:
-            return NESTED
-        if frozenset((u, v)) in self.overlaps:
-            return OVERLAP
-        return DISJOINT
-
-    def orient_nested(self, u, v) -> tuple[str, str]:
-        return (u, v) if (u, v) in self.nested else (v, u)
-
-    def boundary_projection(self, u, v):
-        try:
-            return self.boundary[(u, v)]
-        except KeyError:
-            raise MissingProjectionError(
-                f"missing boundary projection for pair ({u}, {v})") from None
-
-    def project_element(self, u, v, elt):
-        fn = self.projections.get((u, v))
-        if fn is None:
-            raise MissingProjectionError(f"no element projection ({u}, {v})")
-        return fn(elt)
-
-    def complex_distance(self, u, a, b) -> float:
-        metric = self.metrics.get(u)
-        if metric is not None:
-            return metric(a, b)
-        return abs(float(a) - float(b))
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "ids": list(self.ids),
-            "nested": sorted(list(p) for p in self.nested),
-            "overlaps": sorted(sorted(p) for p in self.overlaps),
-            "boundary": [[list(k), v] for k, v in sorted(self.boundary.items())],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "SyntheticSystem":
-        return cls(
-            ids=tuple(doc["ids"]),
-            nested={tuple(p) for p in doc["nested"]},
-            overlaps={frozenset(p) for p in doc["overlaps"]},
-            boundary={tuple(k): v for k, v in doc["boundary"]},
-        )
 
 
 def exact_system_for(x: ModelPoint, y: ModelPoint | None = None,
@@ -376,15 +204,15 @@ def tuple_of_projections(x: ModelPoint, sys: ExactSystem) -> ProjectionTuple:
 # ---------------------------------------------------------------------------
 
 
-def consistency_check(sys: SubsurfaceSystem, z: ProjectionTuple,
+def consistency_check(sys: ExactSystem, z: ProjectionTuple,
                       m: float) -> ConsistencyReport:
     """Evaluate both consistency conditions on every related pair.
 
     The realized M is the max over pairs of the tested min-expression
-    (`SubsurfaceSystem.pair_values`); the verdict is realized M <= m.
+    (`ExactSystem.pair_values`); the verdict is realized M <= m.
     """
     realized = 0.0
-    violations: list[tuple[Hashable, Hashable, float]] = []
+    violations: list[tuple[Subsurface, Subsurface, float]] = []
     for u, v, val in sys.pair_values(z):
         realized = max(realized, val)
         if val > m:
@@ -398,9 +226,9 @@ def consistency_check(sys: SubsurfaceSystem, z: ProjectionTuple,
 
 
 def _bad_annuli(sys: ExactSystem, z: ProjectionTuple, comp: int,
-                pants: Slope, m_bad: float) -> list[tuple[float, Subsurface]]:
+                pants: Slope, m_bad: float) -> list[Subsurface]:
     """Annuli whose coordinate demands more twisting about their core
-    than the chosen pants slope provides."""
+    than the chosen pants slope provides, largest defect first."""
     fl = sys.surface.fl
     out = []
     for w in sys.members():
@@ -411,7 +239,7 @@ def _bad_annuli(sys: ExactSystem, z: ProjectionTuple, comp: int,
         if defect > m_bad:
             out.append((defect, w))
     out.sort(key=lambda dw: (-dw[0],) + dw[1].key())
-    return out
+    return [w for _, w in out]
 
 
 def realize(sys: ExactSystem, z: ProjectionTuple, m: float,
@@ -419,13 +247,15 @@ def realize(sys: ExactSystem, z: ProjectionTuple, m: float,
     """Build a model point whose projections track a consistent tuple.
 
     The multicurve of twist-demanding annuli replaces pants slopes where
-    needed; in this model two such annuli in one component would have to
-    cross, which consistency forbids.
+    needed.  In this model any two annuli in one component cross, so a
+    component takes the first demanding core whose twisting explains
+    every other demand there, and the tuple is refused if none does.
     """
     report = consistency_check(sys, z, m)
     if not report.verdict:
         raise InconsistentTupleError(report)
     surface = sys.surface
+    fl = surface.fl
     if m_bad is None:
         m_bad = 2 * m + 2
     states = []
@@ -435,19 +265,19 @@ def realize(sys: ExactSystem, z: ProjectionTuple, m: float,
             raise MissingProjectionError(f"tuple lacks the component coordinate {w_comp}")
         pants: Slope = z[w_comp]
         bad = _bad_annuli(sys, z, comp, pants, m_bad)
-        if len(bad) >= 2:
-            # distinct annuli on one component always cross; a consistent
-            # tuple cannot demand large twisting about two crossing cores
-            raise InconsistentTupleError(report)
         if bad:
-            pants = bad[0][1].core
+            pants = next((a.core for a in bad if all(
+                annular_distance(boundary_point(w.core, a.core, fl), z[w], fl) <= m_bad
+                for w in bad if w != a)), None)
+            if pants is None:
+                raise InconsistentTupleError(report)
         a_pants = Subsurface("annulus", comp, pants)
         states.append(pinned_state(surface, pants, z[a_pants] if a_pants in z else None))
     return ModelPoint(surface, tuple(states))
 
 
 def realization_defects(sys: ExactSystem, z: ProjectionTuple,
-                        point: ModelPoint) -> dict[Hashable, float]:
+                        point: ModelPoint) -> dict[Subsurface, float]:
     """Per-subsurface distance between the realized point's projections
     and the requested coordinates."""
     return {w: sys.complex_distance(w, project(point, w), z[w])

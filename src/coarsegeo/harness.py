@@ -238,14 +238,6 @@ def _flat_map_c(surface: ModelSurface, noise: int) -> float:
     return 2.0 * surface.threshold + 2 * noise + 4
 
 
-def folded_map(inner: BoxMap, axis: int, at: float) -> BoxMap:
-    def fn(p):
-        q = np.array(np.atleast_1d(np.asarray(p, float)))
-        q[axis] = at - abs(q[axis] - at)
-        return inner.fn(q)
-    return BoxMap(fn, inner.target, inner.K, inner.C)
-
-
 def adversarial_maps(flat: StandardFlat, n: int, box_side: int) -> list[tuple[str, BoxMap]]:
     """Quasi-Lipschitz maps from an n-box through an (n-1)-flat: each
     collapses one direction, so no sub-box can stay quasi-isometric."""
@@ -272,42 +264,6 @@ def adversarial_maps(flat: StandardFlat, n: int, box_side: int) -> list[tuple[st
         wrap("swap-collapse", lambda q: cat(q[..., b] - half + q[..., :1] - half, q[..., 1:r])),
     ]
     return suite
-
-
-def synthetic_chain_system(depth: int, rng: np.random.Generator):
-    """A nested chain U0 > U1 > ... with integer-line complexes, plus a
-    coherent tuple and a violating perturbation of it."""
-    spread = 20  # anchors lie in [-spread, spread)
-    ids = tuple(f"U{i}" for i in range(depth))
-    nested = {(ids[j], ids[i]) for i in range(depth) for j in range(i + 1, depth)}
-    boundary = {}
-    anchors = {u: int(rng.integers(-spread, spread)) for u in ids}
-    for i in range(depth):
-        for j in range(i + 1, depth):
-            boundary[(ids[i], ids[j])] = anchors[ids[j]]
-    projections = {}
-    for i in range(depth):
-        for j in range(i + 1, depth):
-            projections[(ids[i], ids[j])] = (
-                lambda elt, a=anchors[ids[j]]: a + (1 if elt % 2 else -1))
-    sys = consreal.SyntheticSystem(ids=ids, nested=nested, boundary=boundary,
-                                   projections=projections)
-    coherent = {u: anchors[u] for u in ids}
-    active = ids[int(rng.integers(depth))]
-    coherent[active] = anchors[active] + int(rng.integers(-spread, spread)) * 3
-    good = consreal.ProjectionTuple.of(coherent)
-    bad_coords = dict(coherent)
-    inner, outer = ids[-1], ids[0]
-    bad_coords[inner] = anchors[inner] + 10 * spread
-    bad_coords[outer] = anchors[outer] + 10 * spread
-    # move the recorded boundary away so neither branch of the nested
-    # condition can save the pair
-    bad_sys = consreal.SyntheticSystem(
-        ids=ids, nested=set(nested),
-        boundary={**boundary, (outer, inner): anchors[inner] - 10 * spread},
-        projections={**projections,
-                     (outer, inner): (lambda elt: anchors[inner] - 10 * spread)})
-    return sys, good, bad_sys, consreal.ProjectionTuple.of(bad_coords)
 
 
 # ---------------------------------------------------------------------------

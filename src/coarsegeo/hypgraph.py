@@ -51,7 +51,7 @@ class GeodesicSegment:
 
 
 class HypGraph:
-    """A finite explicit graph with a cached thinness constant.
+    """A finite explicit graph.
 
     Vertices must be hashable; `key` is the canonical encoding used for
     all tie-breaking: the vertex's `.key()` when present, as for slopes,
@@ -59,8 +59,7 @@ class HypGraph:
     """
 
     def __init__(self, edges: Iterable[tuple[Vertex, Vertex]],
-                 vertices: Iterable[Vertex] = (),
-                 delta: float | None = None):
+                 vertices: Iterable[Vertex] = ()):
         self.key = key = lambda v: v.key() if hasattr(v, "key") else v
         adj: dict[Vertex, set] = {v: set() for v in vertices}
         for u, v in edges:
@@ -70,7 +69,6 @@ class HypGraph:
             adj.setdefault(v, set()).add(u)
         self.vertices = tuple(sorted(adj, key=key))
         self.adj = {v: tuple(sorted(adj[v], key=key)) for v in self.vertices}
-        self._delta = delta
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self.adj
@@ -81,15 +79,6 @@ class HypGraph:
     @property
     def n_edges(self) -> int:
         return sum(len(a) for a in self.adj.values()) // 2
-
-    @property
-    def delta(self) -> float:
-        if self._delta is None:
-            self._delta = delta_estimate(self, sample_count=300, seed=0)
-        return self._delta
-
-    def set_delta(self, value: float) -> None:
-        self._delta = value
 
     def bfs_distances(self, sources: Iterable[Vertex]) -> dict[Vertex, int]:
         dist = {s: 0 for s in sources}
@@ -236,14 +225,6 @@ def lp_handle(p: float) -> MetricHandle:
         dist = lambda a, b: float(np.sum(np.abs(np.asarray(a, float) - np.asarray(b, float)) ** p) ** (1.0 / p))
         nm = f"L{p:g}"
     return MetricHandle(nm, dist)
-
-
-def product_handle(handles: Sequence[MetricHandle]) -> MetricHandle:
-    """L^1 product of handles; points are tuples with one coordinate per
-    factor.  Efficiency passes to factors in this metric."""
-    def dist(a, b):
-        return sum(h.distance(x, y) for h, x, y in zip(handles, a, b))
-    return MetricHandle("product", dist)
 
 
 def farey_handle() -> MetricHandle:

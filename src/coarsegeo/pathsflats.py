@@ -603,12 +603,6 @@ class StandardFlat:
         }
 
 
-def standard_flat_eval(flat: StandardFlat, t_vec: Sequence[float]) -> ModelPoint:
-    if not flat.box().contains(t_vec):
-        raise ValueError("lattice point outside the flat's box")
-    return flat.eval(t_vec)
-
-
 def _factor_min_distance(flat: StandardFlat, f: FlatFactor, p: ModelPoint) -> float:
     """min over the factor coordinate of the single-component distance
     between p and the factor state (the L1 metric separates factors)."""

@@ -972,8 +972,6 @@ def twist_state(k: tuple, n: int) -> tuple:
     """A state key after n Dehn twists about its own pants curve:
     `twist_matrix` sends tau to tau + n det(alpha, tau) alpha, which is
     primitive and Farey-adjacent to alpha, so only its sign is normalized."""
-    if len(k) == 2:
-        raise ValueError("pants flavor has no transversal to twist")
     p, q, tp, tq, length = k
     d = n * (p * tq - q * tp)
     tp, tq = tp + d * p, tq + d * q
@@ -986,14 +984,14 @@ def flip_state(k: tuple, bers: float) -> tuple:
     """A state key with pants slope and transversal swapped, which keeps
     |det| = 1; the new pants curve takes the Bers length if the state has
     a length."""
-    if len(k) == 2:
-        raise ValueError("pants flavor has no flip move")
     p, q, tp, tq, length = k
     return (tp, tq, p, q, bers if length is not None else None)
 
 
 def twist_move(x: ModelPoint, comp: int, n: int = 1) -> ModelPoint:
     """Apply n Dehn twists about the pants curve of one component."""
+    if not x.surface.fl.annuli:
+        raise x.surface.fl.lacks("transversal to twist")
     keys = list(x.state_keys)
     keys[comp] = twist_state(keys[comp], n)
     return ModelPoint._trusted(x.surface, keys)
@@ -1001,6 +999,8 @@ def twist_move(x: ModelPoint, comp: int, n: int = 1) -> ModelPoint:
 
 def flip_move(x: ModelPoint, comp: int) -> ModelPoint:
     """Swap pants slope and transversal in one component."""
+    if not x.surface.fl.annuli:
+        raise x.surface.fl.lacks("flip move")
     keys = list(x.state_keys)
     keys[comp] = flip_state(keys[comp], x.surface.bers)
     return ModelPoint._trusted(x.surface, keys)

@@ -21,16 +21,20 @@ level-major, with every line's images built up front and every
 offset's segment verdicts; the largest all-true index sub-box of a
 grid mask by a scan of every index range; the greedy net packing that
 compares every image with every kept one; the 2-D density check of a
-direction set by a grid of probe directions; and the exhaustive
+direction set by a grid of probe directions; the exhaustive
 thin-triangle constant with three geodesics and three multi-source BFS
-runs per triple.  They are slow on purpose and must stay obviously
-right.
+runs per triple; and the consistency check as one generic loop over a
+system's stated relations, which the exact system's twist table
+replaced and which also checks synthetic systems, explicit relation
+tables with nesting chains deeper than the exact model has.  They are
+slow on purpose and must stay obviously right.
 
 Seven are brute-force checks that never had a caller in the package:
 the coarse length over every partition, the graph nearest-point
 projection and triangle centre by whole-graph scans, the graph metric
 handle, the Morse excursion, the unparametrized quasi-geodesic test
-over an integer time grid, and the deepest retrace of a trace.
+over an integer time grid, and the deepest retrace of a trace.  Two
+are test fixtures: the folded box map and the L^1 product handle.
 """
 
 from __future__ import annotations
@@ -38,11 +42,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Any, Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
 from coarsegeo.bbf import FamilyY, QuasiTree
+from coarsegeo.consreal import ExactSystem, MissingProjectionError, ProjectionTuple
 from coarsegeo.constants import Constants, default_constants
 from coarsegeo.effdiff import (Box, BoxMap, DiffReport, Line, LineFamily, PathTrace,
                                QuasiLipschitzViolationError, ScaleBelowResolutionError,
@@ -52,7 +58,7 @@ from coarsegeo.hypgraph import (GeodesicSegment, HypGraph, MetricHandle, Unreach
 from coarsegeo.pathsflats import StandardFlat
 from coarsegeo.surfmodel import (IDENTITY, AnnularPoint, ComponentState, Flavor, Matrix,
                                  ModelPoint, ModelSurface, Slope, Subsurface, _component_terms,
-                                 _geo_from_inf, annular_distance, apply_matrix,
+                                 _geo_from_inf, annular_distance, apply_matrix, boundary_point,
                                  complex_distance, farey_adjacent, farey_distance,
                                  farey_geodesic, mat_inv, transport_matrix, twist_number)
 
@@ -302,6 +308,15 @@ def noisy_flat_image(flat: StandardFlat, noise: int, seed: int, p) -> ModelPoint
     return x
 
 
+def folded_map(inner: BoxMap, axis: int, at: float) -> BoxMap:
+    """`inner` after folding the box about the hyperplane axis = at."""
+    def fn(p):
+        q = np.array(np.atleast_1d(np.asarray(p, float)))
+        q[axis] = at - abs(q[axis] - at)
+        return inner.fn(q)
+    return BoxMap(fn, inner.target, inner.K, inner.C)
+
+
 def largest_true_box(mask: np.ndarray) -> tuple[list[tuple[int, int]], int] | None:
     """`effdiff._largest_true_box` by a scan of every index range, axis 0
     outermost, keeping a range when it is all true and strictly beats
@@ -400,6 +415,184 @@ def glued_distances(qt: QuasiTree, pairs) -> list[float]:
 
 def glued_distance(qt: QuasiTree, u, v) -> float:
     return glued_distances(qt, [(u, v)])[0]
+
+
+DISJOINT, NESTED, OVERLAP = "disjoint", "nested", "overlap"
+
+
+class GenericPairLoop:
+    """The consistency pairs of a system that states its relations:
+    `members()`; `relation(u, v)`, DISJOINT / OVERLAP, or NESTED for a
+    nested pair in either order; `orient_nested(u, v)`, (inner, outer);
+    `boundary_projection(u, v)`, pi_U of the boundary of V;
+    `project_element(u, v, elt)`, pi_V of an element of C(U); and
+    `complex_distance(u, a, b)`.  The two projections raise
+    `MissingProjectionError` where they are undefined."""
+
+    def pair_values(self, z: ProjectionTuple) -> Iterator[tuple[Hashable, Hashable, float]]:
+        """(u, v, value) for each related pair of the members in z, u
+        before v in member order: the overlap value min(d_U(z_U, bV),
+        d_V(z_V, bU)), or for V nested in U min(d_U(z_U, bV),
+        d_V(z_V, pi_V(z_U))).  Missing boundary data is an error naming
+        the pair, except where the other branch already decides."""
+        members = [w for w in self.members() if w in z]
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
+                rel = self.relation(u, v)
+                if rel == DISJOINT:
+                    continue
+                if rel == OVERLAP:
+                    d_uv = self._dist_to_boundary(u, v, z)
+                    d_vu = self._dist_to_boundary(v, u, z)
+                    if d_uv is math.inf and d_vu is math.inf:
+                        raise MissingProjectionError(
+                            f"no boundary projection data for overlapping pair ({u}, {v})")
+                    yield u, v, min(d_uv, d_vu)
+                    continue
+                inner, outer = self.orient_nested(u, v)
+                d_outer = self._dist_to_boundary(outer, inner, z)
+                try:
+                    proj = self.project_element(outer, inner, z[outer])
+                    d_inner = self.complex_distance(inner, z[inner], proj)
+                except MissingProjectionError:
+                    d_inner = math.inf
+                if d_outer is math.inf and d_inner is math.inf:
+                    raise MissingProjectionError(
+                        f"no usable projection data for nested pair ({outer}, {inner})")
+                yield u, v, min(d_outer, d_inner)
+
+    def _dist_to_boundary(self, u, v, z: ProjectionTuple) -> float:
+        try:
+            b = self.boundary_projection(u, v)
+        except MissingProjectionError:
+            return math.inf
+        return self.complex_distance(u, z[u], b)
+
+
+class ExactRelations(GenericPairLoop, ExactSystem):
+    """An exact system checked pair by pair through its relations instead
+    of its twist table."""
+
+    def relation(self, u: Subsurface, v: Subsurface) -> str:
+        if u == v:
+            raise ValueError("relation of a subsurface with itself")
+        if u.comp != v.comp:
+            return DISJOINT
+        if u.kind == "component" and v.kind == "annulus":
+            return NESTED
+        if u.kind == "annulus" and v.kind == "component":
+            return NESTED  # orient_nested says which is inside
+        return OVERLAP  # two distinct annuli on a component always cross
+
+    def orient_nested(self, u: Subsurface, v: Subsurface) -> tuple[Subsurface, Subsurface]:
+        return (u, v) if u.kind == "annulus" else (v, u)
+
+    def boundary_projection(self, u: Subsurface, v: Subsurface):
+        if v.kind != "annulus":
+            raise MissingProjectionError(
+                f"{v} has no boundary curve in the system (pair {u}, {v})")
+        core = v.core
+        if core is None:
+            raise ValueError(f"annulus {v} has no core")
+        if u.kind == "component":
+            return core
+        if u.core == core:
+            raise MissingProjectionError(f"{v} does not project to itself")
+        return boundary_point(u.core, core, self.surface.fl)
+
+    def project_element(self, u: Subsurface, v: Subsurface, elt):
+        if u.kind != "component" or v.kind != "annulus" or not isinstance(elt, Slope):
+            raise MissingProjectionError(f"cannot project {elt} from {u} to {v}")
+        if elt == v.core:
+            raise MissingProjectionError("element equals the annulus core")
+        return boundary_point(v.core, elt, self.surface.fl)
+
+
+@dataclass
+class SyntheticSystem(GenericPairLoop):
+    """An abstract system given by explicit tables, for nesting chains
+    and overlap graphs that the exact zero-complexity model cannot
+    produce.
+
+    `nested[(v, u)]` records v properly inside u; `overlaps` holds
+    unordered crossing pairs; all other pairs are disjoint.  Complexes
+    default to the integer line; `boundary[(u, v)]` holds pi_U(bV) and
+    `projections[(u, v)]` an element map C(U) -> C(V) where defined.
+    """
+
+    ids: tuple[str, ...]
+    nested: set[tuple[str, str]] = field(default_factory=set)
+    overlaps: set[frozenset] = field(default_factory=set)
+    boundary: dict[tuple[str, str], Any] = field(default_factory=dict)
+    projections: dict[tuple[str, str], Callable[[Any], Any]] = field(default_factory=dict)
+    metrics: dict[str, Callable[[Any, Any], float]] = field(default_factory=dict)
+
+    def members(self):
+        return sorted(self.ids)
+
+    def relation(self, u, v) -> str:
+        if (v, u) in self.nested or (u, v) in self.nested:
+            return NESTED
+        if frozenset((u, v)) in self.overlaps:
+            return OVERLAP
+        return DISJOINT
+
+    def orient_nested(self, u, v) -> tuple[str, str]:
+        return (u, v) if (u, v) in self.nested else (v, u)
+
+    def boundary_projection(self, u, v):
+        try:
+            return self.boundary[(u, v)]
+        except KeyError:
+            raise MissingProjectionError(
+                f"missing boundary projection for pair ({u}, {v})") from None
+
+    def project_element(self, u, v, elt):
+        fn = self.projections.get((u, v))
+        if fn is None:
+            raise MissingProjectionError(f"no element projection ({u}, {v})")
+        return fn(elt)
+
+    def complex_distance(self, u, a, b) -> float:
+        metric = self.metrics.get(u)
+        if metric is not None:
+            return metric(a, b)
+        return abs(float(a) - float(b))
+
+
+def synthetic_chain_system(depth: int, rng: np.random.Generator):
+    """A nested chain U0 > U1 > ... with integer-line complexes, plus a
+    coherent tuple and a violating perturbation of it."""
+    spread = 20  # anchors lie in [-spread, spread)
+    ids = tuple(f"U{i}" for i in range(depth))
+    nested = {(ids[j], ids[i]) for i in range(depth) for j in range(i + 1, depth)}
+    boundary = {}
+    anchors = {u: int(rng.integers(-spread, spread)) for u in ids}
+    for i in range(depth):
+        for j in range(i + 1, depth):
+            boundary[(ids[i], ids[j])] = anchors[ids[j]]
+    projections = {}
+    for i in range(depth):
+        for j in range(i + 1, depth):
+            projections[(ids[i], ids[j])] = (
+                lambda elt, a=anchors[ids[j]]: a + (1 if elt % 2 else -1))
+    sys = SyntheticSystem(ids=ids, nested=nested, boundary=boundary, projections=projections)
+    coherent = {u: anchors[u] for u in ids}
+    active = ids[int(rng.integers(depth))]
+    coherent[active] = anchors[active] + int(rng.integers(-spread, spread)) * 3
+    good = ProjectionTuple.of(coherent)
+    bad_coords = dict(coherent)
+    inner, outer = ids[-1], ids[0]
+    bad_coords[inner] = anchors[inner] + 10 * spread
+    bad_coords[outer] = anchors[outer] + 10 * spread
+    # move the recorded boundary away so neither branch of the nested
+    # condition can save the pair
+    bad_sys = SyntheticSystem(
+        ids=ids, nested=set(nested),
+        boundary={**boundary, (outer, inner): anchors[inner] - 10 * spread},
+        projections={**projections,
+                     (outer, inner): (lambda elt: anchors[inner] - 10 * spread)})
+    return sys, good, bad_sys, ProjectionTuple.of(bad_coords)
 
 
 # The horoball searches run on many triples at once: a point is a pair
@@ -606,12 +799,13 @@ def nearest_point_projection(g: HypGraph, p: Vertex, seg: GeodesicSegment) -> Ve
     return best
 
 
-def triangle_center_graph(g: HypGraph, x: Vertex, y: Vertex, z: Vertex) -> Vertex:
+def triangle_center_graph(g: HypGraph, x: Vertex, y: Vertex, z: Vertex,
+                          delta: float) -> Vertex:
     """A vertex within delta + 1 of all three sides of the triangle.
 
     Scans the whole (finite) graph by distance-to-side and picks the
     minimizer, ties broken by key.  Failure to get within delta + 1
-    means the cached delta does not reflect the graph at this scale.
+    means delta does not reflect the graph at this scale.
     """
     sides = [geodesic(g, x, y), geodesic(g, y, z), geodesic(g, x, z)]
     dists = [g.bfs_distances(s.vertices) for s in sides]
@@ -621,7 +815,7 @@ def triangle_center_graph(g: HypGraph, x: Vertex, y: Vertex, z: Vertex) -> Verte
         if val < best_val or (val == best_val and best_v is not None
                               and g.key(v) < g.key(best_v)):
             best_v, best_val = v, val
-    if best_v is None or best_val > g.delta + 1:
+    if best_v is None or best_val > delta + 1:
         raise ValueError("not hyperbolic at scale")
     return best_v
 
@@ -638,6 +832,14 @@ def delta_exhaustive(g: HypGraph) -> float:
             dist = g.bfs_distances([v for j, s in enumerate(sides) if j != i for v in s])
             worst = max(worst, float(max(dist.get(v, math.inf) for v in side)))
     return worst
+
+
+def product_handle(handles: Sequence[MetricHandle]) -> MetricHandle:
+    """L^1 product of handles; points are tuples with one coordinate per
+    factor.  Efficiency passes to factors in this metric."""
+    def dist(a, b):
+        return sum(h.distance(x, y) for h, x, y in zip(handles, a, b))
+    return MetricHandle("product", dist)
 
 
 def graph_handle(g: HypGraph, name: str = "graph") -> MetricHandle:

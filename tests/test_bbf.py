@@ -14,12 +14,11 @@ import pytest
 
 from coarsegeo import bbf
 from coarsegeo.bbf import (
-    FamilySplitError, FamilyY, PkGraph, QuasiTree, WindowTooSmallError,
-    build_embedding, build_families, build_families_synthetic, build_pk_graph,
+    FamilyY, PkGraph, QuasiTree, WindowTooSmallError,
+    build_embedding, build_families, build_pk_graph,
     embedded_distance, embedding_audit, embedding_for_pair, lower_bound_audit,
     psi_project, working_window,
 )
-from coarsegeo.consreal import SyntheticSystem
 from coarsegeo.harness import random_pair, random_point
 from coarsegeo.surfmodel import (
     FLAVORS, INFINITY, ZERO, AnnularPoint, ModelPoint, ModelSurface, Slope, Subsurface,
@@ -41,20 +40,6 @@ def test_pants_flavor_has_no_annuli_family():
     pants = ModelSurface(((1, 1),), flavor="pants")
     fams = build_families(pants, {0: (ZERO,)})
     assert [f.kind for f in fams] == ["component"]
-
-
-def test_synthetic_five_cycle_needs_three_families():
-    ids = tuple(f"V{i}" for i in range(5))
-    overlaps = {frozenset((ids[i], ids[(i + 1) % 5])) for i in range(5)}
-    sys = SyntheticSystem(ids=ids, overlaps=overlaps)
-    groups = build_families_synthetic(sys)
-    assert len(groups) == 3
-    for g in groups:
-        for u, v in itertools.combinations(g, 2):
-            assert sys.relation(u, v) == "overlap"
-    with pytest.raises(FamilySplitError) as err:
-        build_families_synthetic(sys, max_families=2)
-    assert err.value.witness
 
 
 def test_pk_graph_edges_monotone_in_k(marking1):

@@ -7,16 +7,18 @@ import pytest
 
 from coarsegeo.consreal import (
     ConsistencyReport, ExactSystem, InconsistentTupleError,
-    MissingProjectionError, ProjectionTuple, SyntheticSystem, bgit_audit,
+    MissingProjectionError, ProjectionTuple, bgit_audit,
     consistency_check, exact_system_for, far_projection_check, realize,
     realization_defects, tuple_of_projections,
 )
-from coarsegeo.harness import random_point, synthetic_chain_system
+from coarsegeo.harness import random_point
 from coarsegeo.surfmodel import (
     INFINITY, ZERO, AnnularPoint, ModelSurface, Slope, Subsurface,
     base_point, farey_distance, farey_geodesic, model_distance, project,
     twist_move,
 )
+
+from oracles import SyntheticSystem, synthetic_chain_system
 
 
 def test_real_tuples_are_consistent(marking2, rng, cn):
@@ -163,6 +165,24 @@ def test_realize_two_demanding_annuli_is_rejected(marking1):
         realize(sys, z, m=10 ** 5, m_bad=12.0)
 
 
+def test_realize_takes_the_core_that_explains_every_demand(marking1, cn):
+    """Both annuli demand far twisting relative to the slope 0/1, but the
+    pants slope 1001/1, twisted to 3000 about itself, meets both demands,
+    since tw_inf(1001/1) = 1001: the tuple is consistent (M = 2) and is
+    realized there."""
+    core = Slope(1001, 1)
+    a_inf, a_core = Subsurface("annulus", 0, INFINITY), Subsurface("annulus", 0, core)
+    coords = {Subsurface("component", 0): ZERO,
+              a_inf: AnnularPoint(1001), a_core: AnnularPoint(3000)}
+    sys = ExactSystem(marking1, coords)
+    z = ProjectionTuple.of(coords)
+    assert consistency_check(sys, z, cn["m_realize"]).realized_m == 2.0
+    out = realize(sys, z, m=cn["m_realize"])
+    assert out.alpha(0) == core
+    assert project(out, a_inf).twist == 1001 and project(out, a_core).twist == 3000
+    assert farey_distance(out.alpha(0), ZERO) == 2
+
+
 def test_realization_defects_are_small(marking2, rng, cn):
     x = random_point(marking2, rng, steps=14)
     sys = exact_system_for(x)
@@ -241,13 +261,3 @@ def test_far_projection_sweep(marking2, rng, cn):
         hits += not v.vacuous
     assert hits > 0  # the antecedent fires somewhere in the suite
 
-
-# --- serialization -----------------------------------------------------------------
-
-def test_synthetic_system_json_round_trip():
-    rngl = np.random.default_rng(1)
-    sys, good, _, _ = synthetic_chain_system(3, rngl)
-    doc = sys.to_json()
-    back = SyntheticSystem.from_json(doc)
-    assert back.ids == sys.ids and back.nested == sys.nested
-    assert good.to_json()

@@ -1,7 +1,7 @@
 """The twist-table consistency check of `ExactSystem` against the generic
-pair loop of `SubsurfaceSystem`, which stays the check of synthetic
-systems and is the oracle here: same verdicts, bitwise-equal realized M,
-identical violations and the same errors."""
+pair loop of `tests/oracles.py`, which also checks synthetic systems:
+same verdicts, bitwise-equal realized M, identical violations and the
+same errors."""
 
 import math
 
@@ -9,16 +9,12 @@ import numpy as np
 import pytest
 
 from coarsegeo import surfmodel
-from coarsegeo.consreal import (ExactSystem, ProjectionTuple, SubsurfaceSystem,
-                                consistency_check, exact_system_for, tuple_of_projections)
+from coarsegeo.consreal import (ExactSystem, ProjectionTuple, consistency_check,
+                                exact_system_for, tuple_of_projections)
 from coarsegeo.harness import random_pair
 from coarsegeo.surfmodel import INFINITY, ZERO, AnnularPoint, ModelSurface, Slope, Subsurface
 
-
-class _GenericLoop(ExactSystem):
-    """The same exact system, checked by the base-class loop."""
-
-    pair_values = SubsurfaceSystem.pair_values
+from oracles import ExactRelations
 
 
 def _exact_report(report) -> tuple:
@@ -28,7 +24,7 @@ def _exact_report(report) -> tuple:
 
 
 def _assert_matches_oracle(sys: ExactSystem, z: ProjectionTuple, m: float) -> None:
-    oracle = _GenericLoop(sys.surface, sys.members())
+    oracle = ExactRelations(sys.surface, sys.members())
     assert _exact_report(consistency_check(sys, z, m)) == \
         _exact_report(consistency_check(oracle, z, m))
 
@@ -108,7 +104,7 @@ def test_augmented_coordinate_without_height_raises_like_generic_loop(augmented1
               Subsurface("annulus", 0, Slope(1, 2)): AnnularPoint(-4),
               Subsurface("annulus", 0, Slope(2, 3)): AnnularPoint(1, 2.0)}
     z = ProjectionTuple.of(coords)
-    for check in (sys, _GenericLoop(augmented1, sys.members())):
+    for check in (sys, ExactRelations(augmented1, sys.members())):
         with pytest.raises(ValueError, match="^augmented annular points need heights$"):
             consistency_check(check, z, 1.0)
 

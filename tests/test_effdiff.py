@@ -15,14 +15,13 @@ from coarsegeo.effdiff import (
     differentiate_box, differentiate_lines, efficiency_test, hyperbolic_subbox,
     required_size, subsegment_efficiency_closure,
 )
-from coarsegeo.harness import folded_map, noisy_flat_map, twist_flat
-from coarsegeo.hypgraph import (MetricHandle, farey_handle, lp_handle, product_handle,
-                                real_line_handle)
+from coarsegeo.harness import noisy_flat_map, twist_flat
+from coarsegeo.hypgraph import MetricHandle, farey_handle, lp_handle, real_line_handle
 from coarsegeo.surfmodel import (INFINITY, ZERO, ModelSurface, Slope, common_neighbors,
                                  farey_geodesic)
 
 import oracles
-from oracles import coarse_length_bruteforce
+from oracles import coarse_length_bruteforce, folded_map, product_handle
 
 MARKING2 = ModelSurface(((1, 1), (1, 1)), flavor="marking")
 

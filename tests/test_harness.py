@@ -15,13 +15,14 @@ from coarsegeo.harness import (
     ExperimentConfig, Report, adversarial_maps, backtracked_trace, calibrate,
     deep_slope, farey_efficient_trace, main, net_separation_count,
     noisy_flat_map, orthant_flat, random_pair, random_point, run_pipeline,
-    synthetic_chain_system, twist_flat,
+    twist_flat,
 )
 from coarsegeo.effdiff import Box
 from coarsegeo.pathsflats import FlatFactor, StandardFlat
 from coarsegeo.surfmodel import (INFINITY, ZERO, InessentialSubsurfaceError, ModelSurface,
                                  Subsurface, annular_coordinate_point, base_point,
-                                 farey_distance, length_move, model_distance, project)
+                                 farey_distance, flip_move, length_move, model_distance,
+                                 project, twist_move)
 
 
 def test_deep_slope_distances():
@@ -258,6 +259,8 @@ REFUSALS = {
     ("pants", "orthant-flat"): lambda s: orthant_flat(s, 10),
     ("marking", "length"): lambda s: length_move(base_point(s), 0, 0.5),
     ("pants", "length"): lambda s: length_move(base_point(s), 0, 0.5),
+    ("pants", "twist-move"): lambda s: twist_move(base_point(s), 0, 1),
+    ("pants", "flip-move"): lambda s: flip_move(base_point(s), 0),
 }
 
 

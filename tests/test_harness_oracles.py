@@ -22,7 +22,7 @@ import pytest
 
 from coarsegeo import pathsflats
 from coarsegeo.effdiff import Box
-from coarsegeo.harness import (adversarial_maps, folded_map, greedy_packing,
+from coarsegeo.harness import (adversarial_maps, greedy_packing,
                                net_separation_count, noisy_flat_map, orthant_flat, twist_flat)
 from coarsegeo.pathsflats import FlatFactor, StandardFlat, preferred_path
 from coarsegeo.surfmodel import (INFINITY, ZERO, ComponentState, ModelPoint, ModelSurface,
@@ -196,7 +196,7 @@ def test_images_equal_fn_and_the_oracle_on_every_flat(name, noise, cn):
 @pytest.mark.parametrize("noise", [0, 3])
 def test_folded_map_images_go_through_fn(noise):
     flat = twist_flat(MARKING2, 300)
-    fmap = folded_map(noisy_flat_map(flat, noise, 5), axis=0, at=100.0)
+    fmap = oracles.folded_map(noisy_flat_map(flat, noise, 5), axis=0, at=100.0)
     assert fmap.batch is None
 
     def folded(p):

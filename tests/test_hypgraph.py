@@ -9,20 +9,20 @@ import pytest
 from coarsegeo.hypgraph import (
     GeodesicSegment, HypGraph, UnreachableError, delta_estimate,
     delta_exhaustive, farey_graph, farey_handle, geodesic, lp_handle,
-    model_handle, product_handle, real_line_handle, unparam_qgeo_check,
+    model_handle, real_line_handle, unparam_qgeo_check,
 )
 from coarsegeo.surfmodel import INFINITY, ZERO, Slope, farey_distance
 
 import oracles
 from oracles import (graph_handle, morse_excursion, nearest_point_projection,
-                     triangle_center_graph, unparam_qgeo_oracle)
+                     product_handle, triangle_center_graph, unparam_qgeo_oracle)
+
+BALL_DELTA = 1.0  # the thinness the triangle-centre checks allow on `ball`
 
 
 @pytest.fixture(scope="module")
 def ball():
-    g = farey_graph(-2, 3, 5)
-    g.set_delta(1.0)
-    return g
+    return farey_graph(-2, 3, 5)
 
 
 def test_geodesic_farey_examples(ball):
@@ -101,25 +101,25 @@ def test_nearest_point_projection(ball, rng):
 
 
 def test_triangle_center_cases(ball):
-    assert triangle_center_graph(ball, ZERO, ZERO, ZERO) == ZERO
+    assert triangle_center_graph(ball, ZERO, ZERO, ZERO, BALL_DELTA) == ZERO
     # degenerate: z on [x, y]
     seg = geodesic(ball, ZERO, Slope(2, 5))
     z = seg.vertices[1]
-    c = triangle_center_graph(ball, ZERO, Slope(2, 5), z)
+    c = triangle_center_graph(ball, ZERO, Slope(2, 5), z, BALL_DELTA)
     for a, b in ((ZERO, Slope(2, 5)), (ZERO, z), (Slope(2, 5), z)):
         side = geodesic(ball, a, b)
         d = ball.bfs_distances(side.vertices)
-        assert d.get(c, math.inf) <= ball.delta + 1
+        assert d.get(c, math.inf) <= BALL_DELTA + 1
     # the triangle (0, oo, 1/2) has a center adjacent to all three
-    c2 = triangle_center_graph(ball, ZERO, INFINITY, Slope(1, 2))
+    c2 = triangle_center_graph(ball, ZERO, INFINITY, Slope(1, 2), BALL_DELTA)
     for v in (ZERO, INFINITY, Slope(1, 2)):
         assert ball.distance(c2, v) <= 1
 
 
 def test_triangle_center_not_hyperbolic_error():
-    cyc = HypGraph([(i, (i + 1) % 12) for i in range(12)], delta=0.0)
+    cyc = HypGraph([(i, (i + 1) % 12) for i in range(12)])
     with pytest.raises(ValueError, match="not hyperbolic at scale"):
-        triangle_center_graph(cyc, 0, 4, 8)
+        triangle_center_graph(cyc, 0, 4, 8, 0.0)
 
 
 def test_morse_excursion_cases(ball):

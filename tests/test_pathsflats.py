@@ -16,7 +16,7 @@ from coarsegeo.pathsflats import (
     candidate_flats, certificates, extract_no_backtrack, farey_center,
     flat_fit, hull_membership, hull_thickness_audit, hull_transfer_check,
     lemma_g_excess, near_region_check, point_to_flat, preferred_path,
-    side_nearest, standard_flat_eval, steady_progress, tuple_center,
+    side_nearest, steady_progress, tuple_center,
     verify_preferred,
 )
 from coarsegeo.surfmodel import (
@@ -269,15 +269,9 @@ def test_flat_eval_and_l1_band(marking2, rng, cn):
         assert l1 / 3 - 25 <= d <= l1 + 1
 
 
-def test_flat_eval_outside_box_rejected(marking2):
-    flat = twist_flat(marking2, span=10)
-    with pytest.raises(ValueError):
-        standard_flat_eval(flat, (100, 0))
-
-
 def test_flat_fit_on_flat_and_noisy(marking2, rng, cn):
     flat = twist_flat(marking2, span=30)
-    samples = [standard_flat_eval(flat, (t, -t)) for t in range(-25, 26, 5)]
+    samples = [flat.eval((t, -t)) for t in range(-25, 26, 5)]
     fit, _ = flat_fit(samples, candidate_flats(samples, cn))
     assert fit == 0.0
     noisy = [twist_move(p, 0, int(rng.integers(-2, 3))) for p in samples]
@@ -296,7 +290,7 @@ def test_ray_factor_is_isometric_on_heights(augmented1):
 
 def test_point_to_flat_separates_off_flat_points(marking2, cn):
     flat = twist_flat(marking2, span=20)
-    on = standard_flat_eval(flat, (5, 5))
+    on = flat.eval((5, 5))
     assert point_to_flat(flat, on) == 0.0
     off = twist_move(on, 0, 60)  # twist far beyond the factor interval
     assert point_to_flat(flat, off) >= 30.0

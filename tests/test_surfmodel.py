@@ -138,10 +138,9 @@ def test_geodesic_is_valid_path(rng):
 def test_geodesic_invariants_survive_optimize_flag():
     """Under `python -O` a broken path search still raises: the end
     check and the edge check are not asserts.  Nor are the core checks
-    of `project`, `ExactSystem.boundary_projection` and the twist table of
-    a consistency check, which see an annulus stripped of its core after
-    construction, nor the unimodular check of `apply_matrix`, whose images
-    skip the gcd."""
+    of `project` and the twist table of a consistency check, which see an
+    annulus stripped of its core after construction, nor the unimodular
+    check of `apply_matrix`, whose images skip the gcd."""
     script = textwrap.dedent("""
         import sys
         from coarsegeo import surfmodel
@@ -167,8 +166,6 @@ def test_geodesic_invariants_survive_optimize_flag():
         object.__setattr__(coreless, "kind", "annulus")
         checks = {
             "project": lambda: surfmodel.project(surfmodel.base_point(surf), coreless),
-            "boundary": lambda: ExactSystem(surf, []).boundary_projection(
-                Subsurface("component", 0), coreless),
             "consistency": lambda: consistency_check(
                 ExactSystem(surf, [coreless]),
                 ProjectionTuple.of({Subsurface("component", 0): INFINITY,
@@ -188,7 +185,7 @@ def test_geodesic_invariants_survive_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("raised:") == 6
+    assert proc.stdout.count("raised:") == 5
 
 
 def test_pickled_points_rehash_in_the_loading_process():
