@@ -24,9 +24,8 @@ import numpy as np
 
 from . import surfmodel
 from .surfmodel import (AnnularPoint, Flavor, ModelPoint, ModelSurface, Slope, Subsurface,
-                        annular_distance, boundary_point, common_neighbors,
-                        complex_distance, distance_formula, farey_geodesic, project,
-                        twist_number)
+                        annular_distance, annular_row, common_neighbors, complex_distance,
+                        distance_formula, farey_geodesic, project)
 
 
 class WindowTooSmallError(RuntimeError):
@@ -94,41 +93,32 @@ def build_families(surface: ModelSurface,
 
 @dataclass
 class PkGraph:
-    edges: set[frozenset]
+    """The projection graph of a family: `edges` are the joined member
+    index pairs (v, w), v < w, in lexicographic order, and `table` the
+    family's twist table `surfmodel.twist_table`, T[u][v] the twisting
+    of core v about core u (empty for the component family)."""
 
-    def adjacent(self, a: Subsurface, b: Subsurface) -> bool:
-        return frozenset((a, b)) in self.edges
-
-
-def _mutual_projection(u: Subsurface, v: Subsurface, w: Subsurface, fl: Flavor) -> float:
-    """d_U of the boundaries of V and W, for three annuli on a component."""
-    return annular_distance(boundary_point(u.core, v.core, fl),
-                            boundary_point(u.core, w.core, fl), fl)
+    edges: list[tuple[int, int]]
+    table: list[list[int]]
 
 
 def build_pk_graph(family: FamilyY, k: float, fl: Flavor) -> PkGraph:
     """V and W are joined when every other member U sees their boundaries
     within K of each other.
 
-    Tested on the twist table T[u, v] = twist_number(core_u, core_v),
-    m(m - 1) calls for m cores: V and W are joined when the largest gap
-    max over u not in {v, w} of |T[u, v] - T[u, w]|, measured in the
+    Tested on the twist table: V and W are joined when the largest gap
+    max over u not in {v, w} of |T[u][v] - T[u][w]|, measured in the
     annular metric of the flavor (at its boundary height), is at most
     K.  This is exact: both points of a gap sit at the same height, where
     the annular metric is monotone in the twist difference, so the
     metric of the largest gap is the largest metric.  The gaps are
-    formed one row v at a time, so memory stays O(m^2)."""
-    members = family.members()
-    edges: set[frozenset] = set()
+    formed one row v at a time, so memory stays O(m^2) for m cores."""
     if family.kind == "component":
-        return PkGraph(edges)
-    cores = family.cores
-    m = len(cores)
-    table = np.zeros((m, m), dtype=np.int64)
-    for u, cu in enumerate(cores):
-        for v, cv in enumerate(cores):
-            if u != v:
-                table[u, v] = twist_number(cu, cv)
+        return PkGraph([], [])
+    rows = surfmodel.twist_table([(s.p, s.q) for s in family.cores])
+    table = np.array(rows, dtype=np.int64)
+    m = len(rows)
+    edges = []
     admissible: dict[int, bool] = {}
     for v in range(m - 1):
         ws = np.arange(v + 1, m)
@@ -141,8 +131,8 @@ def build_pk_graph(family: FamilyY, k: float, fl: Flavor) -> PkGraph:
                 ok = admissible[g] = annular_distance(
                     AnnularPoint(0, fl.boundary), AnnularPoint(g, fl.boundary), fl) <= k
             if ok:
-                edges.add(frozenset((members[v], members[w])))
-    return PkGraph(edges)
+                edges.append((v, w))
+    return PkGraph(edges, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +150,22 @@ class QuasiTree:
     every cross edge costs one; twists are already integral, so the
     horoball complexes are discretized at unit resolution natively.
 
+    A P_K edge (v, w) glues the node (v, T[v][w]) of the annulus about
+    core v to the node (w, T[w][v]) of the annulus about core w: a node
+    is a (host index, twist) pair of ints, at the flavor's boundary
+    height, read off the P_K twist table.  `Subsurface` and point
+    objects appear only in `distance`'s arguments and in `dump()`.  The
+    component family has no edges, so its tree has no nodes.
+
     The attachment graph is built once, at the first distance query: the
-    distinct attachment nodes, the node indices each complex hosts, and
-    sparse adjacency lists.  A marking annulus carries |twist
-    difference|, a line metric, so its block joins only consecutive
-    attachments in twist order: every other pair is joined through the
-    nodes between them at the same total, so no shortest path changes,
-    and all sums are integers held in floats, hence exact.  Component
-    and augmented (horoball) blocks stay complete, weighted by
-    `complex_metric`.  Cross edges cost one.
+    distinct nodes, numbered in edge order, the node indices each host
+    carries, and sparse adjacency lists.  A marking annulus carries
+    |twist difference|, a line metric, so its block joins only
+    consecutive nodes in twist order: every other pair is joined through
+    the nodes between them at the same total, so no shortest path
+    changes, and all sums are integers held in floats, hence exact.
+    Augmented (horoball) blocks stay complete, weighted by the horoball
+    metric.  Cross edges cost one.
 
     Everything else is computed on demand and cached with the tree:
     - a row, the heapq Dijkstra distances from one node to every node:
@@ -182,48 +179,28 @@ class QuasiTree:
     family: FamilyY
     pk: PkGraph
     fl: Flavor
-    attachments: dict[frozenset, tuple[QtPoint, QtPoint]] = field(default_factory=dict)
-    nodes: list[QtPoint] = field(default_factory=list, init=False, repr=False)
-    per_complex: dict[Subsurface, np.ndarray] = field(default_factory=dict, init=False,
-                                                      repr=False)
+    nodes: list[tuple[int, int]] = field(default_factory=list, init=False, repr=False)
+    hosts: dict[tuple[int, int], int] = field(default_factory=dict, init=False, repr=False)
+    per_complex: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
     adjacency: list[list[tuple[int, float]]] | None = field(default=None, init=False,
                                                             repr=False)
     rows: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
-    blocks: dict[tuple[Subsurface, Subsurface], np.ndarray] = field(
+    blocks: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, init=False,
+                                                      repr=False)
+    legs: dict[tuple[int, int, float | None], np.ndarray] = field(
         default_factory=dict, init=False, repr=False)
-    legs: dict[QtPoint, np.ndarray] = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        # edges in key order, not set order, so the attachment nodes, their
-        # numbering and `dump()` do not depend on the string hash seed
-        for e in sorted(self.pk.edges, key=lambda e: sorted(s.key() for s in e)):
-            v, w = sorted(e, key=lambda s: s.key())
-            self.attachments[e] = (
-                (v, self._boundary_point(v, w)),
-                (w, self._boundary_point(w, v)),
-            )
-
-    def _boundary_point(self, host: Subsurface, other: Subsurface):
-        if host.kind == "component":
-            return other.core
-        return boundary_point(host.core, other.core, self.fl)
-
-    def complex_metric(self, host: Subsurface, a, b) -> float:
-        return complex_distance(host, a, b, self.fl)
-
-    def _line_metric(self) -> bool:
-        return self.family.kind == "annuli" and not self.fl.heights
 
     def _graph(self) -> None:
         if self.adjacency is not None:
             return
-        index: dict[QtPoint, int] = {}
-        for ends in self.attachments.values():
-            for nd in ends:
-                index.setdefault(nd, len(index))
+        t = self.pk.table
+        index: dict[tuple[int, int], int] = {}
+        for v, w in self.pk.edges:
+            index.setdefault((v, t[v][w]), len(index))
+            index.setdefault((w, t[w][v]), len(index))
         nodes = list(index)
-        per_complex: dict[Subsurface, list[int]] = {}
-        for i, (host, _pt) in enumerate(nodes):
+        per_complex: dict[int, list[int]] = {}
+        for i, (host, _twist) in enumerate(nodes):
             per_complex.setdefault(host, []).append(i)
         adj: list[list[tuple[int, float]]] = [[] for _ in nodes]
 
@@ -231,20 +208,29 @@ class QuasiTree:
             adj[i].append((j, w))
             adj[j].append((i, w))
 
-        for host, idxs in per_complex.items():
-            if self._line_metric():
-                line = sorted(idxs, key=lambda i: nodes[i][1].twist)
+        for idxs in per_complex.values():
+            if not self.fl.heights:
+                line = sorted(idxs, key=lambda i: nodes[i][1])
                 for i, j in zip(line, line[1:]):
-                    join(i, j, float(nodes[j][1].twist - nodes[i][1].twist))
+                    join(i, j, float(nodes[j][1] - nodes[i][1]))
             else:
                 for at, i in enumerate(idxs):
-                    for j in idxs[at + 1:]:
-                        join(i, j, self.complex_metric(host, nodes[i][1], nodes[j][1]))
-        for a, b in self.attachments.values():
-            join(index[a], index[b], 1.0)
+                    row = annular_row(AnnularPoint(nodes[i][1], self.fl.boundary),
+                                      [nodes[j][1] for j in idxs[at + 1:]], self.fl)
+                    for j, w in zip(idxs[at + 1:], row):
+                        join(i, j, w)
+        for v, w in self.pk.edges:
+            join(index[v, t[v][w]], index[w, t[w][v]], 1.0)
         self.nodes = nodes
+        self.hosts = {(s.p, s.q): h for h, s in enumerate(self.family.cores)}
         self.per_complex = {h: np.array(idxs) for h, idxs in per_complex.items()}
         self.adjacency = adj
+
+    def _host(self, w: Subsurface) -> int | None:
+        """The index of the member w among the family's cores, if any."""
+        if w.kind != "annulus" or w.comp != self.family.comp:
+            return None
+        return self.hosts.get((w.core.p, w.core.q))
 
     def _row(self, src: int) -> np.ndarray:
         row = self.rows.get(src)
@@ -266,7 +252,7 @@ class QuasiTree:
         row = self.rows[src] = np.array(dist)
         return row
 
-    def _block(self, hu: Subsurface, hv: Subsurface) -> np.ndarray:
+    def _block(self, hu: int, hv: int) -> np.ndarray:
         blk = self.blocks.get((hu, hv))
         if blk is not None:
             return blk
@@ -274,28 +260,24 @@ class QuasiTree:
         blk = self.blocks[(hu, hv)] = blk[:, self.per_complex[hv]]
         return blk
 
-    def _legs(self, u: QtPoint) -> np.ndarray:
-        got = self.legs.get(u)
-        if got is not None:
-            return got
-        host, pt = u
-        ends = [self.nodes[i][1] for i in self.per_complex[host].tolist()]
-        if self._line_metric():
-            got = np.abs(np.array([e.twist for e in ends], dtype=float) - pt.twist)
-        else:
-            got = np.array([complex_distance(host, pt, e, self.fl) for e in ends])
-        self.legs[u] = got
+    def _legs(self, host: int, pt: AnnularPoint) -> np.ndarray:
+        key = (host, pt.twist, pt.height)
+        got = self.legs.get(key)
+        if got is None:
+            twists = [self.nodes[i][1] for i in self.per_complex[host].tolist()]
+            got = self.legs[key] = np.array(annular_row(pt, twists, self.fl))
         return got
 
     def distance(self, u: QtPoint, v: QtPoint) -> float:
         """Shortest glued path: a direct intra-complex leg, or out
         through this complex's attachments, across the attachment graph,
         and in through the target's."""
-        best = self.complex_metric(u[0], u[1], v[1]) if u[0] == v[0] else math.inf
+        best = complex_distance(u[0], u[1], v[1], self.fl) if u[0] == v[0] else math.inf
         self._graph()
-        if u[0] in self.per_complex and v[0] in self.per_complex:
-            via = (self._legs(u)[:, None] + self._block(u[0], v[0])
-                   + self._legs(v)[None, :]).min()
+        hu, hv = self._host(u[0]), self._host(v[0])
+        if hu in self.per_complex and hv in self.per_complex:
+            via = (self._legs(hu, u[1])[:, None] + self._block(hu, hv)
+                   + self._legs(hv, v[1])[None, :]).min()
             best = min(best, float(via))
         if best == math.inf:
             raise WindowTooSmallError(
@@ -303,24 +285,16 @@ class QuasiTree:
         return best
 
     def dump(self) -> dict:
+        names = [repr(m) for m in self.family.members()]
+        t, h = self.pk.table, self.fl.boundary
         return {
             "schema_version": 1,
             "family": self.family.label(),
-            "vertices": [repr(m) for m in self.family.members()],
-            "pk_edges": sorted(sorted(repr(s) for s in e) for e in self.pk.edges),
-            "cross_edges": [
-                {"a": [repr(a[0]), _pt_json(a[1])], "b": [repr(b[0]), _pt_json(b[1])]}
-                for a, b in self.attachments.values()
-            ],
+            "vertices": names,
+            "pk_edges": sorted(sorted((names[v], names[w])) for v, w in self.pk.edges),
+            "cross_edges": [{"a": [names[v], [t[v][w], h]], "b": [names[w], [t[w][v], h]]}
+                            for v, w in self.pk.edges],
         }
-
-
-def _pt_json(p):
-    if isinstance(p, Slope):
-        return p.to_json()
-    if isinstance(p, AnnularPoint):
-        return [p.twist, p.height]
-    return p
 
 
 # ---------------------------------------------------------------------------

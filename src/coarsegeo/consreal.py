@@ -13,7 +13,8 @@ twisting and read lengths off horoball heights.
 
 In the exact model the boundary projection between two annuli depends
 only on their cores, which a system fixes when it is built, so an exact
-system computes those twisting numbers once, in a per-component table,
+system computes those twisting numbers once, in a per-component
+`surfmodel.twist_table` (the table the projection graph of `bbf` reads),
 and every check on it (realization re-checks included) reads them back.
 """
 
@@ -118,10 +119,10 @@ class ExactSystem:
     Every boundary projection between two annuli of a component is
     boundary_point(core_u, core_v), a function of the two cores alone,
     and the cores are fixed when the system is built.  So the first
-    consistency check builds one twist table per component, T[u][v] =
-    twist_number(core_u, core_v) for each ordered pair of its k annuli
-    (k(k-1) ints, held by the system and freed with it), and every check
-    reads its overlap pairs off those rows exactly.
+    consistency check builds one twist table per component,
+    `surfmodel.twist_table` of its k annuli (k^2 Python ints, held by the
+    system and freed with it), and every check reads its overlap pairs
+    off those rows exactly.
     """
 
     def __init__(self, surface: ModelSurface,
@@ -140,8 +141,9 @@ class ExactSystem:
 
     def twist_table(self) -> list[tuple[Subsurface | None, list[Subsurface], list[list[int]]]]:
         """Per component, in member order: its component member (None when
-        only annuli name it), its annuli a_0..a_{k-1}, and rows[i] =
-        [twist_number(a_i.core, a_j.core) for j != i], built on first use."""
+        only annuli name it), its annuli a_0..a_{k-1}, and the square rows
+        T[i][j] = twist_number(a_i.core, a_j.core) of
+        `surfmodel.twist_table` (0 on the diagonal), built on first use."""
         if self._twists is None:
             groups: dict[int, list[Subsurface]] = {}
             for w in self._members:
@@ -149,12 +151,7 @@ class ExactSystem:
             table = []
             for group in groups.values():
                 annuli = [w for w in group if w.kind == "annulus"]
-                for a in annuli:
-                    if a.core is None:
-                        raise ValueError(f"annulus {a} has no core")
-                rows = [[surfmodel.twist_number(a.core, b.core)
-                         for j, b in enumerate(annuli) if j != i]
-                        for i, a in enumerate(annuli)]
+                rows = surfmodel.twist_table([(a.core.p, a.core.q) for a in annuli])
                 table.append((group[0] if group[0].kind == "component" else None, annuli, rows))
             self._twists = table
         return self._twists
@@ -176,13 +173,14 @@ class ExactSystem:
                     d_inner = math.inf if zw == a.core else annular_distance(
                         z[a], boundary_point(a.core, zw, fl), fl)
                     yield w, a, min(d_outer, d_inner)
-            if len(present) < len(annuli):  # row i skips column i
-                rows = [[rows[i][j - (j > i)] for j in present if j != i] for i in present]
-            dists = [annular_row(z[annuli[i]], row, fl)
-                     for i, row in zip(present, rows)]
+            if len(present) < 2:  # no overlap pair, so no coordinate is read
+                continue
+            if len(present) < len(annuli):
+                rows = [[rows[i][j] for j in present] for i in present]
+            dists = [annular_row(z[annuli[i]], row, fl) for i, row in zip(present, rows)]
             for s, i in enumerate(present):
                 for t in range(s + 1, len(present)):
-                    yield annuli[i], annuli[present[t]], min(dists[s][t - 1], dists[t][s])
+                    yield annuli[i], annuli[present[t]], min(dists[s][t], dists[t][s])
 
 
 def exact_system_for(x: ModelPoint, y: ModelPoint | None = None,

@@ -120,9 +120,6 @@ class Box:
             out.append((lo + q, hi - q))
         return Box(tuple(out))
 
-    def contains(self, p: Sequence[float]) -> bool:
-        return all(lo <= x <= hi for (lo, hi), x in zip(self.intervals, p))
-
     def to_json(self) -> list[list[int]]:
         return [list(iv) for iv in self.intervals]
 

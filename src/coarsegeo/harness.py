@@ -31,7 +31,8 @@ from .pathsflats import (FlatFactor, StandardFlat, candidate_flats,
                          extract_no_backtrack, flat_fit, preferred_path)
 from .surfmodel import (ModelPoint, ModelSurface, Slope, Subsurface,
                         base_point, farey_distance, farey_geodesic, flip_move,
-                        length_move, model_distance, surface_stats, twist_move)
+                        length_move, model_distance, surface_stats, twist_move,
+                        twist_number)
 
 INFINITY = surfmodel.INFINITY
 ZERO = surfmodel.ZERO
@@ -286,12 +287,6 @@ class ExperimentConfig:
             raise ValueError("need eps0 in (0,1) and r0 >= 1")
         if self.noise < 0:  # it would shrink the map's declared constant C
             raise ValueError(f"need noise >= 0, got {self.noise}")
-
-    def schedule(self, xi: int) -> tuple[float, float]:
-        """(eps_xi, R_xi) for the complexity-indexed cascade:
-        eps_xi = eps0^(6^xi), R_xi = r0 / eps_xi."""
-        e = self.eps0 ** (6 ** xi)
-        return e, self.r0 / e
 
     def to_json(self) -> dict:
         return {
@@ -705,9 +700,8 @@ def calibrate(seed: int = 42, scale: float = 1.0) -> Constants:
             for w in win:
                 if w in (u, v):
                     continue
-                k_edge = max(k_edge, bbf._mutual_projection(
-                    Subsurface("annulus", 0, w), Subsurface("annulus", 0, u),
-                    Subsurface("annulus", 0, v), marking1.fl))
+                # d_W of the boundaries of U and V, in the marking annular metric
+                k_edge = max(k_edge, float(abs(twist_number(w, u) - twist_number(w, v))))
     values["k_pk"] = math.ceil(k_edge) + 2.0
     k_prime = values["k_pk"] + 1.0
     pairs = [random_pair(marking1, rng, steps=14, big_twist=25) for _ in range(n(60))]

@@ -39,10 +39,6 @@ class GeodesicSegment:
             raise ValueError("empty segment")
 
     @property
-    def endpoints(self) -> tuple:
-        return (self.vertices[0], self.vertices[-1])
-
-    @property
     def length(self) -> int:
         return len(self.vertices) - 1
 

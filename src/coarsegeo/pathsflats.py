@@ -28,7 +28,7 @@ from .consreal import ExactSystem, ProjectionTuple, realize
 from .surfmodel import (AnnularPoint, Flavor, InessentialSubsurfaceError, ModelPoint,
                         ModelSurface, Slope, Subsurface, complex_distance, component_distance,
                         distance_formula, farey_adjacent, farey_distance,
-                        farey_geodesic, flip_state, geodesic_chart, horoball_distance,
+                        farey_geodesic, flip_state, geodesic_chart,
                         horoball_point_to_segment, model_distance, project,
                         subsurface_distance, twist_number, twist_state, _state_view)
 
@@ -261,7 +261,7 @@ class HullQuery:
 def side_nearest(w: Subsurface, fl: Flavor, a, b, coord) -> tuple[float, float]:
     """(distance, position from a) of the point of the side [a, b] nearest
     coord in the complex of w: the first nearest Farey vertex, or coord
-    clamped to the arc (in twist, or in the chart of `geodesic_chart`)."""
+    clamped to the arc (in twist, or by `horoball_point_to_segment`)."""
     if w.kind == "component":
         best_i, best_d = 0, math.inf
         for i, v in enumerate(farey_geodesic(a, b)):
@@ -272,10 +272,7 @@ def side_nearest(w: Subsurface, fl: Flavor, a, b, coord) -> tuple[float, float]:
     if not fl.heights:
         t = max(min(coord.twist, max(a.twist, b.twist)), min(a.twist, b.twist))
         return float(abs(coord.twist - t)), float(abs(t - a.twist))
-    to, _, la, lb = geodesic_chart(a.coords(), b.coords())
-    z = to(complex(*coord.coords()))
-    t = min(max(math.log(abs(z)), min(la, lb)), max(la, lb))
-    return horoball_distance((z.real, z.imag), (0.0, math.exp(t))), abs(t - la)
+    return horoball_point_to_segment(coord.coords(), a.coords(), b.coords())
 
 
 def hull_membership(q: HullQuery, z: ModelPoint) -> tuple[bool, Subsurface | None]:
@@ -348,7 +345,7 @@ def annular_center(a: AnnularPoint, b: AnnularPoint, c: AnnularPoint,
         mid = (ta + tb) / 2
         z = back(1j * math.exp(mid))
         p = (z.real, z.imag)
-        if horoball_point_to_segment(p, pb, pc) > horoball_point_to_segment(p, pa, pc):
+        if horoball_point_to_segment(p, pb, pc)[0] > horoball_point_to_segment(p, pa, pc)[0]:
             ta = mid
         else:
             tb = mid

@@ -70,9 +70,6 @@ class Slope:
     def __repr__(self) -> str:
         return "oo" if self.q == 0 else f"{self.p}/{self.q}"
 
-    def value(self) -> float:
-        return math.inf if self.q == 0 else self.p / self.q
-
     def to_json(self) -> list[int]:
         return [self.p, self.q]
 
@@ -181,6 +178,18 @@ def twist_number(core: Slope, curve: Slope) -> int:
     if den == 0:
         raise ValueError("only the core transports to infinity")
     return num // den
+
+
+def twist_table(cores: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """Square rows T[u][v] = twist_number(core_u, core_v) for distinct
+    (p, q) cores, with 0 on the diagonal: the int kernel of
+    `twist_number`, one cached transport per row."""
+    rows = []
+    for u, (p, q) in enumerate(cores):
+        a, b, c, d = _transport_at(p, q)
+        rows.append([0 if v == u else (a * s + b * t) // (c * s + d * t)
+                     for v, (s, t) in enumerate(cores)])
+    return rows
 
 
 # -- exact Farey distance ---------------------------------------------------
@@ -652,8 +661,6 @@ def _project_state(surf: ModelSurface, k: tuple, w: Subsurface) -> Slope | Annul
     if not fl.annuli:
         raise fl.lacks("annular coordinates")
     core = w.core
-    if core is None:
-        raise ValueError(f"annulus {w} has no core")
     # build only the slope the annulus reads: tau about the pants curve, else alpha
     if core.p == k[0] and core.q == k[1]:
         tw = twist_number(core, _trusted_slope(k[2], k[3]))
@@ -710,15 +717,15 @@ def geodesic_chart(a: tuple[float, float], b: tuple[float, float]):
 
 
 def horoball_point_to_segment(p: tuple[float, float], a: tuple[float, float],
-                              b: tuple[float, float]) -> float:
-    """Distance from p to the geodesic arc [a, b]: in the chart of
-    `geodesic_chart` the distance from w to i e^t grows with
-    |t - log|w||, so the nearest point of the arc is at the clamped
-    log-height."""
+                              b: tuple[float, float]) -> tuple[float, float]:
+    """(distance, position from a) of the point of the geodesic arc
+    [a, b] nearest p: in the chart of `geodesic_chart` the distance from
+    w to i e^t grows with |t - log|w||, so the nearest point of the arc
+    is at the clamped log-height t, |t - log|T(a)|| along the arc."""
     to, _, la, lb = geodesic_chart(a, b)
     w = to(complex(*p))
     t = min(max(math.log(abs(w)), min(la, lb)), max(la, lb))
-    return horoball_distance((w.real, w.imag), (0.0, math.exp(t)))
+    return horoball_distance((w.real, w.imag), (0.0, math.exp(t))), abs(t - la)
 
 
 def annular_distance(u: AnnularPoint, v: AnnularPoint, fl: Flavor) -> float:

@@ -28,3 +28,20 @@ def augmented1():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture()
+def calls_to(monkeypatch):
+    """calls_to(owner, name) patches owner.name to append the arguments
+    of each call to the list it returns, then call through."""
+
+    def patch(owner, name: str) -> list:
+        real, calls = getattr(owner, name), []
+
+        def recording(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, recording)
+        return calls
+    return patch

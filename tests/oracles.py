@@ -368,13 +368,16 @@ def glued_distances(qt: QuasiTree, pairs) -> list[float]:
     """Shortest glued path from u to v for each pair (u, v): the direct
     leg inside a shared complex, or the best over every pair of
     attachments (a, b) of leg to a + all-pairs table from a to b + leg
-    from b.  The table is Floyd-Warshall over complete intra-complex
-    blocks, a marking annulus block as one |twist difference| array and
-    any other block by scalar `complex_distance` calls, and the unit
-    cross edges."""
+    from b.  The attachments are the cross edges of `qt.dump()`, read
+    back into (member, point) pairs.  The table is Floyd-Warshall over
+    complete intra-complex blocks, a marking annulus block as one |twist
+    difference| array and any other block by scalar `complex_distance`
+    calls, and the unit cross edges."""
+    member = {repr(m): m for m in qt.family.members()}
+    cross = [tuple((member[host], AnnularPoint(*pt)) for host, pt in (e["a"], e["b"]))
+             for e in qt.dump()["cross_edges"]]
     index: dict = {}
-    for _edge, ends in sorted(qt.attachments.items(),
-                              key=lambda kv: sorted(s.key() for s in kv[0])):
+    for ends in cross:
         for nd in ends:
             index.setdefault(nd, len(index))
     nodes = list(index)
@@ -394,7 +397,7 @@ def glued_distances(qt: QuasiTree, pairs) -> list[float]:
         for host, idxs in groups.items():
             for i, j in itertools.permutations(idxs, 2):
                 w[i, j] = complex_distance(host, nodes[i][1], nodes[j][1], qt.fl)
-    for a, b in qt.attachments.values():
+    for a, b in cross:
         i, j = index[a], index[b]
         w[i, j] = min(w[i, j], 1.0)
         w[j, i] = min(w[j, i], 1.0)

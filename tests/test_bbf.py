@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coarsegeo import bbf
+from coarsegeo import bbf, surfmodel
 from coarsegeo.bbf import (
     FamilyY, PkGraph, QuasiTree, WindowTooSmallError,
     build_embedding, build_families, build_pk_graph,
@@ -49,15 +49,16 @@ def test_pk_graph_edges_monotone_in_k(marking1):
     prev: set = set()
     for k in (0.5, 2.0, 5.0, 20.0):
         pk = build_pk_graph(fam, k, marking1.fl)
-        assert prev <= pk.edges
-        prev = pk.edges
-        for e in pk.edges:
-            assert frozenset(e) == e and len(e) == 2
+        assert prev <= set(pk.edges)
+        prev = set(pk.edges)
+        assert pk.edges == sorted(prev)  # each pair once, in lexicographic order
+        for v, w in pk.edges:
+            assert 0 <= v < w < len(win[0])
 
 
 def test_pk_singleton_family_is_edgeless(marking1):
     pk = build_pk_graph(FamilyY(0, "component"), 5.0, marking1.fl)
-    assert pk.edges == set()
+    assert pk.edges == []
 
 
 def test_pk_blocks_separated_pair():
@@ -66,10 +67,26 @@ def test_pk_blocks_separated_pair():
     cores = (ZERO, INFINITY, Slope(120, 1))
     fam = FamilyY(0, "annuli", cores)
     pk = build_pk_graph(fam, k=3.0, fl=FLAVORS["marking"])
-    a = Subsurface("annulus", 0, ZERO)
-    c = Subsurface("annulus", 0, Slope(120, 1))
-    # the annulus at infinity sees their boundaries 120 twists apart
-    assert not pk.adjacent(a, c)
+    # the annulus at infinity sees the boundaries of 0 and 120 twists apart
+    assert (0, 2) not in pk.edges
+
+
+def test_one_twist_table_per_annuli_family(marking2, cn, calls_to):
+    """A window's embedding builds one twist table per annuli family, and
+    neither P_K nor the quasi-trees compute a twisting number of their
+    own: the glued distances read the table."""
+    x = base_point(marking2)
+    y = twist_move(flip_move(twist_move(x, 1, 5), 1), 0, 9)
+    window = working_window(x, y)
+    tables = calls_to(surfmodel, "twist_table")
+    calls = calls_to(surfmodel, "twist_number")
+    emb = build_embedding(marking2, window, cn["k_pk"])
+    assert tables == [([(s.p, s.q) for s in window[c]],) for c in (0, 1)]
+    assert calls == []
+    px, py = emb.project(x), emb.project(y)  # psi computes its own twisting numbers
+    calls.clear()
+    assert emb.distance(px, py) > 0
+    assert len(tables) == 2 and calls == []
 
 
 def test_quasitree_same_complex_and_symmetry(marking1, cn):
@@ -97,11 +114,13 @@ def test_quasitree_cross_edge_value_vs_exhaustive(marking1, cn):
     qt = emb.trees["annuli[0]"]
     wa = Subsurface("annulus", 0, ZERO)
     wb = Subsurface("annulus", 0, INFINITY)
-    e = frozenset((wa, wb))
-    assert e in qt.pk.edges
-    (ha, pa), (hb, pb) = qt.attachments[e]
-    u = (wa, AnnularPoint(pa.twist))
-    v = (wb, AnnularPoint(pb.twist))
+    doc = qt.dump()
+    assert sorted((repr(wa), repr(wb))) in doc["pk_edges"]
+    edge = next(e for e in doc["cross_edges"]
+                if {e["a"][0], e["b"][0]} == {repr(wa), repr(wb)})
+    twist = {host: pt[0] for host, pt in (edge["a"], edge["b"])}
+    u = (wa, AnnularPoint(twist[repr(wa)]))
+    v = (wb, AnnularPoint(twist[repr(wb)]))
     assert qt.distance(u, v) == pytest.approx(1.0)  # exactly the cross edge
 
 
@@ -232,20 +251,13 @@ def test_embedded_handle_hits_do_not_depend_on_the_hash_seed():
     assert counts[0] == counts[1] > 0
 
 
-def test_embedded_handle_hits_a_reversed_rebuilt_pair(marking1, cn, monkeypatch):
+def test_embedded_handle_hits_a_reversed_rebuilt_pair(marking1, cn, calls_to):
     """Equal points built apart, asked for in reverse order with their
     memory addresses in the opposite order, hit the cached distance."""
     x = base_point(marking1)
     y = twist_move(x, 0, 20)
     h = bbf.embedded_handle([x, y], cn["k_pk"])
-    calls = []
-    distance = bbf.QuasiTree.distance
-
-    def counted(self, u, v):
-        calls.append((u, v))
-        return distance(self, u, v)
-
-    monkeypatch.setattr(bbf.QuasiTree, "distance", counted)
+    calls = calls_to(bbf.QuasiTree, "distance")
     d = h.distance(x, y)
     assert len(calls) == 2  # one per family: the component and its annuli
     copies = [(ModelPoint(y.surface, y.states), ModelPoint(x.surface, x.states))

@@ -23,6 +23,14 @@ from coarsegeo.surfmodel import (FLAVORS, INFINITY, ZERO, AnnularPoint, ModelSur
 AUGMENTED_REL_TOL = 1e-12
 
 
+def _member_edges(pk, family: FamilyY) -> set[frozenset]:
+    """P_K's index pairs as the oracle's member pairs, after checking that
+    each pair (v, w) has v < w and comes once, in lexicographic order."""
+    assert pk.edges == sorted(set(pk.edges)) and all(v < w for v, w in pk.edges)
+    members = family.members()
+    return {frozenset((members[v], members[w])) for v, w in pk.edges}
+
+
 def _annuli_trees(emb):
     return [emb.trees[f.label()] for f in emb.families if f.kind == "annuli"]
 
@@ -49,7 +57,7 @@ def test_pk_and_marking_distance_on_pair_windows(marking2, cn):
         emb = embedding_for_pair(x, y, k)
         px, py = emb.project(x), emb.project(y)
         for qt in _annuli_trees(emb):
-            assert qt.pk.edges == oracles.pk_edges(qt.family, k, qt.fl)
+            assert _member_edges(qt.pk, qt.family) == oracles.pk_edges(qt.family, k, qt.fl)
             u, v = px.coord(qt.family.label()), py.coord(qt.family.label())
             assert qt.distance(u, v) == oracles.glued_distance(qt, u, v)
 
@@ -60,7 +68,7 @@ def test_pk_and_marking_distance_on_shared_window(marking1, cn):
     pts = [random_point(marking1, rng, steps=12, big_twist=25) for _ in range(12)]
     qt = _annuli_trees(shared_embedding(pts, k))[0]
     assert len(qt.family.cores) >= 50
-    assert qt.pk.edges == oracles.pk_edges(qt.family, k, qt.fl)
+    assert _member_edges(qt.pk, qt.family) == oracles.pk_edges(qt.family, k, qt.fl)
     queries = _sample_points(qt, rng, 8, augmented=False)
     for u, v in zip(queries[::2], queries[1::2]):
         assert qt.distance(u, v) == oracles.glued_distance(qt, u, v)
@@ -70,8 +78,10 @@ def _busiest_host_queries(qt: QuasiTree, rng, augmented: bool):
     """Query pairs among the three hosts with the most attachment nodes
     (most first), both ways and within one host, at random twists (and
     heights); also the node counts of those hosts and of the window."""
-    nodes = {nd for ends in qt.attachments.values() for nd in ends}
-    per_host = collections.Counter(host for host, _pt in nodes)
+    member = {repr(m): m for m in qt.family.members()}
+    nodes = {(e[end][0], tuple(e[end][1])) for e in qt.dump()["cross_edges"]
+             for end in ("a", "b")}
+    per_host = collections.Counter(member[host] for host, _pt in nodes)
     busy = sorted(per_host, key=lambda h: (-per_host[h], h.key()))[:3]
 
     def point(host):
@@ -118,7 +128,7 @@ def test_pk_and_distance_on_augmented_windows(bers, cn):
         fam = FamilyY(0, "annuli", working_window(x, y)[0])
         for k in (0.5, 1.0, 2.0, cn["k_pk"]):
             pk = build_pk_graph(fam, k, surface.fl)
-            assert pk.edges == oracles.pk_edges(fam, k, surface.fl)
+            assert _member_edges(pk, fam) == oracles.pk_edges(fam, k, surface.fl)
         qt = QuasiTree(fam, pk, surface.fl)
         queries = _sample_points(qt, rng, 10, augmented=True)
         for u, v in zip(queries[::2], queries[1::2]):
@@ -140,7 +150,7 @@ def test_pk_and_distance_on_tiny_families(m, flavor, cores):
     h = 1.0 if fl.heights else None
     for k in (0.5, 3.0, 200.0):
         pk = build_pk_graph(fam, k, fl)
-        assert pk.edges == oracles.pk_edges(fam, k, fl)
+        assert _member_edges(pk, fam) == oracles.pk_edges(fam, k, fl)
         if m < 2:
             continue
         qt = QuasiTree(fam, pk, fl)

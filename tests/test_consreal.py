@@ -15,7 +15,7 @@ from coarsegeo.harness import random_point
 from coarsegeo.surfmodel import (
     INFINITY, ZERO, AnnularPoint, ModelSurface, Slope, Subsurface,
     base_point, farey_distance, farey_geodesic, model_distance, project,
-    twist_move,
+    twist_move, twist_number,
 )
 
 from oracles import SyntheticSystem, synthetic_chain_system
@@ -134,13 +134,17 @@ def test_realize_swaps_in_demanding_annulus(marking1, cn):
 
 
 def test_realize_rejects_inconsistent(marking1, cn):
-    rngl = np.random.default_rng(8)
-    _, _, bad_sys, bad = synthetic_chain_system(3, rngl)
-    with pytest.raises(InconsistentTupleError):
-        # the exact realizer refuses synthetic inconsistency by contract
-        rep = consistency_check(bad_sys, bad, m=cn["m_realize"])
-        if not rep.verdict:
-            raise InconsistentTupleError(rep)
+    """A component coordinate 7 Farey steps from an annulus core, and a
+    twist about that core 100 away from what the coordinate projects to:
+    the nested pair reads min(7, 100) > m, so `realize` refuses the tuple
+    itself.  Past that check the one far demand would be realized."""
+    far = Slope(-169, 239)
+    w, a = Subsurface("component", 0), Subsurface("annulus", 0, ZERO)
+    assert farey_distance(far, ZERO) == 7 > cn["m_realize"]
+    z = ProjectionTuple.of({w: far, a: AnnularPoint(twist_number(ZERO, far) + 100)})
+    with pytest.raises(InconsistentTupleError) as err:
+        realize(ExactSystem(marking1, [w, a]), z, m=cn["m_realize"])
+    assert err.value.report.realized_m == 7.0
 
 
 def test_realize_two_demanding_annuli_is_rejected(marking1):

@@ -396,7 +396,7 @@ def test_hyperbolic_subbox_collapse_keeps_whole_box():
     sub, seg = hyperbolic_subbox(BoxMap(collapse, fh, K=1.0, C=2.0), box,
                                  eps=0.05)
     assert sub == box
-    assert seg.endpoints[0] in (ZERO, Slope(34, 55))
+    assert seg.vertices[0] in (ZERO, Slope(34, 55))
 
 
 def test_largest_true_box_matches_the_scan_of_every_range():

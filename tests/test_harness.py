@@ -37,15 +37,6 @@ def test_random_point_reaches_distance(marking2, augmented1, rng):
         assert model_distance(x, y) >= 20
 
 
-def test_schedule_matches_cascade(marking2):
-    cfg = ExperimentConfig(marking2, eps0=0.1, r0=50.0)
-    eps0, r_at_0 = cfg.schedule(0)
-    assert eps0 == 0.1 and r_at_0 == 500.0
-    eps1, r_at_1 = cfg.schedule(1)
-    assert eps1 == pytest.approx(0.1 ** 6)
-    assert r_at_1 == pytest.approx(50.0 / 0.1 ** 6)
-
-
 def test_config_json_and_digest(marking2):
     cfg = ExperimentConfig(marking2, eps0=0.05, seed=7)
     back = ExperimentConfig.from_json(cfg.to_json())

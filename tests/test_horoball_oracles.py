@@ -62,7 +62,7 @@ def _assert_agree(surface: ModelSurface,
         got = annular_center(a, b, c, FLAVORS["augmented"])
         assert got.twist == int(want_tw[i]), (a, b, c)
         assert got.height == pytest.approx(want_h[i], rel=HEIGHT_RTOL, abs=0), (a, b, c)
-        assert horoball_point_to_segment(c.coords(), a.coords(), b.coords()) == pytest.approx(
+        assert horoball_point_to_segment(c.coords(), a.coords(), b.coords())[0] == pytest.approx(
             want_seg[i], rel=0, abs=SEGMENT_ATOL), (a, b, c)
         assert side_nearest(W, surface.fl, a, b, c)[1] == pytest.approx(
             want_pos[i], rel=0, abs=POSITION_ATOL), (a, b, c)
@@ -95,8 +95,8 @@ def test_closed_forms_match_searches_on_degenerate_triples():
     assert centre.twist == a.twist and centre.height == pytest.approx(a.height, rel=1e-15)
     centre = annular_center(a, b, on_arc, FLAVORS["augmented"])
     assert centre.twist == 0 and centre.height == pytest.approx(5.0, rel=1e-12)
-    assert horoball_point_to_segment(on_arc.coords(), a.coords(), b.coords()) == 0.0
-    assert horoball_point_to_segment((9.0, 2.0), a.coords(), a.coords()) == \
+    assert horoball_point_to_segment(on_arc.coords(), a.coords(), b.coords())[0] == 0.0
+    assert horoball_point_to_segment((9.0, 2.0), a.coords(), a.coords())[0] == \
         pytest.approx(horoball_distance((9.0, 2.0), a.coords()), rel=1e-15)
     assert side_nearest(W, surface.fl, a, a, on_arc)[1] == 0.0
     assert side_nearest(W, surface.fl, a, b, on_arc)[1] == pytest.approx(

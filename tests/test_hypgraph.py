@@ -42,7 +42,7 @@ def test_geodesic_reversal_symmetry(ball, rng):
 
 
 def test_geodesic_length_matches_exact_distance(ball, rng):
-    inner = [v for v in ball.vertices if 0 <= v.value() <= 1 and 0 < v.q <= 8]
+    inner = [v for v in ball.vertices if 0 < v.q <= 8 and 0 <= v.p / v.q <= 1]
     for _ in range(80):
         i, j = rng.choice(len(inner), size=2, replace=False)
         a, b = inner[int(i)], inner[int(j)]

@@ -1,6 +1,7 @@
-"""Every public top-level function and class of the package is referenced
-by other package code; what only the tests, the demos or the benchmark
-reach belongs in `tests/`, not `src/`.
+"""Every public top-level function and class of the package, and every
+public method of such a class, is referenced by other package code; what
+only the tests, the demos or the benchmark reach belongs in `tests/`, not
+`src/`.
 
 A definition counts as referenced when a `Name` or `Attribute` node with
 its name appears somewhere in the package outside the definition itself,
@@ -28,21 +29,30 @@ def _names(node: ast.AST) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public(body: list[ast.stmt]) -> list:
+    return [node for node in body if isinstance(node, DEFS) and not node.name.startswith("_")]
+
+
 def unreferenced(sources: dict[str, str]) -> list[str]:
-    """`module.name` of each public top-level function or class in
-    `sources` (module name -> source text) that nothing else in them
-    refers to."""
+    """`module.name` of each public top-level function or class, and
+    `module.Class.name` of each public method of a public top-level
+    class, in `sources` (module name -> source text) that nothing else
+    in them refers to."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
     refs = sum((_names(tree) for tree in trees.values()), Counter())
-    return [f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")
-            and refs[node.name] == _names(node)[node.name]]
+    defs = [(f"{mod}.{node.name}", node) for mod, tree in trees.items()
+            for node in _public(tree.body)]
+    defs += [(f"{qual}.{meth.name}", meth) for qual, node in list(defs)
+             if isinstance(node, ast.ClassDef) for meth in _public(node.body)]
+    return [qual for qual, node in defs if refs[node.name] == _names(node)[node.name]]
 
 
 def test_every_public_definition_is_reached_by_package_code():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
-    found = {q.split(".")[1] for q in unreferenced(sources)}
+    found = {q.split(".", 1)[1] for q in unreferenced(sources)}
     assert not found - UNREACHED, f"only tests, demos or the benchmark reach: {found - UNREACHED}"
     assert not UNREACHED - found, f"exceptions package code now reaches: {UNREACHED - found}"
 
@@ -52,6 +62,9 @@ def test_the_guard_finds_an_unreferenced_function():
               "def unused():\n    return used()\n\n"
               "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
               "def _private():\n    pass\n\n"
-              "class Kept:\n    pass\n\n"
+              "class Kept:\n"
+              "    def called(self):\n        return self.called\n\n"
+              "    def uncalled(self):\n        return self.called()\n\n"
+              "    def _private(self):\n        pass\n\n"
               "KEPT = Kept\n")
-    assert unreferenced({"m": source}) == ["m.unused", "m.recursive"]
+    assert unreferenced({"m": source}) == ["m.unused", "m.recursive", "m.Kept.uncalled"]

@@ -58,15 +58,9 @@ def _bits(result):
     return total.hex(), [(w, d.hex()) for w, d in terms]
 
 
-def test_distance_formula_matches_direct_loop(monkeypatch):
+def test_distance_formula_matches_direct_loop(calls_to):
     surfmodel.clear_caches()
-    body, runs = surfmodel._component_terms, []
-
-    def counted(*args):
-        runs.append(args[1])
-        return body(*args)
-
-    monkeypatch.setattr(surfmodel, "_component_terms", counted)
+    runs = calls_to(surfmodel, "_component_terms")
     rng = np.random.default_rng(505)
     checked = asked = 0
     for surface in SURFACES:
