@@ -11,7 +11,7 @@ import numpy as np
 
 from coarsegeo.consreal import (bgit_audit, consistency_check,
                                 exact_system_for, realize,
-                                tuple_of_projections, ProjectionTuple)
+                                tuple_of_projections)
 from coarsegeo.constants import default_constants
 from coarsegeo.harness import random_point
 from coarsegeo.surfmodel import (AnnularPoint, ModelSurface, Slope, Subsurface,
@@ -39,9 +39,9 @@ print("=== a twist demand forces the pants curve ===")
 base = base_point(ModelSurface(((1, 1),), flavor="marking"))
 core = Slope(1, 3)
 sys2 = exact_system_for(base, extra_cores=[(0, core)])
-coords = dict(tuple_of_projections(base, sys2).coords)
+coords = tuple_of_projections(base, sys2)
 coords[Subsurface("annulus", 0, core)] = AnnularPoint(500)
-out = realize(sys2, ProjectionTuple.of(coords), m=cn["m_realize"])
+out = realize(sys2, coords, m=cn["m_realize"])
 print("realized pants slope:", out.alpha(0), "(the demanding core)")
 
 print()

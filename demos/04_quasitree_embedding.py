@@ -11,12 +11,11 @@ distance dominating half of the thresholded projection sum.
 import numpy as np
 
 from coarsegeo.bbf import (build_embedding, embedding_audit,
-                           embedding_for_pair, lower_bound_audit,
-                           working_window)
+                           embedding_for_pair, lower_bound_audit)
 from coarsegeo.constants import default_constants
 from coarsegeo.harness import random_pair
 from coarsegeo.surfmodel import (ModelSurface, base_point, model_distance,
-                                 twist_move)
+                                 twist_move, working_window)
 
 cn = default_constants()
 surface = ModelSurface(((1, 1),), flavor="marking")

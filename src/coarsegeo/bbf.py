@@ -23,9 +23,10 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import surfmodel
+from .hypgraph import MetricHandle
 from .surfmodel import (AnnularPoint, Flavor, ModelPoint, ModelSurface, Slope, Subsurface,
-                        annular_distance, annular_row, common_neighbors, complex_distance,
-                        distance_formula, farey_geodesic, project)
+                        annular_distance, annular_row, complex_distance, distance_formula,
+                        project, working_window)
 
 
 class WindowTooSmallError(RuntimeError):
@@ -53,25 +54,6 @@ class FamilyY:
 
     def label(self) -> str:
         return f"{self.kind}[{self.comp}]"
-
-
-def working_window(x: ModelPoint, y: ModelPoint) -> dict[int, tuple[Slope, ...]]:
-    """Finite core sets per component: both endpoints' curves, the
-    canonical geodesic between the pants slopes, and the mediant fan at
-    distance one from its edges.  Cores beyond this window contribute a
-    bounded amount by the bounded geodesic image property."""
-    out: dict[int, set[Slope]] = {i: set() for i in range(x.surface.n_components)}
-    for i in range(x.surface.n_components):
-        geo = farey_geodesic(x.alpha(i), y.alpha(i))
-        out[i].update(geo)
-        for u, v in zip(geo, geo[1:]):
-            out[i].update(common_neighbors(u, v))
-        for pt in (x, y):
-            st = pt.state(i)
-            out[i].add(st.alpha)
-            if st.tau is not None:
-                out[i].add(st.tau)
-    return {i: tuple(sorted(s, key=Slope.key)) for i, s in out.items()}
 
 
 def build_families(surface: ModelSurface,
@@ -321,7 +303,22 @@ class Embedding:
     trees: dict[str, QuasiTree]
 
     def project(self, x: ModelPoint) -> EmbeddedPoint:
-        return psi_project(x, self)
+        """Coordinate per family at the member minimizing the worst
+        intersection with the pants curves: the component itself for the
+        singleton family, the pants curve's annulus (intersection zero)
+        for the annuli family."""
+        coords = []
+        for fam in self.families:
+            if fam.kind == "component":
+                w = Subsurface("component", fam.comp)
+            else:
+                alpha = x.alpha(fam.comp)
+                if alpha not in fam.cores:
+                    raise WindowTooSmallError(
+                        f"pants curve {alpha} of the point is outside the window")
+                w = Subsurface("annulus", fam.comp, alpha)
+            coords.append((fam.label(), (w, project(x, w))))
+        return EmbeddedPoint(tuple(coords))
 
     def distance(self, a: EmbeddedPoint, b: EmbeddedPoint) -> float:
         total = 0.0
@@ -339,26 +336,6 @@ def build_embedding(surface: ModelSurface, window: dict[int, tuple[Slope, ...]],
         pk = build_pk_graph(fam, k, surface.fl)
         trees[fam.label()] = QuasiTree(fam, pk, surface.fl)
     return Embedding(families, trees)
-
-
-def psi_project(x: ModelPoint, emb: Embedding) -> EmbeddedPoint:
-    """Coordinate per family at the member minimizing the worst
-    intersection with the pants curves: the component itself for the
-    singleton family, the pants curve's annulus (intersection zero) for
-    the annuli family."""
-    coords = []
-    for fam in emb.families:
-        if fam.kind == "component":
-            w = Subsurface("component", fam.comp)
-            coords.append((fam.label(), (w, project(x, w))))
-        else:
-            alpha = x.alpha(fam.comp)
-            if alpha not in fam.cores:
-                raise WindowTooSmallError(
-                    f"pants curve {alpha} of the point is outside the window")
-            w = Subsurface("annulus", fam.comp, alpha)
-            coords.append((fam.label(), (w, project(x, w))))
-    return EmbeddedPoint(tuple(coords))
 
 
 def embedding_for_pair(x: ModelPoint, y: ModelPoint, k: float) -> Embedding:
@@ -401,8 +378,7 @@ def shared_embedding(points: Sequence[ModelPoint], k: float) -> Embedding:
     base = points[0]
     cores: dict[int, set[Slope]] = {i: set() for i in range(base.surface.n_components)}
     for p in points:
-        win = working_window(base, p)
-        for i, cs in win.items():
+        for i, cs in working_window(base, p).items():
             cores[i].update(cs)
     window = {i: tuple(sorted(s, key=Slope.key)) for i, s in cores.items()}
     return build_embedding(base.surface, window, k)
@@ -414,8 +390,6 @@ def embedded_handle(points: Sequence[ModelPoint], k: float):
     separates points that differ by small twists, which is what the
     efficiency machinery needs (efficiency is not a quasi-isometry
     invariant, so the receiving metric matters)."""
-    from .hypgraph import MetricHandle
-
     emb = shared_embedding(points, k)
     cache: dict = {}
 

@@ -1,15 +1,17 @@
 """Consistency checking, realization, and projection audits.
 
-A tuple with one coordinate per subsurface is M-consistent when every
-overlapping pair satisfies min(d_U(z_U, bV), d_V(z_V, bU)) <= M and
-every nested pair V inside U satisfies min(d_U(z_U, bV), d_V(z_V, z_U))
-<= M, where bV is the boundary of V projected into the other complex.
-Tuples of projections of genuine model points always pass at a frozen
-constant, and consistent tuples can be realized back into the exact
-model: pick pants slopes from component coordinates, swap in any
-annulus whose twist demand is far from that choice (those form a
-multicurve, at most one per component here), then build transversals by
-twisting and read lengths off horoball heights.
+A tuple is a plain dict with one coordinate per subsurface: a pants
+slope for a component, an annular point for an annulus.  It is
+M-consistent when every overlapping pair satisfies
+min(d_U(z_U, bV), d_V(z_V, bU)) <= M and every nested pair V inside U
+satisfies min(d_U(z_U, bV), d_V(z_V, z_U)) <= M, where bV is the
+boundary of V projected into the other complex.  Tuples of
+projections of genuine model points always pass at a frozen constant,
+and consistent tuples can be realized back into the exact model: pick
+pants slopes from component coordinates, swap in any annulus whose
+twist demand is far from that choice (those form a multicurve, at most
+one per component here), then build transversals by twisting and read
+lengths off horoball heights.
 
 In the exact model the boundary projection between two annuli depends
 only on their cores, which a system fixes when it is built, so an exact
@@ -21,13 +23,15 @@ and every check on it (realization re-checks included) reads them back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping
 
 from . import surfmodel
 from .surfmodel import (AnnularPoint, ModelPoint, ModelSurface, Slope, Subsurface,
                         annular_distance, annular_row, boundary_point, farey_distance,
                         pinned_state, project, twist_number)
+
+Coordinate = Slope | AnnularPoint  # a tuple is a Mapping[Subsurface, Coordinate]
 
 
 class MissingProjectionError(KeyError):
@@ -38,39 +42,6 @@ class InconsistentTupleError(ValueError):
     def __init__(self, report: "ConsistencyReport"):
         super().__init__(f"tuple is not consistent: realized M = {report.realized_m:.2f}")
         self.report = report
-
-
-@dataclass(frozen=True)
-class ProjectionTuple:
-    """Coordinates indexed by subsurface (or another hashable id)."""
-
-    coords: tuple[tuple[Hashable, Any], ...]
-    _index: dict = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        # reversed, so a repeated key maps to its first coordinate
-        object.__setattr__(self, "_index", dict(reversed(self.coords)))
-
-    @classmethod
-    def of(cls, mapping: Mapping[Hashable, Any]) -> "ProjectionTuple":
-        items = sorted(mapping.items(), key=lambda kv: _id_key(kv[0]))
-        return cls(tuple(items))
-
-    def __getitem__(self, key):
-        return self._index[key]
-
-    def __contains__(self, key) -> bool:
-        return key in self._index
-
-    def keys(self):
-        return [k for k, _ in self.coords]
-
-    def to_json(self) -> list:
-        return [[_id_json(k), _coord_json(v)] for k, v in self.coords]
-
-
-def _id_key(u) -> tuple:
-    return u.key() if hasattr(u, "key") else (str(u),)
 
 
 def _id_json(u):
@@ -114,7 +85,8 @@ class ConsistencyReport:
 class ExactSystem:
     """The subsurface system of a zero-complexity model surface,
     restricted to a finite working set of annuli per component (none in
-    a flavor without annuli).
+    a flavor without annuli).  `members()` are sorted by `Subsurface.key`,
+    and the checks read a tuple by looking its members up in it.
 
     Every boundary projection between two annuli of a component is
     boundary_point(core_u, core_v), a function of the two cores alone,
@@ -130,7 +102,7 @@ class ExactSystem:
         self.surface = surface
         subs = {w for w in subsurfaces if surface.fl.annuli or w.kind == "component"}
         comps = {Subsurface("component", i) for i in range(surface.n_components)}
-        self._members = sorted(subs | comps, key=_id_key)
+        self._members = sorted(subs | comps, key=Subsurface.key)
         self._twists = None  # twist_table(), built by the first check
 
     def members(self) -> list[Subsurface]:
@@ -156,7 +128,8 @@ class ExactSystem:
             self._twists = table
         return self._twists
 
-    def pair_values(self, z: ProjectionTuple) -> Iterator[tuple[Subsurface, Subsurface, float]]:
+    def pair_values(self, z: Mapping[Subsurface, Coordinate],
+                    ) -> Iterator[tuple[Subsurface, Subsurface, float]]:
         """(u, v, value) for each related pair of the members in z, u
         before v in member order, component by component: each nested pair
         (W, A) as min(d_W(z_W, core of A), d_A(z_A, pi_A(z_W))), and each
@@ -193,8 +166,8 @@ def exact_system_for(x: ModelPoint, y: ModelPoint | None = None,
     return ExactSystem(x.surface, subs)
 
 
-def tuple_of_projections(x: ModelPoint, sys: ExactSystem) -> ProjectionTuple:
-    return ProjectionTuple.of({w: project(x, w) for w in sys.members()})
+def tuple_of_projections(x: ModelPoint, sys: ExactSystem) -> dict[Subsurface, Coordinate]:
+    return {w: project(x, w) for w in sys.members()}
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +175,7 @@ def tuple_of_projections(x: ModelPoint, sys: ExactSystem) -> ProjectionTuple:
 # ---------------------------------------------------------------------------
 
 
-def consistency_check(sys: ExactSystem, z: ProjectionTuple,
+def consistency_check(sys: ExactSystem, z: Mapping[Subsurface, Coordinate],
                       m: float) -> ConsistencyReport:
     """Evaluate both consistency conditions on every related pair.
 
@@ -223,7 +196,7 @@ def consistency_check(sys: ExactSystem, z: ProjectionTuple,
 # ---------------------------------------------------------------------------
 
 
-def _bad_annuli(sys: ExactSystem, z: ProjectionTuple, comp: int,
+def _bad_annuli(sys: ExactSystem, z: Mapping[Subsurface, Coordinate], comp: int,
                 pants: Slope, m_bad: float) -> list[Subsurface]:
     """Annuli whose coordinate demands more twisting about their core
     than the chosen pants slope provides, largest defect first."""
@@ -240,7 +213,7 @@ def _bad_annuli(sys: ExactSystem, z: ProjectionTuple, comp: int,
     return [w for _, w in out]
 
 
-def realize(sys: ExactSystem, z: ProjectionTuple, m: float,
+def realize(sys: ExactSystem, z: Mapping[Subsurface, Coordinate], m: float,
             m_bad: float | None = None) -> ModelPoint:
     """Build a model point whose projections track a consistent tuple.
 
@@ -274,7 +247,7 @@ def realize(sys: ExactSystem, z: ProjectionTuple, m: float,
     return ModelPoint(surface, tuple(states))
 
 
-def realization_defects(sys: ExactSystem, z: ProjectionTuple,
+def realization_defects(sys: ExactSystem, z: Mapping[Subsurface, Coordinate],
                         point: ModelPoint) -> dict[Subsurface, float]:
     """Per-subsurface distance between the realized point's projections
     and the requested coordinates."""

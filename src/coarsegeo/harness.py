@@ -285,6 +285,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (0 < self.eps0 < 1) or self.r0 < 1:
             raise ValueError("need eps0 in (0,1) and r0 >= 1")
+        if not math.isfinite(self.r0):
+            raise ValueError(f"need a finite r0, got {self.r0}")
+        if not 0 < self.theta0 < math.inf:
+            raise ValueError(f"need a finite theta0 > 0, got {self.theta0}")
         if self.noise < 0:  # it would shrink the map's declared constant C
             raise ValueError(f"need noise >= 0, got {self.noise}")
 
@@ -686,7 +690,7 @@ def calibrate(seed: int = 42, scale: float = 1.0) -> Constants:
         q = pathsflats.HullQuery(x, y, kappa=math.inf)
         for p in path.points[:: max(1, len(path.points) // 25)]:
             kappa0 = max(kappa0, max(q.side_distance(w, surfmodel.project(p, w))
-                                     for w in q.certs))
+                                     for w in q.sides))
     values["kappa_hull"] = math.ceil(kappa0) + 2.0
     values["kappa_hull_transfer"] = 2 * values["kappa_hull"] + 2.0
 
@@ -694,7 +698,7 @@ def calibrate(seed: int = 42, scale: float = 1.0) -> Constants:
     k_edge = 0.0
     for _ in range(n(40)):
         x, y = random_pair(marking1, rng, steps=12, big_twist=18)
-        win = bbf.working_window(x, y)[0]
+        win = surfmodel.working_window(x, y)[0]
         geo = farey_geodesic(x.alpha(0), y.alpha(0))
         for u, v in zip(geo, geo[1:]):
             for w in win:
@@ -977,7 +981,7 @@ def _realize(ns):
     coords = _load_json_arg(ns.tuple, "tuple", lambda doc: _tuple_coords(surface, doc))
     system = consreal.ExactSystem(surface, coords.keys())
     try:
-        return consreal.realize(system, consreal.ProjectionTuple.of(coords), m=m).to_json()
+        return consreal.realize(system, coords, m=m).to_json()
     except (consreal.MissingProjectionError, consreal.InconsistentTupleError) as exc:
         raise argparse.ArgumentError(None, exc.args[0]) from None
 

@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from . import bbf, effdiff, surfmodel
+from . import effdiff, surfmodel
 from .constants import Constants, default_constants
 from .effdiff import PathTrace
 from .hypgraph import MetricHandle, unparam_qgeo_check
-from .consreal import ExactSystem, ProjectionTuple, realize
+from .consreal import ExactSystem, realize
 from .surfmodel import (AnnularPoint, Flavor, InessentialSubsurfaceError, ModelPoint,
                         ModelSurface, Slope, Subsurface, complex_distance, component_distance,
                         distance_formula, farey_adjacent, farey_distance,
@@ -84,13 +84,7 @@ def certificates(x: ModelPoint, y: ModelPoint) -> list[Subsurface]:
     plus the annuli of the working window (geodesic vertices, the
     distance-one fan, endpoint curves; wider annuli are capped by the
     bounded geodesic image property)."""
-    window = bbf.working_window(x, y)
-    out: list[Subsurface] = []
-    for comp in range(x.surface.n_components):
-        out.append(Subsurface("component", comp))
-        if x.surface.fl.annuli:
-            out.extend(Subsurface("annulus", comp, s) for s in window[comp])
-    return out
+    return surfmodel.window_subsurfaces(x.surface, surfmodel.working_window(x, y))
 
 
 def _twist_steps(points: list[ModelPoint], moves: list[Move], comp: int,
@@ -240,22 +234,20 @@ def verify_preferred(path: PreferredPath, constants: Constants | None = None) ->
 
 @dataclass
 class HullQuery:
-    """Cached geodesics of all certificate complexes for one endpoint pair."""
+    """The sides of one endpoint pair: `sides[w]` is (pi_w(x), pi_w(y))
+    for each certificate w, in `certificates` order."""
 
     x: ModelPoint
     y: ModelPoint
     kappa: float
-    certs: list[Subsurface] = field(default_factory=list)
+    sides: dict[Subsurface, tuple[Any, Any]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.certs:
-            self.certs = certificates(self.x, self.y)
-        self._sides: dict[Subsurface, Any] = {}
-        for w in self.certs:
-            self._sides[w] = (project(self.x, w), project(self.y, w))
+        self.sides = {w: (project(self.x, w), project(self.y, w))
+                      for w in certificates(self.x, self.y)}
 
     def side_distance(self, w: Subsurface, coord) -> float:
-        return side_nearest(w, self.x.surface.fl, *self._sides[w], coord)[0]
+        return side_nearest(w, self.x.surface.fl, *self.sides[w], coord)[0]
 
 
 def side_nearest(w: Subsurface, fl: Flavor, a, b, coord) -> tuple[float, float]:
@@ -280,7 +272,7 @@ def hull_membership(q: HullQuery, z: ModelPoint) -> tuple[bool, Subsurface | Non
     the geodesic between the endpoint projections; the witness is the
     worst offending subsurface otherwise."""
     worst_w, worst_d = None, -1.0
-    for w in q.certs:
+    for w in q.sides:
         d = q.side_distance(w, project(z, w))
         if d > worst_d:
             worst_w, worst_d = w, d
@@ -364,15 +356,9 @@ def tuple_center(x: ModelPoint, y: ModelPoint, z: ModelPoint,
                  constants: Constants) -> ModelPoint:
     """Realize the tuple of per-complex triangle centers."""
     surface = x.surface
-    certs = sorted(set(certificates(x, y)) | set(certificates(y, z))
-                   | set(certificates(x, z)), key=lambda w: w.key())
-    coords = {}
-    for w in certs:
-        coords[w] = triangle_center(w, project(x, w), project(y, w), project(z, w),
-                                    surface.fl)
-    sys = ExactSystem(surface, certs)
-    tup = ProjectionTuple.of(coords)
-    return realize(sys, tup, m=constants["m_realize"])
+    coords = {w: triangle_center(w, project(x, w), project(y, w), project(z, w), surface.fl)
+              for w in {*certificates(x, y), *certificates(y, z), *certificates(x, z)}}
+    return realize(ExactSystem(surface, coords), coords, m=constants["m_realize"])
 
 
 # ---------------------------------------------------------------------------
@@ -393,17 +379,15 @@ def extract_no_backtrack(trace: PathTrace, x: ModelPoint, y: ModelPoint,
     if not effdiff.efficiency_test(trace, R, eps, constants["theta_eff"]):
         raise NotEfficientInputError("input not efficient")
     surface = x.surface
-    certs = certificates(x, y)
-    sides = {w: (project(x, w), project(y, w)) for w in certs}
-    sys = ExactSystem(surface, certs)
-    best_pos: dict[Subsurface, float] = {w: -math.inf for w in certs}
+    sides = HullQuery(x, y, math.inf).sides
+    sys = ExactSystem(surface, sides)
+    best_pos: dict[Subsurface, float] = {w: -math.inf for w in sides}
     best_coord: dict[Subsurface, Any] = {}
     realized: list[ModelPoint] = []
-    positions_log: dict[Subsurface, list[float]] = {w: [] for w in certs}
+    positions_log: dict[Subsurface, list[float]] = {w: [] for w in sides}
     for p in trace.points:
         coords = {}
-        for w in certs:
-            pa, pb = sides[w]
+        for w, (pa, pb) in sides.items():
             eta = triangle_center(w, pa, pb, project(p, w), surface.fl)
             pos = side_nearest(w, surface.fl, pa, pb, eta)[1]
             if pos > best_pos[w]:
@@ -411,8 +395,7 @@ def extract_no_backtrack(trace: PathTrace, x: ModelPoint, y: ModelPoint,
                 best_coord[w] = eta
             positions_log[w].append(best_pos[w])
             coords[w] = best_coord[w]
-        tup = ProjectionTuple.of(coords)
-        realized.append(realize(sys, tup, m=constants["m_realize"]))
+        realized.append(realize(sys, coords, m=constants["m_realize"]))
     for w, log in positions_log.items():
         if any(b < a - 1e-9 for a, b in zip(log, log[1:])):
             raise PathVerificationError(f"extracted shadow backtracked in {w}")

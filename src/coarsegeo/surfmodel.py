@@ -360,8 +360,8 @@ class ModelSurface:
             if c not in ALLOWED_COMPONENTS:
                 raise ValueError(f"component {c} is not an exactly computable piece")
         fl = Flavor.named(self.flavor)
-        if self.bers <= 0 or self.threshold <= 0:
-            raise ValueError("bers bound and threshold must be positive")
+        if not (0 < self.bers < math.inf and 0 < self.threshold < math.inf):
+            raise ValueError("bers bound and threshold must be finite and positive")
         object.__setattr__(self, "fl", replace(fl, bers=self.bers))
         key = (self.components, self.flavor, self.bers, self.threshold)
         object.__setattr__(self, "_key", key)
@@ -793,24 +793,60 @@ def subsurface_distance(x: ModelPoint, y: ModelPoint, w: Subsurface) -> float:
                             surf.fl)
 
 
+def _candidate_cores(kx: tuple, ky: tuple) -> list[tuple[int, int]]:
+    """The candidate annulus cores of one component from its two state
+    keys, as (q, p) pairs in `Slope.key` order: the Farey geodesic
+    between the pants slopes plus both transversals (none in pants)."""
+    cores = {(s.q, s.p) for s in _geodesic_at(kx[0], kx[1], ky[0], ky[1])}
+    if len(kx) > 2:
+        cores.add((kx[3], kx[2]))
+        cores.add((ky[3], ky[2]))
+    return sorted(cores)
+
+
+def window_subsurfaces(surface: ModelSurface,
+                       window: dict[int, Sequence[Slope]]) -> list[Subsurface]:
+    """Per component: the component, then the annuli about its window
+    cores where the flavor has annuli (the window is not read in pants)."""
+    out: list[Subsurface] = []
+    for comp in range(surface.n_components):
+        out.append(Subsurface("component", comp))
+        if surface.fl.annuli:
+            out.extend(Subsurface("annulus", comp, s) for s in window[comp])
+    return out
+
+
 def candidate_subsurfaces(x: ModelPoint, y: ModelPoint) -> list[Subsurface]:
     """The finite subsurface list that can carry a large projection
     distance between x and y.
 
     Per component: the component itself plus annuli whose cores sit on
     the canonical geodesic between the pants slopes or are one of the
-    four endpoint curves.  The bounded geodesic image property caps every
-    other annulus, which is what the wide-enumeration acceptance test
-    checks.
+    four endpoint curves (`_candidate_cores`).  The bounded geodesic
+    image property caps every other annulus, which is what the
+    wide-enumeration acceptance test checks.
     """
-    surf = x.surface
-    out: list[Subsurface] = []
-    for i in range(surf.n_components):
-        out.append(Subsurface("component", i))
-        if surf.fl.annuli:
-            sx, sy = x.state(i), y.state(i)
-            cores = {*farey_geodesic(sx.alpha, sy.alpha), sx.tau, sy.tau}
-            out.extend(Subsurface("annulus", i, s) for s in sorted(cores, key=Slope.key))
+    window = {}
+    if x.surface.fl.annuli:
+        window = {i: [_trusted_slope(p, q) for q, p in _candidate_cores(kx, ky)]
+                  for i, (kx, ky) in enumerate(zip(x.state_keys, y.state_keys))}
+    return window_subsurfaces(x.surface, window)
+
+
+def working_window(x: ModelPoint, y: ModelPoint) -> dict[int, tuple[Slope, ...]]:
+    """Finite core sets per component, in `Slope.key` order: the
+    candidate cores (the canonical geodesic between the pants slopes,
+    which holds both of them, and both transversals) plus the mediant
+    fan at distance one from the geodesic's edges.  Cores beyond this
+    window contribute a bounded amount by the bounded geodesic image
+    property."""
+    out = {}
+    for i, (kx, ky) in enumerate(zip(x.state_keys, y.state_keys)):
+        cores = set(_candidate_cores(kx, ky))
+        geo = _geodesic_at(kx[0], kx[1], ky[0], ky[1])
+        for u, v in zip(geo, geo[1:]):
+            cores.update((s.q, s.p) for s in common_neighbors(u, v))
+        out[i] = tuple(_trusted_slope(p, q) for q, p in sorted(cores))
     return out
 
 
@@ -845,10 +881,7 @@ def _component_terms(surf: ModelSurface, comp: int, kx: tuple, ky: tuple,
             terms.append((Subsurface("component", comp), d))
         if not fl.annuli:
             return tuple(terms)
-        cores = {(s.q, s.p) for s in _geodesic_at(ap, aq, bp, bq)}
-        cores.add((kx[3], kx[2]))
-        cores.add((ky[3], ky[2]))
-        cores = sorted(cores)  # the (q, p) order of `Slope.key`
+        cores = _candidate_cores(kx, ky)
     aug = fl.heights
     # the heights of `project`: 1/length about the pants curve, else 1/B
     hx, hy, hb = (1.0 / kx[4], 1.0 / ky[4], fl.boundary) if aug else (None,) * 3

@@ -10,7 +10,8 @@ angle-linear parametrization of the geodesic arc (vectorized across
 triples); the distance formula as one pass over every candidate
 subsurface of the point pair, with its own enumeration and annular
 projection, and again as the per-component loop that also builds every
-contribution list; the Dehn twist matrix as a conjugated shear; a
+contribution list; the working window and hull certificates of a pair
+built from `Slope` sets; the Dehn twist matrix as a conjugated shear; a
 slope's image under a matrix through the gcd of the `Slope`
 constructor; the transport matrix, twisting number, Farey distance and
 Farey geodesic read off `Slope`s, uncached, as the package computed
@@ -43,12 +44,12 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from coarsegeo.bbf import FamilyY, QuasiTree
-from coarsegeo.consreal import ExactSystem, MissingProjectionError, ProjectionTuple
+from coarsegeo.consreal import ExactSystem, MissingProjectionError
 from coarsegeo.constants import Constants, default_constants
 from coarsegeo.effdiff import (Box, BoxMap, DiffReport, Line, LineFamily, PathTrace,
                                QuasiLipschitzViolationError, ScaleBelowResolutionError,
@@ -59,7 +60,7 @@ from coarsegeo.pathsflats import StandardFlat
 from coarsegeo.surfmodel import (IDENTITY, AnnularPoint, ComponentState, Flavor, Matrix,
                                  ModelPoint, ModelSurface, Slope, Subsurface, _component_terms,
                                  _geo_from_inf, annular_distance, apply_matrix, boundary_point,
-                                 complex_distance, farey_adjacent, farey_distance,
+                                 common_neighbors, complex_distance, farey_adjacent, farey_distance,
                                  farey_geodesic, mat_inv, transport_matrix, twist_number)
 
 
@@ -106,6 +107,39 @@ def _candidates(surf: ModelSurface, sx: Sequence[ComponentState],
         for st in (sx[i], sy[i]):
             cores.update((st.alpha, st.tau))
         out.extend(Subsurface("annulus", i, c) for c in sorted(cores, key=Slope.key))
+    return out
+
+
+def working_window(x: ModelPoint, y: ModelPoint) -> dict[int, tuple[Slope, ...]]:
+    """Finite core sets per component: both endpoints' curves, the
+    canonical geodesic between the pants slopes, and the mediant fan at
+    distance one from its edges.  Cores beyond this window contribute a
+    bounded amount by the bounded geodesic image property."""
+    out: dict[int, set[Slope]] = {i: set() for i in range(x.surface.n_components)}
+    for i in range(x.surface.n_components):
+        geo = farey_geodesic(x.alpha(i), y.alpha(i))
+        out[i].update(geo)
+        for u, v in zip(geo, geo[1:]):
+            out[i].update(common_neighbors(u, v))
+        for pt in (x, y):
+            st = pt.state(i)
+            out[i].add(st.alpha)
+            if st.tau is not None:
+                out[i].add(st.tau)
+    return {i: tuple(sorted(s, key=Slope.key)) for i, s in out.items()}
+
+
+def certificates(x: ModelPoint, y: ModelPoint) -> list[Subsurface]:
+    """The finite subsurface list a hull query must check: components
+    plus the annuli of the working window (geodesic vertices, the
+    distance-one fan, endpoint curves; wider annuli are capped by the
+    bounded geodesic image property)."""
+    window = working_window(x, y)
+    out: list[Subsurface] = []
+    for comp in range(x.surface.n_components):
+        out.append(Subsurface("component", comp))
+        if x.surface.fl.annuli:
+            out.extend(Subsurface("annulus", comp, s) for s in window[comp])
     return out
 
 
@@ -432,7 +466,7 @@ class GenericPairLoop:
     `complex_distance(u, a, b)`.  The two projections raise
     `MissingProjectionError` where they are undefined."""
 
-    def pair_values(self, z: ProjectionTuple) -> Iterator[tuple[Hashable, Hashable, float]]:
+    def pair_values(self, z: Mapping) -> Iterator[tuple[Hashable, Hashable, float]]:
         """(u, v, value) for each related pair of the members in z, u
         before v in member order: the overlap value min(d_U(z_U, bV),
         d_V(z_V, bU)), or for V nested in U min(d_U(z_U, bV),
@@ -464,7 +498,7 @@ class GenericPairLoop:
                         f"no usable projection data for nested pair ({outer}, {inner})")
                 yield u, v, min(d_outer, d_inner)
 
-    def _dist_to_boundary(self, u, v, z: ProjectionTuple) -> float:
+    def _dist_to_boundary(self, u, v, z: Mapping) -> float:
         try:
             b = self.boundary_projection(u, v)
         except MissingProjectionError:
@@ -583,7 +617,7 @@ def synthetic_chain_system(depth: int, rng: np.random.Generator):
     coherent = {u: anchors[u] for u in ids}
     active = ids[int(rng.integers(depth))]
     coherent[active] = anchors[active] + int(rng.integers(-spread, spread)) * 3
-    good = ProjectionTuple.of(coherent)
+    good = coherent
     bad_coords = dict(coherent)
     inner, outer = ids[-1], ids[0]
     bad_coords[inner] = anchors[inner] + 10 * spread
@@ -595,7 +629,7 @@ def synthetic_chain_system(depth: int, rng: np.random.Generator):
         boundary={**boundary, (outer, inner): anchors[inner] - 10 * spread},
         projections={**projections,
                      (outer, inner): (lambda elt: anchors[inner] - 10 * spread)})
-    return sys, good, bad_sys, ProjectionTuple.of(bad_coords)
+    return sys, good, bad_sys, bad_coords
 
 
 # The horoball searches run on many triples at once: a point is a pair

@@ -17,13 +17,12 @@ from coarsegeo.bbf import (
     FamilyY, PkGraph, QuasiTree, WindowTooSmallError,
     build_embedding, build_families, build_pk_graph,
     embedded_distance, embedding_audit, embedding_for_pair, lower_bound_audit,
-    psi_project, working_window,
 )
 from coarsegeo.harness import random_pair, random_point
 from coarsegeo.surfmodel import (
     FLAVORS, INFINITY, ZERO, AnnularPoint, ModelPoint, ModelSurface, Slope, Subsurface,
     annular_distance, base_point, flip_move, model_distance, project,
-    twist_move,
+    twist_move, working_window,
 )
 
 
@@ -151,13 +150,13 @@ def test_quasitree_window_too_small(marking1, cn):
 def test_psi_coordinates(marking1, augmented1, cn):
     x = base_point(marking1)
     emb = embedding_for_pair(x, x, cn["k_pk"])
-    pt = psi_project(x, emb)
+    pt = emb.project(x)
     w, coord = pt.coord("component[0]")
     assert coord == ZERO  # the component family carries the pants slope
     xa = base_point(augmented1)
     xa = twist_move(xa, 0, 6)
     emba = embedding_for_pair(xa, xa, cn["k_pk"])
-    pa = psi_project(xa, emba)
+    pa = emba.project(xa)
     wa, ca = pa.coord("annuli[0]")
     assert wa.core == xa.alpha(0)
     assert ca == project(xa, wa)  # (twist of the transversal, 1/l)

@@ -14,11 +14,11 @@ import pytest
 
 import oracles
 from coarsegeo.bbf import (FamilyY, QuasiTree, WindowTooSmallError, build_pk_graph,
-                           embedding_for_pair, shared_embedding, working_window)
+                           embedding_for_pair, shared_embedding)
 from coarsegeo.harness import random_pair, random_point
 from coarsegeo.pathsflats import preferred_path
 from coarsegeo.surfmodel import (FLAVORS, INFINITY, ZERO, AnnularPoint, ModelSurface, Slope,
-                                 Subsurface, twist_number)
+                                 Subsurface, twist_number, working_window)
 
 AUGMENTED_REL_TOL = 1e-12
 

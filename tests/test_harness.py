@@ -45,6 +45,20 @@ def test_config_json_and_digest(marking2):
     assert other.digest() != cfg.digest()
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"r0": math.nan}, "need a finite r0, got nan"),
+    ({"r0": math.inf}, "need a finite r0, got inf"),
+    ({"theta0": -1.0}, "need a finite theta0 > 0, got -1.0"),
+    ({"theta0": 0.0}, "need a finite theta0 > 0, got 0.0"),
+    ({"theta0": math.nan}, "need a finite theta0 > 0, got nan"),
+    ({"theta0": math.inf}, "need a finite theta0 > 0, got inf"),
+], ids=["r0-nan", "r0-inf", "theta0-negative", "theta0-0", "theta0-nan", "theta0-inf"])
+def test_config_scales_must_be_finite(marking2, fields, message):
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig(marking2, **fields)
+    assert str(err.value) == message
+
+
 def test_missing_constant_is_hard_error():
     cn = Constants(values={"delta_farey": 1.0})
     with pytest.raises(MissingConstantError):
@@ -348,6 +362,9 @@ def test_cli_efficiency_rejects_bad_traces(capsys, trace, scale, eps, message):
 
 
 NO_TRANSVERSAL = json.dumps({"components": [{"alpha": [0, 1]}]})
+SURFACE = '{{"components": [[1, 1]], "flavor": "marking", "bers": {}, "threshold": {}}}'
+BASE = json.dumps({"components": [{"alpha": [0, 1], "tau": [1, 0]}]})
+FAR = json.dumps({"components": [{"alpha": [13, 21], "tau": [8, 13]}]})
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -365,13 +382,26 @@ NO_TRANSVERSAL = json.dumps({"components": [{"alpha": [0, 1]}]})
     (["pipeline", "--config", json.dumps({"surface": ModelSurface(((1, 1),)).to_json(),
                                           "noise": -1})],
      "bad config: need noise >= 0, got -1"),
+    (["dist", BASE, FAR, "--surface", SURFACE.format("1.0", "NaN")],
+     "bad surface: bers bound and threshold must be finite and positive"),
+    (["dist", BASE, FAR, "--surface", SURFACE.format("Infinity", "3")],
+     "bad surface: bers bound and threshold must be finite and positive"),
+    (["pipeline", "--r0", "nan"], "need a finite r0, got nan"),
+    (["pipeline", "--r0", "inf"], "need a finite r0, got inf"),
+    (["pipeline", "--theta0", "-1"], "need a finite theta0 > 0, got -1.0"),
+    (["pipeline", "--theta0", "nan"], "need a finite theta0 > 0, got nan"),
 ], ids=["realize-no-kind", "efficiency-no-values", "efficiency-list", "dist-no-components",
         "dist-no-transversal", "pipeline-config-surface", "project-fractional-slope",
-        "pipeline-config-negative-noise"])
+        "pipeline-config-negative-noise", "dist-surface-nan-threshold",
+        "dist-surface-infinite-bers", "pipeline-r0-nan", "pipeline-r0-inf",
+        "pipeline-theta0-negative", "pipeline-theta0-nan"])
 def test_cli_documents_of_the_wrong_shape_are_usage_errors(capsys, argv, message):
     """These ended in a KeyError, TypeError or ValueError traceback with
     exit code 1, or, for the fractional slope, projected 0/1 with exit
-    code 0."""
+    code 0, or, for the NaN threshold, measured every distance as 0.0
+    with exit code 0, or, for a non-finite r0 or theta0 or a negative
+    theta0, ended in a ValueError, OverflowError or
+    QuasiLipschitzViolationError traceback with exit code 1."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -421,6 +421,13 @@ def test_surface_and_point_json_round_trip(marking2, augmented1):
     assert ModelPoint.from_json(augmented1, xa.to_json()) == xa
 
 
+@pytest.mark.parametrize("field", ["bers", "threshold"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_surface_numbers_must_be_finite(field, value):
+    with pytest.raises(ValueError, match="^bers bound and threshold must be finite and positive$"):
+        ModelSurface(((1, 1),), **{field: value})
+
+
 def test_point_invariants():
     surf = ModelSurface(((1, 1),), flavor="marking")
     with pytest.raises(ValueError):

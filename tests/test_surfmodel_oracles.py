@@ -22,6 +22,10 @@ what `oracles`' `Slope`-based versions give, errors included, also with
 every int-keyed cache bounded at 5 entries.  The distance from infinity
 is a single pass over a continued fraction; `oracles.dist_to_inf_search`
 is the two-branch search it replaced.
+A pair's window of annulus cores has one home, `surfmodel`: the
+window, the hull certificates built from it and the candidate list must
+equal the `Slope`-set versions they replaced, `oracles.working_window`
+and `oracles.certificates`.
 """
 
 import functools
@@ -32,13 +36,14 @@ import numpy as np
 import pytest
 
 from coarsegeo import surfmodel
-from coarsegeo.harness import noisy_flat_map, random_point, twist_flat
+from coarsegeo.harness import noisy_flat_map, random_pair, random_point, twist_flat
+from coarsegeo.pathsflats import certificates
 from coarsegeo.surfmodel import (FLAVORS, INFINITY, ZERO, ComponentState, ModelPoint,
                                  ModelSurface, Slope, apply_matrix, base_point,
                                  candidate_subsurfaces, canonical_transversal,
                                  distance_formula, farey_distance, farey_geodesic,
                                  length_move, mat_inv, model_distance, transport_matrix,
-                                 twist_matrix, twist_move, twist_number)
+                                 twist_matrix, twist_move, twist_number, working_window)
 
 import oracles
 
@@ -442,3 +447,24 @@ def test_bounded_caches_give_the_unbounded_answers(monkeypatch):
     info = model_distance.cache_info()
     assert info.maxsize == SMALL_BOUND
     assert info.hits >= len(pairs) and info.misses + info.hits == 2 * len(pairs)
+
+
+WINDOW_SURFACES = [
+    ModelSurface(((1, 1), (1, 1)), flavor="marking"),
+    ModelSurface(((1, 1),), flavor="augmented", bers=2.0),
+    ModelSurface(((1, 1), (0, 4)), flavor="augmented", bers=2.0),
+    ModelSurface(((1, 1), (0, 4)), flavor="pants"),
+]
+
+
+@pytest.mark.parametrize("surface", WINDOW_SURFACES, ids=lambda s: f"{s.flavor}{len(s.components)}")
+def test_window_and_certificates_match_the_replaced_code(surface):
+    """150 seeded pairs per surface, each also against itself, where
+    the geodesic between the pants slopes is a single vertex."""
+    rng = np.random.default_rng([607, WINDOW_SURFACES.index(surface)])
+    for _ in range(150):
+        x, y = random_pair(surface, rng, steps=int(rng.integers(2, 16)), big_twist=30)
+        for a, b in ((x, y), (y, x), (x, x)):
+            assert working_window(a, b) == oracles.working_window(a, b), (a, b)
+            assert certificates(a, b) == oracles.certificates(a, b), (a, b)
+            assert candidate_subsurfaces(a, b) == oracles.candidate_subsurfaces(a, b), (a, b)
