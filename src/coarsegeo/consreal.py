@@ -44,19 +44,10 @@ class InconsistentTupleError(ValueError):
         self.report = report
 
 
-def _id_json(u):
-    if isinstance(u, Subsurface):
-        return {"kind": u.kind, "comp": u.comp,
-                "core": u.core.to_json() if u.core else None}
-    return u
-
-
-def _coord_json(v):
+def _coord_json(v: Coordinate) -> dict:
     if isinstance(v, Slope):
         return {"slope": v.to_json()}
-    if isinstance(v, AnnularPoint):
-        return {"twist": v.twist, "height": v.height}
-    return v
+    return {"twist": v.twist, "height": v.height}
 
 
 @dataclass
@@ -64,17 +55,6 @@ class ConsistencyReport:
     verdict: bool
     realized_m: float
     violations: list[tuple[Subsurface, Subsurface, float]]
-    threshold: float
-
-    def to_json(self) -> dict:
-        return {
-            "schema_version": 1,
-            "verdict": self.verdict,
-            "realized_m": self.realized_m,
-            "threshold": self.threshold,
-            "violations": [[_id_json(u), _id_json(v), val]
-                           for u, v, val in self.violations],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +168,7 @@ def consistency_check(sys: ExactSystem, z: Mapping[Subsurface, Coordinate],
         realized = max(realized, val)
         if val > m:
             violations.append((u, v, val))
-    return ConsistencyReport(not violations, realized, violations, m)
+    return ConsistencyReport(not violations, realized, violations)
 
 
 # ---------------------------------------------------------------------------

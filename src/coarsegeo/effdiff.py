@@ -6,13 +6,17 @@ most a linear error in the grid.  The scale search walks the geometric
 schedule r_m = r_{m-1} / eps, at each level choosing the decomposition
 offset that maximizes the bad fraction, and stops at the first level
 where almost every grid segment satisfies the reverse triangle
-inequality.  A separate pass extracts, inside an efficient box mapped to
+inequality.  It runs along the lines of `box_lines`: the axes plus a
+budgeted spread of directions, each built from its index in a grid of
+angular step about eps, so no grid is listed and no dense set is
+claimed.  A separate pass extracts, inside an efficient box mapped to
 a hyperbolic target, a large sub-box whose image hugs one edge geodesic.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Any, Callable, Sequence
@@ -137,115 +141,79 @@ class Line:
     length: float
 
 
-@dataclass
-class LineFamily:
-    """Finitely many directions, each with a family of parallel lines.
-
-    The direction set is density-dense on the unit sphere (verified at
-    construction).  Desk-scale budgets cap how many directions and lines
-    per direction are actually evaluated; axis directions always come
-    first so every tile of a later subdivision is covered.
-    """
-
-    directions: list[tuple[float, ...]]
-    lines: list[Line]
-
-    @staticmethod
-    def directions_for(dim: int, density: float) -> list[tuple[float, ...]]:
-        if dim == 1:
-            return [(1.0,)]
-        if dim == 2:
-            count = max(4, math.ceil(math.pi / density))
-            return [(math.cos(k * math.pi / count), math.sin(k * math.pi / count))
-                    for k in range(count)]
+def _directions(dim: int, density: float, budget: int) -> list[tuple[float, ...]]:
+    """The axes, then `budget` directions spread evenly over a grid of
+    angular step about `density`, each built from its grid index: in 2-D
+    the angles k pi / count, in 3-D rings of latitude i pi / count, each
+    of about 2 pi sin(latitude) / density points, numbered ring by ring.
+    Grid point 0 is the only one that equals an axis, so the spread is
+    drawn from points 1, 1 + step, ... of the grid's `size`."""
+    axes = [tuple(1.0 if i == j else 0.0 for i in range(dim)) for j in range(dim)]
+    if dim == 1 or budget <= 0:
+        return axes
+    if dim == 2:
+        size = count = max(4, math.ceil(math.pi / density))
+    else:
         count = max(3, math.ceil(math.pi / density))
-        dirs = []
-        for i in range(count + 1):
-            th = i * math.pi / count
-            ring = max(1, math.ceil(2 * math.pi * math.sin(th) / density))
-            for j in range(ring):
-                ph = 2 * math.pi * j / ring
-                dirs.append((math.sin(th) * math.cos(ph),
-                             math.sin(th) * math.sin(ph),
-                             math.cos(th)))
-        return dirs
+        lats = [i * math.pi / count for i in range(count + 1)]
+        rings = [max(1, math.ceil(2 * math.pi * math.sin(th) / density)) for th in lats]
+        starts = list(accumulate(rings, initial=0))  # the grid index of each ring's point 0
+        size = starts[-1]
+    picks = range(1, size, max(1, (size - 1) // budget))[:budget]
+    if dim == 2:
+        return axes + [(math.cos(k * math.pi / count), math.sin(k * math.pi / count))
+                       for k in picks]
+    for k in picks:
+        i = bisect_right(starts, k) - 1
+        th, ph = lats[i], 2 * math.pi * (k - starts[i]) / rings[i]
+        axes.append((math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)))
+    return axes
 
-    @staticmethod
-    def verify_density(dirs: Sequence[tuple[float, ...]], density: float) -> None:
-        """Every unit vector must be within `density` of a member (up to
-        sign, since lines are unoriented).  Members are unit vectors."""
-        dim = len(dirs[0])
-        if dim == 1:
-            return
-        arr = np.asarray(dirs)
-        if dim == 2:
-            # exact: up to sign a direction is an angle mod pi; the unit vector
-            # farthest from the set bisects the widest gap G, at chord 2 sin(G/4)
-            ang = np.sort(np.arctan2(arr[:, 1], arr[:, 0]) % math.pi)
-            gaps = [2.0 * math.sin(float(np.max(np.diff(ang, append=ang[0] + math.pi))) / 4.0)]
-        else:
-            gaps = (np.min(np.minimum(np.linalg.norm(arr - p, axis=1),
-                                      np.linalg.norm(arr + p, axis=1)))
-                    for p in LineFamily.directions_for(dim, density / 2.0))
-        for gap in gaps:
-            if gap > density + 1e-9:
-                raise ValueError(f"direction set is not {density}-dense (gap {gap:.4f})")
 
-    @classmethod
-    def build(cls, box: Box, density: float,
-              max_directions: int | None = None,
-              lines_per_direction: int = 24) -> "LineFamily":
-        dim = box.dim
-        dirs = cls.directions_for(dim, density)
-        cls.verify_density(dirs, density)
-        # axis directions first, then a deterministic spread of the rest
-        axes = [tuple(1.0 if i == j else 0.0 for i in range(dim)) for j in range(dim)]
-        chosen = list(axes)
-        if max_directions is None or max_directions > len(chosen):
-            extra = [d for d in dirs if d not in chosen]
-            budget = (len(extra) if max_directions is None
-                      else max(0, max_directions - len(chosen)))
-            step = max(1, len(extra) // budget) if budget else 1
-            chosen.extend(extra[::step][:budget])
-        lines = []
-        min_side = min(box.sides)
-        for d in chosen:
-            lines.extend(cls._cover(box, d, lines_per_direction, min_side))
-        return cls(directions=chosen, lines=lines)
+def box_lines(box: Box, density: float, max_directions: int,
+              lines_per_direction: int) -> list[Line]:
+    """The lines the scale search evaluates: for each of the axes plus a
+    spread of `max_directions - dim` directions drawn from a grid of
+    angular step about `density`, a family of parallel lines through the
+    box (`_cover`).  The axes come first, so every tile of a later
+    subdivision is covered; the set is a budget, not a dense one."""
+    min_side = min(box.sides)
+    return [ln for d in _directions(box.dim, density, max_directions - box.dim)
+            for ln in _cover(box, d, lines_per_direction, min_side)]
 
-    @staticmethod
-    def _cover(box: Box, direction: tuple[float, ...], per_direction: int,
-               min_side: int) -> list[Line]:
-        """Parallel lines through the box in one direction, clipped, with
-        spacing comparable to the side over the per-direction budget;
-        short clippings are discarded."""
-        dim = box.dim
-        d = np.asarray(direction)
-        if dim == 1:
-            lo, hi = box.intervals[0]
-            return [Line((float(lo),), tuple(d), float(hi - lo))]
-        # seed points on a lattice in the hyperplane through the center
-        basis = [np.eye(dim)[i] for i in range(dim)]
-        basis.sort(key=lambda e: abs(float(e @ d)))
-        seeds = []
-        spread = np.linspace(-0.5, 0.5, per_direction)
-        if dim == 2:
-            for s in spread:
-                seeds.append(box.center + s * min_side * basis[0])
-        else:
-            side_count = max(2, int(math.sqrt(per_direction)))
-            for s in np.linspace(-0.5, 0.5, side_count):
-                for t in np.linspace(-0.5, 0.5, side_count):
-                    seeds.append(box.center + min_side * (s * basis[0] + t * basis[1]))
-        lines = []
-        for seed in seeds:
-            clip = _clip_line(box, seed, d)
-            if clip is None:
-                continue
-            t0, t1 = clip
-            if t1 - t0 >= min_side / 2:
-                lines.append(Line(tuple(seed + t0 * d), tuple(d), float(t1 - t0)))
-        return lines
+
+def _cover(box: Box, direction: tuple[float, ...], per_direction: int,
+           min_side: int) -> list[Line]:
+    """Parallel lines through the box in one direction, clipped, with
+    spacing comparable to the side over the per-direction budget;
+    short clippings are discarded."""
+    dim = box.dim
+    d = np.asarray(direction)
+    if dim == 1:
+        lo, hi = box.intervals[0]
+        return [Line((float(lo),), tuple(d), float(hi - lo))]
+    # seed points on a lattice in the hyperplane through the center
+    basis = [np.eye(dim)[i] for i in range(dim)]
+    basis.sort(key=lambda e: abs(float(e @ d)))
+    seeds = []
+    spread = np.linspace(-0.5, 0.5, per_direction)
+    if dim == 2:
+        for s in spread:
+            seeds.append(box.center + s * min_side * basis[0])
+    else:
+        side_count = max(2, int(math.sqrt(per_direction)))
+        for s in np.linspace(-0.5, 0.5, side_count):
+            for t in np.linspace(-0.5, 0.5, side_count):
+                seeds.append(box.center + min_side * (s * basis[0] + t * basis[1]))
+    lines = []
+    for seed in seeds:
+        clip = _clip_line(box, seed, d)
+        if clip is None:
+            continue
+        t0, t1 = clip
+        if t1 - t0 >= min_side / 2:
+            lines.append(Line(tuple(seed + t0 * d), tuple(d), float(t1 - t0)))
+    return lines
 
 
 def _clip_line(box: Box, p: np.ndarray, d: np.ndarray) -> tuple[float, float] | None:
@@ -404,9 +372,8 @@ class DiffReport:
         }
 
 
-def differentiate_lines(fmap: BoxMap, box: Box, eps: float, theta: float,
-                        r0: float, lines: Sequence[Line] | None = None,
-                        constants: Constants | None = None) -> DiffReport:
+def differentiate_lines(fmap: BoxMap, lines: Sequence[Line], eps: float, theta: float,
+                        r0: float, constants: Constants | None = None) -> DiffReport:
     """Walk the schedule r_m = r_{m-1} / eps until at most a theta
     fraction of decomposition segments fails the grid-sum inequality
     partition_sum <= bdelta_mult * (endpoint_distance + eps * scale).
@@ -427,8 +394,6 @@ def differentiate_lines(fmap: BoxMap, box: Box, eps: float, theta: float,
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
     r0 = max(r0, fmap.C, 1e-9)
-    if lines is None:
-        lines = LineFamily.build(box, density=eps).lines
     lines = [ln for ln in lines if ln.length >= r0 * 2]
     if not lines:
         raise ValueError("no usable lines: box too small for the base grid")
@@ -513,19 +478,30 @@ def required_size(eps0: float, r0: float, c: float) -> float:
 
 
 def differentiate_box(fmap: BoxMap, box: Box, eps0: float, theta0: float,
-                      r0: float, max_directions: int | None = 8,
+                      r0: float, max_directions: int = 8,
                       lines_per_direction: int = 24,
                       constants: Constants | None = None) -> DiffReport:
     """Find a scale at which most sub-boxes are efficient.
 
     Runs the line search at the derived parameters (eps = eps0^2, theta
-    from theta0 * eps^(n+2)), then subdivides the central half of the
-    box at the returned scale and marks a tile efficient when every
-    tested segment meeting it passed.  Because tiles are judged directly
-    from segment verdicts rather than through a counting argument, the
-    line-phase tolerance is floored at theta0 / 4; the derived value is
-    a union-bound device that desk-scale boxes cannot afford.
+    from theta0 * eps^(n+2)) on the lines of `box_lines`: the axes plus
+    a spread of `max_directions - n` directions drawn from a grid of
+    angular step about eps, `lines_per_direction` lines each.  Then it
+    subdivides the central half of the box at the returned scale and
+    marks a tile efficient when every tested segment meeting it passed.
+    Because tiles are judged directly from segment verdicts rather than
+    through a counting argument, the line-phase tolerance is floored at
+    theta0 / 4; the derived value is a union-bound device that
+    desk-scale boxes cannot afford.
+
+    Needs eps0 in (0, 1) and finite theta0 > 0 and r0 > 0.
     """
+    if not 0 < eps0 < 1:
+        raise ValueError(f"need eps0 in (0, 1), got {eps0}")
+    if not 0 < theta0 < math.inf:
+        raise ValueError(f"need a finite theta0 > 0, got {theta0}")
+    if not 0 < r0 < math.inf:
+        raise ValueError(f"need a finite r0 > 0, got {r0}")
     kappa_theta = (constants or default_constants())["kappa_theta"]
     n = box.dim
     eps = eps0 ** 2
@@ -536,11 +512,8 @@ def differentiate_box(fmap: BoxMap, box: Box, eps0: float, theta0: float,
             f"box of size {box.size:g} is below the required size {required:g} "
             f"for eps0={eps0}, r0={r0} (engine-reported minimum)"
         )
-    family = LineFamily.build(box, density=eps0 ** 2,
-                              max_directions=max_directions,
-                              lines_per_direction=lines_per_direction)
-    report = differentiate_lines(fmap, box, eps, theta, r0,
-                                 lines=family.lines, constants=constants)
+    lines = box_lines(box, eps, max_directions, lines_per_direction)
+    report = differentiate_lines(fmap, lines, eps, theta, r0, constants=constants)
     R = report.scale
     central = box.central_half()
     side = max(1, round(R / math.sqrt(n)))

@@ -956,8 +956,8 @@ def _differentiate(ns):
         flat = twist_flat(_surface_arg(ns), span=2 * ns.box)
         fmap = noisy_flat_map(flat, 2, ns.seed)
         box = Box.cube(ns.box, flat.dim)
-    return effdiff.differentiate_box(fmap, box, ns.eps0, ns.theta0, ns.r0,
-                                     constants=_constants_arg(ns)).to_json()
+    return _from_flags(effdiff.differentiate_box, fmap, box, ns.eps0, ns.theta0, ns.r0,
+                       constants=_constants_arg(ns)).to_json()
 
 
 def _tuple_coords(surface: ModelSurface, doc) -> dict:
@@ -1112,7 +1112,7 @@ VERBS: dict[str, tuple[str, list, Callable]] = {
         _arg("--csv", help="write the excursion profile")], _efficiency),
     "differentiate": ("scale search on a built-in map", [
         _arg("--map", choices=["staircase", "flat-noise"], default="staircase"),
-        _arg("--step", type=int, default=16), _arg("--box", type=int, default=4096),
+        _arg("--step", type=COUNT, default=16), _arg("--box", type=COUNT, default=4096),
         _arg("--eps0", type=float, default=0.1), _arg("--theta0", type=float, default=0.1),
         _arg("--r0", type=float, default=8.0)], _differentiate),
     "realize": ("realize a consistent tuple",

@@ -384,7 +384,6 @@ def extract_no_backtrack(trace: PathTrace, x: ModelPoint, y: ModelPoint,
     best_pos: dict[Subsurface, float] = {w: -math.inf for w in sides}
     best_coord: dict[Subsurface, Any] = {}
     realized: list[ModelPoint] = []
-    positions_log: dict[Subsurface, list[float]] = {w: [] for w in sides}
     for p in trace.points:
         coords = {}
         for w, (pa, pb) in sides.items():
@@ -393,12 +392,8 @@ def extract_no_backtrack(trace: PathTrace, x: ModelPoint, y: ModelPoint,
             if pos > best_pos[w]:
                 best_pos[w] = pos
                 best_coord[w] = eta
-            positions_log[w].append(best_pos[w])
             coords[w] = best_coord[w]
         realized.append(realize(sys, coords, m=constants["m_realize"]))
-    for w, log in positions_log.items():
-        if any(b < a - 1e-9 for a, b in zip(log, log[1:])):
-            raise PathVerificationError(f"extracted shadow backtracked in {w}")
     excursion = max(trace.handle.distance(p, q)
                     for p, q in zip(trace.points, realized))
     pts = [realized[0]]

@@ -151,15 +151,6 @@ def transport_matrix(core: Slope) -> Matrix:
     return _transport_at(core.p, core.q)
 
 
-def twist_matrix(core: Slope, n: int = 1) -> Matrix:
-    """The n-th power of the Dehn twist about `core` as a slope action:
-    M^-1 (1, n; 0, 1) M for the transport M of `core`, which multiplies
-    out to (1 - npq, np^2; -nq^2, 1 + npq) for core p/q."""
-    p, q = core.p, core.q
-    npq = n * p * q
-    return (1 - npq, n * p * p, -n * q * q, 1 + npq)
-
-
 def twist_number(core: Slope, curve: Slope) -> int:
     """Twisting of `curve` around `core`: transport core to infinity and
     take the floor of the image slope.
@@ -1009,9 +1000,9 @@ def threshold_audit(x: ModelPoint, y: ModelPoint, t: float, tp: float) -> float:
 
 
 def twist_state(k: tuple, n: int) -> tuple:
-    """A state key after n Dehn twists about its own pants curve:
-    `twist_matrix` sends tau to tau + n det(alpha, tau) alpha, which is
-    primitive and Farey-adjacent to alpha, so only its sign is normalized."""
+    """A state key after n Dehn twists about its own pants curve: the
+    twist sends tau to tau + n det(alpha, tau) alpha, which is primitive
+    and Farey-adjacent to alpha, so only its sign is normalized."""
     p, q, tp, tq, length = k
     d = n * (p * tq - q * tp)
     tp, tq = tp + d * p, tq + d * q
@@ -1059,28 +1050,21 @@ def length_move(x: ModelPoint, comp: int, factor: float) -> ModelPoint:
     return ModelPoint(x.surface, tuple(states))
 
 
-def canonical_transversal(core: Slope) -> Slope:
-    """A fixed Farey neighbor of the core (the transported integer 0)."""
-    return apply_matrix(mat_inv(transport_matrix(core)), ZERO)
-
-
 def annular_coordinate(x: ModelPoint, comp: int, core: Slope) -> AnnularPoint:
     return project(x, Subsurface("annulus", comp, core))  # type: ignore[return-value]
 
 
 def pinned_state(surface: ModelSurface, core: Slope,
                  coord: AnnularPoint | None) -> ComponentState:
-    """The state pinned on `core` at an annular coordinate: the canonical
-    transversal, twisted to coord.twist if there is a coordinate, and
-    length min(B, 1/height), or B without one, each where the flavor has
-    it."""
+    """The state pinned on `core` at an annular coordinate: the transversal
+    M^-1(n/1) for the transport M of `core`, whose twisting number about
+    `core` is n = coord.twist, or 0 without a coordinate, and length
+    min(B, 1/height), or B without one, each where the flavor has it."""
     fl = surface.fl
     if not fl.annuli:
         return ComponentState(core)
-    tau0 = canonical_transversal(core)
-    t0 = twist_number(core, tau0)
-    want = coord.twist if coord is not None else t0
-    tau = apply_matrix(twist_matrix(core, want - t0), tau0)
+    want = coord.twist if coord is not None else 0
+    tau = apply_matrix(mat_inv(transport_matrix(core)), _trusted_slope(want, 1))
     if not fl.heights:
         return ComponentState(core, tau)
     height = coord.height if coord is not None else None

@@ -21,8 +21,9 @@ map on it one elementary move at a time; the scale search
 level-major, with every line's images built up front and every
 offset's segment verdicts; the largest all-true index sub-box of a
 grid mask by a scan of every index range; the greedy net packing that
-compares every image with every kept one; the 2-D density check of a
-direction set by a grid of probe directions; the exhaustive
+compares every image with every kept one; the scale search's line
+family, which listed a whole grid of directions and checked it dense
+before keeping the axes and a budgeted spread of it; the exhaustive
 thin-triangle constant with three geodesics and three multi-source BFS
 runs per triple; and the consistency check as one generic loop over a
 system's stated relations, which the exact system's twist table
@@ -34,8 +35,10 @@ Seven are brute-force checks that never had a caller in the package:
 the coarse length over every partition, the graph nearest-point
 projection and triangle centre by whole-graph scans, the graph metric
 handle, the Morse excursion, the unparametrized quasi-geodesic test
-over an integer time grid, and the deepest retrace of a trace.  Two
-are test fixtures: the folded box map and the L^1 product handle.
+over an integer time grid, and the deepest retrace of a trace.  Four
+are test fixtures: the folded box map, the L^1 product handle, and the
+Dehn twist matrix in closed form and the canonical transversal, which
+the package's pinned state no longer reads.
 """
 
 from __future__ import annotations
@@ -51,13 +54,13 @@ import numpy as np
 from coarsegeo.bbf import FamilyY, QuasiTree
 from coarsegeo.consreal import ExactSystem, MissingProjectionError
 from coarsegeo.constants import Constants, default_constants
-from coarsegeo.effdiff import (Box, BoxMap, DiffReport, Line, LineFamily, PathTrace,
+from coarsegeo.effdiff import (Box, BoxMap, DiffReport, Line, PathTrace,
                                QuasiLipschitzViolationError, ScaleBelowResolutionError,
-                               SegmentVerdict)
+                               SegmentVerdict, _clip_line)
 from coarsegeo.hypgraph import (GeodesicSegment, HypGraph, MetricHandle, UnreachableError,
                                 Vertex, _points_of, geodesic)
 from coarsegeo.pathsflats import StandardFlat
-from coarsegeo.surfmodel import (IDENTITY, AnnularPoint, ComponentState, Flavor, Matrix,
+from coarsegeo.surfmodel import (IDENTITY, ZERO, AnnularPoint, ComponentState, Flavor, Matrix,
                                  ModelPoint, ModelSurface, Slope, Subsurface, _component_terms,
                                  _geo_from_inf, annular_distance, apply_matrix, boundary_point,
                                  common_neighbors, complex_distance, farey_adjacent, farey_distance,
@@ -70,10 +73,24 @@ def mat_mul(m: Matrix, n: Matrix) -> Matrix:
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-def twist_matrix(core: Slope, n: int = 1) -> Matrix:
+def shear_twist_matrix(core: Slope, n: int = 1) -> Matrix:
     """M^-1 shear(n) M for the transport M taking `core` to infinity."""
     m = transport_matrix(core)
     return mat_mul(mat_inv(m), mat_mul((1, n, 0, 1), m))
+
+
+def twist_matrix(core: Slope, n: int = 1) -> Matrix:
+    """The n-th power of the Dehn twist about `core` as a slope action:
+    M^-1 (1, n; 0, 1) M for the transport M of `core`, which multiplies
+    out to (1 - npq, np^2; -nq^2, 1 + npq) for core p/q."""
+    p, q = core.p, core.q
+    npq = n * p * q
+    return (1 - npq, n * p * p, -n * q * q, 1 + npq)
+
+
+def canonical_transversal(core: Slope) -> Slope:
+    """A fixed Farey neighbor of the core (the transported integer 0)."""
+    return apply_matrix(mat_inv(transport_matrix(core)), ZERO)
 
 
 def annular_projection(surf: ModelSurface, st: ComponentState, w: Subsurface) -> AnnularPoint:
@@ -306,7 +323,8 @@ def flat_point(flat: StandardFlat, t) -> ModelPoint:
         if f.kind == "twist":
             k = int(round(v)) - twist_number(f.core, f.tau0)
             length = surface.bers if surface.flavor == "augmented" else None
-            st = ComponentState(f.core, apply_by_gcd(twist_matrix(f.core, k), f.tau0), length)
+            st = ComponentState(f.core, apply_by_gcd(shear_twist_matrix(f.core, k), f.tau0),
+                                length)
         elif f.kind == "ray":
             st = ComponentState(f.core, f.tau0, surface.bers * math.exp(-max(0.0, float(v))))
         else:
@@ -336,7 +354,7 @@ def noisy_flat_image(flat: StandardFlat, noise: int, seed: int, p) -> ModelPoint
             length = surface.bers if st.length is not None else None
             states[comp] = ComponentState(st.tau, st.alpha, length)
         else:
-            tau = apply_by_gcd(twist_matrix(st.alpha, 1 if b % 2 else -1), st.tau)
+            tau = apply_by_gcd(shear_twist_matrix(st.alpha, 1 if b % 2 else -1), st.tau)
             states[comp] = ComponentState(st.alpha, tau, st.length)
         x = ModelPoint(surface, tuple(states))
     return x
@@ -721,9 +739,119 @@ def coarse_length_bruteforce(path: PathTrace, r: float) -> float:
     return best
 
 
-def differentiate_lines(fmap: BoxMap, box: Box, eps: float, theta: float,
-                        r0: float, lines: Sequence[Line] | None = None,
-                        constants: Constants | None = None) -> DiffReport:
+@dataclass
+class LineFamily:
+    """Finitely many directions, each with a family of parallel lines.
+
+    The direction set is density-dense on the unit sphere (verified at
+    construction).  Desk-scale budgets cap how many directions and lines
+    per direction are actually evaluated; axis directions always come
+    first so every tile of a later subdivision is covered.
+    """
+
+    directions: list[tuple[float, ...]]
+    lines: list[Line]
+
+    @staticmethod
+    def directions_for(dim: int, density: float) -> list[tuple[float, ...]]:
+        if dim == 1:
+            return [(1.0,)]
+        if dim == 2:
+            count = max(4, math.ceil(math.pi / density))
+            return [(math.cos(k * math.pi / count), math.sin(k * math.pi / count))
+                    for k in range(count)]
+        count = max(3, math.ceil(math.pi / density))
+        dirs = []
+        for i in range(count + 1):
+            th = i * math.pi / count
+            ring = max(1, math.ceil(2 * math.pi * math.sin(th) / density))
+            for j in range(ring):
+                ph = 2 * math.pi * j / ring
+                dirs.append((math.sin(th) * math.cos(ph),
+                             math.sin(th) * math.sin(ph),
+                             math.cos(th)))
+        return dirs
+
+    @staticmethod
+    def verify_density(dirs: Sequence[tuple[float, ...]], density: float) -> None:
+        """Every unit vector must be within `density` of a member (up to
+        sign, since lines are unoriented).  Members are unit vectors."""
+        dim = len(dirs[0])
+        if dim == 1:
+            return
+        arr = np.asarray(dirs)
+        if dim == 2:
+            # exact: up to sign a direction is an angle mod pi; the unit vector
+            # farthest from the set bisects the widest gap G, at chord 2 sin(G/4)
+            ang = np.sort(np.arctan2(arr[:, 1], arr[:, 0]) % math.pi)
+            gaps = [2.0 * math.sin(float(np.max(np.diff(ang, append=ang[0] + math.pi))) / 4.0)]
+        else:
+            gaps = (np.min(np.minimum(np.linalg.norm(arr - p, axis=1),
+                                      np.linalg.norm(arr + p, axis=1)))
+                    for p in LineFamily.directions_for(dim, density / 2.0))
+        for gap in gaps:
+            if gap > density + 1e-9:
+                raise ValueError(f"direction set is not {density}-dense (gap {gap:.4f})")
+
+    @classmethod
+    def build(cls, box: Box, density: float,
+              max_directions: int | None = None,
+              lines_per_direction: int = 24) -> "LineFamily":
+        dim = box.dim
+        dirs = cls.directions_for(dim, density)
+        cls.verify_density(dirs, density)
+        # axis directions first, then a deterministic spread of the rest
+        axes = [tuple(1.0 if i == j else 0.0 for i in range(dim)) for j in range(dim)]
+        chosen = list(axes)
+        if max_directions is None or max_directions > len(chosen):
+            extra = [d for d in dirs if d not in chosen]
+            budget = (len(extra) if max_directions is None
+                      else max(0, max_directions - len(chosen)))
+            step = max(1, len(extra) // budget) if budget else 1
+            chosen.extend(extra[::step][:budget])
+        lines = []
+        min_side = min(box.sides)
+        for d in chosen:
+            lines.extend(cls._cover(box, d, lines_per_direction, min_side))
+        return cls(directions=chosen, lines=lines)
+
+    @staticmethod
+    def _cover(box: Box, direction: tuple[float, ...], per_direction: int,
+               min_side: int) -> list[Line]:
+        """Parallel lines through the box in one direction, clipped, with
+        spacing comparable to the side over the per-direction budget;
+        short clippings are discarded."""
+        dim = box.dim
+        d = np.asarray(direction)
+        if dim == 1:
+            lo, hi = box.intervals[0]
+            return [Line((float(lo),), tuple(d), float(hi - lo))]
+        # seed points on a lattice in the hyperplane through the center
+        basis = [np.eye(dim)[i] for i in range(dim)]
+        basis.sort(key=lambda e: abs(float(e @ d)))
+        seeds = []
+        spread = np.linspace(-0.5, 0.5, per_direction)
+        if dim == 2:
+            for s in spread:
+                seeds.append(box.center + s * min_side * basis[0])
+        else:
+            side_count = max(2, int(math.sqrt(per_direction)))
+            for s in np.linspace(-0.5, 0.5, side_count):
+                for t in np.linspace(-0.5, 0.5, side_count):
+                    seeds.append(box.center + min_side * (s * basis[0] + t * basis[1]))
+        lines = []
+        for seed in seeds:
+            clip = _clip_line(box, seed, d)
+            if clip is None:
+                continue
+            t0, t1 = clip
+            if t1 - t0 >= min_side / 2:
+                lines.append(Line(tuple(seed + t0 * d), tuple(d), float(t1 - t0)))
+        return lines
+
+
+def differentiate_lines(fmap: BoxMap, lines: Sequence[Line], eps: float, theta: float,
+                        r0: float, constants: Constants | None = None) -> DiffReport:
     """`effdiff.differentiate_lines` level-major: every line's images are
     built before level 1 and kept to the end, and every offset of every
     line builds its segment verdicts."""
@@ -732,8 +860,6 @@ def differentiate_lines(fmap: BoxMap, box: Box, eps: float, theta: float,
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
     r0 = max(r0, fmap.C, 1e-9)
-    if lines is None:
-        lines = LineFamily.build(box, density=eps).lines
     lines = [ln for ln in lines if ln.length >= r0 * 2]
     if not lines:
         raise ValueError("no usable lines: box too small for the base grid")
@@ -925,17 +1051,6 @@ def unparam_qgeo_oracle(points: Sequence, handle: MetricHandle, lam: float,
         return False
 
     return rec([])
-
-
-def probe_density_gap(dirs: Sequence[tuple[float, float]], density: float) -> float:
-    """The largest distance, up to sign, from a probe direction to the
-    nearest member of a 2-D direction set, over the probe grid at
-    density / 2.  A set is density-dense by this check when the gap is at
-    most density + 1e-9."""
-    arr = np.asarray(dirs)
-    return max(float(np.min(np.minimum(np.linalg.norm(arr - p, axis=1),
-                                       np.linalg.norm(arr + p, axis=1))))
-               for p in LineFamily.directions_for(2, density / 2.0))
 
 
 def retrace_depth(points: Sequence) -> int:

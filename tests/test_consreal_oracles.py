@@ -20,7 +20,7 @@ from oracles import ExactRelations
 
 def _exact_report(report) -> tuple:
     """A report with its floats written out bit for bit."""
-    return (report.verdict, report.realized_m.hex(), report.threshold,
+    return (report.verdict, report.realized_m.hex(),
             [(u, v, val.hex()) for u, v, val in report.violations])
 
 

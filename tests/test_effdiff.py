@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from coarsegeo import effdiff
 from coarsegeo.constants import Constants
 from coarsegeo.effdiff import (
-    Box, BoxMap, Line, LineFamily, NotEfficientError, PathTrace,
-    QuasiLipschitzViolationError, ScaleBelowResolutionError, coarse_length,
+    Box, BoxMap, Line, NotEfficientError, PathTrace,
+    QuasiLipschitzViolationError, ScaleBelowResolutionError, box_lines, coarse_length,
     differentiate_box, differentiate_lines, efficiency_test, hyperbolic_subbox,
     required_size, subsegment_efficiency_closure,
 )
@@ -164,32 +164,30 @@ def test_box_size_and_aspect():
     assert Box.cube(64, 2).central_half() == Box(((16, 48), (16, 48)))
 
 
-def test_line_family_density_verification():
-    fam = LineFamily.build(Box.cube(64, 2), density=0.3)
-    LineFamily.verify_density(fam.directions, 0.3)
-    with pytest.raises(ValueError, match="dense"):
-        LineFamily.verify_density([(1.0, 0.0)], 0.1)
-
-
 # --- the scale search -----------------------------------------------------------
 
 LINF = lp_handle(math.inf)
 
 
+def _axis(side: int) -> list[Line]:
+    """The one line `box_lines` runs along a 1-D box of this side."""
+    return box_lines(Box.cube(side, 1), 1.0, 1, 1)
+
+
 def test_constant_and_straight_maps_pass_level_one():
-    box = Box.cube(4096, 1)
+    lines = _axis(4096)
     const = BoxMap(lambda p: (0.0, 0.0), LINF, K=0.1, C=1.0)
-    rep = differentiate_lines(const, box, eps=0.01, theta=1e-7, r0=8.0)
+    rep = differentiate_lines(const, lines, eps=0.01, theta=1e-7, r0=8.0)
     assert rep.level == 1 and rep.bad_fraction == 0.0
     straight = BoxMap(lambda p: (float(np.atleast_1d(p)[0]), 0.0), LINF,
                       K=1.0, C=0.0)
-    rep2 = differentiate_lines(straight, box, eps=0.01, theta=1e-7, r0=8.0)
+    rep2 = differentiate_lines(straight, lines, eps=0.01, theta=1e-7, r0=8.0)
     assert rep2.level == 1 and rep2.bad_fraction == 0.0
 
 
 def test_staircase_scale_is_at_most_step_over_eps():
     fmap = BoxMap(staircase_map(16), LINF, K=1.0, C=1.0)
-    rep = differentiate_lines(fmap, Box.cube(4096, 1), eps=0.01, theta=1e-7,
+    rep = differentiate_lines(fmap, _axis(4096), eps=0.01, theta=1e-7,
                               r0=8.0)
     assert rep.scale <= 16 / 0.01
 
@@ -203,7 +201,7 @@ def test_wrong_constants_exhaust_schedule(cn):
         period = 64.0
         ph = t % period
         return (min(ph, period - ph), 0.0)
-    args = (Box.cube(4096, 1), 0.01, 1e-9, 8.0)
+    args = (_axis(4096), 0.01, 1e-9, 8.0)
     wrong = Constants({**cn.values, "bdelta_mult": 1.0})
     with pytest.raises(QuasiLipschitzViolationError, match="left the box"):
         differentiate_lines(BoxMap(zigzag, LINF, K=1.0, C=0.0), *args, constants=wrong)
@@ -325,15 +323,14 @@ def test_search_matches_oracle_at_level_two(monkeypatch, eps, scale):
     after level 1 are the ones level 2 reads."""
     fmap = BoxMap(drift_zigzag, LINF, K=3.0, C=1.0)
     got, want = _both_searches(monkeypatch, fmap, lambda fm: effdiff.differentiate_lines(
-        fm, Box.cube(40000, 1), eps, 0.1, 8.0))
+        fm, _axis(40000), eps, 0.1, 8.0))
     assert (got.level, got.scale) == (2, scale)
     _assert_same_report(got, want)
     # the same on 16 lines of a 2-D box, where each line keeps its own grid
     box = Box.cube(6000, 2)
-    lines = LineFamily.build(box, density=eps, max_directions=4, lines_per_direction=4).lines
+    lines = box_lines(box, eps, 4, 4)
     got, want = _both_searches(monkeypatch, BoxMap(drift_zigzag, LINF, K=6.0, C=1.0),
-                               lambda fm: effdiff.differentiate_lines(fm, box, eps, 0.1, 8.0,
-                                                                      lines=lines))
+                               lambda fm: effdiff.differentiate_lines(fm, lines, eps, 0.1, 8.0))
     assert got.level == 2 and len(got.lines) == 16
     _assert_same_report(got, want)
 
@@ -345,6 +342,31 @@ def test_search_matches_oracle_on_a_folded_flat(monkeypatch, cn, at):
     assert isinstance(got, QuasiLipschitzViolationError)
     assert type(got) is type(want) and str(got) == str(want)
     assert "at level 2" in str(got)
+
+
+# --- the lines against the line family they replaced ------------------------------
+
+def _line_bits(lines) -> list:
+    return [[_bits(float(v)) for v in (*ln.origin, *ln.direction, ln.length)] for ln in lines]
+
+
+@pytest.mark.parametrize("d", [0.3, 0.2025, 0.1, 0.05, 0.04, 0.01, 0.0025, 0.0016])
+def test_box_lines_match_the_line_family(d):
+    """`box_lines` builds the lines `oracles.LineFamily` built, bit for
+    bit and in order, at the densities the package and the tests build
+    (eps and eps0^2): on seeded 1-D and 2-D boxes, and on a 3-D box from
+    d = 0.2 on, for budgets dim + 2, 8 and every grid direction.  (The
+    family's 3-D density check takes about 0.6 s a build at d = 0.1 and
+    8 s at d = 0.05.)"""
+    rng = np.random.default_rng(round(d * 10_000))
+    for dim, boxes in ((1, 1), (2, 2), (3, 1 if d >= 0.2 else 0)):
+        for _ in range(boxes):
+            lo = rng.integers(-50, 50, dim)
+            box = Box(tuple((int(a), int(a + s)) for a, s in zip(lo, rng.integers(64, 400, dim))))
+            per = int(rng.integers(1, 13))
+            for budget in (dim + 2, 8, 10 ** 6):
+                want = oracles.LineFamily.build(box, d, budget, per).lines
+                assert _line_bits(box_lines(box, d, budget, per)) == _line_bits(want)
 
 
 class _Image:
@@ -368,11 +390,11 @@ def test_images_live_one_line_at_a_time():
     images at once, as the level-major loop does, is 10,524 here; the
     bound is 1,722."""
     box = Box.cube(6000, 2)
-    lines = LineFamily.build(box, density=0.09, max_directions=4, lines_per_direction=4).lines
+    lines = box_lines(box, 0.09, 4, 4)
     handle = MetricHandle("Linf", lambda a, b: max(abs(u - w) for u, w in zip(a.v, b.v)))
     fmap = BoxMap(lambda p: _Image(drift_zigzag(p)), handle, K=6.0, C=1.0)
     _Image.live = _Image.peak = 0
-    rep = differentiate_lines(fmap, box, 0.09, 0.1, 8.0, lines=lines)
+    rep = differentiate_lines(fmap, lines, 0.09, 0.1, 8.0)
     assert rep.level == 2 and len(rep.lines) == 16
     samples = [len(np.arange(0.0, ln.length + 1e-9, 8.0)) for ln in lines]
     kept = sum(math.ceil(n / rep.params["stride"]) for n in samples)
@@ -462,7 +484,7 @@ def test_bdelta_mult_is_read_from_the_constants(cn):
     # a segment of 800 sums 800 over a zigzag of amplitude 32: bad at the
     # frozen 2.0, good at 100
     fmap = BoxMap(_zigzag, LINF, K=1.0, C=0.0)
-    args = (fmap, Box.cube(4096, 1), 0.01, 1e-9, 8.0)
+    args = (fmap, _axis(4096), 0.01, 1e-9, 8.0)
     with pytest.raises(QuasiLipschitzViolationError, match="left the box"):
         differentiate_lines(*args, constants=cn)
     rep = differentiate_lines(*args, constants=_with(cn, bdelta_mult=100.0))
@@ -471,7 +493,7 @@ def test_bdelta_mult_is_read_from_the_constants(cn):
 
 def test_kappa_m_is_read_from_the_constants(cn):
     const = BoxMap(lambda p: (0.0, 0.0), LINF, K=0.1, C=1.0)
-    args = (const, Box.cube(4096, 1), 0.01, 1e-7, 8.0)
+    args = (const, _axis(4096), 0.01, 1e-7, 8.0)
     assert differentiate_lines(*args, constants=cn).level == 1
     with pytest.raises(QuasiLipschitzViolationError, match="level budget 0"):
         differentiate_lines(*args, constants=_with(cn, kappa_m=0.0))

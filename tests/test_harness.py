@@ -390,17 +390,24 @@ FAR = json.dumps({"components": [{"alpha": [13, 21], "tau": [8, 13]}]})
     (["pipeline", "--r0", "inf"], "need a finite r0, got inf"),
     (["pipeline", "--theta0", "-1"], "need a finite theta0 > 0, got -1.0"),
     (["pipeline", "--theta0", "nan"], "need a finite theta0 > 0, got nan"),
+    (["differentiate", "--r0", "nan"], "need a finite r0 > 0, got nan"),
+    (["differentiate", "--r0", "inf"], "need a finite r0 > 0, got inf"),
+    (["differentiate", "--theta0", "nan"], "need a finite theta0 > 0, got nan"),
+    (["differentiate", "--theta0", "-1"], "need a finite theta0 > 0, got -1.0"),
+    (["differentiate", "--eps0", "nan"], "need eps0 in (0, 1), got nan"),
 ], ids=["realize-no-kind", "efficiency-no-values", "efficiency-list", "dist-no-components",
         "dist-no-transversal", "pipeline-config-surface", "project-fractional-slope",
         "pipeline-config-negative-noise", "dist-surface-nan-threshold",
         "dist-surface-infinite-bers", "pipeline-r0-nan", "pipeline-r0-inf",
-        "pipeline-theta0-negative", "pipeline-theta0-nan"])
+        "pipeline-theta0-negative", "pipeline-theta0-nan", "differentiate-r0-nan",
+        "differentiate-r0-inf", "differentiate-theta0-nan", "differentiate-theta0-negative",
+        "differentiate-eps0-nan"])
 def test_cli_documents_of_the_wrong_shape_are_usage_errors(capsys, argv, message):
     """These ended in a KeyError, TypeError or ValueError traceback with
     exit code 1, or, for the fractional slope, projected 0/1 with exit
     code 0, or, for the NaN threshold, measured every distance as 0.0
-    with exit code 0, or, for a non-finite r0 or theta0 or a negative
-    theta0, ended in a ValueError, OverflowError or
+    with exit code 0, or, for a non-finite r0, theta0 or eps0 or a
+    negative theta0, ended in a ValueError, OverflowError or
     QuasiLipschitzViolationError traceback with exit code 1."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -436,16 +443,22 @@ def test_cli_integral_float_slopes_are_read_as_integers(capsys):
     (["bbf-audit", "--pairs", "-1"], "argument --pairs: expected an integer >= 1, got '-1'"),
     (["delta", "--samples", "0"], "argument --samples: expected an integer >= 1, got '0'"),
     (["delta", "--samples", "many"], "argument --samples: expected an integer >= 1, got 'many'"),
+    (["differentiate", "--box", "64"], "box of size 65 is below the required size 1600 for "
+     "eps0=0.1, r0=8.0 (engine-reported minimum)"),
+    (["differentiate", "--box", "0"], "argument --box: expected an integer >= 1, got '0'"),
+    (["differentiate", "--step", "0"], "argument --step: expected an integer >= 1, got '0'"),
+    (["differentiate", "--step", "-4"], "argument --step: expected an integer >= 1, got '-4'"),
 ], ids=["stats-flavor", "stats-components", "stats-genus-flavor", "pipeline-eps0",
         "rank-box-below-pipeline", "rank-n-above-rank-plus-one", "flat-fit-samples-0",
         "flat-fit-span-0", "flat-fit-noise-negative", "pipeline-noise-negative",
         "bbf-audit-pairs-0", "bbf-audit-pairs-negative", "delta-samples-0",
-        "delta-samples-not-an-integer"])
+        "delta-samples-not-an-integer", "differentiate-box-below-required",
+        "differentiate-box-0", "differentiate-step-0", "differentiate-step-negative"])
 def test_cli_flag_values_are_usage_errors(capsys, argv, message):
-    """These ended in a ValueError traceback with exit code 1, or, for a
-    count of 0 pairs or samples, in a vacuous pass with exit code 0, or,
-    for a negative noise, in a noiseless run that reported the negative
-    noise."""
+    """These ended in a ValueError or ZeroDivisionError traceback with
+    exit code 1, or, for a count of 0 pairs or samples or a negative
+    staircase step, in a vacuous pass with exit code 0, or, for a
+    negative noise, in a noiseless run that reported the negative noise."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -527,6 +540,19 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rank_top"] == 1
+
+
+@pytest.mark.parametrize("argv", [["pipeline", "--components", "3"],
+                                  ["differentiate", "--map", "flat-noise", "--components", "3"]],
+                         ids=["pipeline", "differentiate-flat-noise"])
+def test_cli_three_components_finish(argv):
+    """The scale search on a 3-D box builds only the directions it
+    evaluates.  Listing the whole grid of 2,011,840 directions at
+    eps0^2 = 0.0025 and checking it dense never finished, so the
+    subprocess runs under a timeout instead of hanging the suite."""
+    proc = subprocess.run([sys.executable, "-m", "coarsegeo.harness", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_pipeline_path_flat_extraction(marking2, cn):

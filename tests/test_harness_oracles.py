@@ -26,10 +26,10 @@ from coarsegeo.harness import (adversarial_maps, greedy_packing,
                                net_separation_count, noisy_flat_map, orthant_flat, twist_flat)
 from coarsegeo.pathsflats import FlatFactor, StandardFlat, preferred_path
 from coarsegeo.surfmodel import (INFINITY, ZERO, ComponentState, ModelPoint, ModelSurface,
-                                 Slope, apply_matrix, base_point, canonical_transversal,
-                                 flip_move, twist_matrix, twist_move)
+                                 Slope, apply_matrix, base_point, flip_move, twist_move)
 
 import oracles
+from oracles import canonical_transversal, twist_matrix
 
 MARKING2 = ModelSurface(((1, 1), (1, 1)), flavor="marking")
 AUGMENTED = ModelSurface(((1, 1), (0, 4)), flavor="augmented", bers=2.0)

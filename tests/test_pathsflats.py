@@ -21,12 +21,13 @@ from coarsegeo.pathsflats import (
 )
 from coarsegeo.surfmodel import (
     FLAVORS, INFINITY, ZERO, AnnularPoint, ComponentState, ModelPoint, ModelSurface,
-    Slope, Subsurface, base_point, canonical_transversal, farey_distance,
+    Slope, Subsurface, base_point, farey_distance,
     flip_move, horoball_distance, length_move, model_distance, project,
     twist_move,
 )
 
 import oracles
+from oracles import canonical_transversal
 
 
 # --- preferred paths ------------------------------------------------------------
@@ -215,6 +216,32 @@ def test_extraction_removes_backtracks(marking1, rng, cn):
     assert out.excursion <= cn["c_bb"] * 0.05 * 400.0
     assert model_distance(out.x, x) <= cn["d_roundtrip"]
     assert model_distance(out.y, y) <= cn["d_roundtrip"]
+
+
+def test_extracted_path_never_moves_back_along_a_side(marking1, augmented1, cn):
+    """Along the extracted path, each certificate's side position (of the
+    point of [pi_w(x), pi_w(y)] nearest the path point's projection)
+    never decreases.  The pairs are built as the extraction benchmark
+    builds them: marking pairs at eps 0.05 twisted by 30 about three
+    successive pants curves, augmented pairs at eps 0.1 twisted by
+    150-1200 and shortened 2-7 times, both at R = 400."""
+    rng = np.random.default_rng(12)
+    for _ in range(8):
+        x = random_point(marking1, rng, steps=12, big_twist=40)
+        y = x
+        for step in range(3):
+            y = twist_move(flip_move(y, 0) if step else y, 0, 30 * int(rng.choice([-1, 1])))
+        a = random_point(augmented1, rng, steps=8)
+        b = twist_move(a, 0, int(rng.integers(150, 1201)) * int(rng.choice([-1, 1])))
+        for _ in range(int(rng.integers(2, 8))):
+            b = length_move(b, 0, 0.5)
+        for p, q, eps in ((x, y, 0.05), (a, b, 0.1)):
+            trace = backtracked_trace(p, q, eps=eps, R=400.0, rng=rng, constants=cn)
+            path = extract_no_backtrack(trace, p, q, eps=eps, constants=cn)
+            for w, (pa, pb) in HullQuery(p, q, math.inf).sides.items():
+                pos = [side_nearest(w, p.surface.fl, pa, pb, project(z, w))[1]
+                       for z in path.points]
+                assert all(s <= t for s, t in zip(pos, pos[1:])), (w, pos)
 
 
 def test_extraction_rejects_inefficient_input(marking1, cn):

@@ -18,17 +18,17 @@ from coarsegeo import surfmodel
 from coarsegeo.surfmodel import (
     FLAVORS, INFINITY, ZERO, AnnularPoint, ComponentState, InessentialSubsurfaceError,
     ModelPoint, ModelSurface, Slope, Subsurface, annular_distance, apply_matrix,
-    base_point, candidate_subsurfaces, canonical_transversal, common_neighbors,
+    base_point, candidate_subsurfaces, common_neighbors,
     component_distance, distance_formula, farey_adjacent, farey_ball,
     farey_distance, farey_geodesic, flip_move, horoball_distance,
     horoball_point_to_segment, length_move, mat_inv,
     model_distance, product_factor_sum, product_project,
     product_region_distance, project, subsurface_distance, sum_distance_audit,
     surface_stats, threshold_audit, topology_stats, transport_matrix,
-    twist_matrix, twist_move, twist_number,
+    twist_move, twist_number,
 )
 
-from oracles import mat_mul
+from oracles import canonical_transversal, mat_mul, twist_matrix
 
 slopes = st.builds(
     Slope,

@@ -1,6 +1,6 @@
 """The per-component distance formula, the list-free model distance,
-the closed-form twist matrix and the gcd-free slope image against the
-code they replaced.
+the closed-form twist matrix, the gcd-free slope image and the
+closed-form pinned state against the code they replaced.
 
 `surfmodel.distance_formula` reads each component's terms from a cache
 keyed by the component's two state keys; `oracles.distance_formula` walks
@@ -38,14 +38,15 @@ import pytest
 from coarsegeo import surfmodel
 from coarsegeo.harness import noisy_flat_map, random_pair, random_point, twist_flat
 from coarsegeo.pathsflats import certificates
-from coarsegeo.surfmodel import (FLAVORS, INFINITY, ZERO, ComponentState, ModelPoint,
-                                 ModelSurface, Slope, apply_matrix, base_point,
-                                 candidate_subsurfaces, canonical_transversal,
-                                 distance_formula, farey_distance, farey_geodesic,
-                                 length_move, mat_inv, model_distance, transport_matrix,
-                                 twist_matrix, twist_move, twist_number, working_window)
+from coarsegeo.surfmodel import (FLAVORS, INFINITY, ZERO, AnnularPoint, ComponentState,
+                                 ModelPoint, ModelSurface, Slope, apply_matrix, base_point,
+                                 candidate_subsurfaces, distance_formula, farey_distance,
+                                 farey_geodesic, length_move, mat_inv, model_distance,
+                                 pinned_state, transport_matrix, twist_move, twist_number,
+                                 working_window)
 
 import oracles
+from oracles import canonical_transversal, twist_matrix
 
 SURFACES = [
     ModelSurface(((1, 1),), flavor="marking"),
@@ -157,7 +158,8 @@ def test_twist_matrix_matches_conjugated_shear():
                           for _ in range(1999)]
     for core in cores:
         for n in rng.integers(-500, 501, size=10):
-            assert twist_matrix(core, int(n)) == oracles.twist_matrix(core, int(n)), (core, n)
+            assert twist_matrix(core, int(n)) == oracles.shear_twist_matrix(core, int(n)), \
+                (core, n)
 
 
 def _random_slope(rng) -> Slope:
@@ -167,7 +169,8 @@ def _random_slope(rng) -> Slope:
 
 def test_apply_matrix_matches_gcd_path():
     """The sign-normalized image of a slope under every kind of matrix
-    the package applies equals the `Slope` the gcd path builds."""
+    the package and the tests apply equals the `Slope` the gcd path
+    builds."""
     rng = np.random.default_rng(508)
     kinds = [
         lambda core, n: twist_matrix(core, n),
@@ -190,6 +193,26 @@ def test_apply_matrix_matches_gcd_path():
     for bad in ((2, 0, 0, 1), (1, 1, 1, 1), (0, 0, 0, 0)):
         with pytest.raises(ValueError):
             apply_matrix(bad, ZERO)
+
+
+def test_pinned_state_is_the_canonical_transversal_twisted_into_place():
+    """`pinned_state` builds its transversal in closed form, M^-1(n/1)
+    for the transport M of the core and n the coordinate's twist (0
+    without one).  The code it replaced twisted the canonical
+    transversal M^-1(0/1) by n minus its twisting number, which is 0."""
+    rng = np.random.default_rng(509)
+    marking, augmented = (ModelSurface(((1, 1),), flavor=f) for f in ("marking", "augmented"))
+    for i in range(20_000):
+        core = _random_slope(rng)
+        surface = augmented if i % 2 else marking
+        height = float(rng.uniform(0.5, 40.0)) if i % 2 else None
+        coord = None if i % 7 == 0 else AnnularPoint(int(rng.integers(-10**6, 10**6)), height)
+        tau0 = canonical_transversal(core)
+        t0 = twist_number(core, tau0)
+        want = coord.twist if coord is not None else t0
+        tau = apply_matrix(twist_matrix(core, want - t0), tau0)
+        got = pinned_state(surface, core, coord)
+        assert (got.alpha, got.tau) == (core, tau) and (got.tau.p, got.tau.q) == (tau.p, tau.q)
 
 
 def test_clear_caches_empties_every_cache(marking2):

@@ -1,11 +1,9 @@
 """Box-map images are validated once.  Points built by the private
 `ModelPoint._trusted` constructor are checked against the validating
-constructor, the closed-form twist state against the twist matrix, and
-the exact 2-D density check against the probe loop it replaced.  The
-checks that moved to where each invariant is established raise, also
-under `python -O`."""
+constructor, and the closed-form twist state against the twist matrix.
+The checks that moved to where each invariant is established raise,
+also under `python -O`."""
 
-import math
 import os
 import subprocess
 import sys
@@ -17,14 +15,13 @@ import pytest
 
 from coarsegeo import surfmodel
 from coarsegeo.consreal import exact_system_for, realize, tuple_of_projections
-from coarsegeo.effdiff import LineFamily
 from coarsegeo.harness import noisy_flat_map, orthant_flat, random_slope, twist_flat
 from coarsegeo.pathsflats import FlatFactor, PreferredPath, StandardFlat, preferred_path
 from coarsegeo.surfmodel import (INFINITY, ZERO, ComponentState, ModelPoint, ModelSurface,
-                                 Slope, apply_matrix, base_point, canonical_transversal,
-                                 flip_move, length_move, product_project, twist_matrix,
-                                 twist_move)
-from oracles import probe_density_gap
+                                 Slope, apply_matrix, base_point, flip_move, length_move,
+                                 product_project, twist_move)
+
+from oracles import canonical_transversal, twist_matrix
 
 PANTS2 = ModelSurface(((1, 1), (0, 4)), flavor="pants")
 MARKING2 = ModelSurface(((1, 1), (1, 1)), flavor="marking")
@@ -172,51 +169,7 @@ def test_closed_form_twist_state_is_the_twist_matrix_image(rng):
             assert flat.factor_state(f, f._twist0 + k) == (core.p, core.q, tau.p, tau.q, None)
 
 
-# --- the exact 2-D density check ---------------------------------------------------
-
-def _rejects(dirs, density: float) -> bool:
-    try:
-        LineFamily.verify_density(dirs, density)
-    except ValueError:
-        return True
-    return False
-
-
-@pytest.mark.parametrize("d", [0.3, 0.2025, 0.1, 0.05, 0.04, 0.01, 0.0025, 0.0016])
-def test_exact_density_verdict_agrees_with_probes_on_built_sets(d):
-    """The densities the package and the tests build (eps and eps0^2), at
-    the set's own density (both accept) and below it (both reject)."""
-    dirs = LineFamily.directions_for(2, d)
-    for density in (d, d / 2, 0.45 * d, d / 4):
-        assert _rejects(dirs, density) == (probe_density_gap(dirs, density) > density + 1e-9)
-    assert not _rejects(dirs, d)
-    assert _rejects(dirs, d / 4)
-
-
-def test_exact_density_gap_is_at_least_the_probe_gap():
-    """The exact check rejects below every probe's gap, so it never
-    accepts a set the probes reject; here it also rejects sets the probes
-    missed."""
-    rng = np.random.default_rng(5)
-    stricter = 0
-    for _ in range(300):
-        angles = rng.uniform(0.0, math.pi, int(rng.integers(4, 40)))
-        dirs = [(math.cos(a), math.sin(a)) for a in angles]
-        density = float(rng.uniform(0.05, 1.0))
-        gap = probe_density_gap(dirs, density)
-        assert _rejects(dirs, gap - 2e-9)
-        probes_reject = gap > density + 1e-9
-        assert _rejects(dirs, density) or not probes_reject
-        stricter += _rejects(dirs, density) and not probes_reject
-    assert stricter > 0  # 11 of the 300
-
-
 # --- invariants checked once, where they are established ------------------------------
-
-def _widened_gap():
-    dirs = LineFamily.directions_for(2, 0.1)
-    LineFamily.verify_density(dirs[:10] + dirs[14:], 0.1)
-
 
 def _path_on_another_surface():
     other = ModelSurface(((1, 1), (1, 1)), flavor="marking", threshold=12.0)
@@ -242,8 +195,6 @@ NEGATIVE = {
         np.array([1.0, 2.0, 3.0])),
     "batch-wrong-width": lambda: noisy_flat_map(twist_flat(MARKING2, 10), 3, 1).images(
         np.zeros((4, 3))),
-    "density-widened-gap": _widened_gap,
-    "density-one-direction": lambda: LineFamily.verify_density([(1.0, 0.0)], 0.1),
 }
 
 
