@@ -2,7 +2,7 @@
 
 Modules
 -------
-hypgraph    graphs and distance handles: geodesics, thinness,
+hypgraph    distance handles, Farey thinness on the exact geodesics,
             unparametrized quasi-geodesic tests
 effdiff     coarse length, efficiency, the differentiation scale search,
             sub-box extraction over hyperbolic targets

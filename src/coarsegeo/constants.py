@@ -43,12 +43,6 @@ class Constants:
                 f"run the 'calibrate' verb first"
             ) from None
 
-    def get(self, name: str, default: float | None = None) -> float | None:
-        return self.values.get(name, default)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.values
-
     def to_json(self) -> dict[str, Any]:
         return {
             "schema_version": SCHEMA_VERSION,

@@ -13,10 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -25,12 +26,12 @@ import numpy as np
 from . import bbf, consreal, effdiff, pathsflats, surfmodel
 from .constants import Constants, default_constants
 from .effdiff import Box, BoxMap, PathTrace
-from .hypgraph import (_side_defect, delta_estimate, delta_exhaustive, farey_graph,
-                       farey_handle, lp_handle, model_handle, real_line_handle)
+from .hypgraph import (farey_handle, farey_thinness, lp_handle, model_handle,
+                       real_line_handle)
 from .pathsflats import (FlatFactor, StandardFlat, candidate_flats,
-                         extract_no_backtrack, flat_fit, preferred_path)
+                         extract_no_backtrack, flat_fit, pinned_curve, preferred_path)
 from .surfmodel import (ModelPoint, ModelSurface, Slope, Subsurface,
-                        base_point, farey_distance, farey_geodesic, flip_move,
+                        base_point, farey_adjacent, farey_ball, farey_geodesic, flip_move,
                         length_move, model_distance, surface_stats, twist_move,
                         twist_number)
 
@@ -140,8 +141,6 @@ def farey_efficient_trace(rng: np.random.Generator, R: float, eps: float) -> Pat
     for _ in range(2):
         at = int(rng.integers(2, len(geo) - 2))
         fan = surfmodel.common_neighbors(geo[at], geo[at + 1])
-        if not fan:
-            continue
         side = fan[int(rng.integers(len(fan)))]
         wiggle = [side, geo[at]] * (depth // 2 + 1)
         pts = pts[:at + 1] + wiggle[:depth] + pts[at + 1:]
@@ -380,15 +379,13 @@ def run_pipeline(config: ExperimentConfig, fmap: BoxMap, dim: int,
     branches = []
     moving = []
     for comp in range(surface.n_components):
-        counts: dict = {}
-        for s in samples:
-            counts[s.alpha(comp)] = counts.get(s.alpha(comp), 0) + 1
-        majority = max(counts.values()) / len(samples)
-        branch = "product-region" if majority >= 0.8 else "preferred-path"
-        if branch == "preferred-path":
+        _core, hits, pinned = pinned_curve(samples, comp)
+        if not pinned:
             moving.append(comp)
-        branches.append({"component": comp, "branch": branch,
-                         "curves": len(counts), "majority": majority})
+        branches.append({"component": comp,
+                         "branch": "product-region" if pinned else "preferred-path",
+                         "curves": len({s.alpha(comp) for s in samples}),
+                         "majority": hits / len(samples)})
     rep.add("branches", per_component=branches)
     flats = candidate_flats(samples, cn)
     extracted = _extract_moving_factors(fmap, sub, moving, surface, cn, rep)
@@ -409,6 +406,16 @@ def _pipeline_side(config: ExperimentConfig, c: float) -> int:
     additive constant c: the configured side, else the least size
     `differentiate_box` accepts."""
     return config.box_side or int(effdiff.required_size(config.eps0, config.r0, c))
+
+
+def _flat_pipeline(config: ExperimentConfig, constants: Constants) -> Report:
+    """`run_pipeline` on the config's twist flat under noise `config.noise`,
+    with the flat as a hint.  The flat covers the whole box the pipeline
+    differentiates, or every sample clamps to the flat's corner."""
+    surface = config.surface
+    flat = twist_flat(surface, _pipeline_side(config, _flat_map_c(surface, config.noise)))
+    fmap = noisy_flat_map(flat, config.noise, config.seed)
+    return run_pipeline(config, fmap, dim=flat.dim, constants=constants, flat_hint=flat)
 
 
 def _extract_moving_factors(fmap: BoxMap, sub: Box, moving: list[int],
@@ -489,6 +496,8 @@ def rank_experiment(config: ExperimentConfig, n: int,
     """For n at most the top rank, the product embedding must pass the
     pipeline (and the augmented orthant passes a ray check); for
     n = rank + 1 every suite map is refuted by the separation count."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     cn = constants or default_constants()
     config.surface.validate_threshold(cn)
     rep = Report("rank", config.digest())
@@ -498,16 +507,7 @@ def rank_experiment(config: ExperimentConfig, n: int,
     k1 = cn["k1_net"]
     kappa_net = cn["kappa_net"]
     if n <= rank:
-        # the flat must cover the whole box the pipeline differentiates,
-        # or every sample clamps to the flat's corner
-        span = _pipeline_side(config, _flat_map_c(surface, 0))
-        flat = twist_flat(surface, span)
-        fmap = noisy_flat_map(flat, 0, config.seed)
-        sub_cfg = ExperimentConfig(surface, config.eps0, config.theta0,
-                                   config.r0, config.seed,
-                                   box_side=config.box_side, noise=0)
-        pipe = run_pipeline(sub_cfg, fmap, dim=flat.dim, constants=cn,
-                            flat_hint=flat)
+        pipe = _flat_pipeline(replace(config, noise=0), cn)
         rep.add("embedding-pipeline", passed=pipe.passed,
                 stages=pipe.stages)
         rep.passed = pipe.passed
@@ -536,7 +536,7 @@ def rank_experiment(config: ExperimentConfig, n: int,
         results.append({"map": name, "net": net, "packed": packed,
                         "refuted": refuted})
     # the honest n = rank embedding keeps its net separated
-    hmap = noisy_flat_map(twist_flat(surface, 2 * side), 0, config.seed)
+    hmap = noisy_flat_map(flat, 0, config.seed)
     hnet, hpacked = net_separation_count(hmap, Box.cube(side, rank),
                                          spacing, separation)
     honest_ok = hpacked >= hnet / kappa_net
@@ -601,15 +601,11 @@ def calibrate(seed: int = 42, scale: float = 1.0) -> Constants:
     marking1 = ModelSurface(((1, 1),), flavor="marking")
     augmented1 = ModelSurface(((1, 1),), flavor="augmented")
 
-    # Farey thinness: random triples under the exact metric, plus an exhaustive ball
-    near = lambda vs: (lambda v: min(float(farey_distance(v, u)) for u in vs))
-    worst = 0.0
-    for _ in range(n(200)):
-        tri = [random_slope(rng, 40) for _ in range(3)]
-        if len(set(tri)) == 3:
-            worst = max(worst, _side_defect(tri, farey_geodesic, near))
-    worst = max(worst, delta_exhaustive(farey_graph(0, 1, 3)))
-    values["delta_farey"] = worst
+    # Farey thinness: random triples, plus every triple of a small ball
+    tris = [[random_slope(rng, 40) for _ in range(3)] for _ in range(n(200))]
+    tris = [tri for tri in tris if len(set(tri)) == 3]
+    tris += itertools.combinations(farey_ball(0, 1, 3), 3)
+    values["delta_farey"] = farey_thinness(tris)
     values["delta_horoball"] = 1.0  # log(1+sqrt(2)) rounded up
 
     # bounded geodesic image constant, with window-doubling stability
@@ -793,9 +789,7 @@ def calibrate(seed: int = 42, scale: float = 1.0) -> Constants:
     cfg = ExperimentConfig(marking2, eps0=0.1, theta0=0.1, r0=8.0, seed=seed,
                            noise=2)
     cn_try = Constants(values=dict(values), meta=dict(meta))
-    flat = twist_flat(marking2, span=int(2 * max(cfg.r0, 20) / cfg.eps0 ** 2))
-    fmap = noisy_flat_map(flat, cfg.noise, seed)
-    pipe = run_pipeline(cfg, fmap, dim=2, constants=cn_try, flat_hint=flat)
+    pipe = _flat_pipeline(cfg, cn_try)
     fits = [s for s in pipe.stages if s["stage"] == "flat_fit"]
     if fits:
         realized = fits[0]["fit"] / (fits[0]["cap"] / cn_try["c_fit"])
@@ -917,9 +911,15 @@ def _project(ns):
 
 
 def _delta(ns):
-    g = farey_graph(ns.lo, ns.hi, ns.depth)
-    return {"delta": delta_estimate(g, ns.samples, ns.seed), "vertices": len(g),
-            "edges": g.n_edges}
+    """Thinness of seeded triples of a Farey ball: a prefix of one seeded
+    stream, so the estimate never falls as --samples grows."""
+    ball = farey_ball(ns.lo, ns.hi, ns.depth)
+    n = len(ball)
+    rng = np.random.default_rng(ns.seed)
+    tris = ([ball[int(i)] for i in rng.choice(n, size=3, replace=False)]
+            for _ in range(ns.samples if n >= 3 else 0))
+    edges = sum(farey_adjacent(a, b) for a, b in itertools.combinations(ball, 2))
+    return {"delta": farey_thinness(tris), "vertices": n, "edges": edges}
 
 
 def _efficiency(ns):
@@ -1040,11 +1040,8 @@ def _flat_fit(ns):
 
 def _pipeline(ns):
     cn = _constants_arg(ns)
-    cfg = _config_arg(ns, eps0=ns.eps0, theta0=ns.theta0, r0=ns.r0, noise=ns.noise)
-    span = _pipeline_side(cfg, _flat_map_c(cfg.surface, cfg.noise))
-    flat = twist_flat(cfg.surface, span)
-    fmap = noisy_flat_map(flat, cfg.noise, cfg.seed)
-    rep = run_pipeline(cfg, fmap, dim=flat.dim, constants=cn, flat_hint=flat)
+    rep = _flat_pipeline(_config_arg(ns, eps0=ns.eps0, theta0=ns.theta0, r0=ns.r0,
+                                     noise=ns.noise), cn)
     return rep.to_json(), rep.passed
 
 
@@ -1132,7 +1129,7 @@ VERBS: dict[str, tuple[str, list, Callable]] = {
         _arg("--r0", type=float, default=50.0), _arg("--noise", type=NOISE, default=3)],
         _pipeline),
     "rank": ("rank experiment", [
-        _arg("--config"), _arg("--n", type=int, required=True),
+        _arg("--config"), _arg("--n", type=COUNT, required=True),
         _arg("--eps0", type=float, default=0.05),
         _arg("--box", type=int, help="box side (default: 60 for n = rank + 1, else the "
              "pipeline's own side)")],

@@ -1,31 +1,23 @@
 """Core machinery for coarsely geodesic spaces.
 
-Spaces come in two presentations: finite explicit graphs
-(:class:`HypGraph`, with BFS geodesics and deterministic tie-breaking)
-and callable distance handles (:class:`MetricHandle`, with geodesics
-where the space supplies them).  On top of these the module provides
-thin-triangle constant estimation and the unparametrized quasi-geodesic
-test.
+A space is a callable distance handle (:class:`MetricHandle`, with
+geodesics where the space supplies them).  The Farey graph, the curve
+graph of every component, has one presentation: the exact distance and
+geodesic routines of `surfmodel`, which the Farey handle and the
+thin-triangle kernel both read.  The module also provides the
+unparametrized quasi-geodesic test.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import surfmodel
-from .surfmodel import farey_adjacent, farey_ball
-
-Vertex = Hashable
-
-
-class UnreachableError(ValueError):
-    """The endpoints are in different components of the graph."""
+from .surfmodel import Slope, farey_distance, farey_geodesic
 
 
 @dataclass(frozen=True)
@@ -46,140 +38,19 @@ class GeodesicSegment:
         return iter(self.vertices)
 
 
-class HypGraph:
-    """A finite explicit graph.
-
-    Vertices must be hashable; `key` is the canonical encoding used for
-    all tie-breaking: the vertex's `.key()` when present, as for slopes,
-    else the vertex itself.
-    """
-
-    def __init__(self, edges: Iterable[tuple[Vertex, Vertex]],
-                 vertices: Iterable[Vertex] = ()):
-        self.key = key = lambda v: v.key() if hasattr(v, "key") else v
-        adj: dict[Vertex, set] = {v: set() for v in vertices}
-        for u, v in edges:
-            if u == v:
-                raise ValueError("loops are not allowed")
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
-        self.vertices = tuple(sorted(adj, key=key))
-        self.adj = {v: tuple(sorted(adj[v], key=key)) for v in self.vertices}
-
-    def __contains__(self, v: Vertex) -> bool:
-        return v in self.adj
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(a) for a in self.adj.values()) // 2
-
-    def bfs_distances(self, sources: Iterable[Vertex]) -> dict[Vertex, int]:
-        dist = {s: 0 for s in sources}
-        q = deque(dist)
-        while q:
-            u = q.popleft()
-            for v in self.adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    q.append(v)
-        return dist
-
-    def distance(self, a: Vertex, b: Vertex) -> int:
-        d = self.bfs_distances([a]).get(b)
-        if d is None:
-            raise UnreachableError("unreachable")
-        return d
-
-
-def geodesic(g: HypGraph, a: Vertex, b: Vertex) -> GeodesicSegment:
-    """BFS shortest path with deterministic tie-breaking.
-
-    The search runs from the endpoint with the smaller key and explores
-    neighbors in key order, so the result is reversal-symmetric:
-    geodesic(g, b, a) is geodesic(g, a, b) reversed.
-    """
-    if a not in g or b not in g:
-        raise KeyError("endpoint not in graph")
-    if a == b:
-        return GeodesicSegment((a,))
-    flip = g.key(b) < g.key(a)
-    if flip:
-        a, b = b, a
-    parent: dict[Vertex, Vertex] = {a: a}
-    q = deque([a])
-    while q:
-        u = q.popleft()
-        if u == b:
-            break
-        for v in g.adj[u]:
-            if v not in parent:
-                parent[v] = u
-                q.append(v)
-    if b not in parent:
-        raise UnreachableError("unreachable")
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
-    if flip:
-        path.reverse()
-    return GeodesicSegment(tuple(path))
-
-
-def _side_defect(tri: Sequence[Vertex], side: Callable[[Vertex, Vertex], Sequence[Vertex]],
-                 near: Callable[[list], Callable[[Vertex], float]]) -> float:
-    """Max over the sides of the geodesic triangle on three vertices of
-    the distance from the side to the other two, in the caller's space:
-    `side(a, b)` is a geodesic and `near(vs)` the distance to vs."""
-    sides = [side(tri[0], tri[1]), side(tri[1], tri[2]), side(tri[0], tri[2])]
+def farey_thinness(triangles: Iterable[Sequence[Slope]]) -> float:
+    """Thin-triangle constant of slope triangles in the Farey graph: the
+    max over the triangles, and over the sides of each, of the side's
+    distance to the other two sides.  Each side is `farey_geodesic` of
+    its ends and each distance `farey_distance`, so this measures the
+    geodesics hulls and centres use; 0.0 when there is no triangle."""
     worst = 0.0
-    for i, vs in enumerate(sides):
-        dist = near([v for j, s in enumerate(sides) if j != i for v in s])
-        worst = max(worst, float(max(map(dist, vs))))
-    return worst
-
-
-def delta_estimate(g: HypGraph, sample_count: int, seed: int) -> float:
-    """Empirical thin-triangle constant from sampled triangles.
-
-    Deterministic given the seed, and prefix-consistent: increasing
-    sample_count only extends the sampled stream, so the estimate is
-    monotone non-decreasing in sample_count.
-    """
-    n = len(g.vertices)
-    if n < 3:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    side = lambda a, b: geodesic(g, a, b).vertices
-    near = lambda vs: g.bfs_distances(vs).__getitem__
-    worst = 0.0
-    for _ in range(sample_count):
-        i, j, k = rng.choice(n, size=3, replace=False)
-        tri = (g.vertices[int(i)], g.vertices[int(j)], g.vertices[int(k)])
-        try:
-            worst = max(worst, _side_defect(tri, side, near))
-        except UnreachableError:
-            continue
-    return worst
-
-
-def delta_exhaustive(g: HypGraph) -> float:
-    """Exact thin-triangle constant by scanning every vertex triple, with
-    one BFS row per vertex and one geodesic per vertex pair (v's distance
-    to a set is its row's least entry there).  For small graphs only;
-    used as the sampling oracle."""
-    if len(g) < 3:
-        return 0.0
-    rows = {v: g.bfs_distances([v]) for v in g.vertices}
-    sides = {(a, b): geodesic(g, a, b).vertices
-             for a, b in itertools.combinations(g.vertices, 2)}
-    near = lambda vs: (lambda v: min(map(rows[v].__getitem__, vs)))
-    worst = 0.0
-    for tri in itertools.combinations(g.vertices, 3):
-        worst = max(worst, _side_defect(tri, lambda a, b: sides[a, b], near))
+    for a, b, c in triangles:
+        sides = [farey_geodesic(a, b), farey_geodesic(b, c), farey_geodesic(a, c)]
+        for i, side in enumerate(sides):
+            rest = [u for j, s in enumerate(sides) if j != i for u in s]
+            worst = max(worst, float(max(min(farey_distance(v, u) for u in rest)
+                                         for v in side)))
     return worst
 
 
@@ -231,14 +102,6 @@ def farey_handle() -> MetricHandle:
         lambda a, b: float(surfmodel.farey_distance(a, b)),
         geodesic_fn=lambda a, b: surfmodel.farey_geodesic(a, b),
     )
-
-
-def farey_graph(lo: int = -2, hi: int = 3, depth: int = 5) -> HypGraph:
-    """An explicit finite chunk of the Farey graph (mediant fan over
-    [lo, hi] to the given depth) with determinant adjacency."""
-    verts = farey_ball(lo, hi, depth)
-    edges = [(a, b) for a, b in itertools.combinations(verts, 2) if farey_adjacent(a, b)]
-    return HypGraph(edges, vertices=verts)
 
 
 def model_handle(surface) -> MetricHandle:

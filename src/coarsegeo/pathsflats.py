@@ -639,6 +639,17 @@ def flat_fit(points: Sequence[ModelPoint],
     return best_val, best_flat
 
 
+def pinned_curve(samples: Sequence[ModelPoint], comp: int) -> tuple[Slope, int, bool]:
+    """The pants curve of component comp that most samples share (ties go
+    to the least key), how many share it, and whether it pins the
+    component: it does when at least four fifths of the samples share it."""
+    counts: dict[Slope, int] = {}
+    for p in samples:
+        counts[p.alpha(comp)] = counts.get(p.alpha(comp), 0) + 1
+    core, hits = max(counts.items(), key=lambda kv: (kv[1],) + tuple(-k for k in kv[0].key()))
+    return core, hits, hits >= 0.8 * len(samples)
+
+
 def candidate_flats(samples: Sequence[ModelPoint],
                     constants: Constants | None = None) -> list[StandardFlat]:
     """Flats reconstructed from the samples' endpoint data: components
@@ -656,11 +667,8 @@ def candidate_flats(samples: Sequence[ModelPoint],
                 p_star, q_star, best = a, b, d
     factors = []
     for comp in range(surface.n_components):
-        counts: dict[Slope, int] = {}
-        for p in samples:
-            counts[p.alpha(comp)] = counts.get(p.alpha(comp), 0) + 1
-        core, hits = max(counts.items(), key=lambda kv: (kv[1],) + tuple(-k for k in kv[0].key()))
-        if hits >= 0.8 * len(samples) and surface.fl.annuli:
+        core, _hits, pinned = pinned_curve(samples, comp)
+        if pinned and surface.fl.annuli:
             w = Subsurface("annulus", comp, core)
             tw = [project(p, w).twist for p in samples if p.alpha(comp) == core]
             pad = 2

@@ -214,9 +214,8 @@ def _dist_to_inf(p: int, q: int) -> int:
 
 def _geo_from_inf(p: int, q: int) -> list[Slope]:
     """A geodesic from infinity to p/q; ties prefer the floor branch
-    (lexicographically least integer vertex under the (q, p) key)."""
-    if q == 0:
-        return [INFINITY]
+    (lexicographically least integer vertex under the (q, p) key); p/q
+    is not infinity."""
     if q == 1:
         return [INFINITY, Slope(p, 1)]
     k = p // q

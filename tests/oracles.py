@@ -24,8 +24,8 @@ grid mask by a scan of every index range; the greedy net packing that
 compares every image with every kept one; the scale search's line
 family, which listed a whole grid of directions and checked it dense
 before keeping the axes and a budgeted spread of it; the exhaustive
-thin-triangle constant with three geodesics and three multi-source BFS
-runs per triple; and the consistency check as one generic loop over a
+thin-triangle constant of an explicit graph, from BFS rows and BFS
+geodesics; and the consistency check as one generic loop over a
 system's stated relations, which the exact system's twist table
 replaced and which also checks synthetic systems, explicit relation
 tables with nesting chains deeper than the exact model has.  They are
@@ -39,6 +39,12 @@ over an integer time grid, and the deepest retrace of a trace.  Four
 are test fixtures: the folded box map, the L^1 product handle, and the
 Dehn twist matrix in closed form and the canonical transversal, which
 the package's pinned state no longer reads.
+
+The explicit finite graph with BFS geodesics and key-order tie-breaks
+(`HypGraph`, `geodesic`, `UnreachableError`) and the Farey ball as such
+a graph (`farey_graph`) moved here from `hypgraph`: the package measures
+Farey thinness on the exact geodesics of `surfmodel`, and only the graph
+oracles here and the thinness differential test build an explicit graph.
 """
 
 from __future__ import annotations
@@ -46,8 +52,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -57,14 +64,13 @@ from coarsegeo.constants import Constants, default_constants
 from coarsegeo.effdiff import (Box, BoxMap, DiffReport, Line, PathTrace,
                                QuasiLipschitzViolationError, ScaleBelowResolutionError,
                                SegmentVerdict, _clip_line)
-from coarsegeo.hypgraph import (GeodesicSegment, HypGraph, MetricHandle, UnreachableError,
-                                Vertex, _points_of, geodesic)
+from coarsegeo.hypgraph import GeodesicSegment, MetricHandle, _points_of
 from coarsegeo.pathsflats import StandardFlat
 from coarsegeo.surfmodel import (IDENTITY, ZERO, AnnularPoint, ComponentState, Flavor, Matrix,
                                  ModelPoint, ModelSurface, Slope, Subsurface, _component_terms,
                                  _geo_from_inf, annular_distance, apply_matrix, boundary_point,
-                                 common_neighbors, complex_distance, farey_adjacent, farey_distance,
-                                 farey_geodesic, mat_inv, transport_matrix, twist_number)
+                                 common_neighbors, complex_distance, farey_adjacent, farey_ball,
+                                 farey_distance, farey_geodesic, mat_inv, transport_matrix, twist_number)
 
 
 def mat_mul(m: Matrix, n: Matrix) -> Matrix:
@@ -947,6 +953,104 @@ def differentiate_lines(fmap: BoxMap, lines: Sequence[Line], eps: float, theta: 
         r_prev = r_m
 
 
+Vertex = Hashable
+
+
+class UnreachableError(ValueError):
+    """The endpoints are in different components of the graph."""
+
+
+class HypGraph:
+    """A finite explicit graph.
+
+    Vertices must be hashable; `key` is the canonical encoding used for
+    all tie-breaking: the vertex's `.key()` when present, as for slopes,
+    else the vertex itself.
+    """
+
+    def __init__(self, edges: Iterable[tuple[Vertex, Vertex]],
+                 vertices: Iterable[Vertex] = ()):
+        self.key = key = lambda v: v.key() if hasattr(v, "key") else v
+        adj: dict[Vertex, set] = {v: set() for v in vertices}
+        for u, v in edges:
+            if u == v:
+                raise ValueError("loops are not allowed")
+            adj.setdefault(u, set()).add(v)
+            adj.setdefault(v, set()).add(u)
+        self.vertices = tuple(sorted(adj, key=key))
+        self.adj = {v: tuple(sorted(adj[v], key=key)) for v in self.vertices}
+
+    def __contains__(self, v: Vertex) -> bool:
+        return v in self.adj
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def n_edges(self) -> int:
+        return sum(len(a) for a in self.adj.values()) // 2
+
+    def bfs_distances(self, sources: Iterable[Vertex]) -> dict[Vertex, int]:
+        dist = {s: 0 for s in sources}
+        q = deque(dist)
+        while q:
+            u = q.popleft()
+            for v in self.adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    q.append(v)
+        return dist
+
+    def distance(self, a: Vertex, b: Vertex) -> int:
+        d = self.bfs_distances([a]).get(b)
+        if d is None:
+            raise UnreachableError("unreachable")
+        return d
+
+
+def geodesic(g: HypGraph, a: Vertex, b: Vertex) -> GeodesicSegment:
+    """BFS shortest path with deterministic tie-breaking.
+
+    The search runs from the endpoint with the smaller key and explores
+    neighbors in key order, so the result is reversal-symmetric:
+    geodesic(g, b, a) is geodesic(g, a, b) reversed.
+    """
+    if a not in g or b not in g:
+        raise KeyError("endpoint not in graph")
+    if a == b:
+        return GeodesicSegment((a,))
+    flip = g.key(b) < g.key(a)
+    if flip:
+        a, b = b, a
+    parent: dict[Vertex, Vertex] = {a: a}
+    q = deque([a])
+    while q:
+        u = q.popleft()
+        if u == b:
+            break
+        for v in g.adj[u]:
+            if v not in parent:
+                parent[v] = u
+                q.append(v)
+    if b not in parent:
+        raise UnreachableError("unreachable")
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    path.reverse()
+    if flip:
+        path.reverse()
+    return GeodesicSegment(tuple(path))
+
+
+def farey_graph(lo: int = -2, hi: int = 3, depth: int = 5) -> HypGraph:
+    """An explicit finite chunk of the Farey graph (mediant fan over
+    [lo, hi] to the given depth) with determinant adjacency."""
+    verts = farey_ball(lo, hi, depth)
+    edges = [(a, b) for a, b in itertools.combinations(verts, 2) if farey_adjacent(a, b)]
+    return HypGraph(edges, vertices=verts)
+
+
 def nearest_point_projection(g: HypGraph, p: Vertex, seg: GeodesicSegment) -> Vertex:
     """The segment vertex closest to p; ties go to the earliest vertex
     along the segment."""
@@ -983,17 +1087,33 @@ def triangle_center_graph(g: HypGraph, x: Vertex, y: Vertex, z: Vertex,
     return best_v
 
 
+def _side_defect(tri: Sequence[Vertex], side: Callable[[Vertex, Vertex], Sequence[Vertex]],
+                 near: Callable[[list], Callable[[Vertex], float]]) -> float:
+    """Max over the sides of the geodesic triangle on three vertices of
+    the distance from the side to the other two, in the caller's space:
+    `side(a, b)` is a geodesic and `near(vs)` the distance to vs."""
+    sides = [side(tri[0], tri[1]), side(tri[1], tri[2]), side(tri[0], tri[2])]
+    worst = 0.0
+    for i, vs in enumerate(sides):
+        dist = near([v for j, s in enumerate(sides) if j != i for v in s])
+        worst = max(worst, float(max(map(dist, vs))))
+    return worst
+
+
 def delta_exhaustive(g: HypGraph) -> float:
-    """Max over every vertex triple and every side of its geodesic
-    triangle of the side's distance to the other two, each distance a
-    multi-source BFS from the other two sides."""
+    """Exact thin-triangle constant by scanning every vertex triple, with
+    one BFS row per vertex and one geodesic per vertex pair (v's distance
+    to a set is its row's least entry there).  For small graphs only;
+    used as the sampling oracle."""
+    if len(g) < 3:
+        return 0.0
+    rows = {v: g.bfs_distances([v]) for v in g.vertices}
+    sides = {(a, b): geodesic(g, a, b).vertices
+             for a, b in itertools.combinations(g.vertices, 2)}
+    near = lambda vs: (lambda v: min(map(rows[v].__getitem__, vs)))
     worst = 0.0
     for tri in itertools.combinations(g.vertices, 3):
-        sides = [geodesic(g, tri[0], tri[1]), geodesic(g, tri[1], tri[2]),
-                 geodesic(g, tri[0], tri[2])]
-        for i, side in enumerate(sides):
-            dist = g.bfs_distances([v for j, s in enumerate(sides) if j != i for v in s])
-            worst = max(worst, float(max(dist.get(v, math.inf) for v in side)))
+        worst = max(worst, _side_defect(tri, lambda a, b: sides[a, b], near))
     return worst
 
 

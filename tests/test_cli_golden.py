@@ -74,6 +74,7 @@ def _cases() -> dict[str, list[str]]:
         "preferred-csv": ["preferred", "--surface", s1, xj, y30, "--csv", CSV],
         "preferred-augmented": ["preferred", "--surface", sa, aj, bj],
         "delta": ["delta", "--lo", "0", "--hi", "1", "--depth", "4", "--samples", "60"],
+        "delta-readme": ["delta", "--lo", "-2", "--hi", "3", "--depth", "5", "--samples", "400"],
         "efficiency-csv": ["efficiency", trace, "--scale", "40", "--eps", "0.2",
                            "--csv", CSV],
         "efficiency-fails": ["efficiency", detour, "--scale", "40", "--eps", "0.2"],

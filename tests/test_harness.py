@@ -18,7 +18,7 @@ from coarsegeo.harness import (
     twist_flat,
 )
 from coarsegeo.effdiff import Box
-from coarsegeo.pathsflats import FlatFactor, StandardFlat
+from coarsegeo.pathsflats import FlatFactor, StandardFlat, pinned_curve
 from coarsegeo.surfmodel import (INFINITY, ZERO, InessentialSubsurfaceError, ModelSurface,
                                  Subsurface, annular_coordinate_point, base_point,
                                  farey_distance, flip_move, length_move, model_distance,
@@ -435,6 +435,9 @@ def test_cli_integral_float_slopes_are_read_as_integers(capsys):
     (["rank", "--components", "2", "--n", "2", "--box", "60"],
      "box side 60 is below the pipeline's required size 40000 for n = 2 <= rank 2"),
     (["rank", "--components", "2", "--n", "4"], "--n 4 exceeds rank + 1 = 3"),
+    (["rank", "--components", "2", "--n", "0"], "argument --n: expected an integer >= 1, got '0'"),
+    (["rank", "--components", "2", "--n", "-3"],
+     "argument --n: expected an integer >= 1, got '-3'"),
     (["flat-fit", "--samples", "0"], "argument --samples: expected an integer >= 1, got '0'"),
     (["flat-fit", "--span", "0"], "argument --span: expected an integer >= 1, got '0'"),
     (["flat-fit", "--noise", "-1"], "argument --noise: expected an integer >= 0, got '-1'"),
@@ -449,7 +452,8 @@ def test_cli_integral_float_slopes_are_read_as_integers(capsys):
     (["differentiate", "--step", "0"], "argument --step: expected an integer >= 1, got '0'"),
     (["differentiate", "--step", "-4"], "argument --step: expected an integer >= 1, got '-4'"),
 ], ids=["stats-flavor", "stats-components", "stats-genus-flavor", "pipeline-eps0",
-        "rank-box-below-pipeline", "rank-n-above-rank-plus-one", "flat-fit-samples-0",
+        "rank-box-below-pipeline", "rank-n-above-rank-plus-one", "rank-n-0",
+        "rank-n-negative", "flat-fit-samples-0",
         "flat-fit-span-0", "flat-fit-noise-negative", "pipeline-noise-negative",
         "bbf-audit-pairs-0", "bbf-audit-pairs-negative", "delta-samples-0",
         "delta-samples-not-an-integer", "differentiate-box-below-required",
@@ -585,6 +589,30 @@ def test_pipeline_path_flat_extraction(marking2, cn):
     assert "factor-extraction" in stages
 
 
+@pytest.mark.parametrize("k, sub", [(14, (10000, 24142)), (15, (10000, 24142)),
+                                    (16, (10000, 24142)), (22, (10000, 22374))])
+def test_pinned_curve_decides_label_and_flat_near_the_threshold(marking2, cn, k, sub):
+    """Noise seeds of the acceptance-11 map (the draws of default_rng([k, 1])
+    the flat-pipeline benchmark skips) whose 7x7 grid, on the sub-box the
+    pipeline picks, keeps component 1 on its curve at just under four
+    fifths of the samples.  `run_pipeline`'s branch label and
+    `candidate_flats` both read `pinned_curve`: component 1 gets a path
+    factor, and component 0 a twist factor on the majority curve."""
+    seed = int(np.random.default_rng([k, 1]).integers(1, 2**31 - 1))
+    fmap = noisy_flat_map(twist_flat(marking2, 40000), 3, seed)
+    axes = [np.linspace(*sub, 7), np.linspace(10000, 24142, 7)]
+    samples = fmap.images(np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], -1))
+    (core0, _, pinned0), (core1, hits1, pinned1) = (pinned_curve(samples, c) for c in (0, 1))
+    assert pinned0 and not pinned1 and hits1 in (38, 39)  # 0.776 or 0.796 of 49
+    counts = {}
+    for p in samples:
+        counts[p.alpha(1)] = counts.get(p.alpha(1), 0) + 1
+    assert core1 == min((c for c, h in counts.items() if h == hits1), key=lambda c: c.key())
+    (flat,) = harness.candidate_flats(samples, cn)
+    assert [f.kind for f in flat.factors] == ["twist", "path"]
+    assert flat.factors[0].core == core0
+
+
 def test_rank_embedding_flat_covers_the_pipeline_box(monkeypatch, marking2, cn):
     """The n <= rank branch must build its flat over the whole box the
     pipeline differentiates: clamped to a smaller flat, the 7x7 sub-box
@@ -604,6 +632,12 @@ def test_rank_embedding_flat_covers_the_pipeline_box(monkeypatch, marking2, cn):
     axes = [np.linspace(lo, hi, 7) for lo, hi in sub["box"]]
     grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
     assert len({maps[0].fn(p) for p in grid}) > 1
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_rank_experiment_refuses_a_dimension_below_one(marking2, cn, n):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        harness.rank_experiment(ExperimentConfig(marking2), n, constants=cn)
 
 
 def test_module_entry_point_runs_without_warnings():

@@ -1,21 +1,22 @@
-"""Graph machinery: BFS geodesics, thinness, projections, centers,
-excursion, and the unparametrized quasi-geodesic test."""
+"""Graph machinery: Farey thinness on the exact geodesics, the BFS graph
+oracles (geodesics, projections, centres), excursion, and the
+unparametrized quasi-geodesic test."""
 
+import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from coarsegeo.hypgraph import (
-    GeodesicSegment, HypGraph, UnreachableError, delta_estimate,
-    delta_exhaustive, farey_graph, farey_handle, geodesic, lp_handle,
-    model_handle, real_line_handle, unparam_qgeo_check,
-)
-from coarsegeo.surfmodel import INFINITY, ZERO, Slope, farey_distance
+from coarsegeo.harness import main
+from coarsegeo.hypgraph import farey_handle, farey_thinness, real_line_handle, unparam_qgeo_check
+from coarsegeo.surfmodel import INFINITY, ZERO, Slope, farey_ball, farey_distance
 
 import oracles
-from oracles import (graph_handle, morse_excursion, nearest_point_projection,
-                     product_handle, triangle_center_graph, unparam_qgeo_oracle)
+from oracles import (HypGraph, UnreachableError, farey_graph, geodesic, graph_handle,
+                     morse_excursion, nearest_point_projection, product_handle,
+                     triangle_center_graph, unparam_qgeo_oracle)
 
 BALL_DELTA = 1.0  # the thinness the triangle-centre checks allow on `ball`
 
@@ -55,37 +56,29 @@ def test_unreachable_errors():
         geodesic(g, 0, 3)
 
 
-def test_delta_tree_and_triangle():
-    tree = HypGraph([(0, 1), (1, 2), (1, 3), (3, 4)])
-    assert delta_estimate(tree, 200, seed=1) == 0.0
-    tri = HypGraph([(0, 1), (1, 2), (2, 0)])
-    assert delta_exhaustive(tri) <= 1.0
-
-
-def test_delta_monotone_in_samples_and_below_exhaustive():
-    g = farey_graph(-1, 2, 4)
-    exact = delta_exhaustive(g)
+def test_delta_monotone_in_samples_and_below_exhaustive(capsys):
+    """The verb's triples are a prefix of one seeded stream of the ball's
+    triples, so its estimate grows with --samples up to the kernel's
+    value on every triple."""
+    ball = (-1, 2, 4)
+    exact = farey_thinness(itertools.combinations(farey_ball(*ball), 3))
     prev = 0.0
-    for count in (5, 20, 80, 200):
-        est = delta_estimate(g, count, seed=3)
-        assert est >= prev
-        assert est <= exact
+    for count in (1, 5, 20, 80, 200):
+        assert main(["delta", "--lo", "-1", "--hi", "2", "--depth", "4",
+                     "--samples", str(count), "--seed", "3"]) == 0
+        est = json.loads(capsys.readouterr().out)["delta"]
+        assert prev <= est <= exact
         prev = est
+    assert farey_thinness([]) == 0.0
 
 
-def test_delta_exhaustive_matches_the_per_triple_bfs_loop():
-    """Rows and geodesics computed once per scan give the constant that
-    per-triple multi-source BFS runs give, float for float."""
-    cycle = lambda n: [(i, (i + 1) % n) for i in range(n)]
-    grid = [((i, j), (i + di, j + 1 - di)) for i in range(4) for j in range(4) for di in (0, 1)]
-    graphs = [farey_graph(0, 1, 3), farey_graph(-1, 1, 3), HypGraph(grid),
-              HypGraph(cycle(12) + [(0, 6)])] + [HypGraph(cycle(n)) for n in (3, 8, 11, 14)]
-    got = [delta_exhaustive(g) for g in graphs]
-    assert [repr(d) for d in got] == [repr(oracles.delta_exhaustive(g)) for g in graphs]
-    assert sorted(set(got)) == [0.0, 1.0, 2.0, 3.0]
-    assert delta_exhaustive(HypGraph([(0, 1)])) == 0.0
-    with pytest.raises(UnreachableError):
-        delta_exhaustive(HypGraph([(0, 1), (2, 3), (3, 4)]))
+@pytest.mark.parametrize("ball", [(0, 1, 3), (-1, 1, 3), (0, 1, 4), (-1, 2, 4)])
+def test_farey_thinness_of_a_ball_matches_the_bfs_graph(ball):
+    """Over every triple of a ball, the exact geodesics give the thinness
+    the explicit ball with BFS geodesics gives, though one triangle's
+    defect can differ (the two break ties between geodesics apart)."""
+    got = farey_thinness(itertools.combinations(farey_ball(*ball), 3))
+    assert repr(got) == repr(oracles.delta_exhaustive(farey_graph(*ball))) == "1.0"
 
 
 def test_nearest_point_projection(ball, rng):
