@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -124,6 +124,26 @@ def build_pk_graph(family: FamilyY, k: float, fl: Flavor) -> PkGraph:
 QtPoint = tuple[Subsurface, Any]  # (vertex subsurface, point of its complex)
 
 
+def _dijkstra(adjacency: list[list[tuple[int, float]]], seeds: Iterable) -> np.ndarray:
+    """Shortest path lengths to every node of a weighted adjacency list
+    from (distance, node) seeds, each node seeded at most once."""
+    dist = [math.inf] * len(adjacency)
+    heap = list(seeds)
+    for d, i in heap:
+        dist[i] = d
+    heapq.heapify(heap)
+    while heap:
+        d, i = heapq.heappop(heap)
+        if d > dist[i]:
+            continue
+        for j, w in adjacency[i]:
+            nd = d + w
+            if nd < dist[j]:
+                dist[j] = nd
+                heapq.heappush(heap, (nd, j))
+    return np.array(dist)
+
+
 @dataclass
 class QuasiTree:
     """Complexes of one family glued along boundary projections over the
@@ -139,42 +159,35 @@ class QuasiTree:
     objects appear only in `distance`'s arguments and in `dump()`.  The
     component family has no edges, so its tree has no nodes.
 
-    The attachment graph is built once, at the first distance query: the
-    distinct nodes, numbered in edge order, the node indices each host
-    carries, and sparse adjacency lists.  A marking annulus carries
-    |twist difference|, a line metric, so its block joins only
-    consecutive nodes in twist order: every other pair is joined through
-    the nodes between them at the same total, so no shortest path
-    changes, and all sums are integers held in floats, hence exact.
-    Augmented (horoball) blocks stay complete, weighted by the horoball
-    metric.  Cross edges cost one.
+    The attachment graph is built with the tree: the distinct nodes,
+    numbered in edge order, the node indices each host carries, and
+    sparse adjacency lists.  A marking annulus carries |twist
+    difference|, a line metric, so its block joins only consecutive
+    nodes in twist order: every other pair is joined through the nodes
+    between them at the same total, so no shortest path changes, and
+    all sums are integers held in floats, hence exact.  Augmented
+    (horoball) blocks stay complete, weighted by the horoball metric.
+    Cross edges cost one.
 
-    Everything else is computed on demand and cached with the tree:
-    - a row, the heapq Dijkstra distances from one node to every node:
-      at most one per node;
-    - a block, the rows of the nodes of a queried point's host
-      restricted to the nodes of the other point's host: one per
-      ordered host pair queried;
-    - legs, the in-complex distances from one queried point to its
-      host's nodes: one per distinct point queried."""
+    A query from a point u runs one heapq Dijkstra over that graph,
+    seeded at the nodes of u's host, each at u's leg to it (the
+    in-complex distance): the glued distance from u to every node.  It
+    is cached per distinct point (host, twist, height), as are a
+    point's legs, so a distinct queried point costs one search."""
 
     family: FamilyY
     pk: PkGraph
     fl: Flavor
-    nodes: list[tuple[int, int]] = field(default_factory=list, init=False, repr=False)
-    hosts: dict[tuple[int, int], int] = field(default_factory=dict, init=False, repr=False)
-    per_complex: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
-    adjacency: list[list[tuple[int, float]]] | None = field(default=None, init=False,
-                                                            repr=False)
-    rows: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
-    blocks: dict[tuple[int, int], np.ndarray] = field(default_factory=dict, init=False,
-                                                      repr=False)
+    nodes: list[tuple[int, int]] = field(init=False, repr=False)
+    hosts: dict[tuple[int, int], int] = field(init=False, repr=False)
+    per_complex: dict[int, np.ndarray] = field(init=False, repr=False)
+    adjacency: list[list[tuple[int, float]]] = field(init=False, repr=False)
+    reach: dict[tuple[int, int, float | None], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False)
     legs: dict[tuple[int, int, float | None], np.ndarray] = field(
         default_factory=dict, init=False, repr=False)
 
-    def _graph(self) -> None:
-        if self.adjacency is not None:
-            return
+    def __post_init__(self):
         t = self.pk.table
         index: dict[tuple[int, int], int] = {}
         for v, w in self.pk.edges:
@@ -214,34 +227,6 @@ class QuasiTree:
             return None
         return self.hosts.get((w.core.p, w.core.q))
 
-    def _row(self, src: int) -> np.ndarray:
-        row = self.rows.get(src)
-        if row is not None:
-            return row
-        adj = self.adjacency
-        dist = [math.inf] * len(adj)
-        dist[src] = 0.0
-        heap = [(0.0, src)]
-        while heap:
-            d, i = heapq.heappop(heap)
-            if d > dist[i]:
-                continue
-            for j, w in adj[i]:
-                nd = d + w
-                if nd < dist[j]:
-                    dist[j] = nd
-                    heapq.heappush(heap, (nd, j))
-        row = self.rows[src] = np.array(dist)
-        return row
-
-    def _block(self, hu: int, hv: int) -> np.ndarray:
-        blk = self.blocks.get((hu, hv))
-        if blk is not None:
-            return blk
-        blk = np.array([self._row(i) for i in self.per_complex[hu].tolist()])
-        blk = self.blocks[(hu, hv)] = blk[:, self.per_complex[hv]]
-        return blk
-
     def _legs(self, host: int, pt: AnnularPoint) -> np.ndarray:
         key = (host, pt.twist, pt.height)
         got = self.legs.get(key)
@@ -250,16 +235,21 @@ class QuasiTree:
             got = self.legs[key] = np.array(annular_row(pt, twists, self.fl))
         return got
 
+    def _reach(self, host: int, pt: AnnularPoint) -> np.ndarray:
+        key = (host, pt.twist, pt.height)
+        got = self.reach.get(key)
+        if got is None:
+            seeds = zip(self._legs(host, pt).tolist(), self.per_complex[host].tolist())
+            got = self.reach[key] = _dijkstra(self.adjacency, seeds)
+        return got
+
     def distance(self, u: QtPoint, v: QtPoint) -> float:
-        """Shortest glued path: a direct intra-complex leg, or out
-        through this complex's attachments, across the attachment graph,
-        and in through the target's."""
+        """Shortest glued path: a direct intra-complex leg, or the search
+        from u to an attachment of the target's complex and in from there."""
         best = complex_distance(u[0], u[1], v[1], self.fl) if u[0] == v[0] else math.inf
-        self._graph()
         hu, hv = self._host(u[0]), self._host(v[0])
         if hu in self.per_complex and hv in self.per_complex:
-            via = (self._legs(hu, u[1])[:, None] + self._block(hu, hv)
-                   + self._legs(hv, v[1])[None, :]).min()
+            via = (self._reach(hu, u[1])[self.per_complex[hv]] + self._legs(hv, v[1])).min()
             best = min(best, float(via))
         if best == math.inf:
             raise WindowTooSmallError(

@@ -15,9 +15,10 @@ lengths off horoball heights.
 
 In the exact model the boundary projection between two annuli depends
 only on their cores, which a system fixes when it is built, so an exact
-system computes those twisting numbers once, in a per-component
-`surfmodel.twist_table` (the table the projection graph of `bbf` reads),
-and every check on it (realization re-checks included) reads them back.
+system computes those twisting numbers when it is built, in a
+per-component `surfmodel.twist_table` (the table the projection graph
+of `bbf` reads), and every check on it (realization re-checks included)
+reads them back.
 """
 
 from __future__ import annotations
@@ -70,11 +71,14 @@ class ExactSystem:
 
     Every boundary projection between two annuli of a component is
     boundary_point(core_u, core_v), a function of the two cores alone,
-    and the cores are fixed when the system is built.  So the first
-    consistency check builds one twist table per component,
-    `surfmodel.twist_table` of its k annuli (k^2 Python ints, held by the
-    system and freed with it), and every check reads its overlap pairs
-    off those rows exactly.
+    and the cores are fixed when the system is built.  So the system
+    builds one twist table per component with its members: `tables`
+    holds, per component in member order, its component member (None
+    when only annuli name it), its annuli a_0..a_{k-1}, and the square
+    rows T[i][j] = twist_number(a_i.core, a_j.core) of
+    `surfmodel.twist_table` (k^2 Python ints, 0 on the diagonal, freed
+    with the system).  Every check reads its overlap pairs off those
+    rows exactly.
     """
 
     def __init__(self, surface: ModelSurface,
@@ -83,30 +87,21 @@ class ExactSystem:
         subs = {w for w in subsurfaces if surface.fl.annuli or w.kind == "component"}
         comps = {Subsurface("component", i) for i in range(surface.n_components)}
         self._members = sorted(subs | comps, key=Subsurface.key)
-        self._twists = None  # twist_table(), built by the first check
+        groups: dict[int, list[Subsurface]] = {}
+        for w in self._members:
+            groups.setdefault(w.comp, []).append(w)
+        self.tables: list[tuple[Subsurface | None, list[Subsurface], list[list[int]]]] = []
+        for group in groups.values():
+            annuli = [w for w in group if w.kind == "annulus"]
+            rows = surfmodel.twist_table([(a.core.p, a.core.q) for a in annuli])
+            self.tables.append((group[0] if group[0].kind == "component" else None,
+                                annuli, rows))
 
     def members(self) -> list[Subsurface]:
         return self._members
 
     def complex_distance(self, u: Subsurface, a, b) -> float:
         return surfmodel.complex_distance(u, a, b, self.surface.fl)
-
-    def twist_table(self) -> list[tuple[Subsurface | None, list[Subsurface], list[list[int]]]]:
-        """Per component, in member order: its component member (None when
-        only annuli name it), its annuli a_0..a_{k-1}, and the square rows
-        T[i][j] = twist_number(a_i.core, a_j.core) of
-        `surfmodel.twist_table` (0 on the diagonal), built on first use."""
-        if self._twists is None:
-            groups: dict[int, list[Subsurface]] = {}
-            for w in self._members:
-                groups.setdefault(w.comp, []).append(w)
-            table = []
-            for group in groups.values():
-                annuli = [w for w in group if w.kind == "annulus"]
-                rows = surfmodel.twist_table([(a.core.p, a.core.q) for a in annuli])
-                table.append((group[0] if group[0].kind == "component" else None, annuli, rows))
-            self._twists = table
-        return self._twists
 
     def pair_values(self, z: Mapping[Subsurface, Coordinate],
                     ) -> Iterator[tuple[Subsurface, Subsurface, float]]:
@@ -116,7 +111,7 @@ class ExactSystem:
         overlap pair (u, v) as min(row_u[v], row_v[u]) of the annular
         distances from z_u and z_v to the twist-table rows."""
         fl = self.surface.fl
-        for w, annuli, rows in self.twist_table():
+        for w, annuli, rows in self.tables:
             present = [i for i, a in enumerate(annuli) if a in z]
             if w is not None and w in z:
                 zw = z[w]

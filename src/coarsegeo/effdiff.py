@@ -267,8 +267,8 @@ def coarse_length(path: PathTrace, r: float) -> float:
     Computed exactly by shortest-path dynamic programming on the DAG of
     sample indices with time gaps at most r.
     """
-    if r <= 0:
-        raise ValueError("scale must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError(f"scale must be finite and positive, got {r}")
     ts = np.asarray(path.times)
     gaps = np.diff(ts)
     if len(gaps) and gaps.max() > r + 1e-9:

@@ -913,7 +913,7 @@ def _project(ns):
 def _delta(ns):
     """Thinness of seeded triples of a Farey ball: a prefix of one seeded
     stream, so the estimate never falls as --samples grows."""
-    ball = farey_ball(ns.lo, ns.hi, ns.depth)
+    ball = _from_flags(farey_ball, ns.lo, ns.hi, ns.depth)
     n = len(ball)
     rng = np.random.default_rng(ns.seed)
     tris = ([ball[int(i)] for i in rng.choice(n, size=3, replace=False)]
@@ -990,7 +990,7 @@ def _hull(ns):
     x, y, z = _points_arg(ns, "x", "y", "z")
     cn = _constants_arg(ns)
     kappa = ns.kappa if ns.kappa is not None else cn["kappa_hull"]
-    ok, worst = pathsflats.hull_membership(pathsflats.HullQuery(x, y, kappa), z)
+    ok, worst = pathsflats.hull_membership(_from_flags(pathsflats.HullQuery, x, y, kappa), z)
     return {"member": bool(ok), "kappa": kappa,
             "worst": repr(worst) if worst else None}, ok
 

@@ -235,7 +235,9 @@ def verify_preferred(path: PreferredPath, constants: Constants | None = None) ->
 @dataclass
 class HullQuery:
     """The sides of one endpoint pair: `sides[w]` is (pi_w(x), pi_w(y))
-    for each certificate w, in `certificates` order."""
+    for each certificate w, in `certificates` order.  `kappa` is at
+    least 0 (infinity allowed); anything else, NaN included, is a
+    ValueError."""
 
     x: ModelPoint
     y: ModelPoint
@@ -243,6 +245,8 @@ class HullQuery:
     sides: dict[Subsurface, tuple[Any, Any]] = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not self.kappa >= 0:
+            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
         self.sides = {w: (project(self.x, w), project(self.y, w))
                       for w in certificates(self.x, self.y)}
 

@@ -281,8 +281,11 @@ def farey_ball(lo: int, hi: int, depth: int) -> list[Slope]:
 
     This is the explicit finite chunk of the Farey graph used by ball
     oracles and calibration scans; adjacency is recovered from the
-    determinant condition.
+    determinant condition.  A reversed interval or a negative depth is a
+    ValueError.
     """
+    if hi < lo or depth < 0:
+        raise ValueError(f"need lo <= hi and depth >= 0, got lo={lo}, hi={hi}, depth={depth}")
     verts: set[Slope] = {INFINITY}
     verts.update(Slope(n, 1) for n in range(lo, hi + 1))
 

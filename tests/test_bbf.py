@@ -1,6 +1,7 @@
 """Transversal families, the projection graph, quasi-trees, and the
 product embedding."""
 
+import collections
 import itertools
 import math
 import os
@@ -121,6 +122,30 @@ def test_quasitree_cross_edge_value_vs_exhaustive(marking1, cn):
     u = (wa, AnnularPoint(twist[repr(wa)]))
     v = (wb, AnnularPoint(twist[repr(wb)]))
     assert qt.distance(u, v) == pytest.approx(1.0)  # exactly the cross edge
+
+
+def test_one_dijkstra_per_queried_point(marking1, cn, calls_to):
+    """A fresh window answers a cross-host query with one search from the
+    queried point, not one per attachment node of its host; asking again
+    from an equal point rebuilt from its values runs none."""
+    x = base_point(marking1)
+    y = twist_move(flip_move(x, 0), 0, 25)
+    qt = embedding_for_pair(x, y, cn["k_pk"]).trees["annuli[0]"]
+    per_host = collections.Counter(h for e in qt.pk.edges for h in e)
+    hosts = sorted(per_host, key=lambda h: -per_host[h])[:3]
+    assert len(hosts) == 3 and per_host[hosts[0]] >= 2
+    cores = qt.family.cores
+
+    def point(h: int, twist: int):
+        c = cores[h]
+        return Subsurface("annulus", 0, Slope(c.p, c.q)), AnnularPoint(twist)
+
+    runs = calls_to(bbf, "_dijkstra")
+    first = qt.distance(point(hosts[0], 4), point(hosts[1], -3))
+    assert len(runs) == 1
+    assert qt.distance(point(hosts[0], 4), point(hosts[1], -3)) == first
+    assert qt.distance(point(hosts[0], 4), point(hosts[2], 7)) > 0
+    assert len(runs) == 1
 
 
 def test_quasitree_intra_horoball_matches_closed_form(augmented1, cn):

@@ -365,6 +365,7 @@ NO_TRANSVERSAL = json.dumps({"components": [{"alpha": [0, 1]}]})
 SURFACE = '{{"components": [[1, 1]], "flavor": "marking", "bers": {}, "threshold": {}}}'
 BASE = json.dumps({"components": [{"alpha": [0, 1], "tau": [1, 0]}]})
 FAR = json.dumps({"components": [{"alpha": [13, 21], "tau": [8, 13]}]})
+LINE = json.dumps({"times": list(range(11)), "values": list(range(11))})
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -451,18 +452,31 @@ def test_cli_integral_float_slopes_are_read_as_integers(capsys):
     (["differentiate", "--box", "0"], "argument --box: expected an integer >= 1, got '0'"),
     (["differentiate", "--step", "0"], "argument --step: expected an integer >= 1, got '0'"),
     (["differentiate", "--step", "-4"], "argument --step: expected an integer >= 1, got '-4'"),
+    (["delta", "--lo", "3", "--hi", "-2"],
+     "need lo <= hi and depth >= 0, got lo=3, hi=-2, depth=5"),
+    (["delta", "--depth", "-1"], "need lo <= hi and depth >= 0, got lo=-2, hi=3, depth=-1"),
+    (["efficiency", LINE, "--scale", "10", "--eps", "nan"],
+     "scale must be finite and positive, got nan"),
+    (["efficiency", LINE, "--scale", "10", "--eps", "inf"],
+     "scale must be finite and positive, got inf"),
+    (["hull", BASE, FAR, BASE, "--kappa", "nan"], "kappa must be >= 0, got nan"),
 ], ids=["stats-flavor", "stats-components", "stats-genus-flavor", "pipeline-eps0",
         "rank-box-below-pipeline", "rank-n-above-rank-plus-one", "rank-n-0",
         "rank-n-negative", "flat-fit-samples-0",
         "flat-fit-span-0", "flat-fit-noise-negative", "pipeline-noise-negative",
         "bbf-audit-pairs-0", "bbf-audit-pairs-negative", "delta-samples-0",
         "delta-samples-not-an-integer", "differentiate-box-below-required",
-        "differentiate-box-0", "differentiate-step-0", "differentiate-step-negative"])
+        "differentiate-box-0", "differentiate-step-0", "differentiate-step-negative",
+        "delta-reversed", "delta-depth-negative", "efficiency-eps-nan", "efficiency-eps-inf",
+        "hull-kappa-nan"])
 def test_cli_flag_values_are_usage_errors(capsys, argv, message):
     """These ended in a ValueError or ZeroDivisionError traceback with
     exit code 1, or, for a count of 0 pairs or samples or a negative
     staircase step, in a vacuous pass with exit code 0, or, for a
-    negative noise, in a noiseless run that reported the negative noise."""
+    negative noise, in a noiseless run that reported the negative noise.
+    A reversed or negative-depth Farey ball and an infinite efficiency
+    scale passed with exit code 0; a NaN scale printed an invalid JSON
+    Infinity and a NaN kappa a failed membership, both with exit code 1."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -2,8 +2,10 @@
 `ModelPoint._trusted` constructor are checked against the validating
 constructor, and the closed-form twist state against the twist matrix.
 The checks that moved to where each invariant is established raise,
-also under `python -O`."""
+also under `python -O`, as do the argument checks of `farey_ball`,
+`coarse_length` and `HullQuery`."""
 
+import math
 import os
 import subprocess
 import sys
@@ -15,8 +17,11 @@ import pytest
 
 from coarsegeo import surfmodel
 from coarsegeo.consreal import exact_system_for, realize, tuple_of_projections
+from coarsegeo.effdiff import PathTrace, coarse_length
 from coarsegeo.harness import noisy_flat_map, orthant_flat, random_slope, twist_flat
-from coarsegeo.pathsflats import FlatFactor, PreferredPath, StandardFlat, preferred_path
+from coarsegeo.hypgraph import real_line_handle
+from coarsegeo.pathsflats import (FlatFactor, HullQuery, PreferredPath, StandardFlat,
+                                  preferred_path)
 from coarsegeo.surfmodel import (INFINITY, ZERO, ComponentState, ModelPoint, ModelSurface,
                                  Slope, apply_matrix, base_point, flip_move, length_move,
                                  product_project, twist_move)
@@ -195,6 +200,10 @@ NEGATIVE = {
         np.array([1.0, 2.0, 3.0])),
     "batch-wrong-width": lambda: noisy_flat_map(twist_flat(MARKING2, 10), 3, 1).images(
         np.zeros((4, 3))),
+    "farey-ball-reversed": lambda: surfmodel.farey_ball(3, -2, 2),
+    "coarse-length-scale-nan": lambda: coarse_length(
+        PathTrace((0.0, 1.0), (0.0, 1.0), real_line_handle(), K=1.0, C=0.0), math.nan),
+    "hull-kappa-negative": lambda: HullQuery(base_point(MARKING2), base_point(MARKING2), -1.0),
 }
 
 
