@@ -270,14 +270,16 @@ class FarVerdict:
 def far_projection_check(x: ModelPoint, u: Subsurface, v: Subsurface,
                          m1: float, c_far: float) -> FarVerdict:
     """If the projection to U sits far from the boundary of V, the
-    projections to V from both sources must agree up to a constant."""
+    projections to V from both sources must agree up to a constant.  A
+    negative or NaN m1 is refused: with m1 >= 0 a projection equal to
+    V's core, at distance 0, is a vacuous case."""
     if u.kind != "component" or v.kind != "annulus" or u.comp != v.comp:
         raise ValueError("the audit needs an annulus inside a component")
-    ante = float(farey_distance(project(x, u), v.core))  # type: ignore[arg-type]
-    if ante <= m1:
-        return FarVerdict(True, ante, None, True)
+    if not m1 >= 0:
+        raise ValueError(f"the far-projection constant m1 must be >= 0, got {m1}")
     xu = project(x, u)
-    if xu == v.core:
+    ante = float(farey_distance(xu, v.core))  # type: ignore[arg-type]
+    if ante <= m1:
         return FarVerdict(True, ante, None, True)
     fl = x.surface.fl
     via_u = boundary_point(v.core, xu, fl)

@@ -825,7 +825,9 @@ def _from_flags(build: Callable, *args, **kwargs):
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = json.dumps(doc, indent=1, sort_keys=True, default=str)
+    """Write a verb's document as strict JSON: a NaN or an infinity raises
+    instead of printing a token no JSON parser reads."""
+    text = json.dumps(doc, indent=1, sort_keys=True, default=str, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n")
     else:
@@ -991,7 +993,7 @@ def _hull(ns):
     cn = _constants_arg(ns)
     kappa = ns.kappa if ns.kappa is not None else cn["kappa_hull"]
     ok, worst = pathsflats.hull_membership(_from_flags(pathsflats.HullQuery, x, y, kappa), z)
-    return {"member": bool(ok), "kappa": kappa,
+    return {"member": bool(ok), "kappa": kappa if math.isfinite(kappa) else None,
             "worst": repr(worst) if worst else None}, ok
 
 

@@ -448,7 +448,10 @@ class Flavor:
     factors and noise bursts.  With `heights` (augmented) an annular
     complex is the horoball y >= 1/B, not Z: points carry lengths in
     (0, B], other curves are seen at the height `boundary` = 1/B, and
-    flats have ray factors."""
+    flats have ray factors.  `tie_bound` is the annular distance of a
+    twist gap of 3 at the boundary height, the float `annular_distance`
+    gives (infinite without annuli): above it `_terms_key` keys a
+    component pair up to SL2(Z)."""
 
     name: str
     annuli: bool
@@ -456,9 +459,13 @@ class Flavor:
     bers: float = 1.0
     boundary: float | None = field(init=False, repr=False, compare=False)
     factor_kinds: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    tie_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "boundary", 1.0 / self.bers if self.heights else None)
+        b = 1.0 / self.bers if self.heights else None
+        object.__setattr__(self, "boundary", b)
+        object.__setattr__(self, "tie_bound", math.acosh(1.0 + 9.0 / (2.0 * b * b))
+                           if self.heights else 3.0 if self.annuli else math.inf)
         object.__setattr__(self, "factor_kinds",
                            ("path",) + ("twist",) * self.annuli + ("ray",) * self.heights)
 
@@ -843,42 +850,27 @@ def working_window(x: ModelPoint, y: ModelPoint) -> dict[int, tuple[Slope, ...]]
     return out
 
 
-def _component_terms(surf: ModelSurface, comp: int, kx: tuple, ky: tuple,
-                     t: float) -> tuple[tuple[Subsurface, float], ...]:
-    """The (subsurface, distance) terms of one component at threshold t,
-    in candidate order: the body `_formula_terms` runs on a miss of its
-    cache.  Every subsurface lies in one component, so the terms depend
-    only on that component's two state keys kx and ky, and are computed
-    on their ints: a twisting number is (a p + b q) // (c p + d q) for the
-    core's cached transport (a, b; c, d), as in `twist_number`, and the
-    annular distance is `annular_distance`'s float of the two
-    projections.  A `Subsurface` is built only for a kept term.
-
-    Two states with the same pants slope alpha (as in a product region
-    Q(alpha)) need one projection: the component term is
-    farey_distance(alpha, alpha) = 0, and every annulus whose core is
-    not alpha sees the pants slope alpha from both states, at the same
-    height 1/B in the augmented flavor, so its distance is exactly 0.0.
-    For t > 0 the only possible term is the annulus about alpha.  At
-    t <= 0 the zero terms are kept, so the full enumeration runs; the
-    pants flavor has no annuli and always takes the component-only path.
-    """
-    fl = surf.fl
+def _component_terms(fl: Flavor, kx: tuple, ky: tuple,
+                     t: float) -> tuple[tuple[Slope | None, float], ...]:
+    """The kept (core, distance) terms of one component at threshold t:
+    the component term first, with core None, then the annuli in
+    candidate order.  This is the body
+    `_formula_terms` runs on a miss of `_terms`, on the state keys of the
+    miss's key.  Every subsurface lies in one component, so the terms
+    depend only on the flavor and that component's two state keys kx and
+    ky, and are computed on their ints: a twisting number is
+    (a p + b q) // (c p + d q) for the core's cached transport
+    (a, b; c, d), as in `twist_number`, and the annular distance is
+    `annular_distance`'s float of the two projections."""
     ap, aq, bp, bq = kx[0], kx[1], ky[0], ky[1]
-    terms = []
-    if fl.annuli and t > 0 and ap == bp and aq == bq:
-        cores = ((aq, ap),)
-    else:
-        d = float(_distance_at(ap, aq, bp, bq))
-        if d >= t:
-            terms.append((Subsurface("component", comp), d))
-        if not fl.annuli:
-            return tuple(terms)
-        cores = _candidate_cores(kx, ky)
+    d = float(_distance_at(ap, aq, bp, bq))
+    terms = [(None, d)] if d >= t else []
+    if not fl.annuli:
+        return tuple(terms)
     aug = fl.heights
     # the heights of `project`: 1/length about the pants curve, else 1/B
     hx, hy, hb = (1.0 / kx[4], 1.0 / ky[4], fl.boundary) if aug else (None,) * 3
-    for cq, cp in cores:
+    for cq, cp in _candidate_cores(kx, ky):
         m0, m1, m2, m3 = _transport_at(cp, cq)
         # each state's curve in this annulus: tau about its own pants curve, else alpha
         px, qx, ux = (kx[2], kx[3], hx) if cp == ap and cq == aq else (ap, aq, hb)
@@ -887,16 +879,69 @@ def _component_terms(surf: ModelSurface, comp: int, kx: tuple, ky: tuple,
         ty = (m0 * py + m1 * qy) // (m2 * py + m3 * qy)
         d = horoball_distance((float(tx), ux), (float(ty), uy)) if aug else float(abs(tx - ty))
         if d >= t:
-            terms.append((Subsurface("annulus", comp, _trusted_slope(cp, cq)), d))
+            terms.append((_trusted_slope(cp, cq), d))
     return tuple(terms)
 
 
-# The two distance caches are dicts keyed by the tuples that surfaces
-# and points are stored as (`ModelSurface._key`, `ModelPoint._key`):
-# tuples of ints, floats, strings and None.  The collector untracks such
-# tuples, so no entry keeps a point alive, and a hit hashes and
-# compares in C.  A full cache is emptied by its next miss.
-_terms: dict[tuple, tuple[tuple[Subsurface, float], ...]] = {}
+def _terms_key(fl: Flavor, t: float, kx: tuple, ky: tuple) -> tuple[tuple, Matrix | None]:
+    """The `_terms` key (flavor, bers, t, x's state, y's state) of one
+    component's state keys kx and ky, and the matrix taking the key's
+    cores back to the pair's own (None when the key holds kx and ky).
+
+    Above `fl.tie_bound` the states are moved by the M in SL2(Z) with
+    M(alpha_x) = 0/1 and M(tau_x) = 1/0: M^-1 has columns tau_x and
+    alpha_x, tau_x's sign flipped when det(alpha_x, tau_x) = 1.  The
+    moved pair keeps the pair's terms, moved by M.  Farey distance is
+    invariant and lengths ride along.  For a core c, T_Mc M T_c^-1 (T the
+    transports of `twist_number`) fixes infinity with determinant 1, so
+    it is z -> z + k: twisting numbers about Mc are those about c plus k,
+    and annular distances stay (float(tx) - float(ty) is exact below
+    2^53; a reflection would negate twists, and floor is not odd).
+    Candidate cores move too, but for ties: `_geodesic_at` breaks them by
+    key order, so the sets can differ by a core c interior to one
+    geodesic and not another (pants curves and transversals are always
+    candidates), which sees both pants slopes at the boundary height.
+    Their twist gap is at most 3: with c at infinity, the edge (k, k + 1)
+    cuts off the interval of a slope of floor k, so a path avoiding
+    infinity leaves alpha_x's interval at an integer i in {k_x, k_x + 1}
+    and walks every integer to j in {k_y, k_y + 1}, at least
+    d(alpha_x, oo) - 1 + |i - j| + d(oo, alpha_y) - 1 long.  As c is on a
+    geodesic, a geodesic avoiding c has |i - j| <= 2, so the floors
+    differ by at most 3, and above the tie bound no such term is kept.
+    At or below it, and in pants, where no transversal fixes M, the key
+    holds kx and ky."""
+    if not t > fl.tie_bound:
+        return (fl.name, fl.bers, t, kx, ky), None
+    ap, aq, tp, tq, lx = kx
+    if ap * tq - aq * tp == 1:
+        tp, tq = -tp, -tq
+    # M = [[aq, -ap], [-tq, tp]], the inverse of M^-1 = [[tp, ap], [tq, aq]]
+    bp, bq, sp, sq, ly = ky
+    p, q = aq * bp - ap * bq, tp * bq - tq * bp
+    if q < 0 or (q == 0 and p < 0):
+        p, q = -p, -q
+    r, s = aq * sp - ap * sq, tp * sq - tq * sp
+    if s < 0 or (s == 0 and r < 0):
+        r, s = -r, -s
+    return (fl.name, fl.bers, t, (0, 1, 1, 0, lx), (p, q, r, s, ly)), (tp, ap, tq, aq)
+
+
+def _moved_back(terms: tuple, m: Matrix) -> list:
+    """Kept terms with each core moved by m, in the order the raw kernel
+    lists them: the component term first, then annuli by core key."""
+    head = 1 if terms and terms[0][0] is None else 0
+    return [*terms[:head], *sorted(((apply_matrix(m, s), d) for s, d in terms[head:]),
+                                   key=lambda sd: sd[0].key())]
+
+
+# The two distance caches are dicts keyed by plain tuples of ints,
+# floats, strings and None: `_distances` by the pair of point keys
+# (`ModelPoint._key`), and `_terms` by `_terms_key`, a component pair's
+# position up to SL2(Z) above the tie bound (the raw pair at or below
+# it), with no surface key and no component index.  The collector
+# untracks such tuples, so no entry keeps a point alive, and a hit
+# hashes and compares in C.  A full cache is emptied by its next miss.
+_terms: dict[tuple, tuple[tuple[Slope | None, float], ...]] = {}
 _TERMS_MAX = 200_000
 _distances: dict[tuple, float] = {}
 _DISTANCES_MAX = 400_000
@@ -904,16 +949,19 @@ _distance_hits = _distance_misses = 0
 
 
 def _formula_terms(x: ModelPoint, y: ModelPoint, threshold: float | None,
-                   comps: Iterable[int] | None,
-                   ) -> tuple[float, list[tuple[tuple[Subsurface, float], ...]]]:
-    """The thresholded total and each component's cached terms, read at
-    (surface key, comp, both states' keys, t).  The total is summed in
-    one fixed order, components ascending and then candidate order, so
-    every caller gets the same float."""
+                   comps: Iterable[int] | None, listing: bool,
+                   ) -> tuple[float, list[tuple[Subsurface, float]] | None]:
+    """The thresholded total, and with `listing` the contributing
+    subsurfaces, from each component's terms in `_terms`, with their
+    cores moved back to the pair's own.  The total is summed in one fixed
+    order, components ascending and then the candidate order of the
+    pair's own cores, so every caller gets the same float: marking and
+    pants terms are integers, whose sums are exact in any order, and
+    augmented terms are moved back before they are added."""
     surf, kx, ky = x.surface, x._key, y._key
-    skey = kx[0]
-    if skey != ky[0]:
+    if kx[0] != ky[0]:
         raise ValueError("points live on different surfaces")
+    fl = surf.fl
     t = surf.threshold if threshold is None else threshold
     if comps is None:
         comp_range = range(surf.n_components)
@@ -922,18 +970,22 @@ def _formula_terms(x: ModelPoint, y: ModelPoint, threshold: float | None,
         if any(i < 0 for i in comp_range):
             raise IndexError(f"components are numbered from 0, got {comp_range}")
     total = 0.0
-    parts = []
+    listed = [] if listing else None
     for i in comp_range:
-        key = (skey, i, kx[i + 1], ky[i + 1], t)
+        key, back = _terms_key(fl, t, kx[i + 1], ky[i + 1])
         terms = _terms.get(key)
         if terms is None:
             if len(_terms) >= _TERMS_MAX:
                 _terms.clear()
-            terms = _terms[key] = _component_terms(surf, i, kx[i + 1], ky[i + 1], t)
+            terms = _terms[key] = _component_terms(fl, key[3], key[4], t)
+        if terms and back is not None and (listing or fl.heights and len(terms) > 1):
+            terms = _moved_back(terms, back)
         for _, d in terms:
             total += d
-        parts.append(terms)
-    return total, parts
+        if listing:
+            listed.extend((Subsurface("component", i) if core is None else
+                           Subsurface("annulus", i, core), d) for core, d in terms)
+    return total, listed
 
 
 def distance_formula(
@@ -945,10 +997,9 @@ def distance_formula(
     """Thresholded sum of projection distances, with the contributing
     subsurfaces.  This is the model metric; it is symmetric and obeys
     the triangle inequality up to a multiplicative slack.  Each
-    component's terms come from `_component_terms`, cached at that
-    component's two state keys."""
-    total, parts = _formula_terms(x, y, threshold, comps)
-    contributing = [wd for terms in parts for wd in terms]
+    component's terms come from `_component_terms`, cached at the
+    component pair's position up to SL2(Z) (`_terms_key`)."""
+    total, contributing = _formula_terms(x, y, threshold, comps, True)
     contributing.sort(key=lambda wd: wd[0].key())
     return total, contributing
 
@@ -965,7 +1016,7 @@ def model_distance(x: ModelPoint, y: ModelPoint) -> float:
     _distance_misses += 1
     if len(_distances) >= _DISTANCES_MAX:
         _distances.clear()
-    d = _distances[key] = _formula_terms(x, y, None, None)[0]
+    d = _distances[key] = _formula_terms(x, y, None, None, False)[0]
     return d
 
 
@@ -1120,8 +1171,9 @@ def clear_caches() -> None:
     """Empty every cache of the module: the int-keyed Farey caches
     `_transport_at` (at most 100,000 slopes), `_distance_at` (200,000
     slope pairs) and `_geodesic_at` (50,000 slope pairs), and the
-    distance caches `_terms` (200,000) and `_distances` (400,000) with
-    their counters."""
+    distance caches `_terms` (200,000 component pairs, each up to SL2(Z)
+    above the flavor's tie bound) and `_distances` (400,000 point pairs)
+    with their counters."""
     global _distance_hits, _distance_misses
     _transport_at.cache_clear()
     _distance_at.cache_clear()

@@ -195,15 +195,18 @@ def component_loop_distance_formula(x: ModelPoint, y: ModelPoint,
                                     threshold: float | None = None, comps=None,
                                     ) -> tuple[float, list[tuple[Subsurface, float]]]:
     """Each component's terms from `_component_terms`, the body of the
-    per-component cache, added up while the contribution list is built."""
+    per-component cache, run on the pair's own state keys (the raw
+    kernel, with no move up to SL2(Z)), added up while the contribution
+    list is built."""
     surf = x.surface
     t = surf.threshold if threshold is None else threshold
     total = 0.0
     contributing: list[tuple[Subsurface, float]] = []
     for i in range(surf.n_components) if comps is None else comps:
-        for w, d in _component_terms(surf, i, x._key[i + 1], y._key[i + 1], t):
+        for core, d in _component_terms(surf.fl, x._key[i + 1], y._key[i + 1], t):
             total += d
-            contributing.append((w, d))
+            contributing.append((Subsurface("component", i) if core is None
+                                 else Subsurface("annulus", i, core), d))
     contributing.sort(key=lambda wd: wd[0].key())
     return total, contributing
 

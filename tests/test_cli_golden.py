@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -71,6 +73,7 @@ def _cases() -> dict[str, list[str]]:
         "project-augmented": ["project", "--surface", sa, bj, "--core", "1/3"],
         "hull": ["hull", "--surface", s1, xj, y30, xj],
         "hull-kappa": ["hull", "--surface", s1, xj, y30, y60, "--kappa", "3"],
+        "hull-kappa-inf": ["hull", "--surface", s1, xj, y30, xj, "--kappa", "inf"],
         "preferred-csv": ["preferred", "--surface", s1, xj, y30, "--csv", CSV],
         "preferred-augmented": ["preferred", "--surface", sa, aj, bj],
         "delta": ["delta", "--lo", "0", "--hi", "1", "--depth", "4", "--samples", "60"],
@@ -109,6 +112,41 @@ def _golden() -> dict:
 def test_cli_output_matches_golden(name, tmp_path):
     want = _golden()[name]
     assert run(want["argv"], tmp_path) == {k: v for k, v in want.items() if k != "argv"}
+
+
+def _refuse_constant(token: str):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_every_golden_stdout_is_strict_json():
+    """Each recorded document parses with NaN and the infinities refused;
+    a usage error prints none.  `hull --kappa inf` writes its kappa as
+    null."""
+    documents = 0
+    for name, want in sorted(_golden().items()):
+        if want["stdout"]:
+            json.loads(want["stdout"], parse_constant=_refuse_constant)
+            documents += 1
+        else:
+            assert want["exit"] == 2, name
+    assert documents >= 25
+    assert json.loads(_golden()["hull-kappa-inf"]["stdout"])["kappa"] is None
+
+
+def test_goldens_do_not_depend_on_the_hash_seed():
+    """The golden comparisons, rerun in two processes under the string
+    hash seeds 0 and 1."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+    node = f"{Path(__file__)}::test_cli_output_matches_golden"
+    procs = [subprocess.Popen([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               node], env={**env, "PYTHONHASHSEED": seed},
+                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+             for seed in ("0", "1")]
+    for seed, proc in zip(("0", "1"), procs):
+        out = proc.communicate(timeout=600)[0]
+        assert proc.returncode == 0, f"PYTHONHASHSEED={seed}:\n{out[-3000:]}"
+        assert f"{len(_golden())} passed" in out, out[-500:]
 
 
 if __name__ == "__main__":

@@ -195,6 +195,14 @@ def test_bgit_disjoint_branch():
     assert v.disjoint_hit and v.ok
 
 
+def test_bgit_geodesic_of_fewer_than_two_vertices_is_disjoint():
+    """A geodesic of one vertex (or none) has no endpoint pair to twist,
+    so the dichotomy takes its disjoint branch and realizes nothing."""
+    for verts in ([], [Slope(2, 5)], farey_geodesic(Slope(2, 5), Slope(2, 5))):
+        v = bgit_audit(verts, Slope(1, 2), bound=0.0)
+        assert (v.disjoint_hit, v.realized, v.ok) == (True, None, True), verts
+
+
 def test_bgit_short_geodesic_example(cn):
     v = bgit_audit([ZERO, INFINITY], Slope(1, 2), cn["m0_bgit"])
     assert not v.disjoint_hit
@@ -242,6 +250,19 @@ def test_far_projection_vacuous_when_core_is_pants(marking1, cn):
                              Subsurface("annulus", 0, ZERO),
                              cn["m1_consistency"], c_far=4.0)
     assert v.vacuous and v.ok
+
+
+def test_far_projection_refuses_a_negative_or_nan_constant(marking1):
+    """With m1 >= 0 a projection equal to V's core (antecedent 0) is
+    vacuous; a negative or NaN m1 is refused instead of reaching the
+    core's own annulus."""
+    x = base_point(marking1)
+    u, v = Subsurface("component", 0), Subsurface("annulus", 0, ZERO)
+    for bad in (-1.0, -1e-9, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="m1 must be >= 0"):
+            far_projection_check(x, u, v, bad, c_far=4.0)
+    zero = far_projection_check(x, u, v, 0.0, c_far=4.0)
+    assert (zero.vacuous, zero.antecedent, zero.ok) == (True, 0.0, True)
 
 
 def test_far_projection_sweep(marking2, rng, cn):

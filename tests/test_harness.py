@@ -661,3 +661,16 @@ def test_module_entry_point_runs_without_warnings():
                            "stats"], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["rank_top"] == 1
+
+
+def test_documents_are_strict_json(tmp_path, capsys):
+    """A non-finite value in a verb's document is refused rather than
+    printed as a token that is not JSON; an infinite hull kappa is null."""
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            harness._emit({"value": bad}, None)
+        with pytest.raises(ValueError):
+            harness._emit({"nested": [1.0, {"value": bad}]}, str(tmp_path / "out.json"))
+    assert capsys.readouterr().out == ""
+    harness._emit({"value": 1.5, "none": None}, None)
+    assert json.loads(capsys.readouterr().out) == {"value": 1.5, "none": None}

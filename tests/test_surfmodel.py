@@ -28,6 +28,7 @@ from coarsegeo.surfmodel import (
     twist_move, twist_number,
 )
 
+import oracles
 from oracles import canonical_transversal, mat_mul, twist_matrix
 
 slopes = st.builds(
@@ -522,3 +523,249 @@ def test_equality_with_other_types_is_false_and_does_not_raise(augmented1):
     assert (x == st) is False and (st == x) is False
     assert x.__eq__(st) is NotImplemented and st.__eq__(x) is NotImplemented
     assert ComponentState(ZERO) == ComponentState(ZERO) != ComponentState(ZERO, INFINITY)
+
+
+# --- terms cached up to SL2(Z) ----------------------------------------------
+#
+# `_terms` keys a component pair by its position up to SL2(Z) above the
+# flavor's tie bound (`surfmodel._terms_key`), and by the pair itself at
+# or below it.  `oracles.component_loop_distance_formula` runs the same
+# kernel on the pair's own state keys, so it is the raw, unmoved answer.
+
+INVARIANT_SURFACES = [
+    ModelSurface(((1, 1), (1, 1)), flavor="marking"),
+    ModelSurface(((1, 1), (0, 4)), flavor="augmented", bers=2.0),
+    ModelSurface(((1, 1), (0, 4), (1, 1)), flavor="pants"),
+]
+
+
+def _bits(result):
+    total, terms = result
+    return total.hex(), [(w, d.hex()) for w, d in terms]
+
+
+def _sl2z_word(rng) -> tuple[int, int, int, int]:
+    """A seeded product of S = [[0, -1], [1, 0]] and powers of
+    T = [[1, 1], [0, 1]]: an element of SL2(Z)."""
+    g = (1, 0, 0, 1)
+    for _ in range(int(rng.integers(2, 10))):
+        n = int(rng.integers(-4, 5))
+        g = mat_mul(g, (0, -1, 1, 0) if n == 0 else (1, n, 0, 1))
+    return g
+
+
+def _moved_point(x: ModelPoint, gs) -> ModelPoint:
+    """x with component i's pants slope and transversal moved by gs[i]."""
+    return ModelPoint(x.surface, tuple(
+        ComponentState(apply_matrix(g, st.alpha), st.tau and apply_matrix(g, st.tau), st.length)
+        for g, st in zip(gs, x.states)))
+
+
+def _moved_subsurface(w: Subsurface, gs) -> Subsurface:
+    return w if w.core is None else Subsurface("annulus", w.comp, apply_matrix(gs[w.comp], w.core))
+
+
+def test_model_distance_is_sl2z_invariant_per_component():
+    """model_distance(g x, g y) == model_distance(x, y) bit for bit, for a
+    seeded g in SL2(Z) per component, on all three flavors at their own
+    thresholds (above the tie bound where the flavor has annuli).  The
+    raw kernel on the moved pair agrees, so this is the model's own
+    invariance and not only the cache's; the contributing subsurfaces
+    are the pair's own with their cores moved; and with annuli the moved
+    pair adds no `_terms` entry."""
+    from coarsegeo.harness import random_point
+
+    rng = np.random.default_rng(601)
+    moved_hits = 0
+    for surface in INVARIANT_SURFACES:
+        fl = surface.fl
+        assert (surface.threshold > fl.tie_bound) == fl.annuli
+        for _ in range(150):
+            x, y = (random_point(surface, rng, steps=int(rng.integers(4, 14))) for _ in range(2))
+            gs = [_sl2z_word(rng) for _ in surface.components]
+            gx, gy = _moved_point(x, gs), _moved_point(y, gs)
+            want = oracles.component_loop_distance_formula(x, y)
+            d = model_distance(x, y)
+            assert d.hex() == want[0].hex(), (x, y)
+            entries = len(surfmodel._terms)
+            assert model_distance(gx, gy).hex() == d.hex(), (x, y, gs)
+            assert oracles.component_loop_distance_formula(gx, gy)[0].hex() == d.hex()
+            moved = sorted(((_moved_subsurface(w, gs), dd) for w, dd in want[1]),
+                           key=lambda wd: wd[0].key())
+            assert _bits(distance_formula(gx, gy)) == _bits((want[0], moved))
+            if fl.annuli:
+                assert len(surfmodel._terms) == entries
+                moved_hits += (gx, gy) != (x, y)
+    assert moved_hits >= 290
+
+
+def test_tie_bound_is_the_annular_distance_of_a_twist_gap_of_3():
+    for bers in (0.25, 1.0, 2.0, 7.3, 1e3):
+        for flavor in ("marking", "augmented"):
+            fl = ModelSurface(((1, 1),), flavor=flavor, bers=bers).fl
+            u, v = AnnularPoint(0, fl.boundary), AnnularPoint(3, fl.boundary)
+            assert fl.tie_bound == annular_distance(u, v, fl) == annular_distance(v, u, fl)
+    assert ModelSurface(((1, 1),), flavor="pants").fl.tie_bound == math.inf
+    # the raw key at the bound, the moved one just above it
+    fl = FLAVORS["marking"]
+    kx, ky = (2, 5, 1, 2, None), (7, 3, 2, 1, None)
+    at, above = 3.0, math.nextafter(3.0, math.inf)
+    assert surfmodel._terms_key(fl, at, kx, ky) == (("marking", 1.0, at, kx, ky), None)
+    key, back = surfmodel._terms_key(fl, above, kx, ky)
+    assert key[:4] == ("marking", 1.0, above, (0, 1, 1, 0, None)) and back is not None
+    # back = M^-1 is in SL2(Z) and takes the moved states to the pair's own
+    assert back[0] * back[3] - back[1] * back[2] == 1
+    for k, moved in ((kx, key[3]), (ky, key[4])):
+        for i in (0, 2):
+            assert apply_matrix(back, Slope(moved[i], moved[i + 1])) == Slope(k[i], k[i + 1])
+
+
+def _ladder(a: Slope, b: Slope) -> set[Slope]:
+    """Every vertex of every Farey geodesic from a to b.  With a moved to
+    infinity and b to p/q, these are infinity and the vertices of the
+    Farey triangles the vertical line down to p/q crosses: floor(p/q),
+    floor(p/q) + 1 and the mediants of the Stern-Brocot descent.  Each
+    crossed edge separates the ends, and a geodesic never crosses one
+    twice (the edge itself is shorter), so no geodesic leaves them."""
+    m = transport_matrix(a)
+    back = mat_inv(m)
+    img = apply_matrix(m, b)
+    p, q = img.p, img.q
+    verts = {(1, 0), (p, q)}
+    if q > 1:
+        lo, hi = (p // q, 1), (p // q + 1, 1)
+        verts |= {lo, hi}
+        while True:
+            med = (lo[0] + hi[0], lo[1] + hi[1])
+            verts.add(med)
+            if med == (p, q):
+                break
+            if p * med[1] < med[0] * q:
+                hi = med
+            else:
+                lo = med
+    return {apply_matrix(back, Slope(*v)) for v in verts}
+
+
+def test_no_tie_only_core_has_a_twist_gap_above_3():
+    """Over every pair of a Farey ball: a vertex on one geodesic of the
+    pair and not on another shares its distance level from a with another
+    geodesic vertex (each geodesic meets each level once).  Every such
+    tie-only vertex sees the two ends at a twist gap of at most 3, and
+    the gap 3 occurs; vertices on every geodesic reach larger gaps.  Each
+    pair's own geodesic lies in the geodesic interval the ladder gives."""
+    ball = farey_ball(-2, 2, 4)
+    worst_tie = worst_cut = ties = 0
+    for a, b in itertools.combinations(ball, 2):
+        n = farey_distance(a, b)
+        levels: dict[int, list[Slope]] = {}
+        for v in _ladder(a, b):
+            if farey_distance(a, v) + farey_distance(v, b) == n:
+                levels.setdefault(farey_distance(a, v), []).append(v)
+        assert sorted(levels) == list(range(n + 1))
+        assert all(v in levels[k] for k, v in enumerate(farey_geodesic(a, b)))
+        for k in range(1, n):
+            for c in levels[k]:
+                gap = abs(twist_number(c, a) - twist_number(c, b))
+                if len(levels[k]) > 1:
+                    worst_tie, ties = max(worst_tie, gap), ties + 1
+                else:
+                    worst_cut = max(worst_cut, gap)
+    assert worst_tie == 3 and ties > 1000, (worst_tie, ties)
+    assert worst_cut > 3
+
+
+def _order_sensitive(x: ModelPoint, y: ModelPoint, t: float) -> bool:
+    """Whether the cached terms, added in the moved pair's candidate
+    order, give another float than the pair's own order."""
+    fl, total = x.surface.fl, 0.0
+    for kx, ky in zip(x.state_keys, y.state_keys):
+        key, _ = surfmodel._terms_key(fl, t, kx, ky)
+        for _, d in surfmodel._terms[key]:
+            total += d
+    return total != distance_formula(x, y, threshold=t)[0]
+
+
+def test_terms_up_to_sl2z_match_the_raw_kernel_around_the_tie_bound():
+    """Totals and contribution lists equal the raw kernel's bit for bit at
+    t in {3, 4, 10, 40}, which straddle each flavor's tie bound (3.0 on
+    marking, 3.64 on augmented at B = 2, 2.39 at B = 1), on pairs with two
+    or more kept annulus terms in one component.  On augmented pairs the
+    moved pair's candidate order can round the total differently, so the
+    terms are added in the pair's own order.  Below the bound the moved
+    pair can keep other terms, which is why it takes the raw key."""
+    from coarsegeo.harness import random_point
+
+    rng = np.random.default_rng(602)
+    surfaces = [ModelSurface(((1, 1), (1, 1)), flavor="marking"),
+                ModelSurface(((1, 1), (0, 4)), flavor="augmented", bers=2.0),
+                ModelSurface(((1, 1),), flavor="augmented")]
+    seen = dict.fromkeys(("multi marking", "multi augmented", "order-sensitive",
+                          "moved differs at the bound"), 0)
+    for surface in surfaces:
+        fl = surface.fl
+        pool = [random_point(surface, rng, steps=int(rng.integers(4, 16)), big_twist=60)
+                for _ in range(40)]
+        pairs = [(pool[int(i)], pool[int(j)]) for i, j in rng.integers(40, size=(400, 2))]
+        for t in (3.0, 4.0, 10.0, 40.0):
+            for x, y in pairs:
+                got = distance_formula(x, y, threshold=t)
+                assert _bits(got) == _bits(oracles.component_loop_distance_formula(
+                    x, y, threshold=t)), (x, y, t)
+                for i in range(surface.n_components):
+                    kept = sum(w.comp == i and w.core is not None for w, _ in got[1])
+                    seen[f"multi {fl.name}"] += kept >= 2 and t > fl.tie_bound
+                if fl.heights and t > fl.tie_bound:
+                    seen["order-sensitive"] += _order_sensitive(x, y, t)
+        # at the bound itself the moved pair's geodesic ties keep other terms
+        for x, y in pairs:
+            for kx, ky in zip(x.state_keys, y.state_keys):
+                key, back = surfmodel._terms_key(fl, math.inf, kx, ky)
+                moved = surfmodel._component_terms(fl, key[3], key[4], fl.tie_bound)
+                seen["moved differs at the bound"] += (
+                    tuple(surfmodel._moved_back(moved, back)) !=
+                    surfmodel._component_terms(fl, kx, ky, fl.tie_bound))
+    assert min(seen.values()) > 0 and seen["multi augmented"] >= 200, seen
+
+
+def _cold_flat_pipeline_op(cn, noise_seed: int) -> None:
+    """The benchmark's flat-pipeline op: the twist-flat pipeline on the
+    2-component marking surface, then the n = rank + 1 refutation."""
+    from coarsegeo import harness
+
+    surface = ModelSurface(((1, 1), (1, 1)), flavor="marking")
+    cfg = harness.ExperimentConfig(surface, eps0=0.05, theta0=0.1, r0=50.0,
+                                   seed=noise_seed, noise=3)
+    stride = max(2, round(1.0 / cfg.eps0 ** 2))
+    flat = harness.twist_flat(surface, int(2 * max(cfg.r0, 40) * stride))
+    fmap = harness.noisy_flat_map(flat, cfg.noise, cfg.seed)
+    assert harness.run_pipeline(cfg, fmap, dim=2, constants=cn, flat_hint=flat).passed
+    rank_cfg = harness.ExperimentConfig(surface, eps0=0.05, seed=noise_seed, box_side=60)
+    assert harness.rank_experiment(rank_cfg, surface_stats(surface)[1] + 1, constants=cn).passed
+
+
+def test_terms_up_to_sl2z_match_the_raw_kernel_on_a_cold_flat_pipeline_op(cn, monkeypatch):
+    """Every distance-formula question of one cold flat-pipeline op,
+    asked again of the filled caches and of the raw kernel: totals and
+    contribution lists agree bit for bit.  Tens of thousands of pairs
+    share a few hundred `_terms` entries."""
+    asked = {}
+    real = surfmodel._formula_terms
+
+    def recording(x, y, threshold, comps, listing):
+        comps = None if comps is None else tuple(comps)
+        asked.setdefault((x._key, y._key, threshold, comps), (x, y))
+        return real(x, y, threshold, comps, listing)
+
+    monkeypatch.setattr(surfmodel, "_formula_terms", recording)
+    surfmodel.clear_caches()
+    _cold_flat_pipeline_op(cn, 1114088975)
+    monkeypatch.setattr(surfmodel, "_formula_terms", real)
+    assert len(asked) > 30_000 and len(surfmodel._terms) < 1_000, \
+        (len(asked), len(surfmodel._terms))
+    for (_, _, threshold, comps), (x, y) in asked.items():
+        got = distance_formula(x, y, threshold, comps)
+        assert _bits(got) == _bits(oracles.component_loop_distance_formula(
+            x, y, threshold, comps)), (x, y, threshold, comps)
+        if threshold is None and comps is None:
+            assert model_distance(x, y).hex() == got[0].hex()

@@ -3,20 +3,22 @@ the closed-form twist matrix, the gcd-free slope image and the
 closed-form pinned state against the code they replaced.
 
 `surfmodel.distance_formula` reads each component's terms from a cache
-keyed by the component's two state keys; `oracles.distance_formula` walks
-every candidate subsurface of the point pair, with its own candidate
-enumeration and annular projection, and
-`oracles.component_loop_distance_formula` adds up `_component_terms`
-while it builds the contribution list.  Totals and contribution lists must
-agree bit for bit: the cached terms are added in the same order as the
-direct loop.  `model_distance` builds no list and must still give the
+keyed by the component pair's position up to SL2(Z) (by its two state
+keys at or below the flavor's tie bound); `oracles.distance_formula`
+walks every candidate subsurface of the point pair, with its own
+candidate enumeration and annular projection, and
+`oracles.component_loop_distance_formula` adds up `_component_terms` on
+the pair's own state keys while it builds the contribution list.  Totals
+and contribution lists must agree bit for bit: the cached terms are
+added in the pair's own candidate order, as in the direct loop.  `model_distance` builds no list and must still give the
 same float.  Points come from small seeded pools, so component states
 repeat across pairs and the cache is read back as well as filled.  Both
 caches are keyed by plain tuples that hold no point, and stay within
 their bounds.
-Pairs that share a pants curve, which take the one-annulus path of
-`_component_terms`, come from noisy twist-flat lines and from twist and
-length moves, at thresholds above and at or below zero.
+Pairs that share a pants curve, where above zero only the annulus
+about it can carry a term (the moved pair's pants slopes are then both
+0/1), come from noisy twist-flat lines and from twist and length moves,
+at thresholds above and at or below zero.
 The Farey layer is cached at plain ints; its public functions must give
 what `oracles`' `Slope`-based versions give, errors included, also with
 every int-keyed cache bounded at 5 entries.  The distance from infinity
@@ -121,9 +123,9 @@ def _move_pairs(surface: ModelSurface, rng) -> list:
 
 
 def test_same_pants_curve_pairs_match_oracle():
-    """Pairs that keep pants curves take the one-annulus path of
-    `_component_terms` at t > 0; at t <= 0 every zero term is kept, so
-    each candidate subsurface is a term."""
+    """Pairs that keep pants curves can keep only the annulus about the
+    shared curve at t > 0; at t <= 0 every zero term is kept, so each
+    candidate subsurface is a term."""
     surfmodel.clear_caches()
     rng = np.random.default_rng(509)
     pairs = []
@@ -453,18 +455,27 @@ def test_component_indices_from_the_end_are_refused(marking2):
 
 
 def test_bounded_caches_give_the_unbounded_answers(monkeypatch):
+    """`_terms` holds keys up to SL2(Z) (thresholds above the flavor's tie
+    bound) beside raw ones (at or below it) in one dict; bounded, both
+    caches give the unbounded answers."""
     pairs = _flavor_pairs(512)
+    thresholds = (None, 3.0, 0.0)
     surfmodel.clear_caches()
-    want = [(model_distance(x, y).hex(), _bits(distance_formula(x, y, threshold=0.0)))
+    want = [(model_distance(x, y).hex(),
+             [_bits(distance_formula(x, y, threshold=t)) for t in thresholds])
             for x, y in pairs]
     assert min(len(surfmodel._distances), len(surfmodel._terms)) > 10 * SMALL_BOUND
+    moved = [k[2] > ModelSurface(((1, 1),), flavor=k[0], bers=k[1]).fl.tie_bound
+             for k in surfmodel._terms]
+    assert all(k[3][:4] == (0, 1, 1, 0) for k, m in zip(surfmodel._terms, moved) if m)
+    assert moved.count(True) > 10 * SMALL_BOUND and moved.count(False) > 10 * SMALL_BOUND
     surfmodel.clear_caches()
     monkeypatch.setattr(surfmodel, "_DISTANCES_MAX", SMALL_BOUND)
     monkeypatch.setattr(surfmodel, "_TERMS_MAX", SMALL_BOUND)
     for (x, y), (d, terms) in zip(pairs, want):
         for _ in range(2):  # the second call is a hit
             assert model_distance(x, y).hex() == d
-            assert _bits(distance_formula(x, y, threshold=0.0)) == terms
+            assert [_bits(distance_formula(x, y, threshold=t)) for t in thresholds] == terms
             assert model_distance.cache_info().currsize <= SMALL_BOUND
             assert len(surfmodel._terms) <= SMALL_BOUND
     info = model_distance.cache_info()
