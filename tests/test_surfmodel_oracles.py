@@ -10,8 +10,9 @@ candidate enumeration and annular projection, and
 `oracles.component_loop_distance_formula` adds up `_component_terms` on
 the pair's own state keys while it builds the contribution list.  Totals
 and contribution lists must agree bit for bit: the cached terms are
-added in the pair's own candidate order, as in the direct loop.  `model_distance` builds no list and must still give the
-same float.  Points come from small seeded pools, so component states
+added in the pair's own candidate order, as in the direct loop.
+`model_distance` builds no list and must still give the same float.
+Points come from small seeded pools, so component states
 repeat across pairs and the cache is read back as well as filled.  Both
 caches are keyed by plain tuples that hold no point, and stay within
 their bounds.
