@@ -25,7 +25,7 @@ import numpy as np
 from . import surfmodel
 from .hypgraph import MetricHandle
 from .surfmodel import (AnnularPoint, Flavor, ModelPoint, ModelSurface, Slope, Subsurface,
-                        annular_distance, annular_row, complex_distance, distance_formula,
+                        annular_distance, annular_row, complex_distance, formula_total,
                         project, working_window)
 
 
@@ -84,36 +84,51 @@ class PkGraph:
     table: list[list[int]]
 
 
+def max_twist_gap(k: float, fl: Flavor) -> int:
+    """The largest twist gap g (capped at 2^62, past any int64 table's)
+    with `annular_distance` of (0, 1/B) and (g, 1/B) at most K, or -1 if
+    none; the distance grows with g.  It is floor(K) on marking, and on
+    augmented floor(2 b sinh(K / 2)), b = 1/B, as acosh(1 + g^2 / (2 b^2))
+    <= K there (sinh overflows past 710); the float comparison itself
+    settles the last step."""
+    def ok(g: int) -> bool:
+        return annular_distance(AnnularPoint(0, fl.boundary), AnnularPoint(g, fl.boundary),
+                                fl) <= k
+
+    cap = 2 ** 62
+    bound = 2 * fl.boundary * math.sinh(min(k, 1400) / 2) if fl.heights else k
+    g = int(min(bound, cap)) if k >= 0 else -1
+    while g >= 0 and not ok(g):
+        g -= 1
+    while g < cap and ok(g + 1):
+        g += 1
+    return g
+
+
 def build_pk_graph(family: FamilyY, k: float, fl: Flavor) -> PkGraph:
     """V and W are joined when every other member U sees their boundaries
     within K of each other.
 
     Tested on the twist table: V and W are joined when the largest gap
     max over u not in {v, w} of |T[u][v] - T[u][w]|, measured in the
-    annular metric of the flavor (at its boundary height), is at most
-    K.  This is exact: both points of a gap sit at the same height, where
-    the annular metric is monotone in the twist difference, so the
-    metric of the largest gap is the largest metric.  The gaps are
-    formed one row v at a time, so memory stays O(m^2) for m cores."""
+    annular metric of the flavor (at its boundary height), is at most K,
+    that is, at most `max_twist_gap`.  This is exact: both points of a
+    gap sit at the same height, where the annular metric is monotone in
+    the twist difference.  The gaps are formed one row v at a time, so
+    memory stays O(m^2) for m cores."""
     if family.kind == "component":
         return PkGraph([], [])
     rows = surfmodel.twist_table([(s.p, s.q) for s in family.cores])
     table = np.array(rows, dtype=np.int64)
     m = len(rows)
+    gmax = max_twist_gap(k, fl)
     edges = []
-    admissible: dict[int, bool] = {}
     for v in range(m - 1):
         ws = np.arange(v + 1, m)
         gaps = np.abs(table[:, v, None] - table[:, ws])
         gaps[v, :] = 0
         gaps[ws, ws - v - 1] = 0
-        for w, g in zip(ws.tolist(), gaps.max(axis=0).tolist()):
-            ok = admissible.get(g)
-            if ok is None:
-                ok = admissible[g] = annular_distance(
-                    AnnularPoint(0, fl.boundary), AnnularPoint(g, fl.boundary), fl) <= k
-            if ok:
-                edges.append((v, w))
+        edges.extend((v, w) for w in ws[gaps.max(axis=0) <= gmax].tolist())
     return PkGraph(edges, rows)
 
 
@@ -355,7 +370,7 @@ def lower_bound_audit(x: ModelPoint, y: ModelPoint, k: float, k_prime: float,
     if k_prime <= k:
         raise ValueError("the audit needs K' > K")
     lhs = embedded_distance(x, y, k)
-    total = distance_formula(x, y, threshold=k_prime)[0]
+    total = formula_total(x, y, threshold=k_prime)
     return LowerBoundVerdict(lhs, 0.5 * total, k_prime)
 
 

@@ -17,7 +17,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
 
@@ -301,10 +301,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        return cls(surface=ModelSurface.from_json(doc["surface"]),
-                   eps0=doc.get("eps0", 0.05), theta0=doc.get("theta0", 0.1),
-                   r0=doc.get("r0", 50.0), seed=doc.get("seed", 0),
-                   box_side=doc.get("box_side"), noise=doc.get("noise", 3))
+        given = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}  # the rest default
+        return cls(**{**given, "surface": ModelSurface.from_json(doc["surface"])})
 
     def digest(self) -> str:
         return hashlib.sha256(json.dumps(self.to_json(), sort_keys=True).encode()).hexdigest()[:16]

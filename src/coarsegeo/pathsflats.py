@@ -503,10 +503,9 @@ class StandardFlat:
             raise ValueError("augmented length must lie in (0, B]")
         return (core.p, core.q, tau0.p, tau0.q, length)
 
-    def eval(self, t_vec: Sequence[float],
-             burst: tuple[int, bool, int] | None = None) -> ModelPoint:
-        """`eval_rows` on one row: the flat's point at t_vec after the burst."""
-        return self.eval_rows([t_vec], [burst])[0]
+    def eval(self, t_vec: Sequence[float]) -> ModelPoint:
+        """`eval_rows` on one row: the flat's point at t_vec."""
+        return self.eval_rows([t_vec])[0]
 
     def eval_rows(self, rows: Sequence[Sequence[float]],
                   bursts: Sequence[tuple[int, bool, int] | None] | None = None,

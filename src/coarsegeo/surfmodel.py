@@ -448,10 +448,7 @@ class Flavor:
     factors and noise bursts.  With `heights` (augmented) an annular
     complex is the horoball y >= 1/B, not Z: points carry lengths in
     (0, B], other curves are seen at the height `boundary` = 1/B, and
-    flats have ray factors.  `tie_bound` is the annular distance of a
-    twist gap of 3 at the boundary height, the float `annular_distance`
-    gives (infinite without annuli): above it `_terms_key` keys a
-    component pair up to SL2(Z)."""
+    flats have ray factors."""
 
     name: str
     annuli: bool
@@ -459,13 +456,9 @@ class Flavor:
     bers: float = 1.0
     boundary: float | None = field(init=False, repr=False, compare=False)
     factor_kinds: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    tie_bound: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        b = 1.0 / self.bers if self.heights else None
-        object.__setattr__(self, "boundary", b)
-        object.__setattr__(self, "tie_bound", math.acosh(1.0 + 9.0 / (2.0 * b * b))
-                           if self.heights else 3.0 if self.annuli else math.inf)
+        object.__setattr__(self, "boundary", 1.0 / self.bers if self.heights else None)
         object.__setattr__(self, "factor_kinds",
                            ("path",) + ("twist",) * self.annuli + ("ray",) * self.heights)
 
@@ -854,14 +847,13 @@ def _component_terms(fl: Flavor, kx: tuple, ky: tuple,
                      t: float) -> tuple[tuple[Slope | None, float], ...]:
     """The kept (core, distance) terms of one component at threshold t:
     the component term first, with core None, then the annuli in
-    candidate order.  This is the body
-    `_formula_terms` runs on a miss of `_terms`, on the state keys of the
-    miss's key.  Every subsurface lies in one component, so the terms
-    depend only on the flavor and that component's two state keys kx and
-    ky, and are computed on their ints: a twisting number is
-    (a p + b q) // (c p + d q) for the core's cached transport
-    (a, b; c, d), as in `twist_number`, and the annular distance is
-    `annular_distance`'s float of the two projections."""
+    candidate order.  `distance_formula` lists them, and `formula_total`
+    caches their distances on a miss of `_terms`.  Every subsurface lies
+    in one component, so the terms depend only on the flavor and that
+    component's two state keys kx and ky, and are computed on their
+    ints: a twisting number is (a p + b q) // (c p + d q) for the core's
+    cached transport (a, b; c, d), as in `twist_number`, and the annular
+    distance is `annular_distance`'s float of the two projections."""
     ap, aq, bp, bq = kx[0], kx[1], ky[0], ky[1]
     d = float(_distance_at(ap, aq, bp, bq))
     terms = [(None, d)] if d >= t else []
@@ -883,35 +875,35 @@ def _component_terms(fl: Flavor, kx: tuple, ky: tuple,
     return tuple(terms)
 
 
-def _terms_key(fl: Flavor, t: float, kx: tuple, ky: tuple) -> tuple[tuple, Matrix | None]:
+def _terms_key(fl: Flavor, t: float, kx: tuple, ky: tuple) -> tuple:
     """The `_terms` key (flavor, bers, t, x's state, y's state) of one
-    component's state keys kx and ky, and the matrix taking the key's
-    cores back to the pair's own (None when the key holds kx and ky).
+    component's state keys kx and ky.
 
-    Above `fl.tie_bound` the states are moved by the M in SL2(Z) with
-    M(alpha_x) = 0/1 and M(tau_x) = 1/0: M^-1 has columns tau_x and
-    alpha_x, tau_x's sign flipped when det(alpha_x, tau_x) = 1.  The
-    moved pair keeps the pair's terms, moved by M.  Farey distance is
-    invariant and lengths ride along.  For a core c, T_Mc M T_c^-1 (T the
-    transports of `twist_number`) fixes infinity with determinant 1, so
-    it is z -> z + k: twisting numbers about Mc are those about c plus k,
-    and annular distances stay (float(tx) - float(ty) is exact below
-    2^53; a reflection would negate twists, and floor is not odd).
-    Candidate cores move too, but for ties: `_geodesic_at` breaks them by
-    key order, so the sets can differ by a core c interior to one
-    geodesic and not another (pants curves and transversals are always
-    candidates), which sees both pants slopes at the boundary height.
-    Their twist gap is at most 3: with c at infinity, the edge (k, k + 1)
-    cuts off the interval of a slope of floor k, so a path avoiding
-    infinity leaves alpha_x's interval at an integer i in {k_x, k_x + 1}
-    and walks every integer to j in {k_y, k_y + 1}, at least
+    On the marking flavor above t = 3 the states are moved by the M in
+    SL2(Z) with M(alpha_x) = 0/1 and M(tau_x) = 1/0: M^-1 has columns
+    tau_x and alpha_x, tau_x's sign flipped when det(alpha_x, tau_x) = 1.
+    The moved pair keeps the pair's kept distances, in some order.  Farey
+    distance is invariant.  For a core c, T_Mc M T_c^-1 (T the transports
+    of `twist_number`) fixes infinity with determinant 1, so it is
+    z -> z + k: twisting numbers about Mc are those about c plus k, and
+    their differences stay (a reflection would negate twists, and floor
+    is not odd).  Candidate cores move too, but for ties: `_geodesic_at`
+    breaks them by key order, so the sets can differ by a core c interior
+    to one geodesic and not the other (pants curves and transversals are
+    always candidates), which sees both pants slopes.  Their twist gap is
+    at most 3: with c at infinity, the edge (k, k + 1) cuts off the
+    interval of a slope of floor k, so a path avoiding infinity leaves
+    alpha_x's interval at an integer i in {k_x, k_x + 1} and walks every
+    integer to j in {k_y, k_y + 1}, at least
     d(alpha_x, oo) - 1 + |i - j| + d(oo, alpha_y) - 1 long.  As c is on a
     geodesic, a geodesic avoiding c has |i - j| <= 2, so the floors
-    differ by at most 3, and above the tie bound no such term is kept.
-    At or below it, and in pants, where no transversal fixes M, the key
-    holds kx and ky."""
-    if not t > fl.tie_bound:
-        return (fl.name, fl.bers, t, kx, ky), None
+    differ by at most 3, and above t = 3 no such term is kept.  The kept
+    distances are integers, whose sum is exact in any order, so for a
+    moved key it is a function of the key alone.  Augmented sums are not
+    (order can change the last bit), and pants has no transversal to fix
+    M: there, and at t <= 3, the key holds kx and ky."""
+    if fl.heights or not fl.annuli or not t > 3.0:
+        return (fl.name, fl.bers, t, kx, ky)
     ap, aq, tp, tq, lx = kx
     if ap * tq - aq * tp == 1:
         tp, tq = -tp, -tq
@@ -923,69 +915,58 @@ def _terms_key(fl: Flavor, t: float, kx: tuple, ky: tuple) -> tuple[tuple, Matri
     r, s = aq * sp - ap * sq, tp * sq - tq * sp
     if s < 0 or (s == 0 and r < 0):
         r, s = -r, -s
-    return (fl.name, fl.bers, t, (0, 1, 1, 0, lx), (p, q, r, s, ly)), (tp, ap, tq, aq)
-
-
-def _moved_back(terms: tuple, m: Matrix) -> list:
-    """Kept terms with each core moved by m, in the order the raw kernel
-    lists them: the component term first, then annuli by core key."""
-    head = 1 if terms and terms[0][0] is None else 0
-    return [*terms[:head], *sorted(((apply_matrix(m, s), d) for s, d in terms[head:]),
-                                   key=lambda sd: sd[0].key())]
+    return (fl.name, fl.bers, t, (0, 1, 1, 0, lx), (p, q, r, s, ly))
 
 
 # The two distance caches are dicts keyed by plain tuples of ints,
 # floats, strings and None: `_distances` by the pair of point keys
 # (`ModelPoint._key`), and `_terms` by `_terms_key`, a component pair's
-# position up to SL2(Z) above the tie bound (the raw pair at or below
-# it), with no surface key and no component index.  The collector
+# position up to SL2(Z) on the marking flavor above t = 3 (the raw pair
+# otherwise), with no surface key and no component index.  `_terms`
+# holds each key's kept distances, a tuple of floats.  The collector
 # untracks such tuples, so no entry keeps a point alive, and a hit
 # hashes and compares in C.  A full cache is emptied by its next miss.
-_terms: dict[tuple, tuple[tuple[Slope | None, float], ...]] = {}
+_terms: dict[tuple, tuple[float, ...]] = {}
 _TERMS_MAX = 200_000
 _distances: dict[tuple, float] = {}
 _DISTANCES_MAX = 400_000
 _distance_hits = _distance_misses = 0
 
 
-def _formula_terms(x: ModelPoint, y: ModelPoint, threshold: float | None,
-                   comps: Iterable[int] | None, listing: bool,
-                   ) -> tuple[float, list[tuple[Subsurface, float]] | None]:
-    """The thresholded total, and with `listing` the contributing
-    subsurfaces, from each component's terms in `_terms`, with their
-    cores moved back to the pair's own.  The total is summed in one fixed
-    order, components ascending and then the candidate order of the
-    pair's own cores, so every caller gets the same float: marking and
-    pants terms are integers, whose sums are exact in any order, and
-    augmented terms are moved back before they are added."""
-    surf, kx, ky = x.surface, x._key, y._key
-    if kx[0] != ky[0]:
+def _formula_scope(x: ModelPoint, y: ModelPoint, threshold: float | None,
+                   comps: Iterable[int] | None) -> tuple[float, Iterable[int]]:
+    """The threshold and the components the distance formula sums over."""
+    surf = x.surface
+    if x._key[0] != y._key[0]:
         raise ValueError("points live on different surfaces")
-    fl = surf.fl
     t = surf.threshold if threshold is None else threshold
     if comps is None:
-        comp_range = range(surf.n_components)
-    else:  # kx[i + 1] must be component i's state, so no index counts from the end
-        comp_range = tuple(comps)
-        if any(i < 0 for i in comp_range):
-            raise IndexError(f"components are numbered from 0, got {comp_range}")
-    total = 0.0
-    listed = [] if listing else None
-    for i in comp_range:
-        key, back = _terms_key(fl, t, kx[i + 1], ky[i + 1])
+        return t, range(surf.n_components)
+    comps = tuple(comps)  # x._key[i + 1] is component i's state: no index counts from the end
+    if any(i < 0 for i in comps):
+        raise IndexError(f"components are numbered from 0, got {comps}")
+    return t, comps
+
+
+def formula_total(x: ModelPoint, y: ModelPoint, threshold: float | None = None,
+                  comps: Iterable[int] | None = None) -> float:
+    """`distance_formula`'s total, bit for bit, from each component's kept
+    distances in `_terms` (a miss runs `_component_terms` on the pair's
+    own state keys), added in cached order: the pair's own for a raw
+    key, and integers, exact in any order, for a moved one."""
+    t, comps = _formula_scope(x, y, threshold, comps)
+    fl, total = x.surface.fl, 0.0
+    for i in comps:
+        kx, ky = x._key[i + 1], y._key[i + 1]
+        key = _terms_key(fl, t, kx, ky)
         terms = _terms.get(key)
         if terms is None:
             if len(_terms) >= _TERMS_MAX:
                 _terms.clear()
-            terms = _terms[key] = _component_terms(fl, key[3], key[4], t)
-        if terms and back is not None and (listing or fl.heights and len(terms) > 1):
-            terms = _moved_back(terms, back)
-        for _, d in terms:
+            terms = _terms[key] = tuple(d for _, d in _component_terms(fl, kx, ky, t))
+        for d in terms:
             total += d
-        if listing:
-            listed.extend((Subsurface("component", i) if core is None else
-                           Subsurface("annulus", i, core), d) for core, d in terms)
-    return total, listed
+    return total
 
 
 def distance_formula(
@@ -997,16 +978,22 @@ def distance_formula(
     """Thresholded sum of projection distances, with the contributing
     subsurfaces.  This is the model metric; it is symmetric and obeys
     the triangle inequality up to a multiplicative slack.  Each
-    component's terms come from `_component_terms`, cached at the
-    component pair's position up to SL2(Z) (`_terms_key`)."""
-    total, contributing = _formula_terms(x, y, threshold, comps, True)
+    component's terms come from `_component_terms` on the pair's own
+    state keys, uncached, added as `formula_total` adds them."""
+    t, comps = _formula_scope(x, y, threshold, comps)
+    fl, total, contributing = x.surface.fl, 0.0, []
+    for i in comps:
+        for core, d in _component_terms(fl, x._key[i + 1], y._key[i + 1], t):
+            total += d
+            contributing.append((Subsurface("component", i) if core is None else
+                                 Subsurface("annulus", i, core), d))
     contributing.sort(key=lambda wd: wd[0].key())
     return total, contributing
 
 
 def model_distance(x: ModelPoint, y: ModelPoint) -> float:
-    """The distance formula's total at the surface's own threshold,
-    cached at (x._key, y._key); no contribution list is built."""
+    """`formula_total` at the surface's own threshold, cached at
+    (x._key, y._key)."""
     global _distance_hits, _distance_misses
     key = (x._key, y._key)
     d = _distances.get(key)
@@ -1016,7 +1003,7 @@ def model_distance(x: ModelPoint, y: ModelPoint) -> float:
     _distance_misses += 1
     if len(_distances) >= _DISTANCES_MAX:
         _distances.clear()
-    d = _distances[key] = _formula_terms(x, y, None, None, False)[0]
+    d = _distances[key] = formula_total(x, y)
     return d
 
 
@@ -1031,15 +1018,15 @@ farey_geodesic.cache_info = lambda: _geodesic_at.cache_info()
 def component_distance(x: ModelPoint, y: ModelPoint, comp: int) -> float:
     """The distance formula restricted to one component's subsurfaces,
     i.e. distance in that component's own model space."""
-    return distance_formula(x, y, comps=(comp,))[0]
+    return formula_total(x, y, comps=(comp,))
 
 
 def threshold_audit(x: ModelPoint, y: ModelPoint, t: float, tp: float) -> float:
     """Ratio of the distance formula at two thresholds, infinity-safe."""
     if tp < t:
         raise ValueError("audit expects T' >= T")
-    lo, _ = distance_formula(x, y, threshold=t)
-    hi, _ = distance_formula(x, y, threshold=tp)
+    lo = formula_total(x, y, threshold=t)
+    hi = formula_total(x, y, threshold=tp)
     if lo == hi == 0.0:
         return 1.0
     if hi == 0.0:
@@ -1172,8 +1159,8 @@ def clear_caches() -> None:
     `_transport_at` (at most 100,000 slopes), `_distance_at` (200,000
     slope pairs) and `_geodesic_at` (50,000 slope pairs), and the
     distance caches `_terms` (200,000 component pairs, each up to SL2(Z)
-    above the flavor's tie bound) and `_distances` (400,000 point pairs)
-    with their counters."""
+    on the marking flavor above t = 3) and `_distances` (400,000 point
+    pairs) with their counters."""
     global _distance_hits, _distance_misses
     _transport_at.cache_clear()
     _distance_at.cache_clear()

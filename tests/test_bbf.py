@@ -71,6 +71,24 @@ def test_pk_blocks_separated_pair():
     assert (0, 2) not in pk.edges
 
 
+def test_max_twist_gap_is_the_per_gap_check(cn):
+    """gap <= max_twist_gap(K) exactly when the annular distance of the
+    gap at the boundary height is at most K, on both flavors with
+    annuli; no gap passes a negative or NaN K."""
+    for bers in (1.0, 2.0):
+        for flavor in ("marking", "augmented"):
+            fl = ModelSurface(((1, 1),), flavor=flavor, bers=bers).fl
+            u = AnnularPoint(0, fl.boundary)
+            for k in (cn["k_pk"], 1.5, 7.3):
+                gmax = bbf.max_twist_gap(k, fl)
+                assert 0 <= gmax < 500  # the boundary lies in the range checked
+                for gap in range(501):
+                    ok = annular_distance(u, AnnularPoint(gap, fl.boundary), fl) <= k
+                    assert (gap <= gmax) == ok, (flavor, bers, k, gap)
+            for k in (-0.5, math.nan):
+                assert bbf.max_twist_gap(k, fl) == -1
+
+
 def test_one_twist_table_per_annuli_family(marking2, cn, calls_to):
     """A window's embedding builds one twist table per annuli family, and
     neither P_K nor the quasi-trees compute a twisting number of their

@@ -45,6 +45,21 @@ def test_config_json_and_digest(marking2):
     assert other.digest() != cfg.digest()
 
 
+def test_config_documents_missing_a_field_get_the_dataclass_default(marking2):
+    """Each optional field a config document leaves out takes the
+    dataclass's own default; the fields it has are kept."""
+    full = ExperimentConfig(marking2, eps0=0.2, theta0=0.3, r0=9.0, seed=5, box_side=40,
+                            noise=1).to_json()
+    for name in ("eps0", "theta0", "r0", "seed", "box_side", "noise"):
+        doc = {k: v for k, v in full.items() if k != name}
+        back = ExperimentConfig.from_json(doc)
+        assert getattr(back, name) == ExperimentConfig.__dataclass_fields__[name].default
+        assert all(getattr(back, k) == v for k, v in doc.items()
+                   if k not in ("schema_version", "surface"))
+    assert ExperimentConfig.from_json({"surface": marking2.to_json()}) == \
+        ExperimentConfig(marking2)
+
+
 @pytest.mark.parametrize("fields, message", [
     ({"r0": math.nan}, "need a finite r0, got nan"),
     ({"r0": math.inf}, "need a finite r0, got inf"),

@@ -527,10 +527,11 @@ def test_equality_with_other_types_is_false_and_does_not_raise(augmented1):
 
 # --- terms cached up to SL2(Z) ----------------------------------------------
 #
-# `_terms` keys a component pair by its position up to SL2(Z) above the
-# flavor's tie bound (`surfmodel._terms_key`), and by the pair itself at
-# or below it.  `oracles.component_loop_distance_formula` runs the same
-# kernel on the pair's own state keys, so it is the raw, unmoved answer.
+# `_terms` keys a component pair by its position up to SL2(Z) on the
+# marking flavor above t = 3 (`surfmodel._terms_key`), and by the pair
+# itself otherwise.  `oracles.component_loop_distance_formula` runs the
+# same kernel on the pair's own state keys, so it is the raw, unmoved
+# answer.
 
 INVARIANT_SURFACES = [
     ModelSurface(((1, 1), (1, 1)), flavor="marking"),
@@ -568,18 +569,17 @@ def _moved_subsurface(w: Subsurface, gs) -> Subsurface:
 def test_model_distance_is_sl2z_invariant_per_component():
     """model_distance(g x, g y) == model_distance(x, y) bit for bit, for a
     seeded g in SL2(Z) per component, on all three flavors at their own
-    thresholds (above the tie bound where the flavor has annuli).  The
-    raw kernel on the moved pair agrees, so this is the model's own
-    invariance and not only the cache's; the contributing subsurfaces
-    are the pair's own with their cores moved; and with annuli the moved
-    pair adds no `_terms` entry."""
+    thresholds.  The raw kernel on the moved pair agrees, so this is the
+    model's own invariance and not only the cache's; the contributing
+    subsurfaces are the pair's own with their cores moved; and on
+    marking, whose keys above t = 3 are moved, the moved pair's
+    `formula_total` reads `_terms` and adds no entry."""
     from coarsegeo.harness import random_point
 
     rng = np.random.default_rng(601)
     moved_hits = 0
     for surface in INVARIANT_SURFACES:
         fl = surface.fl
-        assert (surface.threshold > fl.tie_bound) == fl.annuli
         for _ in range(150):
             x, y = (random_point(surface, rng, steps=int(rng.integers(4, 14))) for _ in range(2))
             gs = [_sl2z_word(rng) for _ in surface.components]
@@ -593,31 +593,33 @@ def test_model_distance_is_sl2z_invariant_per_component():
             moved = sorted(((_moved_subsurface(w, gs), dd) for w, dd in want[1]),
                            key=lambda wd: wd[0].key())
             assert _bits(distance_formula(gx, gy)) == _bits((want[0], moved))
-            if fl.annuli:
+            if fl.annuli and not fl.heights:
                 assert len(surfmodel._terms) == entries
                 moved_hits += (gx, gy) != (x, y)
-    assert moved_hits >= 290
+    assert moved_hits >= 145
 
 
-def test_tie_bound_is_the_annular_distance_of_a_twist_gap_of_3():
-    for bers in (0.25, 1.0, 2.0, 7.3, 1e3):
-        for flavor in ("marking", "augmented"):
-            fl = ModelSurface(((1, 1),), flavor=flavor, bers=bers).fl
-            u, v = AnnularPoint(0, fl.boundary), AnnularPoint(3, fl.boundary)
-            assert fl.tie_bound == annular_distance(u, v, fl) == annular_distance(v, u, fl)
-    assert ModelSurface(((1, 1),), flavor="pants").fl.tie_bound == math.inf
-    # the raw key at the bound, the moved one just above it
-    fl = FLAVORS["marking"]
+def test_terms_keys_move_on_marking_above_3_only():
+    """The raw key at t = 3, the moved one just above it, on marking; on
+    augmented and pants the raw key at every threshold.  The moved
+    states are the pair's own under the M in SL2(Z) that `_terms_key`
+    describes."""
     kx, ky = (2, 5, 1, 2, None), (7, 3, 2, 1, None)
     at, above = 3.0, math.nextafter(3.0, math.inf)
-    assert surfmodel._terms_key(fl, at, kx, ky) == (("marking", 1.0, at, kx, ky), None)
-    key, back = surfmodel._terms_key(fl, above, kx, ky)
-    assert key[:4] == ("marking", 1.0, above, (0, 1, 1, 0, None)) and back is not None
-    # back = M^-1 is in SL2(Z) and takes the moved states to the pair's own
+    fl = FLAVORS["marking"]
+    assert surfmodel._terms_key(fl, at, kx, ky) == ("marking", 1.0, at, kx, ky)
+    key = surfmodel._terms_key(fl, above, kx, ky)
+    assert key[:4] == ("marking", 1.0, above, (0, 1, 1, 0, None))
+    # M^-1 has columns tau_x (kept, as det(alpha_x, tau_x) = -1) and alpha_x
+    back = (kx[2], kx[0], kx[3], kx[1])
     assert back[0] * back[3] - back[1] * back[2] == 1
     for k, moved in ((kx, key[3]), (ky, key[4])):
         for i in (0, 2):
             assert apply_matrix(back, Slope(moved[i], moved[i + 1])) == Slope(k[i], k[i + 1])
+    for fl, kx, ky in ((FLAVORS["augmented"], (2, 5, 1, 2, 0.5), (7, 3, 2, 1, 1.0)),
+                       (FLAVORS["pants"], (2, 5), (7, 3))):
+        for t in (at, above, 10.0, math.inf):
+            assert surfmodel._terms_key(fl, t, kx, ky) == (fl.name, 1.0, t, kx, ky)
 
 
 def _ladder(a: Slope, b: Slope) -> set[Slope]:
@@ -675,33 +677,20 @@ def test_no_tie_only_core_has_a_twist_gap_above_3():
     assert worst_cut > 3
 
 
-def _order_sensitive(x: ModelPoint, y: ModelPoint, t: float) -> bool:
-    """Whether the cached terms, added in the moved pair's candidate
-    order, give another float than the pair's own order."""
-    fl, total = x.surface.fl, 0.0
-    for kx, ky in zip(x.state_keys, y.state_keys):
-        key, _ = surfmodel._terms_key(fl, t, kx, ky)
-        for _, d in surfmodel._terms[key]:
-            total += d
-    return total != distance_formula(x, y, threshold=t)[0]
-
-
 def test_terms_up_to_sl2z_match_the_raw_kernel_around_the_tie_bound():
-    """Totals and contribution lists equal the raw kernel's bit for bit at
-    t in {3, 4, 10, 40}, which straddle each flavor's tie bound (3.0 on
-    marking, 3.64 on augmented at B = 2, 2.39 at B = 1), on pairs with two
-    or more kept annulus terms in one component.  On augmented pairs the
-    moved pair's candidate order can round the total differently, so the
-    terms are added in the pair's own order.  Below the bound the moved
-    pair can keep other terms, which is why it takes the raw key."""
+    """Cached totals, and totals and contribution lists, equal the raw
+    kernel's bit for bit at t in {3, 4, 10, 40}, which straddle the
+    bound t = 3 above which marking keys are moved, on pairs with two or
+    more kept annulus terms in one component.  At t = 3 itself a moved
+    pair's geodesic ties can keep other terms, which is why marking
+    keys move only above it."""
     from coarsegeo.harness import random_point
 
     rng = np.random.default_rng(602)
     surfaces = [ModelSurface(((1, 1), (1, 1)), flavor="marking"),
                 ModelSurface(((1, 1), (0, 4)), flavor="augmented", bers=2.0),
                 ModelSurface(((1, 1),), flavor="augmented")]
-    seen = dict.fromkeys(("multi marking", "multi augmented", "order-sensitive",
-                          "moved differs at the bound"), 0)
+    seen = dict.fromkeys(("multi marking", "multi augmented", "moved differs at 3"), 0)
     for surface in surfaces:
         fl = surface.fl
         pool = [random_point(surface, rng, steps=int(rng.integers(4, 16)), big_twist=60)
@@ -712,20 +701,42 @@ def test_terms_up_to_sl2z_match_the_raw_kernel_around_the_tie_bound():
                 got = distance_formula(x, y, threshold=t)
                 assert _bits(got) == _bits(oracles.component_loop_distance_formula(
                     x, y, threshold=t)), (x, y, t)
+                assert surfmodel.formula_total(x, y, threshold=t).hex() == got[0].hex()
                 for i in range(surface.n_components):
                     kept = sum(w.comp == i and w.core is not None for w, _ in got[1])
-                    seen[f"multi {fl.name}"] += kept >= 2 and t > fl.tie_bound
-                if fl.heights and t > fl.tie_bound:
-                    seen["order-sensitive"] += _order_sensitive(x, y, t)
-        # at the bound itself the moved pair's geodesic ties keep other terms
-        for x, y in pairs:
-            for kx, ky in zip(x.state_keys, y.state_keys):
-                key, back = surfmodel._terms_key(fl, math.inf, kx, ky)
-                moved = surfmodel._component_terms(fl, key[3], key[4], fl.tie_bound)
-                seen["moved differs at the bound"] += (
-                    tuple(surfmodel._moved_back(moved, back)) !=
-                    surfmodel._component_terms(fl, kx, ky, fl.tie_bound))
+                    seen[f"multi {fl.name}"] += kept >= 2 and t > 3.0
+        if not fl.heights:
+            for x, y in pairs:
+                for kx, ky in zip(x.state_keys, y.state_keys):
+                    key = surfmodel._terms_key(fl, math.inf, kx, ky)
+                    moved = surfmodel._component_terms(fl, key[3], key[4], 3.0)
+                    seen["moved differs at 3"] += (
+                        sorted(d for _, d in moved) !=
+                        sorted(d for _, d in surfmodel._component_terms(fl, kx, ky, 3.0)))
     assert min(seen.values()) > 0 and seen["multi augmented"] >= 200, seen
+
+
+def test_augmented_terms_keep_the_pair_s_own_key():
+    """A seeded augmented pair whose pair moved up to SL2(Z) keeps the
+    same distances in another candidate order, which adds up to another
+    last bit: so augmented keys are not moved.  With the moved pair's
+    terms cached first, the pair still gets its own total."""
+    surface = ModelSurface(((1, 1),), flavor="augmented", bers=2.0, threshold=4.0)
+    x = ModelPoint(surface, (ComponentState(Slope(-604, 603), Slope(-3623, 3617), 2.0),))
+    y = ModelPoint(surface, (ComponentState(INFINITY, Slope(431, 1), 2.0),))
+    (kx,), (ky,) = x.state_keys, y.state_keys
+    # the move of the marking key, with each state's length carried along
+    key = surfmodel._terms_key(FLAVORS["marking"], 4.0, kx[:4] + (None,), ky[:4] + (None,))
+    mx, my = (ModelPoint(surface, (surfmodel._state_view(m[:4] + (k[4],)),))
+              for m, k in ((key[3], kx), (key[4], ky)))
+    own = oracles.component_loop_distance_formula(x, y)
+    moved = oracles.component_loop_distance_formula(mx, my)
+    assert sorted(d for _, d in own[1]) == sorted(d for _, d in moved[1])
+    assert len(own[1]) >= 3 and own[0].hex() != moved[0].hex()
+    surfmodel.clear_caches()
+    assert surfmodel.formula_total(mx, my).hex() == moved[0].hex()
+    assert surfmodel.formula_total(x, y).hex() == own[0].hex()
+    assert model_distance(x, y).hex() == distance_formula(x, y)[0].hex() == own[0].hex()
 
 
 def _cold_flat_pipeline_op(cn, noise_seed: int) -> None:
@@ -745,27 +756,28 @@ def _cold_flat_pipeline_op(cn, noise_seed: int) -> None:
 
 
 def test_terms_up_to_sl2z_match_the_raw_kernel_on_a_cold_flat_pipeline_op(cn, monkeypatch):
-    """Every distance-formula question of one cold flat-pipeline op,
-    asked again of the filled caches and of the raw kernel: totals and
-    contribution lists agree bit for bit.  Tens of thousands of pairs
-    share a few hundred `_terms` entries."""
+    """Every cached distance-formula question of one cold flat-pipeline
+    op, asked again of the filled caches and of the raw kernel: totals
+    agree bit for bit, and so do `distance_formula`'s totals and
+    contribution lists.  Tens of thousands of pairs share a few hundred
+    `_terms` entries."""
     asked = {}
-    real = surfmodel._formula_terms
+    real = surfmodel.formula_total
 
-    def recording(x, y, threshold, comps, listing):
+    def recording(x, y, threshold=None, comps=None):
         comps = None if comps is None else tuple(comps)
         asked.setdefault((x._key, y._key, threshold, comps), (x, y))
-        return real(x, y, threshold, comps, listing)
+        return real(x, y, threshold, comps)
 
-    monkeypatch.setattr(surfmodel, "_formula_terms", recording)
+    monkeypatch.setattr(surfmodel, "formula_total", recording)
     surfmodel.clear_caches()
     _cold_flat_pipeline_op(cn, 1114088975)
-    monkeypatch.setattr(surfmodel, "_formula_terms", real)
+    monkeypatch.setattr(surfmodel, "formula_total", real)
     assert len(asked) > 30_000 and len(surfmodel._terms) < 1_000, \
         (len(asked), len(surfmodel._terms))
     for (_, _, threshold, comps), (x, y) in asked.items():
-        got = distance_formula(x, y, threshold, comps)
-        assert _bits(got) == _bits(oracles.component_loop_distance_formula(
-            x, y, threshold, comps)), (x, y, threshold, comps)
+        want = oracles.component_loop_distance_formula(x, y, threshold, comps)
+        assert real(x, y, threshold, comps).hex() == want[0].hex(), (x, y, threshold, comps)
+        assert _bits(distance_formula(x, y, threshold, comps)) == _bits(want)
         if threshold is None and comps is None:
-            assert model_distance(x, y).hex() == got[0].hex()
+            assert model_distance(x, y).hex() == want[0].hex()

@@ -2,16 +2,17 @@
 the closed-form twist matrix, the gcd-free slope image and the
 closed-form pinned state against the code they replaced.
 
-`surfmodel.distance_formula` reads each component's terms from a cache
-keyed by the component pair's position up to SL2(Z) (by its two state
-keys at or below the flavor's tie bound); `oracles.distance_formula`
-walks every candidate subsurface of the point pair, with its own
-candidate enumeration and annular projection, and
+`surfmodel.formula_total` reads each component's kept distances from a
+cache keyed by the component pair's position up to SL2(Z) on marking
+above t = 3 (by its two state keys otherwise), and
+`surfmodel.distance_formula` lists the terms of `_component_terms` on
+the pair's own state keys; `oracles.distance_formula` walks every
+candidate subsurface of the point pair, with its own candidate
+enumeration and annular projection, and
 `oracles.component_loop_distance_formula` adds up `_component_terms` on
 the pair's own state keys while it builds the contribution list.  Totals
-and contribution lists must agree bit for bit: the cached terms are
-added in the pair's own candidate order, as in the direct loop.
-`model_distance` builds no list and must still give the same float.
+and contribution lists must agree bit for bit.  `formula_total` and
+`model_distance` build no list and must still give the same float.
 Points come from small seeded pools, so component states
 repeat across pairs and the cache is read back as well as filled.  Both
 caches are keyed by plain tuples that hold no point, and stay within
@@ -71,7 +72,7 @@ def test_distance_formula_matches_direct_loop(calls_to):
     surfmodel.clear_caches()
     runs = calls_to(surfmodel, "_component_terms")
     rng = np.random.default_rng(505)
-    checked = asked = 0
+    checked = asked = misses = 0
     for surface in SURFACES:
         pool = [random_point(surface, rng, steps=int(rng.integers(4, 16)), big_twist=30)
                 for _ in range(POOL)]
@@ -82,6 +83,9 @@ def test_distance_formula_matches_direct_loop(calls_to):
             assert candidate_subsurfaces(x, y) == oracles.candidate_subsurfaces(x, y)
             for kw in ({}, {"threshold": t + 3}, {"comps": (0,)}):
                 got = _bits(distance_formula(x, y, **kw))
+                before = len(runs)
+                assert surfmodel.formula_total(x, y, **kw).hex() == got[0]
+                misses += len(runs) - before
                 asked += len(kw.get("comps", surface.components))
                 assert got == _bits(oracles.distance_formula(x, y, **kw)), (x, y, kw)
                 assert got == _bits(oracles.component_loop_distance_formula(x, y, **kw))
@@ -91,8 +95,8 @@ def test_distance_formula_matches_direct_loop(calls_to):
             checked += 1
     assert checked == len(SURFACES) * PAIRS_PER_SURFACE
     # the per-component cache is read back as well as filled: its body
-    # ran on fewer lookups than `distance_formula` made
-    assert 0 < len(runs) < asked
+    # ran on fewer lookups than `formula_total` made
+    assert 0 < misses < asked
 
 
 def _flat_line_pairs(surface: ModelSurface, noise: int, rng) -> list:
@@ -412,16 +416,18 @@ def _tuple_depth(k) -> int:
 
 
 def test_cache_keys_hold_nothing_for_the_collector():
-    """Cache keys are tuples of ints, floats, strings and None, which the
-    collector untracks; a point built apart, on an equal surface built
-    apart, has the same key and hits; the reversed pair, a key of its
-    own, gives the same float."""
+    """Cache keys, and the kept distances `_terms` holds, are tuples of
+    ints, floats, strings and None, which the collector untracks; a
+    point built apart, on an equal surface built apart, has the same key
+    and hits; the reversed pair, a key of its own, gives the same
+    float."""
     surfmodel.clear_caches()
     pairs = _flavor_pairs(511)
     got = [model_distance(x, y) for x, y in pairs]
     keys = [*surfmodel._distances, *surfmodel._terms]
     assert surfmodel._distances and surfmodel._terms
     assert all(_atoms_only(k) for k in keys)
+    assert all(type(d) is float for v in surfmodel._terms.values() for d in v)
     # a collection untracks a tuple whose items are untracked when it
     # gets there, and the order it visits them in is its own, so a nest
     # of d tuples is untracked after at most d collections
@@ -431,6 +437,7 @@ def test_cache_keys_hold_nothing_for_the_collector():
         gc.collect()
     assert not any(gc.is_tracked(k) for k in surfmodel._distances)
     assert not any(gc.is_tracked(k) for k in surfmodel._terms)
+    assert not any(gc.is_tracked(v) for v in surfmodel._terms.values())
     for (x, y), d in zip(pairs, got):
         s = x.surface
         surface = ModelSurface(s.components, flavor=s.flavor, bers=s.bers, threshold=s.threshold)
@@ -456,27 +463,30 @@ def test_component_indices_from_the_end_are_refused(marking2):
 
 
 def test_bounded_caches_give_the_unbounded_answers(monkeypatch):
-    """`_terms` holds keys up to SL2(Z) (thresholds above the flavor's tie
-    bound) beside raw ones (at or below it) in one dict; bounded, both
-    caches give the unbounded answers."""
+    """`_terms` holds keys up to SL2(Z) (marking above t = 3) beside raw
+    ones (every other flavor or threshold) in one dict; bounded, both
+    caches give the unbounded answers, which are `distance_formula`'s."""
     pairs = _flavor_pairs(512)
     thresholds = (None, 3.0, 0.0)
     surfmodel.clear_caches()
     want = [(model_distance(x, y).hex(),
-             [_bits(distance_formula(x, y, threshold=t)) for t in thresholds])
+             [surfmodel.formula_total(x, y, threshold=t).hex() for t in thresholds])
             for x, y in pairs]
+    assert all(totals == [distance_formula(x, y, threshold=t)[0].hex() for t in thresholds]
+               for (x, y), (_, totals) in zip(pairs, want))
     assert min(len(surfmodel._distances), len(surfmodel._terms)) > 10 * SMALL_BOUND
-    moved = [k[2] > ModelSurface(((1, 1),), flavor=k[0], bers=k[1]).fl.tie_bound
+    moved = [FLAVORS[k[0]].annuli and not FLAVORS[k[0]].heights and k[2] > 3.0
              for k in surfmodel._terms]
     assert all(k[3][:4] == (0, 1, 1, 0) for k, m in zip(surfmodel._terms, moved) if m)
     assert moved.count(True) > 10 * SMALL_BOUND and moved.count(False) > 10 * SMALL_BOUND
     surfmodel.clear_caches()
     monkeypatch.setattr(surfmodel, "_DISTANCES_MAX", SMALL_BOUND)
     monkeypatch.setattr(surfmodel, "_TERMS_MAX", SMALL_BOUND)
-    for (x, y), (d, terms) in zip(pairs, want):
+    for (x, y), (d, totals) in zip(pairs, want):
         for _ in range(2):  # the second call is a hit
             assert model_distance(x, y).hex() == d
-            assert [_bits(distance_formula(x, y, threshold=t)) for t in thresholds] == terms
+            assert [surfmodel.formula_total(x, y, threshold=t).hex()
+                    for t in thresholds] == totals
             assert model_distance.cache_info().currsize <= SMALL_BOUND
             assert len(surfmodel._terms) <= SMALL_BOUND
     info = model_distance.cache_info()

@@ -86,18 +86,19 @@ def test_flat_lattice_points_equal_the_validated_points(make, cn, rng):
 def test_images_at_one_lattice_point_and_burst_share_their_states(surface, rng):
     """The flat's state table hands out one state key per (component,
     coordinate, move): a second image at the same lattice point and burst
-    shares every state key with the first, through `eval` and through the
-    noisy box map."""
+    shares every state key with the first, through `eval`, `eval_rows`
+    and the noisy box map."""
     flat = twist_flat(surface, 60)
     fmap = noisy_flat_map(flat, 3, 5)
     for t in _lattice(flat, rng, 100):
         burst = (int(rng.integers(0, 2)), bool(rng.integers(0, 2)), int(rng.integers(-3, 4)))
-        for make in (lambda: flat.eval(t), lambda: flat.eval(t, burst), lambda: fmap.fn(t)):
+        for make in (lambda: flat.eval(t), lambda: flat.eval_rows([t], [burst])[0],
+                     lambda: fmap.fn(t)):
             x, y = make(), make()
             assert x is not y and x._key == y._key
             assert all(x._key[c + 1] is y._key[c + 1] for c in range(2))
     # no burst and an empty one read the same entries
-    x, y = flat.eval((3, -4)), flat.eval((3, -4), (1, False, 0))
+    x, y = flat.eval((3, -4)), flat.eval_rows([(3, -4)], [(1, False, 0)])[0]
     assert all(x._key[c + 1] is y._key[c + 1] for c in range(2))
 
 
@@ -113,7 +114,7 @@ def test_burst_on_a_component_without_a_factor(surface, rng):
     for t in _lattice(flat, rng, 50):
         for flip in (False, True):
             n = int(rng.integers(-5, 6))
-            x = flat.eval(t, (1, flip, n))
+            x = flat.eval_rows([t], [(1, flip, n)])[0]
             y = flip_move(base, 1) if flip else base
             y = twist_move(y, 1, n)
             assert_validated(x)
@@ -124,7 +125,7 @@ def test_burst_component_out_of_range_is_refused():
     flat = twist_flat(MARKING2, 10)
     for comp in (-1, 2):
         with pytest.raises(IndexError):
-            flat.eval((0, 0), (comp, True, 1))
+            flat.eval_rows([(0, 0)], [(comp, True, 1)])
 
 
 def test_orthant_points_off_the_lattice_equal_the_validated_points(rng):
