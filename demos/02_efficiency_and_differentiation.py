@@ -38,10 +38,11 @@ print("=== the scale search on a staircase ===")
 step = 16
 
 
-def staircase(p):
-    t = float(np.atleast_1d(p)[0])
-    k, rem = divmod(t, 2 * step)
-    return (step * k + min(rem, step), step * k + max(0.0, rem - step))
+def staircase(P):
+    """The staircase image of each row of P, a batch of points of R^1."""
+    k, rem = np.divmod(np.asarray(P, float)[:, 0], 2 * step)
+    return list(zip((step * k + np.minimum(rem, step)).tolist(),
+                    (step * k + np.maximum(0.0, rem - step)).tolist()))
 
 
 fmap = BoxMap(staircase, lp_handle(math.inf), K=1.0, C=1.0)

@@ -29,8 +29,8 @@ from typing import Iterable, Iterator, Mapping
 
 from . import surfmodel
 from .surfmodel import (AnnularPoint, ModelPoint, ModelSurface, Slope, Subsurface,
-                        annular_distance, annular_row, boundary_point, farey_distance,
-                        pinned_state, project, twist_number)
+                        annular_distance, annular_row, base_point, boundary_point,
+                        farey_distance, pinned_state, project, twist_number)
 
 Coordinate = Slope | AnnularPoint  # a tuple is a Mapping[Subsurface, Coordinate]
 
@@ -204,7 +204,7 @@ def realize(sys: ExactSystem, z: Mapping[Subsurface, Coordinate], m: float,
     fl = surface.fl
     if m_bad is None:
         m_bad = 2 * m + 2
-    states = []
+    x = base_point(surface)
     for comp in range(surface.n_components):
         w_comp = Subsurface("component", comp)
         if w_comp not in z:
@@ -218,8 +218,8 @@ def realize(sys: ExactSystem, z: Mapping[Subsurface, Coordinate], m: float,
             if pants is None:
                 raise InconsistentTupleError(report)
         a_pants = Subsurface("annulus", comp, pants)
-        states.append(pinned_state(surface, pants, z[a_pants] if a_pants in z else None))
-    return ModelPoint(surface, tuple(states))
+        x = x.with_state(comp, pinned_state(surface, pants, z.get(a_pants)))
+    return x
 
 
 def realization_defects(sys: ExactSystem, z: Mapping[Subsurface, Coordinate],

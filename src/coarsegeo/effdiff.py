@@ -24,7 +24,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .constants import Constants, default_constants
-from .hypgraph import GeodesicSegment, MetricHandle
+from .hypgraph import MetricHandle
 
 ASPECT_RATIO = 4.0  # frozen rho: every box side is >= size / rho
 
@@ -234,25 +234,17 @@ def _clip_line(box: Box, p: np.ndarray, d: np.ndarray) -> tuple[float, float] | 
 class BoxMap:
     """A quasi-Lipschitz map from a box into a metric handle.
 
-    `images(P)` maps the rows of an (m, d) array: through `batch` when
-    the map has one (its m images, each the image `fn` gives for its
-    row), else row by row through `fn`."""
+    `images(P)` maps the rows of an (m, d) array to their m images, and
+    `fn(p)` is the image of one point, a batch of one."""
 
-    fn: Callable[[np.ndarray], Any]
+    images: Callable[[np.ndarray], list]
     target: MetricHandle
     K: float
     C: float
-    batch: Callable[[np.ndarray], list] | None = None
+    fn: Callable[[np.ndarray], Any] = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def of_batch(cls, batch: Callable, target: MetricHandle, K: float, C: float) -> "BoxMap":
-        """The map with this batch form, whose `fn` is a batch of one."""
-        return cls(lambda p: batch(np.reshape(p, (1, -1)))[0], target, K, C, batch=batch)
-
-    def images(self, P: np.ndarray) -> list:
-        if self.batch is not None:
-            return self.batch(P)
-        return [self.fn(p) for p in P]
+    def __post_init__(self):
+        self.fn = lambda p: self.images(np.reshape(p, (1, -1)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +563,10 @@ def _segment_meets_box(box: Box, line: Line, t0: float, t1: float) -> bool:
 
 def hyperbolic_subbox(fmap: BoxMap, box: Box, eps: float,
                       constants: Constants | None = None,
-                      grid_max: int = 17) -> tuple[Box, GeodesicSegment]:
+                      grid_max: int = 17) -> tuple[Box, tuple]:
     """Inside a box mapped efficiently to a hyperbolic target, find a
     sub-box of definite relative size whose image stays near a single
-    box-edge geodesic.
+    box-edge geodesic, returned with that geodesic's vertex tuple.
 
     Grid points are labeled by their nearest edge geodesic; the largest
     axis-aligned grid sub-box sharing one label within c_near * eps * R
@@ -611,7 +603,7 @@ def hyperbolic_subbox(fmap: BoxMap, box: Box, eps: float,
     # the grid in np.ndindex order
     grid = np.stack([m.ravel() for m in np.meshgrid(*axes_pts, indexing="ij")], axis=-1)
     for idx, img in zip(np.ndindex(shape), fmap.images(grid)):
-        dists = [min(target.distance(img, v) for v in e.vertices) for e in edges]
+        dists = [min(target.distance(img, v) for v in e) for e in edges]
         best = int(np.argmin(dists))
         labels[idx] = best
         near[idx] = dists[best] <= tol

@@ -230,7 +230,7 @@ def noisy_flat_map(flat: StandardFlat, noise: int, seed: int) -> BoxMap:
             bursts.append((mix[0] % n_comp, flip, n))
         return flat.eval_rows(rows, bursts)
 
-    return BoxMap.of_batch(images, h, K=2.0, C=_flat_map_c(surface, noise))
+    return BoxMap(images, h, K=2.0, C=_flat_map_c(surface, noise))
 
 
 def _flat_map_c(surface: ModelSurface, noise: int) -> float:
@@ -248,8 +248,8 @@ def adversarial_maps(flat: StandardFlat, n: int, box_side: int) -> list[tuple[st
 
     def wrap(name: str, lin: Callable[[np.ndarray], np.ndarray]) -> tuple[str, BoxMap]:
         # lin acts on the last axis, so it maps a batch of rows at once
-        return name, BoxMap.of_batch(lambda P: inner.images(lin(np.asarray(P, float))),
-                                     inner.target, K=inner.K * 2 + 2, C=inner.C)
+        return name, BoxMap(lambda P: inner.images(lin(np.asarray(P, float))),
+                            inner.target, K=inner.K * 2 + 2, C=inner.C)
 
     def cat(*cols) -> np.ndarray:
         return np.concatenate(cols, axis=-1)
@@ -288,8 +288,16 @@ class ExperimentConfig:
             raise ValueError(f"need a finite r0, got {self.r0}")
         if not 0 < self.theta0 < math.inf:
             raise ValueError(f"need a finite theta0 > 0, got {self.theta0}")
-        if self.noise < 0:  # it would shrink the map's declared constant C
-            raise ValueError(f"need noise >= 0, got {self.noise}")
+        for name, lo in (("seed", 0), ("noise", 0), ("box_side", 1)):
+            v = getattr(self, name)
+            if name == "box_side" and v is None:
+                continue
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or (
+                    isinstance(v, float) and not v.is_integer()):  # JSON may write 7.0
+                raise ValueError(f"need an integer {name}, got {v!r}")
+            if v < lo:  # a negative noise would shrink the map's declared C
+                raise ValueError(f"need {name} >= {lo}, got {v!r}")
+            setattr(self, name, int(v))
 
     def to_json(self) -> dict:
         return {
@@ -360,8 +368,8 @@ def run_pipeline(config: ExperimentConfig, fmap: BoxMap, dim: int,
     surface = config.surface
     # narrow the sub-box against each component's curve-graph shadow
     for comp in range(surface.n_components):
-        shadow = BoxMap.of_batch(lambda P, c=comp: [x.alpha(c) for x in fmap.images(P)],
-                                 farey_handle(), fmap.K, fmap.C)
+        shadow = BoxMap(lambda P, c=comp: [x.alpha(c) for x in fmap.images(P)],
+                        farey_handle(), fmap.K, fmap.C)
         try:
             sub, _edge = effdiff.hyperbolic_subbox(shadow, sub, config.eps0,
                                                    constants=cn, grid_max=9)
@@ -431,9 +439,7 @@ def _extract_moving_factors(fmap: BoxMap, sub: Box, moving: list[int],
     base = diag[0]
     factors = []
     for comp in moving:
-        pts = [ModelPoint(surface, tuple(
-            base.state(c) if c != comp else p.state(comp)
-            for c in range(surface.n_components))) for p in diag]
+        pts = [base.with_state(comp, p.state_keys[comp]) for p in diag]
         ts = np.linspace(0.0, float(sub.size), n_samp).tolist()
         trace = _uniform_trace(ts, pts, bbf.embedded_handle(pts, cn["k_pk"]),
                                C=2 * surface.threshold + 4)
@@ -663,7 +669,7 @@ def calibrate(seed: int = 42, scale: float = 1.0) -> Constants:
             delta = effdiff.coarse_length(tr, eR)
             theta_meas = max(theta_meas, (delta - tr.endpoint_distance()) / eR)
             seg = fh.geodesic(tr.points[0], tr.points[-1])
-            exc = max(min(fh.distance(p, v) for v in seg.vertices) for p in tr.points)
+            exc = max(min(fh.distance(p, v) for v in seg) for p in tr.points)
             m_morse = max(m_morse, exc / eR)
     values["theta_eff"] = max(6.0, math.ceil(theta_meas * 1.5))
     values["m_morse"] = max(1.0, math.ceil(m_morse * 1.5 * 4) / 4)
@@ -945,10 +951,10 @@ def _differentiate(ns):
     if ns.map == "staircase":
         step = ns.step
 
-        def stair(pnt):
-            t = float(np.atleast_1d(pnt)[0])
-            k, rem = divmod(t, 2 * step)
-            return (step * k + min(rem, step), step * k + max(0.0, rem - step))
+        def stair(P):
+            k, rem = np.divmod(np.asarray(P, float)[:, 0], 2 * step)
+            return list(zip((step * k + np.minimum(rem, step)).tolist(),
+                            (step * k + np.maximum(0.0, rem - step)).tolist()))
 
         fmap = BoxMap(stair, lp_handle(math.inf), K=1.0, C=1.0)
         box = Box.cube(ns.box, 1)
@@ -1058,7 +1064,7 @@ def _rank(ns):
     if ns.n <= rank and cfg.box_side:
         # the twist flat's pipeline differentiates a cube with one axis per component
         need = effdiff.required_size(cfg.eps0, cfg.r0, _flat_map_c(cfg.surface, 0))
-        size = Box.cube(cfg.box_side, cfg.surface.n_components).size if cfg.box_side > 0 else 0
+        size = Box.cube(cfg.box_side, cfg.surface.n_components).size
         if size < need:
             raise argparse.ArgumentError(
                 None, f"box side {cfg.box_side} is below the pipeline's required size "
@@ -1083,7 +1089,7 @@ def _arg(*names: str, **kw) -> tuple[tuple[str, ...], dict]:
 COUNT, NOISE = _int_at_least(1), _int_at_least(0)
 # flags every verb takes
 COMMON_ARGS = [
-    _arg("--seed", type=int, default=0), _arg("--constants"), _arg("--out"),
+    _arg("--seed", type=_int_at_least(0), default=0), _arg("--constants"), _arg("--out"),
     _arg("--surface", help="surface JSON (inline or @file)"),
     _arg("--components", type=int, default=1), _arg("--flavor", default="marking"),
 ]
@@ -1131,7 +1137,7 @@ VERBS: dict[str, tuple[str, list, Callable]] = {
     "rank": ("rank experiment", [
         _arg("--config"), _arg("--n", type=COUNT, required=True),
         _arg("--eps0", type=float, default=0.05),
-        _arg("--box", type=int, help="box side (default: 60 for n = rank + 1, else the "
+        _arg("--box", type=COUNT, help="box side (default: 60 for n = rank + 1, else the "
              "pipeline's own side)")],
         _rank),
     "calibrate": ("freeze the constants file",

@@ -20,24 +20,6 @@ from . import surfmodel
 from .surfmodel import Slope, farey_distance, farey_geodesic
 
 
-@dataclass(frozen=True)
-class GeodesicSegment:
-    """An ordered geodesic vertex path; consecutive vertices adjacent."""
-
-    vertices: tuple
-
-    def __post_init__(self):
-        if not self.vertices:
-            raise ValueError("empty segment")
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-
 def farey_thinness(triangles: Iterable[Sequence[Slope]]) -> float:
     """Thin-triangle constant of slope triangles in the Farey graph: the
     max over the triangles, and over the sides of each, of the side's
@@ -64,7 +46,7 @@ class MetricHandle:
     """A metric space presented as a distance callable.
 
     Geodesic-capable handles set `geodesic_fn` returning a vertex path
-    between two points.
+    between two points, which `geodesic` returns as a tuple.
     """
 
     name: str
@@ -72,9 +54,9 @@ class MetricHandle:
     geodesic_fn: Callable[[Any, Any], Sequence[Any]] | None = None
     embedding: Any = None  # the bbf.Embedding behind the embedded handle
 
-    def geodesic(self, a, b) -> GeodesicSegment:
+    def geodesic(self, a, b) -> tuple:
         if self.geodesic_fn is not None:
-            return GeodesicSegment(tuple(self.geodesic_fn(a, b)))
+            return tuple(self.geodesic_fn(a, b))
         raise ValueError(f"handle {self.name!r} has no geodesic support")
 
 

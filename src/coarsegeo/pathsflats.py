@@ -30,7 +30,7 @@ from .surfmodel import (AnnularPoint, Flavor, InessentialSubsurfaceError, ModelP
                         distance_formula, farey_adjacent, farey_distance,
                         farey_geodesic, flip_state, geodesic_chart,
                         horoball_point_to_segment, model_distance, project,
-                        subsurface_distance, twist_number, twist_state, _state_view)
+                        subsurface_distance, twist_number, twist_state)
 
 Move = tuple  # ("twist", comp, n) | ("flip", comp) | ("length", comp, factor) | ("realized",)
 
@@ -585,18 +585,16 @@ def _factor_min_distance(flat: StandardFlat, f: FlatFactor, p: ModelPoint) -> fl
     """min over the factor coordinate of the single-component distance
     between p and the factor state (the L1 metric separates factors)."""
     lo, hi = f.interval
-    surface = flat.surface
 
     def at(t: float) -> float:
-        states = list(flat.base.states)
-        states[f.comp] = _state_view(flat.factor_state(f, t))
-        return component_distance(p, ModelPoint(surface, tuple(states)), f.comp)
+        return component_distance(p, flat.base.with_state(f.comp, flat.factor_state(f, t)),
+                                  f.comp)
 
     if f.kind in ("twist", "ray"):
         w = Subsurface("annulus", f.comp, f.core)
         coord = project(p, w)
         guess = (float(coord.twist) if f.kind == "twist"
-                 else math.log(max(1.0, coord.height * surface.bers)))
+                 else math.log(max(1.0, coord.height * flat.surface.bers)))
         cands = sorted({lo, hi, int(max(lo, min(hi, round(guess))))})
         base = min(cands, key=at)
         best = at(base)
@@ -680,9 +678,7 @@ def candidate_flats(samples: Sequence[ModelPoint],
                                       (min(tw) - pad, max(tw) + pad),
                                       core=core, tau0=tau0))
         else:
-            b = ModelPoint(surface, tuple(
-                p_star.state(c) if c != comp else q_star.state(comp)
-                for c in range(surface.n_components)))
+            b = p_star.with_state(comp, q_star.state_keys[comp])
             path = preferred_path(p_star, b, constants, verify=False)
             factors.append(FlatFactor(comp, "path", (0, len(path.points) - 1),
                                       path=path))

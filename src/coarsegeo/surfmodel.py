@@ -496,30 +496,17 @@ class ModelPoint:
     def __init__(self, surface: ModelSurface, states: Sequence[ComponentState]):
         if len(states) != surface.n_components:
             raise ValueError("one state per component required")
-        fl = surface.fl
-        for st in states:
-            if not fl.annuli:
-                if st.tau is not None or st.length is not None:
-                    raise ValueError(f"{fl.name} points carry no transversal or length")
-                continue
-            if st.tau is None:
-                raise ValueError(f"{fl.name} points need transversals")
-            if not farey_adjacent(st.alpha, st.tau):
-                raise ValueError("transversal must intersect the pants slope minimally")
-            if fl.heights:
-                if st.length is None or not (0 < st.length <= surface.bers):
-                    raise ValueError(f"{fl.name} length must lie in (0, B]")
-            elif st.length is not None:
-                raise ValueError(f"{fl.name} points carry no length")
         key = (surface._key, *map(_state_key, states))
+        for k in key[1:]:
+            _check_state(surface, k)
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
 
     @classmethod
     def _trusted(cls, surface: ModelSurface, state_keys: Iterable[tuple]) -> "ModelPoint":
-        """A point valid by construction, built from one state key per
-        component without the per-state checks (three callers)."""
+        """A point from one state key per component, unchecked: `with_state`
+        checks the key it changes, `StandardFlat.eval_rows` builds valid keys."""
         key = (surface._key, *state_keys)
         x = object.__new__(cls)
         object.__setattr__(x, "surface", surface)
@@ -556,6 +543,14 @@ class ModelPoint:
         k = self.state_keys[comp]
         return _trusted_slope(k[0], k[1])
 
+    def with_state(self, comp: int, key: tuple) -> "ModelPoint":
+        """This point with component comp's state key replaced by `key`,
+        which is checked as the constructor checks a state."""
+        _check_state(self.surface, key)
+        keys = list(self.state_keys)
+        keys[comp] = key
+        return ModelPoint._trusted(self.surface, keys)
+
     def to_json(self) -> dict:
         return {
             "schema_version": 1,
@@ -583,10 +578,30 @@ class ModelPoint:
 
 
 def _state_key(st: ComponentState) -> tuple:
-    """One state's part of `ModelPoint._key`: (alpha.p, alpha.q) without a
-    transversal, (alpha.p, alpha.q, tau.p, tau.q, length) with one."""
+    """One state's part of `ModelPoint._key`: (alpha.p, alpha.q) with neither
+    transversal nor length, else (alpha.p, alpha.q, tau.p, tau.q, length)."""
     a, t = st.alpha, st.tau
-    return (a.p, a.q) if t is None else (a.p, a.q, t.p, t.q, st.length)
+    if t is None:  # a length without a transversal keeps its place, to be refused
+        return (a.p, a.q) if st.length is None else (a.p, a.q, None, None, st.length)
+    return (a.p, a.q, t.p, t.q, st.length)
+
+
+def _check_state(surface: ModelSurface, k: tuple) -> None:
+    """Refuse a state key the surface's flavor cannot hold: the checks and
+    messages of the `ModelPoint` constructor, run on the stored key."""
+    fl = surface.fl
+    if not fl.annuli:
+        if len(k) != 2:
+            raise ValueError(f"{fl.name} points carry no transversal or length")
+    elif len(k) == 2 or k[2] is None:
+        raise ValueError(f"{fl.name} points need transversals")
+    elif abs(k[0] * k[3] - k[1] * k[2]) != 1:
+        raise ValueError("transversal must intersect the pants slope minimally")
+    elif fl.heights:
+        if k[4] is None or not (0 < k[4] <= surface.bers):
+            raise ValueError(f"{fl.name} length must lie in (0, B]")
+    elif k[4] is not None:
+        raise ValueError(f"{fl.name} points carry no length")
 
 
 def _state_view(k: tuple) -> ComponentState:
@@ -1063,31 +1078,22 @@ def twist_move(x: ModelPoint, comp: int, n: int = 1) -> ModelPoint:
     """Apply n Dehn twists about the pants curve of one component."""
     if not x.surface.fl.annuli:
         raise x.surface.fl.lacks("transversal to twist")
-    keys = list(x.state_keys)
-    keys[comp] = twist_state(keys[comp], n)
-    return ModelPoint._trusted(x.surface, keys)
+    return x.with_state(comp, twist_state(x.state_keys[comp], n))
 
 
 def flip_move(x: ModelPoint, comp: int) -> ModelPoint:
     """Swap pants slope and transversal in one component."""
     if not x.surface.fl.annuli:
         raise x.surface.fl.lacks("flip move")
-    keys = list(x.state_keys)
-    keys[comp] = flip_state(keys[comp], x.surface.bers)
-    return ModelPoint._trusted(x.surface, keys)
+    return x.with_state(comp, flip_state(x.state_keys[comp], x.surface.bers))
 
 
 def length_move(x: ModelPoint, comp: int, factor: float) -> ModelPoint:
     fl = x.surface.fl
     if not fl.heights:
         raise fl.lacks("lengths")
-    st = x.state(comp)
-    new_len = min(x.surface.bers, st.length * factor)
-    if new_len <= 0:
-        raise ValueError("length must stay positive")
-    states = list(x.states)
-    states[comp] = ComponentState(st.alpha, st.tau, new_len)
-    return ModelPoint(x.surface, tuple(states))
+    k = x.state_keys[comp]
+    return x.with_state(comp, k[:4] + (min(x.surface.bers, k[4] * factor),))
 
 
 def annular_coordinate(x: ModelPoint, comp: int, core: Slope) -> AnnularPoint:
@@ -1095,20 +1101,21 @@ def annular_coordinate(x: ModelPoint, comp: int, core: Slope) -> AnnularPoint:
 
 
 def pinned_state(surface: ModelSurface, core: Slope,
-                 coord: AnnularPoint | None) -> ComponentState:
-    """The state pinned on `core` at an annular coordinate: the transversal
+                 coord: AnnularPoint | None) -> tuple:
+    """The state key pinned on `core` at an annular coordinate: transversal
     M^-1(n/1) for the transport M of `core`, whose twisting number about
     `core` is n = coord.twist, or 0 without a coordinate, and length
     min(B, 1/height), or B without one, each where the flavor has it."""
     fl = surface.fl
     if not fl.annuli:
-        return ComponentState(core)
+        return (core.p, core.q)
     want = coord.twist if coord is not None else 0
     tau = apply_matrix(mat_inv(transport_matrix(core)), _trusted_slope(want, 1))
-    if not fl.heights:
-        return ComponentState(core, tau)
-    height = coord.height if coord is not None else None
-    return ComponentState(core, tau, min(surface.bers, 1.0 / height) if height else surface.bers)
+    length = None
+    if fl.heights:
+        height = coord.height if coord is not None else None
+        length = min(surface.bers, 1.0 / height) if height else surface.bers
+    return (core.p, core.q, tau.p, tau.q, length)
 
 
 def product_project(x: ModelPoint, pins: dict[int, Slope]) -> ModelPoint:
@@ -1116,12 +1123,11 @@ def product_project(x: ModelPoint, pins: dict[int, Slope]) -> ModelPoint:
     pinned curves: replace pants slopes, rebuild transversals so the
     twisting about each pinned curve is preserved exactly, and keep the
     annular height where the augmented flavor has one."""
-    surf = x.surface
-    states = list(x.states)
+    surf, y = x.surface, x
     for comp, pin in pins.items():
         coord = annular_coordinate(x, comp, pin) if surf.fl.annuli else None
-        states[comp] = pinned_state(surf, pin, coord)
-    return ModelPoint(surf, tuple(states))
+        y = y.with_state(comp, pinned_state(surf, pin, coord))
+    return y
 
 
 def product_region_distance(x: ModelPoint, y: ModelPoint,

@@ -64,7 +64,7 @@ from coarsegeo.constants import Constants, default_constants
 from coarsegeo.effdiff import (Box, BoxMap, DiffReport, Line, PathTrace,
                                QuasiLipschitzViolationError, ScaleBelowResolutionError,
                                SegmentVerdict, _clip_line)
-from coarsegeo.hypgraph import GeodesicSegment, MetricHandle, _points_of
+from coarsegeo.hypgraph import MetricHandle, _points_of
 from coarsegeo.pathsflats import StandardFlat
 from coarsegeo.surfmodel import (IDENTITY, ZERO, AnnularPoint, ComponentState, Flavor, Matrix,
                                  ModelPoint, ModelSurface, Slope, Subsurface, _component_terms,
@@ -369,13 +369,18 @@ def noisy_flat_image(flat: StandardFlat, noise: int, seed: int, p) -> ModelPoint
     return x
 
 
+def pointwise(fn: Callable[[np.ndarray], Any]) -> Callable[[np.ndarray], list]:
+    """The batch form, for `BoxMap`, of a map given one point at a time."""
+    return lambda P: [fn(p) for p in P]
+
+
 def folded_map(inner: BoxMap, axis: int, at: float) -> BoxMap:
     """`inner` after folding the box about the hyperplane axis = at."""
-    def fn(p):
-        q = np.array(np.atleast_1d(np.asarray(p, float)))
-        q[axis] = at - abs(q[axis] - at)
-        return inner.fn(q)
-    return BoxMap(fn, inner.target, inner.K, inner.C)
+    def images(P):
+        Q = np.array(P, float)
+        Q[:, axis] = at - np.abs(Q[:, axis] - at)
+        return inner.images(Q)
+    return BoxMap(images, inner.target, inner.K, inner.C)
 
 
 def largest_true_box(mask: np.ndarray) -> tuple[list[tuple[int, int]], int] | None:
@@ -1011,8 +1016,8 @@ class HypGraph:
         return d
 
 
-def geodesic(g: HypGraph, a: Vertex, b: Vertex) -> GeodesicSegment:
-    """BFS shortest path with deterministic tie-breaking.
+def geodesic(g: HypGraph, a: Vertex, b: Vertex) -> tuple:
+    """BFS shortest path, as a vertex tuple, with deterministic tie-breaking.
 
     The search runs from the endpoint with the smaller key and explores
     neighbors in key order, so the result is reversal-symmetric:
@@ -1021,7 +1026,7 @@ def geodesic(g: HypGraph, a: Vertex, b: Vertex) -> GeodesicSegment:
     if a not in g or b not in g:
         raise KeyError("endpoint not in graph")
     if a == b:
-        return GeodesicSegment((a,))
+        return (a,)
     flip = g.key(b) < g.key(a)
     if flip:
         a, b = b, a
@@ -1043,7 +1048,7 @@ def geodesic(g: HypGraph, a: Vertex, b: Vertex) -> GeodesicSegment:
     path.reverse()
     if flip:
         path.reverse()
-    return GeodesicSegment(tuple(path))
+    return tuple(path)
 
 
 def farey_graph(lo: int = -2, hi: int = 3, depth: int = 5) -> HypGraph:
@@ -1054,13 +1059,13 @@ def farey_graph(lo: int = -2, hi: int = 3, depth: int = 5) -> HypGraph:
     return HypGraph(edges, vertices=verts)
 
 
-def nearest_point_projection(g: HypGraph, p: Vertex, seg: GeodesicSegment) -> Vertex:
+def nearest_point_projection(g: HypGraph, p: Vertex, seg: Sequence[Vertex]) -> Vertex:
     """The segment vertex closest to p; ties go to the earliest vertex
     along the segment."""
     dist = g.bfs_distances([p])
     best = None
     best_d = math.inf
-    for v in seg.vertices:
+    for v in seg:
         d = dist.get(v, math.inf)
         if d < best_d:
             best, best_d = v, d
@@ -1078,7 +1083,7 @@ def triangle_center_graph(g: HypGraph, x: Vertex, y: Vertex, z: Vertex,
     means delta does not reflect the graph at this scale.
     """
     sides = [geodesic(g, x, y), geodesic(g, y, z), geodesic(g, x, z)]
-    dists = [g.bfs_distances(s.vertices) for s in sides]
+    dists = [g.bfs_distances(s) for s in sides]
     best_v, best_val = None, math.inf
     for v in g.vertices:
         val = max(float(d.get(v, math.inf)) for d in dists)
@@ -1111,7 +1116,7 @@ def delta_exhaustive(g: HypGraph) -> float:
     if len(g) < 3:
         return 0.0
     rows = {v: g.bfs_distances([v]) for v in g.vertices}
-    sides = {(a, b): geodesic(g, a, b).vertices
+    sides = {(a, b): geodesic(g, a, b)
              for a, b in itertools.combinations(g.vertices, 2)}
     near = lambda vs: (lambda v: min(map(rows[v].__getitem__, vs)))
     worst = 0.0
@@ -1130,15 +1135,15 @@ def product_handle(handles: Sequence[MetricHandle]) -> MetricHandle:
 
 def graph_handle(g: HypGraph, name: str = "graph") -> MetricHandle:
     return MetricHandle(name, lambda a, b: float(g.distance(a, b)),
-                        geodesic_fn=lambda a, b: geodesic(g, a, b).vertices)
+                        geodesic_fn=lambda a, b: geodesic(g, a, b))
 
 
-def morse_excursion(path, seg: GeodesicSegment, handle: MetricHandle) -> float:
+def morse_excursion(path, seg: Sequence, handle: MetricHandle) -> float:
     """Max over path samples of the distance to the segment."""
     pts = _points_of(path)
     if not pts:
         raise ValueError("empty path")
-    return max(min(handle.distance(p, v) for v in seg.vertices) for p in pts)
+    return max(min(handle.distance(p, v) for v in seg) for p in pts)
 
 
 def unparam_qgeo_oracle(points: Sequence, handle: MetricHandle, lam: float,

@@ -131,10 +131,10 @@ def test_03_farey_axioms_and_equivariance():
 def test_04_differentiation_finds_a_scale():
     step = 16
 
-    def stair(p):
-        t = float(np.atleast_1d(p)[0])
-        k, rem = divmod(t, 2 * step)
-        return (step * k + min(rem, step), step * k + max(0.0, rem - step))
+    def stair(P):
+        k, rem = np.divmod(np.asarray(P, float)[:, 0], 2 * step)
+        return list(zip((step * k + np.minimum(rem, step)).tolist(),
+                        (step * k + np.maximum(0.0, rem - step)).tolist()))
 
     with Budget("04 staircase-scale", 60.0):
         fmap = BoxMap(stair, lp_handle(math.inf), K=1.0, C=1.0)
@@ -156,8 +156,7 @@ def test_05_morse_bound_stable_across_scales():
                 tr = farey_efficient_trace(rng, R, eps)
                 assert effdiff.efficiency_test(tr, R, eps, CN["theta_eff"])
                 seg = fh.geodesic(tr.points[0], tr.points[-1])
-                exc = max(min(fh.distance(p, v) for v in seg.vertices)
-                          for p in tr.points)
+                exc = max(min(fh.distance(p, v) for v in seg) for p in tr.points)
                 top = max(top, exc / (eps * R))
             worst[R] = top
             assert top <= CN["m_morse"]

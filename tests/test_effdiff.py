@@ -21,7 +21,7 @@ from coarsegeo.surfmodel import (INFINITY, ZERO, ModelSurface, Slope, common_nei
                                  farey_geodesic)
 
 import oracles
-from oracles import coarse_length_bruteforce, folded_map, product_handle
+from oracles import coarse_length_bruteforce, folded_map, pointwise, product_handle
 
 MARKING2 = ModelSurface(((1, 1), (1, 1)), flavor="marking")
 
@@ -176,17 +176,17 @@ def _axis(side: int) -> list[Line]:
 
 def test_constant_and_straight_maps_pass_level_one():
     lines = _axis(4096)
-    const = BoxMap(lambda p: (0.0, 0.0), LINF, K=0.1, C=1.0)
+    const = BoxMap(pointwise(lambda p: (0.0, 0.0)), LINF, K=0.1, C=1.0)
     rep = differentiate_lines(const, lines, eps=0.01, theta=1e-7, r0=8.0)
     assert rep.level == 1 and rep.bad_fraction == 0.0
-    straight = BoxMap(lambda p: (float(np.atleast_1d(p)[0]), 0.0), LINF,
+    straight = BoxMap(pointwise(lambda p: (float(np.atleast_1d(p)[0]), 0.0)), LINF,
                       K=1.0, C=0.0)
     rep2 = differentiate_lines(straight, lines, eps=0.01, theta=1e-7, r0=8.0)
     assert rep2.level == 1 and rep2.bad_fraction == 0.0
 
 
 def test_staircase_scale_is_at_most_step_over_eps():
-    fmap = BoxMap(staircase_map(16), LINF, K=1.0, C=1.0)
+    fmap = BoxMap(pointwise(staircase_map(16)), LINF, K=1.0, C=1.0)
     rep = differentiate_lines(fmap, _axis(4096), eps=0.01, theta=1e-7,
                               r0=8.0)
     assert rep.scale <= 16 / 0.01
@@ -204,14 +204,14 @@ def test_wrong_constants_exhaust_schedule(cn):
     args = (_axis(4096), 0.01, 1e-9, 8.0)
     wrong = Constants({**cn.values, "bdelta_mult": 1.0})
     with pytest.raises(QuasiLipschitzViolationError, match="left the box"):
-        differentiate_lines(BoxMap(zigzag, LINF, K=1.0, C=0.0), *args, constants=wrong)
+        differentiate_lines(BoxMap(pointwise(zigzag), LINF, K=1.0, C=0.0), *args, constants=wrong)
     # control: a straight map passes level 1 with the same constants and box
-    straight = BoxMap(lambda p: (float(np.atleast_1d(p)[0]), 0.0), LINF, K=1.0, C=0.0)
+    straight = BoxMap(pointwise(lambda p: (float(np.atleast_1d(p)[0]), 0.0)), LINF, K=1.0, C=0.0)
     assert differentiate_lines(straight, *args, constants=wrong).level == 1
 
 
 def test_differentiate_box_staircase_fraction():
-    fmap = BoxMap(staircase_map(16), LINF, K=1.0, C=1.0)
+    fmap = BoxMap(pointwise(staircase_map(16)), LINF, K=1.0, C=1.0)
     rep = differentiate_box(fmap, Box.cube(4096, 1), eps0=0.1, theta0=0.1,
                             r0=8.0)
     assert rep.scale >= 8.0
@@ -219,13 +219,13 @@ def test_differentiate_box_staircase_fraction():
 
 
 def test_differentiate_box_reports_required_size():
-    fmap = BoxMap(staircase_map(16), LINF, K=1.0, C=1.0)
+    fmap = BoxMap(pointwise(staircase_map(16)), LINF, K=1.0, C=1.0)
     with pytest.raises(ValueError, match="required size"):
         differentiate_box(fmap, Box.cube(64, 1), eps0=0.1, theta0=0.1, r0=8.0)
 
 
 def test_fold_boxes_fail_but_fraction_holds():
-    base = BoxMap(staircase_map(16), LINF, K=1.0, C=1.0)
+    base = BoxMap(pointwise(staircase_map(16)), LINF, K=1.0, C=1.0)
     fold = folded_map(base, axis=0, at=700.0)
     rep = differentiate_box(fold, Box.cube(8000, 1), eps0=0.2, theta0=0.2,
                             r0=8.0)
@@ -251,18 +251,18 @@ def drift_zigzag(p):
 
 
 def _recorded(fmap: BoxMap):
-    """fmap with its box-map calls counted and its distances recorded in order."""
-    calls = {"fn": 0, "distances": []}
+    """fmap with the rows it maps counted and its distances recorded in order."""
+    calls = {"rows": 0, "distances": []}
 
-    def fn(p):
-        calls["fn"] += 1
-        return fmap.fn(p)
+    def images(P):
+        calls["rows"] += len(P)
+        return fmap.images(P)
 
     def distance(a, b):
         d = fmap.target.distance(a, b)
         calls["distances"].append(d)
         return d
-    return BoxMap(fn, MetricHandle(fmap.target.name, distance), fmap.K, fmap.C), calls
+    return BoxMap(images, MetricHandle(fmap.target.name, distance), fmap.K, fmap.C), calls
 
 
 def _bits(v):
@@ -321,7 +321,7 @@ def test_search_matches_oracle_on_the_acceptance_11_flat(monkeypatch, cn):
 def test_search_matches_oracle_at_level_two(monkeypatch, eps, scale):
     """The drift-plus-zigzag first passes at level 2, so the images kept
     after level 1 are the ones level 2 reads."""
-    fmap = BoxMap(drift_zigzag, LINF, K=3.0, C=1.0)
+    fmap = BoxMap(pointwise(drift_zigzag), LINF, K=3.0, C=1.0)
     got, want = _both_searches(monkeypatch, fmap, lambda fm: effdiff.differentiate_lines(
         fm, _axis(40000), eps, 0.1, 8.0))
     assert (got.level, got.scale) == (2, scale)
@@ -329,7 +329,7 @@ def test_search_matches_oracle_at_level_two(monkeypatch, eps, scale):
     # the same on 16 lines of a 2-D box, where each line keeps its own grid
     box = Box.cube(6000, 2)
     lines = box_lines(box, eps, 4, 4)
-    got, want = _both_searches(monkeypatch, BoxMap(drift_zigzag, LINF, K=6.0, C=1.0),
+    got, want = _both_searches(monkeypatch, BoxMap(pointwise(drift_zigzag), LINF, K=6.0, C=1.0),
                                lambda fm: effdiff.differentiate_lines(fm, lines, eps, 0.1, 8.0))
     assert got.level == 2 and len(got.lines) == 16
     _assert_same_report(got, want)
@@ -392,7 +392,7 @@ def test_images_live_one_line_at_a_time():
     box = Box.cube(6000, 2)
     lines = box_lines(box, 0.09, 4, 4)
     handle = MetricHandle("Linf", lambda a, b: max(abs(u - w) for u, w in zip(a.v, b.v)))
-    fmap = BoxMap(lambda p: _Image(drift_zigzag(p)), handle, K=6.0, C=1.0)
+    fmap = BoxMap(pointwise(lambda p: _Image(drift_zigzag(p))), handle, K=6.0, C=1.0)
     _Image.live = _Image.peak = 0
     rep = differentiate_lines(fmap, lines, 0.09, 0.1, 8.0)
     assert rep.level == 2 and len(rep.lines) == 16
@@ -415,10 +415,10 @@ def test_hyperbolic_subbox_collapse_keeps_whole_box():
         return geo[max(0, min(L, int(round(t / 64 * L))))]
 
     box = Box.cube(64, 2)
-    sub, seg = hyperbolic_subbox(BoxMap(collapse, fh, K=1.0, C=2.0), box,
+    sub, seg = hyperbolic_subbox(BoxMap(pointwise(collapse), fh, K=1.0, C=2.0), box,
                                  eps=0.05)
     assert sub == box
-    assert seg.vertices[0] in (ZERO, Slope(34, 55))
+    assert seg[0] in (ZERO, Slope(34, 55))
 
 
 def test_largest_true_box_matches_the_scan_of_every_range():
@@ -449,7 +449,7 @@ def test_hyperbolic_subbox_coordinate_map():
         q = np.atleast_1d(p)
         return geo[max(0, min(L, int(round(float(q[0]) / 64 * L))))]
 
-    sub, _ = hyperbolic_subbox(BoxMap(coord, fh, K=1.0, C=2.0),
+    sub, _ = hyperbolic_subbox(BoxMap(pointwise(coord), fh, K=1.0, C=2.0),
                                Box.cube(64, 2), eps=0.05)
     assert sub == Box.cube(64, 2)
 
@@ -464,7 +464,7 @@ def test_hyperbolic_subbox_rejects_wild_maps(rng, cn):
         return wild_slopes[int(q[0]) % 64]
 
     with pytest.raises(NotEfficientError, match="not efficient as declared"):
-        hyperbolic_subbox(BoxMap(wild, fh, K=40.0, C=40.0), Box.cube(64, 1),
+        hyperbolic_subbox(BoxMap(pointwise(wild), fh, K=40.0, C=40.0), Box.cube(64, 1),
                           eps=0.001, constants=Constants({**cn.values, "c_near": 0.01}))
 
 
@@ -483,7 +483,7 @@ def _zigzag(p):
 def test_bdelta_mult_is_read_from_the_constants(cn):
     # a segment of 800 sums 800 over a zigzag of amplitude 32: bad at the
     # frozen 2.0, good at 100
-    fmap = BoxMap(_zigzag, LINF, K=1.0, C=0.0)
+    fmap = BoxMap(pointwise(_zigzag), LINF, K=1.0, C=0.0)
     args = (fmap, _axis(4096), 0.01, 1e-9, 8.0)
     with pytest.raises(QuasiLipschitzViolationError, match="left the box"):
         differentiate_lines(*args, constants=cn)
@@ -492,7 +492,7 @@ def test_bdelta_mult_is_read_from_the_constants(cn):
 
 
 def test_kappa_m_is_read_from_the_constants(cn):
-    const = BoxMap(lambda p: (0.0, 0.0), LINF, K=0.1, C=1.0)
+    const = BoxMap(pointwise(lambda p: (0.0, 0.0)), LINF, K=0.1, C=1.0)
     args = (const, _axis(4096), 0.01, 1e-7, 8.0)
     assert differentiate_lines(*args, constants=cn).level == 1
     with pytest.raises(QuasiLipschitzViolationError, match="level budget 0"):
@@ -502,7 +502,7 @@ def test_kappa_m_is_read_from_the_constants(cn):
 def test_kappa_theta_is_read_from_the_constants(cn):
     # a tiny kappa_theta lifts the line-phase tolerance above every bad
     # fraction, so the zigzag stops at level 1
-    fmap = BoxMap(_zigzag, LINF, K=1.0, C=0.0)
+    fmap = BoxMap(pointwise(_zigzag), LINF, K=1.0, C=0.0)
     args = (fmap, Box.cube(4096, 1), 0.1, 0.1, 8.0)
     with pytest.raises(QuasiLipschitzViolationError):
         differentiate_box(*args, constants=cn)
@@ -522,7 +522,7 @@ def test_c_near_is_read_from_the_constants(cn):
             return common_neighbors(geo[i], geo[i + 1])[0]
         return geo[i]
 
-    fmap, box = BoxMap(off, fh, K=1.0, C=2.0), Box.cube(64, 1)
+    fmap, box = BoxMap(pointwise(off), fh, K=1.0, C=2.0), Box.cube(64, 1)
     assert hyperbolic_subbox(fmap, box, eps=0.05, constants=cn)[0] == box
     sub, _ = hyperbolic_subbox(fmap, box, eps=0.05, constants=_with(cn, c_near=0.1))
     assert sub.sides[0] < box.sides[0]
@@ -536,7 +536,7 @@ def test_sigma0_is_read_from_the_constants(cn):
     def collapse(p):
         return geo[max(0, min(L, int(round(float(np.atleast_1d(p)[0]) / 64 * L))))]
 
-    fmap, box = BoxMap(collapse, fh, K=1.0, C=2.0), Box.cube(64, 2)
+    fmap, box = BoxMap(pointwise(collapse), fh, K=1.0, C=2.0), Box.cube(64, 2)
     assert hyperbolic_subbox(fmap, box, eps=0.05, constants=cn)[0] == box
     with pytest.raises(NotEfficientError):
         hyperbolic_subbox(fmap, box, eps=0.05, constants=_with(cn, sigma0=2.0))

@@ -45,6 +45,16 @@ def test_config_json_and_digest(marking2):
     assert other.digest() != cfg.digest()
 
 
+def test_config_integral_floats_are_read_as_integers(marking2):
+    """A JSON float with an integral value is the int in every field that
+    counts, so the config and its digest are the int's."""
+    want = ExperimentConfig(marking2, seed=7, box_side=60, noise=2)
+    got = ExperimentConfig.from_json({**want.to_json(), "seed": 7.0, "box_side": 60.0,
+                                      "noise": 2.0})
+    assert got == want and got.digest() == want.digest()
+    assert all(type(getattr(got, k)) is int for k in ("seed", "box_side", "noise"))
+
+
 def test_config_documents_missing_a_field_get_the_dataclass_default(marking2):
     """Each optional field a config document leaves out takes the
     dataclass's own default; the fields it has are kept."""
@@ -383,6 +393,12 @@ FAR = json.dumps({"components": [{"alpha": [13, 21], "tau": [8, 13]}]})
 LINE = json.dumps({"times": list(range(11)), "values": list(range(11))})
 
 
+def _config(**fields) -> str:
+    """A pipeline config document on a one-component marking surface."""
+    return json.dumps({"surface": ModelSurface(((1, 1),)).to_json(), **fields})
+
+
+
 @pytest.mark.parametrize("argv, message", [
     (["realize", '[[{"comp": 0}, {"slope": [1, 2]}]]'], "tuple lacks the key 'kind'"),
     (["efficiency", '{"times": [0, 1, 2]}', "--scale", "2", "--eps", "0.5"],
@@ -395,9 +411,18 @@ LINE = json.dumps({"times": list(range(11)), "values": list(range(11))})
      "bad config: 'int' object is not subscriptable"),
     (["project", json.dumps({"components": [{"alpha": [0.9, 1], "tau": [1, 0]}]})],
      "bad point: slope entries are integers, got 0.9"),
-    (["pipeline", "--config", json.dumps({"surface": ModelSurface(((1, 1),)).to_json(),
-                                          "noise": -1})],
+    (["pipeline", "--config", _config(noise=-1)],
      "bad config: need noise >= 0, got -1"),
+    (["pipeline", "--config", _config(noise=2.5)],
+     "bad config: need an integer noise, got 2.5"),
+    (["pipeline", "--config", _config(box_side=40000.5)],
+     "bad config: need an integer box_side, got 40000.5"),
+    (["pipeline", "--config", _config(box_side=-5)],
+     "bad config: need box_side >= 1, got -5"),
+    (["pipeline", "--config", _config(seed="7")],
+     "bad config: need an integer seed, got '7'"),
+    (["pipeline", "--config", _config(seed=True)],
+     "bad config: need an integer seed, got True"),
     (["dist", BASE, FAR, "--surface", SURFACE.format("1.0", "NaN")],
      "bad surface: bers bound and threshold must be finite and positive"),
     (["dist", BASE, FAR, "--surface", SURFACE.format("Infinity", "3")],
@@ -413,7 +438,9 @@ LINE = json.dumps({"times": list(range(11)), "values": list(range(11))})
     (["differentiate", "--eps0", "nan"], "need eps0 in (0, 1), got nan"),
 ], ids=["realize-no-kind", "efficiency-no-values", "efficiency-list", "dist-no-components",
         "dist-no-transversal", "pipeline-config-surface", "project-fractional-slope",
-        "pipeline-config-negative-noise", "dist-surface-nan-threshold",
+        "pipeline-config-negative-noise", "pipeline-config-fractional-noise",
+        "pipeline-config-fractional-box-side", "pipeline-config-negative-box-side",
+        "pipeline-config-string-seed", "pipeline-config-bool-seed", "dist-surface-nan-threshold",
         "dist-surface-infinite-bers", "pipeline-r0-nan", "pipeline-r0-inf",
         "pipeline-theta0-negative", "pipeline-theta0-nan", "differentiate-r0-nan",
         "differentiate-r0-inf", "differentiate-theta0-nan", "differentiate-theta0-negative",
@@ -424,7 +451,11 @@ def test_cli_documents_of_the_wrong_shape_are_usage_errors(capsys, argv, message
     code 0, or, for the NaN threshold, measured every distance as 0.0
     with exit code 0, or, for a non-finite r0, theta0 or eps0 or a
     negative theta0, ended in a ValueError, OverflowError or
-    QuasiLipschitzViolationError traceback with exit code 1."""
+    QuasiLipschitzViolationError traceback with exit code 1.  A
+    fractional noise or box side ended in a TypeError traceback, a
+    negative box side in a ValueError one, both with exit code 1, and a
+    string seed ran with exit code 0 on another noise stream than the
+    integer's."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -475,6 +506,10 @@ def test_cli_integral_float_slopes_are_read_as_integers(capsys):
     (["efficiency", LINE, "--scale", "10", "--eps", "inf"],
      "scale must be finite and positive, got inf"),
     (["hull", BASE, FAR, BASE, "--kappa", "nan"], "kappa must be >= 0, got nan"),
+    (["delta", "--seed", "-3"], "argument --seed: expected an integer >= 0, got '-3'"),
+    (["bbf-audit", "--seed", "-3"], "argument --seed: expected an integer >= 0, got '-3'"),
+    (["rank", "--n", "2", "--box", "-5"], "argument --box: expected an integer >= 1, got '-5'"),
+    (["rank", "--n", "2", "--box", "0"], "argument --box: expected an integer >= 1, got '0'"),
 ], ids=["stats-flavor", "stats-components", "stats-genus-flavor", "pipeline-eps0",
         "rank-box-below-pipeline", "rank-n-above-rank-plus-one", "rank-n-0",
         "rank-n-negative", "flat-fit-samples-0",
@@ -483,7 +518,8 @@ def test_cli_integral_float_slopes_are_read_as_integers(capsys):
         "delta-samples-not-an-integer", "differentiate-box-below-required",
         "differentiate-box-0", "differentiate-step-0", "differentiate-step-negative",
         "delta-reversed", "delta-depth-negative", "efficiency-eps-nan", "efficiency-eps-inf",
-        "hull-kappa-nan"])
+        "hull-kappa-nan", "delta-seed-negative", "bbf-audit-seed-negative",
+        "rank-box-negative", "rank-box-0"])
 def test_cli_flag_values_are_usage_errors(capsys, argv, message):
     """These ended in a ValueError or ZeroDivisionError traceback with
     exit code 1, or, for a count of 0 pairs or samples or a negative
@@ -491,7 +527,9 @@ def test_cli_flag_values_are_usage_errors(capsys, argv, message):
     negative noise, in a noiseless run that reported the negative noise.
     A reversed or negative-depth Farey ball and an infinite efficiency
     scale passed with exit code 0; a NaN scale printed an invalid JSON
-    Infinity and a NaN kappa a failed membership, both with exit code 1."""
+    Infinity and a NaN kappa a failed membership, both with exit code 1.
+    A negative seed ended in numpy's ValueError traceback with exit
+    code 1, as did a negative rank box; a rank box of 0 ran at side 60."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

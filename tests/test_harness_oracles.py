@@ -188,7 +188,6 @@ def test_images_equal_fn_and_the_oracle_on_every_flat(name, noise, cn):
     flat = FLATS[name](cn)
     seed = 40 + noise
     fmap = noisy_flat_map(flat, noise, seed)
-    assert fmap.batch is not None
     for P in _batches(flat.box(), noise):
         _assert_images(fmap, P, lambda p: oracles.noisy_flat_image(flat, noise, seed, p))
 
@@ -196,8 +195,9 @@ def test_images_equal_fn_and_the_oracle_on_every_flat(name, noise, cn):
 @pytest.mark.parametrize("noise", [0, 3])
 def test_folded_map_images_go_through_fn(noise):
     flat = twist_flat(MARKING2, 300)
+    """The folded map maps its batch through the noisy map's `images`,
+    and each image is the oracle's at the folded point."""
     fmap = oracles.folded_map(noisy_flat_map(flat, noise, 5), axis=0, at=100.0)
-    assert fmap.batch is None
 
     def folded(p):
         return np.concatenate([[100.0 - abs(p[0] - 100.0)], p[1:]])

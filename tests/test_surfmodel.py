@@ -438,6 +438,42 @@ def test_point_invariants():
         ModelPoint(aug, (ComponentState(ZERO, INFINITY, 2.0),))  # above Bers
 
 
+_PANTS1, _MARKING1, _AUGMENTED1 = (ModelSurface(((1, 1),), flavor=f, bers=1.5)
+                                   for f in ("pants", "marking", "augmented"))
+# (surface, refused state, the constructor's message)
+BAD_STATES = {
+    "non-adjacent-transversal": (_MARKING1, ComponentState(ZERO, Slope(2, 5)),
+                                 "transversal must intersect the pants slope minimally"),
+    "length-above-bers": (_AUGMENTED1, ComponentState(ZERO, INFINITY, 2.0),
+                          "augmented length must lie in (0, B]"),
+    "length-zero": (_AUGMENTED1, ComponentState(ZERO, INFINITY, 0.0),
+                    "augmented length must lie in (0, B]"),
+    "length-missing": (_AUGMENTED1, ComponentState(ZERO, INFINITY),
+                       "augmented length must lie in (0, B]"),
+    "length-on-marking": (_MARKING1, ComponentState(ZERO, INFINITY, 1.0),
+                          "marking points carry no length"),
+    "transversal-on-pants": (_PANTS1, ComponentState(ZERO, INFINITY),
+                             "pants points carry no transversal or length"),
+    "length-on-pants": (_PANTS1, ComponentState(ZERO, None, 1.0),
+                        "pants points carry no transversal or length"),
+    "transversal-missing": (_MARKING1, ComponentState(ZERO), "marking points need transversals"),
+    "transversal-missing-augmented": (_AUGMENTED1, ComponentState(ZERO, None, 1.0),
+                                      "augmented points need transversals"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_STATES)
+def test_with_state_refuses_what_the_constructor_refuses(name):
+    """`with_state` runs the constructor's per-state check on the key it
+    is given, so both refuse the same states with the same message."""
+    surface, st, message = BAD_STATES[name]
+    with pytest.raises(ValueError) as built:
+        ModelPoint(surface, (st,))
+    with pytest.raises(ValueError) as rebuilt:
+        base_point(surface).with_state(0, surfmodel._state_key(st))
+    assert str(built.value) == str(rebuilt.value) == message
+
+
 def test_projection_is_quasi_lipschitz(marking2, rng):
     """Every subsurface sees at most the model distance plus the
     threshold: a projection either contributes to the sum or sits below

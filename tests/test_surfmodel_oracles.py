@@ -219,7 +219,7 @@ def test_pinned_state_is_the_canonical_transversal_twisted_into_place():
         want = coord.twist if coord is not None else t0
         tau = apply_matrix(twist_matrix(core, want - t0), tau0)
         got = pinned_state(surface, core, coord)
-        assert (got.alpha, got.tau) == (core, tau) and (got.tau.p, got.tau.q) == (tau.p, tau.q)
+        assert got[:4] == (core.p, core.q, tau.p, tau.q)
 
 
 def test_clear_caches_empties_every_cache(marking2):

@@ -2,20 +2,19 @@
 that form inside `surfmodel.py`.
 
 `ModelPoint._trusted` builds a point from state keys without the
-per-state checks, so only the three places whose output is valid by
-construction may reach it: `twist_move`, `flip_move` and
-`StandardFlat.eval_rows`.  Any other mention of the name in the package
-fails; so does one of the three that no longer uses it, since the fence
-would then be stale.  The layout of `_key` is known to `surfmodel.py`
-alone: any other package module that mentions a `_key` attribute
-fails."""
+per-state checks, so only two places may reach it:
+`ModelPoint.with_state`, which checks the one state key it changes, and
+`StandardFlat.eval_rows`, whose keys are valid by construction.  Any
+other mention of the name in the package fails; so does one of the two
+that no longer uses it, since the fence would then be stale.  The
+layout of `_key` is known to `surfmodel.py` alone: any other package
+module that mentions a `_key` attribute fails."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "coarsegeo"
-ALLOWED = {("surfmodel.py", "twist_move"), ("surfmodel.py", "flip_move"),
-           ("pathsflats.py", "StandardFlat.eval_rows")}
+ALLOWED = {("surfmodel.py", "ModelPoint.with_state"), ("pathsflats.py", "StandardFlat.eval_rows")}
 
 
 def _mentions(node: ast.AST, scope: str, name: str):

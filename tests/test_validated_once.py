@@ -21,7 +21,7 @@ from coarsegeo.effdiff import PathTrace, coarse_length
 from coarsegeo.harness import noisy_flat_map, orthant_flat, random_slope, twist_flat
 from coarsegeo.hypgraph import real_line_handle
 from coarsegeo.pathsflats import (FlatFactor, HullQuery, PreferredPath, StandardFlat,
-                                  preferred_path)
+                                  candidate_flats, point_to_flat, preferred_path)
 from coarsegeo.surfmodel import (INFINITY, ZERO, ComponentState, ModelPoint, ModelSurface,
                                  Slope, apply_matrix, base_point, flip_move, length_move,
                                  product_project, twist_move)
@@ -156,6 +156,36 @@ def test_move_chains_equal_the_validated_points(surface, cn, rng):
             x = flip_move(x, comp)
         elif surface.flavor == "augmented":
             x = length_move(x, comp, float(rng.uniform(0.1, 3.0)))
+        assert_validated(x)
+
+
+@pytest.mark.parametrize("make, moving", [(_path_flat, True),
+                                          (lambda cn: orthant_flat(AUGMENTED2, 40), False)],
+                         ids=["path-and-twist", "orthant"])
+def test_rebuilt_points_equal_the_validated_points(make, moving, cn, monkeypatch):
+    """Every point `ModelPoint.with_state` builds while `candidate_flats`
+    reads a noisy flat's samples and `point_to_flat` measures them
+    against each candidate (`_factor_min_distance`) equals the
+    validated point.  Where a component of the samples moves,
+    `candidate_flats` builds a path factor's endpoint and its path."""
+    flat = make(cn)
+    axes = [np.linspace(lo, hi, 4) for lo, hi in flat.box().intervals]
+    grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    samples = noisy_flat_map(flat, 3, 7).images(grid)
+    built, with_state = [], ModelPoint.with_state
+
+    def recording(x, comp, key):
+        built.append(with_state(x, comp, key))
+        return built[-1]
+
+    monkeypatch.setattr(ModelPoint, "with_state", recording)
+    flats = candidate_flats(samples, cn) + [flat]
+    from_candidates = len(built)
+    for f in flats:
+        for p in samples[:4]:
+            point_to_flat(f, p)
+    assert (from_candidates > 0) == moving and len(built) > from_candidates
+    for x in built:
         assert_validated(x)
 
 
