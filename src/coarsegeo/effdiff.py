@@ -380,6 +380,10 @@ def differentiate_lines(fmap: BoxMap, lines: Sequence[Line], eps: float, theta: 
     chosen offset's points) and the distances between them, which are
     that grid's jumps.  So at most one line's samples are alive at once.
     Segment verdicts are built for the chosen offset alone.
+
+    A line's jumps are one `pairwise` call, and so are a level's end
+    distances, listed offset-major as a scan of the offsets asks for
+    them; the offsets are scored as arrays.
     """
     cn = constants or default_constants()
     bdelta_mult, kappa_m = cn["bdelta_mult"], cn["kappa_m"]
@@ -391,12 +395,12 @@ def differentiate_lines(fmap: BoxMap, lines: Sequence[Line], eps: float, theta: 
         raise ValueError("no usable lines: box too small for the base grid")
     stride = max(2, round(1.0 / eps))
     max_level = math.ceil(kappa_m * fmap.K / (eps * theta)) if theta > 0 else 10 ** 9
-    distance = fmap.target.distance
+    pairwise = fmap.target.pairwise
 
     base_ts = [np.arange(0.0, ln.length + 1e-9, r0) for ln in lines]
     grids: list[list[int]] = [list(range(len(ts))) for ts in base_ts]
-    # per line, from its first processing on: the images on its grid, by
-    # sample index, and the distances between consecutive grid points
+    # per line, from its first processing on: the images on its grid, in
+    # grid order, and the distances between consecutive grid points
     images: list[Any] = [None] * len(lines)
     jumps: list[list[float]] = [[] for _ in lines]
 
@@ -422,32 +426,29 @@ def differentiate_lines(fmap: BoxMap, lines: Sequence[Line], eps: float, theta: 
             if imgs is None:
                 pts = np.asarray(ln.origin) + ts[:, None] * np.asarray(ln.direction)
                 imgs = images[li] = fmap.images(pts)
-                jumps[li] = [distance(imgs[a], imgs[b]) for a, b in zip(cur, cur[1:])]
-            prefix = list(accumulate(jumps[li], initial=0.0))
-            best = None  # (bad fraction, bad count, grid positions, endpoint distances)
-            for off in range(min(stride, max(1, len(cur) - 1))):
-                positions = range(off, len(cur), stride)
-                if len(positions) < 2:
-                    continue
-                ends = [distance(imgs[cur[ia]], imgs[cur[ib]])
-                        for ia, ib in zip(positions, positions[1:])]
-                bad = sum(not (prefix[ib] - prefix[ia] <= bdelta_mult * (d + allowance) + 1e-9)
-                          for ia, ib, d in zip(positions, positions[1:], ends))
-                frac = bad / len(ends)
-                if best is None or frac > best[0]:
-                    best = (frac, bad, positions, ends)
-            if best is None:
-                continue  # the grid, its images and its jumps carry over
-            _, bad, positions, ends = best
-            for ia, ib, d in zip(positions, positions[1:], ends):
-                seg = float(prefix[ib] - prefix[ia])
-                verdicts.append(SegmentVerdict(li, ts[cur[ia]], ts[cur[ib]], seg, d,
-                                               seg <= bdelta_mult * (d + allowance) + 1e-9))
-            grids[li] = kept = [cur[i] for i in positions]
-            images[li] = {a: imgs[a] for a in kept}
-            jumps[li] = ends
-            total += len(ends)
-            bad_total += bad
+                jumps[li] = pairwise(imgs[:-1], imgs[1:])
+            if (n := len(cur)) <= stride:
+                continue  # no offset has a segment: the grid, its images and its jumps carry over
+            # the grid pairs (a, a + stride), offset-major, and their end distances
+            starts = np.argsort(np.arange(n - stride) % stride, kind="stable")
+            ends = pairwise([imgs[i] for i in starts.tolist()],
+                            [imgs[i] for i in (starts + stride).tolist()])
+            prefix = np.concatenate(([0.0], np.cumsum(jumps[li])))  # added in sequence
+            seg = prefix[starts + stride] - prefix[starts]
+            ok = seg <= bdelta_mult * (np.array(ends, float) + allowance) + 1e-9
+            count = np.bincount(starts % stride)  # offsets 0 .. min(stride, n - stride) - 1
+            bad = np.bincount(starts[~ok] % stride, minlength=len(count))
+            off = int(np.argmax(bad / count))  # the first largest, as a strict > scan keeps
+            lo, hi = int(count[:off].sum()), int(count[:off + 1].sum())
+            positions = range(off, n, stride)
+            for k, (a, b) in enumerate(zip(positions, positions[1:]), lo):
+                verdicts.append(SegmentVerdict(li, ts[cur[a]], ts[cur[b]], float(seg[k]),
+                                               ends[k], bool(ok[k])))
+            grids[li] = [cur[i] for i in positions]
+            images[li] = [imgs[i] for i in positions]
+            jumps[li] = ends[lo:hi]
+            total += hi - lo
+            bad_total += int(bad[off])
         if total == 0:
             raise QuasiLipschitzViolationError("schedule exhausted every line")
         frac = bad_total / total

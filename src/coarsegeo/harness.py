@@ -185,6 +185,9 @@ def orthant_flat(surface: ModelSurface, span: int) -> StandardFlat:
     return StandardFlat(base, factors)
 
 
+MAX_NOISE = 30  # a burst's 32-byte digest: a component byte, a count byte, a byte per step
+
+
 def noisy_flat_map(flat: StandardFlat, noise: int, seed: int) -> BoxMap:
     """The flat evaluated on lattice points, perturbed off the flat by a
     deterministic burst of at most `noise` small moves (unit twists and
@@ -194,11 +197,14 @@ def noisy_flat_map(flat: StandardFlat, noise: int, seed: int) -> BoxMap:
 
     The map works a batch at a time (`BoxMap.images`; `fn` is a batch
     of one): points are rounded half to even and clamped to the flat's
-    box, each burst is read off the hash of the lattice point, and
-    `StandardFlat.eval_rows` applies it and builds the point from the
-    flat's state table, so images at one lattice point and burst share
-    their state keys.  A point with the wrong number of coordinates
-    raises `ValueError`, and a non-finite one what `round` raises."""
+    box, the bursts are decoded as one array from the hashes of the
+    lattice points, and `StandardFlat.eval_rows` applies each and builds
+    the point from the flat's state table, so images at one lattice
+    point and burst share their state keys.  A noise above `MAX_NOISE` or a point with the
+    wrong number of coordinates raises `ValueError`, and a non-finite
+    point what `round` raises."""
+    if noise > MAX_NOISE:
+        raise ValueError(f"need noise <= {MAX_NOISE}, got {noise!r}")
     surface = flat.surface
     h = model_handle(surface)
     lo, hi = np.array(flat.box().intervals, float).T
@@ -215,20 +221,17 @@ def noisy_flat_map(flat: StandardFlat, noise: int, seed: int) -> BoxMap:
         rows = list(map(tuple, np.clip(T, lo, hi).astype(np.int64).tolist()))
         if not noisy:
             return flat.eval_rows(rows)
-        bursts = []
-        for t in rows:
-            mix = hashlib.sha256(repr((seed, t)).encode()).digest()
-            # an optional flip at step 0, then unit twists about one pants
-            # curve, which compose into n twists
-            flip, n = False, 0
-            for step in range(mix[1] % (noise + 1)):
-                b = mix[2 + step]
-                if b % 3 == 0 and step == 0:
-                    flip = True
-                else:
-                    n += 1 if b % 2 else -1
-            bursts.append((mix[0] % n_comp, flip, n))
-        return flat.eval_rows(rows, bursts)
+        mix = np.frombuffer(b"".join(hashlib.sha256(repr((seed, t)).encode()).digest()
+                                     for t in rows), np.uint8).reshape(-1, 32)
+        # step k < mix[1] % (noise + 1) reads byte 2 + k: a flip when k = 0
+        # and the byte is 0 mod 3, else a unit twist, + for an odd byte
+        steps = mix[:, 2:2 + noise]
+        live = np.arange(noise) < (mix[:, 1] % (noise + 1))[:, None]
+        flip = live[:, 0] & (steps[:, 0] % 3 == 0)
+        live[:, 0] &= ~flip
+        n = (live * (2 * (steps % 2).astype(np.int64) - 1)).sum(axis=1)
+        return flat.eval_rows(rows, list(zip((mix[:, 0] % n_comp).tolist(), flip.tolist(),
+                                             n.tolist())))
 
     return BoxMap(images, h, K=2.0, C=_flat_map_c(surface, noise))
 
@@ -298,6 +301,8 @@ class ExperimentConfig:
             if v < lo:  # a negative noise would shrink the map's declared C
                 raise ValueError(f"need {name} >= {lo}, got {v!r}")
             setattr(self, name, int(v))
+        if self.noise > MAX_NOISE:
+            raise ValueError(f"need noise <= {MAX_NOISE}, got {self.noise!r}")
 
     def to_json(self) -> dict:
         return {
@@ -875,11 +880,13 @@ def _slope_arg(text: str) -> Slope:
         raise argparse.ArgumentTypeError(f"expected a slope p/q, got {text!r}") from None
 
 
-def _int_at_least(lo: int) -> Callable[[str], int]:
-    """An argparse type for a flag that counts something: an integer >= lo."""
+def _int_at_least(lo: int, hi: float = math.inf) -> Callable[[str], int]:
+    """An argparse type for a flag that counts something: an integer >= lo, and <= hi."""
     def parse(text: str) -> int:
         if not text.removeprefix("-").isdecimal() or int(text) < lo:
             raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {text!r}")
+        if int(text) > hi:
+            raise argparse.ArgumentTypeError(f"expected an integer <= {hi}, got {text!r}")
         return int(text)
     return parse
 
@@ -1086,7 +1093,7 @@ def _arg(*names: str, **kw) -> tuple[tuple[str, ...], dict]:
 
 
 # the types of flags that count samples, pairs or a span, and of a noise level
-COUNT, NOISE = _int_at_least(1), _int_at_least(0)
+COUNT, NOISE = _int_at_least(1), _int_at_least(0, MAX_NOISE)
 # flags every verb takes
 COMMON_ARGS = [
     _arg("--seed", type=_int_at_least(0), default=0), _arg("--constants"), _arg("--out"),

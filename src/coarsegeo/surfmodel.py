@@ -22,6 +22,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from numbers import Real
 from typing import Iterable, Sequence
 
 Matrix = tuple[int, int, int, int]  # row-major 2x2 integer matrix
@@ -598,6 +599,8 @@ def _check_state(surface: ModelSurface, k: tuple) -> None:
     elif abs(k[0] * k[3] - k[1] * k[2]) != 1:
         raise ValueError("transversal must intersect the pants slope minimally")
     elif fl.heights:
+        if k[4] is not None and (isinstance(k[4], bool) or not isinstance(k[4], Real)):
+            raise ValueError(f"{fl.name} length must be a real number, got {k[4]!r}")
         if k[4] is None or not (0 < k[4] <= surface.bers):
             raise ValueError(f"{fl.name} length must lie in (0, B]")
     elif k[4] is not None:
@@ -965,11 +968,14 @@ def _formula_scope(x: ModelPoint, y: ModelPoint, threshold: float | None,
 
 def formula_total(x: ModelPoint, y: ModelPoint, threshold: float | None = None,
                   comps: Iterable[int] | None = None) -> float:
-    """`distance_formula`'s total, bit for bit, from each component's kept
-    distances in `_terms` (a miss runs `_component_terms` on the pair's
-    own state keys), added in cached order: the pair's own for a raw
-    key, and integers, exact in any order, for a moved one."""
-    t, comps = _formula_scope(x, y, threshold, comps)
+    """`distance_formula`'s total, bit for bit, through `_terms_total`."""
+    return _terms_total(x, y, *_formula_scope(x, y, threshold, comps))
+
+
+def _terms_total(x: ModelPoint, y: ModelPoint, t: float, comps: Iterable[int]) -> float:
+    """The formula's total at threshold t over comps from each component's kept
+    distances in `_terms` (a miss runs `_component_terms`), added in cached order:
+    the pair's own for a raw key, and integers, exact in any order, for a moved one."""
     fl, total = x.surface.fl, 0.0
     for i in comps:
         kx, ky = x._key[i + 1], y._key[i + 1]
@@ -1007,18 +1013,40 @@ def distance_formula(
 
 
 def model_distance(x: ModelPoint, y: ModelPoint) -> float:
-    """`formula_total` at the surface's own threshold, cached at
-    (x._key, y._key)."""
-    global _distance_hits, _distance_misses
-    key = (x._key, y._key)
-    d = _distances.get(key)
-    if d is not None:
-        _distance_hits += 1
-        return d
+    """`formula_total` at the surface's own threshold, cached at (x._key, y._key)."""
+    global _distance_hits
+    d = _distances.get(key := (x._key, y._key))
+    if d is None:
+        return _distance_miss(x, y, key)
+    _distance_hits += 1
+    return d
+
+
+def model_distances(xs: Sequence[ModelPoint], ys: Sequence[ModelPoint]) -> list[float]:
+    """`model_distance` of each pair (xs[i], ys[i]), in order, in one pass
+    over `_distances`: the same floats, hits and misses."""
+    global _distance_hits
+    get, out = _distances.get, []
+    for x, y in zip(xs, ys):
+        d = get(key := (x._key, y._key))
+        if d is None:
+            d = _distance_miss(x, y, key)
+        else:
+            _distance_hits += 1
+        out.append(d)
+    return out
+
+
+def _distance_miss(x: ModelPoint, y: ModelPoint, key: tuple) -> float:
+    """A `_distances` miss: the pair's total at its surface's threshold."""
+    global _distance_misses
     _distance_misses += 1
+    if key[0][0] != key[1][0]:
+        raise ValueError("points live on different surfaces")
     if len(_distances) >= _DISTANCES_MAX:
         _distances.clear()
-    d = _distances[key] = formula_total(x, y)
+    surf = x.surface
+    d = _distances[key] = _terms_total(x, y, surf.threshold, range(surf.n_components))
     return d
 
 

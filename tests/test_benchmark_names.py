@@ -11,7 +11,7 @@ attributes the hooks replace: a box map's `fn` and a handle's
 import importlib.util
 from pathlib import Path
 
-from coarsegeo import bbf, harness, hypgraph
+from coarsegeo import bbf, harness, hypgraph, surfmodel
 from coarsegeo.surfmodel import ModelSurface, base_point, twist_move
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -42,6 +42,15 @@ def test_the_tracer_installs_and_uninstalls():
         for name in ("harness.box_map.evals", "hypgraph.distance.model.calls",
                      "hypgraph.distance.farey.calls", "hypgraph.distance.embedded.calls"):
             assert t.values[name] == 1, name
+        # a batch goes around the handle's counted `distance`, but the
+        # model-distance counters the tracer reads still count each pair
+        before = surfmodel.model_distance.cache_info()
+        z = twist_move(x, 0, 9)
+        assert hypgraph.model_handle(surface).pairwise([x, z], [y, y]) == \
+            [surfmodel.model_distance(x, y), surfmodel.model_distance(z, y)]
+        after = surfmodel.model_distance.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (3, 1)
+        assert t.metrics()["surfmodel.model_distance.misses"][0] == after.misses
     finally:
         t.uninstall()
     assert all(getattr(mod, name) is fn for (mod, name), fn in originals.items())

@@ -344,6 +344,24 @@ def test_search_matches_oracle_on_a_folded_flat(monkeypatch, cn, at):
     assert "at level 2" in str(got)
 
 
+def test_offset_scan_keeps_the_first_of_tied_offsets(monkeypatch, cn):
+    """At stride 4 on 13 samples, a spike at t = 6 spoils one segment of
+    every offset it lies inside: offset 0 reads 1/3, offsets 1 and 3 read
+    1/2 and offset 2 none.  The scan keeps offset 1, the first of the
+    tied pair, as the strict > loop of the oracle does.  A second line of
+    4 samples, fewer than stride + 1, has no segment at any offset and
+    adds no verdict."""
+    spike = BoxMap(pointwise(lambda p: (5.0 if round(float(p[0])) == 6 else 0.0,)),
+                   LINF, K=1.0, C=0.0)
+    lines = [Line((0.0,), (1.0,), 12.0), Line((0.0,), (1.0,), 3.0)]
+    got, want = _both_searches(monkeypatch, spike, lambda fm: effdiff.differentiate_lines(
+        fm, lines, 0.25, 0.5, 1.0, constants=cn))
+    _assert_same_report(got, want)
+    assert got.params["stride"] == 4 and got.level == 1 and got.bad_fraction == 0.5
+    assert [(s.line_index, s.t0, s.t1, s.efficient) for s in got.segment_verdicts] == \
+        [(0, 1.0, 5.0, True), (0, 5.0, 9.0, False)]
+
+
 # --- the lines against the line family they replaced ------------------------------
 
 def _line_bits(lines) -> list:

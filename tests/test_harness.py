@@ -390,6 +390,7 @@ NO_TRANSVERSAL = json.dumps({"components": [{"alpha": [0, 1]}]})
 SURFACE = '{{"components": [[1, 1]], "flavor": "marking", "bers": {}, "threshold": {}}}'
 BASE = json.dumps({"components": [{"alpha": [0, 1], "tau": [1, 0]}]})
 FAR = json.dumps({"components": [{"alpha": [13, 21], "tau": [8, 13]}]})
+AUG_BASE = '{{"components": [{{"alpha": [0, 1], "tau": [1, 0], "length": {}}}]}}'
 LINE = json.dumps({"times": list(range(11)), "values": list(range(11))})
 
 
@@ -423,6 +424,12 @@ def _config(**fields) -> str:
      "bad config: need an integer seed, got '7'"),
     (["pipeline", "--config", _config(seed=True)],
      "bad config: need an integer seed, got True"),
+    (["pipeline", "--config", _config(noise=31)],
+     "bad config: need noise <= 30, got 31"),
+    (["dist", AUG_BASE.format("true"), AUG_BASE.format("1.0"), "--flavor", "augmented"],
+     "bad point: augmented length must be a real number, got True"),
+    (["dist", AUG_BASE.format('"1"'), AUG_BASE.format("1.0"), "--flavor", "augmented"],
+     "bad point: augmented length must be a real number, got '1'"),
     (["dist", BASE, FAR, "--surface", SURFACE.format("1.0", "NaN")],
      "bad surface: bers bound and threshold must be finite and positive"),
     (["dist", BASE, FAR, "--surface", SURFACE.format("Infinity", "3")],
@@ -440,7 +447,8 @@ def _config(**fields) -> str:
         "dist-no-transversal", "pipeline-config-surface", "project-fractional-slope",
         "pipeline-config-negative-noise", "pipeline-config-fractional-noise",
         "pipeline-config-fractional-box-side", "pipeline-config-negative-box-side",
-        "pipeline-config-string-seed", "pipeline-config-bool-seed", "dist-surface-nan-threshold",
+        "pipeline-config-string-seed", "pipeline-config-bool-seed", "pipeline-config-noise-31",
+        "dist-bool-length", "dist-string-length", "dist-surface-nan-threshold",
         "dist-surface-infinite-bers", "pipeline-r0-nan", "pipeline-r0-inf",
         "pipeline-theta0-negative", "pipeline-theta0-nan", "differentiate-r0-nan",
         "differentiate-r0-inf", "differentiate-theta0-nan", "differentiate-theta0-negative",
@@ -455,7 +463,9 @@ def test_cli_documents_of_the_wrong_shape_are_usage_errors(capsys, argv, message
     fractional noise or box side ended in a TypeError traceback, a
     negative box side in a ValueError one, both with exit code 1, and a
     string seed ran with exit code 0 on another noise stream than the
-    integer's."""
+    integer's.  A noise of 31 ended in an IndexError traceback with exit
+    code 1, and an augmented length of true measured 0.0 with exit code
+    0."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -489,6 +499,8 @@ def test_cli_integral_float_slopes_are_read_as_integers(capsys):
     (["flat-fit", "--span", "0"], "argument --span: expected an integer >= 1, got '0'"),
     (["flat-fit", "--noise", "-1"], "argument --noise: expected an integer >= 0, got '-1'"),
     (["pipeline", "--noise", "-1"], "argument --noise: expected an integer >= 0, got '-1'"),
+    (["flat-fit", "--noise", "31"], "argument --noise: expected an integer <= 30, got '31'"),
+    (["pipeline", "--noise", "31"], "argument --noise: expected an integer <= 30, got '31'"),
     (["bbf-audit", "--pairs", "0"], "argument --pairs: expected an integer >= 1, got '0'"),
     (["bbf-audit", "--pairs", "-1"], "argument --pairs: expected an integer >= 1, got '-1'"),
     (["delta", "--samples", "0"], "argument --samples: expected an integer >= 1, got '0'"),
@@ -514,6 +526,7 @@ def test_cli_integral_float_slopes_are_read_as_integers(capsys):
         "rank-box-below-pipeline", "rank-n-above-rank-plus-one", "rank-n-0",
         "rank-n-negative", "flat-fit-samples-0",
         "flat-fit-span-0", "flat-fit-noise-negative", "pipeline-noise-negative",
+        "flat-fit-noise-31", "pipeline-noise-31",
         "bbf-audit-pairs-0", "bbf-audit-pairs-negative", "delta-samples-0",
         "delta-samples-not-an-integer", "differentiate-box-below-required",
         "differentiate-box-0", "differentiate-step-0", "differentiate-step-negative",
@@ -529,7 +542,9 @@ def test_cli_flag_values_are_usage_errors(capsys, argv, message):
     scale passed with exit code 0; a NaN scale printed an invalid JSON
     Infinity and a NaN kappa a failed membership, both with exit code 1.
     A negative seed ended in numpy's ValueError traceback with exit
-    code 1, as did a negative rank box; a rank box of 0 ran at side 60."""
+    code 1, as did a negative rank box; a rank box of 0 ran at side 60.
+    A noise above 30 read past the 32-byte burst digest: an IndexError
+    traceback with exit code 1."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

@@ -47,7 +47,7 @@ def _shifted_twist_flat(surface: ModelSurface, span: int, shift: int) -> Standar
 
 
 @pytest.mark.parametrize("tau_shift", [0, 7])
-@pytest.mark.parametrize("noise", [0, 1, 3, 6])
+@pytest.mark.parametrize("noise", [0, 1, 3, 6, 30])
 @pytest.mark.parametrize("surface", [MARKING2, AUGMENTED], ids=["marking", "augmented"])
 def test_noisy_flat_map_matches_step_by_step_burst(surface, noise, tau_shift):
     flat = _shifted_twist_flat(surface, 300, tau_shift)
@@ -182,7 +182,7 @@ FLATS = {
 }
 
 
-@pytest.mark.parametrize("noise", [0, 2, 3, 5])
+@pytest.mark.parametrize("noise", [0, 2, 3, 5, 30])
 @pytest.mark.parametrize("name", FLATS)
 def test_images_equal_fn_and_the_oracle_on_every_flat(name, noise, cn):
     flat = FLATS[name](cn)

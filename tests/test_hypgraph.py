@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from coarsegeo.harness import main
-from coarsegeo.hypgraph import farey_handle, farey_thinness, real_line_handle, unparam_qgeo_check
+from coarsegeo.hypgraph import (MetricHandle, farey_handle, farey_thinness, real_line_handle,
+                               unparam_qgeo_check)
 from coarsegeo.surfmodel import INFINITY, ZERO, Slope, farey_ball, farey_distance
 
 import oracles
@@ -187,3 +188,18 @@ def test_graph_handle_roundtrip(ball):
     h = graph_handle(ball)
     assert h.distance(ZERO, INFINITY) == 1.0
     assert list(h.geodesic(ZERO, INFINITY)) == [ZERO, INFINITY]
+
+
+def test_default_pairwise_calls_distance_in_order():
+    """A handle without a batch function answers `pairwise` with one
+    `distance` call per pair, in order, repeats included."""
+    asked = []
+
+    def distance(a, b):
+        asked.append((a, b))
+        return float(a - b)
+
+    handle = MetricHandle("toy", distance)
+    assert handle.pairwise([3, 1, 2, 3], [0, 5, 2, 0]) == [3.0, -4.0, 0.0, 3.0]
+    assert asked == [(3, 0), (1, 5), (2, 2), (3, 0)]
+    assert handle.pairwise([], []) == []

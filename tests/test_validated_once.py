@@ -235,6 +235,8 @@ NEGATIVE = {
     "coarse-length-scale-nan": lambda: coarse_length(
         PathTrace((0.0, 1.0), (0.0, 1.0), real_line_handle(), K=1.0, C=0.0), math.nan),
     "hull-kappa-negative": lambda: HullQuery(base_point(MARKING2), base_point(MARKING2), -1.0),
+    "noise-above-the-digest": lambda: noisy_flat_map(twist_flat(MARKING2, 10), 31, 1),
+    "length-bool": lambda: ModelPoint(AUGMENTED2, (ComponentState(ZERO, INFINITY, True),) * 2),
 }
 
 
