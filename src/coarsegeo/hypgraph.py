@@ -53,12 +53,9 @@ class MetricHandle:
     distance: Callable[[Any, Any], float]
     geodesic_fn: Callable[[Any, Any], Sequence[Any]] | None = None
     embedding: Any = None  # the bbf.Embedding behind the embedded handle
-    pairwise_fn: Callable[[Sequence[Any], Sequence[Any]], list[float]] | None = None
 
     def pairwise(self, xs: Sequence[Any], ys: Sequence[Any]) -> list[float]:
-        """d(xs[i], ys[i]) in order: one `pairwise_fn` call, else one `distance` per pair."""
-        if self.pairwise_fn is not None:
-            return self.pairwise_fn(xs, ys)
+        """d(xs[i], ys[i]) for each i, in order: one `distance` call per pair."""
         return list(map(self.distance, xs, ys))
 
     def geodesic(self, a, b) -> tuple:
@@ -94,9 +91,8 @@ def farey_handle() -> MetricHandle:
 
 
 def model_handle(surface) -> MetricHandle:
-    """The model space of a surface under the distance formula, batched."""
-    return MetricHandle(f"model[{surface.flavor}]", surfmodel.model_distance,
-                        pairwise_fn=surfmodel.model_distances)
+    """The model space of a surface under the distance formula."""
+    return MetricHandle(f"model[{surface.flavor}]", surfmodel.model_distance)
 
 
 # ---------------------------------------------------------------------------

@@ -968,14 +968,11 @@ def _formula_scope(x: ModelPoint, y: ModelPoint, threshold: float | None,
 
 def formula_total(x: ModelPoint, y: ModelPoint, threshold: float | None = None,
                   comps: Iterable[int] | None = None) -> float:
-    """`distance_formula`'s total, bit for bit, through `_terms_total`."""
-    return _terms_total(x, y, *_formula_scope(x, y, threshold, comps))
-
-
-def _terms_total(x: ModelPoint, y: ModelPoint, t: float, comps: Iterable[int]) -> float:
-    """The formula's total at threshold t over comps from each component's kept
-    distances in `_terms` (a miss runs `_component_terms`), added in cached order:
-    the pair's own for a raw key, and integers, exact in any order, for a moved one."""
+    """`distance_formula`'s total, bit for bit, from each component's kept
+    distances in `_terms` (a miss runs `_component_terms` on the pair's
+    own state keys), added in cached order: the pair's own for a raw
+    key, and integers, exact in any order, for a moved one."""
+    t, comps = _formula_scope(x, y, threshold, comps)
     fl, total = x.surface.fl, 0.0
     for i in comps:
         kx, ky = x._key[i + 1], y._key[i + 1]
@@ -1013,40 +1010,18 @@ def distance_formula(
 
 
 def model_distance(x: ModelPoint, y: ModelPoint) -> float:
-    """`formula_total` at the surface's own threshold, cached at (x._key, y._key)."""
-    global _distance_hits
-    d = _distances.get(key := (x._key, y._key))
-    if d is None:
-        return _distance_miss(x, y, key)
-    _distance_hits += 1
-    return d
-
-
-def model_distances(xs: Sequence[ModelPoint], ys: Sequence[ModelPoint]) -> list[float]:
-    """`model_distance` of each pair (xs[i], ys[i]), in order, in one pass
-    over `_distances`: the same floats, hits and misses."""
-    global _distance_hits
-    get, out = _distances.get, []
-    for x, y in zip(xs, ys):
-        d = get(key := (x._key, y._key))
-        if d is None:
-            d = _distance_miss(x, y, key)
-        else:
-            _distance_hits += 1
-        out.append(d)
-    return out
-
-
-def _distance_miss(x: ModelPoint, y: ModelPoint, key: tuple) -> float:
-    """A `_distances` miss: the pair's total at its surface's threshold."""
-    global _distance_misses
+    """`formula_total` at the surface's own threshold, cached at
+    (x._key, y._key)."""
+    global _distance_hits, _distance_misses
+    key = (x._key, y._key)
+    d = _distances.get(key)
+    if d is not None:
+        _distance_hits += 1
+        return d
     _distance_misses += 1
-    if key[0][0] != key[1][0]:
-        raise ValueError("points live on different surfaces")
     if len(_distances) >= _DISTANCES_MAX:
         _distances.clear()
-    surf = x.surface
-    d = _distances[key] = _terms_total(x, y, surf.threshold, range(surf.n_components))
+    d = _distances[key] = formula_total(x, y)
     return d
 
 

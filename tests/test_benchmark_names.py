@@ -42,8 +42,8 @@ def test_the_tracer_installs_and_uninstalls():
         for name in ("harness.box_map.evals", "hypgraph.distance.model.calls",
                      "hypgraph.distance.farey.calls", "hypgraph.distance.embedded.calls"):
             assert t.values[name] == 1, name
-        # a batch goes around the handle's counted `distance`, but the
-        # model-distance counters the tracer reads still count each pair
+        # a batch goes through the handle's counted `distance`, once a
+        # pair, and the model-distance counters the tracer reads count it
         before = surfmodel.model_distance.cache_info()
         z = twist_move(x, 0, 9)
         assert hypgraph.model_handle(surface).pairwise([x, z], [y, y]) == \
@@ -51,6 +51,7 @@ def test_the_tracer_installs_and_uninstalls():
         after = surfmodel.model_distance.cache_info()
         assert (after.hits - before.hits, after.misses - before.misses) == (3, 1)
         assert t.metrics()["surfmodel.model_distance.misses"][0] == after.misses
+        assert t.values["hypgraph.distance.model.calls"] == 3
     finally:
         t.uninstall()
     assert all(getattr(mod, name) is fn for (mod, name), fn in originals.items())

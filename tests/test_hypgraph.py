@@ -191,8 +191,8 @@ def test_graph_handle_roundtrip(ball):
 
 
 def test_default_pairwise_calls_distance_in_order():
-    """A handle without a batch function answers `pairwise` with one
-    `distance` call per pair, in order, repeats included."""
+    """`pairwise` makes one `distance` call per pair, in order, repeats
+    included."""
     asked = []
 
     def distance(a, b):

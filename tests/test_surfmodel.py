@@ -796,88 +796,28 @@ def _cold_flat_pipeline_op(cn, noise_seed: int) -> None:
 
 
 def test_terms_up_to_sl2z_match_the_raw_kernel_on_a_cold_flat_pipeline_op(cn, monkeypatch):
-    """Every question one cold flat-pipeline op asks of `_terms_total`,
-    the miss helper `formula_total` and `model_distance` share, asked
-    again of the filled caches and of the raw kernel: totals agree bit
-    for bit, and so do `distance_formula`'s totals and contribution
-    lists.  Tens of thousands of pairs share a few hundred `_terms`
-    entries."""
+    """Every cached distance-formula question of one cold flat-pipeline
+    op, asked again of the filled caches and of the raw kernel: totals
+    agree bit for bit, and so do `distance_formula`'s totals and
+    contribution lists.  Tens of thousands of pairs share a few hundred
+    `_terms` entries."""
     asked = {}
-    real = surfmodel._terms_total
+    real = surfmodel.formula_total
 
-    def recording(x, y, t, comps):
-        comps = tuple(comps)
-        asked.setdefault((x._key, y._key, t, comps), (x, y))
-        return real(x, y, t, comps)
+    def recording(x, y, threshold=None, comps=None):
+        comps = None if comps is None else tuple(comps)
+        asked.setdefault((x._key, y._key, threshold, comps), (x, y))
+        return real(x, y, threshold, comps)
 
-    monkeypatch.setattr(surfmodel, "_terms_total", recording)
+    monkeypatch.setattr(surfmodel, "formula_total", recording)
     surfmodel.clear_caches()
     _cold_flat_pipeline_op(cn, 1114088975)
-    monkeypatch.setattr(surfmodel, "_terms_total", real)
+    monkeypatch.setattr(surfmodel, "formula_total", real)
     assert len(asked) > 30_000 and len(surfmodel._terms) < 1_000, \
         (len(asked), len(surfmodel._terms))
-    for (_, _, t, comps), (x, y) in asked.items():
-        want = oracles.component_loop_distance_formula(x, y, t, comps)
-        assert real(x, y, t, comps).hex() == want[0].hex(), (x, y, t, comps)
-        assert _bits(distance_formula(x, y, t, comps)) == _bits(want)
-        if t == x.surface.threshold and comps == tuple(range(x.surface.n_components)):
+    for (_, _, threshold, comps), (x, y) in asked.items():
+        want = oracles.component_loop_distance_formula(x, y, threshold, comps)
+        assert real(x, y, threshold, comps).hex() == want[0].hex(), (x, y, threshold, comps)
+        assert _bits(distance_formula(x, y, threshold, comps)) == _bits(want)
+        if threshold is None and comps is None:
             assert model_distance(x, y).hex() == want[0].hex()
-
-
-# --- the batch model distance against the scalar one ------------------------------
-
-def _batch_pairs(flavor: str, rng) -> list[tuple[ModelPoint, ModelPoint]]:
-    """Seeded pairs of 2-component points, drawn from 10 points so that
-    pairs repeat, with the first ten pairs listed again at the end."""
-    from coarsegeo.harness import random_point
-    surface = ModelSurface(((1, 1), (1, 1)), flavor=flavor, bers=2.0)
-    pts = [random_point(surface, rng, steps=10, big_twist=20) for _ in range(10)]
-    pairs = [(pts[i], pts[j]) for i, j in rng.integers(0, 10, (60, 2)).tolist()]
-    return pairs + pairs[:10]
-
-
-def _scalar(xs, ys) -> list[float]:
-    return [model_distance(x, y) for x, y in zip(xs, ys)]
-
-
-def _run(distances, pairs, warm: int):
-    """`distances` over pairs after a cache cleared and warmed on the first
-    `warm` pairs: the floats as hex, and the hits and misses it added."""
-    surfmodel.clear_caches()
-    for x, y in pairs[:warm]:
-        model_distance(x, y)
-    before = model_distance.cache_info()
-    out = distances(*zip(*pairs))
-    after = model_distance.cache_info()
-    return [d.hex() for d in out], (after.hits - before.hits, after.misses - before.misses)
-
-
-@pytest.mark.parametrize("flavor", ["pants", "marking", "augmented"])
-def test_model_distances_equal_model_distance_bit_for_bit(flavor, rng, monkeypatch):
-    """`model_distances` of a batch with repeated pairs, on a cache warmed
-    on its first 25 pairs (so hits and misses mix), returns scalar
-    `model_distance`'s floats bit for bit, and `cache_info()` advances by
-    the batch's hits and misses: a pair is a hit when its key was asked
-    before, in the warm-up or earlier in the batch.  The same holds when
-    `_distances` is bounded at 30 entries and empties mid-batch."""
-    pairs = _batch_pairs(flavor, rng)
-    seen, hits = {(x._key, y._key) for x, y in pairs[:25]}, 0
-    for x, y in pairs:
-        hits += (x._key, y._key) in seen
-        seen.add((x._key, y._key))
-    want, got = _run(_scalar, pairs, 25), _run(surfmodel.model_distances, pairs, 25)
-    assert got == want and got[1] == (hits, len(pairs) - hits)
-    assert 0 < hits < len(pairs) and len(seen) > 30
-    monkeypatch.setattr(surfmodel, "_DISTANCES_MAX", 30)
-    want, got = _run(_scalar, pairs, 25), _run(surfmodel.model_distances, pairs, 25)
-    assert got == want and got[1][1] > len(pairs) - hits
-
-
-def test_model_distances_refuse_a_cross_surface_pair(marking1):
-    other = ModelSurface(((1, 1),), flavor="marking", threshold=5.0)
-    x, y = base_point(marking1), twist_move(base_point(marking1), 0, 9)
-    with pytest.raises(ValueError) as scalar:
-        model_distance(x, base_point(other))
-    with pytest.raises(ValueError) as batch:
-        surfmodel.model_distances([x, x], [y, base_point(other)])
-    assert str(batch.value) == str(scalar.value) == "points live on different surfaces"
